@@ -64,6 +64,26 @@ impl GoldenStream {
         stream
     }
 
+    /// Restarts the stream from zero history, as if freshly created,
+    /// keeping the allocated capacity for the next run.
+    pub fn clear(&mut self) {
+        for v in [
+            &mut self.s0,
+            &mut self.d0,
+            &mut self.d1,
+            &mut self.s1,
+            &mut self.d2,
+            &mut self.s2,
+            &mut self.low,
+            &mut self.high,
+        ] {
+            v.clear();
+        }
+        for _ in 0..WARMUP {
+            self.push_raw(0, 0);
+        }
+    }
+
     /// Number of (real) pairs pushed so far.
     #[must_use]
     pub fn pairs_pushed(&self) -> usize {
@@ -267,6 +287,25 @@ mod tests {
         assert_eq!(g.pairs_pushed(), 10);
         assert_eq!(g.low().len(), 8);
         assert_eq!(g.high().len(), 8);
+    }
+
+    #[test]
+    fn clear_restarts_from_zero_history() {
+        let pairs = still_tone_pairs(24, 5);
+        let mut fresh = GoldenStream::default();
+        let mut reused = GoldenStream::default();
+        for &(e, o) in still_tone_pairs(40, 9).iter() {
+            reused.push(e, o);
+        }
+        reused.clear();
+        assert_eq!(reused.pairs_pushed(), 0);
+        assert!(reused.low().is_empty());
+        for &(e, o) in &pairs {
+            fresh.push(e, o);
+            reused.push(e, o);
+        }
+        assert_eq!(reused.low(), fresh.low());
+        assert_eq!(reused.high(), fresh.high());
     }
 
     #[test]

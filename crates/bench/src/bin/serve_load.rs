@@ -14,7 +14,7 @@
 //!
 //! Usage: `serve_load [--workers N] [--design N] [--pairs N]
 //! [--requests N] [--sweep R1,R2,...] [--queue N] [--deadline-ms F]
-//! [--block] [--attempts N] [--reset-every N] [--chaos]
+//! [--block] [--attempts N] [--chaos]
 //! [--rate F] [--stuck-lane LANE,CYCLE] [--slow-lane LANE,FACTOR]
 //! [--seed S] [--backend event|compiled|jit] [--json PATH] [--max-sdc N]
 //! [--min-availability F]`
@@ -73,9 +73,6 @@ fn parse_cfg(shared: &CampaignArgs) -> Result<ServeCampaignConfig, UsageError> {
             "--block" => cfg.serve.overload = OverloadPolicy::Block,
             "--attempts" => {
                 cfg.serve.retry.max_attempts = flag_value(&mut args, "--attempts", "count")?;
-            }
-            "--reset-every" => {
-                cfg.serve.reset_every = flag_value(&mut args, "--reset-every", "tiles")?;
             }
             "--chaos" => chaos = true,
             "--rate" => {

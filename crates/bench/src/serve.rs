@@ -304,7 +304,7 @@ pub fn serve_json(cfg: &ServeCampaignConfig, rows: &[ServeRow]) -> String {
         out,
         "{{\n  \"config\": {{\n    \"design\": \"{}\", \"workers\": {}, \"tile_pairs\": {}, \
          \"requests\": {}, \"seed\": {},\n    \"queue_capacity\": {}, \"overload\": \"{}\", \
-         \"deadline_ns\": {}, \"max_attempts\": {}, \"reset_every\": {},\n    \"chaos\": {}\n  \
+         \"deadline_ns\": {}, \"max_attempts\": {},\n    \"chaos\": {}\n  \
          }},\n  \"sweep\": [",
         json_escape(s.design.name()),
         s.workers,
@@ -318,7 +318,6 @@ pub fn serve_json(cfg: &ServeCampaignConfig, rows: &[ServeRow]) -> String {
         },
         s.deadline_ns.map_or_else(|| "null".to_owned(), |d| d.to_string()),
         s.retry.max_attempts,
-        s.reset_every,
         s.chaos.as_ref().map_or_else(
             || "null".to_owned(),
             |c| format!(

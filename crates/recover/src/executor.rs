@@ -11,8 +11,9 @@
 //!   drained machine, so *rollback + replay* of a tile is bit-exact;
 //! * the flush (≥ the golden model's 4-pair lookback) isolates tiles
 //!   from each other, so a tile can be *re-dispatched* onto a freshly
-//!   constructed TMR spare and still match the continuous
-//!   [`dwt_arch::golden::GoldenStream`] at the same global indices.
+//!   constructed TMR spare and still match the tile's golden
+//!   reference, which [`dwt_arch::golden::GoldenStream`] computes from
+//!   zero history at every tile start.
 //!
 //! Detection is online: duplication-with-comparison (DWC) checks every
 //! flushed coefficient against the golden stream the cycle it emerges,
@@ -24,6 +25,14 @@
 //! rollbacks), then re-dispatch to the TMR spare, then software golden
 //! fallback, which cannot be wrong. Every rung, replay, recovery cycle
 //! and detection latency is accounted in [`TileOutcome`].
+//!
+//! On an engine with more than one lane, a fault-free run spreads a
+//! large tile's first primary attempt over the lanes ([`SegmentPlan`]):
+//! each lane covers one segment of the tile and warms up on the
+//! `latency + 2` pairs before it, the same bound that licenses replay
+//! and re-dispatch. Every lane's coefficients are DWC-checked; a
+//! mismatch reruns the tile on one lane. Replay, TMR, the golden
+//! fallback and every faulted run keep the one-lane window.
 
 use dwt_arch::datapath::Hardening;
 use dwt_arch::designs::Design;
@@ -32,6 +41,7 @@ use dwt_rtl::engine::Engine;
 use dwt_rtl::fault::FaultSpec;
 use dwt_rtl::netlist::Netlist;
 use dwt_rtl::sim::Simulator;
+use std::ops::Range;
 
 use crate::error::{Error, Result};
 use crate::injector::{FaultInjector, Lane};
@@ -305,6 +315,99 @@ struct Attempt {
     high: Vec<i64>,
 }
 
+/// How much shorter than the one-lane window `p + flush` a segmented
+/// window must be before it is used: at most `1 / SEGMENT_MIN_GAIN` of
+/// it. A 64-lane tick of the compiled engine, lane I/O included, costs
+/// more than a scalar tick (about 1.5 scalar ticks on Design 5, 2.3
+/// before its lane I/O stopped allocating), so a segmented window that
+/// saves less than half the ticks is not worth the lanes.
+const SEGMENT_MIN_GAIN: usize = 2;
+
+/// How one tile window is spread over the primary engine's lanes.
+///
+/// The tile's `p` pairs are cut into `k` segments of
+/// `S = ceil(p / lanes)` pairs (the last may be shorter). Lane 0 covers
+/// `[0, S)` from the drained checkpoint, exactly like the one-lane
+/// window. Lane `j ≥ 1` covers `[jS, (j+1)S)` but starts `flush` pairs
+/// early, on the tile's own preceding pairs (zeros before the tile
+/// start, which is the history the drained checkpoint stands for). The
+/// flush is the bound after which a drained pipeline no longer depends
+/// on what came before, so each lane reaches its first coefficient in
+/// the state a single lane streaming the whole tile would be in. Lanes
+/// are fed the tile's zero flush after its last pair, and every lane
+/// runs until its last coefficient has emerged: `flush + S + flush`
+/// ticks. With `k = 1` there is no warm-up and the window is the
+/// classic `p + flush`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentPlan {
+    pairs: usize,
+    seg: usize,
+    flush: usize,
+}
+
+impl SegmentPlan {
+    /// The one-lane window: every pair on lane 0, then `flush` zeros.
+    #[must_use]
+    pub fn single(pairs: usize, flush: usize) -> Self {
+        SegmentPlan { pairs, seg: pairs.max(1), flush }
+    }
+
+    /// The plan for a tile of `pairs` on an engine with `lanes` lanes:
+    /// segmented when that shrinks the window to at most
+    /// `1 / SEGMENT_MIN_GAIN` of the one-lane window, otherwise
+    /// [`SegmentPlan::single`].
+    fn choose(pairs: usize, lanes: usize, flush: usize) -> Self {
+        let plan = SegmentPlan { pairs, seg: pairs.div_ceil(lanes.max(1)).max(1), flush };
+        if plan.lanes() > 1 && SEGMENT_MIN_GAIN * plan.window() <= pairs + flush {
+            plan
+        } else {
+            SegmentPlan::single(pairs, flush)
+        }
+    }
+
+    /// Lanes the plan drives (`k`); 1 for the one-lane window.
+    #[must_use]
+    pub fn lanes(&self) -> usize {
+        self.pairs.div_ceil(self.seg).max(1)
+    }
+
+    /// Ticks the window takes: warm-up, one segment, then the flush.
+    #[must_use]
+    pub fn window(&self) -> usize {
+        let warmup = if self.lanes() > 1 { self.flush } else { 0 };
+        warmup + self.seg + self.flush
+    }
+
+    /// Tile-relative index of the pair `lane` is fed at tick 0; negative
+    /// for a warm-up that starts before the tile.
+    fn start(&self, lane: usize) -> isize {
+        if lane == 0 {
+            0
+        } else {
+            (lane * self.seg) as isize - self.flush as isize
+        }
+    }
+
+    /// The coefficients `lane` commits.
+    fn covers(&self, lane: usize) -> Range<usize> {
+        (lane * self.seg).min(self.pairs)..((lane + 1) * self.seg).min(self.pairs)
+    }
+
+    /// The pair `lane` is fed at tick `t`: the tile's own pair, or zero
+    /// before the tile and in the flush after it.
+    fn input(&self, pairs: &[(i64, i64)], lane: usize, t: usize) -> (i64, i64) {
+        let i = self.start(lane) + t as isize;
+        usize::try_from(i).ok().and_then(|i| pairs.get(i)).copied().unwrap_or((0, 0))
+    }
+
+    /// The coefficient `lane` commits at the end of tick `t` on a
+    /// datapath of the given latency, if any.
+    fn emerging(&self, lane: usize, t: usize, latency: usize) -> Option<usize> {
+        let m = usize::try_from(self.start(lane) + t as isize - latency as isize).ok()?;
+        self.covers(lane).contains(&m).then_some(m)
+    }
+}
+
 /// The recovery runtime: checkpointed tile execution over one design.
 ///
 /// Generic over the simulation [`Engine`] driving the primary datapath
@@ -324,14 +427,17 @@ pub struct TileExecutor<E: Engine = Simulator> {
     /// [`TileExecutor::reset`] can re-arm the lane without paying the
     /// netlist rebuild.
     initial: E::Snapshot,
+    /// The current tile's reference, cleared at every tile start; it
+    /// keeps its capacity, so its memory is bounded by the largest tile.
     golden: GoldenStream,
-    /// Pairs fed into the golden stream so far (tile bases).
-    fed: usize,
     /// Monotone wall-clock of executed simulator cycles, advancing
     /// through rollbacks and re-dispatches. Keys the fault injector, so
     /// a transient strike consumed by a failed attempt does not recur
     /// on replay.
     executed_cycles: u64,
+    /// Segmented windows that failed DWC on a quiet run and were rerun
+    /// on one lane.
+    segment_fallbacks: u64,
     tile_index: usize,
 }
 
@@ -364,15 +470,15 @@ impl<E: Engine> TileExecutor<E> {
             spare_netlist: spare.netlist,
             initial,
             golden: GoldenStream::default(),
-            fed: 0,
             executed_cycles: 0,
+            segment_fallbacks: 0,
             tile_index: 0,
         })
     }
 
     /// Re-arms the executor for a fresh stream without rebuilding the
     /// netlists: the primary is restored to its power-on snapshot and
-    /// the golden reference stream restarts from zero history.
+    /// tile indices restart from zero.
     ///
     /// This is the lane "power-cycle" a multi-lane scheduler performs
     /// before probing a suspect lane with a canary tile. Two things
@@ -391,8 +497,6 @@ impl<E: Engine> TileExecutor<E> {
     /// restore (harness bug, not a detected fault).
     pub fn reset(&mut self) -> Result<()> {
         self.primary.restore(&self.initial)?;
-        self.golden = GoldenStream::default();
-        self.fed = 0;
         self.tile_index = 0;
         Ok(())
     }
@@ -431,11 +535,37 @@ impl<E: Engine> TileExecutor<E> {
         &self.spare_netlist
     }
 
-    /// Total simulator cycles executed so far, including failed
-    /// attempts — the injector's wall clock.
+    /// Engine ticks actually run so far, including failed attempts —
+    /// the injector's wall clock. A segmented window counts its
+    /// `flush + S + flush` ticks, however many lanes it drives, so this
+    /// is the simulation cost, not the hardware model's cycle count
+    /// ([`TileOutcome::nominal_cycles`] stays `p + flush`).
     #[must_use]
     pub fn executed_cycles(&self) -> u64 {
         self.executed_cycles
+    }
+
+    /// Segmented windows whose lanes failed DWC on a quiet run and were
+    /// rerun on one lane. Zero on the five designs; a netlist whose
+    /// memory outlasts the flush would count here instead of committing
+    /// a wrong segment.
+    #[must_use]
+    pub fn segment_fallbacks(&self) -> u64 {
+        self.segment_fallbacks
+    }
+
+    /// The window plan for the first primary attempt at a tile of
+    /// `pairs` on a quiet run: segmented over the engine's lanes when
+    /// DWC is on and segmenting at least halves the window,
+    /// otherwise the one-lane window. Faulted runs always use
+    /// [`SegmentPlan::single`].
+    #[must_use]
+    pub fn segment_plan(&self, pairs: usize) -> SegmentPlan {
+        if self.cfg.dwc {
+            SegmentPlan::choose(pairs, self.primary.caps().lanes, self.flush())
+        } else {
+            SegmentPlan::single(pairs, self.flush())
+        }
     }
 
     /// Zero-pad flush length of the primary window.
@@ -488,22 +618,22 @@ impl<E: Engine> TileExecutor<E> {
         let flush = self.flush();
         let window = (p + flush) as u64;
 
-        // Checkpoint: drained simulator state + golden stream position.
+        // Checkpoint: the drained simulator state.
         let snap = self.primary.snapshot();
-        let fed_ck = self.fed;
 
-        // Reference pass: extend the continuous golden stream by the
-        // tile window. The flush (≥ the model's 4-pair lookback) makes
-        // the window's coefficients independent of anything before the
-        // checkpoint, which is what licenses replay and re-dispatch.
+        // Reference pass: the tile window from zero history. The flush
+        // (≥ the model's 4-pair lookback) makes the window's
+        // coefficients independent of anything before the checkpoint,
+        // which is what licenses replay and re-dispatch.
+        self.golden.clear();
         for &(e, o) in pairs {
             self.golden.push(e, o);
         }
         for _ in 0..flush {
             self.golden.push(0, 0);
         }
-        let exp_low = self.golden.low()[fed_ck..fed_ck + p].to_vec();
-        let exp_high = self.golden.high()[fed_ck..fed_ck + p].to_vec();
+        let exp_low = self.golden.low()[..p].to_vec();
+        let exp_high = self.golden.high()[..p].to_vec();
 
         let parity = self.cfg.hardening == Hardening::Parity;
         let mut detections = Vec::new();
@@ -512,6 +642,8 @@ impl<E: Engine> TileExecutor<E> {
         let mut detection_latency = None;
         let mut tile_cycles = 0u64;
         let mut committed: Option<(Rung, Vec<i64>, Vec<i64>)> = None;
+        let mut plan =
+            if injector.quiet() { self.segment_plan(p) } else { SegmentPlan::single(p, flush) };
 
         // Rungs 1–2: primary, then rollback + replay.
         let mut attempt = 0u32;
@@ -525,13 +657,25 @@ impl<E: Engine> TileExecutor<E> {
                 Lane::Primary,
                 self.latency,
                 pairs,
-                flush,
+                &plan,
                 self.cfg.dwc.then_some((&exp_low[..], &exp_high[..])),
                 parity,
                 &persistent,
                 &mut self.executed_cycles,
                 injector,
             )?;
+            if plan.lanes() > 1 {
+                // Lanes stop partway through the tile, not drained: park
+                // the primary back at the checkpoint either way. A lane
+                // mismatch on a quiet run is no fault; the tile reruns
+                // on one lane as its first attempt.
+                self.primary.restore(&snap)?;
+                if out.detection.is_some() {
+                    self.segment_fallbacks += 1;
+                    plan = SegmentPlan::single(p, flush);
+                    continue;
+                }
+            }
             tile_cycles += out.cycles;
             match out.detection {
                 None => {
@@ -567,7 +711,7 @@ impl<E: Engine> TileExecutor<E> {
                 Lane::Tmr,
                 self.spare_latency,
                 pairs,
-                self.spare_latency + 2,
+                &SegmentPlan::single(p, self.spare_latency + 2),
                 // The recovery path is always checked: an unverified
                 // spare could silently commit a corrupt tile.
                 Some((&exp_low[..], &exp_high[..])),
@@ -597,7 +741,6 @@ impl<E: Engine> TileExecutor<E> {
         if matches!(rung, Rung::Tmr | Rung::GoldenFallback) {
             self.primary.restore(&snap)?;
         }
-        self.fed = fed_ck + p + flush;
 
         // Independent SDC audit, deliberately not gated on `dwc`.
         let bit_exact = low == exp_low && high == exp_high;
@@ -641,18 +784,18 @@ fn inject_classified<E: Engine>(sim: &mut E, spec: &FaultSpec) -> Result<Option<
     }
 }
 
-/// One attempt at a tile window on one lane: feed pairs + flush zeros,
-/// inject the injector's arrivals as they fall due, compare flushed
-/// coefficients online, stop at the first detection.
-// The range loop is deliberate: `t` runs past `pairs.len()` into the
-// zero flush, which no iterator over `pairs` can express.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+/// One attempt at a tile window laid out by `plan`: feed every lane its
+/// pairs + flush zeros, inject the injector's arrivals as they fall
+/// due, compare each committed coefficient online, stop at the first
+/// detection. A one-lane plan drives the scalar verbs, so it runs on
+/// every backend; a segmented plan drives the lane verbs.
+#[allow(clippy::too_many_arguments)]
 fn run_attempt<E: Engine>(
     sim: &mut E,
     lane: Lane,
     latency: usize,
     pairs: &[(i64, i64)],
-    flush: usize,
+    plan: &SegmentPlan,
     expect: Option<(&[i64], &[i64])>,
     parity: bool,
     persistent: &[FaultSpec],
@@ -660,9 +803,12 @@ fn run_attempt<E: Engine>(
     injector: &mut dyn FaultInjector,
 ) -> Result<Attempt> {
     let p = pairs.len();
-    let window = p + flush;
-    let mut low = Vec::with_capacity(p);
-    let mut high = Vec::with_capacity(p);
+    let k = plan.lanes();
+    let mut low = vec![0; p];
+    let mut high = vec![0; p];
+    let mut even = vec![0; k];
+    let mut odd = vec![0; k];
+    let (mut flag, mut l, mut h) = (Vec::new(), Vec::new(), Vec::new());
 
     // Re-assert the lane's hard faults: the rollback reverted them
     // along with the machine state, but a broken wire stays broken.
@@ -672,7 +818,7 @@ fn run_attempt<E: Engine>(
         }
     }
 
-    for t in 0..window {
+    for t in 0..plan.window() {
         let mut detected: Option<Detection> = None;
         for spec in injector.arrivals(*executed_cycles, lane) {
             if let Some(d) = inject_classified(sim, &rebase(spec, sim.cycle()))? {
@@ -680,9 +826,16 @@ fn run_attempt<E: Engine>(
             }
         }
         if detected.is_none() {
-            let (e, o) = if t < p { pairs[t] } else { (0, 0) };
-            sim.set_input("in_even", e).map_err(Error::Rtl)?;
-            sim.set_input("in_odd", o).map_err(Error::Rtl)?;
+            for j in 0..k {
+                (even[j], odd[j]) = plan.input(pairs, j, t);
+            }
+            if k == 1 {
+                sim.set_input("in_even", even[0]).map_err(Error::Rtl)?;
+                sim.set_input("in_odd", odd[0]).map_err(Error::Rtl)?;
+            } else {
+                sim.set_input_lanes("in_even", &even).map_err(Error::Rtl)?;
+                sim.set_input_lanes("in_odd", &odd).map_err(Error::Rtl)?;
+            }
             match sim.try_tick() {
                 Ok(()) => {}
                 Err(dwt_rtl::Error::SimulationDiverged { .. }) => {
@@ -693,41 +846,47 @@ fn run_attempt<E: Engine>(
         }
         *executed_cycles += 1;
         let cycles = (t + 1) as u64;
+        let fail =
+            |d: Detection, low, high| Attempt { detection: Some((d, cycles)), cycles, low, high };
 
         if let Some(d) = detected {
-            return Ok(Attempt { detection: Some((d, cycles)), cycles, low, high });
+            return Ok(fail(d, low, high));
         }
-        if parity && sim.peek("fault_detect").map_err(Error::Rtl)? != 0 {
-            return Ok(Attempt {
-                detection: Some((Detection::ParityFlag, cycles)),
-                cycles,
-                low,
-                high,
-            });
+        if parity && read(sim, "fault_detect", k, &mut flag)?.iter().any(|&f| f != 0) {
+            return Ok(fail(Detection::ParityFlag, low, high));
         }
-        // At the end of cycle t the outputs hold coefficient t - latency.
-        if t + 1 > latency {
-            let m = t - latency;
-            if m < p {
-                let l = sim.peek("low").map_err(Error::Rtl)?;
-                let h = sim.peek("high").map_err(Error::Rtl)?;
-                if let Some((el, eh)) = expect {
-                    if l != el[m] || h != eh[m] {
-                        return Ok(Attempt {
-                            detection: Some((Detection::OutputMismatch, cycles)),
-                            cycles,
-                            low,
-                            high,
-                        });
-                    }
+        // At the end of tick t a lane's outputs hold the coefficient of
+        // the pair it was fed `latency` ticks earlier.
+        if t < latency {
+            continue;
+        }
+        read(sim, "low", k, &mut l)?;
+        read(sim, "high", k, &mut h)?;
+        for j in 0..k {
+            let Some(m) = plan.emerging(j, t, latency) else { continue };
+            if let Some((el, eh)) = expect {
+                if l[j] != el[m] || h[j] != eh[m] {
+                    return Ok(fail(Detection::OutputMismatch, low, high));
                 }
-                low.push(l);
-                high.push(h);
             }
+            low[m] = l[j];
+            high[m] = h[j];
         }
     }
 
-    Ok(Attempt { detection: None, cycles: window as u64, low, high })
+    Ok(Attempt { detection: None, cycles: plan.window() as u64, low, high })
+}
+
+/// Reads a port on the first `k` lanes into `buf`: the scalar `peek`
+/// for one lane, the lane verb otherwise.
+fn read<'a, E: Engine>(sim: &E, port: &str, k: usize, buf: &'a mut Vec<i64>) -> Result<&'a [i64]> {
+    if k == 1 {
+        buf.clear();
+        buf.push(sim.peek(port)?);
+    } else {
+        *buf = sim.peek_lanes(port)?;
+    }
+    Ok(&buf[..k])
 }
 
 #[cfg(test)]
@@ -997,6 +1156,83 @@ mod tests {
             e.run_stream(&still_tone_pairs(16, 1), &mut NoFaults).unwrap()
         };
         assert_eq!(exec.nominal_window(16), report.tiles[0].nominal_cycles);
+    }
+
+    #[test]
+    fn segment_plan_commits_every_coefficient_exactly_once() {
+        for (p, lanes, latency) in [
+            (1, 64, 21),
+            (16, 64, 21),
+            (73, 64, 21),
+            (1000, 64, 21),
+            (1024, 64, 21),
+            (4103, 64, 21),
+            (1024, 256, 21),
+            (333, 256, 6),
+            (100, 3, 0),
+        ] {
+            let flush = latency + 2;
+            // The chosen plan, the one-lane plan, and the segmented plan
+            // the halving rule may have turned down.
+            let forced = SegmentPlan { pairs: p, seg: p.div_ceil(lanes), flush };
+            for plan in
+                [SegmentPlan::choose(p, lanes, flush), SegmentPlan::single(p, flush), forced]
+            {
+                let mut seen = vec![0u32; p];
+                for t in 0..plan.window() {
+                    for j in 0..plan.lanes() {
+                        if let Some(m) = plan.emerging(j, t, latency) {
+                            assert!(plan.covers(j).contains(&m));
+                            seen[m] += 1;
+                        }
+                    }
+                }
+                assert!(seen.iter().all(|&n| n == 1), "{plan:?}: {seen:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_lane_plan_is_the_classic_window() {
+        for p in [1, 16, 1024] {
+            let plan = SegmentPlan::single(p, 23);
+            assert_eq!(plan.lanes(), 1);
+            assert_eq!(plan.window(), p + 23);
+            assert_eq!(plan.start(0), 0);
+            assert_eq!(plan.covers(0), 0..p);
+        }
+        assert_eq!(SegmentPlan::choose(4096, 1, 23), SegmentPlan::single(4096, 23));
+    }
+
+    #[test]
+    fn segmented_lanes_start_one_flush_before_their_segment() {
+        let plan = SegmentPlan::choose(1024, 64, 23);
+        assert_eq!((plan.lanes(), plan.seg, plan.window()), (64, 16, 62));
+        assert_eq!(plan.start(0), 0);
+        assert_eq!(plan.covers(0), 0..16);
+        for j in 1..64 {
+            assert_eq!(plan.start(j), 16 * j as isize - 23);
+            assert_eq!(plan.covers(j), 16 * j..16 * (j + 1));
+        }
+        // Warm-up before the tile is fed zeros, the drained history;
+        // the flush after it is zeros too.
+        let pairs: Vec<(i64, i64)> = (1..=1024).map(|i| (i, -i)).collect();
+        assert_eq!(plan.input(&pairs, 1, 0), (0, 0));
+        assert_eq!(plan.input(&pairs, 1, 7), (1, -1));
+        assert_eq!(plan.input(&pairs, 63, 23 + 15), (1024, -1024));
+        assert_eq!(plan.input(&pairs, 63, 23 + 16), (0, 0));
+    }
+
+    #[test]
+    fn segmenting_must_at_least_halve_the_window() {
+        // Design 5 (flush 23): a 16-pair tile would take 47 ticks
+        // segmented against 39 on one lane, on either lane count.
+        assert_eq!(SegmentPlan::choose(16, 64, 23).lanes(), 1);
+        assert_eq!(SegmentPlan::choose(16, 256, 23).lanes(), 1);
+        // 72 pairs: 48 ticks against 95, not quite half.
+        assert_eq!(SegmentPlan::choose(72, 64, 23).lanes(), 1);
+        assert_eq!(SegmentPlan::choose(73, 64, 23).window() * SEGMENT_MIN_GAIN, 73 + 23);
+        assert_eq!(SegmentPlan::choose(1024, 64, 23).window(), 62);
     }
 
     #[test]

@@ -39,6 +39,16 @@ pub trait FaultInjector {
         let _ = lane;
         Vec::new()
     }
+
+    /// Whether this injector can never produce a fault, transient or
+    /// persistent, on any lane. Only a quiet run may spread a tile over
+    /// several engine lanes: a fault strikes every lane at once and
+    /// would have to be attributed to one lane's segment, so every
+    /// faulted run keeps the one-lane window. Defaults to `false`, the
+    /// safe answer for any injector that might fire.
+    fn quiet(&self) -> bool {
+        false
+    }
 }
 
 /// The null injector: a fault-free run.
@@ -48,6 +58,10 @@ pub struct NoFaults;
 impl FaultInjector for NoFaults {
     fn arrivals(&mut self, _executed_cycle: u64, _lane: Lane) -> Vec<FaultSpec> {
         Vec::new()
+    }
+
+    fn quiet(&self) -> bool {
+        true
     }
 }
 

@@ -10,10 +10,10 @@
 //! designs tile by tile, and every tile is protected by three layers:
 //!
 //! 1. **Checkpointing** — at each tile boundary the runtime captures a
-//!    bit-exact [`dwt_rtl::sim::Snapshot`] of the simulator plus a clone
-//!    of the [`dwt_arch::golden::GoldenStream`] reference model, so any
-//!    mid-tile failure can be rolled back without replaying the whole
-//!    stream.
+//!    bit-exact [`dwt_rtl::sim::Snapshot`] of the drained simulator and
+//!    computes the tile's reference from zero history with the
+//!    [`dwt_arch::golden::GoldenStream`] model, so any mid-tile failure
+//!    can be rolled back without replaying the whole stream.
 //! 2. **Online detection** — duplication-with-comparison (DWC) checks
 //!    every flushed coefficient against the golden model the cycle it
 //!    emerges, a watchdog bounds the event budget of each cycle so an

@@ -28,7 +28,7 @@
 use crate::cell::{tables, Cell, CellKind};
 use crate::engine::{Engine, EngineCaps};
 use crate::fault::{self, FaultSpec, ResolvedFault};
-use crate::net::{bits_to_signed, signed_to_bits, Bus, NetId};
+use crate::net::{signed_to_bits, Bus, NetId};
 use crate::netlist::{CellId, Netlist, PortDirection};
 use crate::snapbytes::{ByteReader, ByteWriter};
 use crate::{Error, Result};
@@ -447,15 +447,115 @@ fn lower_ripple(
     }
 }
 
-/// A staged input write, applied at the next tick/settle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum StagedInput {
-    /// One value broadcast to every lane.
-    Broadcast(Bus, i64),
-    /// One value into a single lane.
-    Lane(Bus, usize, i64),
-    /// Per-lane values for lanes `0..values.len()`.
-    Lanes(Bus, Vec<i64>),
+/// A staged input write, already scattered into one word of the word
+/// file and applied at the next tick/settle as
+/// `word = (word & !mask) | bits`. Staging writes words rather than
+/// values, so once the staging list has reached its working size a
+/// write allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StagedWord {
+    /// Index into the word file.
+    pub(crate) idx: u32,
+    /// The lanes of the word this write sets.
+    pub(crate) mask: u64,
+    /// Their new bits.
+    pub(crate) bits: u64,
+}
+
+/// Validates a write of `values` to the input port `name` and returns
+/// the port's bus.
+pub(crate) fn input_bus<'a>(netlist: &'a Netlist, name: &str, values: &[i64]) -> Result<&'a Bus> {
+    let port = netlist.port(name)?;
+    if port.direction != PortDirection::Input {
+        return Err(Error::UnknownPort { name: name.to_owned() });
+    }
+    for &v in values {
+        port.bus.check_value(v)?;
+    }
+    Ok(&port.bus)
+}
+
+/// Stages `values[k]` into lane `first + k` of `bus`, scattered
+/// bit-major: one word per (bit, 64-lane block) touched, in a word file
+/// of `blocks` words per slot.
+pub(crate) fn stage_lanes(
+    staged: &mut Vec<StagedWord>,
+    bus: &Bus,
+    blocks: usize,
+    first: usize,
+    values: &[i64],
+) {
+    let end = first + values.len();
+    for blk in first / 64..end.div_ceil(64) {
+        let lo = (blk * 64).max(first);
+        let chunk = &values[lo - first..((blk + 1) * 64).min(end) - first];
+        let shift = lo % 64;
+        let mask = (ALL >> (64 - chunk.len())) << shift;
+        for (i, &net) in bus.bits().iter().enumerate() {
+            let mut bits = 0u64;
+            for (b, &v) in chunk.iter().enumerate() {
+                bits |= (((v >> i) & 1) as u64) << b;
+            }
+            let idx = (slot(net) as usize * blocks + blk) as u32;
+            staged.push(StagedWord { idx, mask, bits: bits << shift });
+        }
+    }
+}
+
+/// Stages `value` on every lane of `bus`.
+pub(crate) fn stage_broadcast(staged: &mut Vec<StagedWord>, bus: &Bus, blocks: usize, value: i64) {
+    for (i, &net) in bus.bits().iter().enumerate() {
+        let bits = if (value >> i) & 1 == 1 { ALL } else { 0 };
+        let base = slot(net) as usize * blocks;
+        for blk in 0..blocks {
+            staged.push(StagedWord { idx: (base + blk) as u32, mask: ALL, bits });
+        }
+    }
+}
+
+/// Signed values of a bus in the 64 lanes of one block, gathered
+/// bit-major: `word(bit)` is the block's word for each bit of the bus.
+pub(crate) fn gather_lanes(width: usize, word: impl Fn(usize) -> u64, out: &mut impl Extend<i64>) {
+    let mut raw = [0u64; 64];
+    for i in 0..width {
+        let mut w = word(i);
+        while w != 0 {
+            raw[w.trailing_zeros() as usize] |= 1 << i;
+            w &= w - 1;
+        }
+    }
+    out.extend(raw.iter().map(|&v| sign_extend(v, width)));
+}
+
+/// Two's-complement interpretation of `width` LSB-first raw bits.
+#[inline]
+pub(crate) fn sign_extend(raw: u64, width: usize) -> i64 {
+    let v = raw as i64;
+    if width < 64 && raw >> (width - 1) & 1 == 1 {
+        v - (1 << width)
+    } else {
+        v
+    }
+}
+
+/// Encodes a staging list for a portable snapshot.
+pub(crate) fn write_staged(w: &mut ByteWriter, staged: &[StagedWord]) {
+    w.len(staged.len());
+    for s in staged {
+        w.u32(s.idx);
+        w.u64(s.mask);
+        w.u64(s.bits);
+    }
+}
+
+/// Decodes a staging list written by [`write_staged`].
+pub(crate) fn read_staged(r: &mut ByteReader<'_>) -> Result<Vec<StagedWord>> {
+    let n = r.len(20)?;
+    let mut staged = Vec::with_capacity(n);
+    for _ in 0..n {
+        staged.push(StagedWord { idx: r.u32()?, mask: r.u64()?, bits: r.u64()? });
+    }
+    Ok(staged)
 }
 
 /// Complete architectural state of a [`CompiledEngine`]: net words,
@@ -466,7 +566,7 @@ pub struct CompiledSnapshot {
     cells: usize,
     words: Vec<u64>,
     ram: Vec<Vec<u64>>,
-    staged: Vec<StagedInput>,
+    staged: Vec<StagedWord>,
     stuck: Vec<(u32, bool)>,
     flips: Vec<(CellId, usize, u64)>,
     ram_upsets: Vec<(CellId, usize, usize, u64)>,
@@ -491,23 +591,7 @@ impl CompiledSnapshot {
 /// Leading tag byte of a serialized compiled snapshot (`'C'`).
 const SNAPSHOT_TAG: u8 = b'C';
 /// Encoding version; bump on any field/layout change.
-const SNAPSHOT_VERSION: u8 = 1;
-
-fn write_bus(w: &mut ByteWriter, bus: &Bus) {
-    w.len(bus.width());
-    for &net in bus.bits() {
-        w.u32(net.index() as u32);
-    }
-}
-
-fn read_bus(r: &mut ByteReader<'_>) -> Result<Bus> {
-    let width = r.len(4)?;
-    let mut bits = Vec::with_capacity(width);
-    for _ in 0..width {
-        bits.push(NetId(r.u32()?));
-    }
-    Bus::new(bits).map_err(|e| Error::SnapshotDecode { detail: format!("bad bus: {e}") })
-}
+const SNAPSHOT_VERSION: u8 = 2;
 
 impl crate::engine::PortableSnapshot for CompiledSnapshot {
     fn to_bytes(&self) -> Vec<u8> {
@@ -527,30 +611,7 @@ impl crate::engine::PortableSnapshot for CompiledSnapshot {
                 w.u64(word);
             }
         }
-        w.len(self.staged.len());
-        for staged in &self.staged {
-            match staged {
-                StagedInput::Broadcast(bus, value) => {
-                    w.u8(0);
-                    write_bus(&mut w, bus);
-                    w.i64(*value);
-                }
-                StagedInput::Lane(bus, lane, value) => {
-                    w.u8(1);
-                    write_bus(&mut w, bus);
-                    w.usize(*lane);
-                    w.i64(*value);
-                }
-                StagedInput::Lanes(bus, values) => {
-                    w.u8(2);
-                    write_bus(&mut w, bus);
-                    w.len(values.len());
-                    for &v in values {
-                        w.i64(v);
-                    }
-                }
-            }
-        }
+        write_staged(&mut w, &self.staged);
         w.len(self.stuck.len());
         for &(net, value) in &self.stuck {
             w.u32(net);
@@ -601,34 +662,7 @@ impl crate::engine::PortableSnapshot for CompiledSnapshot {
             }
             ram.push(planes);
         }
-        let mut staged = Vec::with_capacity(r.len(5)?);
-        for _ in 0..staged.capacity() {
-            let entry = match r.u8()? {
-                0 => {
-                    let bus = read_bus(&mut r)?;
-                    StagedInput::Broadcast(bus, r.i64()?)
-                }
-                1 => {
-                    let bus = read_bus(&mut r)?;
-                    let lane = r.usize()?;
-                    StagedInput::Lane(bus, lane, r.i64()?)
-                }
-                2 => {
-                    let bus = read_bus(&mut r)?;
-                    let mut values = Vec::with_capacity(r.len(8)?);
-                    for _ in 0..values.capacity() {
-                        values.push(r.i64()?);
-                    }
-                    StagedInput::Lanes(bus, values)
-                }
-                other => {
-                    return Err(Error::SnapshotDecode {
-                        detail: format!("bad staged-input tag {other}"),
-                    })
-                }
-            };
-            staged.push(entry);
-        }
+        let staged = read_staged(&mut r)?;
         let mut stuck = Vec::with_capacity(r.len(5)?);
         for _ in 0..stuck.capacity() {
             let net = r.u32()?;
@@ -693,7 +727,7 @@ pub struct CompiledEngine {
     ram: Vec<Vec<u64>>,
     /// Register-capture buffer reused across ticks.
     scratch: Vec<u64>,
-    staged: Vec<StagedInput>,
+    staged: Vec<StagedWord>,
     /// Per-slot clamp masks (`AND` then `OR`); identity unless stuck.
     and_mask: Vec<u64>,
     or_mask: Vec<u64>,
@@ -751,9 +785,9 @@ impl CompiledEngine {
     /// Same port/range validation as [`Engine::set_input`]; rejects
     /// `lane >=` [`LANES`].
     pub fn set_input_lane(&mut self, name: &str, lane: usize, value: i64) -> Result<()> {
-        let bus = self.input_bus(name, value)?;
+        let bus = input_bus(&self.netlist, name, &[value])?;
         check_lane(lane)?;
-        self.staged.push(StagedInput::Lane(bus, lane, value));
+        stage_lanes(&mut self.staged, bus, 1, lane, &[value]);
         Ok(())
     }
 
@@ -772,15 +806,8 @@ impl CompiledEngine {
                 detail: format!("expected 1..={LANES} lane values, got {}", values.len()),
             });
         }
-        let port = self.netlist.port(name)?;
-        if port.direction != PortDirection::Input {
-            return Err(Error::UnknownPort { name: name.to_owned() });
-        }
-        for &v in values {
-            port.bus.check_value(v)?;
-        }
-        let bus = port.bus.clone();
-        self.staged.push(StagedInput::Lanes(bus, values.to_vec()));
+        let bus = input_bus(&self.netlist, name, values)?;
+        stage_lanes(&mut self.staged, bus, 1, 0, values);
         Ok(())
     }
 
@@ -791,69 +818,36 @@ impl CompiledEngine {
     /// Unknown port, or `lane >=` [`LANES`].
     pub fn peek_lane(&self, name: &str, lane: usize) -> Result<i64> {
         check_lane(lane)?;
-        let port = self.netlist.port(name)?;
-        Ok(self.read_bus_lane(&port.bus, lane))
+        let bus = &self.netlist.port(name)?.bus;
+        let raw = bus
+            .bits()
+            .iter()
+            .enumerate()
+            .fold(0u64, |v, (i, &n)| v | ((self.words[n.index()] >> lane) & 1) << i);
+        Ok(sign_extend(raw, bus.width()))
     }
 
-    /// Reads the settled value of a port in every lane.
+    /// Reads the settled value of a port in every lane, gathered
+    /// bit-major: one word read per bit of the port.
     ///
     /// # Errors
     ///
     /// Unknown port.
     pub fn peek_lanes(&self, name: &str) -> Result<Vec<i64>> {
-        let port = self.netlist.port(name)?;
-        Ok((0..LANES).map(|l| self.read_bus_lane(&port.bus, l)).collect())
+        let bits = self.netlist.port(name)?.bus.bits();
+        let mut out = Vec::with_capacity(LANES);
+        gather_lanes(bits.len(), |i| self.words[bits[i].index()], &mut out);
+        Ok(out)
     }
 
-    /// Signed value of a bus in one lane.
-    fn read_bus_lane(&self, bus: &Bus, lane: usize) -> i64 {
-        let bits: Vec<bool> =
-            bus.bits().iter().map(|&n| (self.words[n.index()] >> lane) & 1 == 1).collect();
-        bits_to_signed(&bits)
-    }
-
-    /// Validates an input-port write and returns the target bus.
-    fn input_bus(&self, name: &str, value: i64) -> Result<Bus> {
-        let port = self.netlist.port(name)?;
-        if port.direction != PortDirection::Input {
-            return Err(Error::UnknownPort { name: name.to_owned() });
-        }
-        port.bus.check_value(value)?;
-        Ok(port.bus.clone())
-    }
-
-    /// Applies staged input writes into the word file.
+    /// Applies staged input writes into the word file, keeping the
+    /// staging list's capacity.
     fn apply_staged<const CLAMPED: bool>(&mut self) {
-        let staged = std::mem::take(&mut self.staged);
-        for input in staged {
-            match input {
-                StagedInput::Broadcast(bus, value) => {
-                    for (i, &b) in signed_to_bits(value, bus.width()).iter().enumerate() {
-                        let w = if b { ALL } else { 0 };
-                        self.store::<CLAMPED>(slot(bus.bit(i)), w);
-                    }
-                }
-                StagedInput::Lane(bus, lane, value) => {
-                    self.write_lanes::<CLAMPED>(&bus, lane, &[value]);
-                }
-                StagedInput::Lanes(bus, values) => {
-                    self.write_lanes::<CLAMPED>(&bus, 0, &values);
-                }
-            }
+        for k in 0..self.staged.len() {
+            let StagedWord { idx, mask, bits } = self.staged[k];
+            self.store::<CLAMPED>(idx, (self.words[idx as usize] & !mask) | bits);
         }
-    }
-
-    /// Writes `values[k]` into lane `first + k` of a bus.
-    fn write_lanes<const CLAMPED: bool>(&mut self, bus: &Bus, first: usize, values: &[i64]) {
-        for (i, &net) in bus.bits().iter().enumerate() {
-            let s = slot(net);
-            let mut w = self.words[s as usize];
-            for (k, &v) in values.iter().enumerate() {
-                let m = 1u64 << (first + k);
-                w = (w & !m) | ((((v >> i) as u64) & 1) << (first + k));
-            }
-            self.store::<CLAMPED>(s, w);
-        }
+        self.staged.clear();
     }
 
     /// Writes a word to a slot, through the stuck-at clamp masks when
@@ -1088,8 +1082,8 @@ impl Engine for CompiledEngine {
     }
 
     fn set_input(&mut self, name: &str, value: i64) -> Result<()> {
-        let bus = self.input_bus(name, value)?;
-        self.staged.push(StagedInput::Broadcast(bus, value));
+        let bus = input_bus(&self.netlist, name, &[value])?;
+        stage_broadcast(&mut self.staged, bus, 1, value);
         Ok(())
     }
 
@@ -1144,7 +1138,10 @@ impl Engine for CompiledEngine {
     }
 
     fn restore(&mut self, snapshot: &CompiledSnapshot) -> Result<()> {
-        if snapshot.nets != self.netlist.net_count() || snapshot.cells != self.netlist.cell_count()
+        if snapshot.nets != self.netlist.net_count()
+            || snapshot.cells != self.netlist.cell_count()
+            || snapshot.words.len() != self.words.len()
+            || snapshot.staged.iter().any(|s| s.idx as usize >= self.words.len())
         {
             return Err(Error::SnapshotMismatch {
                 snapshot_nets: snapshot.nets,
@@ -1553,6 +1550,49 @@ mod tests {
         // A program refuses to back-translate against a foreign netlist.
         let program = Program::compile(&mixed_netlist()).unwrap();
         assert!(matches!(program.to_netlist(&ram_netlist()), Err(Error::SnapshotMismatch { .. })));
+    }
+
+    #[test]
+    fn staged_lane_writes_touch_exactly_their_lanes() {
+        let width = 5;
+        let bus = Bus::new((0..width as u32).map(NetId).collect()).unwrap();
+        for (blocks, first, n) in [
+            (1, 0, 64),
+            (1, 3, 10),
+            (1, 63, 1),
+            (4, 0, 256),
+            (4, 60, 9),
+            (4, 130, 126),
+            (4, 255, 1),
+        ] {
+            let values: Vec<i64> = (0..n as i64).map(|k| (k * 7) % 32 - 16).collect();
+            let mut staged = Vec::new();
+            stage_lanes(&mut staged, &bus, blocks, first, &values);
+            let before = 0x5555_aaaa_0f0f_f0f0_u64;
+            let mut words = vec![before; width * blocks];
+            for s in &staged {
+                let w = &mut words[s.idx as usize];
+                *w = (*w & !s.mask) | s.bits;
+            }
+            for lane in 0..blocks * 64 {
+                let raw = (0..width).fold(0u64, |v, i| {
+                    v | ((words[i * blocks + lane / 64] >> (lane % 64)) & 1) << i
+                });
+                let expect = if (first..first + n).contains(&lane) {
+                    values[lane - first]
+                } else {
+                    sign_extend(
+                        (0..width).fold(0, |v, i| v | ((before >> (lane % 64)) & 1) << i),
+                        width,
+                    )
+                };
+                assert_eq!(
+                    sign_extend(raw, width),
+                    expect,
+                    "blocks {blocks} first {first} lane {lane}"
+                );
+            }
+        }
     }
 
     #[test]

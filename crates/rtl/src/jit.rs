@@ -38,11 +38,14 @@ use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
 use crate::cell::CellKind;
-use crate::compile::{slot, Op, Program, StagedInput};
+use crate::compile::{
+    gather_lanes, input_bus, read_staged, sign_extend, slot, stage_broadcast, stage_lanes,
+    write_staged, Op, Program, StagedWord,
+};
 use crate::engine::{Engine, EngineCaps};
 use crate::fault::{self, FaultSpec, ResolvedFault};
-use crate::net::{signed_to_bits, Bus};
-use crate::netlist::{CellId, Netlist, PortDirection};
+use crate::net::Bus;
+use crate::netlist::{CellId, Netlist};
 use crate::snapbytes::{ByteReader, ByteWriter};
 use crate::{Error, Result};
 
@@ -774,7 +777,7 @@ fn build_kernel(source: &str, abi: u64) -> Result<native::JitFns> {
 /// Leading tag byte of a serialized jit snapshot (`'J'`).
 const SNAPSHOT_TAG: u8 = b'J';
 /// Encoding version; bump on any field/layout change.
-const SNAPSHOT_VERSION: u8 = 1;
+const SNAPSHOT_VERSION: u8 = 2;
 
 /// Complete architectural state of a [`JitEngine`]: net words (256
 /// lanes), flat RAM planes, staged inputs, armed faults and the cycle
@@ -785,7 +788,7 @@ pub struct JitSnapshot {
     cells: usize,
     words: Vec<u64>,
     ram: Vec<u64>,
-    staged: Vec<StagedInput>,
+    staged: Vec<StagedWord>,
     stuck: Vec<(u32, bool)>,
     flips: Vec<(CellId, usize, u64)>,
     ram_upsets: Vec<(CellId, usize, usize, u64)>,
@@ -798,22 +801,6 @@ impl JitSnapshot {
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
-}
-
-fn write_bus(w: &mut ByteWriter, bus: &Bus) {
-    w.len(bus.width());
-    for &net in bus.bits() {
-        w.u32(net.index() as u32);
-    }
-}
-
-fn read_bus(r: &mut ByteReader<'_>) -> Result<Bus> {
-    let width = r.len(4)?;
-    let mut bits = Vec::with_capacity(width);
-    for _ in 0..width {
-        bits.push(crate::net::NetId(r.u32()?));
-    }
-    Bus::new(bits).map_err(|e| Error::SnapshotDecode { detail: format!("bad bus: {e}") })
 }
 
 impl crate::engine::PortableSnapshot for JitSnapshot {
@@ -831,30 +818,7 @@ impl crate::engine::PortableSnapshot for JitSnapshot {
         for &word in &self.ram {
             w.u64(word);
         }
-        w.len(self.staged.len());
-        for staged in &self.staged {
-            match staged {
-                StagedInput::Broadcast(bus, value) => {
-                    w.u8(0);
-                    write_bus(&mut w, bus);
-                    w.i64(*value);
-                }
-                StagedInput::Lane(bus, lane, value) => {
-                    w.u8(1);
-                    write_bus(&mut w, bus);
-                    w.usize(*lane);
-                    w.i64(*value);
-                }
-                StagedInput::Lanes(bus, values) => {
-                    w.u8(2);
-                    write_bus(&mut w, bus);
-                    w.len(values.len());
-                    for &v in values {
-                        w.i64(v);
-                    }
-                }
-            }
-        }
+        write_staged(&mut w, &self.staged);
         w.len(self.stuck.len());
         for &(net, value) in &self.stuck {
             w.u32(net);
@@ -901,34 +865,7 @@ impl crate::engine::PortableSnapshot for JitSnapshot {
         for _ in 0..ram.capacity() {
             ram.push(r.u64()?);
         }
-        let mut staged = Vec::with_capacity(r.len(5)?);
-        for _ in 0..staged.capacity() {
-            let entry = match r.u8()? {
-                0 => {
-                    let bus = read_bus(&mut r)?;
-                    StagedInput::Broadcast(bus, r.i64()?)
-                }
-                1 => {
-                    let bus = read_bus(&mut r)?;
-                    let lane = r.usize()?;
-                    StagedInput::Lane(bus, lane, r.i64()?)
-                }
-                2 => {
-                    let bus = read_bus(&mut r)?;
-                    let mut values = Vec::with_capacity(r.len(8)?);
-                    for _ in 0..values.capacity() {
-                        values.push(r.i64()?);
-                    }
-                    StagedInput::Lanes(bus, values)
-                }
-                other => {
-                    return Err(Error::SnapshotDecode {
-                        detail: format!("bad staged-input tag {other}"),
-                    })
-                }
-            };
-            staged.push(entry);
-        }
+        let staged = read_staged(&mut r)?;
         let mut stuck = Vec::with_capacity(r.len(5)?);
         for _ in 0..stuck.capacity() {
             let net = r.u32()?;
@@ -980,7 +917,7 @@ pub struct JitEngine {
     /// Per-RAM base offset into `ram`, in `u64`s.
     ram_offsets: Vec<usize>,
     scratch: Vec<u64>,
-    staged: Vec<StagedInput>,
+    staged: Vec<StagedWord>,
     and_mask: Vec<u64>,
     or_mask: Vec<u64>,
     has_stuck: bool,
@@ -1056,9 +993,9 @@ impl JitEngine {
     /// Same port/range validation as [`Engine::set_input`]; rejects
     /// `lane >=` [`LANES`].
     pub fn set_input_lane(&mut self, name: &str, lane: usize, value: i64) -> Result<()> {
-        let bus = self.input_bus(name, value)?;
+        let bus = input_bus(&self.netlist, name, &[value])?;
         check_lane(lane)?;
-        self.staged.push(StagedInput::Lane(bus, lane, value));
+        stage_lanes(&mut self.staged, bus, BLOCKS, lane, &[value]);
         Ok(())
     }
 
@@ -1074,33 +1011,15 @@ impl JitEngine {
     }
 
     /// Signed values of a bus across all lanes, gathered bit-major: one
-    /// word read per (bit, block) instead of one per (bit, lane), and
-    /// no per-lane allocation — this is the hot readback path of the
-    /// throughput benchmark.
+    /// word read per (bit, block) instead of one per (bit, lane) — this
+    /// is the hot readback path of the throughput benchmark.
     fn read_bus_lanes(&self, bus: &Bus) -> Vec<i64> {
-        let width = bus.width();
-        let mut raw = vec![0u64; LANES];
-        for (i, &n) in bus.bits().iter().enumerate() {
-            for blk in 0..BLOCKS {
-                let mut w = self.words[n.index() * BLOCKS + blk];
-                while w != 0 {
-                    let b = w.trailing_zeros() as usize;
-                    raw[blk * 64 + b] |= 1 << i;
-                    w &= w - 1;
-                }
-            }
+        let bits = bus.bits();
+        let mut out = Vec::with_capacity(LANES);
+        for blk in 0..BLOCKS {
+            gather_lanes(bits.len(), |i| self.words[bits[i].index() * BLOCKS + blk], &mut out);
         }
-        raw.into_iter().map(|v| sign_extend(v, width)).collect()
-    }
-
-    /// Validates an input-port write and returns the target bus.
-    fn input_bus(&self, name: &str, value: i64) -> Result<Bus> {
-        let port = self.netlist.port(name)?;
-        if port.direction != PortDirection::Input {
-            return Err(Error::UnknownPort { name: name.to_owned() });
-        }
-        port.bus.check_value(value)?;
-        Ok(port.bus.clone())
+        out
     }
 
     /// Writes one word index through the stuck-at clamp masks when
@@ -1110,59 +1029,15 @@ impl JitEngine {
         self.words[idx] = if CLAMPED { (v & self.and_mask[idx]) | self.or_mask[idx] } else { v };
     }
 
-    /// Applies staged input writes into the word file.
+    /// Applies staged input writes into the word file, keeping the
+    /// staging list's capacity.
     fn apply_staged<const CLAMPED: bool>(&mut self) {
-        let staged = std::mem::take(&mut self.staged);
-        for input in staged {
-            match input {
-                StagedInput::Broadcast(bus, value) => {
-                    for (i, &b) in signed_to_bits(value, bus.width()).iter().enumerate() {
-                        let w = if b { ALL } else { 0 };
-                        let s = slot(bus.bit(i)) as usize;
-                        for j in 0..BLOCKS {
-                            self.store_idx::<CLAMPED>(s * BLOCKS + j, w);
-                        }
-                    }
-                }
-                StagedInput::Lane(bus, lane, value) => {
-                    self.write_lanes::<CLAMPED>(&bus, lane, &[value]);
-                }
-                StagedInput::Lanes(bus, values) => {
-                    self.write_lanes::<CLAMPED>(&bus, 0, &values);
-                }
-            }
+        for k in 0..self.staged.len() {
+            let StagedWord { idx, mask, bits } = self.staged[k];
+            let idx = idx as usize;
+            self.store_idx::<CLAMPED>(idx, (self.words[idx] & !mask) | bits);
         }
-    }
-
-    /// Writes `values[k]` into lane `first + k` of a bus. The
-    /// full-width case (all [`LANES`] lanes at once, the benchmark hot
-    /// path) assembles each block's word in a register and stores it
-    /// once instead of read-modify-writing per lane.
-    fn write_lanes<const CLAMPED: bool>(&mut self, bus: &Bus, first: usize, values: &[i64]) {
-        if first == 0 && values.len() == LANES {
-            for (i, &net) in bus.bits().iter().enumerate() {
-                let s = slot(net) as usize;
-                for blk in 0..BLOCKS {
-                    let mut w = 0u64;
-                    for b in 0..64 {
-                        w |= (((values[blk * 64 + b] >> i) as u64) & 1) << b;
-                    }
-                    self.store_idx::<CLAMPED>(s * BLOCKS + blk, w);
-                }
-            }
-            return;
-        }
-        for (i, &net) in bus.bits().iter().enumerate() {
-            let s = slot(net) as usize;
-            for (k, &v) in values.iter().enumerate() {
-                let lane = first + k;
-                let (blk, bit) = (lane / 64, lane % 64);
-                let idx = s * BLOCKS + blk;
-                let m = 1u64 << bit;
-                let w = (self.words[idx] & !m) | ((((v >> i) as u64) & 1) << bit);
-                self.store_idx::<CLAMPED>(idx, w);
-            }
-        }
+        self.staged.clear();
     }
 
     /// One settle pass through the kernel.
@@ -1265,17 +1140,6 @@ impl JitEngine {
 }
 
 /// Validates a lane index.
-/// Two's-complement interpretation of `width` LSB-first raw bits.
-#[inline]
-fn sign_extend(raw: u64, width: usize) -> i64 {
-    let v = raw as i64;
-    if width < 64 && raw >> (width - 1) & 1 == 1 {
-        v - (1 << width)
-    } else {
-        v
-    }
-}
-
 fn check_lane(lane: usize) -> Result<()> {
     if lane >= LANES {
         return Err(Error::FaultTarget {
@@ -1312,8 +1176,8 @@ impl Engine for JitEngine {
     }
 
     fn set_input(&mut self, name: &str, value: i64) -> Result<()> {
-        let bus = self.input_bus(name, value)?;
-        self.staged.push(StagedInput::Broadcast(bus, value));
+        let bus = input_bus(&self.netlist, name, &[value])?;
+        stage_broadcast(&mut self.staged, bus, BLOCKS, value);
         Ok(())
     }
 
@@ -1343,15 +1207,8 @@ impl Engine for JitEngine {
                 detail: format!("expected 1..={LANES} lane values, got {}", values.len()),
             });
         }
-        let port = self.netlist.port(name)?;
-        if port.direction != PortDirection::Input {
-            return Err(Error::UnknownPort { name: name.to_owned() });
-        }
-        for &v in values {
-            port.bus.check_value(v)?;
-        }
-        let bus = port.bus.clone();
-        self.staged.push(StagedInput::Lanes(bus, values.to_vec()));
+        let bus = input_bus(&self.netlist, name, values)?;
+        stage_lanes(&mut self.staged, bus, BLOCKS, 0, values);
         Ok(())
     }
 
@@ -1385,6 +1242,7 @@ impl Engine for JitEngine {
             || snapshot.cells != self.netlist.cell_count()
             || snapshot.words.len() != self.words.len()
             || snapshot.ram.len() != self.ram.len()
+            || snapshot.staged.iter().any(|s| s.idx as usize >= self.words.len())
         {
             return Err(Error::SnapshotMismatch {
                 snapshot_nets: snapshot.nets,

@@ -59,12 +59,6 @@ pub struct ServeConfig {
     pub initial_cost_ns: u64,
     /// EWMA weight of the cost model, in `(0, 1]`.
     pub cost_alpha: f64,
-    /// Power-cycle a worker's executor every this many tiles, bounding
-    /// the golden reference stream's memory. `0` disables periodic
-    /// resets. Tiles are drained and independent, so a reset between
-    /// tiles is semantically free; the executed-cycle injector clock
-    /// survives it.
-    pub reset_every: usize,
     /// Seed for deterministic retry jitter (and the chaos scenario,
     /// which carries its own seed).
     pub seed: u64,
@@ -96,7 +90,6 @@ impl ServeConfig {
             health: HealthConfig::default(),
             initial_cost_ns: 200_000,
             cost_alpha: 0.3,
-            reset_every: 256,
             seed: 0,
             chaos: None,
         }

@@ -485,8 +485,6 @@ fn worker_loop<E>(
 ) where
     E: Engine,
 {
-    let reset_every = shared.cfg.reset_every;
-    let mut tiles_since_reset = 0usize;
     loop {
         // Acquire a job: own deque first, then steal the oldest job
         // from the longest peer queue.
@@ -520,14 +518,6 @@ fn worker_loop<E>(
         shared.space.notify_all();
 
         process_job(w, shared, &mut exec, injector.as_mut(), slow_factor, tx, job);
-
-        tiles_since_reset += 1;
-        if reset_every > 0 && tiles_since_reset >= reset_every {
-            tiles_since_reset = 0;
-            if exec.reset().is_err() {
-                shared.mark_dead(w);
-            }
-        }
 
         let dead = {
             let mut st = shared.state.lock().unwrap();
