@@ -34,7 +34,8 @@
 //!   over Unix-domain sockets. The process-only chaos below applies to
 //!   the first frame of every multi-shard combination:
 //!   * `--kill-9 W:C` — SIGKILL worker W's *process* when its
-//!     heartbeat reaches virtual cycle C;
+//!     heartbeat reaches virtual cycle C (at the latest when its report
+//!     for the window holding C arrives, so that window never commits);
 //!   * `--stall-ms W:C:MS` — wedge worker W for MS milliseconds at
 //!     cycle C (past `--liveness-ms`, the supervisor declares it dead
 //!     and respawns it);
@@ -219,6 +220,8 @@ struct Row {
     design: Design,
     parts: usize,
     cut_bits: usize,
+    /// Links on a cycle of the shard graph (0: the shards pipeline).
+    feedback_links: usize,
     wall_s: f64,
     cycles_per_s: f64,
     barriers: u64,
@@ -288,6 +291,7 @@ where
         design,
         parts,
         cut_bits: cut.cut_bits(),
+        feedback_links: cut.feedback_links(),
         wall_s: 0.0,
         cycles_per_s: 0.0,
         barriers: 0,
@@ -402,6 +406,7 @@ fn run_combination_proc(
         design,
         parts,
         cut_bits: cut.cut_bits(),
+        feedback_links: cut.feedback_links(),
         wall_s: 0.0,
         cycles_per_s: 0.0,
         barriers: 0,
@@ -510,13 +515,14 @@ fn json_report(cfg: &Config, shared: &CampaignArgs, rows: &[Row]) -> String {
         let _ = write!(
             out,
             "{sep}\n    {{ \"design\": \"{}\", \"parts\": {}, \"cut_bits\": {}, \
-             \"wall_s\": {:.6}, \"cycles_per_s\": {:.1}, \"barriers\": {}, \
-             \"recoveries\": {}, \"detections\": {}, \"replayed_cycles\": {}, \
+             \"feedback_links\": {}, \"wall_s\": {:.6}, \"cycles_per_s\": {:.1}, \
+             \"barriers\": {}, \"recoveries\": {}, \"detections\": {}, \"replayed_cycles\": {}, \
              \"partitioned_frames\": {}, \"degraded_frames\": {}, \"respawns\": {}, \
              \"resumed_from\": {}, \"availability\": {:.4}, \"sdc\": {} }}",
             json_escape(r.design.name()),
             r.parts,
             r.cut_bits,
+            r.feedback_links,
             r.wall_s,
             r.cycles_per_s,
             r.barriers,

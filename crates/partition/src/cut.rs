@@ -24,10 +24,21 @@
 //! 3. splits the cluster chain into `parts` contiguous groups with a
 //!    dynamic program that **minimizes crossing bits** subject to a
 //!    cell-count balance cap;
-//! 4. emits per-shard [`Netlist`]s: every cut register/constant output
+//! 4. moves every constant into the **lowest-index shard among its
+//!    readers**. A constant has no stage potential, so step 2 sorts it
+//!    after every staged cluster and the DP strands it in the last
+//!    shard, from where it would feed earlier shards over a backward
+//!    link. A constant has no inputs, so moving it drags nothing else
+//!    along, and cells keep their ids, so `stitch` is unaffected. (A
+//!    constant stays put only if it is the last cell of its shard.)
+//! 5. emits per-shard [`Netlist`]s: every cut register/constant output
 //!    bus becomes a `__cut_c<id>` output port on the producer shard
 //!    and a same-named input port on each consumer shard, plus a
-//!    deterministic per-edge [`BoundaryLink`] exchange schedule.
+//!    deterministic per-edge [`BoundaryLink`] exchange schedule. A link
+//!    is **forward** unless it lies on a cycle of the shard graph (its
+//!    producer is reachable from its consumer); the runner takes
+//!    forward links before the clock edge and settles only on
+//!    feedback links.
 //!
 //! [`stitch`] is the exact inverse: it reassembles the original
 //! netlist from the shards alone (cells back at their original ids,
@@ -90,6 +101,11 @@ pub struct BoundaryLink {
     pub ports: Vec<String>,
     /// Total bits exchanged per virtual cycle.
     pub bits: usize,
+    /// Whether the link lies on a cycle of the shard graph (its
+    /// producer is reachable from its consumer). Forward links
+    /// (`false`) carry values a consumer can stage before its own
+    /// clock edge; feedback links force a settle after it.
+    pub feedback: bool,
 }
 
 /// One cut cell's boundary bundle.
@@ -139,9 +155,16 @@ impl PartitionedNetlist {
         self.shards.len()
     }
 
+    /// Links that lie on a cycle of the shard graph; zero means the
+    /// shards form a pipeline (a DAG).
+    #[must_use]
+    pub fn feedback_links(&self) -> usize {
+        self.links.iter().filter(|l| l.feedback).count()
+    }
+
     /// FNV-1a fingerprint of the cut's observable structure: shard
     /// count, per-shard cell counts and port lists, and the full link
-    /// schedule.
+    /// schedule including each link's forward/feedback class.
     ///
     /// A worker process rebuilds its shard independently from
     /// `(design, parts)` command-line arguments; the supervisor
@@ -175,6 +198,7 @@ impl PartitionedNetlist {
             h = word(h, link.from as u64);
             h = word(h, link.to as u64);
             h = word(h, link.bits as u64);
+            h = word(h, u64::from(link.feedback));
             for port in &link.ports {
                 h = name(h, port);
             }
@@ -363,11 +387,66 @@ pub fn partition(
             }
         }
     }
+    place_constants(netlist, parts, &mut cell_shard);
     for i in 0..n_cells {
         shard_cells[cell_shard[i]].push(CellId::from_index(i));
     }
 
     build_shards(netlist, parts, cell_shard, shard_cells, schedule_pinned)
+}
+
+/// Moves every constant into the lowest-index shard among the cells
+/// that read it (module docs, step 4). Readers are never constants, so
+/// the result does not depend on visiting order. A constant that is the
+/// last cell of its shard stays, so no shard empties.
+fn place_constants(netlist: &Netlist, parts: usize, cell_shard: &mut [usize]) {
+    let mut population = vec![0usize; parts];
+    for &s in cell_shard.iter() {
+        population[s] += 1;
+    }
+    for (i, cell) in netlist.cells().iter().enumerate() {
+        if !matches!(cell.kind, CellKind::Constant { .. }) {
+            continue;
+        }
+        let home = cell_shard[i];
+        let first_reader = cell
+            .kind
+            .output_nets()
+            .into_iter()
+            .flat_map(|net| netlist.fanout(net))
+            .map(|r| cell_shard[r.index()])
+            .min();
+        if let Some(target) = first_reader {
+            if target != home && population[home] > 1 {
+                population[home] -= 1;
+                population[target] += 1;
+                cell_shard[i] = target;
+            }
+        }
+    }
+}
+
+/// Marks each link `feedback` iff its producer is reachable from its
+/// consumer in the directed shard graph the links form.
+fn classify_links(parts: usize, links: &mut [BoundaryLink]) {
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); parts];
+    for link in links.iter() {
+        succ[link.from].push(link.to);
+    }
+    for link in links.iter_mut() {
+        let mut seen = vec![false; parts];
+        let mut stack = vec![link.to];
+        seen[link.to] = true;
+        while let Some(s) = stack.pop() {
+            for &t in &succ[s] {
+                if !seen[t] {
+                    seen[t] = true;
+                    stack.push(t);
+                }
+            }
+        }
+        link.feedback = seen[link.from];
+    }
 }
 
 /// Splits the cluster chain `0..m` into `parts` non-empty contiguous
@@ -568,11 +647,13 @@ fn build_shards(
                     to,
                     ports: vec![name.clone()],
                     bits: cut.bus.width(),
+                    feedback: false,
                 }),
             }
         }
     }
     links.sort_by_key(|l| (l.from, l.to));
+    classify_links(parts, &mut links);
 
     let unused_ports: BTreeMap<String, Port> = netlist
         .ports()

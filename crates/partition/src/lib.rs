@@ -18,7 +18,8 @@
 //! 2. [`channel`] — the sequence-numbered, checksummed wire format
 //!    plus per-link running hashes for barrier crosschecks.
 //! 3. [`runner`] — the multi-threaded [`PartitionRunner`]: one
-//!    [`Engine`] per worker, lockstep boundary exchange, barrier-
+//!    [`Engine`] per worker, a boundary exchange that takes forward
+//!    links before the tick and settles only on feedback links, barrier-
 //!    consistent snapshots every N cycles, divergence/straggler/crash
 //!    detection, and recovery by restart-from-snapshot + replay. When
 //!    the recovery budget is exhausted the runner degrades to a

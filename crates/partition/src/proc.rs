@@ -1,6 +1,8 @@
 //! Process-isolated partitioned emulation: a supervisor that forks one
-//! OS process per shard and drives the same four-phase lockstep the
-//! thread-mode runner uses, over Unix-domain sockets.
+//! OS process per shard and drives a boundary-exchange lockstep over
+//! Unix-domain sockets. Each worker cycle ticks, sends every out-link,
+//! receives every in-link and settles; the thread-mode runner's
+//! forward/feedback schedule is not applied here.
 //!
 //! Thread-mode fault tolerance shares an address space: a worker that
 //! corrupts memory or wedges inside native code can take the whole
@@ -503,7 +505,9 @@ pub struct WorkerLauncher {
 #[derive(Debug, Clone, Default)]
 pub struct ProcChaos {
     /// `(worker, cycle)`: SIGKILL the worker's process when its
-    /// heartbeat reaches that virtual cycle.
+    /// heartbeat reaches that virtual cycle, or at the latest when its
+    /// report for the window holding the cycle arrives — that report is
+    /// void, so the window cannot commit past a scheduled kill.
     pub kill9: Vec<(usize, u64)>,
     /// `(worker, cycle, millis)`: the worker sleeps that long before
     /// ticking — longer than the liveness window means the supervisor
@@ -1131,6 +1135,8 @@ impl<'a> Driver<'a> {
         let mut reports: Vec<Option<Report>> = (0..n).map(|_| None).collect();
         let mut received = 0usize;
         let mut failed = false;
+        // Workers SIGKILLed by chaos during this window.
+        let mut killed = vec![false; n];
         while received < n && !failed {
             match events.recv_timeout(Duration::from_millis(10)) {
                 Ok(Event::Frame { worker, conn, frame }) => {
@@ -1160,13 +1166,8 @@ impl<'a> Driver<'a> {
                             if generation != self.generation {
                                 continue;
                             }
-                            for (i, &(kw, kc)) in self.config.chaos.kill9.iter().enumerate() {
-                                if kw == worker && cycle >= kc && !self.fired_kills[i] {
-                                    self.fired_kills[i] = true;
-                                    // SIGKILL mid-window; the reader
-                                    // thread reports the close.
-                                    let _ = self.procs[worker].child.kill();
-                                }
+                            if self.fire_kills(worker, cycle) {
+                                killed[worker] = true;
                             }
                         }
                         Frame::BarrierReport {
@@ -1176,9 +1177,21 @@ impl<'a> Driver<'a> {
                             out_hashes,
                             in_hashes,
                             snapshot,
+                            cycles,
                             ..
                         } => {
                             if generation != self.generation || start != cursor {
+                                continue;
+                            }
+                            // A kill scheduled inside this window fires
+                            // before the window can commit, however far
+                            // ahead of its heartbeats the worker ran.
+                            if self.fire_kills(worker, start + cycles.saturating_sub(1)) {
+                                killed[worker] = true;
+                            }
+                            // A killed worker's report is void; its
+                            // close ends the window.
+                            if killed[worker] {
                                 continue;
                             }
                             if reports[worker].is_none() {
@@ -1243,6 +1256,23 @@ impl<'a> Driver<'a> {
             }
         }
         reports
+    }
+
+    /// SIGKILLs `worker` if a chaos kill is scheduled for it at or
+    /// before `cycle` and has not fired yet; the reader thread then
+    /// reports the close. Returns whether a kill fired.
+    fn fire_kills(&mut self, worker: usize, cycle: u64) -> bool {
+        let mut fired = false;
+        for (i, &(kw, kc)) in self.config.chaos.kill9.iter().enumerate() {
+            if kw == worker && kc <= cycle && !self.fired_kills[i] {
+                self.fired_kills[i] = true;
+                fired = true;
+            }
+        }
+        if fired {
+            let _ = self.procs[worker].child.kill();
+        }
+        fired
     }
 
     /// Generation-bump rollback: respawn the dead, restore everyone to

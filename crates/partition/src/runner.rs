@@ -2,42 +2,67 @@
 //!
 //! One worker thread per shard, each owning an [`Engine`] (event or
 //! compiled backend — the runner is generic, like `recover`/`pool`/
-//! `serve`). Virtual cycle `k` is a fixed four-phase dance:
+//! `serve`). The cut classifies every boundary link once
+//! ([`BoundaryLink::feedback`](crate::cut::BoundaryLink::feedback)): a link is *forward* unless it lies on
+//! a cycle of the shard graph. Virtual cycle `k` then runs, per worker:
 //!
-//! 1. every worker stages its primary inputs for cycle `k`;
-//! 2. every worker ticks — registers capture from a state settled with
-//!    the boundary values of cycle `k-1`, exactly as the monolithic
-//!    machine's registers do;
-//! 3. every worker peeks its `__cut` output ports (the post-edge
-//!    register/constant values) and sends one [`BoundaryMsg`] per
-//!    outgoing link — **all sends precede all receives**, so cyclic
-//!    shard graphs cannot deadlock on the unbounded channels;
-//! 4. every worker receives, verifies (sequence + checksum), stages
-//!    the boundary inputs and settles — its combinational state now
-//!    matches the monolithic post-tick settled state bit for bit.
+//! 1. stage the primary inputs for cycle `k`;
+//! 2. receive, verify (sequence + checksum) and stage every forward
+//!    in-link — the producer's post-edge register/constant values for
+//!    cycle `k`;
+//! 3. tick — registers capture from the state settled at the end of
+//!    cycle `k-1`, then the staged values apply and the logic settles,
+//!    exactly as the monolithic machine's registers do;
+//! 4. peek the `__cut` output ports (post-edge values, which never
+//!    depend combinationally on another shard) and send one
+//!    [`BoundaryMsg`] per outgoing link;
+//! 5. only on a worker with feedback in-links: receive and stage those,
+//!    then settle again.
+//!
+//! A worker whose in-links are all forward settles once per cycle, in
+//! its tick; a feedback worker pays a second settle. Deadlock freedom
+//! follows by induction over the DAG of the shard graph's strongly
+//! connected components: a component's forward in-links all come from
+//! earlier components, which send cycle `k` without waiting on it, and
+//! inside a component every worker sends before it receives, as the
+//! old all-sends-before-all-receives lockstep did. The channels are
+//! unbounded, so a source shard may run a whole batch ahead of its
+//! consumers — the paper's pipeline stages, one shard per stage group.
 //!
 //! A *prologue* exchange before the first tick distributes the
-//! power-on boundary values (register zeros, constant values), which
-//! need no fixpoint: cut-legal drivers never depend combinationally on
-//! other shards.
+//! power-on boundary values (register zeros, constant values) on every
+//! link, then settles; it needs no fixpoint, because cut-legal drivers
+//! never depend combinationally on other shards.
+//!
+//! In a DAG no peer waits on a sink shard, so a peer's receive timeout
+//! cannot notice a wedged sink. Each worker therefore bumps a progress
+//! counter per cycle, and the coordinator's collection poll flags a
+//! [`DetectionKind::Stall`] for any worker that still owes its batch
+//! and whose counter has not moved for `watchdog` on the runner's
+//! [`Clock`] (timed from the start of the batch's collection, never
+//! from its first response: a source shard finishes long before the
+//! rest).
 //!
 //! Robustness is barrier-structured. Execution proceeds in batches of
 //! `snapshot_interval` cycles; after a batch, every worker returns its
-//! engine snapshot plus per-link running hashes. The coordinator
-//! commits the batch only if every worker reported, the two ends of
-//! every link hash identically (lockstep divergence detection), and —
-//! when an oracle is supplied — the outputs match it. Any checksum or
-//! sequence violation, watchdog timeout, crash (channel disconnect),
-//! hash mismatch or oracle mismatch aborts the batch: the epoch is
-//! torn down, every worker is respawned with a fresh engine restored
-//! from the last consistent global snapshot, and the lost cycles are
-//! replayed. Transient fault arrivals are keyed by a monotone attempt
-//! clock, so a strike never recurs on replay. After `max_recoveries`
-//! the runner degrades to a single full-netlist engine, and finally to
-//! a caller-supplied software-golden fallback — availability failures
-//! never become correctness failures.
+//! engine snapshot plus per-link running hashes. The next batch is
+//! already queued behind it, so workers run on through the barrier
+//! while the coordinator checks it. The coordinator commits the batch
+//! only if every worker reported, the two ends of every link hash
+//! identically (lockstep divergence detection), and — when an oracle
+//! is supplied — the outputs match it. Any checksum or sequence
+//! violation, watchdog timeout, crash (channel disconnect), hash
+//! mismatch or oracle mismatch aborts the batch: the epoch is torn
+//! down with the queued batch, every worker is respawned with a fresh
+//! engine restored from the last consistent global snapshot, and the
+//! lost cycles are replayed. Transient fault arrivals are keyed by a
+//! monotone attempt clock, so a strike never recurs on replay. After
+//! `max_recoveries` the runner degrades to a single full-netlist
+//! engine, and finally to a caller-supplied software-golden fallback —
+//! availability failures never become correctness failures.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -184,7 +209,10 @@ pub struct RunnerConfig {
     /// replays and more snapshot overhead.
     pub snapshot_interval: u64,
     /// How long a worker waits on a boundary receive before declaring
-    /// the producer a straggler.
+    /// the producer a straggler, and how long (in nanosecond ticks of
+    /// [`RunnerConfig::clock`]) a worker that owes its batch may go
+    /// without finishing a cycle before the coordinator declares it
+    /// wedged.
     pub watchdog: Duration,
     /// Rollback-and-replay budget per frame before degrading to the
     /// single-engine rung.
@@ -254,6 +282,8 @@ enum Cmd {
 enum Resp<S> {
     Done {
         worker: usize,
+        /// First cycle of the batch this answers.
+        start: u64,
         /// `outputs[cycle][i]` is the worker's `i`-th owned output.
         outputs: Vec<Vec<i64>>,
         /// Running hash per outgoing link, after this batch.
@@ -264,8 +294,20 @@ enum Resp<S> {
     },
     Fault {
         worker: usize,
+        start: u64,
         kind: DetectionKind,
     },
+}
+
+impl<S> Resp<S> {
+    /// `(worker, batch start)` of the response.
+    fn origin(&self) -> (usize, u64) {
+        match self {
+            Resp::Done { worker, start, .. } | Resp::Fault { worker, start, .. } => {
+                (*worker, *start)
+            }
+        }
+    }
 }
 
 /// An outgoing boundary link. Thread mode speaks the same
@@ -281,6 +323,8 @@ struct OutLink {
 
 struct InLink {
     from: usize,
+    /// Received after the tick (then settled) rather than before it.
+    feedback: bool,
     ports: Vec<String>,
     rx: ChannelTransport,
     seq: u64,
@@ -294,7 +338,13 @@ struct Worker<E: Engine> {
     outputs: Vec<String>,
     out_links: Vec<OutLink>,
     in_links: Vec<InLink>,
+    /// Whether any in-link is feedback (the worker settles after its
+    /// tick).
+    settles: bool,
     watchdog: Duration,
+    /// Cycles finished, read by the coordinator's progress watchdog.
+    /// `Relaxed` suffices: the count publishes no other data.
+    progress: Arc<AtomicU64>,
 }
 
 impl<E: Engine> Worker<E> {
@@ -327,10 +377,11 @@ impl<E: Engine> Worker<E> {
         }
     }
 
-    /// Receives one message per incoming link, verifies it, and stages
-    /// the boundary inputs. Returns the first link fault.
-    fn exchange_recv(&mut self) -> Result<(), (usize, LinkFault)> {
-        for link in &mut self.in_links {
+    /// Receives one message per incoming link that `wanted` selects by
+    /// its feedback flag, verifies it, and stages the boundary inputs.
+    /// Returns the first link fault.
+    fn exchange_recv(&mut self, wanted: impl Fn(bool) -> bool) -> Result<(), (usize, LinkFault)> {
+        for link in self.in_links.iter_mut().filter(|l| wanted(l.feedback)) {
             let frame = match link.rx.recv_timeout(self.watchdog) {
                 Ok(frame) => frame,
                 Err(RecvError::Timeout) => return Err((link.from, LinkFault::Timeout)),
@@ -359,7 +410,8 @@ impl<E: Engine> Worker<E> {
 
     fn run_batch(&mut self, batch: &Batch) -> Result<Resp<E::Snapshot>, ()> {
         let id = self.id;
-        let fault = move |kind: DetectionKind| Resp::Fault { worker: id, kind };
+        let start = batch.start;
+        let fault = move |kind: DetectionKind| Resp::Fault { worker: id, start, kind };
         let link_fault = |f: LinkFault| match f {
             LinkFault::Checksum { .. } => DetectionKind::Checksum,
             LinkFault::Sequence { .. } => DetectionKind::Sequence,
@@ -368,7 +420,7 @@ impl<E: Engine> Worker<E> {
         };
         if batch.prologue {
             self.exchange_send(batch.start, &[], None);
-            if let Err((_, f)) = self.exchange_recv() {
+            if let Err((_, f)) = self.exchange_recv(|_| true) {
                 return Ok(fault(link_fault(f)));
             }
             if let Err(e) = self.engine.try_settle() {
@@ -394,6 +446,9 @@ impl<E: Engine> Worker<E> {
                     return Ok(fault(DetectionKind::Engine(e.to_string())));
                 }
             }
+            if let Err((_, f)) = self.exchange_recv(|feedback| !feedback) {
+                return Ok(fault(link_fault(f)));
+            }
             for (due, spec) in &batch.faults {
                 if *due == offset {
                     let rebased = rebase(spec.clone(), self.engine.cycle());
@@ -406,18 +461,22 @@ impl<E: Engine> Worker<E> {
                 return Ok(fault(DetectionKind::Engine(e.to_string())));
             }
             self.exchange_send(cycle, &batch.corrupt, Some(offset));
-            if let Err((_, f)) = self.exchange_recv() {
-                return Ok(fault(link_fault(f)));
-            }
-            if let Err(e) = self.engine.try_settle() {
-                return Ok(fault(DetectionKind::Engine(e.to_string())));
+            if self.settles {
+                if let Err((_, f)) = self.exchange_recv(|feedback| feedback) {
+                    return Ok(fault(link_fault(f)));
+                }
+                if let Err(e) = self.engine.try_settle() {
+                    return Ok(fault(DetectionKind::Engine(e.to_string())));
+                }
             }
             let row: Vec<i64> =
                 self.outputs.iter().map(|p| self.engine.peek(p).unwrap_or(0)).collect();
             outputs.push(row);
+            self.progress.fetch_add(1, Ordering::Relaxed);
         }
         Ok(Resp::Done {
             worker: self.id,
+            start: batch.start,
             outputs,
             out_hashes: self.out_links.iter().map(|l| l.hash).collect(),
             in_hashes: self.in_links.iter().map(|l| l.hash).collect(),
@@ -462,11 +521,126 @@ fn worker_main<E: Engine>(
 
 // ---------------------------------------------------------- coordinator
 
+/// Batches queued on the workers at once: the one being collected plus
+/// one behind it, so a worker that finishes batch `k` starts `k + 1`
+/// at once instead of idling through the barrier's round trip to the
+/// coordinator. A failed batch tears the epoch down and discards the
+/// queued one with it.
+const BATCHES_IN_FLIGHT: usize = 2;
+
+/// One frame's chaos bookkeeping. Kills, stalls and corruptions are
+/// spent once the batch carrying them has been collected, so each
+/// fires once and the replay it provokes runs clean — and one carried
+/// by a batch that a rollback discarded unrun fires on the replay. SEU
+/// arrivals are keyed by a monotone per-worker attempt clock.
+struct ChaosState<'c> {
+    plan: &'c ChaosPlan,
+    spent_kills: Vec<bool>,
+    spent_stalls: Vec<bool>,
+    spent_corruptions: Vec<bool>,
+    seu: Vec<Option<Box<dyn FaultInjector>>>,
+    attempt_clock: u64,
+}
+
+impl<'c> ChaosState<'c> {
+    fn new(plan: &'c ChaosPlan, parts: &PartitionedNetlist) -> Self {
+        let seu = parts
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(w, shard)| {
+                let seu = plan.seu.as_ref()?;
+                PoissonSeuBuilder::new()
+                    .rate(seu.rate)
+                    .stuck_fraction(0.0)
+                    .common_mode(0.0)
+                    .seed(seu.seed.wrapping_add(w as u64).wrapping_mul(0x9e37_79b9))
+                    .build(&shard.netlist, &shard.netlist)
+                    .ok()
+                    .map(|inj| Box::new(inj) as Box<dyn FaultInjector>)
+            })
+            .collect();
+        ChaosState {
+            plan,
+            spent_kills: vec![false; plan.kills.len()],
+            spent_stalls: vec![false; plan.stalls.len()],
+            spent_corruptions: vec![false; plan.corruptions.len()],
+            seu,
+            attempt_clock: 0,
+        }
+    }
+
+    /// Worker `w`'s out-link index towards `to`, if that link exists.
+    fn out_link(parts: &PartitionedNetlist, w: usize, to: usize) -> Option<usize> {
+        parts.links.iter().filter(|l| l.from == w).position(|l| l.to == to)
+    }
+
+    /// Worker `w`'s batch `[start, start + len)` with every unspent
+    /// directive and SEU arrival due inside it.
+    fn batch(
+        &mut self,
+        parts: &PartitionedNetlist,
+        w: usize,
+        start: u64,
+        len: u64,
+        prologue: bool,
+        inputs: Vec<Vec<i64>>,
+    ) -> Batch {
+        let in_window = |c: u64| c >= start && c < start + len;
+        let mut faults = Vec::new();
+        if let Some(inj) = self.seu[w].as_mut() {
+            for o in 0..len {
+                for spec in inj.arrivals(self.attempt_clock + o, Lane::Primary) {
+                    faults.push((o, spec));
+                }
+            }
+        }
+        let mut kill_at = None;
+        for (i, &(kw, kc)) in self.plan.kills.iter().enumerate() {
+            if kw == w && in_window(kc) && !self.spent_kills[i] {
+                kill_at = Some(kc - start);
+            }
+        }
+        let mut stall_at = None;
+        for (i, &(sw, sc, pause)) in self.plan.stalls.iter().enumerate() {
+            if sw == w && in_window(sc) && !self.spent_stalls[i] {
+                stall_at = Some((sc - start, pause));
+            }
+        }
+        let mut corrupt = Vec::new();
+        for (i, c) in self.plan.corruptions.iter().enumerate() {
+            if c.from == w && in_window(c.cycle) && !self.spent_corruptions[i] {
+                if let Some(link) = Self::out_link(parts, w, c.to) {
+                    corrupt.push((c.cycle - start, link, c.stealth));
+                }
+            }
+        }
+        Batch { start, cycles: len, prologue, inputs, faults, kill_at, stall_at, corrupt }
+    }
+
+    /// Marks the directives inside the collected batch
+    /// `[start, start + len)` as fired.
+    fn spend(&mut self, parts: &PartitionedNetlist, start: u64, len: u64) {
+        let in_window = |c: u64| c >= start && c < start + len;
+        for (spent, &(_, kc)) in self.spent_kills.iter_mut().zip(&self.plan.kills) {
+            *spent |= in_window(kc);
+        }
+        for (spent, &(_, sc, _)) in self.spent_stalls.iter_mut().zip(&self.plan.stalls) {
+            *spent |= in_window(sc);
+        }
+        for (spent, c) in self.spent_corruptions.iter_mut().zip(&self.plan.corruptions) {
+            *spent |= in_window(c.cycle) && Self::out_link(parts, c.from, c.to).is_some();
+        }
+    }
+}
+
 /// A handle on one epoch's worth of spawned workers.
 struct Epoch<S> {
     cmd_txs: Vec<Sender<Cmd>>,
     resp_rx: Receiver<Resp<S>>,
     handles: Vec<JoinHandle<()>>,
+    /// Per-worker cycles-finished counters.
+    progress: Vec<Arc<AtomicU64>>,
 }
 
 impl<S> Epoch<S> {
@@ -567,12 +741,11 @@ where
 
     /// The partitioned rung. On failure returns the evidence for the
     /// report: `(detections, recoveries, replayed_cycles)`.
-    #[allow(clippy::type_complexity, clippy::too_many_lines)]
     fn run_partitioned(
         &self,
         stim: &Stimulus,
         oracle: Option<&FrameOutputs>,
-        chaos: &ChaosPlan,
+        plan: &ChaosPlan,
     ) -> Result<FrameReport, (Vec<Detection>, u32, u64)> {
         let n = self.parts.parts();
         let mut committed = FrameOutputs::default();
@@ -587,210 +760,67 @@ where
         let mut recoveries: u32 = 0;
         let mut barriers: u64 = 0;
         let mut replayed: u64 = 0;
-
-        // Chaos directives fire once; SEU arrivals are keyed by a
-        // monotone per-worker attempt clock so replays run clean.
-        let mut fired_kills = vec![false; chaos.kills.len()];
-        let mut fired_stalls = vec![false; chaos.stalls.len()];
-        let mut fired_corruptions = vec![false; chaos.corruptions.len()];
-        let mut seu: Vec<Option<Box<dyn FaultInjector>>> = (0..n)
-            .map(|w| {
-                let plan = chaos.seu.as_ref()?;
-                let netlist = &self.parts.shards[w].netlist;
-                PoissonSeuBuilder::new()
-                    .rate(plan.rate)
-                    .stuck_fraction(0.0)
-                    .common_mode(0.0)
-                    .seed(plan.seed.wrapping_add(w as u64).wrapping_mul(0x9e37_79b9))
-                    .build(netlist, netlist)
-                    .ok()
-                    .map(|inj| Box::new(inj) as Box<dyn FaultInjector>)
-            })
-            .collect();
-        let mut attempt_clock: u64 = 0;
+        let mut chaos = ChaosState::new(plan, self.parts);
 
         while cursor < stim.cycles {
-            let epoch = match self.spawn_epoch(snapshots.as_ref()) {
+            let epoch = match self.spawn_epoch(snapshots.as_ref(), cursor) {
                 Ok(epoch) => epoch,
                 Err(_) => return Err((detections, recoveries, replayed)),
             };
-            let mut epoch_first = true;
-            let mut epoch_alive = true;
-            while epoch_alive && cursor < stim.cycles {
-                let batch_len = self.config.snapshot_interval.min(stim.cycles - cursor);
-                // Distribute the batch.
-                for (w, cmd_tx) in epoch.cmd_txs.iter().enumerate() {
-                    let shard = &self.parts.shards[w];
-                    let inputs: Vec<Vec<i64>> = (0..batch_len)
-                        .map(|o| {
-                            shard
-                                .inputs
-                                .iter()
-                                .map(|p| stim.inputs[p][(cursor + o) as usize])
-                                .collect()
-                        })
-                        .collect();
-                    let mut faults = Vec::new();
-                    if let Some(inj) = seu[w].as_mut() {
-                        for o in 0..batch_len {
-                            for spec in inj.arrivals(attempt_clock + o, Lane::Primary) {
-                                faults.push((o, spec));
-                            }
-                        }
-                    }
-                    let in_window = |c: u64| c >= cursor && c < cursor + batch_len;
-                    let mut kill_at = None;
-                    for (i, &(kw, kc)) in chaos.kills.iter().enumerate() {
-                        if kw == w && in_window(kc) && !fired_kills[i] {
-                            fired_kills[i] = true;
-                            kill_at = Some(kc - cursor);
-                        }
-                    }
-                    let mut stall_at = None;
-                    for (i, &(sw, sc, pause)) in chaos.stalls.iter().enumerate() {
-                        if sw == w && in_window(sc) && !fired_stalls[i] {
-                            fired_stalls[i] = true;
-                            stall_at = Some((sc - cursor, pause));
-                        }
-                    }
-                    let mut corrupt = Vec::new();
-                    for (i, c) in chaos.corruptions.iter().enumerate() {
-                        if c.from == w && in_window(c.cycle) && !fired_corruptions[i] {
-                            let link = self
-                                .parts
-                                .links
-                                .iter()
-                                .filter(|l| l.from == w)
-                                .position(|l| l.to == c.to);
-                            if let Some(link) = link {
-                                fired_corruptions[i] = true;
-                                corrupt.push((c.cycle - cursor, link, c.stealth));
-                            }
-                        }
-                    }
-                    let batch = Batch {
-                        start: cursor,
-                        cycles: batch_len,
-                        prologue: epoch_first && snapshots.is_none() && cursor == 0,
-                        inputs,
-                        faults,
-                        kill_at,
-                        stall_at,
-                        corrupt,
-                    };
-                    // A dead worker's closed channel surfaces below as
-                    // a missing response.
-                    let _ = cmd_tx.send(Cmd::Run(Box::new(batch)));
+            let mut in_flight: VecDeque<(u64, u64)> = VecDeque::new();
+            let mut next = cursor;
+            let mut early: Vec<Option<Resp<E::Snapshot>>> = (0..n).map(|_| None).collect();
+            while cursor < stim.cycles {
+                while in_flight.len() < BATCHES_IN_FLIGHT && next < stim.cycles {
+                    let len = self.config.snapshot_interval.min(stim.cycles - next);
+                    // Cycle 0 is only ever run from power-on, never
+                    // from a snapshot: it opens with the prologue.
+                    self.dispatch(&epoch, stim, &mut chaos, next, len, next == 0);
+                    in_flight.push_back((next, len));
+                    next += len;
                 }
-                epoch_first = false;
-                attempt_clock += batch_len;
-
-                // Collect one response per worker, against a clock-
-                // driven deadline: short real-time polls so a virtual
-                // clock (tests) or the monotonic clock (production)
-                // decides when the batch has stalled out.
-                let budget = self.config.batch_budget.unwrap_or_else(|| {
-                    let wall = self.config.watchdog * 4 + Duration::from_millis(500);
-                    u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX)
-                });
-                let deadline = Deadline::after(Arc::clone(&self.config.clock), budget);
-                let mut responses: Vec<Option<Resp<E::Snapshot>>> = (0..n).map(|_| None).collect();
-                let mut received = 0usize;
-                let mut batch_ok = true;
-                let mut disconnected = false;
-                while received < n && !deadline.expired() {
-                    match epoch.resp_rx.recv_timeout(Duration::from_millis(10)) {
-                        Ok(resp) => {
-                            let w = match &resp {
-                                Resp::Done { worker, .. } | Resp::Fault { worker, .. } => *worker,
-                            };
-                            if let Resp::Fault { worker, kind } = &resp {
-                                detections.push(Detection {
-                                    worker: Some(*worker),
-                                    batch_start: cursor,
-                                    kind: kind.clone(),
-                                });
-                                batch_ok = false;
-                            }
-                            if responses[w].is_none() {
-                                received += 1;
-                            }
-                            responses[w] = Some(resp);
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            disconnected = true;
-                            break;
-                        }
-                    }
-                }
-                for (w, resp) in responses.iter().enumerate() {
-                    if resp.is_none() {
-                        detections.push(Detection {
-                            worker: Some(w),
-                            batch_start: cursor,
-                            // All response channels gone: the thread
-                            // died. Deadline expiry: it's wedged.
-                            kind: if disconnected {
-                                DetectionKind::Crash
-                            } else {
-                                DetectionKind::Stall
-                            },
-                        });
-                        batch_ok = false;
-                    }
-                }
+                let (start, len) = in_flight.pop_front().expect("the cursor's batch is in flight");
+                let (responses, mut batch_ok) =
+                    self.collect(&epoch, start, &mut early, &mut detections);
+                chaos.spend(self.parts, start, len);
 
                 // Barrier crosschecks.
                 if batch_ok {
-                    batch_ok = self.crosscheck(&responses, cursor, &mut detections);
+                    batch_ok = self.crosscheck(&responses, start, &mut detections);
                 }
                 if batch_ok {
                     if let Some(expected) = oracle {
-                        batch_ok = self.check_oracle(&responses, expected, cursor, &mut detections);
+                        batch_ok = self.check_oracle(&responses, expected, start, &mut detections);
                     }
                 }
-
-                if batch_ok {
-                    // Commit: outputs append, snapshots advance.
-                    let mut fresh = Vec::with_capacity(n);
-                    for (w, resp) in responses.into_iter().enumerate() {
-                        let Some(Resp::Done { outputs, snapshot, .. }) = resp else {
-                            unreachable!("batch_ok implies every response is Done");
-                        };
-                        for (i, port) in self.parts.shards[w].outputs.iter().enumerate() {
-                            let sink = committed.ports.get_mut(port).expect("port registered");
-                            sink.extend(outputs.iter().map(|row| row[i]));
-                        }
-                        fresh.push(snapshot);
-                    }
-                    snapshots = Some(fresh);
-                    cursor += batch_len;
-                    barriers += 1;
-                } else {
+                if !batch_ok {
                     recoveries += 1;
-                    replayed += batch_len;
-                    epoch_alive = false;
-                    if recoveries > self.config.max_recoveries {
-                        epoch.teardown();
-                        return Err((detections, recoveries, replayed));
-                    }
+                    replayed += len;
+                    break;
                 }
+                // Commit: outputs append, snapshots advance.
+                let mut fresh = Vec::with_capacity(n);
+                for (w, resp) in responses.into_iter().enumerate() {
+                    let Some(Resp::Done { outputs, snapshot, .. }) = resp else {
+                        unreachable!("batch_ok implies every response is Done");
+                    };
+                    for (i, port) in self.parts.shards[w].outputs.iter().enumerate() {
+                        let sink = committed.ports.get_mut(port).expect("port registered");
+                        sink.extend(outputs.iter().map(|row| row[i]));
+                    }
+                    fresh.push(snapshot);
+                }
+                snapshots = Some(fresh);
+                cursor += len;
+                barriers += 1;
             }
-            if epoch_alive {
-                epoch.teardown();
-                return Ok(FrameReport {
-                    outputs: committed,
-                    rung: Rung::Partitioned,
-                    recoveries,
-                    detections,
-                    barriers,
-                    replayed_cycles: replayed,
-                });
-            }
-            epoch.teardown();
-            // Roll back: uncommitted outputs were never appended, so
+            // A failed batch discards the epoch and any batch queued
+            // behind it. Uncommitted outputs were never appended, so
             // recovery is just a respawn from `snapshots` + replay.
+            epoch.teardown();
+            if recoveries > self.config.max_recoveries {
+                return Err((detections, recoveries, replayed));
+            }
         }
         Ok(FrameReport {
             outputs: committed,
@@ -802,25 +832,147 @@ where
         })
     }
 
+    /// Queues the batch `[start, start + len)` on every worker.
+    fn dispatch(
+        &self,
+        epoch: &Epoch<E::Snapshot>,
+        stim: &Stimulus,
+        chaos: &mut ChaosState<'_>,
+        start: u64,
+        len: u64,
+        prologue: bool,
+    ) {
+        for (w, cmd_tx) in epoch.cmd_txs.iter().enumerate() {
+            let shard = &self.parts.shards[w];
+            let inputs: Vec<Vec<i64>> = (0..len)
+                .map(|o| {
+                    shard.inputs.iter().map(|p| stim.inputs[p][(start + o) as usize]).collect()
+                })
+                .collect();
+            let batch = chaos.batch(self.parts, w, start, len, prologue, inputs);
+            // A dead worker's closed channel surfaces in `collect` as a
+            // missing response.
+            let _ = cmd_tx.send(Cmd::Run(Box::new(batch)));
+        }
+        chaos.attempt_clock += len;
+    }
+
+    /// Collects one response per worker for the batch at `start`,
+    /// against a clock-driven deadline: short real-time polls so a
+    /// virtual clock (tests) or the monotonic clock (production)
+    /// decides when the batch has stalled out. Responses to the batch
+    /// queued behind it wait in `early`. Returns the responses and
+    /// whether every worker reported without a fault.
+    #[allow(clippy::type_complexity)]
+    fn collect(
+        &self,
+        epoch: &Epoch<E::Snapshot>,
+        start: u64,
+        early: &mut [Option<Resp<E::Snapshot>>],
+        detections: &mut Vec<Detection>,
+    ) -> (Vec<Option<Resp<E::Snapshot>>>, bool) {
+        let watchdog_ticks = u64::try_from(self.config.watchdog.as_nanos()).unwrap_or(u64::MAX);
+        let budget = self.config.batch_budget.unwrap_or_else(|| {
+            let wall = self.config.watchdog * 4 + Duration::from_millis(500);
+            u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX)
+        });
+        let deadline = Deadline::after(Arc::clone(&self.config.clock), budget);
+        let mut responses: Vec<Option<Resp<E::Snapshot>>> =
+            early.iter_mut().map(|slot| slot.take_if(|r| r.origin().1 == start)).collect();
+        let mut disconnected = false;
+        // Progress watchdog: per worker, the last counter value seen and
+        // the tick it was first seen at, timed from the start of
+        // collection.
+        let begun = self.config.clock.now();
+        let mut seen: Vec<(u64, u64)> =
+            epoch.progress.iter().map(|p| (p.load(Ordering::Relaxed), begun)).collect();
+        let mut wedged = false;
+        while responses.iter().any(Option::is_none) && !deadline.expired() && !wedged {
+            match epoch.resp_rx.recv_timeout(Duration::from_millis(10)) {
+                Ok(resp) => {
+                    let (w, from) = resp.origin();
+                    if from == start {
+                        responses[w] = Some(resp);
+                    } else {
+                        early[w] = Some(resp);
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => {
+                    disconnected = true;
+                    break;
+                }
+            }
+            let now = self.config.clock.now();
+            for (w, resp) in responses.iter().enumerate() {
+                if resp.is_some() {
+                    continue;
+                }
+                let count = epoch.progress[w].load(Ordering::Relaxed);
+                if count != seen[w].0 {
+                    seen[w] = (count, now);
+                } else if now.saturating_sub(seen[w].1) > watchdog_ticks {
+                    detections.push(Detection {
+                        worker: Some(w),
+                        batch_start: start,
+                        kind: DetectionKind::Stall,
+                    });
+                    wedged = true;
+                }
+            }
+        }
+        for (w, resp) in responses.iter().enumerate() {
+            let kind = match resp {
+                Some(Resp::Done { .. }) => continue,
+                Some(Resp::Fault { kind, .. }) => kind.clone(),
+                // A wedged batch already named its stragglers.
+                None if wedged => continue,
+                // All response channels gone: the thread died.
+                None if disconnected => DetectionKind::Crash,
+                // Deadline expiry: it's wedged.
+                None => DetectionKind::Stall,
+            };
+            detections.push(Detection { worker: Some(w), batch_start: start, kind });
+        }
+        let batch_ok = responses.iter().all(|r| matches!(r, Some(Resp::Done { .. })));
+        (responses, batch_ok)
+    }
+
+    /// Spawns one worker per shard, restored from `snapshots` (power-on
+    /// when `None`), to run batches from cycle `start` on.
     fn spawn_epoch(
         &self,
         snapshots: Option<&Vec<E::Snapshot>>,
+        start: u64,
     ) -> Result<Epoch<E::Snapshot>, PartitionError> {
-        type Endpoints = Vec<Vec<(usize, Vec<String>, ChannelTransport)>>;
         let n = self.parts.parts();
         // Point-to-point boundary transports: each link is a framed
         // byte pipe, so thread mode exercises the wire codec too.
-        let mut senders: Endpoints = (0..n).map(|_| Vec::new()).collect();
-        let mut receivers: Endpoints = (0..n).map(|_| Vec::new()).collect();
+        let mut senders: Vec<Vec<OutLink>> = (0..n).map(|_| Vec::new()).collect();
+        let mut receivers: Vec<Vec<InLink>> = (0..n).map(|_| Vec::new()).collect();
         for link in &self.parts.links {
             let (tx, rx) = ChannelTransport::pair();
-            senders[link.from].push((link.to, link.ports.clone(), tx));
-            receivers[link.to].push((link.from, link.ports.clone(), rx));
+            let ports = link.ports.clone();
+            senders[link.from].push(OutLink {
+                ports: ports.clone(),
+                tx,
+                seq: 0,
+                hash: hash_seed(),
+            });
+            receivers[link.to].push(InLink {
+                from: link.from,
+                feedback: link.feedback,
+                ports,
+                rx,
+                seq: 0,
+                hash: hash_seed(),
+            });
         }
         let (resp_tx, resp_rx) = mpsc::channel::<Resp<E::Snapshot>>();
         let mut cmd_txs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        for (w, (outs, ins)) in senders.into_iter().zip(receivers).enumerate() {
+        let progress: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::default()).collect();
+        for (w, (out_links, in_links)) in senders.into_iter().zip(receivers).enumerate() {
             let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
             cmd_txs.push(cmd_tx);
             let resp_tx = resp_tx.clone();
@@ -831,6 +983,7 @@ where
             let watchdog = self.config.watchdog;
             let event_cap = self.config.event_cap;
             let initial = snapshots.map(|s| s[w].clone());
+            let progress = Arc::clone(&progress[w]);
             let builder = thread::Builder::new().name(format!("dwt-partition-{w}"));
             let handle = builder
                 .spawn(move || {
@@ -839,6 +992,7 @@ where
                         Err(e) => {
                             let _ = resp_tx.send(Resp::Fault {
                                 worker: w,
+                                start,
                                 kind: DetectionKind::Engine(e.to_string()),
                             });
                             return;
@@ -851,6 +1005,7 @@ where
                         if let Err(e) = engine.restore(&snapshot) {
                             let _ = resp_tx.send(Resp::Fault {
                                 worker: w,
+                                start,
                                 kind: DetectionKind::Engine(e.to_string()),
                             });
                             return;
@@ -861,28 +1016,18 @@ where
                         engine,
                         inputs,
                         outputs,
-                        out_links: outs
-                            .into_iter()
-                            .map(|(_, ports, tx)| OutLink { ports, tx, seq: 0, hash: hash_seed() })
-                            .collect(),
-                        in_links: ins
-                            .into_iter()
-                            .map(|(from, ports, rx)| InLink {
-                                from,
-                                ports,
-                                rx,
-                                seq: 0,
-                                hash: hash_seed(),
-                            })
-                            .collect(),
+                        settles: in_links.iter().any(|l| l.feedback),
+                        out_links,
+                        in_links,
                         watchdog,
+                        progress,
                     };
                     worker_main(worker, &cmd_rx, &resp_tx);
                 })
                 .map_err(|e| PartitionError::Spawn { detail: e.to_string() })?;
             handles.push(handle);
         }
-        Ok(Epoch { cmd_txs, resp_rx, handles })
+        Ok(Epoch { cmd_txs, resp_rx, handles, progress })
     }
 
     /// Producer vs consumer running hash, per link.
