@@ -20,6 +20,15 @@ use crate::error::{Error, Result};
 /// pairs, so four zeros reproduce an unbounded zero history exactly.
 const WARMUP: usize = 4;
 
+/// How many pairs before pair `m` the coefficients of pair `m` still
+/// depend on. `low[m]` reaches furthest back: through `s2[m]`,
+/// `d2[m-1]` and `s1[m-1]` to the `d1[m-2]` term, which reads
+/// `s0[m-2]` and `d0[m-2]`; nothing reads pair `m-3`. So a stream
+/// started from zero history at pair `m0 - LOOKBACK` emits coefficient
+/// `m0`, and every one after it, exactly as the whole stream does. It
+/// is the filter's support, not any datapath's pipeline depth.
+pub const LOOKBACK: usize = 2;
+
 /// Streaming golden model; push one even/odd pair per cycle and read the
 /// emitted low/high coefficients.
 #[derive(Debug, Clone)]
@@ -352,6 +361,53 @@ mod tests {
             g.push(-128, 127);
         }
         assert!(g.check_ranges().is_err());
+    }
+
+    /// Low and high coefficients of a stream fed from zero history.
+    fn transform(pairs: &[(i64, i64)]) -> (Vec<i64>, Vec<i64>) {
+        let mut g = GoldenStream::default();
+        for &(e, o) in pairs {
+            g.push(e, o);
+        }
+        (g.low().to_vec(), g.high().to_vec())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn coefficients_never_see_past_the_lookback(
+            pairs in proptest::collection::vec((-128i64..128, -128i64..128), 40),
+            other in proptest::collection::vec((-128i64..128, -128i64..128), 40),
+            cut in 1usize..36,
+        ) {
+            // Replace every pair before `cut`: coefficient `m` may only
+            // move while `cut` is past `m - LOOKBACK`.
+            let mut mixed = other[..cut].to_vec();
+            mixed.extend_from_slice(&pairs[cut..]);
+            let (low, high) = transform(&pairs);
+            let (mixed_low, mixed_high) = transform(&mixed);
+            for m in cut + LOOKBACK..low.len() {
+                proptest::prop_assert_eq!(low[m], mixed_low[m]);
+                proptest::prop_assert_eq!(high[m], mixed_high[m]);
+            }
+        }
+    }
+
+    #[test]
+    fn lookback_is_tight() {
+        // Some stimulus moves coefficient `m` through pair `m - LOOKBACK`
+        // alone, so no shorter lookback is exact.
+        let m = 12;
+        let moved = (0..64).any(|seed| {
+            let pairs = still_tone_pairs(24, seed);
+            let mut perturbed = pairs.clone();
+            perturbed[m - LOOKBACK].0 = -perturbed[m - LOOKBACK].0 - 1;
+            let (low, high) = transform(&pairs);
+            let (p_low, p_high) = transform(&perturbed);
+            low[m] != p_low[m] || high[m] != p_high[m]
+        });
+        assert!(moved, "no stimulus moved coefficient {m} through pair {}", m - LOOKBACK);
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub fn run_recovery_campaign<E: Engine>(
         let mut exec = TileExecutor::<E>::new(design, exec_cfg)?;
         let mut seu = PoissonSeu::new(
             exec.primary_netlist(),
-            exec.spare_netlist(),
+            exec.spare_netlist()?,
             cfg.seu_rate,
             // Decorrelate the arrival stream from the stimulus, but
             // keep it a pure function of the campaign seed.

@@ -152,7 +152,7 @@ impl<E: Engine> Pool<E> {
         for id in 0..cfg.lanes {
             let exec = TileExecutor::<E>::new(cfg.design, exec_cfg)?;
             let injector =
-                cfg.chaos.injector_for(id, exec.primary_netlist(), exec.spare_netlist())?;
+                cfg.chaos.injector_for(id, exec.primary_netlist(), exec.spare_netlist()?)?;
             let nominal = exec.nominal_window(cfg.tile_pairs);
             let slow_factor = cfg.chaos.slow_factor(id);
             lanes.push(Lane {

@@ -2,16 +2,17 @@
 //!
 //! The [`TileExecutor`] streams sample pairs through one of the paper's
 //! datapaths in fixed-size **tiles**. Each tile window is the tile's
-//! pairs followed by `latency + 2` zero flush pairs, so every committed
-//! coefficient emerges inside its own window and the pipeline drains to
-//! a state equivalent to a freshly reset machine. Two properties follow
-//! from that drain, and the whole recovery scheme rests on them:
+//! pairs followed by `latency + LOOKBACK` zero flush pairs, so every
+//! committed coefficient emerges inside its own window and the pipeline
+//! drains to a state equivalent to a freshly reset machine. Two
+//! properties follow from that drain, and the whole recovery scheme
+//! rests on them:
 //!
 //! * a [`dwt_rtl::sim::Snapshot`] taken at a tile boundary captures a
 //!   drained machine, so *rollback + replay* of a tile is bit-exact;
-//! * the flush (≥ the golden model's 4-pair lookback) isolates tiles
-//!   from each other, so a tile can be *re-dispatched* onto a freshly
-//!   constructed TMR spare and still match the tile's golden
+//! * the flush outlasts the golden model's [`LOOKBACK`], so it isolates
+//!   tiles from each other: a tile can be *re-dispatched* onto the TMR
+//!   spare, restored to power-on, and still match the tile's golden
 //!   reference, which [`dwt_arch::golden::GoldenStream`] computes from
 //!   zero history at every tile start.
 //!
@@ -24,24 +25,28 @@
 //! strikes do not recur — the injector clock is monotone across
 //! rollbacks), then re-dispatch to the TMR spare, then software golden
 //! fallback, which cannot be wrong. Every rung, replay, recovery cycle
-//! and detection latency is accounted in [`TileOutcome`].
+//! and detection latency is accounted in [`TileOutcome`]. The spare is
+//! built at the first escalation, not up front, and restored to its
+//! power-on snapshot at every later one.
 //!
 //! On an engine with more than one lane, a fault-free run spreads a
 //! large tile's first primary attempt over the lanes ([`SegmentPlan`]):
-//! each lane covers one segment of the tile and warms up on the
-//! `latency + 2` pairs before it, the same bound that licenses replay
-//! and re-dispatch. Every lane's coefficients are DWC-checked; a
-//! mismatch reruns the tile on one lane. Replay, TMR, the golden
-//! fallback and every faulted run keep the one-lane window.
+//! each lane covers one segment of the tile, warms up on the
+//! [`LOOKBACK`] pairs before it and stops once its last coefficient has
+//! emerged. Every lane's coefficients are DWC-checked, and an attempt
+//! that leaves a coefficient uncommitted counts as a mismatch; either
+//! reruns the tile on one lane. Replay, TMR, the golden fallback and
+//! every faulted run keep the one-lane window.
 
-use dwt_arch::datapath::Hardening;
+use dwt_arch::datapath::{BuiltDatapath, Hardening};
 use dwt_arch::designs::Design;
-use dwt_arch::golden::GoldenStream;
+use dwt_arch::golden::{GoldenStream, LOOKBACK};
 use dwt_rtl::engine::Engine;
 use dwt_rtl::fault::FaultSpec;
 use dwt_rtl::netlist::Netlist;
 use dwt_rtl::sim::Simulator;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::error::{Error, Result};
 use crate::injector::{FaultInjector, Lane};
@@ -328,36 +333,42 @@ const SEGMENT_MIN_GAIN: usize = 2;
 /// The tile's `p` pairs are cut into `k` segments of
 /// `S = ceil(p / lanes)` pairs (the last may be shorter). Lane 0 covers
 /// `[0, S)` from the drained checkpoint, exactly like the one-lane
-/// window. Lane `j ≥ 1` covers `[jS, (j+1)S)` but starts `flush` pairs
-/// early, on the tile's own preceding pairs (zeros before the tile
-/// start, which is the history the drained checkpoint stands for). The
-/// flush is the bound after which a drained pipeline no longer depends
-/// on what came before, so each lane reaches its first coefficient in
-/// the state a single lane streaming the whole tile would be in. Lanes
-/// are fed the tile's zero flush after its last pair, and every lane
-/// runs until its last coefficient has emerged: `flush + S + flush`
-/// ticks. With `k = 1` there is no warm-up and the window is the
-/// classic `p + flush`.
+/// window. Lane `j ≥ 1` covers `[jS, (j+1)S)` but starts [`LOOKBACK`]
+/// pairs early, on the tile's own preceding pairs. The drained
+/// checkpoint stands for zero history, and no coefficient depends on a
+/// pair more than [`LOOKBACK`] before it, so from its first coefficient
+/// on each lane commits what one lane streaming the whole tile would.
+/// Lanes are fed the tile's zero flush after its last pair and stop
+/// once their last coefficient has emerged: `LOOKBACK + S + latency`
+/// ticks. A segmented window is always followed by a restore of the
+/// checkpoint, so it owes no drain. With `k = 1` there is no warm-up
+/// and the window is the classic `p + flush`, which leaves the pipeline
+/// drained for the next checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentPlan {
     pairs: usize,
     seg: usize,
-    flush: usize,
+    /// Pairs each lane `j ≥ 1` is fed before its segment.
+    warmup: usize,
+    /// Ticks after the last pair of a lane's segment.
+    drain: usize,
 }
 
 impl SegmentPlan {
     /// The one-lane window: every pair on lane 0, then `flush` zeros.
     #[must_use]
     pub fn single(pairs: usize, flush: usize) -> Self {
-        SegmentPlan { pairs, seg: pairs.max(1), flush }
+        SegmentPlan { pairs, seg: pairs.max(1), warmup: 0, drain: flush }
     }
 
-    /// The plan for a tile of `pairs` on an engine with `lanes` lanes:
-    /// segmented when that shrinks the window to at most
-    /// `1 / SEGMENT_MIN_GAIN` of the one-lane window, otherwise
-    /// [`SegmentPlan::single`].
-    fn choose(pairs: usize, lanes: usize, flush: usize) -> Self {
-        let plan = SegmentPlan { pairs, seg: pairs.div_ceil(lanes.max(1)).max(1), flush };
+    /// The plan for a tile of `pairs` on an engine with `lanes` lanes
+    /// and a datapath of the given latency: segmented when that shrinks
+    /// the window to at most `1 / SEGMENT_MIN_GAIN` of the one-lane
+    /// window `pairs + flush`, otherwise [`SegmentPlan::single`].
+    fn choose(pairs: usize, lanes: usize, latency: usize) -> Self {
+        let flush = latency + LOOKBACK;
+        let seg = pairs.div_ceil(lanes.max(1)).max(1);
+        let plan = SegmentPlan { pairs, seg, warmup: LOOKBACK, drain: latency };
         if plan.lanes() > 1 && SEGMENT_MIN_GAIN * plan.window() <= pairs + flush {
             plan
         } else {
@@ -371,11 +382,10 @@ impl SegmentPlan {
         self.pairs.div_ceil(self.seg).max(1)
     }
 
-    /// Ticks the window takes: warm-up, one segment, then the flush.
+    /// Ticks the window takes: warm-up, one segment, then the drain.
     #[must_use]
     pub fn window(&self) -> usize {
-        let warmup = if self.lanes() > 1 { self.flush } else { 0 };
-        warmup + self.seg + self.flush
+        self.warmup + self.seg + self.drain
     }
 
     /// Tile-relative index of the pair `lane` is fed at tick 0; negative
@@ -384,7 +394,7 @@ impl SegmentPlan {
         if lane == 0 {
             0
         } else {
-            (lane * self.seg) as isize - self.flush as isize
+            (lane * self.seg) as isize - self.warmup as isize
         }
     }
 
@@ -408,6 +418,50 @@ impl SegmentPlan {
     }
 }
 
+/// The TMR spare engine with its power-on snapshot: built once, at the
+/// first escalation, and restored at every later one.
+#[derive(Debug)]
+struct Spare<E: Engine> {
+    engine: E,
+    initial: E::Snapshot,
+    latency: usize,
+}
+
+impl<E: Engine> Spare<E> {
+    /// The spare at power-on, ready for a re-dispatched tile. The first
+    /// call builds the engine from `datapath`, moving its netlist in
+    /// (or builds the datapath too, if nobody asked for it yet); later
+    /// calls restore the engine's power-on snapshot, which also reverts
+    /// the faults armed in it, so each escalation meets the machine a
+    /// freshly built spare would be.
+    fn armed<'a>(
+        slot: &'a mut Option<Spare<E>>,
+        datapath: &mut OnceLock<BuiltDatapath>,
+        design: Design,
+        event_cap: Option<u64>,
+    ) -> Result<&'a mut Spare<E>> {
+        let spare = match slot.take() {
+            Some(mut spare) => {
+                spare.engine.restore(&spare.initial)?;
+                spare
+            }
+            None => {
+                let built = match datapath.take() {
+                    Some(built) => built,
+                    None => design.build_hardened(Hardening::Tmr)?,
+                };
+                let mut engine = E::from_netlist(built.netlist)?;
+                if let Some(cap) = event_cap {
+                    engine.set_event_cap(cap);
+                }
+                let initial = engine.snapshot();
+                Spare { engine, initial, latency: built.latency }
+            }
+        };
+        Ok(slot.insert(spare))
+    }
+}
+
 /// The recovery runtime: checkpointed tile execution over one design.
 ///
 /// Generic over the simulation [`Engine`] driving the primary datapath
@@ -419,14 +473,16 @@ pub struct TileExecutor<E: Engine = Simulator> {
     design: Design,
     cfg: ExecutorConfig,
     latency: usize,
-    spare_latency: usize,
     primary: E,
-    primary_netlist: Netlist,
-    spare_netlist: Netlist,
     /// Snapshot of the freshly built (never ticked) primary, so
     /// [`TileExecutor::reset`] can re-arm the lane without paying the
     /// netlist rebuild.
     initial: E::Snapshot,
+    /// The TMR spare's datapath, built on the first request for its
+    /// netlist and moved into `spare` when the spare engine is built.
+    spare_datapath: OnceLock<BuiltDatapath>,
+    /// The TMR spare engine; `None` until the first escalation.
+    spare: Option<Spare<E>>,
     /// The current tile's reference, cleared at every tile start; it
     /// keeps its capacity, so its memory is bounded by the largest tile.
     golden: GoldenStream,
@@ -442,8 +498,10 @@ pub struct TileExecutor<E: Engine = Simulator> {
 }
 
 impl<E: Engine> TileExecutor<E> {
-    /// Builds the primary datapath (with the configured hardening) and
-    /// its TMR spare for `design`, on the backend named by `E`.
+    /// Builds the primary datapath (with the configured hardening) for
+    /// `design`, on the backend named by `E`. The TMR spare is built
+    /// only when it is first needed: at the first escalation, or when a
+    /// caller asks [`TileExecutor::spare_netlist`] for fault sites.
     ///
     /// Callers selecting the backend at runtime go through
     /// [`dwt_rtl::engine::Backend::dispatch`](dwt_rtl::engine::Backend)
@@ -454,8 +512,7 @@ impl<E: Engine> TileExecutor<E> {
     /// Propagates datapath-generator and engine construction errors.
     pub fn new(design: Design, cfg: ExecutorConfig) -> Result<Self> {
         let primary = design.build_hardened(cfg.hardening)?;
-        let spare = design.build_hardened(Hardening::Tmr)?;
-        let mut sim = E::from_netlist(primary.netlist.clone())?;
+        let mut sim = E::from_netlist(primary.netlist)?;
         if let Some(cap) = cfg.watchdog.event_cap {
             sim.set_event_cap(cap);
         }
@@ -464,11 +521,10 @@ impl<E: Engine> TileExecutor<E> {
             design,
             cfg,
             latency: primary.latency,
-            spare_latency: spare.latency,
             primary: sim,
-            primary_netlist: primary.netlist,
-            spare_netlist: spare.netlist,
             initial,
+            spare_datapath: OnceLock::new(),
+            spare: None,
             golden: GoldenStream::default(),
             executed_cycles: 0,
             segment_fallbacks: 0,
@@ -526,29 +582,40 @@ impl<E: Engine> TileExecutor<E> {
     /// The primary datapath netlist (fault-site discovery).
     #[must_use]
     pub fn primary_netlist(&self) -> &Netlist {
-        &self.primary_netlist
+        self.primary.netlist()
     }
 
-    /// The TMR spare netlist (fault-site discovery).
-    #[must_use]
-    pub fn spare_netlist(&self) -> &Netlist {
-        &self.spare_netlist
+    /// The TMR spare netlist (fault-site discovery), building the spare
+    /// datapath on the first call if no escalation has built it yet.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Arch`] if the TMR datapath fails to build.
+    pub fn spare_netlist(&self) -> Result<&Netlist> {
+        if let Some(spare) = &self.spare {
+            return Ok(spare.engine.netlist());
+        }
+        if let Some(built) = self.spare_datapath.get() {
+            return Ok(&built.netlist);
+        }
+        let built = self.design.build_hardened(Hardening::Tmr)?;
+        Ok(&self.spare_datapath.get_or_init(|| built).netlist)
     }
 
     /// Engine ticks actually run so far, including failed attempts —
     /// the injector's wall clock. A segmented window counts its
-    /// `flush + S + flush` ticks, however many lanes it drives, so this
-    /// is the simulation cost, not the hardware model's cycle count
-    /// ([`TileOutcome::nominal_cycles`] stays `p + flush`).
+    /// `LOOKBACK + S + latency` ticks, however many lanes it drives, so
+    /// this is the simulation cost, not the hardware model's cycle
+    /// count ([`TileOutcome::nominal_cycles`] stays `p + flush`).
     #[must_use]
     pub fn executed_cycles(&self) -> u64 {
         self.executed_cycles
     }
 
-    /// Segmented windows whose lanes failed DWC on a quiet run and were
-    /// rerun on one lane. Zero on the five designs; a netlist whose
-    /// memory outlasts the flush would count here instead of committing
-    /// a wrong segment.
+    /// Segmented windows whose lanes failed DWC, or left a coefficient
+    /// uncommitted, on a quiet run and were rerun on one lane. Zero on
+    /// the five designs; a netlist whose memory outlasts [`LOOKBACK`]
+    /// pairs would count here instead of committing a wrong segment.
     #[must_use]
     pub fn segment_fallbacks(&self) -> u64 {
         self.segment_fallbacks
@@ -562,15 +629,18 @@ impl<E: Engine> TileExecutor<E> {
     #[must_use]
     pub fn segment_plan(&self, pairs: usize) -> SegmentPlan {
         if self.cfg.dwc {
-            SegmentPlan::choose(pairs, self.primary.caps().lanes, self.flush())
+            SegmentPlan::choose(pairs, self.primary.caps().lanes, self.latency)
         } else {
             SegmentPlan::single(pairs, self.flush())
         }
     }
 
-    /// Zero-pad flush length of the primary window.
+    /// Zero-pad flush length of the primary window: the last pair still
+    /// reaches the coefficient [`LOOKBACK`] pairs later, which emerges
+    /// `latency` ticks after that; past it nothing in the pipeline
+    /// depends on the tile.
     fn flush(&self) -> usize {
-        self.latency + 2
+        self.latency + LOOKBACK
     }
 
     /// Runs a whole pair stream tile by tile.
@@ -611,6 +681,23 @@ impl<E: Engine> TileExecutor<E> {
         pairs: &[(i64, i64)],
         injector: &mut dyn FaultInjector,
     ) -> Result<(TileOutcome, Vec<i64>, Vec<i64>)> {
+        let p = pairs.len();
+        let plan = if injector.quiet() {
+            self.segment_plan(p)
+        } else {
+            SegmentPlan::single(p, self.flush())
+        };
+        self.run_planned(pairs, injector, plan)
+    }
+
+    /// [`TileExecutor::run_tile`] with the first primary attempt laid
+    /// out by `plan`.
+    fn run_planned(
+        &mut self,
+        pairs: &[(i64, i64)],
+        injector: &mut dyn FaultInjector,
+        mut plan: SegmentPlan,
+    ) -> Result<(TileOutcome, Vec<i64>, Vec<i64>)> {
         if pairs.is_empty() {
             return Err(Error::EmptyTile);
         }
@@ -622,7 +709,7 @@ impl<E: Engine> TileExecutor<E> {
         let snap = self.primary.snapshot();
 
         // Reference pass: the tile window from zero history. The flush
-        // (≥ the model's 4-pair lookback) makes the window's
+        // (longer than the model's LOOKBACK) makes the window's
         // coefficients independent of anything before the checkpoint,
         // which is what licenses replay and re-dispatch.
         self.golden.clear();
@@ -642,8 +729,6 @@ impl<E: Engine> TileExecutor<E> {
         let mut detection_latency = None;
         let mut tile_cycles = 0u64;
         let mut committed: Option<(Rung, Vec<i64>, Vec<i64>)> = None;
-        let mut plan =
-            if injector.quiet() { self.segment_plan(p) } else { SegmentPlan::single(p, flush) };
 
         // Rungs 1–2: primary, then rollback + replay.
         let mut attempt = 0u32;
@@ -667,8 +752,9 @@ impl<E: Engine> TileExecutor<E> {
             if plan.lanes() > 1 {
                 // Lanes stop partway through the tile, not drained: park
                 // the primary back at the checkpoint either way. A lane
-                // mismatch on a quiet run is no fault; the tile reruns
-                // on one lane as its first attempt.
+                // mismatch, or a coefficient left uncommitted, on a quiet
+                // run is no fault; the tile reruns on one lane as its
+                // first attempt.
                 self.primary.restore(&snap)?;
                 if out.detection.is_some() {
                     self.segment_fallbacks += 1;
@@ -697,21 +783,23 @@ impl<E: Engine> TileExecutor<E> {
             }
         }
 
-        // Rung 3: re-dispatch to a fresh TMR spare. The drained
+        // Rung 3: re-dispatch to the TMR spare at power-on. The drained
         // checkpoint makes the spare's zero history equivalent to the
         // primary's, so its outputs align with the same golden window.
         if committed.is_none() {
-            let mut spare = E::from_netlist(self.spare_netlist.clone())?;
-            if let Some(cap) = self.cfg.watchdog.event_cap {
-                spare.set_event_cap(cap);
-            }
+            let spare = Spare::armed(
+                &mut self.spare,
+                &mut self.spare_datapath,
+                self.design,
+                self.cfg.watchdog.event_cap,
+            )?;
             let persistent = injector.persistent(Lane::Tmr);
             let out = run_attempt(
-                &mut spare,
+                &mut spare.engine,
                 Lane::Tmr,
-                self.spare_latency,
+                spare.latency,
                 pairs,
-                &SegmentPlan::single(p, self.spare_latency + 2),
+                &SegmentPlan::single(p, spare.latency + LOOKBACK),
                 // The recovery path is always checked: an unverified
                 // spare could silently commit a corrupt tile.
                 Some((&exp_low[..], &exp_high[..])),
@@ -787,8 +875,11 @@ fn inject_classified<E: Engine>(sim: &mut E, spec: &FaultSpec) -> Result<Option<
 /// One attempt at a tile window laid out by `plan`: feed every lane its
 /// pairs + flush zeros, inject the injector's arrivals as they fall
 /// due, compare each committed coefficient online, stop at the first
-/// detection. A one-lane plan drives the scalar verbs, so it runs on
-/// every backend; a segmented plan drives the lane verbs.
+/// detection. A window that ends before every coefficient has emerged
+/// is a [`Detection::OutputMismatch`] too: the coefficients it never
+/// saw would otherwise commit as zeros. A one-lane plan drives the
+/// scalar verbs, so it runs on every backend; a segmented plan drives
+/// the lane verbs.
 #[allow(clippy::too_many_arguments)]
 fn run_attempt<E: Engine>(
     sim: &mut E,
@@ -809,6 +900,7 @@ fn run_attempt<E: Engine>(
     let mut even = vec![0; k];
     let mut odd = vec![0; k];
     let (mut flag, mut l, mut h) = (Vec::new(), Vec::new(), Vec::new());
+    let mut emerged = 0;
 
     // Re-assert the lane's hard faults: the rollback reverted them
     // along with the machine state, but a broken wire stays broken.
@@ -871,10 +963,13 @@ fn run_attempt<E: Engine>(
             }
             low[m] = l[j];
             high[m] = h[j];
+            emerged += 1;
         }
     }
 
-    Ok(Attempt { detection: None, cycles: plan.window() as u64, low, high })
+    let cycles = plan.window() as u64;
+    let detection = (emerged < p).then_some((Detection::OutputMismatch, cycles));
+    Ok(Attempt { detection, cycles, low, high })
 }
 
 /// Reads a port on the first `k` lanes into `buf`: the scalar `peek`
@@ -893,7 +988,27 @@ fn read<'a, E: Engine>(sim: &E, port: &str, k: usize, buf: &'a mut Vec<i64>) -> 
 mod tests {
     use super::*;
     use crate::injector::{NoFaults, ScriptedFaults};
+    use crate::seu::PoissonSeu;
     use dwt_arch::golden::still_tone_pairs;
+    use dwt_rtl::compile::CompiledEngine;
+
+    /// The names of the netlist's register cells, in cell order.
+    fn registers(netlist: &Netlist) -> impl Iterator<Item = String> + '_ {
+        netlist.cells().iter().filter_map(|c| match &c.kind {
+            dwt_rtl::cell::CellKind::Register { .. } => Some(c.name.clone()),
+            _ => None,
+        })
+    }
+
+    /// The name of the netlist's first register cell.
+    fn first_register(netlist: &Netlist) -> String {
+        registers(netlist).next().unwrap()
+    }
+
+    /// A hard stuck-at-1 on bit 0 of `net`.
+    fn stuck(net: String) -> FaultSpec {
+        FaultSpec::StuckAt { net, bit: 0, value: true }
+    }
 
     fn small_cfg() -> ExecutorConfig {
         ExecutorConfig { tile_pairs: 16, ..ExecutorConfig::default() }
@@ -950,15 +1065,7 @@ mod tests {
         let mut exec = TileExecutor::<Simulator>::new(Design::D2, small_cfg()).unwrap();
         // Strike a register mid-tile; the monotone injector clock means
         // the replay runs clean.
-        let reg = exec
-            .primary_netlist()
-            .cells()
-            .iter()
-            .find_map(|c| match &c.kind {
-                dwt_rtl::cell::CellKind::Register { .. } => Some(c.name.clone()),
-                _ => None,
-            })
-            .unwrap();
+        let reg = first_register(exec.primary_netlist());
         let mut inj = ScriptedFaults {
             at: vec![(6, Lane::Primary, FaultSpec::BitFlip { register: reg, bit: 0, cycle: 0 })],
             ..ScriptedFaults::default()
@@ -980,15 +1087,7 @@ mod tests {
     fn hard_primary_fault_escalates_to_tmr_spare() {
         let pairs = still_tone_pairs(16, 5);
         let mut exec = TileExecutor::<Simulator>::new(Design::D1, small_cfg()).unwrap();
-        let reg = exec
-            .primary_netlist()
-            .cells()
-            .iter()
-            .find_map(|c| match &c.kind {
-                dwt_rtl::cell::CellKind::Register { .. } => Some(c.name.clone()),
-                _ => None,
-            })
-            .unwrap();
+        let reg = first_register(exec.primary_netlist());
         let mut inj = ScriptedFaults {
             hard_primary: vec![FaultSpec::StuckAt { net: reg, bit: 0, value: true }],
             ..ScriptedFaults::default()
@@ -1008,27 +1107,10 @@ mod tests {
     fn common_mode_hard_faults_reach_golden_fallback() {
         let pairs = still_tone_pairs(16, 5);
         let mut exec = TileExecutor::<Simulator>::new(Design::D2, small_cfg()).unwrap();
-        let preg = exec
-            .primary_netlist()
-            .cells()
-            .iter()
-            .find_map(|c| match &c.kind {
-                dwt_rtl::cell::CellKind::Register { .. } => Some(c.name.clone()),
-                _ => None,
-            })
-            .unwrap();
+        let preg = first_register(exec.primary_netlist());
         // Break all three TMR replicas of one spare register so voting
         // cannot mask it.
-        let spare_regs: Vec<String> = exec
-            .spare_netlist()
-            .cells()
-            .iter()
-            .filter_map(|c| match &c.kind {
-                dwt_rtl::cell::CellKind::Register { .. } => Some(c.name.clone()),
-                _ => None,
-            })
-            .take(3)
-            .collect();
+        let spare_regs: Vec<String> = registers(exec.spare_netlist().unwrap()).take(3).collect();
         assert_eq!(spare_regs.len(), 3);
         let mut inj = ScriptedFaults {
             hard_primary: vec![FaultSpec::StuckAt { net: preg, bit: 0, value: true }],
@@ -1053,15 +1135,7 @@ mod tests {
         let pairs = still_tone_pairs(16, 5);
         let cfg = ExecutorConfig { dwc: false, ..small_cfg() };
         let mut exec = TileExecutor::<Simulator>::new(Design::D2, cfg).unwrap();
-        let reg = exec
-            .primary_netlist()
-            .cells()
-            .iter()
-            .find_map(|c| match &c.kind {
-                dwt_rtl::cell::CellKind::Register { .. } => Some(c.name.clone()),
-                _ => None,
-            })
-            .unwrap();
+        let reg = first_register(exec.primary_netlist());
         let mut inj = ScriptedFaults {
             hard_primary: vec![FaultSpec::StuckAt { net: reg, bit: 0, value: true }],
             ..ScriptedFaults::default()
@@ -1079,15 +1153,7 @@ mod tests {
         let pairs = still_tone_pairs(16, 5);
         let cfg = ExecutorConfig { hardening: Hardening::Parity, dwc: false, ..small_cfg() };
         let mut exec = TileExecutor::<Simulator>::new(Design::D2, cfg).unwrap();
-        let reg = exec
-            .primary_netlist()
-            .cells()
-            .iter()
-            .find_map(|c| match &c.kind {
-                dwt_rtl::cell::CellKind::Register { .. } => Some(c.name.clone()),
-                _ => None,
-            })
-            .unwrap();
+        let reg = first_register(exec.primary_netlist());
         let mut inj = ScriptedFaults {
             at: vec![(4, Lane::Primary, FaultSpec::BitFlip { register: reg, bit: 0, cycle: 0 })],
             ..ScriptedFaults::default()
@@ -1129,15 +1195,7 @@ mod tests {
         assert_eq!(clean.tiles[0].status(), TileStatus::Clean);
         assert!(clean.tiles[0].status().hardware_served());
 
-        let reg = exec
-            .primary_netlist()
-            .cells()
-            .iter()
-            .find_map(|c| match &c.kind {
-                dwt_rtl::cell::CellKind::Register { .. } => Some(c.name.clone()),
-                _ => None,
-            })
-            .unwrap();
+        let reg = first_register(exec.primary_netlist());
         let mut inj = ScriptedFaults {
             hard_primary: vec![FaultSpec::StuckAt { net: reg, bit: 0, value: true }],
             ..ScriptedFaults::default()
@@ -1171,12 +1229,13 @@ mod tests {
             (333, 256, 6),
             (100, 3, 0),
         ] {
-            let flush = latency + 2;
+            let flush = latency + LOOKBACK;
             // The chosen plan, the one-lane plan, and the segmented plan
             // the halving rule may have turned down.
-            let forced = SegmentPlan { pairs: p, seg: p.div_ceil(lanes), flush };
+            let forced =
+                SegmentPlan { pairs: p, seg: p.div_ceil(lanes), warmup: LOOKBACK, drain: latency };
             for plan in
-                [SegmentPlan::choose(p, lanes, flush), SegmentPlan::single(p, flush), forced]
+                [SegmentPlan::choose(p, lanes, latency), SegmentPlan::single(p, flush), forced]
             {
                 let mut seen = vec![0u32; p];
                 for t in 0..plan.window() {
@@ -1201,38 +1260,240 @@ mod tests {
             assert_eq!(plan.start(0), 0);
             assert_eq!(plan.covers(0), 0..p);
         }
-        assert_eq!(SegmentPlan::choose(4096, 1, 23), SegmentPlan::single(4096, 23));
+        assert_eq!(SegmentPlan::choose(4096, 1, 21), SegmentPlan::single(4096, 23));
     }
 
     #[test]
-    fn segmented_lanes_start_one_flush_before_their_segment() {
-        let plan = SegmentPlan::choose(1024, 64, 23);
-        assert_eq!((plan.lanes(), plan.seg, plan.window()), (64, 16, 62));
+    fn segmented_lanes_start_lookback_pairs_before_their_segment() {
+        let plan = SegmentPlan::choose(1024, 64, 21);
+        assert_eq!((plan.lanes(), plan.seg, plan.window()), (64, 16, 39));
         assert_eq!(plan.start(0), 0);
         assert_eq!(plan.covers(0), 0..16);
         for j in 1..64 {
-            assert_eq!(plan.start(j), 16 * j as isize - 23);
+            assert_eq!(plan.start(j), 16 * j as isize - 2);
             assert_eq!(plan.covers(j), 16 * j..16 * (j + 1));
         }
-        // Warm-up before the tile is fed zeros, the drained history;
-        // the flush after it is zeros too.
+        // Lane 1 warms up on the tile's pairs 14 and 15; the flush after
+        // the tile is zeros, and the last lane's last coefficient emerges
+        // on the window's last tick.
         let pairs: Vec<(i64, i64)> = (1..=1024).map(|i| (i, -i)).collect();
-        assert_eq!(plan.input(&pairs, 1, 0), (0, 0));
-        assert_eq!(plan.input(&pairs, 1, 7), (1, -1));
-        assert_eq!(plan.input(&pairs, 63, 23 + 15), (1024, -1024));
-        assert_eq!(plan.input(&pairs, 63, 23 + 16), (0, 0));
+        assert_eq!(plan.input(&pairs, 1, 0), (15, -15));
+        assert_eq!(plan.input(&pairs, 1, 2), (17, -17));
+        assert_eq!(plan.input(&pairs, 63, 2 + 15), (1024, -1024));
+        assert_eq!(plan.input(&pairs, 63, 2 + 16), (0, 0));
+        assert_eq!(plan.emerging(63, 38, 21), Some(1023));
+        // A warm-up reaching before the tile is fed zeros, the drained
+        // history.
+        let short = SegmentPlan::choose(64, 64, 21);
+        assert_eq!((short.lanes(), short.window()), (64, 24));
+        assert_eq!(short.start(1), -1);
+        assert_eq!(short.input(&pairs, 1, 0), (0, 0));
+        assert_eq!(short.input(&pairs, 1, 1), (1, -1));
     }
 
     #[test]
     fn segmenting_must_at_least_halve_the_window() {
-        // Design 5 (flush 23): a 16-pair tile would take 47 ticks
-        // segmented against 39 on one lane, on either lane count.
-        assert_eq!(SegmentPlan::choose(16, 64, 23).lanes(), 1);
-        assert_eq!(SegmentPlan::choose(16, 256, 23).lanes(), 1);
-        // 72 pairs: 48 ticks against 95, not quite half.
-        assert_eq!(SegmentPlan::choose(72, 64, 23).lanes(), 1);
-        assert_eq!(SegmentPlan::choose(73, 64, 23).window() * SEGMENT_MIN_GAIN, 73 + 23);
-        assert_eq!(SegmentPlan::choose(1024, 64, 23).window(), 62);
+        // Design 5 (latency 21, flush 23): a 16-pair tile would take 24
+        // ticks segmented against 39 on one lane, on either lane count.
+        assert_eq!(SegmentPlan::choose(16, 64, 21).lanes(), 1);
+        assert_eq!(SegmentPlan::choose(16, 256, 21).lanes(), 1);
+        // 24 pairs: 24 ticks against 47, not quite half.
+        assert_eq!(SegmentPlan::choose(24, 64, 21).lanes(), 1);
+        assert_eq!(SegmentPlan::choose(25, 64, 21).window() * SEGMENT_MIN_GAIN, 25 + 23);
+        assert_eq!(SegmentPlan::choose(1024, 64, 21).window(), 39);
+        assert_eq!(SegmentPlan::choose(1024, 256, 21).window(), 27);
+    }
+
+    /// The golden coefficients of one tile, computed from zero history.
+    fn golden_tile(pairs: &[(i64, i64)], flush: usize) -> (Vec<i64>, Vec<i64>) {
+        let mut golden = GoldenStream::default();
+        for &(e, o) in pairs.iter().chain(std::iter::repeat_n(&(0, 0), flush)) {
+            golden.push(e, o);
+        }
+        (golden.low()[..pairs.len()].to_vec(), golden.high()[..pairs.len()].to_vec())
+    }
+
+    /// Runs one quiet tile laid out by `plan` and checks that it needed
+    /// `fallbacks` one-lane reruns and still committed golden-exact
+    /// coefficients on the primary.
+    fn run_plan_on<E: Engine>(
+        exec: &mut TileExecutor<E>,
+        pairs: &[(i64, i64)],
+        plan: SegmentPlan,
+        fallbacks: u64,
+        label: &str,
+    ) {
+        let before = (exec.segment_fallbacks(), exec.executed_cycles());
+        let (outcome, low, high) = exec.run_planned(pairs, &mut NoFaults, plan).unwrap();
+        assert_eq!(exec.segment_fallbacks() - before.0, fallbacks, "{label}");
+        assert_eq!(outcome.rung, Rung::Primary, "{label}: {:?}", outcome.detections);
+        assert!(outcome.detections.is_empty(), "{label}");
+        assert!(outcome.bit_exact, "{label}");
+        assert!((low, high) == golden_tile(pairs, exec.flush()), "{label}: output differs");
+        // A failing segmented attempt stops at its first mismatch, then
+        // the tile reruns on one lane.
+        let ticks = exec.executed_cycles() - before.1;
+        let window = plan.window() as u64;
+        if fallbacks == 0 {
+            assert_eq!(ticks, window, "{label}: ticks run");
+        } else {
+            let rerun = exec.nominal_window(pairs.len());
+            assert!(rerun < ticks && ticks <= rerun + window, "{label}: {ticks} ticks run");
+        }
+    }
+
+    #[test]
+    fn a_window_too_short_for_its_last_coefficient_falls_back() {
+        // One tick short of the latency, each lane's last coefficient
+        // never emerges. Its slot must not commit as a zero.
+        let pairs = still_tone_pairs(1024, 21);
+        let mut exec = TileExecutor::<CompiledEngine>::new(Design::D5, small_cfg()).unwrap();
+        let plan = exec.segment_plan(1024);
+        assert!(plan.lanes() > 1);
+        run_plan_on(&mut exec, &pairs, plan, 0, "full drain");
+        let short = SegmentPlan { drain: exec.latency - 1, ..plan };
+        run_plan_on(&mut exec, &pairs, short, 1, "drain latency - 1");
+        // The one-lane window is held to the same count.
+        let single = SegmentPlan::single(16, exec.latency - 1);
+        let (outcome, low, high) = exec.run_planned(&pairs[..16], &mut NoFaults, single).unwrap();
+        assert_ne!(outcome.rung, Rung::Primary);
+        assert!(outcome.detections.contains(&Detection::OutputMismatch));
+        assert!(outcome.bit_exact);
+        assert!((low, high) == golden_tile(&pairs[..16], exec.flush()));
+    }
+
+    #[test]
+    fn a_warmup_shorter_than_the_lookback_falls_back_on_every_design() {
+        let pairs = still_tone_pairs(1024, 5);
+        for d in Design::all() {
+            let mut exec = TileExecutor::<CompiledEngine>::new(d, small_cfg()).unwrap();
+            let plan = exec.segment_plan(1024);
+            assert!(plan.lanes() > 1, "{d}");
+            let short = SegmentPlan { warmup: LOOKBACK - 1, ..plan };
+            run_plan_on(&mut exec, &pairs, short, 1, &format!("{d} warm-up LOOKBACK - 1"));
+            run_plan_on(&mut exec, &pairs, plan, 0, &format!("{d} warm-up LOOKBACK"));
+        }
+    }
+
+    #[test]
+    fn the_spare_is_built_only_when_first_needed() {
+        let pairs = still_tone_pairs(32, 5);
+        let mut exec = TileExecutor::<Simulator>::new(Design::D1, small_cfg()).unwrap();
+        assert!(exec.spare_datapath.get().is_none() && exec.spare.is_none());
+        exec.run_stream(&pairs, &mut NoFaults).unwrap();
+        assert!(exec.spare_datapath.get().is_none() && exec.spare.is_none());
+
+        // Asking for fault sites builds the netlist, not the engine.
+        let cells = exec.spare_netlist().unwrap().cell_count();
+        assert!(cells > exec.primary_netlist().cell_count());
+        assert!(exec.spare_datapath.get().is_some() && exec.spare.is_none());
+
+        // The first escalation moves that netlist into the engine.
+        let reg = first_register(exec.primary_netlist());
+        let mut inj = ScriptedFaults {
+            hard_primary: vec![FaultSpec::StuckAt { net: reg, bit: 0, value: true }],
+            ..ScriptedFaults::default()
+        };
+        let report = exec.run_stream(&pairs, &mut inj).unwrap();
+        assert!(report.tiles.iter().all(|t| t.rung == Rung::Tmr));
+        assert!(exec.spare_datapath.get().is_none() && exec.spare.is_some());
+        assert_eq!(exec.spare_netlist().unwrap().cell_count(), cells);
+    }
+
+    /// Streams `tiles` 16-pair tiles through `exec`, power-cycling it
+    /// halfway; `fresh_spare` drops the spare engine before each tile,
+    /// so every escalation builds a new one.
+    fn escalating_run<E: Engine>(
+        mut exec: TileExecutor<E>,
+        injector: &mut dyn FaultInjector,
+        tiles: usize,
+        fresh_spare: bool,
+    ) -> (Vec<TileOutcome>, Vec<i64>, Vec<i64>, u64) {
+        let pairs = still_tone_pairs(16 * tiles, 3);
+        let (mut outcomes, mut low, mut high) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, tile) in pairs.chunks(16).enumerate() {
+            if i == tiles / 2 {
+                exec.reset().unwrap();
+            }
+            if fresh_spare {
+                exec.spare = None;
+            }
+            let (outcome, l, h) = exec.run_tile(tile, injector).unwrap();
+            outcomes.push(outcome);
+            low.extend(l);
+            high.extend(h);
+        }
+        (outcomes, low, high, exec.executed_cycles())
+    }
+
+    fn reused_spare_matches_fresh_spares<E: Engine>(design: Design) {
+        let run = |fresh_spare| {
+            let exec = TileExecutor::<E>::new(design, small_cfg()).unwrap();
+            let mut seu =
+                PoissonSeu::new(exec.primary_netlist(), exec.spare_netlist().unwrap(), 0.02, 11)
+                    .with_hard_faults(0.4, 0.3);
+            escalating_run(exec, &mut seu, 12, fresh_spare)
+        };
+        let reused = run(false);
+        let escalated =
+            reused.0.iter().filter(|t| matches!(t.rung, Rung::Tmr | Rung::GoldenFallback)).count();
+        assert!(escalated >= 4, "{design}: only {escalated} escalations");
+        assert!(reused.0.iter().all(|t| t.bit_exact), "{design}");
+        assert!(
+            reused == run(true),
+            "{design}: reused spare differs from a fresh spare per escalation"
+        );
+    }
+
+    #[test]
+    fn a_reused_spare_matches_a_fresh_spare_per_escalation() {
+        reused_spare_matches_fresh_spares::<Simulator>(Design::D2);
+        reused_spare_matches_fresh_spares::<CompiledEngine>(Design::D2);
+        reused_spare_matches_fresh_spares::<CompiledEngine>(Design::D5);
+    }
+
+    /// A hard primary fault that escalates every tile, plus all three
+    /// replicas of one spare register broken for the first escalation
+    /// only.
+    struct SpareBrokenOnce {
+        primary: Vec<FaultSpec>,
+        spare: Vec<FaultSpec>,
+    }
+
+    impl FaultInjector for SpareBrokenOnce {
+        fn arrivals(&mut self, _executed_cycle: u64, _lane: Lane) -> Vec<FaultSpec> {
+            Vec::new()
+        }
+
+        fn persistent(&mut self, lane: Lane) -> Vec<FaultSpec> {
+            match lane {
+                Lane::Primary => self.primary.clone(),
+                Lane::Tmr => std::mem::take(&mut self.spare),
+            }
+        }
+    }
+
+    fn reused_spare_forgets_a_failed_escalation<E: Engine>() {
+        // The failed escalation leaves the spare mid-window with its
+        // faults armed; the next one must meet a power-on machine.
+        let run = |fresh_spare| {
+            let exec = TileExecutor::<E>::new(Design::D2, small_cfg()).unwrap();
+            let mut injector = SpareBrokenOnce {
+                primary: vec![stuck(first_register(exec.primary_netlist()))],
+                spare: registers(exec.spare_netlist().unwrap()).take(3).map(stuck).collect(),
+            };
+            escalating_run(exec, &mut injector, 4, fresh_spare)
+        };
+        let reused = run(false);
+        let rungs: Vec<Rung> = reused.0.iter().map(|t| t.rung).collect();
+        assert_eq!(rungs, [Rung::GoldenFallback, Rung::Tmr, Rung::Tmr, Rung::Tmr]);
+        assert!(reused == run(true), "reused spare differs from a fresh spare per escalation");
+    }
+
+    #[test]
+    fn a_reused_spare_forgets_a_failed_escalation() {
+        reused_spare_forgets_a_failed_escalation::<Simulator>();
+        reused_spare_forgets_a_failed_escalation::<CompiledEngine>();
     }
 
     #[test]

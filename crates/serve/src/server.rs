@@ -298,7 +298,7 @@ where
             let exec = TileExecutor::<E>::new(cfg.design, cfg.executor)?;
             let injector: Box<dyn FaultInjector + Send> = match &cfg.chaos {
                 Some(chaos) => {
-                    Box::new(chaos.injector_for(w, exec.primary_netlist(), exec.spare_netlist())?)
+                    Box::new(chaos.injector_for(w, exec.primary_netlist(), exec.spare_netlist()?)?)
                 }
                 None => Box::new(NoFaults),
             };
