@@ -225,6 +225,9 @@ struct Row {
     wall_s: f64,
     cycles_per_s: f64,
     barriers: u64,
+    /// Boundary frames sent on all links in committed batches (thread
+    /// mode; the process supervisor does not count them).
+    boundary_frames: Option<u64>,
     recoveries: u32,
     detections: usize,
     replayed: u64,
@@ -295,6 +298,7 @@ where
         wall_s: 0.0,
         cycles_per_s: 0.0,
         barriers: 0,
+        boundary_frames: Some(0),
         recoveries: 0,
         detections: 0,
         replayed: 0,
@@ -314,6 +318,7 @@ where
             .run_frame(&stim, oracle, &chaos, None)
             .unwrap_or_else(|e| panic!("{} x {parts} frame {frame}: {e}", design.name()));
         row.barriers += report.barriers;
+        row.boundary_frames = row.boundary_frames.map(|n| n + report.boundary_frames);
         row.recoveries += report.recoveries;
         row.detections += report.detections.len();
         row.replayed += report.replayed_cycles;
@@ -410,6 +415,7 @@ fn run_combination_proc(
         wall_s: 0.0,
         cycles_per_s: 0.0,
         barriers: 0,
+        boundary_frames: None,
         recoveries: 0,
         detections: 0,
         replayed: 0,
@@ -516,7 +522,8 @@ fn json_report(cfg: &Config, shared: &CampaignArgs, rows: &[Row]) -> String {
             out,
             "{sep}\n    {{ \"design\": \"{}\", \"parts\": {}, \"cut_bits\": {}, \
              \"feedback_links\": {}, \"wall_s\": {:.6}, \"cycles_per_s\": {:.1}, \
-             \"barriers\": {}, \"recoveries\": {}, \"detections\": {}, \"replayed_cycles\": {}, \
+             \"barriers\": {}, \"boundary_frames\": {}, \"recoveries\": {}, \"detections\": {}, \
+             \"replayed_cycles\": {}, \
              \"partitioned_frames\": {}, \"degraded_frames\": {}, \"respawns\": {}, \
              \"resumed_from\": {}, \"availability\": {:.4}, \"sdc\": {} }}",
             json_escape(r.design.name()),
@@ -526,6 +533,7 @@ fn json_report(cfg: &Config, shared: &CampaignArgs, rows: &[Row]) -> String {
             r.wall_s,
             r.cycles_per_s,
             r.barriers,
+            r.boundary_frames.map_or_else(|| "null".to_owned(), |n| n.to_string()),
             r.recoveries,
             r.detections,
             r.replayed,

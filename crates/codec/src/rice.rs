@@ -89,7 +89,9 @@ pub fn encode(values: &[i64]) -> Vec<u8> {
 pub fn decode(bytes: &[u8], len: usize) -> Result<Vec<i64>> {
     let mut r = BitReader::new(bytes);
     let mut adapt = Adapt::new();
-    let mut out = Vec::with_capacity(len);
+    // Every coefficient costs at least one bit (its unary terminator),
+    // so a hostile `len` cannot reserve more than the stream can fill.
+    let mut out = Vec::with_capacity(len.min(bytes.len().saturating_mul(8)));
     for _ in 0..len {
         let k = adapt.k();
         let quotient = r.get_unary().ok_or(Error::Truncated)?;
@@ -163,6 +165,11 @@ mod tests {
         let bytes = encode(&values);
         let cut = &bytes[..bytes.len() / 2];
         assert!(matches!(decode(cut, values.len()), Err(Error::Truncated)));
+    }
+
+    #[test]
+    fn a_hostile_length_is_an_error_not_an_allocation() {
+        assert!(decode(&[0], usize::MAX).is_err());
     }
 
     #[test]

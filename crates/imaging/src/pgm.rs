@@ -123,25 +123,29 @@ pub fn read_pgm<R: Read>(r: R) -> Result<Grid<i32>, PgmError> {
         return Err(PgmError::Format("zero dimension".into()));
     }
 
-    let mut data = Vec::with_capacity(rows * cols);
-    if ascii {
+    let pixels = rows
+        .checked_mul(cols)
+        .ok_or_else(|| PgmError::Format(format!("{cols} x {rows} pixels overflow")))?;
+    // Reserve only what the stream actually holds, so a hostile header
+    // cannot demand a huge allocation before the data runs out.
+    let data: Vec<i32> = if ascii {
         let mut text = String::new();
         reader.read_to_string(&mut text)?;
-        for tok in text.split_ascii_whitespace().take(rows * cols) {
-            let v: i32 = tok.parse().map_err(|_| PgmError::Format(format!("bad pixel '{tok}'")))?;
-            data.push(v.clamp(0, 255) - 128);
-        }
+        text.split_ascii_whitespace()
+            .take(pixels)
+            .map(|tok| {
+                let v: i32 =
+                    tok.parse().map_err(|_| PgmError::Format(format!("bad pixel '{tok}'")))?;
+                Ok(v.clamp(0, 255) - 128)
+            })
+            .collect::<Result<_, PgmError>>()?
     } else {
-        let mut bytes = vec![0u8; rows * cols];
-        reader.read_exact(&mut bytes)?;
-        data.extend(bytes.iter().map(|&b| i32::from(b) - 128));
-    }
-    if data.len() != rows * cols {
-        return Err(PgmError::Format(format!(
-            "expected {} pixels, found {}",
-            rows * cols,
-            data.len()
-        )));
+        let mut bytes = Vec::new();
+        reader.take(pixels as u64).read_to_end(&mut bytes)?;
+        bytes.iter().map(|&b| i32::from(b) - 128).collect()
+    };
+    if data.len() != pixels {
+        return Err(PgmError::Format(format!("expected {pixels} pixels, found {}", data.len())));
     }
     Grid::from_vec(rows, cols, data)
         .map_err(|e| PgmError::Format(format!("inconsistent dimensions: {e}")))
@@ -186,6 +190,19 @@ mod tests {
     fn truncated_binary_rejected() {
         let text = b"P5\n4 4\n255\nab";
         assert!(read_pgm(text.as_slice()).is_err());
+    }
+
+    #[test]
+    fn overflowing_dimensions_are_rejected() {
+        let text = b"P5 4294967296 4294967296 255\n";
+        assert!(matches!(read_pgm(text.as_slice()), Err(PgmError::Format(_))));
+    }
+
+    #[test]
+    fn a_huge_header_over_a_short_body_is_rejected() {
+        let text = b"P2 100000 100000 255\n";
+        assert_eq!(text.len(), 21);
+        assert!(matches!(read_pgm(text.as_slice()), Err(PgmError::Format(_))));
     }
 
     #[test]

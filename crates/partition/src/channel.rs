@@ -1,11 +1,12 @@
 //! The boundary-exchange wire format: sequence-numbered, checksummed
-//! per-cycle messages, plus the running per-link hash the barrier
-//! crosschecks.
+//! messages of one or more cycles' values, plus the running per-link
+//! hash the barrier crosschecks.
 //!
 //! Integrity is layered. The **checksum** on each message catches
 //! payload corruption in flight immediately at the consumer. The
 //! **sequence number** catches dropped, duplicated or reordered
-//! messages. Neither catches a corruption that rewrites the checksum
+//! messages, and the **value count** a message that does not hold
+//! exactly `cycles × ports` values for its link. None catches a corruption that rewrites the checksum
 //! to match (or a worker whose *state* silently diverged) — that is
 //! what the per-link **running hashes** are for: producer and consumer
 //! fold every message they send/receive into an FNV-1a accumulator,
@@ -44,15 +45,18 @@ fn fold_values(mut hash: u64, seq: u64, cycle: u64, values: &[i64]) -> u64 {
 }
 
 /// One boundary-value message: the settled post-edge values of every
-/// `__cut` port on one link, for one virtual cycle.
+/// `__cut` port on one link, for one virtual cycle or, on a forward
+/// link in thread mode, for a whole barrier batch of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundaryMsg {
     /// Per-link sequence number (0-based from worker spawn; the
     /// prologue exchange is seq 0).
     pub seq: u64,
-    /// Virtual cycle the values belong to.
+    /// Virtual cycle the values belong to (the first of them, for a
+    /// batch message).
     pub cycle: u64,
-    /// Port values in the link's schedule order.
+    /// Port values in the link's schedule order, one row of them per
+    /// cycle.
     pub values: Vec<i64>,
     /// FNV-1a over `(seq, cycle, values)`.
     pub checksum: u64,
@@ -66,14 +70,23 @@ impl BoundaryMsg {
         BoundaryMsg { seq, cycle, values, checksum }
     }
 
-    /// Recomputes and compares the checksum.
+    /// Checks the sequence number and the value count (`cycles ×
+    /// ports` of the link), then recomputes and compares the checksum.
     ///
     /// # Errors
     ///
-    /// Returns [`LinkFault::Checksum`] on mismatch.
-    pub fn verify(&self, expected_seq: u64) -> Result<(), LinkFault> {
+    /// Returns [`LinkFault::Sequence`], [`LinkFault::Length`] or
+    /// [`LinkFault::Checksum`] on the first mismatch.
+    pub fn verify(&self, expected_seq: u64, expected_len: usize) -> Result<(), LinkFault> {
         if self.seq != expected_seq {
             return Err(LinkFault::Sequence { expected: expected_seq, got: self.seq });
+        }
+        if self.values.len() != expected_len {
+            return Err(LinkFault::Length {
+                seq: self.seq,
+                expected: expected_len,
+                got: self.values.len(),
+            });
         }
         let fresh = fold_values(hash_seed(), self.seq, self.cycle, &self.values);
         if fresh != self.checksum {
@@ -106,6 +119,16 @@ pub enum LinkFault {
         /// The one that arrived.
         got: u64,
     },
+    /// A message carries the wrong number of values for its link and
+    /// batch.
+    Length {
+        /// Sequence number of the malformed message.
+        seq: u64,
+        /// Values the consumer expected (`cycles × ports`).
+        expected: usize,
+        /// Values that arrived.
+        got: usize,
+    },
     /// The producer's channel disconnected (worker crashed).
     Disconnected,
     /// No message within the watchdog window (worker straggling).
@@ -118,6 +141,9 @@ impl fmt::Display for LinkFault {
             LinkFault::Checksum { seq } => write!(f, "checksum mismatch at seq {seq}"),
             LinkFault::Sequence { expected, got } => {
                 write!(f, "sequence gap: expected {expected}, got {got}")
+            }
+            LinkFault::Length { seq, expected, got } => {
+                write!(f, "seq {seq} carries {got} values, expected {expected}")
             }
             LinkFault::Disconnected => write!(f, "producer disconnected"),
             LinkFault::Timeout => write!(f, "watchdog timeout"),
@@ -132,20 +158,20 @@ mod tests {
     #[test]
     fn checksum_round_trips() {
         let msg = BoundaryMsg::new(7, 42, vec![-5, 0, 1 << 40]);
-        assert_eq!(msg.verify(7), Ok(()));
+        assert_eq!(msg.verify(7, 3), Ok(()));
     }
 
     #[test]
     fn payload_corruption_is_detected() {
         let mut msg = BoundaryMsg::new(0, 0, vec![1, 2, 3]);
         msg.values[1] ^= 1;
-        assert_eq!(msg.verify(0), Err(LinkFault::Checksum { seq: 0 }));
+        assert_eq!(msg.verify(0, 3), Err(LinkFault::Checksum { seq: 0 }));
     }
 
     #[test]
     fn sequence_gap_is_detected() {
         let msg = BoundaryMsg::new(5, 9, vec![0]);
-        assert_eq!(msg.verify(4), Err(LinkFault::Sequence { expected: 4, got: 5 }));
+        assert_eq!(msg.verify(4, 1), Err(LinkFault::Sequence { expected: 4, got: 5 }));
     }
 
     #[test]
@@ -155,7 +181,7 @@ mod tests {
         // agree.
         let sent = BoundaryMsg::new(0, 0, vec![10, 20]);
         let received = BoundaryMsg::new(0, 0, vec![10, 21]);
-        assert_eq!(received.verify(0), Ok(()));
+        assert_eq!(received.verify(0, 2), Ok(()));
         assert_ne!(sent.fold_into(hash_seed()), received.fold_into(hash_seed()));
     }
 }

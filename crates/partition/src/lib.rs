@@ -18,8 +18,9 @@
 //! 2. [`channel`] — the sequence-numbered, checksummed wire format
 //!    plus per-link running hashes for barrier crosschecks.
 //! 3. [`runner`] — the multi-threaded [`PartitionRunner`]: one
-//!    [`Engine`] per worker, a boundary exchange that takes forward
-//!    links before the tick and settles only on feedback links, barrier-
+//!    [`Engine`] per worker, a boundary exchange that takes each
+//!    forward link's whole barrier batch in one frame before the first
+//!    tick and settles only on per-cycle feedback links, barrier-
 //!    consistent snapshots every N cycles, divergence/straggler/crash
 //!    detection, and recovery by restart-from-snapshot + replay. When
 //!    the recovery budget is exhausted the runner degrades to a

@@ -287,7 +287,7 @@ where
 
     /// Verifies one boundary message and stages its values.
     fn stage_one(&mut self, li: usize, msg: BoundaryMsg) -> Staged {
-        if let Err(fault) = msg.verify(self.inn[li].seq) {
+        if let Err(fault) = msg.verify(self.inn[li].seq, self.spec.in_ports[li].len()) {
             return Staged::Fault(match fault {
                 LinkFault::Sequence { .. } => DetectionKind::Sequence,
                 _ => DetectionKind::Checksum,

@@ -4,39 +4,58 @@
 //! compiled backend — the runner is generic, like `recover`/`pool`/
 //! `serve`). The cut classifies every boundary link once
 //! ([`BoundaryLink::feedback`](crate::cut::BoundaryLink::feedback)): a link is *forward* unless it lies on
-//! a cycle of the shard graph. Virtual cycle `k` then runs, per worker:
+//! a cycle of the shard graph. Forward links are exchanged once per
+//! barrier batch, feedback links once per cycle. A batch of cycles
+//! `s .. s + n` then runs, per worker:
 //!
-//! 1. stage the primary inputs for cycle `k`;
-//! 2. receive, verify (sequence + checksum) and stage every forward
-//!    in-link — the producer's post-edge register/constant values for
-//!    cycle `k`;
+//! 1. receive and verify (sequence, value count, checksum) one frame
+//!    per forward in-link: the producer's post-edge register/constant
+//!    values for all `n` cycles, `n × ports` values in row order;
+//!
+//! and for each cycle `k` of the batch:
+//!
+//! 2. stage the primary inputs for cycle `k` and row `k − s` of every
+//!    forward in-link's frame;
 //! 3. tick — registers capture from the state settled at the end of
 //!    cycle `k-1`, then the staged values apply and the logic settles,
 //!    exactly as the monolithic machine's registers do;
 //! 4. peek the `__cut` output ports (post-edge values, which never
-//!    depend combinationally on another shard) and send one
-//!    [`BoundaryMsg`] per outgoing link;
+//!    depend combinationally on another shard): append them to every
+//!    forward out-link's batch buffer, and send one [`BoundaryMsg`]
+//!    per feedback out-link;
 //! 5. only on a worker with feedback in-links: receive and stage those,
-//!    then settle again.
+//!    then settle again;
+//!
+//! and once the batch is done:
+//!
+//! 6. send each forward out-link's buffer as one [`BoundaryMsg`] — one
+//!    sequence number, one checksum, one fold into the running hash.
 //!
 //! A worker whose in-links are all forward settles once per cycle, in
-//! its tick; a feedback worker pays a second settle. Deadlock freedom
-//! follows by induction over the DAG of the shard graph's strongly
-//! connected components: a component's forward in-links all come from
-//! earlier components, which send cycle `k` without waiting on it, and
-//! inside a component every worker sends before it receives, as the
-//! old all-sends-before-all-receives lockstep did. The channels are
-//! unbounded, so a source shard may run a whole batch ahead of its
-//! consumers — the paper's pipeline stages, one shard per stage group.
+//! its tick; a feedback worker pays a second settle. A consumer trails
+//! its producer by one batch. Deadlock freedom follows by induction
+//! over the DAG of the shard graph's strongly connected components, at
+//! batch granularity: a component's forward in-links all come from
+//! earlier components, which send batch `s` without waiting on it, and
+//! inside a component every link is feedback and every worker sends
+//! before it receives, as the old all-sends-before-all-receives
+//! lockstep did. The channels are unbounded, so a producer runs on
+//! into its next batch while its consumers work through the last one —
+//! the paper's pipeline stages, one shard per stage group. A corruption
+//! or a killed producer on a forward link surfaces at the consumer when
+//! it takes the batch frame.
 //!
 //! A *prologue* exchange before the first tick distributes the
 //! power-on boundary values (register zeros, constant values) on every
 //! link, then settles; it needs no fixpoint, because cut-legal drivers
 //! never depend combinationally on other shards.
 //!
-//! In a DAG no peer waits on a sink shard, so a peer's receive timeout
-//! cannot notice a wedged sink. Each worker therefore bumps a progress
-//! counter per cycle, and the coordinator's collection poll flags a
+//! Each worker beats a liveness counter once per cycle. A consumer
+//! waiting on a frame goes on waiting, and beats too, while its
+//! producer's counter moves; a producer whose counter stands still for
+//! `watchdog` is a straggler. In a DAG no peer waits on a sink shard,
+//! so a peer's receive timeout cannot notice a wedged sink: the
+//! coordinator's collection poll therefore flags a
 //! [`DetectionKind::Stall`] for any worker that still owes its batch
 //! and whose counter has not moved for `watchdog` on the runner's
 //! [`Clock`] (timed from the start of the batch's collection, never
@@ -154,6 +173,10 @@ pub struct FrameReport {
     pub detections: Vec<Detection>,
     /// Barriers committed (consistent global snapshots taken).
     pub barriers: u64,
+    /// Boundary frames sent on all links in the committed batches:
+    /// per link, one prologue frame, then one per batch on a forward
+    /// link or one per cycle on a feedback link.
+    pub boundary_frames: u64,
     /// Cycles re-executed during replays.
     pub replayed_cycles: u64,
 }
@@ -208,11 +231,11 @@ pub struct RunnerConfig {
     /// Cycles per barrier (snapshot cadence). Shorter means cheaper
     /// replays and more snapshot overhead.
     pub snapshot_interval: u64,
-    /// How long a worker waits on a boundary receive before declaring
-    /// the producer a straggler, and how long (in nanosecond ticks of
+    /// How long a worker waiting on a boundary receive lets its
+    /// producer go without a liveness beat before declaring it a
+    /// straggler, and how long (in nanosecond ticks of
     /// [`RunnerConfig::clock`]) a worker that owes its batch may go
-    /// without finishing a cycle before the coordinator declares it
-    /// wedged.
+    /// without a beat before the coordinator declares it wedged.
     pub watchdog: Duration,
     /// Rollback-and-replay budget per frame before degrading to the
     /// single-engine rung.
@@ -265,8 +288,9 @@ struct Batch {
     cycles: u64,
     /// Run the power-on prologue exchange before the first tick.
     prologue: bool,
-    /// `inputs[cycle][i]` feeds the worker's `i`-th primary input.
-    inputs: Vec<Vec<i64>>,
+    /// `inputs[offset × width + i]` feeds the worker's `i`-th primary
+    /// input at `offset`, `width` being its primary-input count.
+    inputs: Vec<i64>,
     /// Transient faults due at `(offset, spec)`.
     faults: Vec<(u64, FaultSpec)>,
     kill_at: Option<u64>,
@@ -284,12 +308,15 @@ enum Resp<S> {
         worker: usize,
         /// First cycle of the batch this answers.
         start: u64,
-        /// `outputs[cycle][i]` is the worker's `i`-th owned output.
-        outputs: Vec<Vec<i64>>,
+        /// `outputs[offset × width + i]` is the worker's `i`-th owned
+        /// output at `offset`, `width` being its output count.
+        outputs: Vec<i64>,
         /// Running hash per outgoing link, after this batch.
         out_hashes: Vec<u64>,
         /// Running hash per incoming link, after this batch.
         in_hashes: Vec<u64>,
+        /// Boundary frames this worker sent during the batch.
+        frames: u64,
         snapshot: S,
     },
     Fault {
@@ -316,19 +343,110 @@ impl<S> Resp<S> {
 /// through the full byte codec on every run.
 struct OutLink {
     ports: Vec<String>,
+    /// Sent once per cycle, after the tick. A forward link instead
+    /// buffers the batch in `rows` and sends it as one frame.
+    feedback: bool,
+    /// The batch's post-edge values so far, one row per cycle.
+    rows: Vec<i64>,
     tx: ChannelTransport,
     seq: u64,
     hash: u64,
 }
 
+impl OutLink {
+    /// Sends `rows` as one frame for the cycles from `cycle` on, with
+    /// every chaos corruption `(row, stealth)` applied after the true
+    /// values entered the running hash: it flips the first value of its
+    /// row, and a stealth one also rewrites the checksum.
+    fn flush(&mut self, li: usize, cycle: u64, corrupt: impl Iterator<Item = (usize, bool)>) {
+        let mut msg = BoundaryMsg::new(self.seq, cycle, std::mem::take(&mut self.rows));
+        self.hash = msg.fold_into(self.hash);
+        self.seq += 1;
+        let (mut flipped, mut stale) = (false, false);
+        for (row, stealth) in corrupt {
+            if let Some(value) = msg.values.get_mut(row * self.ports.len()) {
+                *value ^= 1;
+                flipped = true;
+                stale |= !stealth;
+            }
+        }
+        if flipped && !stale {
+            msg = BoundaryMsg::new(msg.seq, msg.cycle, msg.values);
+        }
+        // A closed peer is the coordinator's problem (it will see the
+        // peer's fault or absence); keep going.
+        let _ = self.tx.send(&Frame::Boundary { generation: 0, link: li as u32, msg });
+    }
+}
+
 struct InLink {
-    from: usize,
-    /// Received after the tick (then settled) rather than before it.
+    /// Received after the tick (then settled), one frame per cycle,
+    /// rather than one frame per batch before the first tick.
     feedback: bool,
     ports: Vec<String>,
+    /// The last frame's values, one row per cycle.
+    rows: Vec<i64>,
     rx: ChannelTransport,
+    /// The producer's liveness counter.
+    producer_beats: Arc<AtomicU64>,
     seq: u64,
     hash: u64,
+}
+
+impl InLink {
+    /// Receives the next frame, which must hold `cycles` rows, verifies
+    /// it and keeps its values in `rows`.
+    ///
+    /// A forward frame comes only after the producer's whole batch, so
+    /// the wait is bounded by the producer's *liveness*, not by one
+    /// fixed window: while the producer's counter moves, the wait goes
+    /// on and beats `own_beats`, so the coordinator does not mistake
+    /// this worker for a wedged one. Only a producer whose counter has
+    /// stood still for `watchdog` is a straggler.
+    fn recv(
+        &mut self,
+        watchdog: Duration,
+        cycles: u64,
+        own_beats: &AtomicU64,
+    ) -> Result<(), LinkFault> {
+        let poll = watchdog / 4;
+        let mut last = self.producer_beats.load(Ordering::Relaxed);
+        let mut idle = Duration::ZERO;
+        let frame = loop {
+            match self.rx.recv_timeout(poll) {
+                Ok(frame) => break frame,
+                Err(RecvError::Timeout) => {
+                    let beats = self.producer_beats.load(Ordering::Relaxed);
+                    if beats == last {
+                        idle += poll;
+                        if idle >= watchdog {
+                            return Err(LinkFault::Timeout);
+                        }
+                    } else {
+                        (last, idle) = (beats, Duration::ZERO);
+                        own_beats.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                Err(RecvError::Disconnected) => return Err(LinkFault::Disconnected),
+                // Undecodable bytes on the link are payload corruption.
+                Err(RecvError::Protocol(_)) => return Err(LinkFault::Checksum { seq: self.seq }),
+            }
+        };
+        let Frame::Boundary { msg, .. } = frame else {
+            return Err(LinkFault::Checksum { seq: self.seq });
+        };
+        msg.verify(self.seq, (cycles as usize).saturating_mul(self.ports.len()))?;
+        self.hash = msg.fold_into(self.hash);
+        self.seq += 1;
+        self.rows = msg.values;
+        Ok(())
+    }
+
+    /// Row `row` of the last frame, one value per port.
+    fn row(&self, row: usize) -> &[i64] {
+        let width = self.ports.len();
+        &self.rows[row * width..(row + 1) * width]
+    }
 }
 
 struct Worker<E: Engine> {
@@ -342,67 +460,64 @@ struct Worker<E: Engine> {
     /// tick).
     settles: bool,
     watchdog: Duration,
-    /// Cycles finished, read by the coordinator's progress watchdog.
+    /// Liveness beats, read by the coordinator's progress watchdog and
+    /// by this worker's consumers: one per cycle finished, plus one
+    /// per poll spent waiting on a producer that is itself beating.
     /// `Relaxed` suffices: the count publishes no other data.
     progress: Arc<AtomicU64>,
 }
 
 impl<E: Engine> Worker<E> {
-    /// Sends the current boundary values on every outgoing link, with
-    /// chaos corruption applied after the true values entered the
-    /// running hash.
-    fn exchange_send(&mut self, cycle: u64, corrupt: &[(u64, usize, bool)], offset: Option<u64>) {
-        for (li, link) in self.out_links.iter_mut().enumerate() {
-            let values: Vec<i64> =
-                link.ports.iter().map(|p| self.engine.peek(p).unwrap_or(0)).collect();
-            let mut msg = BoundaryMsg::new(link.seq, cycle, values);
-            link.hash = msg.fold_into(link.hash);
-            link.seq += 1;
-            if let Some(o) = offset {
-                for &(co, cl, stealth) in corrupt {
-                    if co == o && cl == li {
-                        let mut values = msg.values.clone();
-                        values[0] ^= 1;
-                        if stealth {
-                            msg = BoundaryMsg::new(msg.seq, msg.cycle, values);
-                        } else {
-                            msg.values = values;
-                        }
-                    }
-                }
-            }
-            // A closed peer is the coordinator's problem (it will see
-            // the peer's fault or absence); keep going.
-            let _ = link.tx.send(&Frame::Boundary { generation: 0, link: li as u32, msg });
+    /// Appends the current boundary values to every outgoing link that
+    /// `wanted` selects by its feedback flag.
+    fn peek_links(&mut self, wanted: impl Fn(bool) -> bool) {
+        for link in self.out_links.iter_mut().filter(|l| wanted(l.feedback)) {
+            link.rows.extend(link.ports.iter().map(|p| self.engine.peek(p).unwrap_or(0)));
         }
     }
 
-    /// Receives one message per incoming link that `wanted` selects by
-    /// its feedback flag, verifies it, and stages the boundary inputs.
-    /// Returns the first link fault.
-    fn exchange_recv(&mut self, wanted: impl Fn(bool) -> bool) -> Result<(), (usize, LinkFault)> {
+    /// Sends every selected outgoing link's buffered rows as one frame
+    /// for the cycles from `cycle` on, applying the chaos corruptions
+    /// due at `offset` + row. Returns the frames sent.
+    fn send_links(
+        &mut self,
+        wanted: impl Fn(bool) -> bool,
+        cycle: u64,
+        corrupt: &[(u64, usize, bool)],
+        offset: u64,
+    ) -> u64 {
+        let mut sent = 0;
+        for (li, link) in self.out_links.iter_mut().enumerate() {
+            if !wanted(link.feedback) {
+                continue;
+            }
+            let rows = (link.rows.len() / link.ports.len().max(1)) as u64;
+            let due = corrupt
+                .iter()
+                .filter(move |&&(co, cl, _)| cl == li && co >= offset && co < offset + rows);
+            link.flush(li, cycle, due.map(|&(co, _, stealth)| ((co - offset) as usize, stealth)));
+            sent += 1;
+        }
+        sent
+    }
+
+    /// Receives one frame of `cycles` rows on every incoming link that
+    /// `wanted` selects by its feedback flag. Returns the first link
+    /// fault.
+    fn recv_links(&mut self, wanted: impl Fn(bool) -> bool, cycles: u64) -> Result<(), LinkFault> {
         for link in self.in_links.iter_mut().filter(|l| wanted(l.feedback)) {
-            let frame = match link.rx.recv_timeout(self.watchdog) {
-                Ok(frame) => frame,
-                Err(RecvError::Timeout) => return Err((link.from, LinkFault::Timeout)),
-                Err(RecvError::Disconnected) => return Err((link.from, LinkFault::Disconnected)),
-                // Undecodable bytes on the link are payload corruption.
-                Err(RecvError::Protocol(_)) => {
-                    return Err((link.from, LinkFault::Checksum { seq: link.seq }))
-                }
-            };
-            let Frame::Boundary { msg, .. } = frame else {
-                return Err((link.from, LinkFault::Checksum { seq: link.seq }));
-            };
-            msg.verify(link.seq).map_err(|f| (link.from, f))?;
-            link.hash = msg.fold_into(link.hash);
-            link.seq += 1;
-            for (port, &value) in link.ports.iter().zip(&msg.values) {
+            link.recv(self.watchdog, cycles, &self.progress)?;
+        }
+        Ok(())
+    }
+
+    /// Stages row `row` of every selected incoming link's last frame.
+    fn stage_links(&mut self, wanted: impl Fn(bool) -> bool, row: usize) -> Result<(), String> {
+        for link in self.in_links.iter().filter(|l| wanted(l.feedback)) {
+            for (port, &value) in link.ports.iter().zip(link.row(row)) {
                 // Boundary values come from a peer's register bus of
                 // the same width; set_input cannot range-fail.
-                if self.engine.set_input(port, value).is_err() {
-                    return Err((link.from, LinkFault::Checksum { seq: msg.seq }));
-                }
+                self.engine.set_input(port, value).map_err(|e| e.to_string())?;
             }
         }
         Ok(())
@@ -412,22 +527,40 @@ impl<E: Engine> Worker<E> {
         let id = self.id;
         let start = batch.start;
         let fault = move |kind: DetectionKind| Resp::Fault { worker: id, start, kind };
-        let link_fault = |f: LinkFault| match f {
-            LinkFault::Checksum { .. } => DetectionKind::Checksum,
-            LinkFault::Sequence { .. } => DetectionKind::Sequence,
-            LinkFault::Timeout => DetectionKind::Stall,
-            LinkFault::Disconnected => DetectionKind::Crash,
+        let link_fault = |f: LinkFault| {
+            fault(match f {
+                LinkFault::Checksum { .. } | LinkFault::Length { .. } => DetectionKind::Checksum,
+                LinkFault::Sequence { .. } => DetectionKind::Sequence,
+                LinkFault::Timeout => DetectionKind::Stall,
+                LinkFault::Disconnected => DetectionKind::Crash,
+            })
         };
+        let engine_fault = |e: String| fault(DetectionKind::Engine(e));
+        // Rows a faulted batch left behind never reach a frame.
+        for link in &mut self.out_links {
+            link.rows.clear();
+        }
+        let mut frames = 0;
         if batch.prologue {
-            self.exchange_send(batch.start, &[], None);
-            if let Err((_, f)) = self.exchange_recv(|_| true) {
-                return Ok(fault(link_fault(f)));
+            self.peek_links(|_| true);
+            frames += self.send_links(|_| true, batch.start, &[], 0);
+            if let Err(f) = self.recv_links(|_| true, 1) {
+                return Ok(link_fault(f));
+            }
+            if let Err(e) = self.stage_links(|_| true, 0) {
+                return Ok(engine_fault(e));
             }
             if let Err(e) = self.engine.try_settle() {
-                return Ok(fault(DetectionKind::Engine(e.to_string())));
+                return Ok(engine_fault(e.to_string()));
             }
         }
-        let mut outputs = Vec::with_capacity(batch.cycles as usize);
+        // The producers' whole batch on every forward in-link, before
+        // the first tick: a consumer trails its producer by one batch.
+        if let Err(f) = self.recv_links(|feedback| !feedback, batch.cycles) {
+            return Ok(link_fault(f));
+        }
+        let width = self.inputs.len();
+        let mut outputs = Vec::with_capacity(batch.cycles as usize * self.outputs.len());
         for offset in 0..batch.cycles {
             if batch.kill_at == Some(offset) {
                 // Simulated crash: vanish without a response; the
@@ -440,46 +573,50 @@ impl<E: Engine> Worker<E> {
                 }
             }
             let cycle = batch.start + offset;
-            for (i, port) in self.inputs.iter().enumerate() {
-                let value = batch.inputs[offset as usize][i];
+            let row = offset as usize;
+            for (port, &value) in self.inputs.iter().zip(&batch.inputs[row * width..]) {
                 if let Err(e) = self.engine.set_input(port, value) {
-                    return Ok(fault(DetectionKind::Engine(e.to_string())));
+                    return Ok(engine_fault(e.to_string()));
                 }
             }
-            if let Err((_, f)) = self.exchange_recv(|feedback| !feedback) {
-                return Ok(fault(link_fault(f)));
+            if let Err(e) = self.stage_links(|feedback| !feedback, row) {
+                return Ok(engine_fault(e));
             }
             for (due, spec) in &batch.faults {
                 if *due == offset {
                     let rebased = rebase(spec.clone(), self.engine.cycle());
                     if let Err(e) = self.engine.inject(&rebased) {
-                        return Ok(fault(DetectionKind::Engine(e.to_string())));
+                        return Ok(engine_fault(e.to_string()));
                     }
                 }
             }
             if let Err(e) = self.engine.try_tick() {
-                return Ok(fault(DetectionKind::Engine(e.to_string())));
+                return Ok(engine_fault(e.to_string()));
             }
-            self.exchange_send(cycle, &batch.corrupt, Some(offset));
+            self.peek_links(|_| true);
+            frames += self.send_links(|feedback| feedback, cycle, &batch.corrupt, offset);
             if self.settles {
-                if let Err((_, f)) = self.exchange_recv(|feedback| feedback) {
-                    return Ok(fault(link_fault(f)));
+                if let Err(f) = self.recv_links(|feedback| feedback, 1) {
+                    return Ok(link_fault(f));
+                }
+                if let Err(e) = self.stage_links(|feedback| feedback, 0) {
+                    return Ok(engine_fault(e));
                 }
                 if let Err(e) = self.engine.try_settle() {
-                    return Ok(fault(DetectionKind::Engine(e.to_string())));
+                    return Ok(engine_fault(e.to_string()));
                 }
             }
-            let row: Vec<i64> =
-                self.outputs.iter().map(|p| self.engine.peek(p).unwrap_or(0)).collect();
-            outputs.push(row);
+            outputs.extend(self.outputs.iter().map(|p| self.engine.peek(p).unwrap_or(0)));
             self.progress.fetch_add(1, Ordering::Relaxed);
         }
+        frames += self.send_links(|feedback| !feedback, batch.start, &batch.corrupt, 0);
         Ok(Resp::Done {
             worker: self.id,
             start: batch.start,
             outputs,
             out_hashes: self.out_links.iter().map(|l| l.hash).collect(),
             in_hashes: self.in_links.iter().map(|l| l.hash).collect(),
+            frames,
             snapshot: self.engine.snapshot(),
         })
     }
@@ -527,6 +664,33 @@ fn worker_main<E: Engine>(
 /// coordinator. A failed batch tears the epoch down and discards the
 /// queued one with it.
 const BATCHES_IN_FLIGHT: usize = 2;
+
+/// Responses that arrived while an earlier batch was being collected,
+/// keyed by batch start, so any number of queued batches can answer
+/// early without one answer overwriting another.
+struct EarlyResponses<S> {
+    workers: usize,
+    by_start: BTreeMap<u64, Vec<Option<Resp<S>>>>,
+}
+
+impl<S> EarlyResponses<S> {
+    fn new(workers: usize) -> Self {
+        EarlyResponses { workers, by_start: BTreeMap::new() }
+    }
+
+    fn stash(&mut self, resp: Resp<S>) {
+        let (w, start) = resp.origin();
+        let workers = self.workers;
+        self.by_start.entry(start).or_insert_with(|| (0..workers).map(|_| None).collect())[w] =
+            Some(resp);
+    }
+
+    /// The responses already in for the batch at `start`, one slot per
+    /// worker.
+    fn take(&mut self, start: u64) -> Vec<Option<Resp<S>>> {
+        self.by_start.remove(&start).unwrap_or_else(|| (0..self.workers).map(|_| None).collect())
+    }
+}
 
 /// One frame's chaos bookkeeping. Kills, stalls and corruptions are
 /// spent once the batch carrying them has been collected, so each
@@ -584,7 +748,7 @@ impl<'c> ChaosState<'c> {
         start: u64,
         len: u64,
         prologue: bool,
-        inputs: Vec<Vec<i64>>,
+        inputs: Vec<i64>,
     ) -> Batch {
         let in_window = |c: u64| c >= start && c < start + len;
         let mut faults = Vec::new();
@@ -639,7 +803,7 @@ struct Epoch<S> {
     cmd_txs: Vec<Sender<Cmd>>,
     resp_rx: Receiver<Resp<S>>,
     handles: Vec<JoinHandle<()>>,
-    /// Per-worker cycles-finished counters.
+    /// Per-worker liveness counters.
     progress: Vec<Arc<AtomicU64>>,
 }
 
@@ -705,6 +869,7 @@ where
                         recoveries,
                         detections,
                         barriers: 0,
+                        boundary_frames: 0,
                         replayed_cycles: replayed,
                     }),
                     Err(e) => {
@@ -720,6 +885,7 @@ where
                                 recoveries,
                                 detections,
                                 barriers: 0,
+                                boundary_frames: 0,
                                 replayed_cycles: replayed,
                             }),
                             None => Err(PartitionError::Exhausted {
@@ -759,8 +925,16 @@ where
         let mut detections: Vec<Detection> = Vec::new();
         let mut recoveries: u32 = 0;
         let mut barriers: u64 = 0;
+        let mut boundary_frames: u64 = 0;
         let mut replayed: u64 = 0;
         let mut chaos = ChaosState::new(plan, self.parts);
+        // Each shard's stimulus columns, resolved once per frame.
+        let columns: Vec<Vec<&[i64]>> = self
+            .parts
+            .shards
+            .iter()
+            .map(|shard| shard.inputs.iter().map(|p| stim.inputs[p].as_slice()).collect())
+            .collect();
 
         while cursor < stim.cycles {
             let epoch = match self.spawn_epoch(snapshots.as_ref(), cursor) {
@@ -769,13 +943,13 @@ where
             };
             let mut in_flight: VecDeque<(u64, u64)> = VecDeque::new();
             let mut next = cursor;
-            let mut early: Vec<Option<Resp<E::Snapshot>>> = (0..n).map(|_| None).collect();
+            let mut early = EarlyResponses::new(n);
             while cursor < stim.cycles {
                 while in_flight.len() < BATCHES_IN_FLIGHT && next < stim.cycles {
                     let len = self.config.snapshot_interval.min(stim.cycles - next);
                     // Cycle 0 is only ever run from power-on, never
                     // from a snapshot: it opens with the prologue.
-                    self.dispatch(&epoch, stim, &mut chaos, next, len, next == 0);
+                    self.dispatch(&epoch, &columns, &mut chaos, next, len, next == 0);
                     in_flight.push_back((next, len));
                     next += len;
                 }
@@ -801,13 +975,15 @@ where
                 // Commit: outputs append, snapshots advance.
                 let mut fresh = Vec::with_capacity(n);
                 for (w, resp) in responses.into_iter().enumerate() {
-                    let Some(Resp::Done { outputs, snapshot, .. }) = resp else {
+                    let Some(Resp::Done { outputs, frames, snapshot, .. }) = resp else {
                         unreachable!("batch_ok implies every response is Done");
                     };
-                    for (i, port) in self.parts.shards[w].outputs.iter().enumerate() {
+                    let ports = &self.parts.shards[w].outputs;
+                    for (i, port) in ports.iter().enumerate() {
                         let sink = committed.ports.get_mut(port).expect("port registered");
-                        sink.extend(outputs.iter().map(|row| row[i]));
+                        sink.extend(outputs.iter().skip(i).step_by(ports.len()));
                     }
+                    boundary_frames += frames;
                     fresh.push(snapshot);
                 }
                 snapshots = Some(fresh);
@@ -828,27 +1004,28 @@ where
             recoveries,
             detections,
             barriers,
+            boundary_frames,
             replayed_cycles: replayed,
         })
     }
 
-    /// Queues the batch `[start, start + len)` on every worker.
+    /// Queues the batch `[start, start + len)` on every worker;
+    /// `columns[w]` holds worker `w`'s stimulus, one column per input.
     fn dispatch(
         &self,
         epoch: &Epoch<E::Snapshot>,
-        stim: &Stimulus,
+        columns: &[Vec<&[i64]>],
         chaos: &mut ChaosState<'_>,
         start: u64,
         len: u64,
         prologue: bool,
     ) {
+        let cycles = start as usize..(start + len) as usize;
         for (w, cmd_tx) in epoch.cmd_txs.iter().enumerate() {
-            let shard = &self.parts.shards[w];
-            let inputs: Vec<Vec<i64>> = (0..len)
-                .map(|o| {
-                    shard.inputs.iter().map(|p| stim.inputs[p][(start + o) as usize]).collect()
-                })
-                .collect();
+            let mut inputs = Vec::with_capacity(cycles.len() * columns[w].len());
+            for c in cycles.clone() {
+                inputs.extend(columns[w].iter().map(|column| column[c]));
+            }
             let batch = chaos.batch(self.parts, w, start, len, prologue, inputs);
             // A dead worker's closed channel surfaces in `collect` as a
             // missing response.
@@ -860,15 +1037,15 @@ where
     /// Collects one response per worker for the batch at `start`,
     /// against a clock-driven deadline: short real-time polls so a
     /// virtual clock (tests) or the monotonic clock (production)
-    /// decides when the batch has stalled out. Responses to the batch
-    /// queued behind it wait in `early`. Returns the responses and
-    /// whether every worker reported without a fault.
+    /// decides when the batch has stalled out. Responses to the
+    /// batches queued behind it wait in `early`. Returns the responses
+    /// and whether every worker reported without a fault.
     #[allow(clippy::type_complexity)]
     fn collect(
         &self,
         epoch: &Epoch<E::Snapshot>,
         start: u64,
-        early: &mut [Option<Resp<E::Snapshot>>],
+        early: &mut EarlyResponses<E::Snapshot>,
         detections: &mut Vec<Detection>,
     ) -> (Vec<Option<Resp<E::Snapshot>>>, bool) {
         let watchdog_ticks = u64::try_from(self.config.watchdog.as_nanos()).unwrap_or(u64::MAX);
@@ -877,8 +1054,7 @@ where
             u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX)
         });
         let deadline = Deadline::after(Arc::clone(&self.config.clock), budget);
-        let mut responses: Vec<Option<Resp<E::Snapshot>>> =
-            early.iter_mut().map(|slot| slot.take_if(|r| r.origin().1 == start)).collect();
+        let mut responses = early.take(start);
         let mut disconnected = false;
         // Progress watchdog: per worker, the last counter value seen and
         // the tick it was first seen at, timed from the start of
@@ -894,7 +1070,7 @@ where
                     if from == start {
                         responses[w] = Some(resp);
                     } else {
-                        early[w] = Some(resp);
+                        early.stash(resp);
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
@@ -950,20 +1126,24 @@ where
         // byte pipe, so thread mode exercises the wire codec too.
         let mut senders: Vec<Vec<OutLink>> = (0..n).map(|_| Vec::new()).collect();
         let mut receivers: Vec<Vec<InLink>> = (0..n).map(|_| Vec::new()).collect();
+        let progress: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::default()).collect();
         for link in &self.parts.links {
             let (tx, rx) = ChannelTransport::pair();
             let ports = link.ports.clone();
             senders[link.from].push(OutLink {
                 ports: ports.clone(),
+                feedback: link.feedback,
+                rows: Vec::new(),
                 tx,
                 seq: 0,
                 hash: hash_seed(),
             });
             receivers[link.to].push(InLink {
-                from: link.from,
                 feedback: link.feedback,
                 ports,
+                rows: Vec::new(),
                 rx,
+                producer_beats: Arc::clone(&progress[link.from]),
                 seq: 0,
                 hash: hash_seed(),
             });
@@ -971,7 +1151,6 @@ where
         let (resp_tx, resp_rx) = mpsc::channel::<Resp<E::Snapshot>>();
         let mut cmd_txs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        let progress: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::default()).collect();
         for (w, (out_links, in_links)) in senders.into_iter().zip(receivers).enumerate() {
             let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
             cmd_txs.push(cmd_tx);
@@ -1079,11 +1258,12 @@ where
         let mut ok = true;
         for (w, resp) in responses.iter().enumerate() {
             let Some(Resp::Done { outputs, .. }) = resp else { return false };
-            for (i, port) in self.parts.shards[w].outputs.iter().enumerate() {
+            let ports = &self.parts.shards[w].outputs;
+            for (i, port) in ports.iter().enumerate() {
                 let Some(want) = expected.ports.get(port) else { continue };
-                for (o, row) in outputs.iter().enumerate() {
+                for (o, &got) in outputs.iter().skip(i).step_by(ports.len()).enumerate() {
                     let cycle = cursor as usize + o;
-                    if cycle < want.len() && row[i] != want[cycle] {
+                    if cycle < want.len() && got != want[cycle] {
                         detections.push(Detection {
                             worker: Some(w),
                             batch_start: cursor,
@@ -1165,4 +1345,92 @@ pub fn run_single<E: Engine>(
         }
     }
     Ok(outputs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fault(worker: usize, start: u64) -> Resp<()> {
+        Resp::Fault { worker, start, kind: DetectionKind::Stall }
+    }
+
+    #[test]
+    fn early_responses_are_keyed_by_batch_start() {
+        // Worker 0 answers two queued batches before batch 0 is
+        // collected; neither answer may overwrite the other.
+        let mut early = EarlyResponses::new(2);
+        early.stash(fault(0, 32));
+        early.stash(fault(0, 64));
+        early.stash(fault(1, 32));
+        let origins = |slots: Vec<Option<Resp<()>>>| -> Vec<Option<(usize, u64)>> {
+            slots.iter().map(|r| r.as_ref().map(Resp::origin)).collect()
+        };
+        assert_eq!(origins(early.take(0)), vec![None, None]);
+        assert_eq!(origins(early.take(32)), vec![Some((0, 32)), Some((1, 32))]);
+        assert_eq!(origins(early.take(64)), vec![Some((0, 64)), None]);
+        assert!(early.by_start.is_empty());
+    }
+
+    fn in_link(ports: usize) -> (ChannelTransport, InLink) {
+        let (tx, rx) = ChannelTransport::pair();
+        let link = InLink {
+            feedback: false,
+            ports: (0..ports).map(|p| format!("__cut_p{p}")).collect(),
+            rows: Vec::new(),
+            rx,
+            producer_beats: Arc::default(),
+            seq: 0,
+            hash: hash_seed(),
+        };
+        (tx, link)
+    }
+
+    fn boundary(seq: u64, values: Vec<i64>) -> Frame {
+        Frame::Boundary { generation: 0, link: 0, msg: BoundaryMsg::new(seq, 0, values) }
+    }
+
+    #[test]
+    fn a_batch_frame_with_the_wrong_value_count_is_a_typed_fault() {
+        let beats = AtomicU64::new(0);
+        let watchdog = Duration::from_millis(50);
+        let (mut tx, mut link) = in_link(2);
+        // Three cycles over two ports need six values; five arrive.
+        tx.send(&boundary(0, vec![1, 2, 3, 4, 5])).unwrap();
+        assert_eq!(
+            link.recv(watchdog, 3, &beats),
+            Err(LinkFault::Length { seq: 0, expected: 6, got: 5 })
+        );
+        assert_eq!(link.seq, 0, "a rejected frame is not consumed");
+
+        let (mut tx, mut link) = in_link(2);
+        tx.send(&boundary(0, vec![1, 2, 3, 4, 5, 6])).unwrap();
+        assert_eq!(link.recv(watchdog, 3, &beats), Ok(()));
+        assert_eq!(link.row(2), &[5, 6]);
+        assert_eq!(link.seq, 1);
+    }
+
+    #[test]
+    fn a_silent_producer_times_out_but_a_beating_one_is_awaited() {
+        let beats = AtomicU64::new(0);
+        let watchdog = Duration::from_millis(100);
+        let (_tx, mut link) = in_link(1);
+        assert_eq!(link.recv(watchdog, 1, &beats), Err(LinkFault::Timeout));
+        assert_eq!(beats.load(Ordering::Relaxed), 0);
+
+        // A producer that beats for three watchdogs before it sends.
+        let (mut tx, mut link) = in_link(1);
+        let producer = Arc::clone(&link.producer_beats);
+        let sender = thread::spawn(move || {
+            for _ in 0..12 {
+                thread::sleep(watchdog / 4);
+                producer.fetch_add(1, Ordering::Relaxed);
+            }
+            tx.send(&boundary(0, vec![7])).unwrap();
+        });
+        assert_eq!(link.recv(watchdog, 1, &beats), Ok(()));
+        sender.join().unwrap();
+        assert_eq!(link.row(0), &[7]);
+        assert!(beats.load(Ordering::Relaxed) > 0, "the wait must beat for the waiter");
+    }
 }

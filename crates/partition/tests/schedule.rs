@@ -4,6 +4,11 @@
 //! reachability oracle; and both kinds of stalled worker in a DAG are
 //! still detected — a stalled source by its consumer's receive
 //! watchdog, a stalled sink by the coordinator's progress watchdog.
+//!
+//! Forward links carry one boundary frame per barrier batch: the
+//! partitioned run stays bit-exact on every design and shard count,
+//! the frame count is exact, and a corruption or a killed producer
+//! surfaces at the batch frame and is repaired.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,11 +18,13 @@ use std::time::Duration;
 
 use dwt_arch::designs::Design;
 use dwt_partition::{
-    partition, run_single, ChaosPlan, CutOptions, DetectionKind, PartitionRunner,
-    PartitionedNetlist, Rung, RunnerConfig, Stimulus,
+    partition, run_single, ChaosPlan, Corruption, CutOptions, DetectionKind, FrameReport,
+    PartitionRunner, PartitionedNetlist, Rung, RunnerConfig, Stimulus,
 };
 use dwt_pool::clock::VirtualClock;
 use dwt_rtl::cell::CellKind;
+use dwt_rtl::compile::CompiledEngine;
+use dwt_rtl::engine::Engine;
 use dwt_rtl::sim::Simulator;
 
 const PART_COUNTS: [usize; 4] = [2, 3, 4, 8];
@@ -236,4 +243,139 @@ fn a_stalled_sink_is_caught_by_the_progress_watchdog_on_virtual_time() {
         report.detections
     );
     assert_eq!(report.outputs, reference);
+}
+
+/// Boundary frames a committed frame of `cycles` sends at barrier
+/// `interval`: per link, the prologue frame, then one per batch on a
+/// forward link and one per cycle on a feedback link.
+fn expected_frames(cut: &PartitionedNetlist, cycles: u64, interval: u64) -> u64 {
+    let batches = cycles.div_ceil(interval);
+    cut.links.iter().map(|l| 1 + if l.feedback { cycles } else { batches }).sum()
+}
+
+fn clean_run<E>(cut: &PartitionedNetlist, stim: &Stimulus, interval: u64) -> FrameReport
+where
+    E: Engine + Send + 'static,
+    E::Snapshot: Clone + Send + 'static,
+{
+    let config = RunnerConfig { snapshot_interval: interval, ..RunnerConfig::default() };
+    PartitionRunner::<E>::new(cut, config)
+        .run_frame(stim, None, &ChaosPlan::default(), None)
+        .expect("frame completes")
+}
+
+fn batched_frames_are_bit_exact_and_counted<E>()
+where
+    E: Engine + Send + 'static,
+    E::Snapshot: Clone + Send + 'static,
+{
+    // 100 cycles at 32 per barrier: three full batches and a short one.
+    let (cycles, interval) = (100, 32);
+    for design in Design::all() {
+        let built = design.build().expect("design builds");
+        let stim = stimulus(cycles, 0xba7c4 ^ design as u64);
+        let reference = run_single::<E>(&built.netlist, &stim, None).expect("reference");
+        for parts in PART_COUNTS {
+            let cut = cut(design, parts);
+            let report = clean_run::<E>(&cut, &stim, interval);
+            let name = format!("{} x {parts}", design.name());
+            assert_eq!(report.rung, Rung::Partitioned, "{name}");
+            assert_eq!(report.recoveries, 0, "{name}: {:?}", report.detections);
+            assert_eq!(report.outputs, reference, "{name} diverged");
+            assert_eq!(report.barriers, 4, "{name}");
+            assert_eq!(report.boundary_frames, expected_frames(&cut, cycles, interval), "{name}");
+        }
+    }
+}
+
+#[test]
+fn batched_frames_match_the_single_engine_on_the_event_backend() {
+    batched_frames_are_bit_exact_and_counted::<Simulator>();
+}
+
+#[test]
+fn batched_frames_match_the_single_engine_on_the_compiled_backend() {
+    batched_frames_are_bit_exact_and_counted::<CompiledEngine>();
+}
+
+#[test]
+fn acyclic_cuts_send_one_frame_per_link_per_batch() {
+    // The matrix above pins `boundary_frames` to `expected_frames` on
+    // every cut; these are the cuts whose feedback links keep one frame
+    // per cycle. Every other cut sends links x (batches + 1).
+    let with_feedback: Vec<(Design, usize)> = Design::all()
+        .into_iter()
+        .flat_map(|design| PART_COUNTS.map(|parts| (design, parts)))
+        .filter(|&(design, parts)| cut(design, parts).feedback_links() > 0)
+        .collect();
+    assert_eq!(with_feedback, [(Design::D1, 4), (Design::D2, 8), (Design::D4, 8)]);
+
+    // The benchmark's frame: one 4-port link, 2048 cycles, 64 batches.
+    let cut = cut(Design::D5, 2);
+    assert_eq!(cut.links.len(), 1);
+    assert_eq!(cut.links[0].ports.len(), 4);
+    let report = clean_run::<CompiledEngine>(&cut, &stimulus(2048, 5), 32);
+    assert_eq!(report.barriers, 64);
+    assert_eq!(report.boundary_frames, 65);
+}
+
+/// D5 x 2 at 32 cycles per barrier, one directive at a time.
+fn chaos_run(chaos: &ChaosPlan) -> (FrameReport, dwt_partition::FrameOutputs, u64) {
+    let built = Design::D5.build().expect("design builds");
+    let stim = stimulus(96, 41);
+    let reference = run_single::<CompiledEngine>(&built.netlist, &stim, None).expect("reference");
+    let cut = cut(Design::D5, 2);
+    assert_eq!(cut.feedback_links(), 0);
+    let config = RunnerConfig {
+        snapshot_interval: 32,
+        watchdog: Duration::from_millis(100),
+        ..RunnerConfig::default()
+    };
+    let report = PartitionRunner::<CompiledEngine>::new(&cut, config)
+        .run_frame(&stim, None, chaos, None)
+        .expect("frame completes");
+    (report, reference, expected_frames(&cut, 96, 32))
+}
+
+#[test]
+fn corruptions_inside_a_batch_frame_are_detected_and_repaired() {
+    for (stealth, kind) in
+        [(true, DetectionKind::LinkHashMismatch), (false, DetectionKind::Checksum)]
+    {
+        // Cycle 45 is row 13 of the frame for batch [32, 64).
+        let corruption = Corruption { from: 0, to: 1, cycle: 45, stealth };
+        let chaos = ChaosPlan { corruptions: vec![corruption], ..ChaosPlan::default() };
+        let (report, reference, frames) = chaos_run(&chaos);
+        assert_eq!(report.rung, Rung::Partitioned);
+        assert_eq!(report.recoveries, 1, "{:?}", report.detections);
+        assert!(
+            report
+                .detections
+                .iter()
+                .any(|d| d.worker == Some(1) && d.batch_start == 32 && d.kind == kind),
+            "stealth {stealth}: {:?}",
+            report.detections
+        );
+        assert_eq!(report.replayed_cycles, 32);
+        assert_eq!(report.outputs, reference, "stealth {stealth}: post-recovery outputs diverged");
+        assert_eq!(report.boundary_frames, frames, "replays add no committed frames");
+    }
+}
+
+#[test]
+fn a_producer_killed_mid_batch_is_a_crash_at_the_batch_frame() {
+    let chaos = ChaosPlan { kills: vec![(0, 45)], ..ChaosPlan::default() };
+    let (report, reference, frames) = chaos_run(&chaos);
+    assert_eq!(report.rung, Rung::Partitioned);
+    assert!(report.recoveries >= 1);
+    assert!(
+        report
+            .detections
+            .iter()
+            .any(|d| d.worker == Some(1) && d.batch_start == 32 && d.kind == DetectionKind::Crash),
+        "the consumer must find its producer gone at the batch frame: {:?}",
+        report.detections
+    );
+    assert_eq!(report.outputs, reference, "post-recovery outputs diverged");
+    assert_eq!(report.boundary_frames, frames);
 }

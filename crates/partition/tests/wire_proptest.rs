@@ -6,9 +6,11 @@
 //! randomized [`Frame::Boundary`] payloads: round-trip identity, and
 //! rejection of any nonzero single-byte XOR, any truncation, and any
 //! trailing garbage. The process supervisor trusts these properties
-//! when it treats a decoded frame as authentic.
+//! when it treats a decoded frame as authentic. A frame that decodes
+//! cleanly but holds the wrong number of values for its batch is still
+//! refused, as a typed [`LinkFault::Length`].
 
-use dwt_partition::{BoundaryMsg, Frame};
+use dwt_partition::{BoundaryMsg, Frame, LinkFault};
 use proptest::prelude::*;
 
 fn boundary(generation: u64, link: u32, seq: u64, cycle: u64, values: Vec<i64>) -> Frame {
@@ -57,5 +59,24 @@ proptest! {
         let mut long = bytes.clone();
         long.push(trailing);
         prop_assert!(Frame::decode(&long).is_err(), "trailing byte accepted");
+    }
+
+    #[test]
+    fn a_wrong_value_count_is_a_typed_length_fault(
+        seq in any::<u64>(),
+        cycles in 1usize..64,
+        ports in 1usize..8,
+        skew in prop_oneof![-64i64..0, 1i64..64],
+    ) {
+        // `skew` is never 0 and `expected` never 0, so `got` differs.
+        let expected = cycles * ports;
+        let got = (expected as i64 + skew).max(0) as usize;
+        let frame = boundary(0, 0, seq, 32, vec![7; got]);
+        let Frame::Boundary { msg, .. } = Frame::decode(&frame.encode()).expect("decodes") else {
+            unreachable!("a boundary frame decodes as one");
+        };
+        prop_assert_eq!(msg.verify(seq, expected), Err(LinkFault::Length { seq, expected, got }));
+        let exact = BoundaryMsg::new(seq, 32, vec![7; expected]);
+        prop_assert_eq!(exact.verify(seq, expected), Ok(()));
     }
 }
