@@ -1,29 +1,28 @@
 //! `dwt_partition_worker` — one shard of a process-isolated partition
 //! run.
 //!
-//! The process-mode supervisor (`partition_campaign --isolation
-//! process`, or any [`dwt_partition::ProcSupervisor`] embedder) forks
-//! one instance of this binary per shard. Each instance rebuilds the
-//! named paper design, cuts it exactly the way the supervisor did
-//! (same min-cut, same options — the cut fingerprint in the Hello
-//! frame proves it), extracts its own shard, connects to the
-//! supervisor's Unix-domain socket, and hands control to
+//! A `PartitionRunner` with process isolation (`partition_campaign
+//! --isolation process`, or any embedder) forks one instance of this
+//! binary per shard. Each instance rebuilds the named paper design,
+//! cuts it exactly the way the coordinator did (same min-cut, same
+//! options — the cut fingerprint in the Hello frame proves it),
+//! connects to the hub's Unix-domain socket, and hands its shard to
 //! [`dwt_partition::run_worker`].
 //!
 //! Usage: `dwt_partition_worker --design N --parts N --shard W
 //! --socket PATH [--backend event|compiled|jit]`
 //!
 //! Exit codes follow the campaign-binary convention: 0 on a clean
-//! shutdown (or a supervisor that simply went away while this worker
-//! was idle), 1 on a runtime failure (engine error, protocol
-//! violation, supervisor silent mid-protocol), 2 on a usage error.
+//! shutdown (or a coordinator that simply went away), 1 on a runtime
+//! failure (engine error, failed restore, unreachable socket), 2 on a
+//! usage error; 137, as for SIGKILL, when a chaos kill ends the worker.
 
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
 use dwt_arch::designs::Design;
 use dwt_bench::campaign::{flag_value, parse_design, unknown_flag, CampaignArgs, UsageError};
-use dwt_partition::{partition, run_worker, CutOptions, SocketTransport, WorkerConfig, WorkerSpec};
+use dwt_partition::{partition, run_worker, CutOptions, PartitionedNetlist, SocketTransport};
 use dwt_rtl::engine::{Backend, BackendRunner, Engine, PortableSnapshot};
 
 struct WorkerArgs {
@@ -66,42 +65,45 @@ fn parse_args(shared: &CampaignArgs) -> Result<WorkerArgs, UsageError> {
 }
 
 struct Worker<'a> {
-    spec: &'a WorkerSpec,
-    transport: &'a mut SocketTransport,
-    config: &'a WorkerConfig,
+    cut: &'a PartitionedNetlist,
+    shard: usize,
+    transport: SocketTransport,
 }
 
 impl BackendRunner for Worker<'_> {
-    type Output = Result<(), dwt_partition::PartitionError>;
+    type Output = Result<bool, dwt_partition::PartitionError>;
 
     fn run<E>(self) -> Self::Output
     where
         E: Engine + Send + 'static,
         E::Snapshot: PortableSnapshot + Send + 'static,
     {
-        run_worker::<E, _>(self.spec, self.transport, self.config)
+        run_worker::<E, _>(self.cut, self.shard, self.transport)
     }
 }
 
-fn run(args: &WorkerArgs) -> Result<(), String> {
+/// Runs the shard; `Ok(false)` when a chaos kill ended it.
+fn run(args: &WorkerArgs) -> Result<bool, String> {
     let built = args.design.build().map_err(|e| format!("{}: {e}", args.design.name()))?;
     let cut = partition(&built.netlist, args.parts, &CutOptions::default())
         .map_err(|e| format!("cutting {} into {}: {e}", args.design.name(), args.parts))?;
-    let spec = WorkerSpec::from_cut(&cut, args.shard).map_err(|e| e.to_string())?;
     let stream = UnixStream::connect(&args.socket)
         .map_err(|e| format!("connecting {}: {e}", args.socket.display()))?;
-    let mut transport = SocketTransport::new(stream);
-    let config = WorkerConfig::default();
+    let transport = SocketTransport::new(stream);
     args.backend
-        .dispatch(Worker { spec: &spec, transport: &mut transport, config: &config })
+        .dispatch(Worker { cut: &cut, shard: args.shard, transport })
         .map_err(|e| format!("shard {}: {e}", args.shard))
 }
 
 fn main() {
     let shared = CampaignArgs::parse();
     let args = parse_args(&shared).unwrap_or_else(|e| e.exit());
-    if let Err(message) = run(&args) {
-        eprintln!("dwt_partition_worker: {message}");
-        std::process::exit(1);
+    match run(&args) {
+        Ok(true) => {}
+        Ok(false) => std::process::exit(137),
+        Err(message) => {
+            eprintln!("dwt_partition_worker: {message}");
+            std::process::exit(1);
+        }
     }
 }

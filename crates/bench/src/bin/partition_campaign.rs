@@ -4,18 +4,17 @@
 //!
 //! Every design is cut into 1/2/4/8 shards (min-cut on register
 //! boundaries) and streams seeded frames through the crash-recoverable
-//! `PartitionRunner`, one worker thread per shard. Each frame's
-//! outputs are compared bit-for-bit against a single-engine reference
-//! run of the unsplit netlist — any mismatch is a silent data
-//! corruption escape. Availability counts the frames that completed on
-//! the partitioned rung (no degradation to the single-engine or golden
-//! fallbacks).
+//! `PartitionRunner`, one worker thread (or, with `--isolation
+//! process`, one worker process) per shard. Each frame's outputs are
+//! compared bit-for-bit against a single-engine reference run of the
+//! unsplit netlist — any mismatch is a silent data corruption escape.
+//! Availability counts the frames that completed on the partitioned
+//! rung (no degradation to the single-engine or golden fallbacks).
 //!
 //! Usage: `partition_campaign [--design N]... [--parts LIST]
 //! [--frames N] [--cycles N] [--interval N] [--chaos] [--rate R]
-//! [--kill W:C] [--isolation thread|process] [--kill-9 W:C]
-//! [--stall-ms W:C:MS] [--torn-snapshot N] [--restart-after N]
-//! [--run-dir PATH] [--liveness-ms N] [--seed S]
+//! [--kill W:C] [--stall-ms W:C:MS] [--isolation thread|process]
+//! [--torn-snapshot N] [--restart-after N] [--run-dir PATH] [--seed S]
 //! [--backend event|compiled|jit] [--json PATH] [--max-sdc N]
 //! [--min-availability F]`
 //!
@@ -27,26 +26,29 @@
 //!   worker (rate `--rate`, default 0.002/cycle/worker) with the
 //!   single-engine reference as the duplicate-with-compare oracle,
 //!   plus one stealth message corruption per multi-shard frame.
-//! * `--kill W:C` — crash worker W just before virtual cycle C in the
-//!   first frame of every multi-shard combination (thread mode).
 //! * `--isolation process` — fork one `dwt_partition_worker` OS
-//!   process per shard instead of one thread, and drive the lockstep
-//!   over Unix-domain sockets. The process-only chaos below applies to
-//!   the first frame of every multi-shard combination:
-//!   * `--kill-9 W:C` — SIGKILL worker W's *process* when its
-//!     heartbeat reaches virtual cycle C (at the latest when its report
-//!     for the window holding C arrives, so that window never commits);
-//!   * `--stall-ms W:C:MS` — wedge worker W for MS milliseconds at
-//!     cycle C (past `--liveness-ms`, the supervisor declares it dead
-//!     and respawns it);
-//!   * `--torn-snapshot N` — truncate the newest durable barrier
-//!     record after N commits (recovery must fall back one barrier);
-//!   * `--restart-after N` — stop the supervisor after N barriers,
-//!     then start a fresh one with `resume` on the same store: it must
-//!     continue from the durable barrier, not cycle 0.
-//! * `--run-dir PATH` — durable barrier store root (process mode).
-//!   Torn-snapshot and restart chaos create a temporary store when no
-//!   run dir is given.
+//!   process per shard instead of one thread; the protocol, the chaos
+//!   and the report are the same.
+//!
+//! The directives below apply to one frame of every multi-shard
+//! combination — the first, or the last when `--restart-after` owns the
+//! first:
+//!
+//! * `--kill W:C` — worker W dies just before virtual cycle C (its
+//!   thread returns, or its process exits);
+//! * `--stall-ms W:C:MS` — worker W sleeps MS milliseconds at cycle C
+//!   (past the watchdog it is declared a straggler, and a worker
+//!   process is respawned);
+//! * `--torn-snapshot N` — truncate the newest durable barrier record
+//!   after N commits (recovery must fall back past it);
+//! * `--restart-after N` — stop the coordinator after N barriers, then
+//!   start a fresh one with `resume` on the same store: it must
+//!   continue from the durable barrier, not cycle 0.
+//!
+//! The durable store lives in processes only: `--torn-snapshot`,
+//! `--restart-after` and `--run-dir PATH` (the store root; a temporary
+//! one is used when absent) need `--isolation process`.
+//!
 //! * `--max-sdc N` / `--min-availability F` — CI gates: fail when SDC
 //!   escapes exceed N or any combination's availability drops below F.
 //!
@@ -63,9 +65,8 @@ use dwt_bench::campaign::{
     MarkdownTable, UsageError,
 };
 use dwt_partition::{
-    partition, run_single, ChaosPlan, Corruption, CutOptions, FrameOutputs, PartitionRunner,
-    PartitionedNetlist, ProcChaos, ProcConfig, ProcSupervisor, Rung, RunnerConfig, SeuChaos,
-    Stimulus, WorkerLauncher,
+    partition, run_single, ChaosPlan, Corruption, CutOptions, FrameOutputs, FrameReport,
+    PartitionRunner, PartitionedNetlist, Rung, RunnerConfig, SeuChaos, Stimulus, WorkerLauncher,
 };
 use dwt_rtl::engine::{BackendRunner, Engine, PortableSnapshot};
 
@@ -93,13 +94,11 @@ struct Config {
     chaos: bool,
     rate: f64,
     kill: Option<(usize, u64)>,
-    isolation: Isolation,
-    kill9: Option<(usize, u64)>,
     stall: Option<(usize, u64, u64)>,
+    isolation: Isolation,
     torn_snapshot: Option<u64>,
     restart_after: Option<u64>,
     run_dir: Option<PathBuf>,
-    liveness_ms: u64,
     seed: u64,
 }
 
@@ -114,13 +113,11 @@ impl Default for Config {
             chaos: false,
             rate: 0.002,
             kill: None,
-            isolation: Isolation::Thread,
-            kill9: None,
             stall: None,
+            isolation: Isolation::Thread,
             torn_snapshot: None,
             restart_after: None,
             run_dir: None,
-            liveness_ms: 2000,
             seed: 2005,
         }
     }
@@ -165,11 +162,6 @@ fn parse_cfg(shared: &CampaignArgs) -> Result<Config, UsageError> {
                     }
                 };
             }
-            "--kill-9" => {
-                let raw: String = flag_value(&mut args, "--kill-9", "worker:cycle")?;
-                let pair: Vec<u64> = parse_parts("--kill-9", &raw.replace(':', ","), 2)?;
-                cfg.kill9 = Some((pair[0] as usize, pair[1]));
-            }
             "--stall-ms" => {
                 let raw: String = flag_value(&mut args, "--stall-ms", "worker:cycle:millis")?;
                 let triple: Vec<u64> = parse_parts("--stall-ms", &raw.replace(':', ","), 3)?;
@@ -185,14 +177,21 @@ fn parse_cfg(shared: &CampaignArgs) -> Result<Config, UsageError> {
                 let raw: String = flag_value(&mut args, "--run-dir", "path")?;
                 cfg.run_dir = Some(PathBuf::from(raw));
             }
-            "--liveness-ms" => {
-                cfg.liveness_ms = flag_value(&mut args, "--liveness-ms", "millis")?;
-            }
             other => return Err(unknown_flag(other)),
         }
     }
     if cfg.designs.is_empty() {
         cfg.designs = Design::all().to_vec();
+    }
+    if cfg.isolation == Isolation::Thread {
+        let durable = [
+            ("--torn-snapshot", cfg.torn_snapshot.is_some()),
+            ("--restart-after", cfg.restart_after.is_some()),
+            ("--run-dir", cfg.run_dir.is_some()),
+        ];
+        if let Some((flag, _)) = durable.iter().find(|(_, set)| *set) {
+            return Err(UsageError::new(*flag, "needs --isolation process (a durable store)"));
+        }
     }
     Ok(cfg)
 }
@@ -225,9 +224,8 @@ struct Row {
     wall_s: f64,
     cycles_per_s: f64,
     barriers: u64,
-    /// Boundary frames sent on all links in committed batches (thread
-    /// mode; the process supervisor does not count them).
-    boundary_frames: Option<u64>,
+    /// Boundary frames sent on all links in committed batches.
+    boundary_frames: u64,
     recoveries: u32,
     detections: usize,
     replayed: u64,
@@ -240,12 +238,57 @@ struct Row {
 }
 
 impl Row {
+    /// A row for `frames` frames of `design` over `cut`, counters at 0.
+    fn new(design: Design, cut: &PartitionedNetlist, frames: usize) -> Row {
+        Row {
+            design,
+            parts: cut.parts(),
+            cut_bits: cut.cut_bits(),
+            feedback_links: cut.feedback_links(),
+            wall_s: 0.0,
+            cycles_per_s: 0.0,
+            barriers: 0,
+            boundary_frames: 0,
+            recoveries: 0,
+            detections: 0,
+            replayed: 0,
+            partitioned_frames: 0,
+            degraded_frames: 0,
+            respawns: 0,
+            resumed: None,
+            sdc: 0,
+            frames,
+        }
+    }
+
     fn availability(&self) -> f64 {
         if self.frames == 0 {
             1.0
         } else {
             self.partitioned_frames as f64 / self.frames as f64
         }
+    }
+
+    /// Adds one run's counters (a frame, or the stopped half of a
+    /// restarted one).
+    fn add(&mut self, report: &FrameReport) {
+        self.barriers += report.barriers;
+        self.boundary_frames += report.boundary_frames;
+        self.recoveries += report.recoveries;
+        self.detections += report.detections.len();
+        self.replayed += report.replayed_cycles;
+        self.respawns += report.respawns;
+        self.resumed = report.resumed_from.or(self.resumed);
+    }
+}
+
+/// The frame that carries the kill, stall and torn-record directives:
+/// the first, or the last when a coordinator restart owns the first.
+fn directed_frame(cfg: &Config) -> usize {
+    if cfg.restart_after.is_some() && cfg.frames > 1 {
+        cfg.frames - 1
+    } else {
+        0
     }
 }
 
@@ -265,18 +308,47 @@ fn chaos_for(cfg: &Config, cut: &PartitionedNetlist, frame: usize) -> ChaosPlan 
             });
         }
     }
-    if frame == 0 && cut.parts() > 1 {
-        if let Some((worker, cycle)) = cfg.kill {
-            if worker < cut.parts() && cycle < cfg.cycles {
-                plan.kills.push((worker, cycle));
-            }
+    if frame == directed_frame(cfg) && cut.parts() > 1 {
+        let fits = |worker: usize, cycle: u64| worker < cut.parts() && cycle < cfg.cycles;
+        if let Some((worker, cycle)) = cfg.kill.filter(|&(w, c)| fits(w, c)) {
+            plan.kills.push((worker, cycle));
         }
+        if let Some((worker, cycle, millis)) = cfg.stall.filter(|&(w, c, _)| fits(w, c)) {
+            plan.stalls.push((worker, cycle, Duration::from_millis(millis)));
+        }
+        plan.torn_after = cfg.torn_snapshot;
     }
     plan
 }
 
+fn design_number(design: Design) -> usize {
+    Design::all().iter().position(|d| *d == design).expect("design is one of the five") + 1
+}
+
+/// The worker executable lives next to this binary (both are
+/// `dwt-bench` bin targets, so cargo builds them into the same
+/// directory).
+fn worker_launcher(shared: &CampaignArgs, design: Design, parts: usize) -> WorkerLauncher {
+    let program =
+        std::env::current_exe().expect("current exe path").with_file_name("dwt_partition_worker");
+    WorkerLauncher {
+        program,
+        args: vec![
+            "--design".to_owned(),
+            design_number(design).to_string(),
+            "--parts".to_owned(),
+            parts.to_string(),
+            "--backend".to_owned(),
+            shared.backend.name().to_owned(),
+        ],
+    }
+}
+
+/// One row: every frame of `design` cut into `parts`, on threads or on
+/// processes.
 fn run_combination<E>(
     cfg: &Config,
+    shared: &CampaignArgs,
     design: Design,
     parts: usize,
     references: &[FrameOutputs],
@@ -288,40 +360,60 @@ where
     let built = design.build().unwrap_or_else(|e| panic!("{}: {e}", design.name()));
     let cut = partition(&built.netlist, parts, &CutOptions::default())
         .unwrap_or_else(|e| panic!("{} into {parts}: {e}", design.name()));
-    let config = RunnerConfig { snapshot_interval: cfg.interval, ..RunnerConfig::default() };
-    let runner = PartitionRunner::<E>::new(&cut, config);
-    let mut row = Row {
-        design,
-        parts,
-        cut_bits: cut.cut_bits(),
-        feedback_links: cut.feedback_links(),
-        wall_s: 0.0,
-        cycles_per_s: 0.0,
-        barriers: 0,
-        boundary_frames: Some(0),
-        recoveries: 0,
-        detections: 0,
-        replayed: 0,
-        partitioned_frames: 0,
-        degraded_frames: 0,
-        respawns: 0,
-        resumed: None,
-        sdc: 0,
-        frames: cfg.frames,
-    };
+    let launcher =
+        (cfg.isolation == Isolation::Process).then(|| worker_launcher(shared, design, parts));
+    // Torn-record and restart chaos need a durable store; fall back to
+    // a throwaway one when the caller gave no run dir.
+    let needs_store =
+        cfg.run_dir.is_some() || cfg.torn_snapshot.is_some() || cfg.restart_after.is_some();
+    let store_root = cfg.run_dir.clone().unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("dwt-partition-campaign-{}", std::process::id()))
+    });
+    let mut row = Row::new(design, &cut, cfg.frames);
     let start = Instant::now();
     for (frame, reference) in references.iter().enumerate() {
         let stim = stimulus(cfg.cycles, cfg.seed.wrapping_add(frame as u64));
         let chaos = chaos_for(cfg, &cut, frame);
-        let oracle = if cfg.chaos { Some(reference) } else { None };
-        let report = runner
-            .run_frame(&stim, oracle, &chaos, None)
-            .unwrap_or_else(|e| panic!("{} x {parts} frame {frame}: {e}", design.name()));
-        row.barriers += report.barriers;
-        row.boundary_frames = row.boundary_frames.map(|n| n + report.boundary_frames);
-        row.recoveries += report.recoveries;
-        row.detections += report.detections.len();
-        row.replayed += report.replayed_cycles;
+        let oracle = cfg.chaos.then_some(reference);
+        // Every frame gets its own store directory: barrier records
+        // are keyed by cycle, so sharing one directory across frames
+        // would let a rollback restore another frame's prefix.
+        let store = needs_store
+            .then(|| store_root.join(format!("d{}-p{parts}-f{frame}", design_number(design))));
+        let config = |resume: bool, stop_after: Option<u64>| RunnerConfig {
+            snapshot_interval: cfg.interval,
+            isolation: match &launcher {
+                None => dwt_partition::Isolation::Threads,
+                Some(launcher) => dwt_partition::Isolation::Processes {
+                    launcher: launcher.clone(),
+                    store: store.clone(),
+                    resume,
+                    stop_after,
+                },
+            },
+            ..RunnerConfig::default()
+        };
+        let run = |config: RunnerConfig, chaos: &ChaosPlan| {
+            PartitionRunner::<E>::new(&cut, config)
+                .run_frame(&stim, oracle, chaos, None)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "{} x {parts} frame {frame} ({}): {e}",
+                        design.name(),
+                        cfg.isolation.name()
+                    )
+                })
+        };
+        let report = match cfg.restart_after {
+            Some(barriers) if frame == 0 && store.is_some() => {
+                // Simulated coordinator crash: stop after N barriers,
+                // then a fresh coordinator resumes from the store.
+                row.add(&run(config(false, Some(barriers)), &chaos));
+                run(config(true, None), &ChaosPlan::default())
+            }
+            _ => run(config(false, None), &chaos),
+        };
+        row.add(&report);
         if report.rung == Rung::Partitioned {
             row.partitioned_frames += 1;
         } else {
@@ -330,168 +422,11 @@ where
         if &report.outputs != reference {
             row.sdc += 1;
         }
-    }
-    row.wall_s = start.elapsed().as_secs_f64();
-    row.cycles_per_s = (cfg.frames as u64 * cfg.cycles) as f64 / row.wall_s.max(1e-9);
-    row
-}
-
-/// The worker executable lives next to this binary (both are
-/// `dwt-bench` bin targets, so cargo builds them into the same
-/// directory).
-fn worker_launcher(shared: &CampaignArgs, design: Design, parts: usize) -> WorkerLauncher {
-    let number =
-        Design::all().iter().position(|d| *d == design).expect("design is one of the five") + 1;
-    let program =
-        std::env::current_exe().expect("current exe path").with_file_name("dwt_partition_worker");
-    WorkerLauncher {
-        program,
-        args: vec![
-            "--design".to_owned(),
-            number.to_string(),
-            "--parts".to_owned(),
-            parts.to_string(),
-            "--backend".to_owned(),
-            shared.backend.name().to_owned(),
-        ],
-    }
-}
-
-/// Which frame carries the kill/stall/torn chaos. Normally the first;
-/// when a supervisor restart is also being rehearsed (it owns frame 0
-/// and clears chaos on resume), the last frame, so both campaigns
-/// actually run.
-fn proc_chaos_frame(cfg: &Config) -> usize {
-    if cfg.restart_after.is_some() && cfg.frames > 1 {
-        cfg.frames - 1
-    } else {
-        0
-    }
-}
-
-fn proc_chaos_for(cfg: &Config, parts: usize, frame: usize) -> ProcChaos {
-    let mut chaos = ProcChaos::default();
-    if frame != proc_chaos_frame(cfg) {
-        return chaos;
-    }
-    if let Some((worker, cycle)) = cfg.kill9 {
-        if worker < parts && cycle < cfg.cycles {
-            chaos.kill9.push((worker, cycle));
+        if let (None, Some(dir)) = (&cfg.run_dir, &store) {
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
-    if let Some((worker, cycle, millis)) = cfg.stall {
-        if worker < parts && cycle < cfg.cycles {
-            chaos.stalls.push((worker, cycle, millis));
-        }
-    }
-    chaos.torn_after = cfg.torn_snapshot;
-    chaos
-}
-
-fn run_combination_proc(
-    cfg: &Config,
-    shared: &CampaignArgs,
-    design: Design,
-    parts: usize,
-    references: &[FrameOutputs],
-) -> Row {
-    let built = design.build().unwrap_or_else(|e| panic!("{}: {e}", design.name()));
-    let cut = partition(&built.netlist, parts, &CutOptions::default())
-        .unwrap_or_else(|e| panic!("{} into {parts}: {e}", design.name()));
-    let launcher = worker_launcher(shared, design, parts);
-    // Torn-snapshot and restart chaos need a durable store; fall back
-    // to a throwaway one when the caller gave no run dir.
-    let needs_store =
-        cfg.run_dir.is_some() || cfg.torn_snapshot.is_some() || cfg.restart_after.is_some();
-    let temp_root = cfg.run_dir.is_none();
-    let store_root = cfg.run_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("dwt-partition-campaign-{}", std::process::id()))
-    });
-    let mut row = Row {
-        design,
-        parts,
-        cut_bits: cut.cut_bits(),
-        feedback_links: cut.feedback_links(),
-        wall_s: 0.0,
-        cycles_per_s: 0.0,
-        barriers: 0,
-        boundary_frames: None,
-        recoveries: 0,
-        detections: 0,
-        replayed: 0,
-        partitioned_frames: 0,
-        degraded_frames: 0,
-        respawns: 0,
-        resumed: None,
-        sdc: 0,
-        frames: cfg.frames,
-    };
-    let start = Instant::now();
-    for (frame, reference) in references.iter().enumerate() {
-        let stim = stimulus(cfg.cycles, cfg.seed.wrapping_add(frame as u64));
-        // Every frame gets its own store directory: barrier records
-        // are keyed by cycle, so sharing one directory across frames
-        // would let a rollback restore another frame's prefix.
-        let store_dir = needs_store.then(|| {
-            let number = Design::all().iter().position(|d| *d == design).unwrap_or(0) + 1;
-            store_root.join(format!("d{number}-p{parts}-f{frame}"))
-        });
-        let config = ProcConfig {
-            snapshot_interval: cfg.interval,
-            liveness: Duration::from_millis(cfg.liveness_ms),
-            store_dir: store_dir.clone(),
-            chaos: proc_chaos_for(cfg, parts, frame),
-            ..ProcConfig::default()
-        };
-        let fail = |e: dwt_partition::PartitionError| -> ! {
-            panic!("{} x {parts} frame {frame} (process): {e}", design.name())
-        };
-        let report = match (frame, cfg.restart_after, &store_dir) {
-            (0, Some(barriers), Some(_)) => {
-                // Simulated supervisor crash: stop after N barriers,
-                // then a fresh supervisor resumes from the store.
-                let mut first_cfg = config.clone();
-                first_cfg.stop_after_barriers = Some(barriers);
-                let first = ProcSupervisor::new(&cut, launcher.clone(), first_cfg)
-                    .run(&stim)
-                    .unwrap_or_else(|e| fail(e));
-                row.barriers += first.barriers;
-                row.recoveries += first.recoveries;
-                row.detections += first.detections.len();
-                row.replayed += first.replayed_cycles;
-                row.respawns += first.respawns;
-                let mut resume_cfg = config.clone();
-                resume_cfg.resume = true;
-                resume_cfg.chaos = ProcChaos::default();
-                ProcSupervisor::new(&cut, launcher.clone(), resume_cfg)
-                    .run(&stim)
-                    .unwrap_or_else(|e| fail(e))
-            }
-            _ => ProcSupervisor::new(&cut, launcher.clone(), config)
-                .run(&stim)
-                .unwrap_or_else(|e| fail(e)),
-        };
-        row.barriers += report.barriers;
-        row.recoveries += report.recoveries;
-        row.detections += report.detections.len();
-        row.replayed += report.replayed_cycles;
-        row.respawns += report.respawns;
-        if report.resumed_from.is_some() {
-            row.resumed = report.resumed_from;
-        }
-        // Process mode has no degradation ladder: a completed frame
-        // ran partitioned by construction.
-        row.partitioned_frames += 1;
-        if &report.outputs != reference {
-            row.sdc += 1;
-        }
-        if temp_root {
-            if let Some(dir) = &store_dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
-        }
-    }
-    if temp_root && needs_store {
+    if cfg.run_dir.is_none() && needs_store {
         let _ = std::fs::remove_dir_all(&store_root);
     }
     row.wall_s = start.elapsed().as_secs_f64();
@@ -533,7 +468,7 @@ fn json_report(cfg: &Config, shared: &CampaignArgs, rows: &[Row]) -> String {
             r.wall_s,
             r.cycles_per_s,
             r.barriers,
-            r.boundary_frames.map_or_else(|| "null".to_owned(), |n| n.to_string()),
+            r.boundary_frames,
             r.recoveries,
             r.detections,
             r.replayed,
@@ -556,25 +491,22 @@ where
 {
     println!(
         "Partition campaign — {} frame(s) x {} cycles, interval {}, chaos {}, \
-         kill {}, seed {}, backend {}, isolation {}",
+         seed {}, backend {}, isolation {}",
         cfg.frames,
         cfg.cycles,
         cfg.interval,
         if cfg.chaos { format!("on (rate {})", cfg.rate) } else { "off".to_owned() },
-        cfg.kill.map_or_else(|| "none".to_owned(), |(w, c)| format!("{w}:{c}")),
         cfg.seed,
         shared.backend.name(),
         cfg.isolation.name()
     );
-    if cfg.isolation == Isolation::Process {
-        println!(
-            "process chaos — kill-9 {}, stall {}, torn-snapshot {}, restart-after {}",
-            cfg.kill9.map_or_else(|| "none".to_owned(), |(w, c)| format!("{w}:{c}")),
-            cfg.stall.map_or_else(|| "none".to_owned(), |(w, c, ms)| format!("{w}:{c}:{ms}ms")),
-            cfg.torn_snapshot.map_or_else(|| "none".to_owned(), |n| n.to_string()),
-            cfg.restart_after.map_or_else(|| "none".to_owned(), |n| n.to_string()),
-        );
-    }
+    println!(
+        "directives — kill {}, stall {}, torn-snapshot {}, restart-after {}",
+        cfg.kill.map_or_else(|| "none".to_owned(), |(w, c)| format!("{w}:{c}")),
+        cfg.stall.map_or_else(|| "none".to_owned(), |(w, c, ms)| format!("{w}:{c}:{ms}ms")),
+        cfg.torn_snapshot.map_or_else(|| "none".to_owned(), |n| n.to_string()),
+        cfg.restart_after.map_or_else(|| "none".to_owned(), |n| n.to_string()),
+    );
     println!();
 
     let mut rows = Vec::new();
@@ -588,10 +520,7 @@ where
             })
             .collect();
         for &parts in &cfg.parts {
-            rows.push(match cfg.isolation {
-                Isolation::Thread => run_combination::<E>(cfg, design, parts, &references),
-                Isolation::Process => run_combination_proc(cfg, shared, design, parts, &references),
-            });
+            rows.push(run_combination::<E>(cfg, shared, design, parts, &references));
         }
     }
 

@@ -167,7 +167,7 @@ impl PartitionedNetlist {
     /// schedule including each link's forward/feedback class.
     ///
     /// A worker process rebuilds its shard independently from
-    /// `(design, parts)` command-line arguments; the supervisor
+    /// `(design, parts)` command-line arguments; the coordinator
     /// compares fingerprints at admission so a worker launched against
     /// a different design, part count, or partitioner version is
     /// rejected before it can feed wrong boundary values into the

@@ -17,15 +17,21 @@
 //!    `stitch(partition(n)) ≡ n` as a standing obligation.
 //! 2. [`channel`] — the sequence-numbered, checksummed wire format
 //!    plus per-link running hashes for barrier crosschecks.
-//! 3. [`runner`] — the multi-threaded [`PartitionRunner`]: one
-//!    [`Engine`] per worker, a boundary exchange that takes each
-//!    forward link's whole barrier batch in one frame before the first
-//!    tick and settles only on per-cycle feedback links, barrier-
-//!    consistent snapshots every N cycles, divergence/straggler/crash
-//!    detection, and recovery by restart-from-snapshot + replay. When
-//!    the recovery budget is exhausted the runner degrades to a
-//!    single-engine run, then to a caller-supplied software-golden
-//!    fallback, before giving up with a typed error.
+//! 3. [`runner`] — the partition protocol: one shard worker loop
+//!    that takes each forward link's whole barrier batch in one frame
+//!    before the first tick and settles only on per-cycle feedback
+//!    links, and one coordinator ([`PartitionRunner`]) that keeps two
+//!    batches in flight, takes barrier-consistent snapshots, detects
+//!    divergence, stragglers and crashes, and recovers by restart from
+//!    the last barrier plus replay. When the recovery budget is
+//!    exhausted it degrades to a single-engine run, then to a
+//!    caller-supplied software-golden fallback, before giving up with
+//!    a typed error.
+//! 4. [`proc`] — process isolation for the same protocol: worker
+//!    processes admitted by cut fingerprint, a socket hub that routes
+//!    every frame, and a durable barrier [`store`] a restarted
+//!    coordinator resumes from. [`Isolation`] picks threads or
+//!    processes; nothing else differs.
 //!
 //! [`Engine`]: dwt_rtl::engine::Engine
 
@@ -41,14 +47,12 @@ pub mod wire;
 pub use channel::{fnv1a, hash_seed, BoundaryMsg, LinkFault};
 pub use cut::{partition, stitch, BoundaryLink, CutOptions, CutPort, PartitionedNetlist, Shard};
 pub use error::PartitionError;
-pub use proc::{
-    run_worker, ProcChaos, ProcConfig, ProcReport, ProcSupervisor, WorkerConfig, WorkerLauncher,
-    WorkerSpec,
-};
+pub use proc::{run_worker, WorkerLauncher};
 pub use runner::{
-    run_single, ChaosPlan, Corruption, Detection, DetectionKind, FrameOutputs, FrameReport,
-    GoldenFallback, PartitionRunner, Rung, RunnerConfig, SeuChaos, Stimulus,
+    run_single, Batch, BatchReport, ChaosPlan, Corruption, Detection, DetectionKind, FrameOutputs,
+    FrameReport, GoldenFallback, Isolation, PartitionRunner, Rung, RunnerConfig, SeuChaos,
+    Stimulus,
 };
-pub use store::{crc32, BarrierRecord, FsckReport, RunStore, WorkerBlob};
+pub use store::{crc32, BarrierRecord, FsckReport, RunStore};
 pub use transport::{ChannelTransport, RecvError, SocketTransport, Transport};
 pub use wire::Frame;

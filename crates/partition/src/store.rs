@@ -1,11 +1,11 @@
 //! Durable barrier snapshots: the crash-consistent store behind the
-//! process supervisor.
+//! process-isolated coordinator.
 //!
 //! Thread-mode recovery keeps its barrier snapshots in the
 //! coordinator's memory — fine when the coordinator cannot die
 //! independently of the workers. Process mode has a harder contract:
-//! the **supervisor itself** may be killed between barriers, and a
-//! restarted supervisor must resume from the last durable barrier
+//! the **coordinator itself** may be killed between barriers, and a
+//! restarted coordinator must resume from the last durable barrier
 //! instead of cycle 0. This module is that durability layer.
 //!
 //! One barrier = one file, `barrier-<cycle, hex>.dwtb`, written with
@@ -15,12 +15,12 @@
 //! or does not exist; a torn write can only ever leave a `.tmp`
 //! corpse, which the scanner ignores.
 //!
-//! Inside a record, each section (meta, worker blobs, committed output
+//! Inside a record, each section (meta, worker snapshots, committed output
 //! prefix) is CRC32-framed — length prefix, payload, IEEE CRC32 — so
 //! truncation and bit rot are both detected. [`RunStore::latest_consistent`]
 //! walks records newest-first and returns the first one that passes
 //! every check, which makes corruption of the newest barrier a
-//! *bounded rollback*, not a failure: the supervisor just resumes one
+//! *bounded rollback*, not a failure: the coordinator just resumes one
 //! barrier earlier. [`RunStore::fsck`] reports the full
 //! consistent/corrupt census for diagnostics and tests.
 //!
@@ -39,7 +39,7 @@ use crate::wire::{Reader, Writer};
 /// Record file magic.
 pub const STORE_MAGIC: [u8; 4] = *b"DWTS";
 /// Record layout version; bump on any change.
-pub const STORE_VERSION: u8 = 1;
+pub const STORE_VERSION: u8 = 2;
 
 const RECORD_EXT: &str = "dwtb";
 
@@ -58,18 +58,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// One worker's durable state at a barrier.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WorkerBlob {
-    /// Portable engine snapshot bytes
-    /// ([`PortableSnapshot::to_bytes`](dwt_rtl::engine::PortableSnapshot::to_bytes)).
-    pub snapshot: Vec<u8>,
-    /// `(seq, running hash)` per outgoing link, in link order.
-    pub out_links: Vec<(u64, u64)>,
-    /// `(seq, running hash)` per incoming link, in link order.
-    pub in_links: Vec<(u64, u64)>,
-}
-
 /// Everything needed to resume a run from one barrier.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BarrierRecord {
@@ -79,8 +67,11 @@ pub struct BarrierRecord {
     /// Cut fingerprint of the partition the snapshots belong to; a
     /// resume against a different cut must be refused.
     pub fingerprint: u64,
-    /// Per-worker snapshots and link state, indexed by shard.
-    pub workers: Vec<WorkerBlob>,
+    /// Per-worker portable engine snapshots
+    /// ([`PortableSnapshot::to_bytes`](dwt_rtl::engine::PortableSnapshot::to_bytes)),
+    /// indexed by shard. Link state restarts with every restore, so the
+    /// snapshots are all a worker needs.
+    pub snapshots: Vec<Vec<u8>>,
     /// The full committed output prefix, cycles `0..cycle` per port.
     pub outputs: BTreeMap<String, Vec<i64>>,
 }
@@ -121,12 +112,6 @@ impl RunStore {
         Ok(RunStore { dir })
     }
 
-    /// The store directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn record_path(&self, cycle: u64) -> PathBuf {
         self.dir.join(format!("barrier-{cycle:016x}.{RECORD_EXT}"))
     }
@@ -152,7 +137,7 @@ impl RunStore {
             file.sync_all().map_err(|e| io_err("fsync", &tmp, &e))?;
         }
         fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, &e))?;
-        // Persist the rename itself; without this a supervisor crash
+        // Persist the rename itself; without this a coordinator crash
         // right after `save` could resurface an empty directory.
         if let Ok(dir) = File::open(&self.dir) {
             let _ = dir.sync_all();
@@ -308,35 +293,17 @@ fn encode_record(record: &BarrierRecord) -> Vec<u8> {
     let mut meta = Writer::new();
     meta.u64(record.cycle);
     meta.u64(record.fingerprint);
-    // Plain u32, not a bounds-checked `len`: the workers live in the
-    // next section, not in this one.
-    meta.u32(u32::try_from(record.workers.len()).expect("worker count fits a u32"));
     write_section(&mut out, &meta.buf);
 
     let mut workers = Writer::new();
-    for blob in &record.workers {
-        workers.bytes(&blob.snapshot);
-        workers.len(blob.out_links.len());
-        for &(seq, hash) in &blob.out_links {
-            workers.u64(seq);
-            workers.u64(hash);
-        }
-        workers.len(blob.in_links.len());
-        for &(seq, hash) in &blob.in_links {
-            workers.u64(seq);
-            workers.u64(hash);
-        }
-    }
+    workers.seq(&record.snapshots, |w, snapshot| w.bytes(snapshot));
     write_section(&mut out, &workers.buf);
 
     let mut outputs = Writer::new();
     outputs.len(record.outputs.len());
     for (port, values) in &record.outputs {
         outputs.str(port);
-        outputs.len(values.len());
-        for &v in values {
-            outputs.i64(v);
-        }
+        outputs.seq(values, |w, &v| w.i64(v));
     }
     write_section(&mut out, &outputs.buf);
     out
@@ -367,23 +334,11 @@ fn decode_record(bytes: &[u8]) -> Result<BarrierRecord, PartitionError> {
     let mut r = Reader::new(meta);
     let cycle = r.u64().map_err(protocol)?;
     let fingerprint = r.u64().map_err(protocol)?;
-    let n_workers = r.u32().map_err(protocol)? as usize;
     r.finish().map_err(protocol)?;
 
     let mut r = Reader::new(workers_section);
-    let mut workers = Vec::with_capacity(n_workers.min(1 << 16));
-    for _ in 0..n_workers {
-        let snapshot = r.bytes().map_err(protocol)?;
-        let mut out_links = Vec::with_capacity(r.len(16).map_err(protocol)?);
-        for _ in 0..out_links.capacity() {
-            out_links.push((r.u64().map_err(protocol)?, r.u64().map_err(protocol)?));
-        }
-        let mut in_links = Vec::with_capacity(r.len(16).map_err(protocol)?);
-        for _ in 0..in_links.capacity() {
-            in_links.push((r.u64().map_err(protocol)?, r.u64().map_err(protocol)?));
-        }
-        workers.push(WorkerBlob { snapshot, out_links, in_links });
-    }
+    // Each snapshot is at least its 4-byte length prefix.
+    let snapshots = r.seq(4, Reader::bytes).map_err(protocol)?;
     r.finish().map_err(protocol)?;
 
     let mut r = Reader::new(outputs_section);
@@ -391,15 +346,11 @@ fn decode_record(bytes: &[u8]) -> Result<BarrierRecord, PartitionError> {
     let n_ports = r.len(5).map_err(protocol)?;
     for _ in 0..n_ports {
         let port = r.str().map_err(protocol)?;
-        let mut values = Vec::with_capacity(r.len(8).map_err(protocol)?);
-        for _ in 0..values.capacity() {
-            values.push(r.i64().map_err(protocol)?);
-        }
-        outputs.insert(port, values);
+        outputs.insert(port, r.seq(8, Reader::i64).map_err(protocol)?);
     }
     r.finish().map_err(protocol)?;
 
-    Ok(BarrierRecord { cycle, fingerprint, workers, outputs })
+    Ok(BarrierRecord { cycle, fingerprint, snapshots, outputs })
 }
 
 #[cfg(test)]
@@ -419,18 +370,7 @@ mod tests {
         BarrierRecord {
             cycle,
             fingerprint: 0x5117_c0de,
-            workers: vec![
-                WorkerBlob {
-                    snapshot: vec![1, 2, 3, 4],
-                    out_links: vec![(cycle, 0xaaaa)],
-                    in_links: vec![(cycle, 0xbbbb), (cycle, 0xcccc)],
-                },
-                WorkerBlob {
-                    snapshot: vec![9; 33],
-                    out_links: vec![(cycle, 0xdddd), (cycle, 0xeeee)],
-                    in_links: vec![(cycle, 0xffff)],
-                },
-            ],
+            snapshots: vec![vec![1, 2, 3, 4], vec![9; 33]],
             outputs,
         }
     }

@@ -1,11 +1,12 @@
-//! The self-describing byte protocol between the partition supervisor
+//! The self-describing byte protocol between the partition coordinator
 //! and its shard workers.
 //!
-//! Thread-mode workers exchange typed values over `mpsc` channels; the
-//! process-isolation mode cannot — a worker is a separate address
-//! space on the far side of a Unix socket, possibly running a
-//! different build if an operator mixes binaries. Every message
-//! therefore travels as a **frame** with a self-describing envelope:
+//! Worker threads take typed commands over `mpsc` channels; a worker
+//! process cannot — it is a separate address space on the far side of
+//! a Unix socket, possibly running a different build if an operator
+//! mixes binaries. Every message to or from a process, and every
+//! boundary value in either isolation, therefore travels as a
+//! **frame** with a self-describing envelope:
 //!
 //! ```text
 //! magic "DWTP" (4) | version (1) | frame type (1) | payload len (4, LE)
@@ -18,31 +19,32 @@
 //! guarantees a one-byte change alters the hash); truncation is caught
 //! by the explicit length prefix. Decoding is strict and total: a
 //! malformed frame yields [`PartitionError::Protocol`], never a panic
-//! — the supervisor treats a worker that sends garbage exactly like a
+//! — the coordinator treats a worker that sends garbage exactly like a
 //! worker that crashed.
 //!
-//! The same codec carries the lockstep data plane ([`Frame::Boundary`]
-//! wrapping the existing [`BoundaryMsg`]) and the control plane
-//! (hello/batch/barrier/rollback/fault/shutdown). Thread mode now
-//! round-trips boundary messages through these bytes too, so every
-//! differential test exercises the wire format, not just the process
-//! campaign.
+//! The same codec carries the data plane ([`Frame::Boundary`] wrapping
+//! a [`BoundaryMsg`]) and the control plane (hello, batch, heartbeat,
+//! barrier report, rollback, fault, shutdown). Thread mode round-trips
+//! boundary messages through these bytes too, so every differential
+//! test exercises the wire format.
 //!
 //! Frames after a rollback carry a **generation** counter: the
-//! supervisor bumps it on every rollback, and both ends drop frames
+//! coordinator bumps it on every rollback, and both ends drop frames
 //! from older generations, so a stale in-flight boundary value can
 //! never be mistaken for its replayed successor.
+
+use std::time::Duration;
 
 use dwt_rtl::fault::FaultSpec;
 
 use crate::channel::{fnv1a, hash_seed, BoundaryMsg};
 use crate::error::PartitionError;
-use crate::runner::DetectionKind;
+use crate::runner::{Batch, BatchReport, DetectionKind};
 
 /// Frame preamble: protocol magic.
 pub const MAGIC: [u8; 4] = *b"DWTP";
 /// Wire protocol version; bump on any frame/payload layout change.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Bytes in the fixed header (magic + version + type + payload len).
 pub const HEADER_LEN: usize = 10;
 /// Bytes in the trailing checksum.
@@ -57,14 +59,13 @@ const FRAME_BOUNDARY: u8 = 3;
 const FRAME_HEARTBEAT: u8 = 4;
 const FRAME_BARRIER_REPORT: u8 = 5;
 const FRAME_ROLLBACK: u8 = 6;
-const FRAME_ROLLBACK_ACK: u8 = 7;
-const FRAME_FAULT: u8 = 8;
-const FRAME_SHUTDOWN: u8 = 9;
+const FRAME_FAULT: u8 = 7;
+const FRAME_SHUTDOWN: u8 = 8;
 
 /// One protocol message, either direction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Worker → supervisor, once per connection: identity plus the
+    /// Worker → coordinator, once per connection: identity plus the
     /// FNV fingerprint of the cut it rebuilt, so a worker launched
     /// against the wrong design/part-count is rejected at admission.
     Hello {
@@ -74,26 +75,15 @@ pub enum Frame {
         /// of the worker's partition.
         fingerprint: u64,
     },
-    /// Supervisor → worker: run one batch of lockstep cycles.
+    /// Coordinator → worker: run one barrier batch.
     Batch {
         /// Rollback generation this batch belongs to.
         generation: u64,
-        /// First virtual cycle of the batch.
-        start: u64,
-        /// Batch length in cycles.
-        cycles: u64,
-        /// Run the power-on prologue exchange before the first tick.
-        prologue: bool,
-        /// `inputs[cycle][i]` feeds the worker's `i`-th primary input.
-        inputs: Vec<Vec<i64>>,
-        /// Transient faults due at `(offset, spec)`.
-        faults: Vec<(u64, FaultSpec)>,
-        /// Chaos: sleep this many milliseconds before ticking the
-        /// given offset (drives heartbeat-stall campaigns).
-        stall: Option<(u64, u64)>,
+        /// The batch.
+        batch: Box<Batch>,
     },
-    /// A boundary-value message for one link. Worker → supervisor the
-    /// index names the producer's outgoing link; supervisor → worker
+    /// A boundary-value message for one link. Worker → coordinator the
+    /// index names the producer's outgoing link; coordinator → worker
     /// it names the consumer's incoming link (the hub rewrites it
     /// while routing).
     Boundary {
@@ -104,36 +94,25 @@ pub enum Frame {
         /// The sequence-numbered, checksummed payload.
         msg: BoundaryMsg,
     },
-    /// Worker → supervisor: periodic liveness beacon while executing.
+    /// Liveness beats, at most a few per watchdog window: worker →
+    /// coordinator, and relayed by the hub to the worker's consumers.
     Heartbeat {
-        /// Shard index.
+        /// Shard index of the beating worker.
         worker: u32,
         /// Rollback generation being executed.
         generation: u64,
-        /// Virtual cycle most recently completed.
-        cycle: u64,
+        /// The worker's beat count.
+        beats: u64,
     },
-    /// Worker → supervisor: a batch finished; everything the barrier
-    /// commit needs.
+    /// Worker → coordinator: a batch finished; everything the barrier
+    /// commit needs, with the snapshot as portable bytes.
     BarrierReport {
-        /// Shard index.
-        worker: u32,
         /// Rollback generation of the batch.
         generation: u64,
-        /// First virtual cycle of the batch.
-        start: u64,
-        /// Batch length in cycles.
-        cycles: u64,
-        /// `outputs[cycle][i]` is the worker's `i`-th owned output.
-        outputs: Vec<Vec<i64>>,
-        /// Running hash per outgoing link, after this batch.
-        out_hashes: Vec<u64>,
-        /// Running hash per incoming link, after this batch.
-        in_hashes: Vec<u64>,
-        /// Portable engine snapshot at the barrier.
-        snapshot: Vec<u8>,
+        /// The report.
+        report: Box<BatchReport<Vec<u8>>>,
     },
-    /// Supervisor → worker: abandon the current generation and restore.
+    /// Coordinator → worker: abandon the current generation and restore.
     Rollback {
         /// The new generation; the worker drops frames from older ones.
         generation: u64,
@@ -142,25 +121,18 @@ pub enum Frame {
         /// Portable engine snapshot; empty means power-on reset.
         snapshot: Vec<u8>,
     },
-    /// Worker → supervisor: the rollback took effect.
-    RollbackAck {
-        /// Shard index.
-        worker: u32,
-        /// Generation now live in the worker.
-        generation: u64,
-        /// Cycle the worker restored to.
-        cycle: u64,
-    },
-    /// Worker → supervisor: a detection fired inside the worker.
+    /// Worker → coordinator: a detection fired inside the worker.
     Fault {
         /// Shard index.
         worker: u32,
         /// Generation the fault occurred in.
         generation: u64,
+        /// First cycle of the batch it spoiled.
+        start: u64,
         /// The detection, in its wire form.
         kind: DetectionKind,
     },
-    /// Supervisor → worker: exit cleanly.
+    /// Coordinator → worker: exit cleanly.
     Shutdown,
 }
 
@@ -213,6 +185,14 @@ impl Writer {
     pub(crate) fn bytes(&mut self, b: &[u8]) {
         self.len(b.len());
         self.buf.extend_from_slice(b);
+    }
+
+    /// A length-prefixed sequence, each item written by `each`.
+    pub(crate) fn seq<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, &T)) {
+        self.len(items.len());
+        for item in items {
+            each(self, item);
+        }
     }
 }
 
@@ -284,6 +264,22 @@ impl<'a> Reader<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// A length-prefixed sequence, each item read by `each`; the
+    /// length is bounded as in [`Reader::len`] before anything is
+    /// reserved.
+    pub(crate) fn seq<T>(
+        &mut self,
+        min_elem: usize,
+        mut each: impl FnMut(&mut Self) -> Result<T, PartitionError>,
+    ) -> Result<Vec<T>, PartitionError> {
+        let n = self.len(min_elem)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(each(self)?);
+        }
+        Ok(items)
+    }
+
     pub(crate) fn finish(self) -> Result<(), PartitionError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -299,20 +295,14 @@ impl<'a> Reader<'a> {
 fn write_boundary_msg(w: &mut Writer, msg: &BoundaryMsg) {
     w.u64(msg.seq);
     w.u64(msg.cycle);
-    w.len(msg.values.len());
-    for &v in &msg.values {
-        w.i64(v);
-    }
+    w.seq(&msg.values, |w, &v| w.i64(v));
     w.u64(msg.checksum);
 }
 
 fn read_boundary_msg(r: &mut Reader<'_>) -> Result<BoundaryMsg, PartitionError> {
     let seq = r.u64()?;
     let cycle = r.u64()?;
-    let mut values = Vec::with_capacity(r.len(8)?);
-    for _ in 0..values.capacity() {
-        values.push(r.i64()?);
-    }
+    let values = r.seq(8, Reader::i64)?;
     let checksum = r.u64()?;
     Ok(BoundaryMsg { seq, cycle, values, checksum })
 }
@@ -394,41 +384,87 @@ fn read_detection(r: &mut Reader<'_>) -> Result<DetectionKind, PartitionError> {
     }
 }
 
-fn write_rows(w: &mut Writer, rows: &[Vec<i64>]) {
-    w.len(rows.len());
-    for row in rows {
-        w.len(row.len());
-        for &v in row {
-            w.i64(v);
-        }
-    }
+fn write_opt(w: &mut Writer, value: Option<u64>) {
+    w.bool(value.is_some());
+    w.u64(value.unwrap_or(0));
 }
 
-fn read_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<i64>>, PartitionError> {
-    let mut rows = Vec::with_capacity(r.len(4)?);
-    for _ in 0..rows.capacity() {
-        let mut row = Vec::with_capacity(r.len(8)?);
-        for _ in 0..row.capacity() {
-            row.push(r.i64()?);
-        }
-        rows.push(row);
-    }
-    Ok(rows)
+fn read_opt(r: &mut Reader<'_>) -> Result<Option<u64>, PartitionError> {
+    let some = r.bool()?;
+    let value = r.u64()?;
+    Ok(some.then_some(value))
 }
 
-fn write_hashes(w: &mut Writer, hashes: &[u64]) {
-    w.len(hashes.len());
-    for &h in hashes {
-        w.u64(h);
-    }
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn read_hashes(r: &mut Reader<'_>) -> Result<Vec<u64>, PartitionError> {
-    let mut hashes = Vec::with_capacity(r.len(8)?);
-    for _ in 0..hashes.capacity() {
-        hashes.push(r.u64()?);
-    }
-    Ok(hashes)
+fn write_batch(w: &mut Writer, b: &Batch) {
+    w.u64(b.start);
+    w.u64(b.cycles);
+    w.bool(b.prologue);
+    w.seq(&b.inputs, |w, &v| w.i64(v));
+    w.seq(&b.faults, |w, (offset, spec)| {
+        w.u64(*offset);
+        write_fault_spec(w, spec);
+    });
+    write_opt(w, b.kill_at);
+    write_opt(w, b.stall_at.map(|(offset, _)| offset));
+    w.u64(b.stall_at.map_or(0, |(_, pause)| nanos(pause)));
+    w.seq(&b.corrupt, |w, &(offset, link, stealth)| {
+        w.u64(offset);
+        w.u32(u32::try_from(link).unwrap_or(u32::MAX));
+        w.bool(stealth);
+    });
+    w.u64(nanos(b.watchdog));
+    write_opt(w, b.event_cap);
+}
+
+fn read_batch(r: &mut Reader<'_>) -> Result<Batch, PartitionError> {
+    let start = r.u64()?;
+    let cycles = r.u64()?;
+    let prologue = r.bool()?;
+    let inputs = r.seq(8, Reader::i64)?;
+    // The smallest encoded fault: offset, tag, empty name, bit, value.
+    let faults = r.seq(22, |r| Ok((r.u64()?, read_fault_spec(r)?)))?;
+    let kill_at = read_opt(r)?;
+    let stall_offset = read_opt(r)?;
+    let pause = Duration::from_nanos(r.u64()?);
+    let corrupt = r.seq(13, |r| Ok((r.u64()?, r.u32()? as usize, r.bool()?)))?;
+    Ok(Batch {
+        start,
+        cycles,
+        prologue,
+        inputs,
+        faults,
+        kill_at,
+        stall_at: stall_offset.map(|offset| (offset, pause)),
+        corrupt,
+        watchdog: Duration::from_nanos(r.u64()?),
+        event_cap: read_opt(r)?,
+    })
+}
+
+fn write_report(w: &mut Writer, report: &BatchReport<Vec<u8>>) {
+    w.u32(u32::try_from(report.worker).unwrap_or(u32::MAX));
+    w.u64(report.start);
+    w.seq(&report.outputs, |w, &v| w.i64(v));
+    w.seq(&report.out_hashes, |w, &v| w.u64(v));
+    w.seq(&report.in_hashes, |w, &v| w.u64(v));
+    w.u64(report.frames);
+    w.bytes(&report.snapshot);
+}
+
+fn read_report(r: &mut Reader<'_>) -> Result<BatchReport<Vec<u8>>, PartitionError> {
+    Ok(BatchReport {
+        worker: r.u32()? as usize,
+        start: r.u64()?,
+        outputs: r.seq(8, Reader::i64)?,
+        out_hashes: r.seq(8, Reader::u64)?,
+        in_hashes: r.seq(8, Reader::u64)?,
+        frames: r.u64()?,
+        snapshot: r.bytes()?,
+    })
 }
 
 // ------------------------------------------------------ frame codec
@@ -442,7 +478,6 @@ impl Frame {
             Frame::Heartbeat { .. } => FRAME_HEARTBEAT,
             Frame::BarrierReport { .. } => FRAME_BARRIER_REPORT,
             Frame::Rollback { .. } => FRAME_ROLLBACK,
-            Frame::RollbackAck { .. } => FRAME_ROLLBACK_ACK,
             Frame::Fault { .. } => FRAME_FAULT,
             Frame::Shutdown => FRAME_SHUTDOWN,
         }
@@ -455,68 +490,33 @@ impl Frame {
                 w.u32(*worker);
                 w.u64(*fingerprint);
             }
-            Frame::Batch { generation, start, cycles, prologue, inputs, faults, stall } => {
+            Frame::Batch { generation, batch } => {
                 w.u64(*generation);
-                w.u64(*start);
-                w.u64(*cycles);
-                w.bool(*prologue);
-                write_rows(&mut w, inputs);
-                w.len(faults.len());
-                for (offset, spec) in faults {
-                    w.u64(*offset);
-                    write_fault_spec(&mut w, spec);
-                }
-                match stall {
-                    None => w.u8(0),
-                    Some((offset, millis)) => {
-                        w.u8(1);
-                        w.u64(*offset);
-                        w.u64(*millis);
-                    }
-                }
+                write_batch(&mut w, batch);
             }
             Frame::Boundary { generation, link, msg } => {
                 w.u64(*generation);
                 w.u32(*link);
                 write_boundary_msg(&mut w, msg);
             }
-            Frame::Heartbeat { worker, generation, cycle } => {
+            Frame::Heartbeat { worker, generation, beats } => {
                 w.u32(*worker);
                 w.u64(*generation);
-                w.u64(*cycle);
+                w.u64(*beats);
             }
-            Frame::BarrierReport {
-                worker,
-                generation,
-                start,
-                cycles,
-                outputs,
-                out_hashes,
-                in_hashes,
-                snapshot,
-            } => {
-                w.u32(*worker);
+            Frame::BarrierReport { generation, report } => {
                 w.u64(*generation);
-                w.u64(*start);
-                w.u64(*cycles);
-                write_rows(&mut w, outputs);
-                write_hashes(&mut w, out_hashes);
-                write_hashes(&mut w, in_hashes);
-                w.bytes(snapshot);
+                write_report(&mut w, report);
             }
             Frame::Rollback { generation, cycle, snapshot } => {
                 w.u64(*generation);
                 w.u64(*cycle);
                 w.bytes(snapshot);
             }
-            Frame::RollbackAck { worker, generation, cycle } => {
+            Frame::Fault { worker, generation, start, kind } => {
                 w.u32(*worker);
                 w.u64(*generation);
-                w.u64(*cycle);
-            }
-            Frame::Fault { worker, generation, kind } => {
-                w.u32(*worker);
-                w.u64(*generation);
+                w.u64(*start);
                 write_detection(&mut w, kind);
             }
             Frame::Shutdown => {}
@@ -576,22 +576,7 @@ impl Frame {
         let frame = match kind {
             FRAME_HELLO => Frame::Hello { worker: r.u32()?, fingerprint: r.u64()? },
             FRAME_BATCH => {
-                let generation = r.u64()?;
-                let start = r.u64()?;
-                let cycles = r.u64()?;
-                let prologue = r.bool()?;
-                let inputs = read_rows(&mut r)?;
-                let mut faults = Vec::with_capacity(r.len(2)?);
-                for _ in 0..faults.capacity() {
-                    let offset = r.u64()?;
-                    faults.push((offset, read_fault_spec(&mut r)?));
-                }
-                let stall = match r.u8()? {
-                    0 => None,
-                    1 => Some((r.u64()?, r.u64()?)),
-                    other => return Err(bad(format!("bad stall tag {other}"))),
-                };
-                Frame::Batch { generation, start, cycles, prologue, inputs, faults, stall }
+                Frame::Batch { generation: r.u64()?, batch: Box::new(read_batch(&mut r)?) }
             }
             FRAME_BOUNDARY => Frame::Boundary {
                 generation: r.u64()?,
@@ -599,27 +584,19 @@ impl Frame {
                 msg: read_boundary_msg(&mut r)?,
             },
             FRAME_HEARTBEAT => {
-                Frame::Heartbeat { worker: r.u32()?, generation: r.u64()?, cycle: r.u64()? }
+                Frame::Heartbeat { worker: r.u32()?, generation: r.u64()?, beats: r.u64()? }
             }
             FRAME_BARRIER_REPORT => Frame::BarrierReport {
-                worker: r.u32()?,
                 generation: r.u64()?,
-                start: r.u64()?,
-                cycles: r.u64()?,
-                outputs: read_rows(&mut r)?,
-                out_hashes: read_hashes(&mut r)?,
-                in_hashes: read_hashes(&mut r)?,
-                snapshot: r.bytes()?,
+                report: Box::new(read_report(&mut r)?),
             },
             FRAME_ROLLBACK => {
                 Frame::Rollback { generation: r.u64()?, cycle: r.u64()?, snapshot: r.bytes()? }
             }
-            FRAME_ROLLBACK_ACK => {
-                Frame::RollbackAck { worker: r.u32()?, generation: r.u64()?, cycle: r.u64()? }
-            }
             FRAME_FAULT => Frame::Fault {
                 worker: r.u32()?,
                 generation: r.u64()?,
+                start: r.u64()?,
                 kind: read_detection(&mut r)?,
             },
             FRAME_SHUTDOWN => Frame::Shutdown,
@@ -664,42 +641,50 @@ mod tests {
             Frame::Hello { worker: 3, fingerprint: 0xdead_beef_cafe },
             Frame::Batch {
                 generation: 2,
-                start: 64,
-                cycles: 32,
-                prologue: true,
-                inputs: vec![vec![1, -2, 3], vec![4, 5, -6]],
-                faults: vec![
-                    (7, FaultSpec::StuckAt { net: "x".into(), bit: 3, value: true }),
-                    (9, FaultSpec::BitFlip { register: "q".into(), bit: 1, cycle: 70 }),
-                    (11, FaultSpec::RamUpset { ram: "m".into(), addr: 2, bit: 0, cycle: 71 }),
-                ],
-                stall: Some((5, 400)),
+                batch: Box::new(Batch {
+                    start: 64,
+                    cycles: 2,
+                    prologue: true,
+                    inputs: vec![1, -2, 3, 4, 5, -6],
+                    faults: vec![
+                        (7, FaultSpec::StuckAt { net: "x".into(), bit: 3, value: true }),
+                        (9, FaultSpec::BitFlip { register: "q".into(), bit: 1, cycle: 70 }),
+                        (11, FaultSpec::RamUpset { ram: "m".into(), addr: 2, bit: 0, cycle: 71 }),
+                    ],
+                    kill_at: Some(1),
+                    stall_at: Some((5, Duration::from_millis(400))),
+                    corrupt: vec![(1, 0, true), (0, 2, false)],
+                    watchdog: Duration::from_millis(250),
+                    event_cap: None,
+                }),
             },
             Frame::Boundary {
                 generation: 1,
                 link: 2,
                 msg: BoundaryMsg::new(17, 81, vec![-1, 0, i64::MAX >> 1]),
             },
-            Frame::Heartbeat { worker: 1, generation: 4, cycle: 96 },
+            Frame::Heartbeat { worker: 1, generation: 4, beats: 96 },
             Frame::BarrierReport {
-                worker: 0,
                 generation: 4,
-                start: 0,
-                cycles: 8,
-                outputs: vec![vec![10], vec![20]],
-                out_hashes: vec![1, 2],
-                in_hashes: vec![3],
-                snapshot: vec![0xaa; 40],
+                report: Box::new(BatchReport {
+                    worker: 0,
+                    start: 0,
+                    outputs: vec![10, 20],
+                    out_hashes: vec![1, 2],
+                    in_hashes: vec![3],
+                    frames: 2,
+                    snapshot: vec![0xaa; 40],
+                }),
             },
             Frame::Rollback { generation: 5, cycle: 32, snapshot: vec![1, 2, 3] },
             Frame::Rollback { generation: 6, cycle: 0, snapshot: Vec::new() },
-            Frame::RollbackAck { worker: 2, generation: 5, cycle: 32 },
             Frame::Fault {
                 worker: 1,
                 generation: 3,
+                start: 32,
                 kind: DetectionKind::Engine("diverged".into()),
             },
-            Frame::Fault { worker: 0, generation: 0, kind: DetectionKind::Sequence },
+            Frame::Fault { worker: 0, generation: 0, start: 0, kind: DetectionKind::Sequence },
             Frame::Shutdown,
         ]
     }

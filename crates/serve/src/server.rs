@@ -297,9 +297,11 @@ where
         for w in 0..cfg.workers {
             let exec = TileExecutor::<E>::new(cfg.design, cfg.executor)?;
             let injector: Box<dyn FaultInjector + Send> = match &cfg.chaos {
-                Some(chaos) => {
-                    Box::new(chaos.injector_for(w, exec.primary_netlist(), exec.spare_netlist()?)?)
-                }
+                Some(chaos) => Box::new(chaos.injector_for(
+                    w,
+                    exec.primary_netlist(),
+                    exec.spare_netlist()?,
+                )?),
                 None => Box::new(NoFaults),
             };
             execs.push(exec);
