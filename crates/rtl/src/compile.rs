@@ -17,27 +17,20 @@
 //! identical modulo-2^width two's-complement result the event-driven
 //! simulator produces.
 //!
-//! [`CompiledEngine`] wraps a program with the architectural state
-//! (net words, RAM bit-planes, staged inputs, armed faults) and
-//! implements [`Engine`], making it a drop-in replacement for
-//! [`sim::Simulator`](crate::sim::Simulator) wherever glitch/activity
-//! fidelity is not needed. At every cycle boundary its lane-0 values
-//! are bit-exact with the event-driven simulator's settled values; the
-//! deliberate differences are documented on [`CompiledEngine`].
+//! [`CompiledEngine`] is the [`Sliced`] machine (state, clock edge,
+//! faults, lane I/O, snapshots) running its passes through the
+//! [`Interpreter`]. At every cycle boundary its lane-0 values are
+//! bit-exact with the event-driven simulator's settled values; the
+//! deliberate differences are documented on [`Sliced`].
 
 use crate::cell::{tables, Cell, CellKind};
-use crate::engine::{Engine, EngineCaps};
-use crate::fault::{self, FaultSpec, ResolvedFault};
 use crate::net::{signed_to_bits, Bus, NetId};
-use crate::netlist::{CellId, Netlist, PortDirection};
-use crate::snapbytes::{ByteReader, ByteWriter};
+use crate::netlist::{CellId, Netlist};
+use crate::sliced::{Kernel, Sliced, ALL};
 use crate::{Error, Result};
 
 /// Independent sample streams packed into each machine word.
 pub const LANES: usize = 64;
-
-/// All lanes set.
-const ALL: u64 = !0;
 
 /// One word operation of a compiled program. `dst`/operand fields are
 /// slot indices into the flat word file.
@@ -79,6 +72,8 @@ pub(crate) struct RegSlots {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RamSlots {
     pub(crate) cell: CellId,
+    /// Index of this RAM's first bit plane in the flat RAM buffer.
+    pub(crate) base: usize,
     pub(crate) words: usize,
     pub(crate) width: usize,
     pub(crate) raddr: Vec<u32>,
@@ -90,8 +85,8 @@ pub(crate) struct RamSlots {
 
 /// A netlist lowered to a levelized straight-line word program.
 ///
-/// The schedule is computed once per design; every
-/// [`CompiledEngine::try_tick`] replays it in order. Slots `0..nets`
+/// The schedule is computed once per design; every tick of a
+/// [`Sliced`] engine replays it in order. Slots `0..nets`
 /// mirror the netlist's nets; higher slots hold ripple-carry
 /// temporaries and the two constant words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,6 +104,8 @@ pub struct Program {
     levels: usize,
     /// Total register bits (capture-buffer size).
     pub(crate) reg_bits: usize,
+    /// Total RAM bit planes (`words * width` summed over the RAMs).
+    pub(crate) ram_planes: usize,
 }
 
 impl Program {
@@ -180,6 +177,7 @@ impl Program {
 
         // Number RAM ports in schedule order and collect their slots.
         let mut rams = Vec::new();
+        let mut ram_planes = 0usize;
         for op in &mut ops {
             if let Op::RamRead { port } = op {
                 *port = rams.len() as u32;
@@ -201,6 +199,7 @@ impl Program {
                 {
                     rams.push(RamSlots {
                         cell,
+                        base: ram_planes,
                         words: *words,
                         width: rdata.width(),
                         raddr: bus_slots(raddr),
@@ -209,6 +208,7 @@ impl Program {
                         wdata: bus_slots(wdata),
                         wen: slot(*wen),
                     });
+                    ram_planes += words * rdata.width();
                 }
             }
         }
@@ -227,7 +227,17 @@ impl Program {
             }
         }
 
-        Ok(Program { ops, slots: next_slot as usize, zero, one, regs, rams, levels, reg_bits })
+        Ok(Program {
+            ops,
+            slots: next_slot as usize,
+            zero,
+            one,
+            regs,
+            rams,
+            levels,
+            reg_bits,
+            ram_planes,
+        })
     }
 
     /// Word operations executed per pass.
@@ -447,426 +457,38 @@ fn lower_ripple(
     }
 }
 
-/// A staged input write, already scattered into one word of the word
-/// file and applied at the next tick/settle as
-/// `word = (word & !mask) | bits`. Staging writes words rather than
-/// values, so once the staging list has reached its working size a
-/// write allocates nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct StagedWord {
-    /// Index into the word file.
-    pub(crate) idx: u32,
-    /// The lanes of the word this write sets.
-    pub(crate) mask: u64,
-    /// Their new bits.
-    pub(crate) bits: u64,
-}
+/// The op-list interpreter: each pass replays the [`Program`] in
+/// schedule order over one 64-lane block per slot.
+#[derive(Debug, Clone, Copy)]
+pub struct Interpreter;
 
-/// Validates a write of `values` to the input port `name` and returns
-/// the port's bus.
-pub(crate) fn input_bus<'a>(netlist: &'a Netlist, name: &str, values: &[i64]) -> Result<&'a Bus> {
-    let port = netlist.port(name)?;
-    if port.direction != PortDirection::Input {
-        return Err(Error::UnknownPort { name: name.to_owned() });
-    }
-    for &v in values {
-        port.bus.check_value(v)?;
-    }
-    Ok(&port.bus)
-}
+/// The levelized bit-sliced interpreter backend: the [`Sliced`]
+/// machine at [`LANES`] (64) lanes, running its passes through the
+/// [`Interpreter`].
+pub type CompiledEngine = Sliced<Interpreter>;
 
-/// Stages `values[k]` into lane `first + k` of `bus`, scattered
-/// bit-major: one word per (bit, 64-lane block) touched, in a word file
-/// of `blocks` words per slot.
-pub(crate) fn stage_lanes(
-    staged: &mut Vec<StagedWord>,
-    bus: &Bus,
-    blocks: usize,
-    first: usize,
-    values: &[i64],
-) {
-    let end = first + values.len();
-    for blk in first / 64..end.div_ceil(64) {
-        let lo = (blk * 64).max(first);
-        let chunk = &values[lo - first..((blk + 1) * 64).min(end) - first];
-        let shift = lo % 64;
-        let mask = (ALL >> (64 - chunk.len())) << shift;
-        for (i, &net) in bus.bits().iter().enumerate() {
-            let mut bits = 0u64;
-            for (b, &v) in chunk.iter().enumerate() {
-                bits |= (((v >> i) & 1) as u64) << b;
-            }
-            let idx = (slot(net) as usize * blocks + blk) as u32;
-            staged.push(StagedWord { idx, mask, bits: bits << shift });
-        }
-    }
-}
+impl Kernel for Interpreter {
+    const BLOCKS: usize = LANES / 64;
+    const BACKEND: &'static str = "compiled";
+    const NATIVE: bool = false;
 
-/// Stages `value` on every lane of `bus`.
-pub(crate) fn stage_broadcast(staged: &mut Vec<StagedWord>, bus: &Bus, blocks: usize, value: i64) {
-    for (i, &net) in bus.bits().iter().enumerate() {
-        let bits = if (value >> i) & 1 == 1 { ALL } else { 0 };
-        let base = slot(net) as usize * blocks;
-        for blk in 0..blocks {
-            staged.push(StagedWord { idx: (base + blk) as u32, mask: ALL, bits });
-        }
-    }
-}
-
-/// Signed values of a bus in the 64 lanes of one block, gathered
-/// bit-major: `word(bit)` is the block's word for each bit of the bus.
-pub(crate) fn gather_lanes(width: usize, word: impl Fn(usize) -> u64, out: &mut impl Extend<i64>) {
-    let mut raw = [0u64; 64];
-    for i in 0..width {
-        let mut w = word(i);
-        while w != 0 {
-            raw[w.trailing_zeros() as usize] |= 1 << i;
-            w &= w - 1;
-        }
-    }
-    out.extend(raw.iter().map(|&v| sign_extend(v, width)));
-}
-
-/// Two's-complement interpretation of `width` LSB-first raw bits.
-#[inline]
-pub(crate) fn sign_extend(raw: u64, width: usize) -> i64 {
-    let v = raw as i64;
-    if width < 64 && raw >> (width - 1) & 1 == 1 {
-        v - (1 << width)
-    } else {
-        v
-    }
-}
-
-/// Encodes a staging list for a portable snapshot.
-pub(crate) fn write_staged(w: &mut ByteWriter, staged: &[StagedWord]) {
-    w.len(staged.len());
-    for s in staged {
-        w.u32(s.idx);
-        w.u64(s.mask);
-        w.u64(s.bits);
-    }
-}
-
-/// Decodes a staging list written by [`write_staged`].
-pub(crate) fn read_staged(r: &mut ByteReader<'_>) -> Result<Vec<StagedWord>> {
-    let n = r.len(20)?;
-    let mut staged = Vec::with_capacity(n);
-    for _ in 0..n {
-        staged.push(StagedWord { idx: r.u32()?, mask: r.u64()?, bits: r.u64()? });
-    }
-    Ok(staged)
-}
-
-/// Complete architectural state of a [`CompiledEngine`]: net words,
-/// RAM bit-planes, staged inputs, armed faults and the cycle counter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompiledSnapshot {
-    nets: usize,
-    cells: usize,
-    words: Vec<u64>,
-    ram: Vec<Vec<u64>>,
-    staged: Vec<StagedWord>,
-    stuck: Vec<(u32, bool)>,
-    flips: Vec<(CellId, usize, u64)>,
-    ram_upsets: Vec<(CellId, usize, usize, u64)>,
-    cycle: u64,
-}
-
-impl CompiledSnapshot {
-    /// The clock cycle at which the snapshot was taken.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
+    fn build(_netlist: &Netlist, _program: &Program) -> Result<Self> {
+        Ok(Interpreter)
     }
 
-    /// Whether any fault (stuck-at clamp, pending flip or RAM upset)
-    /// is armed in the snapshot.
-    #[must_use]
-    pub fn has_armed_faults(&self) -> bool {
-        !self.stuck.is_empty() || !self.flips.is_empty() || !self.ram_upsets.is_empty()
-    }
-}
-
-/// Leading tag byte of a serialized compiled snapshot (`'C'`).
-const SNAPSHOT_TAG: u8 = b'C';
-/// Encoding version; bump on any field/layout change.
-const SNAPSHOT_VERSION: u8 = 2;
-
-impl crate::engine::PortableSnapshot for CompiledSnapshot {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u8(SNAPSHOT_TAG);
-        w.u8(SNAPSHOT_VERSION);
-        w.usize(self.nets);
-        w.usize(self.cells);
-        w.len(self.words.len());
-        for &word in &self.words {
-            w.u64(word);
-        }
-        w.len(self.ram.len());
-        for planes in &self.ram {
-            w.len(planes.len());
-            for &word in planes {
-                w.u64(word);
-            }
-        }
-        write_staged(&mut w, &self.staged);
-        w.len(self.stuck.len());
-        for &(net, value) in &self.stuck {
-            w.u32(net);
-            w.bool(value);
-        }
-        w.len(self.flips.len());
-        for &(cell, bit, cycle) in &self.flips {
-            w.u32(cell.index() as u32);
-            w.usize(bit);
-            w.u64(cycle);
-        }
-        w.len(self.ram_upsets.len());
-        for &(cell, addr, bit, cycle) in &self.ram_upsets {
-            w.u32(cell.index() as u32);
-            w.usize(addr);
-            w.usize(bit);
-            w.u64(cycle);
-        }
-        w.u64(self.cycle);
-        w.finish()
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(bytes);
-        let tag = r.u8()?;
-        if tag != SNAPSHOT_TAG {
-            return Err(Error::SnapshotDecode {
-                detail: format!("tag {tag:#04x} is not a compiled snapshot"),
-            });
-        }
-        let version = r.u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(Error::SnapshotDecode {
-                detail: format!("unsupported snapshot version {version}"),
-            });
-        }
-        let nets = r.usize()?;
-        let cells = r.usize()?;
-        let mut words = Vec::with_capacity(r.len(8)?);
-        for _ in 0..words.capacity() {
-            words.push(r.u64()?);
-        }
-        let mut ram = Vec::with_capacity(r.len(4)?);
-        for _ in 0..ram.capacity() {
-            let mut planes = Vec::with_capacity(r.len(8)?);
-            for _ in 0..planes.capacity() {
-                planes.push(r.u64()?);
-            }
-            ram.push(planes);
-        }
-        let staged = read_staged(&mut r)?;
-        let mut stuck = Vec::with_capacity(r.len(5)?);
-        for _ in 0..stuck.capacity() {
-            let net = r.u32()?;
-            let value = r.bool()?;
-            stuck.push((net, value));
-        }
-        let mut flips = Vec::with_capacity(r.len(20)?);
-        for _ in 0..flips.capacity() {
-            let cell = CellId(r.u32()?);
-            let bit = r.usize()?;
-            let due = r.u64()?;
-            flips.push((cell, bit, due));
-        }
-        let mut ram_upsets = Vec::with_capacity(r.len(28)?);
-        for _ in 0..ram_upsets.capacity() {
-            let cell = CellId(r.u32()?);
-            let addr = r.usize()?;
-            let bit = r.usize()?;
-            let due = r.u64()?;
-            ram_upsets.push((cell, addr, bit, due));
-        }
-        let cycle = r.u64()?;
-        r.finish()?;
-        Ok(CompiledSnapshot { nets, cells, words, ram, staged, stuck, flips, ram_upsets, cycle })
-    }
-}
-
-/// The levelized bit-sliced simulation backend.
-///
-/// Advances [`LANES`] independent sample streams per tick; scalar
-/// [`Engine`] verbs broadcast writes to every lane and read lane 0, so
-/// any code written against the event-driven simulator behaves
-/// identically here. The per-lane verbs
-/// ([`set_input_lane`](CompiledEngine::set_input_lane),
-/// [`peek_lane`](CompiledEngine::peek_lane),
-/// [`peek_lanes`](CompiledEngine::peek_lanes)) expose the parallelism.
-///
-/// Deliberate differences from [`sim::Simulator`](crate::sim::Simulator):
-///
-/// * **No glitch model / activity statistics.** Each cycle is one
-///   functional pass in topological order; intermediate transitions of
-///   the event model never exist, so there is nothing to count. Use
-///   the event-driven backend for power work.
-/// * **No divergence detection.** The program is straight-line; it
-///   cannot oscillate, so `set_event_cap` is a no-op and
-///   `SimulationDiverged` is never reported.
-/// * **Stuck-at decay after [`clear_faults`](Engine::clear_faults).**
-///   The event-driven simulator leaves a formerly-clamped net at its
-///   forced level until its driver re-fires; the compiled backend
-///   recomputes every net each pass, so cleared nets heal at the next
-///   tick/settle.
-///
-/// Injected faults apply to **all lanes** (the same clamp masks and
-/// transient XORs are word-wide), which is exactly what differential
-/// campaigns want: one engine, 64 identically-faulted trials.
-#[derive(Debug, Clone)]
-pub struct CompiledEngine {
-    netlist: Netlist,
-    program: Program,
-    words: Vec<u64>,
-    /// Per-RAM bit-plane storage: `ram[r][word * width + bit]`.
-    ram: Vec<Vec<u64>>,
-    /// Register-capture buffer reused across ticks.
-    scratch: Vec<u64>,
-    staged: Vec<StagedWord>,
-    /// Per-slot clamp masks (`AND` then `OR`); identity unless stuck.
-    and_mask: Vec<u64>,
-    or_mask: Vec<u64>,
-    has_stuck: bool,
-    stuck: Vec<(u32, bool)>,
-    flips: Vec<(CellId, usize, u64)>,
-    ram_upsets: Vec<(CellId, usize, usize, u64)>,
-    cycle: u64,
-}
-
-impl CompiledEngine {
-    /// Compiles and power-cycles an engine for a validated netlist:
-    /// registers and RAM zeroed in every lane, combinational logic
-    /// settled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::MalformedProgram`] if lowering finds an
-    /// internal inconsistency — unreachable for netlists that passed
-    /// validation at build time.
-    pub fn new(netlist: Netlist) -> Result<Self> {
-        let program = Program::compile(&netlist)?;
-        let slots = program.slots;
-        let mut engine = CompiledEngine {
-            words: vec![0; slots],
-            ram: program.rams.iter().map(|r| vec![0; r.words * r.width]).collect(),
-            scratch: Vec::with_capacity(program.reg_bits),
-            staged: Vec::new(),
-            and_mask: vec![ALL; slots],
-            or_mask: vec![0; slots],
-            has_stuck: false,
-            stuck: Vec::new(),
-            flips: Vec::new(),
-            ram_upsets: Vec::new(),
-            cycle: 0,
-            program,
-            netlist,
-        };
-        engine.words[engine.program.one as usize] = ALL;
-        engine.eval_pass::<false>();
-        Ok(engine)
-    }
-
-    /// The compiled schedule (for depth/size reports).
-    #[must_use]
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Stages a value on an input port for one lane only; other lanes
-    /// keep their current bits.
-    ///
-    /// # Errors
-    ///
-    /// Same port/range validation as [`Engine::set_input`]; rejects
-    /// `lane >=` [`LANES`].
-    pub fn set_input_lane(&mut self, name: &str, lane: usize, value: i64) -> Result<()> {
-        let bus = input_bus(&self.netlist, name, &[value])?;
-        check_lane(lane)?;
-        stage_lanes(&mut self.staged, bus, 1, lane, &[value]);
-        Ok(())
-    }
-
-    /// Stages per-lane values on an input port: `values[l]` goes to
-    /// lane `l`. Accepts 1 to [`LANES`] values; lanes beyond
-    /// `values.len()` keep their current bits.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`Engine::set_input`] applied to every
-    /// value; rejects empty or oversized value slices.
-    pub fn set_input_lanes(&mut self, name: &str, values: &[i64]) -> Result<()> {
-        if values.is_empty() || values.len() > LANES {
-            return Err(Error::FaultTarget {
-                target: name.to_owned(),
-                detail: format!("expected 1..={LANES} lane values, got {}", values.len()),
-            });
-        }
-        let bus = input_bus(&self.netlist, name, values)?;
-        stage_lanes(&mut self.staged, bus, 1, 0, values);
-        Ok(())
-    }
-
-    /// Reads the settled value of a port in one lane.
-    ///
-    /// # Errors
-    ///
-    /// Unknown port, or `lane >=` [`LANES`].
-    pub fn peek_lane(&self, name: &str, lane: usize) -> Result<i64> {
-        check_lane(lane)?;
-        let bus = &self.netlist.port(name)?.bus;
-        let raw = bus
-            .bits()
-            .iter()
-            .enumerate()
-            .fold(0u64, |v, (i, &n)| v | ((self.words[n.index()] >> lane) & 1) << i);
-        Ok(sign_extend(raw, bus.width()))
-    }
-
-    /// Reads the settled value of a port in every lane, gathered
-    /// bit-major: one word read per bit of the port.
-    ///
-    /// # Errors
-    ///
-    /// Unknown port.
-    pub fn peek_lanes(&self, name: &str) -> Result<Vec<i64>> {
-        let bits = self.netlist.port(name)?.bus.bits();
-        let mut out = Vec::with_capacity(LANES);
-        gather_lanes(bits.len(), |i| self.words[bits[i].index()], &mut out);
-        Ok(out)
-    }
-
-    /// Applies staged input writes into the word file, keeping the
-    /// staging list's capacity.
-    fn apply_staged<const CLAMPED: bool>(&mut self) {
-        for k in 0..self.staged.len() {
-            let StagedWord { idx, mask, bits } = self.staged[k];
-            self.store::<CLAMPED>(idx, (self.words[idx as usize] & !mask) | bits);
-        }
-        self.staged.clear();
-    }
-
-    /// Writes a word to a slot, through the stuck-at clamp masks when
-    /// `CLAMPED`.
-    #[inline]
-    fn store<const CLAMPED: bool>(&mut self, dst: u32, v: u64) {
-        let i = dst as usize;
-        self.words[i] = if CLAMPED { (v & self.and_mask[i]) | self.or_mask[i] } else { v };
-    }
-
-    /// One full pass over the compiled schedule: recomputes every
-    /// combinational net (all 64 lanes) from registers and inputs.
-    fn eval_pass<const CLAMPED: bool>(&mut self) {
-        let CompiledEngine { program, words, ram, and_mask, or_mask, .. } = self;
+    fn eval<const CLAMPED: bool>(
+        &self,
+        program: &Program,
+        words: &mut [u64],
+        ram: &[u64],
+        am: &[u64],
+        om: &[u64],
+    ) {
         macro_rules! store {
             ($dst:expr, $v:expr) => {{
                 let i = $dst as usize;
                 let v = $v;
-                words[i] = if CLAMPED { (v & and_mask[i]) | or_mask[i] } else { v };
+                words[i] = if CLAMPED { (v & am[i]) | om[i] } else { v };
             }};
         }
         macro_rules! w {
@@ -921,7 +543,7 @@ impl CompiledEngine {
                         if dec == 0 {
                             continue;
                         }
-                        let plane = &ram[port as usize][wd * r.width..(wd + 1) * r.width];
+                        let plane = &ram[r.base + wd * r.width..][..r.width];
                         for (j, &p) in plane.iter().enumerate() {
                             acc[j] |= dec & p;
                         }
@@ -934,66 +556,40 @@ impl CompiledEngine {
         }
     }
 
-    /// One clock edge; mirrors the event-driven simulator's edge
-    /// ordering exactly (RAM upsets strike storage, registers capture
-    /// the settled pre-upset read data, transient flips hit the
-    /// captured bits, RAM writes commit from settled values, then Q
-    /// and staged inputs apply and the combinational pass settles).
-    fn step<const CLAMPED: bool>(&mut self) {
-        let now = self.cycle;
-
-        // 0. Due RAM upsets strike the array (every lane).
-        let mut due_ram = Vec::new();
-        self.ram_upsets.retain(|&u| {
-            if u.3 == now {
-                due_ram.push(u);
-                false
-            } else {
-                true
-            }
-        });
-        for (cell, addr, bit, _) in due_ram {
-            if let Some(idx) = self.program.rams.iter().position(|r| r.cell == cell) {
-                let width = self.program.rams[idx].width;
-                self.ram[idx][addr * width + bit] ^= ALL;
+    fn capture(&self, program: &Program, words: &[u64], scratch: &mut [u64]) {
+        for reg in &program.regs {
+            for (s, &d) in scratch[reg.offset..].iter_mut().zip(&reg.d) {
+                *s = words[d as usize];
             }
         }
+    }
 
-        // 1. Capture register D from the settled state.
-        self.scratch.clear();
-        for reg in &self.program.regs {
-            for &d in &reg.d {
-                self.scratch.push(self.words[d as usize]);
+    fn commit<const CLAMPED: bool>(
+        &self,
+        program: &Program,
+        words: &mut [u64],
+        scratch: &[u64],
+        am: &[u64],
+        om: &[u64],
+    ) {
+        for reg in &program.regs {
+            for (&v, &q) in scratch[reg.offset..].iter().zip(&reg.q) {
+                let i = q as usize;
+                words[i] = if CLAMPED { (v & am[i]) | om[i] } else { v };
             }
         }
+    }
 
-        // 1a. Due transient flips strike the captured bits.
-        let mut due_flips = Vec::new();
-        self.flips.retain(|&f| {
-            if f.2 == now {
-                due_flips.push(f);
-                false
-            } else {
-                true
-            }
-        });
-        for (cell, bit, _) in due_flips {
-            if let Some(reg) = self.program.regs.iter().find(|r| r.cell == cell) {
-                self.scratch[reg.offset + bit] ^= ALL;
-            }
-        }
-
-        // 1b. Commit RAM writes from the settled (pre-edge) values.
-        for idx in 0..self.program.rams.len() {
-            let r = &self.program.rams[idx];
-            let wen = self.words[r.wen as usize];
+    fn ram_commit(&self, program: &Program, words: &[u64], ram: &mut [u64]) {
+        for r in &program.rams {
+            let wen = words[r.wen as usize];
             if wen == 0 {
                 continue;
             }
             for wd in 0..r.words {
                 let mut sel = wen;
                 for (i, &a) in r.waddr.iter().enumerate() {
-                    let v = self.words[a as usize];
+                    let v = words[a as usize];
                     sel &= if (wd >> i) & 1 == 1 { v } else { !v };
                     if sel == 0 {
                         break;
@@ -1002,479 +598,21 @@ impl CompiledEngine {
                 if sel == 0 {
                     continue;
                 }
-                for j in 0..r.width {
-                    let data = self.words[r.wdata[j] as usize];
-                    let plane = &mut self.ram[idx][wd * r.width + j];
-                    *plane = (*plane & !sel) | (data & sel);
+                let planes = &mut ram[r.base + wd * r.width..][..r.width];
+                for (plane, &d) in planes.iter_mut().zip(&r.wdata) {
+                    *plane = (*plane & !sel) | (words[d as usize] & sel);
                 }
             }
         }
-
-        // 2. Q and staged inputs apply together.
-        {
-            let CompiledEngine { program, words, scratch, and_mask, or_mask, .. } = &mut *self;
-            let mut k = 0usize;
-            for reg in &program.regs {
-                for &q in &reg.q {
-                    let i = q as usize;
-                    let v = scratch[k];
-                    k += 1;
-                    words[i] = if CLAMPED { (v & and_mask[i]) | or_mask[i] } else { v };
-                }
-            }
-        }
-        self.apply_staged::<CLAMPED>();
-
-        // 3. Settle.
-        self.eval_pass::<CLAMPED>();
-        self.cycle += 1;
-    }
-
-    /// Rebuilds the clamp masks from the stuck list.
-    fn rebuild_masks(&mut self) {
-        self.and_mask.iter_mut().for_each(|m| *m = ALL);
-        self.or_mask.iter_mut().for_each(|m| *m = 0);
-        for &(net, value) in &self.stuck {
-            if value {
-                self.or_mask[net as usize] = ALL;
-            } else {
-                self.and_mask[net as usize] = 0;
-            }
-        }
-        self.has_stuck = !self.stuck.is_empty();
-    }
-}
-
-/// Validates a lane index.
-fn check_lane(lane: usize) -> Result<()> {
-    if lane >= LANES {
-        return Err(Error::FaultTarget {
-            target: format!("lane {lane}"),
-            detail: format!("engine has {LANES} lanes"),
-        });
-    }
-    Ok(())
-}
-
-impl Engine for CompiledEngine {
-    type Snapshot = CompiledSnapshot;
-
-    fn from_netlist(netlist: Netlist) -> Result<Self> {
-        CompiledEngine::new(netlist)
-    }
-
-    fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            backend: "compiled",
-            lanes: LANES,
-            activity_stats: false,
-            glitch_model: false,
-            divergence_detection: false,
-            native_codegen: false,
-            fault_stuck_at: true,
-            fault_bit_flip: true,
-            fault_ram_upset: true,
-        }
-    }
-
-    fn set_input(&mut self, name: &str, value: i64) -> Result<()> {
-        let bus = input_bus(&self.netlist, name, &[value])?;
-        stage_broadcast(&mut self.staged, bus, 1, value);
-        Ok(())
-    }
-
-    fn try_tick(&mut self) -> Result<()> {
-        if self.has_stuck {
-            self.step::<true>();
-        } else {
-            self.step::<false>();
-        }
-        Ok(())
-    }
-
-    fn try_settle(&mut self) -> Result<()> {
-        if self.has_stuck {
-            self.apply_staged::<true>();
-            self.eval_pass::<true>();
-        } else {
-            self.apply_staged::<false>();
-            self.eval_pass::<false>();
-        }
-        Ok(())
-    }
-
-    fn peek(&self, name: &str) -> Result<i64> {
-        CompiledEngine::peek_lane(self, name, 0)
-    }
-
-    fn set_input_lanes(&mut self, name: &str, values: &[i64]) -> Result<()> {
-        CompiledEngine::set_input_lanes(self, name, values)
-    }
-
-    fn peek_lane(&self, name: &str, lane: usize) -> Result<i64> {
-        CompiledEngine::peek_lane(self, name, lane)
-    }
-
-    fn peek_lanes(&self, name: &str) -> Result<Vec<i64>> {
-        CompiledEngine::peek_lanes(self, name)
-    }
-
-    fn snapshot(&self) -> CompiledSnapshot {
-        CompiledSnapshot {
-            nets: self.netlist.net_count(),
-            cells: self.netlist.cell_count(),
-            words: self.words.clone(),
-            ram: self.ram.clone(),
-            staged: self.staged.clone(),
-            stuck: self.stuck.clone(),
-            flips: self.flips.clone(),
-            ram_upsets: self.ram_upsets.clone(),
-            cycle: self.cycle,
-        }
-    }
-
-    fn restore(&mut self, snapshot: &CompiledSnapshot) -> Result<()> {
-        if snapshot.nets != self.netlist.net_count()
-            || snapshot.cells != self.netlist.cell_count()
-            || snapshot.words.len() != self.words.len()
-            || snapshot.staged.iter().any(|s| s.idx as usize >= self.words.len())
-        {
-            return Err(Error::SnapshotMismatch {
-                snapshot_nets: snapshot.nets,
-                simulator_nets: self.netlist.net_count(),
-                snapshot_cells: snapshot.cells,
-                simulator_cells: self.netlist.cell_count(),
-            });
-        }
-        self.words.clone_from(&snapshot.words);
-        self.ram.clone_from(&snapshot.ram);
-        self.staged.clone_from(&snapshot.staged);
-        self.stuck.clone_from(&snapshot.stuck);
-        self.flips.clone_from(&snapshot.flips);
-        self.ram_upsets.clone_from(&snapshot.ram_upsets);
-        self.cycle = snapshot.cycle;
-        self.rebuild_masks();
-        Ok(())
-    }
-
-    fn inject(&mut self, spec: &FaultSpec) -> Result<()> {
-        match fault::resolve(&self.netlist, spec)? {
-            ResolvedFault::Stuck { net, value } => {
-                let s = slot(net);
-                match self.stuck.iter_mut().find(|(n, _)| *n == s) {
-                    Some(entry) => entry.1 = value,
-                    None => self.stuck.push((s, value)),
-                }
-                self.rebuild_masks();
-                // Force the net now and re-settle downstream logic.
-                self.store::<true>(s, self.words[s as usize]);
-                self.eval_pass::<true>();
-            }
-            ResolvedFault::Flip { register, bit, cycle } => {
-                self.flips.push((register, bit, cycle));
-            }
-            ResolvedFault::Ram { cell, addr, bit, cycle } => {
-                self.ram_upsets.push((cell, addr, bit, cycle));
-            }
-        }
-        Ok(())
-    }
-
-    fn clear_faults(&mut self) {
-        self.stuck.clear();
-        self.flips.clear();
-        self.ram_upsets.clear();
-        self.rebuild_masks();
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn set_event_cap(&mut self, _cap: u64) {
-        // Straight-line programs cannot diverge; nothing to bound.
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::NetlistBuilder;
+    use crate::engine::Engine;
     use crate::sim::Simulator;
-
-    /// A netlist exercising every lowered cell class: behavioral
-    /// word add/sub, structural ripple logic, specialized and generic
-    /// LUTs (mux, eq, parity tree), registers and constants.
-    fn mixed_netlist() -> Netlist {
-        let mut b = NetlistBuilder::new();
-        let x = b.input("x", 8).unwrap();
-        let y = b.input("y", 8).unwrap();
-        let sum = b.carry_add("sum", &x, &y, 10).unwrap();
-        let dif = b.carry_sub("dif", &x, &y, 10).unwrap();
-        let rs = b.register("rs", &sum).unwrap();
-        let rd = b.register("rd", &dif).unwrap();
-        let rip = b.ripple_add("rip", &rs, &rd, 11).unwrap();
-        let sel = b.eq_const("sel", &x, 3).unwrap();
-        let rs_w = b.sign_extend(&rs, 11).unwrap();
-        let m = b.mux("m", sel, &rip, &rs_w).unwrap();
-        let par = b.xor_tree("par", m.bits()).unwrap();
-        b.output("s", &m).unwrap();
-        b.output("p", &Bus::new(vec![par]).unwrap()).unwrap();
-        b.finish().unwrap()
-    }
-
-    /// Write port + read port around a 4-word RAM; the 3-bit signed
-    /// address inputs can point past the last word (negative values
-    /// read back as high unsigned addresses), covering the
-    /// out-of-range read/write path.
-    fn ram_netlist() -> Netlist {
-        let mut b = NetlistBuilder::new();
-        let raddr = b.input("raddr", 3).unwrap();
-        let waddr = b.input("waddr", 3).unwrap();
-        let wdata = b.input("wdata", 6).unwrap();
-        let wen = b.input("wen", 1).unwrap();
-        let rdata = b.ram("m", 4, 6, &raddr, &waddr, &wdata, wen.bit(0)).unwrap();
-        b.output("rdata", &rdata).unwrap();
-        b.finish().unwrap()
-    }
-
-    /// Tiny deterministic generator so tests need no external RNG.
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            self.0 >> 33
-        }
-        fn in_range(&mut self, lo: i64, hi: i64) -> i64 {
-            lo + (self.next() % (hi - lo + 1) as u64) as i64
-        }
-    }
-
-    /// Drives both backends in lockstep and compares the named output
-    /// ports every cycle.
-    fn lockstep(
-        netlist: Netlist,
-        inputs: &[(&str, i64, i64)],
-        outputs: &[&str],
-        ticks: usize,
-        seed: u64,
-        mut faults: impl FnMut(usize) -> Vec<FaultSpec>,
-    ) {
-        let mut sim = Simulator::new(netlist.clone()).unwrap();
-        let mut eng = CompiledEngine::new(netlist).unwrap();
-        let mut rng = Lcg(seed);
-        for t in 0..ticks {
-            for spec in faults(t) {
-                sim.inject(&spec).unwrap();
-                eng.inject(&spec).unwrap();
-            }
-            for &(name, lo, hi) in inputs {
-                let v = rng.in_range(lo, hi);
-                sim.set_input(name, v).unwrap();
-                Engine::set_input(&mut eng, name, v).unwrap();
-            }
-            sim.try_tick().unwrap();
-            eng.try_tick().unwrap();
-            for &out in outputs {
-                assert_eq!(
-                    sim.peek(out).unwrap(),
-                    Engine::peek(&eng, out).unwrap(),
-                    "output {out} diverged at tick {t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_logic_matches_event_sim() {
-        lockstep(
-            mixed_netlist(),
-            &[("x", -128, 127), ("y", -128, 127)],
-            &["s", "p"],
-            200,
-            7,
-            |_| Vec::new(),
-        );
-    }
-
-    #[test]
-    fn ram_matches_event_sim() {
-        lockstep(
-            ram_netlist(),
-            &[("raddr", -4, 3), ("waddr", -4, 3), ("wdata", -32, 31), ("wen", -1, 0)],
-            &["rdata"],
-            300,
-            11,
-            |_| Vec::new(),
-        );
-    }
-
-    #[test]
-    fn faults_match_event_sim() {
-        // A stuck output bit, a register flip mid-stream, and (on the
-        // RAM netlist) an array upset all land identically.
-        lockstep(
-            mixed_netlist(),
-            &[("x", -128, 127), ("y", -128, 127)],
-            &["s", "p"],
-            120,
-            13,
-            |t| match t {
-                10 => vec![FaultSpec::StuckAt { net: "s".into(), bit: 2, value: true }],
-                40 => vec![FaultSpec::BitFlip { register: "rs".into(), bit: 1, cycle: 45 }],
-                _ => Vec::new(),
-            },
-        );
-        lockstep(
-            ram_netlist(),
-            &[("raddr", -4, 3), ("waddr", -4, 3), ("wdata", -32, 31), ("wen", -1, 0)],
-            &["rdata"],
-            120,
-            17,
-            |t| match t {
-                5 => vec![FaultSpec::RamUpset { ram: "m".into(), addr: 2, bit: 3, cycle: 20 }],
-                _ => Vec::new(),
-            },
-        );
-    }
-
-    #[test]
-    fn snapshot_round_trips_and_rejects_foreign_netlists() {
-        let mut eng = CompiledEngine::new(mixed_netlist()).unwrap();
-        let mut rng = Lcg(23);
-        for _ in 0..20 {
-            Engine::set_input(&mut eng, "x", rng.in_range(-128, 127)).unwrap();
-            Engine::set_input(&mut eng, "y", rng.in_range(-128, 127)).unwrap();
-            eng.try_tick().unwrap();
-        }
-        let snap = eng.snapshot();
-        assert_eq!(snap.cycle(), 20);
-        assert!(!snap.has_armed_faults());
-        // Diverge, then roll back and replay identically.
-        let mut trace = Vec::new();
-        let replay: Vec<(i64, i64)> =
-            (0..10).map(|_| (rng.in_range(-128, 127), rng.in_range(-128, 127))).collect();
-        for &(x, y) in &replay {
-            Engine::set_input(&mut eng, "x", x).unwrap();
-            Engine::set_input(&mut eng, "y", y).unwrap();
-            eng.try_tick().unwrap();
-            trace.push((Engine::peek(&eng, "s").unwrap(), eng.peek_lanes("s").unwrap()));
-        }
-        eng.restore(&snap).unwrap();
-        assert_eq!(eng.snapshot(), snap, "restore must reproduce the snapshot state");
-        for (i, &(x, y)) in replay.iter().enumerate() {
-            Engine::set_input(&mut eng, "x", x).unwrap();
-            Engine::set_input(&mut eng, "y", y).unwrap();
-            eng.try_tick().unwrap();
-            assert_eq!(Engine::peek(&eng, "s").unwrap(), trace[i].0);
-            assert_eq!(eng.peek_lanes("s").unwrap(), trace[i].1);
-        }
-        // A snapshot from a different netlist shape is rejected.
-        let mut other = CompiledEngine::new(ram_netlist()).unwrap();
-        assert!(matches!(other.restore(&snap), Err(Error::SnapshotMismatch { .. })));
-    }
-
-    #[test]
-    fn portable_snapshot_bytes_round_trip_and_reject_corruption() {
-        use crate::engine::PortableSnapshot;
-        use crate::fault::FaultSpec;
-        let netlist = ram_netlist();
-        let mut eng = CompiledEngine::new(netlist.clone()).unwrap();
-        let mut rng = Lcg(31);
-        for _ in 0..12 {
-            Engine::set_input(&mut eng, "raddr", rng.in_range(0, 3)).unwrap();
-            Engine::set_input(&mut eng, "waddr", rng.in_range(0, 3)).unwrap();
-            Engine::set_input(&mut eng, "wdata", rng.in_range(-32, 31)).unwrap();
-            Engine::set_input(&mut eng, "wen", rng.in_range(-1, 0)).unwrap();
-            eng.try_tick().unwrap();
-        }
-        // Exercise every StagedInput arm plus armed faults.
-        Engine::set_input(&mut eng, "raddr", 2).unwrap();
-        eng.set_input_lane("wdata", 3, 19).unwrap();
-        eng.set_input_lanes("waddr", &[1; LANES]).unwrap();
-        eng.inject(&FaultSpec::StuckAt { net: "wdata".into(), bit: 0, value: true }).unwrap();
-        eng.inject(&FaultSpec::RamUpset { ram: "m".into(), addr: 1, bit: 2, cycle: 40 }).unwrap();
-        let snap = eng.snapshot();
-        let bytes = snap.to_bytes();
-        let decoded = CompiledSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, snap, "byte round-trip is identity");
-
-        // A restore from the decoded snapshot resumes identically in
-        // every lane.
-        let mut twin = CompiledEngine::new(netlist).unwrap();
-        twin.restore(&decoded).unwrap();
-        for _ in 0..15 {
-            let ra = rng.in_range(0, 3);
-            let wa = rng.in_range(0, 3);
-            let wd = rng.in_range(-32, 31);
-            for e in [&mut eng, &mut twin] {
-                Engine::set_input(e, "raddr", ra).unwrap();
-                Engine::set_input(e, "waddr", wa).unwrap();
-                Engine::set_input(e, "wdata", wd).unwrap();
-                Engine::set_input(e, "wen", -1).unwrap();
-                e.try_tick().unwrap();
-            }
-            assert_eq!(eng.peek_lanes("rdata").unwrap(), twin.peek_lanes("rdata").unwrap());
-        }
-
-        // Truncation anywhere is a typed error, never a panic.
-        for cut in 0..bytes.len() {
-            assert!(
-                matches!(
-                    CompiledSnapshot::from_bytes(&bytes[..cut]),
-                    Err(Error::SnapshotDecode { .. })
-                ),
-                "truncation at {cut} must be rejected"
-            );
-        }
-        let mut long = bytes.clone();
-        long.push(9);
-        assert!(matches!(CompiledSnapshot::from_bytes(&long), Err(Error::SnapshotDecode { .. })));
-        // An event-driven tag must not decode as a compiled snapshot.
-        let mut wrong = bytes;
-        wrong[0] = b'E';
-        assert!(matches!(CompiledSnapshot::from_bytes(&wrong), Err(Error::SnapshotDecode { .. })));
-    }
-
-    #[test]
-    fn lanes_are_independent() {
-        let netlist = mixed_netlist();
-        let mut packed = CompiledEngine::new(netlist.clone()).unwrap();
-        let mut rng = Lcg(29);
-        // 64 independent (x, y) streams, 40 ticks deep.
-        let stream: Vec<Vec<(i64, i64)>> = (0..LANES)
-            .map(|_| (0..40).map(|_| (rng.in_range(-128, 127), rng.in_range(-128, 127))).collect())
-            .collect();
-        let mut packed_out: Vec<Vec<i64>> = vec![Vec::new(); LANES];
-        for t in 0..40 {
-            let xs: Vec<i64> = stream.iter().map(|s| s[t].0).collect();
-            let ys: Vec<i64> = stream.iter().map(|s| s[t].1).collect();
-            packed.set_input_lanes("x", &xs).unwrap();
-            packed.set_input_lanes("y", &ys).unwrap();
-            packed.try_tick().unwrap();
-            for (l, out) in packed_out.iter_mut().enumerate() {
-                out.push(packed.peek_lane("s", l).unwrap());
-            }
-        }
-        // Each lane must equal its own broadcast single-lane run.
-        for (l, lane_stream) in stream.iter().enumerate() {
-            let mut single = CompiledEngine::new(netlist.clone()).unwrap();
-            for (t, &(x, y)) in lane_stream.iter().enumerate() {
-                Engine::set_input(&mut single, "x", x).unwrap();
-                Engine::set_input(&mut single, "y", y).unwrap();
-                single.try_tick().unwrap();
-                assert_eq!(
-                    Engine::peek(&single, "s").unwrap(),
-                    packed_out[l][t],
-                    "lane {l} diverged from its scalar run at tick {t}"
-                );
-            }
-        }
-    }
+    use crate::sliced::tests::{mixed_netlist, ram_netlist, Lcg};
 
     #[test]
     fn caps_and_program_shape() {
@@ -1486,30 +624,11 @@ mod tests {
         let p = eng.program();
         assert!(p.op_count() > 0);
         assert!(p.levels() >= 2, "mux/parity logic is at least two levels deep");
-        assert!(p.word_count() > eng.netlist.net_count());
+        assert!(p.word_count() > eng.netlist().net_count());
 
         let sim_caps = Engine::caps(&Simulator::new(mixed_netlist()).unwrap());
         assert_eq!(sim_caps.lanes, 1);
         assert!(sim_caps.activity_stats && sim_caps.glitch_model && sim_caps.divergence_detection);
-    }
-
-    #[test]
-    fn settle_applies_inputs_without_ticking() {
-        let netlist = mixed_netlist();
-        let mut sim = Simulator::new(netlist.clone()).unwrap();
-        let mut eng = CompiledEngine::new(netlist).unwrap();
-        sim.set_input("x", 3).unwrap();
-        sim.set_input("y", 5).unwrap();
-        Engine::set_input(&mut eng, "x", 3).unwrap();
-        Engine::set_input(&mut eng, "y", 5).unwrap();
-        sim.try_settle().unwrap();
-        eng.try_settle().unwrap();
-        assert_eq!(Engine::cycle(&eng), 0);
-        // Registers have not clocked, so outputs reflect reset state,
-        // but both backends agree on every port.
-        for port in ["s", "p"] {
-            assert_eq!(sim.peek(port).unwrap(), Engine::peek(&eng, port).unwrap());
-        }
     }
 
     #[test]
@@ -1550,60 +669,5 @@ mod tests {
         // A program refuses to back-translate against a foreign netlist.
         let program = Program::compile(&mixed_netlist()).unwrap();
         assert!(matches!(program.to_netlist(&ram_netlist()), Err(Error::SnapshotMismatch { .. })));
-    }
-
-    #[test]
-    fn staged_lane_writes_touch_exactly_their_lanes() {
-        let width = 5;
-        let bus = Bus::new((0..width as u32).map(NetId).collect()).unwrap();
-        for (blocks, first, n) in [
-            (1, 0, 64),
-            (1, 3, 10),
-            (1, 63, 1),
-            (4, 0, 256),
-            (4, 60, 9),
-            (4, 130, 126),
-            (4, 255, 1),
-        ] {
-            let values: Vec<i64> = (0..n as i64).map(|k| (k * 7) % 32 - 16).collect();
-            let mut staged = Vec::new();
-            stage_lanes(&mut staged, &bus, blocks, first, &values);
-            let before = 0x5555_aaaa_0f0f_f0f0_u64;
-            let mut words = vec![before; width * blocks];
-            for s in &staged {
-                let w = &mut words[s.idx as usize];
-                *w = (*w & !s.mask) | s.bits;
-            }
-            for lane in 0..blocks * 64 {
-                let raw = (0..width).fold(0u64, |v, i| {
-                    v | ((words[i * blocks + lane / 64] >> (lane % 64)) & 1) << i
-                });
-                let expect = if (first..first + n).contains(&lane) {
-                    values[lane - first]
-                } else {
-                    sign_extend(
-                        (0..width).fold(0, |v, i| v | ((before >> (lane % 64)) & 1) << i),
-                        width,
-                    )
-                };
-                assert_eq!(
-                    sign_extend(raw, width),
-                    expect,
-                    "blocks {blocks} first {first} lane {lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_bounds_are_checked() {
-        let mut eng = CompiledEngine::new(mixed_netlist()).unwrap();
-        assert!(eng.set_input_lane("x", LANES, 0).is_err());
-        assert!(eng.peek_lane("s", LANES).is_err());
-        assert!(eng.set_input_lanes("x", &[]).is_err());
-        assert!(eng.set_input_lanes("x", &vec![0; LANES + 1]).is_err());
-        assert!(Engine::set_input(&mut eng, "nope", 0).is_err());
-        assert!(Engine::set_input(&mut eng, "s", 0).is_err(), "outputs are not drivable");
-        assert!(Engine::set_input(&mut eng, "x", 1 << 20).is_err(), "range checked");
     }
 }

@@ -5,17 +5,18 @@
 //! instead *emitted as Rust source* — one straight-line function per
 //! design, registers as explicit capture/commit phases — compiled by
 //! `rustc` into a `cdylib` at a content-hashed cache path, loaded with
-//! a minimal `dlopen` shim, and wrapped in [`JitEngine`], a full
-//! [`Engine`] implementation (snapshot/restore, stuck-at clamps,
-//! scheduled bit-flips and RAM upsets included).
+//! a minimal `dlopen` shim, and run as the passes of [`JitEngine`], the
+//! [`Sliced`] machine at 256 lanes.
 //!
 //! Two things distinguish the generated kernel from the interpreter:
 //!
-//! * **Wider data plane.** Words are `[u64; 4]` blocks: [`LANES`]
-//!   (256) independent sample lanes per pass instead of the
-//!   interpreter's 64, with no per-op dispatch — the whole pass is
-//!   branch-free straight-line code `rustc` can keep in registers and
-//!   auto-vectorize.
+//! * **Wider data plane.** Words are 256-bit blocks: [`LANES`] (256)
+//!   independent sample lanes per pass instead of the interpreter's
+//!   64, with no per-op dispatch — the whole pass is branch-free
+//!   straight-line code. On x86-64 a block is two SSE2 registers
+//!   (baseline for the architecture, so the kernel runs on any x86-64
+//!   host); `rustc` does not vectorize the portable `[u64; 4]` form,
+//!   which other architectures use.
 //! * **Word-lowered adders.** Behavioral `CarryAdd`/`CarrySub` cells
 //!   whose result provably fits fewer bits than their output bus get
 //!   their high output bits emitted as sign copies and the dead carry
@@ -28,35 +29,28 @@
 //!   used: they assume fault-free operation, and a stuck-at can force
 //!   values outside them.
 //!
-//! Cycle semantics (edge ordering, fault application points, clamp
-//! masks) mirror [`CompiledEngine`](crate::compile::CompiledEngine)
-//! exactly; the differential suite in `dwt-bench` holds all three
-//! backends bit-identical under fault injection.
+//! State, clock edge, fault points, lane I/O and snapshots are the
+//! [`Sliced`] machine's, shared with
+//! [`CompiledEngine`](crate::compile::CompiledEngine); the differential
+//! suite in `dwt-bench` holds all three backends bit-identical under
+//! fault injection.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
 use crate::cell::CellKind;
-use crate::compile::{
-    gather_lanes, input_bus, read_staged, sign_extend, slot, stage_broadcast, stage_lanes,
-    write_staged, Op, Program, StagedWord,
-};
-use crate::engine::{Engine, EngineCaps};
-use crate::fault::{self, FaultSpec, ResolvedFault};
+use crate::compile::{slot, Op, Program};
 use crate::net::Bus;
-use crate::netlist::{CellId, Netlist};
-use crate::snapbytes::{ByteReader, ByteWriter};
+use crate::netlist::Netlist;
+use crate::sliced::{Kernel, Sliced};
 use crate::{Error, Result};
 
 /// Independent sample streams advanced per tick.
 pub const LANES: usize = 256;
 
 /// `u64` blocks per word (`LANES / 64`).
-const BLOCKS: usize = 4;
-
-/// All 64 lanes of one block set.
-const ALL: u64 = !0;
+const BLOCKS: usize = LANES / 64;
 
 /// Effective signed width of a bus: its width after stripping the
 /// sign-replication strip (a run of repeated top `NetId`s).
@@ -101,11 +95,6 @@ pub struct CodegenStats {
 struct Generated {
     source: String,
     abi: u64,
-    /// Flat RAM buffer length in `u64`s (all arrays concatenated,
-    /// plane-major, [`BLOCKS`] words per plane).
-    ram_len: usize,
-    /// Per-RAM base offset into the flat buffer, in `u64`s.
-    ram_offsets: Vec<usize>,
     stats: CodegenStats,
 }
 
@@ -222,19 +211,17 @@ fn fnv64(bytes: &[u8]) -> u64 {
 fn generate(netlist: &Netlist, program: &Program) -> Generated {
     let mut stats = CodegenStats::default();
     let elide = elision_map(netlist, &mut stats);
-
-    // Flat RAM layout: arrays concatenated, BLOCKS u64s per bit-plane.
-    let mut ram_offsets = Vec::with_capacity(program.rams.len());
-    let mut ram_len = 0usize;
-    for r in &program.rams {
-        ram_offsets.push(ram_len);
-        ram_len += r.words * r.width * BLOCKS;
-    }
+    // Every slot the kernel touches must lie inside the word file the
+    // engine sizes from `program`: a netlist that is not the program's
+    // source must not steer native loads or stores out of bounds.
+    assert!(elide.iter().all(|(&d, &s)| d.max(s) < program.zero), "netlist and program disagree");
 
     let abi = fnv64(
         format!(
             "dwt-jit-abi v1 slots={} regbits={} ram={}",
-            program.slots, program.reg_bits, ram_len
+            program.slots,
+            program.reg_bits,
+            program.ram_planes * BLOCKS
         )
         .as_bytes(),
     );
@@ -273,33 +260,64 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
     let _ = writeln!(
         e.src,
         "// Generated by dwt-rtl jit codegen; do not edit.\n\
-         #![allow(unused_variables, unused_mut, clippy::all)]\n\
-         type W = [u64; 4];\n\
-         const ZEROW: W = [0u64; 4];\n\
-         const ALLW: W = [!0u64; 4];\n\
-         #[inline(always)]\n\
-         unsafe fn ld(p: *const u64, o: usize) -> W {{\n\
-             [*p.add(o), *p.add(o + 1), *p.add(o + 2), *p.add(o + 3)]\n\
+         #![allow(unused_variables, unused_mut, unused_unsafe, clippy::all)]\n\
+         #[cfg(target_arch = \"x86_64\")]\n\
+         mod lanes {{\n\
+             use core::arch::x86_64::*;\n\
+             pub type W = [__m128i; 2];\n\
+             pub const ZEROW: W = unsafe {{ core::mem::transmute([0u64; 4]) }};\n\
+             pub const ALLW: W = unsafe {{ core::mem::transmute([!0u64; 4]) }};\n\
+             #[inline(always)]\n\
+             pub unsafe fn ld(p: *const u64, o: usize) -> W {{\n\
+                 [_mm_loadu_si128(p.add(o).cast()), _mm_loadu_si128(p.add(o + 2).cast())]\n\
+             }}\n\
+             #[inline(always)]\n\
+             pub unsafe fn st(p: *mut u64, o: usize, v: W) {{\n\
+                 _mm_storeu_si128(p.add(o).cast(), v[0]);\n\
+                 _mm_storeu_si128(p.add(o + 2).cast(), v[1]);\n\
+             }}\n\
+             #[inline(always)]\n\
+             pub fn andw(a: W, b: W) -> W {{ unsafe {{ [_mm_and_si128(a[0], b[0]), _mm_and_si128(a[1], b[1])] }} }}\n\
+             #[inline(always)]\n\
+             pub fn orw(a: W, b: W) -> W {{ unsafe {{ [_mm_or_si128(a[0], b[0]), _mm_or_si128(a[1], b[1])] }} }}\n\
+             #[inline(always)]\n\
+             pub fn xorw(a: W, b: W) -> W {{ unsafe {{ [_mm_xor_si128(a[0], b[0]), _mm_xor_si128(a[1], b[1])] }} }}\n\
+             #[inline(always)]\n\
+             pub fn any(a: W) -> bool {{\n\
+                 let x: [u64; 4] = unsafe {{ core::mem::transmute(a) }};\n\
+                 (x[0] | x[1] | x[2] | x[3]) != 0\n\
+             }}\n\
          }}\n\
-         #[inline(always)]\n\
-         unsafe fn st(p: *mut u64, o: usize, v: W) {{\n\
-             *p.add(o) = v[0];\n\
-             *p.add(o + 1) = v[1];\n\
-             *p.add(o + 2) = v[2];\n\
-             *p.add(o + 3) = v[3];\n\
+         #[cfg(not(target_arch = \"x86_64\"))]\n\
+         mod lanes {{\n\
+             pub type W = [u64; 4];\n\
+             pub const ZEROW: W = [0u64; 4];\n\
+             pub const ALLW: W = [!0u64; 4];\n\
+             #[inline(always)]\n\
+             pub unsafe fn ld(p: *const u64, o: usize) -> W {{\n\
+                 [*p.add(o), *p.add(o + 1), *p.add(o + 2), *p.add(o + 3)]\n\
+             }}\n\
+             #[inline(always)]\n\
+             pub unsafe fn st(p: *mut u64, o: usize, v: W) {{\n\
+                 *p.add(o) = v[0];\n\
+                 *p.add(o + 1) = v[1];\n\
+                 *p.add(o + 2) = v[2];\n\
+                 *p.add(o + 3) = v[3];\n\
+             }}\n\
+             #[inline(always)]\n\
+             pub fn andw(a: W, b: W) -> W {{ [a[0] & b[0], a[1] & b[1], a[2] & b[2], a[3] & b[3]] }}\n\
+             #[inline(always)]\n\
+             pub fn orw(a: W, b: W) -> W {{ [a[0] | b[0], a[1] | b[1], a[2] | b[2], a[3] | b[3]] }}\n\
+             #[inline(always)]\n\
+             pub fn xorw(a: W, b: W) -> W {{ [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]] }}\n\
+             #[inline(always)]\n\
+             pub fn any(a: W) -> bool {{ (a[0] | a[1] | a[2] | a[3]) != 0 }}\n\
          }}\n\
+         use lanes::*;\n\
          #[inline(always)]\n\
-         fn andw(a: W, b: W) -> W {{ [a[0] & b[0], a[1] & b[1], a[2] & b[2], a[3] & b[3]] }}\n\
-         #[inline(always)]\n\
-         fn orw(a: W, b: W) -> W {{ [a[0] | b[0], a[1] | b[1], a[2] | b[2], a[3] | b[3]] }}\n\
-         #[inline(always)]\n\
-         fn xorw(a: W, b: W) -> W {{ [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]] }}\n\
-         #[inline(always)]\n\
-         fn notw(a: W) -> W {{ [!a[0], !a[1], !a[2], !a[3]] }}\n\
+         fn notw(a: W) -> W {{ xorw(a, ALLW) }}\n\
          #[inline(always)]\n\
          fn majw(a: W, b: W, c: W) -> W {{ orw(orw(andw(a, b), andw(a, c)), andw(b, c)) }}\n\
-         #[inline(always)]\n\
-         fn any(a: W) -> bool {{ (a[0] | a[1] | a[2] | a[3]) != 0 }}\n\
          #[inline(always)]\n\
          unsafe fn stc<const C: bool>(w: *mut u64, am: *const u64, om: *const u64, o: usize, v: W) -> W {{\n\
              let x = if C {{ orw(andw(v, ld(am, o)), ld(om, o)) }} else {{ v }};\n\
@@ -407,7 +425,7 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
                 let _ = writeln!(
                     e.src,
                     "            let base = {} + wd{p} * {};",
-                    ram_offsets[p],
+                    r.base * BLOCKS,
                     r.width * BLOCKS
                 );
                 for j in 0..r.width {
@@ -512,7 +530,7 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
         let _ = writeln!(
             e.src,
             "                let base = {} + wd{p} * {};",
-            ram_offsets[p],
+            r.base * BLOCKS,
             r.width * BLOCKS
         );
         for j in 0..r.width {
@@ -531,7 +549,7 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
     }
     let _ = writeln!(e.src, "}}");
 
-    Generated { source: e.src, abi, ram_len, ram_offsets, stats }
+    Generated { source: e.src, abi, stats }
 }
 
 /// Minimal `dlopen`/`dlsym` shim — the only unsafe code in the crate.
@@ -639,67 +657,115 @@ mod native {
     }
 }
 
-/// Safe call surface over the raw kernel entry points: every slice
-/// length is asserted against the geometry the kernel was generated
-/// for before a pointer crosses the FFI boundary.
+/// The `rustc`-compiled passes of one design: a safe call surface over
+/// the raw kernel entry points. Every slice length is asserted against
+/// the geometry the kernel was generated for before a pointer crosses
+/// the FFI boundary.
 #[derive(Debug, Clone, Copy)]
-struct Kernel {
+pub struct NativeKernel {
     fns: native::JitFns,
     words_len: usize,
     ram_len: usize,
     scratch_len: usize,
+    stats: CodegenStats,
+}
+
+/// The native-codegen backend: the [`Sliced`] machine at [`LANES`]
+/// (256) lanes, running every pass through a `rustc`-compiled
+/// [`NativeKernel`].
+pub type JitEngine = Sliced<NativeKernel>;
+
+impl JitEngine {
+    /// How much word-lowering narrowing fired during codegen.
+    #[must_use]
+    pub fn codegen_stats(&self) -> CodegenStats {
+        self.kernel().stats
+    }
+}
+
+impl NativeKernel {
+    /// Asserts that the word file, and when `CLAMPED` the clamp masks,
+    /// have the generated length.
+    fn check_words<const CLAMPED: bool>(&self, words: &[u64], am: &[u64], om: &[u64]) {
+        assert_eq!(words.len(), self.words_len, "word buffer length");
+        if CLAMPED {
+            assert_eq!(am.len(), self.words_len, "and-mask length");
+            assert_eq!(om.len(), self.words_len, "or-mask length");
+        }
+    }
 }
 
 #[allow(unsafe_code)]
-impl Kernel {
-    fn check(&self, words: usize, ram: usize) {
-        assert_eq!(words, self.words_len, "word buffer length");
-        assert_eq!(ram, self.ram_len, "ram buffer length");
+impl Kernel for NativeKernel {
+    const BLOCKS: usize = BLOCKS;
+    const BACKEND: &'static str = "jit";
+    const NATIVE: bool = true;
+
+    fn build(netlist: &Netlist, program: &Program) -> Result<Self> {
+        let generated = generate(netlist, program);
+        Ok(NativeKernel {
+            fns: build_kernel(&generated.source, generated.abi)?,
+            words_len: program.slots * BLOCKS,
+            ram_len: program.ram_planes * BLOCKS,
+            scratch_len: program.reg_bits * BLOCKS,
+            stats: generated.stats,
+        })
     }
 
-    fn eval(&self, words: &mut [u64], ram: &[u64]) {
-        self.check(words.len(), ram.len());
-        unsafe { (self.fns.eval)(words.as_mut_ptr(), ram.as_ptr()) }
-    }
-
-    fn eval_clamped(&self, words: &mut [u64], ram: &[u64], am: &[u64], om: &[u64]) {
-        self.check(words.len(), ram.len());
-        assert_eq!(am.len(), self.words_len);
-        assert_eq!(om.len(), self.words_len);
+    fn eval<const CLAMPED: bool>(
+        &self,
+        _: &Program,
+        words: &mut [u64],
+        ram: &[u64],
+        am: &[u64],
+        om: &[u64],
+    ) {
+        self.check_words::<CLAMPED>(words, am, om);
+        assert_eq!(ram.len(), self.ram_len, "ram buffer length");
+        let (w, r) = (words.as_mut_ptr(), ram.as_ptr());
+        // SAFETY: the kernel was generated for buffers of exactly the
+        // lengths asserted above and touches nothing outside them.
         unsafe {
-            (self.fns.eval_clamped)(words.as_mut_ptr(), ram.as_ptr(), am.as_ptr(), om.as_ptr());
+            if CLAMPED {
+                (self.fns.eval_clamped)(w, r, am.as_ptr(), om.as_ptr());
+            } else {
+                (self.fns.eval)(w, r);
+            }
         }
     }
 
-    fn capture(&self, words: &[u64], scratch: &mut [u64]) {
-        assert_eq!(words.len(), self.words_len);
-        assert_eq!(scratch.len(), self.scratch_len);
+    fn capture(&self, _: &Program, words: &[u64], scratch: &mut [u64]) {
+        self.check_words::<false>(words, &[], &[]);
+        assert_eq!(scratch.len(), self.scratch_len, "scratch buffer length");
+        // SAFETY: as in `eval`, every buffer has its generated length.
         unsafe { (self.fns.capture)(words.as_ptr(), scratch.as_mut_ptr()) }
     }
 
-    fn commit(&self, words: &mut [u64], scratch: &[u64]) {
-        assert_eq!(words.len(), self.words_len);
-        assert_eq!(scratch.len(), self.scratch_len);
-        unsafe { (self.fns.commit)(words.as_mut_ptr(), scratch.as_ptr()) }
-    }
-
-    fn commit_clamped(&self, words: &mut [u64], scratch: &[u64], am: &[u64], om: &[u64]) {
-        assert_eq!(words.len(), self.words_len);
-        assert_eq!(scratch.len(), self.scratch_len);
-        assert_eq!(am.len(), self.words_len);
-        assert_eq!(om.len(), self.words_len);
+    fn commit<const CLAMPED: bool>(
+        &self,
+        _: &Program,
+        words: &mut [u64],
+        scratch: &[u64],
+        am: &[u64],
+        om: &[u64],
+    ) {
+        self.check_words::<CLAMPED>(words, am, om);
+        assert_eq!(scratch.len(), self.scratch_len, "scratch buffer length");
+        let (w, s) = (words.as_mut_ptr(), scratch.as_ptr());
+        // SAFETY: as in `eval`, every buffer has its generated length.
         unsafe {
-            (self.fns.commit_clamped)(
-                words.as_mut_ptr(),
-                scratch.as_ptr(),
-                am.as_ptr(),
-                om.as_ptr(),
-            );
+            if CLAMPED {
+                (self.fns.commit_clamped)(w, s, am.as_ptr(), om.as_ptr());
+            } else {
+                (self.fns.commit)(w, s);
+            }
         }
     }
 
-    fn ram_commit(&self, words: &[u64], ram: &mut [u64]) {
-        self.check(words.len(), ram.len());
+    fn ram_commit(&self, _: &Program, words: &[u64], ram: &mut [u64]) {
+        self.check_words::<false>(words, &[], &[]);
+        assert_eq!(ram.len(), self.ram_len, "ram buffer length");
+        // SAFETY: as in `eval`, every buffer has its generated length.
         unsafe { (self.fns.ram_commit)(words.as_ptr(), ram.as_mut_ptr()) }
     }
 }
@@ -774,573 +840,14 @@ fn build_kernel(source: &str, abi: u64) -> Result<native::JitFns> {
     Ok(fns)
 }
 
-/// Leading tag byte of a serialized jit snapshot (`'J'`).
-const SNAPSHOT_TAG: u8 = b'J';
-/// Encoding version; bump on any field/layout change.
-const SNAPSHOT_VERSION: u8 = 2;
-
-/// Complete architectural state of a [`JitEngine`]: net words (256
-/// lanes), flat RAM planes, staged inputs, armed faults and the cycle
-/// counter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JitSnapshot {
-    nets: usize,
-    cells: usize,
-    words: Vec<u64>,
-    ram: Vec<u64>,
-    staged: Vec<StagedWord>,
-    stuck: Vec<(u32, bool)>,
-    flips: Vec<(CellId, usize, u64)>,
-    ram_upsets: Vec<(CellId, usize, usize, u64)>,
-    cycle: u64,
-}
-
-impl JitSnapshot {
-    /// The clock cycle at which the snapshot was taken.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-}
-
-impl crate::engine::PortableSnapshot for JitSnapshot {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u8(SNAPSHOT_TAG);
-        w.u8(SNAPSHOT_VERSION);
-        w.usize(self.nets);
-        w.usize(self.cells);
-        w.len(self.words.len());
-        for &word in &self.words {
-            w.u64(word);
-        }
-        w.len(self.ram.len());
-        for &word in &self.ram {
-            w.u64(word);
-        }
-        write_staged(&mut w, &self.staged);
-        w.len(self.stuck.len());
-        for &(net, value) in &self.stuck {
-            w.u32(net);
-            w.bool(value);
-        }
-        w.len(self.flips.len());
-        for &(cell, bit, cycle) in &self.flips {
-            w.u32(cell.index() as u32);
-            w.usize(bit);
-            w.u64(cycle);
-        }
-        w.len(self.ram_upsets.len());
-        for &(cell, addr, bit, cycle) in &self.ram_upsets {
-            w.u32(cell.index() as u32);
-            w.usize(addr);
-            w.usize(bit);
-            w.u64(cycle);
-        }
-        w.u64(self.cycle);
-        w.finish()
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(bytes);
-        let tag = r.u8()?;
-        if tag != SNAPSHOT_TAG {
-            return Err(Error::SnapshotDecode {
-                detail: format!("tag {tag:#04x} is not a jit snapshot"),
-            });
-        }
-        let version = r.u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(Error::SnapshotDecode {
-                detail: format!("unsupported snapshot version {version}"),
-            });
-        }
-        let nets = r.usize()?;
-        let cells = r.usize()?;
-        let mut words = Vec::with_capacity(r.len(8)?);
-        for _ in 0..words.capacity() {
-            words.push(r.u64()?);
-        }
-        let mut ram = Vec::with_capacity(r.len(8)?);
-        for _ in 0..ram.capacity() {
-            ram.push(r.u64()?);
-        }
-        let staged = read_staged(&mut r)?;
-        let mut stuck = Vec::with_capacity(r.len(5)?);
-        for _ in 0..stuck.capacity() {
-            let net = r.u32()?;
-            let value = r.bool()?;
-            stuck.push((net, value));
-        }
-        let mut flips = Vec::with_capacity(r.len(20)?);
-        for _ in 0..flips.capacity() {
-            let cell = CellId(r.u32()?);
-            let bit = r.usize()?;
-            let due = r.u64()?;
-            flips.push((cell, bit, due));
-        }
-        let mut ram_upsets = Vec::with_capacity(r.len(28)?);
-        for _ in 0..ram_upsets.capacity() {
-            let cell = CellId(r.u32()?);
-            let addr = r.usize()?;
-            let bit = r.usize()?;
-            let due = r.u64()?;
-            ram_upsets.push((cell, addr, bit, due));
-        }
-        let cycle = r.u64()?;
-        r.finish()?;
-        Ok(JitSnapshot { nets, cells, words, ram, staged, stuck, flips, ram_upsets, cycle })
-    }
-}
-
-/// The native-codegen simulation backend.
-///
-/// Cycle semantics, fault application points and [`Engine`] behavior
-/// mirror [`CompiledEngine`](crate::compile::CompiledEngine) — same
-/// two-phase clocking, same clamp-mask stuck-at model, same
-/// documented divergences from the event-driven simulator (no glitch
-/// model, no activity statistics, stuck nets heal on the pass after
-/// [`clear_faults`](Engine::clear_faults)) — but every pass runs
-/// through a `rustc`-compiled kernel over [`LANES`] (256) lanes.
-///
-/// Word layout: slot `s`, lane `l` lives at
-/// `words[s * 4 + l / 64]` bit `l % 64`. RAM planes are concatenated
-/// into one flat buffer with the same 4-block layout.
-#[derive(Debug, Clone)]
-pub struct JitEngine {
-    netlist: Netlist,
-    program: Program,
-    kernel: Kernel,
-    stats: CodegenStats,
-    words: Vec<u64>,
-    ram: Vec<u64>,
-    /// Per-RAM base offset into `ram`, in `u64`s.
-    ram_offsets: Vec<usize>,
-    scratch: Vec<u64>,
-    staged: Vec<StagedWord>,
-    and_mask: Vec<u64>,
-    or_mask: Vec<u64>,
-    has_stuck: bool,
-    stuck: Vec<(u32, bool)>,
-    flips: Vec<(CellId, usize, u64)>,
-    ram_upsets: Vec<(CellId, usize, usize, u64)>,
-    cycle: u64,
-}
-
-impl JitEngine {
-    /// Generates, compiles (or reuses from cache), loads and
-    /// power-cycles the kernel for a validated netlist: registers and
-    /// RAM zeroed in every lane, combinational logic settled.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::MalformedProgram`] from lowering, or
-    /// [`Error::NativeCodegen`] when codegen, `rustc`, or the dynamic
-    /// loader fails.
-    pub fn new(netlist: Netlist) -> Result<Self> {
-        let program = Program::compile(&netlist)?;
-        let generated = generate(&netlist, &program);
-        let fns = build_kernel(&generated.source, generated.abi)?;
-        let slots = program.slots;
-        let kernel = Kernel {
-            fns,
-            words_len: slots * BLOCKS,
-            ram_len: generated.ram_len,
-            scratch_len: program.reg_bits * BLOCKS,
-        };
-        let mut engine = JitEngine {
-            words: vec![0; slots * BLOCKS],
-            ram: vec![0; generated.ram_len],
-            ram_offsets: generated.ram_offsets,
-            scratch: vec![0; program.reg_bits * BLOCKS],
-            staged: Vec::new(),
-            and_mask: vec![ALL; slots * BLOCKS],
-            or_mask: vec![0; slots * BLOCKS],
-            has_stuck: false,
-            stuck: Vec::new(),
-            flips: Vec::new(),
-            ram_upsets: Vec::new(),
-            cycle: 0,
-            stats: generated.stats,
-            kernel,
-            program,
-            netlist,
-        };
-        for j in 0..BLOCKS {
-            engine.words[engine.program.one as usize * BLOCKS + j] = ALL;
-        }
-        engine.eval();
-        Ok(engine)
-    }
-
-    /// The compiled schedule the kernel was generated from.
-    #[must_use]
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// How much word-lowering narrowing fired during codegen.
-    #[must_use]
-    pub fn codegen_stats(&self) -> CodegenStats {
-        self.stats
-    }
-
-    /// Stages a value on an input port for one lane only; other lanes
-    /// keep their current bits.
-    ///
-    /// # Errors
-    ///
-    /// Same port/range validation as [`Engine::set_input`]; rejects
-    /// `lane >=` [`LANES`].
-    pub fn set_input_lane(&mut self, name: &str, lane: usize, value: i64) -> Result<()> {
-        let bus = input_bus(&self.netlist, name, &[value])?;
-        check_lane(lane)?;
-        stage_lanes(&mut self.staged, bus, BLOCKS, lane, &[value]);
-        Ok(())
-    }
-
-    /// Signed value of a bus in one lane.
-    fn read_bus_lane(&self, bus: &Bus, lane: usize) -> i64 {
-        let (blk, bit) = (lane / 64, lane % 64);
-        let width = bus.width();
-        let mut v = 0u64;
-        for (i, &n) in bus.bits().iter().enumerate() {
-            v |= ((self.words[n.index() * BLOCKS + blk] >> bit) & 1) << i;
-        }
-        sign_extend(v, width)
-    }
-
-    /// Signed values of a bus across all lanes, gathered bit-major: one
-    /// word read per (bit, block) instead of one per (bit, lane) — this
-    /// is the hot readback path of the throughput benchmark.
-    fn read_bus_lanes(&self, bus: &Bus) -> Vec<i64> {
-        let bits = bus.bits();
-        let mut out = Vec::with_capacity(LANES);
-        for blk in 0..BLOCKS {
-            gather_lanes(bits.len(), |i| self.words[bits[i].index() * BLOCKS + blk], &mut out);
-        }
-        out
-    }
-
-    /// Writes one word index through the stuck-at clamp masks when
-    /// `CLAMPED`.
-    #[inline]
-    fn store_idx<const CLAMPED: bool>(&mut self, idx: usize, v: u64) {
-        self.words[idx] = if CLAMPED { (v & self.and_mask[idx]) | self.or_mask[idx] } else { v };
-    }
-
-    /// Applies staged input writes into the word file, keeping the
-    /// staging list's capacity.
-    fn apply_staged<const CLAMPED: bool>(&mut self) {
-        for k in 0..self.staged.len() {
-            let StagedWord { idx, mask, bits } = self.staged[k];
-            let idx = idx as usize;
-            self.store_idx::<CLAMPED>(idx, (self.words[idx] & !mask) | bits);
-        }
-        self.staged.clear();
-    }
-
-    /// One settle pass through the kernel.
-    fn eval(&mut self) {
-        if self.has_stuck {
-            self.kernel.eval_clamped(&mut self.words, &self.ram, &self.and_mask, &self.or_mask);
-        } else {
-            self.kernel.eval(&mut self.words, &self.ram);
-        }
-    }
-
-    /// One clock edge; identical ordering to the interpreter's
-    /// (`CompiledEngine::step`): RAM upsets strike storage, registers
-    /// capture settled D, transient flips hit the captured bits, RAM
-    /// writes commit from settled values, then Q and staged inputs
-    /// apply and the combinational pass settles.
-    fn step(&mut self) {
-        let now = self.cycle;
-
-        // 0. Due RAM upsets strike the array (every lane).
-        let mut due_ram = Vec::new();
-        self.ram_upsets.retain(|&u| {
-            if u.3 == now {
-                due_ram.push(u);
-                false
-            } else {
-                true
-            }
-        });
-        for (cell, addr, bit, _) in due_ram {
-            if let Some(idx) = self.program.rams.iter().position(|r| r.cell == cell) {
-                let width = self.program.rams[idx].width;
-                let base = self.ram_offsets[idx] + (addr * width + bit) * BLOCKS;
-                for j in 0..BLOCKS {
-                    self.ram[base + j] ^= ALL;
-                }
-            }
-        }
-
-        // 1. Capture register D from the settled state.
-        self.kernel.capture(&self.words, &mut self.scratch);
-
-        // 1a. Due transient flips strike the captured bits.
-        let mut due_flips = Vec::new();
-        self.flips.retain(|&f| {
-            if f.2 == now {
-                due_flips.push(f);
-                false
-            } else {
-                true
-            }
-        });
-        for (cell, bit, _) in due_flips {
-            if let Some(reg) = self.program.regs.iter().find(|r| r.cell == cell) {
-                let base = (reg.offset + bit) * BLOCKS;
-                for j in 0..BLOCKS {
-                    self.scratch[base + j] ^= ALL;
-                }
-            }
-        }
-
-        // 1b. Commit RAM writes from the settled (pre-edge) values.
-        self.kernel.ram_commit(&self.words, &mut self.ram);
-
-        // 2. Q and staged inputs apply together.
-        if self.has_stuck {
-            self.kernel.commit_clamped(
-                &mut self.words,
-                &self.scratch,
-                &self.and_mask,
-                &self.or_mask,
-            );
-            self.apply_staged::<true>();
-        } else {
-            self.kernel.commit(&mut self.words, &self.scratch);
-            self.apply_staged::<false>();
-        }
-
-        // 3. Settle.
-        self.eval();
-        self.cycle += 1;
-    }
-
-    /// Rebuilds the clamp masks from the stuck list.
-    fn rebuild_masks(&mut self) {
-        self.and_mask.iter_mut().for_each(|m| *m = ALL);
-        self.or_mask.iter_mut().for_each(|m| *m = 0);
-        for &(net, value) in &self.stuck {
-            for j in 0..BLOCKS {
-                let idx = net as usize * BLOCKS + j;
-                if value {
-                    self.or_mask[idx] = ALL;
-                } else {
-                    self.and_mask[idx] = 0;
-                }
-            }
-        }
-        self.has_stuck = !self.stuck.is_empty();
-    }
-}
-
-/// Validates a lane index.
-fn check_lane(lane: usize) -> Result<()> {
-    if lane >= LANES {
-        return Err(Error::FaultTarget {
-            target: format!("lane {lane}"),
-            detail: format!("engine has {LANES} lanes"),
-        });
-    }
-    Ok(())
-}
-
-impl Engine for JitEngine {
-    type Snapshot = JitSnapshot;
-
-    fn from_netlist(netlist: Netlist) -> Result<Self> {
-        JitEngine::new(netlist)
-    }
-
-    fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            backend: "jit",
-            lanes: LANES,
-            activity_stats: false,
-            glitch_model: false,
-            divergence_detection: false,
-            native_codegen: true,
-            fault_stuck_at: true,
-            fault_bit_flip: true,
-            fault_ram_upset: true,
-        }
-    }
-
-    fn set_input(&mut self, name: &str, value: i64) -> Result<()> {
-        let bus = input_bus(&self.netlist, name, &[value])?;
-        stage_broadcast(&mut self.staged, bus, BLOCKS, value);
-        Ok(())
-    }
-
-    fn try_tick(&mut self) -> Result<()> {
-        self.step();
-        Ok(())
-    }
-
-    fn try_settle(&mut self) -> Result<()> {
-        if self.has_stuck {
-            self.apply_staged::<true>();
-        } else {
-            self.apply_staged::<false>();
-        }
-        self.eval();
-        Ok(())
-    }
-
-    fn peek(&self, name: &str) -> Result<i64> {
-        Engine::peek_lane(self, name, 0)
-    }
-
-    fn set_input_lanes(&mut self, name: &str, values: &[i64]) -> Result<()> {
-        if values.is_empty() || values.len() > LANES {
-            return Err(Error::FaultTarget {
-                target: name.to_owned(),
-                detail: format!("expected 1..={LANES} lane values, got {}", values.len()),
-            });
-        }
-        let bus = input_bus(&self.netlist, name, values)?;
-        stage_lanes(&mut self.staged, bus, BLOCKS, 0, values);
-        Ok(())
-    }
-
-    fn peek_lane(&self, name: &str, lane: usize) -> Result<i64> {
-        check_lane(lane)?;
-        let port = self.netlist.port(name)?;
-        Ok(self.read_bus_lane(&port.bus, lane))
-    }
-
-    fn peek_lanes(&self, name: &str) -> Result<Vec<i64>> {
-        let port = self.netlist.port(name)?;
-        Ok(self.read_bus_lanes(&port.bus))
-    }
-
-    fn snapshot(&self) -> JitSnapshot {
-        JitSnapshot {
-            nets: self.netlist.net_count(),
-            cells: self.netlist.cell_count(),
-            words: self.words.clone(),
-            ram: self.ram.clone(),
-            staged: self.staged.clone(),
-            stuck: self.stuck.clone(),
-            flips: self.flips.clone(),
-            ram_upsets: self.ram_upsets.clone(),
-            cycle: self.cycle,
-        }
-    }
-
-    fn restore(&mut self, snapshot: &JitSnapshot) -> Result<()> {
-        if snapshot.nets != self.netlist.net_count()
-            || snapshot.cells != self.netlist.cell_count()
-            || snapshot.words.len() != self.words.len()
-            || snapshot.ram.len() != self.ram.len()
-            || snapshot.staged.iter().any(|s| s.idx as usize >= self.words.len())
-        {
-            return Err(Error::SnapshotMismatch {
-                snapshot_nets: snapshot.nets,
-                simulator_nets: self.netlist.net_count(),
-                snapshot_cells: snapshot.cells,
-                simulator_cells: self.netlist.cell_count(),
-            });
-        }
-        self.words.clone_from(&snapshot.words);
-        self.ram.clone_from(&snapshot.ram);
-        self.staged.clone_from(&snapshot.staged);
-        self.stuck.clone_from(&snapshot.stuck);
-        self.flips.clone_from(&snapshot.flips);
-        self.ram_upsets.clone_from(&snapshot.ram_upsets);
-        self.cycle = snapshot.cycle;
-        self.rebuild_masks();
-        Ok(())
-    }
-
-    fn inject(&mut self, spec: &FaultSpec) -> Result<()> {
-        match fault::resolve(&self.netlist, spec)? {
-            ResolvedFault::Stuck { net, value } => {
-                let s = slot(net);
-                match self.stuck.iter_mut().find(|(n, _)| *n == s) {
-                    Some(entry) => entry.1 = value,
-                    None => self.stuck.push((s, value)),
-                }
-                self.rebuild_masks();
-                // Force the net now and re-settle downstream logic.
-                for j in 0..BLOCKS {
-                    let idx = s as usize * BLOCKS + j;
-                    self.words[idx] = (self.words[idx] & self.and_mask[idx]) | self.or_mask[idx];
-                }
-                self.eval();
-            }
-            ResolvedFault::Flip { register, bit, cycle } => {
-                self.flips.push((register, bit, cycle));
-            }
-            ResolvedFault::Ram { cell, addr, bit, cycle } => {
-                self.ram_upsets.push((cell, addr, bit, cycle));
-            }
-        }
-        Ok(())
-    }
-
-    fn clear_faults(&mut self) {
-        self.stuck.clear();
-        self.flips.clear();
-        self.ram_upsets.clear();
-        self.rebuild_masks();
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn set_event_cap(&mut self, _cap: u64) {
-        // Straight-line kernels cannot diverge; nothing to bound.
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
-    use crate::engine::PortableSnapshot;
+    use crate::engine::Engine;
+    use crate::fault::FaultSpec;
     use crate::sim::Simulator;
-
-    /// Same fixture as the interpreter's test suite: every lowered
-    /// cell class in one netlist.
-    fn mixed_netlist() -> Netlist {
-        let mut b = NetlistBuilder::new();
-        let x = b.input("x", 8).unwrap();
-        let y = b.input("y", 8).unwrap();
-        let sum = b.carry_add("sum", &x, &y, 10).unwrap();
-        let dif = b.carry_sub("dif", &x, &y, 10).unwrap();
-        let rs = b.register("rs", &sum).unwrap();
-        let rd = b.register("rd", &dif).unwrap();
-        let rip = b.ripple_add("rip", &rs, &rd, 11).unwrap();
-        let sel = b.eq_const("sel", &x, 3).unwrap();
-        let rs_w = b.sign_extend(&rs, 11).unwrap();
-        let m = b.mux("m", sel, &rip, &rs_w).unwrap();
-        let par = b.xor_tree("par", m.bits()).unwrap();
-        b.output("s", &m).unwrap();
-        b.output("p", &Bus::new(vec![par]).unwrap()).unwrap();
-        b.finish().unwrap()
-    }
-
-    fn ram_netlist() -> Netlist {
-        let mut b = NetlistBuilder::new();
-        let raddr = b.input("raddr", 3).unwrap();
-        let waddr = b.input("waddr", 3).unwrap();
-        let wdata = b.input("wdata", 6).unwrap();
-        let wen = b.input("wen", 1).unwrap();
-        let rdata = b.ram("m", 4, 6, &raddr, &waddr, &wdata, wen.bit(0)).unwrap();
-        b.output("rdata", &rdata).unwrap();
-        b.finish().unwrap()
-    }
+    use crate::sliced::tests::{lockstep, mixed_netlist};
 
     /// Narrow operands into a wide adder: sign extension replicates
     /// the top nets, so the word-lowering proof must fire and elide
@@ -1355,103 +862,6 @@ mod tests {
         b.output("s", &sum).unwrap();
         b.output("d", &q).unwrap();
         b.finish().unwrap()
-    }
-
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            self.0 >> 33
-        }
-        fn in_range(&mut self, lo: i64, hi: i64) -> i64 {
-            lo + (self.next() % (hi - lo + 1) as u64) as i64
-        }
-    }
-
-    /// Drives the event-driven simulator and the jit engine in
-    /// lockstep and compares the named output ports every cycle.
-    fn lockstep(
-        netlist: Netlist,
-        inputs: &[(&str, i64, i64)],
-        outputs: &[&str],
-        ticks: usize,
-        seed: u64,
-        mut faults: impl FnMut(usize) -> Vec<FaultSpec>,
-    ) {
-        let mut sim = Simulator::new(netlist.clone()).unwrap();
-        let mut eng = JitEngine::new(netlist).unwrap();
-        let mut rng = Lcg(seed);
-        for t in 0..ticks {
-            for spec in faults(t) {
-                sim.inject(&spec).unwrap();
-                eng.inject(&spec).unwrap();
-            }
-            for &(name, lo, hi) in inputs {
-                let v = rng.in_range(lo, hi);
-                sim.set_input(name, v).unwrap();
-                Engine::set_input(&mut eng, name, v).unwrap();
-            }
-            sim.try_tick().unwrap();
-            eng.try_tick().unwrap();
-            for &out in outputs {
-                assert_eq!(
-                    sim.peek(out).unwrap(),
-                    Engine::peek(&eng, out).unwrap(),
-                    "output {out} diverged at tick {t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_logic_matches_event_sim() {
-        lockstep(
-            mixed_netlist(),
-            &[("x", -128, 127), ("y", -128, 127)],
-            &["s", "p"],
-            200,
-            7,
-            |_| Vec::new(),
-        );
-    }
-
-    #[test]
-    fn ram_matches_event_sim() {
-        lockstep(
-            ram_netlist(),
-            &[("raddr", -4, 3), ("waddr", -4, 3), ("wdata", -32, 31), ("wen", -1, 0)],
-            &["rdata"],
-            300,
-            11,
-            |_| Vec::new(),
-        );
-    }
-
-    #[test]
-    fn faults_match_event_sim() {
-        lockstep(
-            mixed_netlist(),
-            &[("x", -128, 127), ("y", -128, 127)],
-            &["s", "p"],
-            120,
-            13,
-            |t| match t {
-                10 => vec![FaultSpec::StuckAt { net: "s".into(), bit: 2, value: true }],
-                40 => vec![FaultSpec::BitFlip { register: "rs".into(), bit: 1, cycle: 45 }],
-                _ => Vec::new(),
-            },
-        );
-        lockstep(
-            ram_netlist(),
-            &[("raddr", -4, 3), ("waddr", -4, 3), ("wdata", -32, 31), ("wen", -1, 0)],
-            &["rdata"],
-            120,
-            17,
-            |t| match t {
-                5 => vec![FaultSpec::RamUpset { ram: "m".into(), addr: 2, bit: 3, cycle: 20 }],
-                _ => Vec::new(),
-            },
-        );
     }
 
     #[test]
@@ -1511,45 +921,6 @@ mod tests {
                 "peek_lane vs peek_lanes at {lane}"
             );
         }
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_bytes() {
-        let mut eng = JitEngine::new(mixed_netlist()).unwrap();
-        Engine::set_input(&mut eng, "x", -5).unwrap();
-        Engine::set_input(&mut eng, "y", 77).unwrap();
-        eng.try_tick().unwrap();
-        eng.inject(&FaultSpec::BitFlip { register: "rs".into(), bit: 0, cycle: 9 }).unwrap();
-        let snap = eng.snapshot();
-        let decoded = JitSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(decoded, snap);
-
-        // Diverge, restore, and check both engines evolve identically.
-        let mut other = JitEngine::new(mixed_netlist()).unwrap();
-        Engine::set_input(&mut other, "x", 100).unwrap();
-        other.try_tick().unwrap();
-        other.restore(&decoded).unwrap();
-        for _ in 0..12 {
-            eng.try_tick().unwrap();
-            other.try_tick().unwrap();
-            assert_eq!(Engine::peek(&eng, "s").unwrap(), Engine::peek(&other, "s").unwrap());
-        }
-        assert_eq!(eng.cycle(), other.cycle());
-    }
-
-    #[test]
-    fn snapshot_rejects_other_netlists_and_bad_bytes() {
-        let eng = JitEngine::new(mixed_netlist()).unwrap();
-        let snap = eng.snapshot();
-        let mut other = JitEngine::new(ram_netlist()).unwrap();
-        assert!(matches!(other.restore(&snap), Err(Error::SnapshotMismatch { .. })));
-        assert!(matches!(
-            JitSnapshot::from_bytes(&[0xff, 0x01]),
-            Err(Error::SnapshotDecode { .. })
-        ));
-        let mut truncated = snap.to_bytes();
-        truncated.truncate(truncated.len() - 3);
-        assert!(matches!(JitSnapshot::from_bytes(&truncated), Err(Error::SnapshotDecode { .. })));
     }
 
     #[test]

@@ -66,6 +66,7 @@ pub mod opt;
 mod proptests;
 pub mod query;
 pub mod sim;
+pub mod sliced;
 pub(crate) mod snapbytes;
 pub mod stats;
 pub mod vcd;

@@ -6,11 +6,13 @@
 #![cfg(test)]
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use crate::builder::NetlistBuilder;
 use crate::compile::CompiledEngine;
 use crate::engine::Engine;
 use crate::fault::FaultSpec;
+use crate::jit::JitEngine;
 use crate::net::Bus;
 use crate::sim::Simulator;
 
@@ -257,35 +259,87 @@ proptest! {
     }
 }
 
+/// Stages `(x, y)`, ticks, and reads `out`.
+fn tick<E: Engine>(eng: &mut E, x: i64, y: i64) -> i64 {
+    eng.set_input("x", x).unwrap();
+    eng.set_input("y", y).unwrap();
+    eng.try_tick().unwrap();
+    eng.peek("out").unwrap()
+}
+
+/// Runs `prefix`, snapshots, runs `suffix`, restores, and checks the
+/// replayed suffix and the re-taken snapshot against the first run.
+fn round_trip<E: Engine>(
+    mut eng: E,
+    prefix: &[(i64, i64)],
+    suffix: &[(i64, i64)],
+) -> Result<(), TestCaseError>
+where
+    E::Snapshot: PartialEq,
+{
+    for &(x, y) in prefix {
+        eng.set_input("x", x).unwrap();
+        eng.set_input("y", y).unwrap();
+        eng.try_tick().unwrap();
+    }
+    let snap = eng.snapshot();
+    let run_suffix = |eng: &mut E| -> Vec<Vec<i64>> {
+        suffix
+            .iter()
+            .map(|&(x, y)| {
+                eng.set_input("x", x).unwrap();
+                eng.set_input("y", y).unwrap();
+                eng.try_tick().unwrap();
+                eng.peek_lanes("out").unwrap()
+            })
+            .collect()
+    };
+    let first = run_suffix(&mut eng);
+    eng.restore(&snap).unwrap();
+    prop_assert_eq!(&eng.snapshot(), &snap);
+    let second = run_suffix(&mut eng);
+    prop_assert_eq!(first, second);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The compiled bit-sliced backend agrees with the event-driven
-    /// simulator cycle by cycle on random netlists under a randomly
-    /// varying stimulus (not just in steady state).
+    /// Both bit-sliced backends agree with the event-driven simulator
+    /// cycle by cycle on random netlists under a randomly varying
+    /// stimulus (not just in steady state), with one bit flip scheduled
+    /// on a random register bit when the netlist has registers.
     #[test]
     fn compiled_backend_matches_event_sim(
         ops in program(),
         structural in any::<bool>(),
         xs in prop::collection::vec((-512i64..512, -512i64..512), 4..20),
+        flip in (any::<usize>(), 0usize..20, 0u64..20),
     ) {
         let (netlist, _, _) = build_netlist(&ops, structural);
         let mut sim = Simulator::new(netlist.clone()).unwrap();
-        let mut eng = CompiledEngine::new(netlist).unwrap();
+        let mut compiled = CompiledEngine::new(netlist.clone()).unwrap();
+        let mut jit = JitEngine::new(netlist).unwrap();
+        let regs: Vec<usize> =
+            (0..ops.len()).filter(|&i| matches!(ops[i], Op::Register(_))).collect();
+        if !regs.is_empty() {
+            let (pick, bit, cycle) = flip;
+            let register = format!("n{}", regs[pick % regs.len()]);
+            let spec = FaultSpec::BitFlip { register, bit, cycle };
+            sim.inject(&spec).unwrap();
+            compiled.inject(&spec).unwrap();
+            jit.inject(&spec).unwrap();
+        }
         for &(x, y) in &xs {
-            sim.set_input("x", x).unwrap();
-            sim.set_input("y", y).unwrap();
-            Engine::set_input(&mut eng, "x", x).unwrap();
-            Engine::set_input(&mut eng, "y", y).unwrap();
-            sim.try_tick().unwrap();
-            eng.try_tick().unwrap();
-            prop_assert_eq!(sim.peek("out").unwrap(), Engine::peek(&eng, "out").unwrap());
+            let want = tick(&mut sim, x, y);
+            prop_assert_eq!(want, tick(&mut compiled, x, y));
+            prop_assert_eq!(want, tick(&mut jit, x, y));
         }
     }
 
-    /// `CompiledEngine` snapshot/restore round-trips bit-exactly: a
-    /// replayed suffix reproduces every lane of every output, and the
-    /// re-taken snapshot equals the original.
+    /// Bit-sliced snapshot/restore round-trips bit-exactly on both
+    /// kernels: a replayed suffix reproduces every lane of every
+    /// output, and the re-taken snapshot equals the original.
     #[test]
     fn compiled_snapshot_restore_round_trips(
         ops in program(),
@@ -293,29 +347,8 @@ proptest! {
         suffix in prop::collection::vec((-512i64..512, -512i64..512), 1..10),
     ) {
         let (netlist, _, _) = build_netlist(&ops, false);
-        let mut eng = CompiledEngine::new(netlist).unwrap();
-        for &(x, y) in &prefix {
-            Engine::set_input(&mut eng, "x", x).unwrap();
-            Engine::set_input(&mut eng, "y", y).unwrap();
-            eng.try_tick().unwrap();
-        }
-        let snap = Engine::snapshot(&eng);
-        let run_suffix = |eng: &mut CompiledEngine| -> Vec<Vec<i64>> {
-            suffix
-                .iter()
-                .map(|&(x, y)| {
-                    Engine::set_input(eng, "x", x).unwrap();
-                    Engine::set_input(eng, "y", y).unwrap();
-                    eng.try_tick().unwrap();
-                    eng.peek_lanes("out").unwrap()
-                })
-                .collect()
-        };
-        let first = run_suffix(&mut eng);
-        Engine::restore(&mut eng, &snap).unwrap();
-        prop_assert_eq!(&Engine::snapshot(&eng), &snap);
-        let second = run_suffix(&mut eng);
-        prop_assert_eq!(first, second);
+        round_trip(CompiledEngine::new(netlist.clone()).unwrap(), &prefix, &suffix)?;
+        round_trip(JitEngine::new(netlist).unwrap(), &prefix, &suffix)?;
     }
 
     /// Lane-packed evaluation equals 64 independent single-lane runs:

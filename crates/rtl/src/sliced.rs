@@ -1,0 +1,1180 @@
+//! The bit-sliced machine behind the two levelized backends.
+//!
+//! [`Sliced`] runs a levelized op [`Program`] over bit planes. Every
+//! slot of its word file is `K::BLOCKS` `u64` words: lane `l` of slot
+//! `s` is bit `l % 64` of `words[s * BLOCKS + l / 64]`, so one pass
+//! advances `64 * BLOCKS` independent sample streams. The machine owns
+//! the architectural state (word file, RAM planes, staged inputs, armed
+//! faults, cycle counter), the clock edge, fault injection, lane I/O
+//! and snapshots. A [`Kernel`] supplies only the passes:
+//!
+//! * [`compile::Interpreter`](crate::compile::Interpreter) replays the
+//!   op list, one block (64 lanes) per slot:
+//!   [`CompiledEngine`](crate::compile::CompiledEngine);
+//! * [`jit::NativeKernel`](crate::jit::NativeKernel) calls the program
+//!   compiled to native code, four blocks (256 lanes) per slot:
+//!   [`JitEngine`](crate::jit::JitEngine).
+//!
+//! One clock edge mirrors the event-driven simulator's order: due RAM
+//! upsets strike storage, registers capture the settled D, due bit
+//! flips strike the captured bits, RAM writes commit from the settled
+//! values, Q and staged inputs apply together, and the combinational
+//! pass settles. Stuck-at faults are per-word AND/OR clamp masks; while
+//! any is armed every pass runs its `CLAMPED` instantiation, which
+//! stores through the masks. RAM planes are one flat buffer: bit `b` of
+//! word `a` of a RAM whose first plane is `base` is plane
+//! `base + a * width + b`, at `ram[plane * BLOCKS..][..BLOCKS]`.
+
+use std::fmt;
+
+use crate::compile::Program;
+use crate::engine::{Engine, EngineCaps, PortableSnapshot};
+use crate::fault::{self, FaultSpec, ResolvedFault};
+use crate::net::Bus;
+use crate::netlist::{CellId, Netlist, PortDirection};
+use crate::snapbytes::{ByteReader, ByteWriter};
+use crate::{Error, Result};
+
+/// All 64 lanes of one block set.
+pub(crate) const ALL: u64 = !0;
+
+/// The backend-specific passes of a [`Sliced`] machine over one
+/// [`Program`], on a word file of [`BLOCKS`](Kernel::BLOCKS) words per
+/// slot. When `CLAMPED`, every store to word `i` writes
+/// `(v & am[i]) | om[i]`.
+pub trait Kernel: Clone + fmt::Debug {
+    /// `u64` blocks per slot: the machine runs `64 * BLOCKS` lanes.
+    const BLOCKS: usize;
+    /// Report name ([`EngineCaps::backend`]).
+    const BACKEND: &'static str;
+    /// Whether the passes run natively compiled code
+    /// ([`EngineCaps::native_codegen`]).
+    const NATIVE: bool;
+
+    /// Prepares the passes for `program`, lowered from `netlist`.
+    ///
+    /// # Errors
+    ///
+    /// Backend-specific; the native kernel reports
+    /// [`Error::NativeCodegen`].
+    fn build(netlist: &Netlist, program: &Program) -> Result<Self>;
+
+    /// Recomputes every combinational word from registers, inputs and
+    /// RAM.
+    fn eval<const CLAMPED: bool>(
+        &self,
+        p: &Program,
+        words: &mut [u64],
+        ram: &[u64],
+        am: &[u64],
+        om: &[u64],
+    );
+
+    /// Copies every register's D words into `scratch`: bit `k` of the
+    /// register at offset `o` goes to plane `o + k`.
+    fn capture(&self, p: &Program, words: &[u64], scratch: &mut [u64]);
+
+    /// Writes the captured planes of `scratch` to every register's Q.
+    fn commit<const CLAMPED: bool>(
+        &self,
+        p: &Program,
+        words: &mut [u64],
+        scratch: &[u64],
+        am: &[u64],
+        om: &[u64],
+    );
+
+    /// Commits each RAM write port's enabled lanes from settled words.
+    fn ram_commit(&self, p: &Program, words: &[u64], ram: &mut [u64]);
+}
+
+/// A staged input write, already scattered into one word of the word
+/// file and applied at the next tick/settle as
+/// `word = (word & !mask) | bits`. Staging writes words rather than
+/// values, so once the staging list has reached its working size a
+/// write allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StagedWord {
+    /// Index into the word file.
+    idx: u32,
+    /// The lanes of the word this write sets.
+    mask: u64,
+    /// Their new bits.
+    bits: u64,
+}
+
+/// Validates a write of `values` to the input port `name` and returns
+/// the port's bus.
+fn input_bus<'a>(netlist: &'a Netlist, name: &str, values: &[i64]) -> Result<&'a Bus> {
+    let port = netlist.port(name)?;
+    if port.direction != PortDirection::Input {
+        return Err(Error::UnknownPort { name: name.to_owned() });
+    }
+    for &v in values {
+        port.bus.check_value(v)?;
+    }
+    Ok(&port.bus)
+}
+
+/// Stages `values[k]` into lane `first + k` of `bus`, scattered
+/// bit-major: one word per (bit, 64-lane block) touched, in a word file
+/// of `blocks` words per slot.
+fn stage_lanes(
+    staged: &mut Vec<StagedWord>,
+    bus: &Bus,
+    blocks: usize,
+    first: usize,
+    values: &[i64],
+) {
+    let end = first + values.len();
+    for blk in first / 64..end.div_ceil(64) {
+        let lo = (blk * 64).max(first);
+        let chunk = &values[lo - first..((blk + 1) * 64).min(end) - first];
+        let shift = lo % 64;
+        let mask = (ALL >> (64 - chunk.len())) << shift;
+        let mut planes = [0u64; 64];
+        for (row, &v) in planes.iter_mut().zip(chunk) {
+            *row = v as u64;
+        }
+        transpose(&mut planes);
+        for (&net, &bits) in bus.bits().iter().zip(&planes) {
+            let idx = (net.index() * blocks + blk) as u32;
+            staged.push(StagedWord { idx, mask, bits: bits << shift });
+        }
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `c` of row
+/// `r` is what bit `r` of row `c` was. Six rounds swap ever smaller
+/// off-diagonal blocks (Hacker's Delight, §7-3).
+fn transpose(m: &mut [u64; 64]) {
+    swap_blocks::<32>(m, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16>(m, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8>(m, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4>(m, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2>(m, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(m, 0x5555_5555_5555_5555);
+}
+
+/// One transpose round: in every `2J`-row band, swaps the `J`-bit
+/// column blocks that `mask` selects between row `k` and row `k + J`.
+#[inline(always)]
+fn swap_blocks<const J: usize>(m: &mut [u64; 64], mask: u64) {
+    for base in (0..64).step_by(2 * J) {
+        for k in base..base + J {
+            let t = ((m[k] >> J) ^ m[k + J]) & mask;
+            m[k] ^= t << J;
+            m[k + J] ^= t;
+        }
+    }
+}
+
+/// Signed values of a `width`-bit bus in the 64 lanes of one block:
+/// `word(bit)` is the block's word for each bit of the bus.
+fn gather_lanes(width: usize, word: impl Fn(usize) -> u64, out: &mut impl Extend<i64>) {
+    let mut rows = [0u64; 64];
+    for (i, row) in rows.iter_mut().take(width).enumerate() {
+        *row = word(i);
+    }
+    transpose(&mut rows);
+    out.extend(rows.iter().map(|&raw| sign_extend(raw, width)));
+}
+
+/// Two's-complement interpretation of the low `width` bits of `raw`.
+#[inline]
+fn sign_extend(raw: u64, width: usize) -> i64 {
+    let pad = 64 - width as u32;
+    ((raw << pad) as i64) >> pad
+}
+
+/// A levelized netlist running on bit planes through kernel `K` (see
+/// the module docs for the layout and the clock edge).
+///
+/// Scalar [`Engine`] verbs broadcast writes to every lane and read lane
+/// 0, so code written against the event-driven simulator behaves
+/// identically here; [`set_input_lane`](Sliced::set_input_lane) and the
+/// [`Engine`] lane verbs expose the parallelism. Injected faults apply
+/// to every lane: one engine, `64 * BLOCKS` identically faulted trials.
+///
+/// Deliberate differences from [`sim::Simulator`](crate::sim::Simulator):
+///
+/// * **No glitch model / activity statistics.** Each cycle is one
+///   functional pass in topological order; intermediate transitions of
+///   the event model never exist, so there is nothing to count.
+/// * **No divergence detection.** The passes are straight-line; they
+///   cannot oscillate, so `set_event_cap` is a no-op and
+///   `SimulationDiverged` is never reported.
+/// * **Stuck-at decay after [`clear_faults`](Engine::clear_faults).**
+///   The event-driven simulator leaves a formerly clamped net at its
+///   forced level until its driver re-fires; this machine recomputes
+///   every net each pass, so cleared nets heal at the next tick/settle.
+#[derive(Debug, Clone)]
+pub struct Sliced<K> {
+    netlist: Netlist,
+    program: Program,
+    kernel: K,
+    words: Vec<u64>,
+    ram: Vec<u64>,
+    /// Register-capture planes reused across ticks.
+    scratch: Vec<u64>,
+    staged: Vec<StagedWord>,
+    /// Per-word clamp masks (`AND` then `OR`); identity unless stuck.
+    and_mask: Vec<u64>,
+    or_mask: Vec<u64>,
+    stuck: Vec<(u32, bool)>,
+    flips: Vec<(CellId, usize, u64)>,
+    ram_upsets: Vec<(CellId, usize, usize, u64)>,
+    cycle: u64,
+}
+
+impl<K: Kernel> Sliced<K> {
+    const LANES: usize = 64 * K::BLOCKS;
+
+    /// Lowers and power-cycles an engine for a validated netlist:
+    /// registers and RAM zeroed in every lane, combinational logic
+    /// settled.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::MalformedProgram`] from lowering (unreachable for
+    /// netlists that passed validation), or the kernel's build error.
+    pub fn new(netlist: Netlist) -> Result<Self> {
+        let program = Program::compile(&netlist)?;
+        let kernel = K::build(&netlist, &program)?;
+        let (b, words) = (K::BLOCKS, program.slots * K::BLOCKS);
+        let mut engine = Sliced {
+            words: vec![0; words],
+            ram: vec![0; program.ram_planes * b],
+            scratch: vec![0; program.reg_bits * b],
+            staged: Vec::new(),
+            and_mask: vec![ALL; words],
+            or_mask: vec![0; words],
+            stuck: Vec::new(),
+            flips: Vec::new(),
+            ram_upsets: Vec::new(),
+            cycle: 0,
+            kernel,
+            program,
+            netlist,
+        };
+        let one = engine.program.one as usize * b;
+        engine.words[one..one + b].fill(ALL);
+        engine.settle::<false>();
+        Ok(engine)
+    }
+
+    /// The levelized schedule the kernel runs.
+    #[must_use]
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    pub(crate) fn kernel(&self) -> &K {
+        &self.kernel
+    }
+
+    /// Stages a value on an input port for one lane only; other lanes
+    /// keep their current bits.
+    ///
+    /// # Errors
+    ///
+    /// Same port/range validation as [`Engine::set_input`]; rejects
+    /// lanes beyond the engine's lane count.
+    pub fn set_input_lane(&mut self, name: &str, lane: usize, value: i64) -> Result<()> {
+        let bus = input_bus(&self.netlist, name, &[value])?;
+        Self::check_lane(lane)?;
+        stage_lanes(&mut self.staged, bus, K::BLOCKS, lane, &[value]);
+        Ok(())
+    }
+
+    fn check_lane(lane: usize) -> Result<()> {
+        if lane >= Self::LANES {
+            return Err(Error::FaultTarget {
+                target: format!("lane {lane}"),
+                detail: format!("engine has {} lanes", Self::LANES),
+            });
+        }
+        Ok(())
+    }
+
+    /// Applies the staged input writes (keeping the list's capacity),
+    /// then settles the combinational pass.
+    fn settle<const CLAMPED: bool>(&mut self) {
+        for StagedWord { idx, mask, bits } in self.staged.drain(..) {
+            let i = idx as usize;
+            let v = (self.words[i] & !mask) | bits;
+            self.words[i] = if CLAMPED { (v & self.and_mask[i]) | self.or_mask[i] } else { v };
+        }
+        let Sliced { program, kernel, words, ram, and_mask, or_mask, .. } = self;
+        kernel.eval::<CLAMPED>(program, words, ram, and_mask, or_mask);
+    }
+
+    /// One clock edge, in the order the module docs give.
+    fn step<const CLAMPED: bool>(&mut self) {
+        let (b, now) = (K::BLOCKS, self.cycle);
+        let Sliced { program: p, kernel, words, ram, scratch, and_mask, or_mask, .. } = self;
+        self.ram_upsets.retain(|&(cell, addr, bit, due)| {
+            if due == now {
+                if let Some(r) = p.rams.iter().find(|r| r.cell == cell) {
+                    let o = (r.base + addr * r.width + bit) * b;
+                    ram[o..o + b].iter_mut().for_each(|w| *w ^= ALL);
+                }
+            }
+            due != now
+        });
+        kernel.capture(p, words, scratch);
+        self.flips.retain(|&(cell, bit, due)| {
+            if due == now {
+                if let Some(r) = p.regs.iter().find(|r| r.cell == cell) {
+                    let o = (r.offset + bit) * b;
+                    scratch[o..o + b].iter_mut().for_each(|w| *w ^= ALL);
+                }
+            }
+            due != now
+        });
+        kernel.ram_commit(p, words, ram);
+        kernel.commit::<CLAMPED>(p, words, scratch, and_mask, or_mask);
+        self.settle::<CLAMPED>();
+        self.cycle = self.cycle.wrapping_add(1);
+    }
+
+    /// Rebuilds the clamp masks from the stuck list.
+    fn rebuild_masks(&mut self) {
+        self.and_mask.fill(ALL);
+        self.or_mask.fill(0);
+        for &(net, value) in &self.stuck {
+            let w = net as usize * K::BLOCKS..(net as usize + 1) * K::BLOCKS;
+            if value {
+                self.or_mask[w].fill(ALL);
+            } else {
+                self.and_mask[w].fill(0);
+            }
+        }
+    }
+
+    /// Checks that `s` is a state of this engine's netlist and lane
+    /// width, and that every index it holds is in range, so `restore`
+    /// can refuse it before overwriting anything.
+    fn check(&self, s: &SlicedSnapshot) -> Result<()> {
+        let (nets, cells) = (self.netlist.net_count(), self.netlist.cell_count());
+        if s.lanes != Self::LANES
+            || (s.nets, s.cells) != (nets, cells)
+            || s.words.len() != self.words.len()
+            || s.ram.len() != self.ram.len()
+        {
+            return Err(Error::SnapshotMismatch {
+                snapshot_nets: s.nets,
+                simulator_nets: nets,
+                snapshot_cells: s.cells,
+                simulator_cells: cells,
+            });
+        }
+        let p = &self.program;
+        let detail = if let Some(w) = s.staged.iter().find(|w| w.idx as usize >= s.words.len()) {
+            format!("staged word {} outside the {}-word file", w.idx, s.words.len())
+        } else if let Some((net, _)) = s.stuck.iter().find(|&&(n, _)| n as usize >= nets) {
+            format!("stuck-at on net {net}, but the netlist has {nets} nets")
+        } else if let Some((cell, bit, _)) = s
+            .flips
+            .iter()
+            .find(|&&(c, bit, _)| !p.regs.iter().any(|r| r.cell == c && bit < r.d.len()))
+        {
+            format!("bit flip on cell {} bit {bit}, which is no register bit", cell.index())
+        } else if let Some((cell, addr, bit, _)) = s.ram_upsets.iter().find(|&&(c, a, bit, _)| {
+            !p.rams.iter().any(|r| r.cell == c && a < r.words && bit < r.width)
+        }) {
+            format!("RAM upset on cell {} word {addr} bit {bit}, which is no RAM bit", cell.index())
+        } else {
+            return Ok(());
+        };
+        Err(Error::SnapshotDecode { detail })
+    }
+}
+
+impl<K: Kernel> Engine for Sliced<K> {
+    type Snapshot = SlicedSnapshot;
+
+    fn from_netlist(netlist: Netlist) -> Result<Self> {
+        Self::new(netlist)
+    }
+
+    fn netlist(&self) -> &Netlist {
+        &self.netlist
+    }
+
+    fn caps(&self) -> EngineCaps {
+        EngineCaps {
+            backend: K::BACKEND,
+            lanes: Self::LANES,
+            activity_stats: false,
+            glitch_model: false,
+            divergence_detection: false,
+            native_codegen: K::NATIVE,
+            fault_stuck_at: true,
+            fault_bit_flip: true,
+            fault_ram_upset: true,
+        }
+    }
+
+    fn set_input(&mut self, name: &str, value: i64) -> Result<()> {
+        let bus = input_bus(&self.netlist, name, &[value])?;
+        for (i, &net) in bus.bits().iter().enumerate() {
+            let bits = if (value >> i) & 1 == 1 { ALL } else { 0 };
+            let base = net.index() * K::BLOCKS;
+            for idx in base..base + K::BLOCKS {
+                self.staged.push(StagedWord { idx: idx as u32, mask: ALL, bits });
+            }
+        }
+        Ok(())
+    }
+
+    fn try_tick(&mut self) -> Result<()> {
+        if self.stuck.is_empty() {
+            self.step::<false>();
+        } else {
+            self.step::<true>();
+        }
+        Ok(())
+    }
+
+    fn try_settle(&mut self) -> Result<()> {
+        if self.stuck.is_empty() {
+            self.settle::<false>();
+        } else {
+            self.settle::<true>();
+        }
+        Ok(())
+    }
+
+    fn peek(&self, name: &str) -> Result<i64> {
+        self.peek_lane(name, 0)
+    }
+
+    fn set_input_lanes(&mut self, name: &str, values: &[i64]) -> Result<()> {
+        if values.is_empty() || values.len() > Self::LANES {
+            return Err(Error::FaultTarget {
+                target: name.to_owned(),
+                detail: format!("expected 1..={} lane values, got {}", Self::LANES, values.len()),
+            });
+        }
+        let bus = input_bus(&self.netlist, name, values)?;
+        stage_lanes(&mut self.staged, bus, K::BLOCKS, 0, values);
+        Ok(())
+    }
+
+    fn peek_lane(&self, name: &str, lane: usize) -> Result<i64> {
+        Self::check_lane(lane)?;
+        let bus = &self.netlist.port(name)?.bus;
+        let (blk, bit) = (lane / 64, lane % 64);
+        let raw = bus.bits().iter().enumerate().fold(0u64, |v, (i, &n)| {
+            v | ((self.words[n.index() * K::BLOCKS + blk] >> bit) & 1) << i
+        });
+        Ok(sign_extend(raw, bus.width()))
+    }
+
+    fn peek_lanes(&self, name: &str) -> Result<Vec<i64>> {
+        let bits = self.netlist.port(name)?.bus.bits();
+        let mut out = Vec::with_capacity(Self::LANES);
+        for blk in 0..K::BLOCKS {
+            gather_lanes(bits.len(), |i| self.words[bits[i].index() * K::BLOCKS + blk], &mut out);
+        }
+        Ok(out)
+    }
+
+    fn snapshot(&self) -> SlicedSnapshot {
+        SlicedSnapshot {
+            lanes: Self::LANES,
+            nets: self.netlist.net_count(),
+            cells: self.netlist.cell_count(),
+            words: self.words.clone(),
+            ram: self.ram.clone(),
+            staged: self.staged.clone(),
+            stuck: self.stuck.clone(),
+            flips: self.flips.clone(),
+            ram_upsets: self.ram_upsets.clone(),
+            cycle: self.cycle,
+        }
+    }
+
+    /// Restores a snapshot of this netlist at this lane width. Nothing
+    /// is overwritten unless every field is in range.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SnapshotMismatch`] for another netlist, lane width or
+    /// buffer shape; [`Error::SnapshotDecode`] for a staged word, stuck
+    /// net, flip or RAM upset that names no slot, register bit or RAM
+    /// bit of this netlist.
+    fn restore(&mut self, s: &SlicedSnapshot) -> Result<()> {
+        self.check(s)?;
+        self.words.clone_from(&s.words);
+        self.ram.clone_from(&s.ram);
+        self.staged.clone_from(&s.staged);
+        self.stuck.clone_from(&s.stuck);
+        self.flips.clone_from(&s.flips);
+        self.ram_upsets.clone_from(&s.ram_upsets);
+        self.cycle = s.cycle;
+        self.rebuild_masks();
+        Ok(())
+    }
+
+    fn inject(&mut self, spec: &FaultSpec) -> Result<()> {
+        match fault::resolve(&self.netlist, spec)? {
+            ResolvedFault::Stuck { net, value } => {
+                let s = net.index() as u32;
+                match self.stuck.iter_mut().find(|(n, _)| *n == s) {
+                    Some(entry) => entry.1 = value,
+                    None => self.stuck.push((s, value)),
+                }
+                self.rebuild_masks();
+                // Force the net now and re-settle downstream logic.
+                for i in net.index() * K::BLOCKS..(net.index() + 1) * K::BLOCKS {
+                    self.words[i] = (self.words[i] & self.and_mask[i]) | self.or_mask[i];
+                }
+                self.settle::<true>();
+            }
+            ResolvedFault::Flip { register, bit, cycle } => self.flips.push((register, bit, cycle)),
+            ResolvedFault::Ram { cell, addr, bit, cycle } => {
+                self.ram_upsets.push((cell, addr, bit, cycle));
+            }
+        }
+        Ok(())
+    }
+
+    fn clear_faults(&mut self) {
+        self.stuck.clear();
+        self.flips.clear();
+        self.ram_upsets.clear();
+        self.rebuild_masks();
+    }
+
+    fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    fn set_event_cap(&mut self, _cap: u64) {
+        // Straight-line passes cannot diverge; nothing to bound.
+    }
+}
+
+/// Complete architectural state of a [`Sliced`] engine: lane width,
+/// word file, RAM planes, staged inputs, armed faults and the cycle
+/// counter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlicedSnapshot {
+    lanes: usize,
+    nets: usize,
+    cells: usize,
+    words: Vec<u64>,
+    ram: Vec<u64>,
+    staged: Vec<StagedWord>,
+    stuck: Vec<(u32, bool)>,
+    flips: Vec<(CellId, usize, u64)>,
+    ram_upsets: Vec<(CellId, usize, usize, u64)>,
+    cycle: u64,
+}
+
+impl SlicedSnapshot {
+    /// The clock cycle at which the snapshot was taken.
+    #[must_use]
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// Whether any fault (stuck-at clamp, pending flip or RAM upset)
+    /// is armed in the snapshot.
+    #[must_use]
+    pub fn has_armed_faults(&self) -> bool {
+        !self.stuck.is_empty() || !self.flips.is_empty() || !self.ram_upsets.is_empty()
+    }
+}
+
+/// Leading tag byte of a serialized bit-sliced snapshot (`'S'`).
+const SNAPSHOT_TAG: u8 = b'S';
+/// Encoding version; bump on any field/layout change. Version 3 is the
+/// first with one encoding for both lane widths.
+const SNAPSHOT_VERSION: u8 = 3;
+
+/// Decodes a length-prefixed collection whose elements are at least
+/// `min_bytes` wide, so a corrupt length cannot reserve more than the
+/// remaining input can back.
+fn read_vec<'a, T>(
+    r: &mut ByteReader<'a>,
+    min_bytes: usize,
+    mut item: impl FnMut(&mut ByteReader<'a>) -> Result<T>,
+) -> Result<Vec<T>> {
+    let n = r.len(min_bytes)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(item(r)?);
+    }
+    Ok(out)
+}
+
+impl PortableSnapshot for SlicedSnapshot {
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u8(SNAPSHOT_TAG);
+        w.u8(SNAPSHOT_VERSION);
+        w.usize(self.lanes);
+        w.usize(self.nets);
+        w.usize(self.cells);
+        for plane in [&self.words, &self.ram] {
+            w.len(plane.len());
+            plane.iter().for_each(|&word| w.u64(word));
+        }
+        w.len(self.staged.len());
+        for s in &self.staged {
+            w.u32(s.idx);
+            w.u64(s.mask);
+            w.u64(s.bits);
+        }
+        w.len(self.stuck.len());
+        for &(net, value) in &self.stuck {
+            w.u32(net);
+            w.bool(value);
+        }
+        w.len(self.flips.len());
+        for &(cell, bit, cycle) in &self.flips {
+            w.u32(cell.index() as u32);
+            w.usize(bit);
+            w.u64(cycle);
+        }
+        w.len(self.ram_upsets.len());
+        for &(cell, addr, bit, cycle) in &self.ram_upsets {
+            w.u32(cell.index() as u32);
+            w.usize(addr);
+            w.usize(bit);
+            w.u64(cycle);
+        }
+        w.u64(self.cycle);
+        w.finish()
+    }
+
+    fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        let mut r = ByteReader::new(bytes);
+        let (tag, version) = (r.u8()?, r.u8()?);
+        if (tag, version) != (SNAPSHOT_TAG, SNAPSHOT_VERSION) {
+            return Err(Error::SnapshotDecode {
+                detail: format!(
+                    "tag {tag:#04x} version {version} is not a bit-sliced v{SNAPSHOT_VERSION} snapshot"
+                ),
+            });
+        }
+        let (lanes, nets, cells) = (r.usize()?, r.usize()?, r.usize()?);
+        let words = read_vec(&mut r, 8, ByteReader::u64)?;
+        let ram = read_vec(&mut r, 8, ByteReader::u64)?;
+        let staged = read_vec(&mut r, 20, |r| {
+            Ok(StagedWord { idx: r.u32()?, mask: r.u64()?, bits: r.u64()? })
+        })?;
+        let stuck = read_vec(&mut r, 5, |r| Ok((r.u32()?, r.bool()?)))?;
+        let flips = read_vec(&mut r, 20, |r| Ok((CellId(r.u32()?), r.usize()?, r.u64()?)))?;
+        let ram_upsets =
+            read_vec(&mut r, 28, |r| Ok((CellId(r.u32()?), r.usize()?, r.usize()?, r.u64()?)))?;
+        let cycle = r.u64()?;
+        r.finish()?;
+        Ok(SlicedSnapshot {
+            lanes,
+            nets,
+            cells,
+            words,
+            ram,
+            staged,
+            stuck,
+            flips,
+            ram_upsets,
+            cycle,
+        })
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::builder::NetlistBuilder;
+    use crate::compile::{CompiledEngine, Interpreter};
+    use crate::jit::{JitEngine, NativeKernel};
+    use crate::net::NetId;
+    use crate::sim::Simulator;
+
+    /// A netlist exercising every lowered cell class: behavioral
+    /// word add/sub, structural ripple logic, specialized and generic
+    /// LUTs (mux, eq, parity tree), registers and constants.
+    pub(crate) fn mixed_netlist() -> Netlist {
+        let mut b = NetlistBuilder::new();
+        let x = b.input("x", 8).unwrap();
+        let y = b.input("y", 8).unwrap();
+        let sum = b.carry_add("sum", &x, &y, 10).unwrap();
+        let dif = b.carry_sub("dif", &x, &y, 10).unwrap();
+        let rs = b.register("rs", &sum).unwrap();
+        let rd = b.register("rd", &dif).unwrap();
+        let rip = b.ripple_add("rip", &rs, &rd, 11).unwrap();
+        let sel = b.eq_const("sel", &x, 3).unwrap();
+        let rs_w = b.sign_extend(&rs, 11).unwrap();
+        let m = b.mux("m", sel, &rip, &rs_w).unwrap();
+        let par = b.xor_tree("par", m.bits()).unwrap();
+        b.output("s", &m).unwrap();
+        b.output("p", &Bus::new(vec![par]).unwrap()).unwrap();
+        b.finish().unwrap()
+    }
+
+    /// Write port + read port around a 4-word RAM; the 3-bit signed
+    /// address inputs can point past the last word (negative values
+    /// read back as high unsigned addresses), covering the
+    /// out-of-range read/write path.
+    pub(crate) fn ram_netlist() -> Netlist {
+        let mut b = NetlistBuilder::new();
+        let raddr = b.input("raddr", 3).unwrap();
+        let waddr = b.input("waddr", 3).unwrap();
+        let wdata = b.input("wdata", 6).unwrap();
+        let wen = b.input("wen", 1).unwrap();
+        let rdata = b.ram("m", 4, 6, &raddr, &waddr, &wdata, wen.bit(0)).unwrap();
+        b.output("rdata", &rdata).unwrap();
+        b.finish().unwrap()
+    }
+
+    /// Tiny deterministic generator so tests need no external RNG.
+    pub(crate) struct Lcg(pub(crate) u64);
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 >> 33
+        }
+        pub(crate) fn in_range(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + (self.next() % (hi - lo + 1) as u64) as i64
+        }
+    }
+
+    /// Drives the event-driven simulator and both bit-sliced engines in
+    /// lockstep and compares the named output ports every cycle.
+    pub(crate) fn lockstep(
+        netlist: Netlist,
+        inputs: &[(&str, i64, i64)],
+        outputs: &[&str],
+        ticks: usize,
+        seed: u64,
+        mut faults: impl FnMut(usize) -> Vec<FaultSpec>,
+    ) {
+        let mut sim = Simulator::new(netlist.clone()).unwrap();
+        let mut compiled = CompiledEngine::new(netlist.clone()).unwrap();
+        let mut jit = JitEngine::new(netlist).unwrap();
+        let mut rng = Lcg(seed);
+        for t in 0..ticks {
+            for spec in faults(t) {
+                sim.inject(&spec).unwrap();
+                compiled.inject(&spec).unwrap();
+                jit.inject(&spec).unwrap();
+            }
+            for &(name, lo, hi) in inputs {
+                let v = rng.in_range(lo, hi);
+                sim.set_input(name, v).unwrap();
+                compiled.set_input(name, v).unwrap();
+                jit.set_input(name, v).unwrap();
+            }
+            sim.try_tick().unwrap();
+            compiled.try_tick().unwrap();
+            jit.try_tick().unwrap();
+            for &out in outputs {
+                let want = sim.peek(out).unwrap();
+                assert_eq!(
+                    want,
+                    compiled.peek(out).unwrap(),
+                    "compiled {out} diverged at tick {t}"
+                );
+                assert_eq!(want, jit.peek(out).unwrap(), "jit {out} diverged at tick {t}");
+            }
+        }
+    }
+
+    const MIXED_IN: &[(&str, i64, i64)] = &[("x", -128, 127), ("y", -128, 127)];
+    const RAM_IN: &[(&str, i64, i64)] =
+        &[("raddr", -4, 3), ("waddr", -4, 3), ("wdata", -32, 31), ("wen", -1, 0)];
+
+    #[test]
+    fn mixed_logic_matches_event_sim() {
+        lockstep(mixed_netlist(), MIXED_IN, &["s", "p"], 200, 7, |_| Vec::new());
+    }
+
+    #[test]
+    fn ram_matches_event_sim() {
+        lockstep(ram_netlist(), RAM_IN, &["rdata"], 300, 11, |_| Vec::new());
+    }
+
+    #[test]
+    fn faults_match_event_sim() {
+        // A stuck output bit, a register flip mid-stream, and (on the
+        // RAM netlist) an array upset all land identically.
+        lockstep(mixed_netlist(), MIXED_IN, &["s", "p"], 120, 13, |t| match t {
+            10 => vec![FaultSpec::StuckAt { net: "s".into(), bit: 2, value: true }],
+            40 => vec![FaultSpec::BitFlip { register: "rs".into(), bit: 1, cycle: 45 }],
+            _ => Vec::new(),
+        });
+        lockstep(ram_netlist(), RAM_IN, &["rdata"], 120, 17, |t| match t {
+            5 => vec![FaultSpec::RamUpset { ram: "m".into(), addr: 2, bit: 3, cycle: 20 }],
+            _ => Vec::new(),
+        });
+    }
+
+    fn snapshot_round_trips_and_rejects_foreign_netlists_on<K: Kernel>() {
+        let mut eng = Sliced::<K>::new(mixed_netlist()).unwrap();
+        let mut rng = Lcg(23);
+        for _ in 0..20 {
+            eng.set_input("x", rng.in_range(-128, 127)).unwrap();
+            eng.set_input("y", rng.in_range(-128, 127)).unwrap();
+            eng.try_tick().unwrap();
+        }
+        let snap = eng.snapshot();
+        assert_eq!(snap.cycle(), 20);
+        assert!(!snap.has_armed_faults());
+        // Diverge, then roll back and replay identically.
+        let mut trace = Vec::new();
+        let replay: Vec<(i64, i64)> =
+            (0..10).map(|_| (rng.in_range(-128, 127), rng.in_range(-128, 127))).collect();
+        for &(x, y) in &replay {
+            eng.set_input("x", x).unwrap();
+            eng.set_input("y", y).unwrap();
+            eng.try_tick().unwrap();
+            trace.push((eng.peek("s").unwrap(), eng.peek_lanes("s").unwrap()));
+        }
+        eng.restore(&snap).unwrap();
+        assert_eq!(eng.snapshot(), snap, "restore must reproduce the snapshot state");
+        for (i, &(x, y)) in replay.iter().enumerate() {
+            eng.set_input("x", x).unwrap();
+            eng.set_input("y", y).unwrap();
+            eng.try_tick().unwrap();
+            assert_eq!(eng.peek("s").unwrap(), trace[i].0);
+            assert_eq!(eng.peek_lanes("s").unwrap(), trace[i].1);
+        }
+        // A snapshot from a different netlist shape is rejected.
+        let mut other = Sliced::<K>::new(ram_netlist()).unwrap();
+        assert!(matches!(other.restore(&snap), Err(Error::SnapshotMismatch { .. })));
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_rejects_foreign_netlists() {
+        snapshot_round_trips_and_rejects_foreign_netlists_on::<Interpreter>();
+        snapshot_round_trips_and_rejects_foreign_netlists_on::<NativeKernel>();
+    }
+
+    fn portable_snapshot_bytes_round_trip_and_reject_corruption_on<K: Kernel>() {
+        let netlist = ram_netlist();
+        let mut eng = Sliced::<K>::new(netlist.clone()).unwrap();
+        let mut rng = Lcg(31);
+        for _ in 0..12 {
+            eng.set_input("raddr", rng.in_range(0, 3)).unwrap();
+            eng.set_input("waddr", rng.in_range(0, 3)).unwrap();
+            eng.set_input("wdata", rng.in_range(-32, 31)).unwrap();
+            eng.set_input("wen", rng.in_range(-1, 0)).unwrap();
+            eng.try_tick().unwrap();
+        }
+        // Exercise every staging path plus armed faults.
+        eng.set_input("raddr", 2).unwrap();
+        eng.set_input_lane("wdata", 3, 19).unwrap();
+        eng.set_input_lanes("waddr", &vec![1; eng.caps().lanes]).unwrap();
+        eng.inject(&FaultSpec::StuckAt { net: "wdata".into(), bit: 0, value: true }).unwrap();
+        eng.inject(&FaultSpec::RamUpset { ram: "m".into(), addr: 1, bit: 2, cycle: 40 }).unwrap();
+        let snap = eng.snapshot();
+        let bytes = snap.to_bytes();
+        let decoded = SlicedSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(decoded, snap, "byte round-trip is identity");
+
+        // A restore from the decoded snapshot resumes identically in
+        // every lane.
+        let mut twin = Sliced::<K>::new(netlist).unwrap();
+        twin.restore(&decoded).unwrap();
+        for _ in 0..15 {
+            let ra = rng.in_range(0, 3);
+            let wa = rng.in_range(0, 3);
+            let wd = rng.in_range(-32, 31);
+            for e in [&mut eng, &mut twin] {
+                e.set_input("raddr", ra).unwrap();
+                e.set_input("waddr", wa).unwrap();
+                e.set_input("wdata", wd).unwrap();
+                e.set_input("wen", -1).unwrap();
+                e.try_tick().unwrap();
+            }
+            assert_eq!(eng.peek_lanes("rdata").unwrap(), twin.peek_lanes("rdata").unwrap());
+        }
+
+        // Truncation anywhere is a typed error, never a panic.
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    SlicedSnapshot::from_bytes(&bytes[..cut]),
+                    Err(Error::SnapshotDecode { .. })
+                ),
+                "truncation at {cut} must be rejected"
+            );
+        }
+        let mut long = bytes.clone();
+        long.push(9);
+        assert!(matches!(SlicedSnapshot::from_bytes(&long), Err(Error::SnapshotDecode { .. })));
+        // An event-driven tag must not decode as a bit-sliced snapshot.
+        let mut wrong = bytes;
+        wrong[0] = b'E';
+        assert!(matches!(SlicedSnapshot::from_bytes(&wrong), Err(Error::SnapshotDecode { .. })));
+    }
+
+    #[test]
+    fn portable_snapshot_bytes_round_trip_and_reject_corruption() {
+        portable_snapshot_bytes_round_trip_and_reject_corruption_on::<Interpreter>();
+        portable_snapshot_bytes_round_trip_and_reject_corruption_on::<NativeKernel>();
+    }
+
+    fn snapshot_round_trips_through_bytes_on<K: Kernel>() {
+        let mut eng = Sliced::<K>::new(mixed_netlist()).unwrap();
+        eng.set_input("x", -5).unwrap();
+        eng.set_input("y", 77).unwrap();
+        eng.try_tick().unwrap();
+        eng.inject(&FaultSpec::BitFlip { register: "rs".into(), bit: 0, cycle: 9 }).unwrap();
+        let snap = eng.snapshot();
+        let decoded = SlicedSnapshot::from_bytes(&snap.to_bytes()).unwrap();
+        assert_eq!(decoded, snap);
+
+        // Diverge, restore, and check both engines evolve identically.
+        let mut other = Sliced::<K>::new(mixed_netlist()).unwrap();
+        other.set_input("x", 100).unwrap();
+        other.try_tick().unwrap();
+        other.restore(&decoded).unwrap();
+        for _ in 0..12 {
+            eng.try_tick().unwrap();
+            other.try_tick().unwrap();
+            assert_eq!(eng.peek("s").unwrap(), other.peek("s").unwrap());
+        }
+        assert_eq!(eng.cycle(), other.cycle());
+    }
+
+    #[test]
+    fn snapshot_round_trips_through_bytes() {
+        snapshot_round_trips_through_bytes_on::<Interpreter>();
+        snapshot_round_trips_through_bytes_on::<NativeKernel>();
+    }
+
+    fn snapshot_rejects_other_netlists_and_bad_bytes_on<K: Kernel>() {
+        let eng = Sliced::<K>::new(mixed_netlist()).unwrap();
+        let snap = eng.snapshot();
+        let mut other = Sliced::<K>::new(ram_netlist()).unwrap();
+        assert!(matches!(other.restore(&snap), Err(Error::SnapshotMismatch { .. })));
+        assert!(matches!(
+            SlicedSnapshot::from_bytes(&[0xff, 0x01]),
+            Err(Error::SnapshotDecode { .. })
+        ));
+        let mut truncated = snap.to_bytes();
+        truncated.truncate(truncated.len() - 3);
+        assert!(matches!(
+            SlicedSnapshot::from_bytes(&truncated),
+            Err(Error::SnapshotDecode { .. })
+        ));
+    }
+
+    #[test]
+    fn snapshot_rejects_other_netlists_and_bad_bytes() {
+        snapshot_rejects_other_netlists_and_bad_bytes_on::<Interpreter>();
+        snapshot_rejects_other_netlists_and_bad_bytes_on::<NativeKernel>();
+    }
+
+    #[test]
+    fn snapshots_record_their_lane_width_and_version() {
+        let bytes = CompiledEngine::new(mixed_netlist()).unwrap().snapshot().to_bytes();
+        let decoded = SlicedSnapshot::from_bytes(&bytes).unwrap();
+        // A 64-lane snapshot does not restore into the 256-lane machine.
+        let mut jit = JitEngine::new(mixed_netlist()).unwrap();
+        assert!(matches!(jit.restore(&decoded), Err(Error::SnapshotMismatch { .. })));
+        // Version-2 encodings, under the old per-backend tags or the
+        // merged one, are refused.
+        for tag in [b'C', b'J', SNAPSHOT_TAG] {
+            let mut old = bytes.clone();
+            old[..2].copy_from_slice(&[tag, 2]);
+            assert!(matches!(SlicedSnapshot::from_bytes(&old), Err(Error::SnapshotDecode { .. })));
+        }
+    }
+
+    /// A RAM whose read data is registered, with one fault of each
+    /// family armed and an input staged: every list a snapshot carries
+    /// has an entry.
+    fn armed<K: Kernel>() -> Sliced<K> {
+        let mut b = NetlistBuilder::new();
+        let addr = b.input("addr", 2).unwrap();
+        let wdata = b.input("wdata", 6).unwrap();
+        let wen = b.input("wen", 1).unwrap();
+        let rdata = b.ram("m", 4, 6, &addr, &addr, &wdata, wen.bit(0)).unwrap();
+        let q = b.register("q", &rdata).unwrap();
+        b.output("q", &q).unwrap();
+        let mut eng = Sliced::<K>::new(b.finish().unwrap()).unwrap();
+        eng.inject(&FaultSpec::StuckAt { net: "wdata".into(), bit: 0, value: true }).unwrap();
+        eng.inject(&FaultSpec::BitFlip { register: "q".into(), bit: 1, cycle: 5 }).unwrap();
+        eng.inject(&FaultSpec::RamUpset { ram: "m".into(), addr: 1, bit: 2, cycle: 4 }).unwrap();
+        eng.set_input("wdata", 9).unwrap();
+        eng
+    }
+
+    fn restore_refuses_out_of_range_fields_on<K: Kernel>() {
+        let good = armed::<K>().snapshot();
+        type Edit = fn(&mut SlicedSnapshot);
+        let cases: [(&str, Edit, bool); 11] = [
+            ("lane width", |s| s.lanes *= 2, true),
+            ("word file", |s| s.words.truncate(1), true),
+            ("ram planes", |s| s.ram.push(0), true),
+            ("staged word", |s| s.staged[0].idx = u32::MAX, false),
+            ("stuck net", |s| s.stuck[0].0 = u32::MAX, false),
+            ("flip on the RAM cell", |s| s.flips[0].0 = s.ram_upsets[0].0, false),
+            ("flip cell index", |s| s.flips[0].0 = CellId(u32::MAX), false),
+            ("flip bit", |s| s.flips[0].1 = 6, false),
+            ("upset on the register cell", |s| s.ram_upsets[0].0 = s.flips[0].0, false),
+            ("upset addr", |s| s.ram_upsets[0].1 = 4, false),
+            ("upset bit", |s| s.ram_upsets[0].2 = 6, false),
+        ];
+        for (field, edit, mismatch) in cases {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            // Through the byte codec, as a hostile store record arrives.
+            let bad = SlicedSnapshot::from_bytes(&bad.to_bytes()).unwrap();
+            let mut eng = armed::<K>();
+            eng.try_tick().unwrap();
+            let before = eng.snapshot();
+            match eng.restore(&bad) {
+                Err(Error::SnapshotMismatch { .. }) if mismatch => {}
+                Err(Error::SnapshotDecode { .. }) if !mismatch => {}
+                other => panic!("{}: {field} gave {other:?}", K::BACKEND),
+            }
+            assert_eq!(eng.snapshot(), before, "{}: {field} changed the engine", K::BACKEND);
+            eng.restore(&good).unwrap();
+            for _ in 0..8 {
+                eng.try_tick().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn restore_refuses_out_of_range_fields() {
+        restore_refuses_out_of_range_fields_on::<Interpreter>();
+        restore_refuses_out_of_range_fields_on::<NativeKernel>();
+    }
+
+    fn lanes_are_independent_on<K: Kernel>() {
+        let netlist = mixed_netlist();
+        let mut packed = Sliced::<K>::new(netlist.clone()).unwrap();
+        let lanes = packed.caps().lanes;
+        let mut rng = Lcg(29);
+        // Independent (x, y) streams on every lane, 40 ticks deep.
+        let stream: Vec<Vec<(i64, i64)>> = (0..lanes)
+            .map(|_| (0..40).map(|_| (rng.in_range(-128, 127), rng.in_range(-128, 127))).collect())
+            .collect();
+        let mut packed_out: Vec<Vec<i64>> = vec![Vec::new(); lanes];
+        for t in 0..40 {
+            let xs: Vec<i64> = stream.iter().map(|s| s[t].0).collect();
+            let ys: Vec<i64> = stream.iter().map(|s| s[t].1).collect();
+            packed.set_input_lanes("x", &xs).unwrap();
+            packed.set_input_lanes("y", &ys).unwrap();
+            packed.try_tick().unwrap();
+            for (l, out) in packed_out.iter_mut().enumerate() {
+                out.push(packed.peek_lane("s", l).unwrap());
+            }
+        }
+        // Each lane must equal its own broadcast single-lane run.
+        for (l, lane_stream) in stream.iter().enumerate() {
+            let mut single = Sliced::<K>::new(netlist.clone()).unwrap();
+            for (t, &(x, y)) in lane_stream.iter().enumerate() {
+                single.set_input("x", x).unwrap();
+                single.set_input("y", y).unwrap();
+                single.try_tick().unwrap();
+                assert_eq!(
+                    single.peek("s").unwrap(),
+                    packed_out[l][t],
+                    "lane {l} diverged from its scalar run at tick {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_are_independent() {
+        lanes_are_independent_on::<Interpreter>();
+        lanes_are_independent_on::<NativeKernel>();
+    }
+
+    fn settle_applies_inputs_without_ticking_on<K: Kernel>() {
+        let netlist = mixed_netlist();
+        let mut sim = Simulator::new(netlist.clone()).unwrap();
+        let mut eng = Sliced::<K>::new(netlist).unwrap();
+        sim.set_input("x", 3).unwrap();
+        sim.set_input("y", 5).unwrap();
+        eng.set_input("x", 3).unwrap();
+        eng.set_input("y", 5).unwrap();
+        sim.try_settle().unwrap();
+        eng.try_settle().unwrap();
+        assert_eq!(eng.cycle(), 0);
+        // Registers have not clocked, so outputs reflect reset state,
+        // but both backends agree on every port.
+        for port in ["s", "p"] {
+            assert_eq!(sim.peek(port).unwrap(), eng.peek(port).unwrap());
+        }
+    }
+
+    #[test]
+    fn settle_applies_inputs_without_ticking() {
+        settle_applies_inputs_without_ticking_on::<Interpreter>();
+        settle_applies_inputs_without_ticking_on::<NativeKernel>();
+    }
+
+    #[test]
+    fn staged_lane_writes_touch_exactly_their_lanes() {
+        let width = 5;
+        let bus = Bus::new((0..width as u32).map(NetId).collect()).unwrap();
+        for (blocks, first, n) in [
+            (1, 0, 64),
+            (1, 3, 10),
+            (1, 63, 1),
+            (4, 0, 256),
+            (4, 60, 9),
+            (4, 130, 126),
+            (4, 255, 1),
+        ] {
+            let values: Vec<i64> = (0..n as i64).map(|k| (k * 7) % 32 - 16).collect();
+            let mut staged = Vec::new();
+            stage_lanes(&mut staged, &bus, blocks, first, &values);
+            let before = 0x5555_aaaa_0f0f_f0f0_u64;
+            let mut words = vec![before; width * blocks];
+            for s in &staged {
+                let w = &mut words[s.idx as usize];
+                *w = (*w & !s.mask) | s.bits;
+            }
+            for lane in 0..blocks * 64 {
+                let raw = (0..width).fold(0u64, |v, i| {
+                    v | ((words[i * blocks + lane / 64] >> (lane % 64)) & 1) << i
+                });
+                let expect = if (first..first + n).contains(&lane) {
+                    values[lane - first]
+                } else {
+                    sign_extend(
+                        (0..width).fold(0, |v, i| v | ((before >> (lane % 64)) & 1) << i),
+                        width,
+                    )
+                };
+                assert_eq!(
+                    sign_extend(raw, width),
+                    expect,
+                    "blocks {blocks} first {first} lane {lane}"
+                );
+            }
+        }
+    }
+
+    fn lane_bounds_are_checked_on<K: Kernel>() {
+        let mut eng = Sliced::<K>::new(mixed_netlist()).unwrap();
+        let lanes = eng.caps().lanes;
+        assert!(eng.set_input_lane("x", lanes, 0).is_err());
+        assert!(eng.peek_lane("s", lanes).is_err());
+        assert!(eng.set_input_lanes("x", &[]).is_err());
+        assert!(eng.set_input_lanes("x", &vec![0; lanes + 1]).is_err());
+        assert!(eng.set_input("nope", 0).is_err());
+        assert!(eng.set_input("s", 0).is_err(), "outputs are not drivable");
+        assert!(eng.set_input("x", 1 << 20).is_err(), "range checked");
+    }
+
+    #[test]
+    fn lane_bounds_are_checked() {
+        lane_bounds_are_checked_on::<Interpreter>();
+        lane_bounds_are_checked_on::<NativeKernel>();
+    }
+}
