@@ -115,6 +115,20 @@ fn hardened_variants_agree_fault_free() {
 }
 
 #[test]
+fn interpreter_tape_executes_the_program_on_every_design() {
+    // The compiled engine runs its own tape of fused full adders, not
+    // the program's op list; unfused, the tape must be that list op for
+    // op, so the backend proofs about the program cover the tape.
+    for design in Design::all() {
+        for hardening in [Hardening::None, Hardening::Tmr, Hardening::Parity] {
+            let built = design.build_hardened(hardening).expect("design build");
+            let eng = CompiledEngine::new(built.netlist).expect("engine build");
+            assert!(eng.tape_matches_program(), "{design} + {hardening:?}");
+        }
+    }
+}
+
+#[test]
 fn bit_flips_agree_on_every_design() {
     let pairs = still_tone_pairs(48, 0xD1FD);
     for design in Design::all() {

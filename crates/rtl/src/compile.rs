@@ -457,23 +457,166 @@ fn lower_ripple(
     }
 }
 
+/// One instruction of the [`Interpreter`]'s tape: an [`Op`] as the
+/// program holds it, or [`Inst::Fa`], an adjacent `FaSum` + `FaCarry`
+/// pair over the same operands fused into one full adder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Inst {
+    /// As [`Op::Const`].
+    Const { dst: u32, ones: bool },
+    /// As [`Op::Copy`].
+    Copy { dst: u32, a: u32 },
+    /// As [`Op::Not`].
+    Not { dst: u32, a: u32 },
+    /// As [`Op::And`].
+    And { dst: u32, a: u32, b: u32 },
+    /// As [`Op::Or`].
+    Or { dst: u32, a: u32, b: u32 },
+    /// As [`Op::Xor`].
+    Xor { dst: u32, a: u32, b: u32 },
+    /// As [`Op::FaSum`], when no matching carry op follows it.
+    FaSum { dst: u32, a: u32, b: u32, cin: u32, invert_b: bool },
+    /// As [`Op::FaCarry`], when it follows no matching sum op.
+    FaCarry { dst: u32, a: u32, b: u32, cin: u32, invert_b: bool },
+    /// `FaSum { dst: sum, .. }` then `FaCarry { dst: cout, .. }`: loads
+    /// its inputs once and stores both outputs.
+    Fa { sum: u32, cout: u32, a: u32, b: u32, cin: u32, invert_b: bool },
+    /// As [`Op::Lut`].
+    Lut { dst: u32, inputs: Box<[u32]>, table: u16 },
+    /// As [`Op::RamRead`].
+    RamRead { port: u32 },
+}
+
 /// The op-list interpreter: each pass replays the [`Program`] in
-/// schedule order over one 64-lane block per slot.
-#[derive(Debug, Clone, Copy)]
-pub struct Interpreter;
+/// schedule order over one 64-lane block per slot, from a private tape
+/// lowered once at build time. The tape is the program's op list with
+/// every adjacent `FaSum` + `FaCarry` pair over the same operands (a
+/// structural full adder, or one bit of a ripple chain) fused into one
+/// instruction, and the registers' D and Q slots flattened into two
+/// contiguous lists, so capture and commit are one loop each.
+#[derive(Debug, Clone)]
+pub struct Interpreter {
+    tape: Box<[Inst]>,
+    /// Every register's D slots, in capture-plane order.
+    reg_d: Box<[u32]>,
+    /// Every register's Q slots, in the same order.
+    reg_q: Box<[u32]>,
+}
 
 /// The levelized bit-sliced interpreter backend: the [`Sliced`]
 /// machine at [`LANES`] (64) lanes, running its passes through the
 /// [`Interpreter`].
 pub type CompiledEngine = Sliced<Interpreter>;
 
+impl Interpreter {
+    /// Lowers `ops` to the tape. A `FaSum` fuses with the `FaCarry`
+    /// after it only when both read the same operands and the sum is
+    /// none of them, so loading the inputs once reads what the carry
+    /// op would have read after the sum's store.
+    fn lower(ops: &[Op]) -> Box<[Inst]> {
+        let mut tape = Vec::with_capacity(ops.len());
+        let mut i = 0;
+        while i < ops.len() {
+            if let (
+                Op::FaSum { dst: sum, a, b, cin, invert_b },
+                Some(&Op::FaCarry { dst: cout, a: a2, b: b2, cin: cin2, invert_b: inv2 }),
+            ) = (&ops[i], ops.get(i + 1))
+            {
+                let (sum, a, b, cin, invert_b) = (*sum, *a, *b, *cin, *invert_b);
+                if (a, b, cin, invert_b) == (a2, b2, cin2, inv2) && ![a, b, cin].contains(&sum) {
+                    tape.push(Inst::Fa { sum, cout, a, b, cin, invert_b });
+                    i += 2;
+                    continue;
+                }
+            }
+            tape.push(match ops[i] {
+                Op::Const { dst, ones } => Inst::Const { dst, ones },
+                Op::Copy { dst, a } => Inst::Copy { dst, a },
+                Op::Not { dst, a } => Inst::Not { dst, a },
+                Op::And { dst, a, b } => Inst::And { dst, a, b },
+                Op::Or { dst, a, b } => Inst::Or { dst, a, b },
+                Op::Xor { dst, a, b } => Inst::Xor { dst, a, b },
+                Op::FaSum { dst, a, b, cin, invert_b } => Inst::FaSum { dst, a, b, cin, invert_b },
+                Op::FaCarry { dst, a, b, cin, invert_b } => {
+                    Inst::FaCarry { dst, a, b, cin, invert_b }
+                }
+                Op::Lut { dst, ref inputs, table } => {
+                    Inst::Lut { dst, inputs: inputs.clone(), table }
+                }
+                Op::RamRead { port } => Inst::RamRead { port },
+            });
+            i += 1;
+        }
+        tape.into_boxed_slice()
+    }
+
+    /// The tape with every fused full adder split back into its
+    /// `FaSum` and `FaCarry` ops: what the interpreter executes, in the
+    /// program's own terms.
+    fn unfused(&self) -> Vec<Op> {
+        let mut ops = Vec::with_capacity(self.tape.len());
+        for inst in self.tape.iter() {
+            let op = match *inst {
+                Inst::Const { dst, ones } => Op::Const { dst, ones },
+                Inst::Copy { dst, a } => Op::Copy { dst, a },
+                Inst::Not { dst, a } => Op::Not { dst, a },
+                Inst::And { dst, a, b } => Op::And { dst, a, b },
+                Inst::Or { dst, a, b } => Op::Or { dst, a, b },
+                Inst::Xor { dst, a, b } => Op::Xor { dst, a, b },
+                Inst::FaSum { dst, a, b, cin, invert_b } => Op::FaSum { dst, a, b, cin, invert_b },
+                Inst::FaCarry { dst, a, b, cin, invert_b } => {
+                    Op::FaCarry { dst, a, b, cin, invert_b }
+                }
+                Inst::Fa { sum, cout, a, b, cin, invert_b } => {
+                    ops.push(Op::FaSum { dst: sum, a, b, cin, invert_b });
+                    Op::FaCarry { dst: cout, a, b, cin, invert_b }
+                }
+                Inst::Lut { dst, ref inputs, table } => {
+                    Op::Lut { dst, inputs: inputs.clone(), table }
+                }
+                Inst::RamRead { port } => Op::RamRead { port },
+            };
+            ops.push(op);
+        }
+        ops
+    }
+}
+
+impl CompiledEngine {
+    /// Whether the interpreter's tape, with every fused full adder
+    /// split back into its sum and carry ops, is exactly
+    /// [`program`](Sliced::program)'s op list, op for op. Every proof
+    /// about the program (its back-translation, `dwt-equiv`'s backend
+    /// obligation) then holds for what the interpreter executes.
+    #[must_use]
+    pub fn tape_matches_program(&self) -> bool {
+        self.kernel().unfused() == self.program().ops
+    }
+}
+
+/// Full-adder sum of three words.
+#[inline(always)]
+fn fa_sum(a: u64, b: u64, c: u64) -> u64 {
+    a ^ b ^ c
+}
+
+/// Full-adder carry (majority) of three words.
+#[inline(always)]
+fn fa_carry(a: u64, b: u64, c: u64) -> u64 {
+    (a & b) | (c & (a ^ b))
+}
+
 impl Kernel for Interpreter {
     const BLOCKS: usize = LANES / 64;
     const BACKEND: &'static str = "compiled";
     const NATIVE: bool = false;
 
-    fn build(_netlist: &Netlist, _program: &Program) -> Result<Self> {
-        Ok(Interpreter)
+    fn build(_netlist: &Netlist, program: &Program) -> Result<Self> {
+        Ok(Interpreter {
+            tape: Self::lower(&program.ops),
+            reg_d: program.regs.iter().flat_map(|r| r.d.iter().copied()).collect(),
+            reg_q: program.regs.iter().flat_map(|r| r.q.iter().copied()).collect(),
+        })
     }
 
     fn eval<const CLAMPED: bool>(
@@ -496,25 +639,35 @@ impl Kernel for Interpreter {
                 words[$s as usize]
             };
         }
-        for op in &program.ops {
-            match *op {
-                Op::Const { dst, ones } => store!(dst, if ones { ALL } else { 0 }),
-                Op::Copy { dst, a } => store!(dst, w!(a)),
-                Op::Not { dst, a } => store!(dst, !w!(a)),
-                Op::And { dst, a, b } => store!(dst, w!(a) & w!(b)),
-                Op::Or { dst, a, b } => store!(dst, w!(a) | w!(b)),
-                Op::Xor { dst, a, b } => store!(dst, w!(a) ^ w!(b)),
-                Op::FaSum { dst, a, b, cin, invert_b } => {
-                    let b = if invert_b { !w!(b) } else { w!(b) };
-                    store!(dst, w!(a) ^ b ^ w!(cin));
+        macro_rules! w_inv {
+            ($s:expr, $invert:expr) => {
+                if $invert {
+                    !w!($s)
+                } else {
+                    w!($s)
                 }
-                Op::FaCarry { dst, a, b, cin, invert_b } => {
-                    let a = w!(a);
-                    let b = if invert_b { !w!(b) } else { w!(b) };
-                    let c = w!(cin);
-                    store!(dst, (a & b) | (a & c) | (b & c));
+            };
+        }
+        for inst in self.tape.iter() {
+            match *inst {
+                Inst::Const { dst, ones } => store!(dst, if ones { ALL } else { 0 }),
+                Inst::Copy { dst, a } => store!(dst, w!(a)),
+                Inst::Not { dst, a } => store!(dst, !w!(a)),
+                Inst::And { dst, a, b } => store!(dst, w!(a) & w!(b)),
+                Inst::Or { dst, a, b } => store!(dst, w!(a) | w!(b)),
+                Inst::Xor { dst, a, b } => store!(dst, w!(a) ^ w!(b)),
+                Inst::FaSum { dst, a, b, cin, invert_b } => {
+                    store!(dst, fa_sum(w!(a), w_inv!(b, invert_b), w!(cin)));
                 }
-                Op::Lut { dst, ref inputs, table } => {
+                Inst::FaCarry { dst, a, b, cin, invert_b } => {
+                    store!(dst, fa_carry(w!(a), w_inv!(b, invert_b), w!(cin)));
+                }
+                Inst::Fa { sum, cout, a, b, cin, invert_b } => {
+                    let (a, b, c) = (w!(a), w_inv!(b, invert_b), w!(cin));
+                    store!(sum, fa_sum(a, b, c));
+                    store!(cout, fa_carry(a, b, c));
+                }
+                Inst::Lut { dst, ref inputs, table } => {
                     let mut out = 0u64;
                     for m in 0..(1u32 << inputs.len()) {
                         if table & (1u16 << m) != 0 {
@@ -528,7 +681,7 @@ impl Kernel for Interpreter {
                     }
                     store!(dst, out);
                 }
-                Op::RamRead { port } => {
+                Inst::RamRead { port } => {
                     let r = &program.rams[port as usize];
                     let mut acc = [0u64; 64];
                     for wd in 0..r.words {
@@ -556,27 +709,23 @@ impl Kernel for Interpreter {
         }
     }
 
-    fn capture(&self, program: &Program, words: &[u64], scratch: &mut [u64]) {
-        for reg in &program.regs {
-            for (s, &d) in scratch[reg.offset..].iter_mut().zip(&reg.d) {
-                *s = words[d as usize];
-            }
+    fn capture(&self, _: &Program, words: &[u64], scratch: &mut [u64]) {
+        for (s, &d) in scratch.iter_mut().zip(self.reg_d.iter()) {
+            *s = words[d as usize];
         }
     }
 
     fn commit<const CLAMPED: bool>(
         &self,
-        program: &Program,
+        _: &Program,
         words: &mut [u64],
         scratch: &[u64],
         am: &[u64],
         om: &[u64],
     ) {
-        for reg in &program.regs {
-            for (&v, &q) in scratch[reg.offset..].iter().zip(&reg.q) {
-                let i = q as usize;
-                words[i] = if CLAMPED { (v & am[i]) | om[i] } else { v };
-            }
+        for (&v, &q) in scratch.iter().zip(self.reg_q.iter()) {
+            let i = q as usize;
+            words[i] = if CLAMPED { (v & am[i]) | om[i] } else { v };
         }
     }
 
@@ -610,9 +759,11 @@ impl Kernel for Interpreter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::NetlistBuilder;
     use crate::engine::Engine;
+    use crate::fault::FaultSpec;
     use crate::sim::Simulator;
-    use crate::sliced::tests::{mixed_netlist, ram_netlist, Lcg};
+    use crate::sliced::tests::{lockstep, mixed_netlist, ram_netlist, Lcg};
 
     #[test]
     fn caps_and_program_shape() {
@@ -629,6 +780,72 @@ mod tests {
         let sim_caps = Engine::caps(&Simulator::new(mixed_netlist()).unwrap());
         assert_eq!(sim_caps.lanes, 1);
         assert!(sim_caps.activity_stats && sim_caps.glitch_model && sim_caps.divergence_detection);
+    }
+
+    #[test]
+    fn the_tape_fuses_full_adders_and_unfuses_to_the_program() {
+        for netlist in [mixed_netlist(), ram_netlist(), adder_netlist()] {
+            assert!(CompiledEngine::new(netlist).unwrap().tape_matches_program());
+        }
+        // Every structural full adder and every ripple bit but the top
+        // one fuses: 11 structural bits plus 9 + 9 behavioral bits.
+        let eng = CompiledEngine::new(mixed_netlist()).unwrap();
+        let fused = eng.kernel().tape.iter().filter(|i| matches!(i, Inst::Fa { .. })).count();
+        assert_eq!(fused, 29);
+        assert_eq!(eng.kernel().tape.len() + fused, eng.program().op_count());
+    }
+
+    #[test]
+    fn a_sum_that_feeds_its_own_adder_does_not_fuse() {
+        let ops = vec![
+            Op::FaSum { dst: 5, a: 1, b: 2, cin: 3, invert_b: false },
+            Op::FaCarry { dst: 6, a: 1, b: 2, cin: 3, invert_b: false },
+            Op::FaSum { dst: 7, a: 7, b: 2, cin: 3, invert_b: true },
+            Op::FaCarry { dst: 8, a: 7, b: 2, cin: 3, invert_b: true },
+            Op::FaSum { dst: 9, a: 1, b: 2, cin: 3, invert_b: false },
+            Op::FaCarry { dst: 10, a: 1, b: 2, cin: 3, invert_b: true },
+        ];
+        let tape = Interpreter::lower(&ops);
+        assert!(matches!(tape[0], Inst::Fa { sum: 5, cout: 6, .. }));
+        assert_eq!(tape.len(), 5, "only the first pair fuses");
+        let interp = Interpreter { tape, reg_d: Box::new([]), reg_q: Box::new([]) };
+        assert_eq!(interp.unfused(), ops);
+    }
+
+    /// Structural ripple adder and subtractor (full-adder cells whose
+    /// `cout` feeds the next cell's `cin`) beside a behavioral adder,
+    /// all registered.
+    fn adder_netlist() -> Netlist {
+        let mut b = NetlistBuilder::new();
+        let x = b.input("x", 8).unwrap();
+        let y = b.input("y", 8).unwrap();
+        let add = b.ripple_add("add", &x, &y, 9).unwrap();
+        let sub = b.ripple_sub("sub", &x, &y, 9).unwrap();
+        let beh = b.carry_add("beh", &add, &sub, 10).unwrap();
+        let q = b.register("q", &beh).unwrap();
+        b.output("q", &q).unwrap();
+        b.output("add", &add).unwrap();
+        b.output("sub", &sub).unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn stuck_full_adder_outputs_match_event_sim() {
+        // A stuck `cout` (output bit 1) corrupts the next adder's `cin`;
+        // a stuck `sum` (bit 0) only its own output. Both run the fused
+        // instruction's clamped stores on the bit-sliced engines.
+        let inputs = [("x", -128, 127), ("y", -128, 127)];
+        for (cell, bit) in [("add_fa3", 1), ("add_fa3", 0), ("sub_fa4", 1), ("sub_fa2", 0)] {
+            for value in [false, true] {
+                lockstep(adder_netlist(), &inputs, &["q", "add", "sub"], 40, 3, |t| {
+                    if t == 5 {
+                        vec![FaultSpec::StuckAt { net: cell.into(), bit, value }]
+                    } else {
+                        Vec::new()
+                    }
+                });
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,11 @@ enum Op {
     ShiftLeft(usize, u8),
     ShiftRight(usize, u8),
     Register(usize),
+    /// A behavioral adder of its own width (operands truncated or
+    /// sign-extended to it), sign-extended back to the node width.
+    NarrowAdd(usize, usize, u8),
+    /// The subtractor counterpart of [`Op::NarrowAdd`].
+    NarrowSub(usize, usize, u8),
 }
 
 fn program() -> impl Strategy<Value = Vec<Op>> {
@@ -34,6 +39,23 @@ fn program() -> impl Strategy<Value = Vec<Op>> {
             (0usize..8, 1u8..4).prop_map(|(a, k)| Op::ShiftLeft(a, k)),
             (0usize..8, 1u8..4).prop_map(|(a, k)| Op::ShiftRight(a, k)),
             (0usize..8).prop_map(Op::Register),
+        ],
+        1..12,
+    )
+}
+
+/// [`program`]'s ops plus `CarryAdd`/`CarrySub` cells of random widths
+/// from 1 to 16.
+fn narrow_program() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0usize..8, 0usize..8).prop_map(|(a, b)| Op::AddPrev(a, b)),
+            (0usize..8, 0usize..8).prop_map(|(a, b)| Op::SubPrev(a, b)),
+            (0usize..8, 1u8..4).prop_map(|(a, k)| Op::ShiftLeft(a, k)),
+            (0usize..8, 1u8..4).prop_map(|(a, k)| Op::ShiftRight(a, k)),
+            (0usize..8).prop_map(Op::Register),
+            (0usize..8, 0usize..8, 1u8..=16).prop_map(|(a, b, w)| Op::NarrowAdd(a, b, w)),
+            (0usize..8, 0usize..8, 1u8..=16).prop_map(|(a, b, w)| Op::NarrowSub(a, b, w)),
         ],
         1..12,
     )
@@ -90,6 +112,15 @@ fn build_netlist(
                 regs_on_path += 1;
                 b.register(&format!("n{i}"), &pick(&nodes, a)).unwrap()
             }
+            Op::NarrowAdd(a, c, w) | Op::NarrowSub(a, c, w) => {
+                let (a, c, name) = (pick(&nodes, a), pick(&nodes, c), format!("n{i}"));
+                let out = if matches!(op, Op::NarrowAdd(..)) {
+                    b.carry_add(&name, &a, &c, w as usize).unwrap()
+                } else {
+                    b.carry_sub(&name, &a, &c, w as usize).unwrap()
+                };
+                b.sign_extend(&out, W).unwrap()
+            }
         };
         nodes.push(bus);
     }
@@ -99,14 +130,8 @@ fn build_netlist(
 
     let ops = ops.to_vec();
     let eval = move |inputs: &[i64]| -> i64 {
-        let wrap = |v: i64| -> i64 {
-            let m = v & ((1i64 << W) - 1);
-            if m & (1 << (W - 1)) != 0 {
-                m - (1 << W)
-            } else {
-                m
-            }
-        };
+        let wrap_to = |v: i64, w: usize| -> i64 { (v << (64 - w)) >> (64 - w) };
+        let wrap = |v: i64| wrap_to(v, W);
         let mut vals: Vec<i64> = vec![inputs[0], inputs[1]];
         for op in &ops {
             let pick = |v: &Vec<i64>, i: usize| v[i % v.len()];
@@ -116,6 +141,14 @@ fn build_netlist(
                 Op::ShiftLeft(a, k) => wrap(pick(&vals, a) << k),
                 Op::ShiftRight(a, k) => pick(&vals, a) >> k,
                 Op::Register(a) => pick(&vals, a), // steady-state value
+                Op::NarrowAdd(a, c, w) => {
+                    let w = w as usize;
+                    wrap_to(wrap_to(pick(&vals, a), w) + wrap_to(pick(&vals, c), w), w)
+                }
+                Op::NarrowSub(a, c, w) => {
+                    let w = w as usize;
+                    wrap_to(wrap_to(pick(&vals, a), w) - wrap_to(pick(&vals, c), w), w)
+                }
             };
             vals.push(next);
         }
@@ -256,6 +289,61 @@ proptest! {
             (sim.peek("out").unwrap(), sim.stats().total_cell_toggles())
         };
         prop_assert_eq!(run(), run());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Narrow and wide behavioral adders compute their program on the
+    /// event simulator.
+    #[test]
+    fn narrow_adders_compute_their_program(
+        ops in narrow_program(),
+        x in -512i64..512,
+        y in -512i64..512,
+        structural in any::<bool>(),
+    ) {
+        let (mut sim, eval, _) = build(&ops, structural);
+        sim.set_input("x", x).unwrap();
+        sim.set_input("y", y).unwrap();
+        for _ in 0..ops.len() + 2 {
+            sim.tick();
+        }
+        prop_assert_eq!(sim.peek("out").unwrap(), eval(&[x, y]));
+    }
+
+    /// The compiled backend agrees with the event simulator cycle by
+    /// cycle on random netlists with adders of random widths and one
+    /// stuck-at on a random output bit of a random cell, and its tape
+    /// unfuses to the program it was lowered from.
+    #[test]
+    fn narrow_adders_under_a_stuck_at_match_event_sim(
+        ops in narrow_program(),
+        structural in any::<bool>(),
+        xs in prop::collection::vec((-512i64..512, -512i64..512), 4..20),
+        stuck in (any::<usize>(), any::<usize>(), any::<bool>(), 0usize..20),
+    ) {
+        let (netlist, _, _) = build_netlist(&ops, structural);
+        // A wiring-only program has no cells; its ports remain targets.
+        let mut targets: Vec<(String, usize)> = ["x", "y", "out"]
+            .iter()
+            .map(|&p| (p.to_owned(), netlist.port(p).unwrap().bus.width()))
+            .collect();
+        targets.extend(netlist.cells().iter().map(|c| (c.name.clone(), c.kind.output_nets().len())));
+        let (pick, bit, value, at) = stuck;
+        let (net, width) = targets[pick % targets.len()].clone();
+        let spec = FaultSpec::StuckAt { net, bit: bit % width, value };
+        let mut sim = Simulator::new(netlist.clone()).unwrap();
+        let mut compiled = CompiledEngine::new(netlist).unwrap();
+        prop_assert!(compiled.tape_matches_program());
+        for (t, &(x, y)) in xs.iter().enumerate() {
+            if t == at {
+                sim.inject(&spec).unwrap();
+                compiled.inject(&spec).unwrap();
+            }
+            prop_assert_eq!(tick(&mut sim, x, y), tick(&mut compiled, x, y), "{} at tick {}", spec, t);
+        }
     }
 }
 

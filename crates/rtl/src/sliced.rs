@@ -30,7 +30,7 @@ use std::fmt;
 use crate::compile::Program;
 use crate::engine::{Engine, EngineCaps, PortableSnapshot};
 use crate::fault::{self, FaultSpec, ResolvedFault};
-use crate::net::Bus;
+use crate::net::{Bus, NetId};
 use crate::netlist::{CellId, Netlist, PortDirection};
 use crate::snapbytes::{ByteReader, ByteWriter};
 use crate::{Error, Result};
@@ -110,22 +110,25 @@ fn input_bus<'a>(netlist: &'a Netlist, name: &str, values: &[i64]) -> Result<&'a
     if port.direction != PortDirection::Input {
         return Err(Error::UnknownPort { name: name.to_owned() });
     }
-    for &v in values {
-        port.bus.check_value(v)?;
+    // A bus's range is an interval, so its extremes check every value.
+    if let (Some(&lo), Some(&hi)) = (values.iter().min(), values.iter().max()) {
+        port.bus.check_value(lo)?;
+        port.bus.check_value(hi)?;
     }
     Ok(&port.bus)
 }
 
-/// Stages `values[k]` into lane `first + k` of `bus`, scattered
-/// bit-major: one word per (bit, 64-lane block) touched, in a word file
-/// of `blocks` words per slot.
+/// Stages `values[k]` into lane `first + k` of the bus whose nets are
+/// `bits` (LSB first), scattered bit-major: one word per (bit, 64-lane
+/// block) touched, in a word file of `blocks` words per slot.
 fn stage_lanes(
     staged: &mut Vec<StagedWord>,
-    bus: &Bus,
+    bits: &[NetId],
     blocks: usize,
     first: usize,
     values: &[i64],
 ) {
+    let width = bits.len();
     let end = first + values.len();
     for blk in first / 64..end.div_ceil(64) {
         let lo = (blk * 64).max(first);
@@ -136,35 +139,84 @@ fn stage_lanes(
         for (row, &v) in planes.iter_mut().zip(chunk) {
             *row = v as u64;
         }
-        transpose(&mut planes);
-        for (&net, &bits) in bus.bits().iter().zip(&planes) {
+        transpose_narrow(&mut planes, width, true);
+        for (&net, &plane) in bits.iter().zip(&planes) {
             let idx = (net.index() * blocks + blk) as u32;
-            staged.push(StagedWord { idx, mask, bits: bits << shift });
+            staged.push(StagedWord { idx, mask, bits: plane << shift });
         }
     }
 }
 
-/// Transposes a 64×64 bit matrix in place: afterwards bit `c` of row
-/// `r` is what bit `r` of row `c` was. Six rounds swap ever smaller
-/// off-diagonal blocks (Hacker's Delight, §7-3).
-fn transpose(m: &mut [u64; 64]) {
-    swap_blocks::<32>(m, 0x0000_0000_FFFF_FFFF);
-    swap_blocks::<16>(m, 0x0000_FFFF_0000_FFFF);
-    swap_blocks::<8>(m, 0x00FF_00FF_00FF_00FF);
-    swap_blocks::<4>(m, 0x0F0F_0F0F_0F0F_0F0F);
-    swap_blocks::<2>(m, 0x3333_3333_3333_3333);
-    swap_blocks::<1>(m, 0x5555_5555_5555_5555);
+/// Transposes one 64-lane block between lane values and the bit planes
+/// of a `width`-bit bus. With `to_planes`, row `l` holds lane `l`'s
+/// value, and afterwards bit `l` of row `i < width` is its bit `i`
+/// (rows at or above `width` are left unspecified); without, the
+/// reverse, from planes in rows `< width` with the rows above zero.
+///
+/// A 64×64 bit transpose (Hacker's Delight, §7-3) is six rounds. The
+/// round of span `J` swaps bit log2(J) of every bit's row index with
+/// the same bit of its column index, moving each bit on its own, so the
+/// rounds commute. Only the bits whose column (staging) or row
+/// (readback) is below `width` matter; with `P` = `width` rounded up to
+/// a power of two, their index bits from log2(P) up are zero on that
+/// side. The rounds of span `P` and up only move those high index bits
+/// across, so for these bits they amount to packing rows `r + P·k` into
+/// the `k`-th `P`-bit field of row `r` (staging), or unpacking it
+/// (readback): 64 masked shifts. The rounds of span below `P` then run
+/// on rows `< P` only: log2(P) · P / 2 row pairs. Against the full
+/// transpose's 192 row pairs, an 8-bit bus needs 64 shifts and 12
+/// pairs. Each `P` gets its own instance, so every loop bound is a
+/// constant.
+fn transpose_narrow(m: &mut [u64; 64], width: usize, to_planes: bool) {
+    match width.next_power_of_two() {
+        1 => transpose_narrow_by::<1>(m, to_planes),
+        2 => transpose_narrow_by::<2>(m, to_planes),
+        4 => transpose_narrow_by::<4>(m, to_planes),
+        8 => transpose_narrow_by::<8>(m, to_planes),
+        16 => transpose_narrow_by::<16>(m, to_planes),
+        32 => transpose_narrow_by::<32>(m, to_planes),
+        _ => transpose_narrow_by::<64>(m, to_planes),
+    }
 }
 
-/// One transpose round: in every `2J`-row band, swaps the `J`-bit
-/// column blocks that `mask` selects between row `k` and row `k + J`.
+/// [`transpose_narrow`] for a bus width that rounds up to `P`.
+fn transpose_narrow_by<const P: usize>(m: &mut [u64; 64], to_planes: bool) {
+    let field = u64::MAX >> (64 - P);
+    if to_planes {
+        for r in 0..P % 64 {
+            m[r] = (0..64 / P).fold(0, |packed, k| packed | (m[r + P * k] & field) << (P * k));
+        }
+    }
+    swap_blocks::<32, P>(m, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16, P>(m, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8, P>(m, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4, P>(m, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2, P>(m, 0x3333_3333_3333_3333);
+    swap_blocks::<1, P>(m, 0x5555_5555_5555_5555);
+    if !to_planes {
+        for r in 0..P % 64 {
+            let packed = m[r];
+            for k in 0..64 / P {
+                m[r + P * k] = (packed >> (P * k)) & field;
+            }
+        }
+    }
+}
+
+/// The transpose round of span `J`, if `J < P`, on rows `< P`: in
+/// every `2J`-row band, swaps the `J`-bit column blocks that `mask`
+/// selects between row `k` and row `k + J`.
 #[inline(always)]
-fn swap_blocks<const J: usize>(m: &mut [u64; 64], mask: u64) {
-    for base in (0..64).step_by(2 * J) {
-        for k in base..base + J {
-            let t = ((m[k] >> J) ^ m[k + J]) & mask;
-            m[k] ^= t << J;
-            m[k + J] ^= t;
+fn swap_blocks<const J: usize, const P: usize>(m: &mut [u64; 64], mask: u64) {
+    if J >= P {
+        return;
+    }
+    for band in m[..P].chunks_exact_mut(2 * J) {
+        let (lo, hi) = band.split_at_mut(J);
+        for (a, b) in lo.iter_mut().zip(hi) {
+            let t = ((*a >> J) ^ *b) & mask;
+            *a ^= t << J;
+            *b ^= t;
         }
     }
 }
@@ -176,7 +228,7 @@ fn gather_lanes(width: usize, word: impl Fn(usize) -> u64, out: &mut impl Extend
     for (i, row) in rows.iter_mut().take(width).enumerate() {
         *row = word(i);
     }
-    transpose(&mut rows);
+    transpose_narrow(&mut rows, width, false);
     out.extend(rows.iter().map(|&raw| sign_extend(raw, width)));
 }
 
@@ -283,7 +335,7 @@ impl<K: Kernel> Sliced<K> {
     pub fn set_input_lane(&mut self, name: &str, lane: usize, value: i64) -> Result<()> {
         let bus = input_bus(&self.netlist, name, &[value])?;
         Self::check_lane(lane)?;
-        stage_lanes(&mut self.staged, bus, K::BLOCKS, lane, &[value]);
+        stage_lanes(&mut self.staged, bus.bits(), K::BLOCKS, lane, &[value]);
         Ok(())
     }
 
@@ -458,7 +510,7 @@ impl<K: Kernel> Engine for Sliced<K> {
             });
         }
         let bus = input_bus(&self.netlist, name, values)?;
-        stage_lanes(&mut self.staged, bus, K::BLOCKS, 0, values);
+        stage_lanes(&mut self.staged, bus.bits(), K::BLOCKS, 0, values);
         Ok(())
     }
 
@@ -694,7 +746,6 @@ pub(crate) mod tests {
     use crate::builder::NetlistBuilder;
     use crate::compile::{CompiledEngine, Interpreter};
     use crate::jit::{JitEngine, NativeKernel};
-    use crate::net::NetId;
     use crate::sim::Simulator;
 
     /// A netlist exercising every lowered cell class: behavioral
@@ -1132,7 +1183,7 @@ pub(crate) mod tests {
         ] {
             let values: Vec<i64> = (0..n as i64).map(|k| (k * 7) % 32 - 16).collect();
             let mut staged = Vec::new();
-            stage_lanes(&mut staged, &bus, blocks, first, &values);
+            stage_lanes(&mut staged, bus.bits(), blocks, first, &values);
             let before = 0x5555_aaaa_0f0f_f0f0_u64;
             let mut words = vec![before; width * blocks];
             for s in &staged {
@@ -1158,6 +1209,117 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    /// A 64-bit pseudo-random word.
+    fn word(rng: &mut Lcg) -> u64 {
+        (rng.next() << 40) ^ (rng.next() << 20) ^ rng.next()
+    }
+
+    #[test]
+    fn narrow_transposes_match_a_per_bit_reference() {
+        let mut rng = Lcg(47);
+        for width in 1..=64usize {
+            let nets: Vec<NetId> = (0..width as u32).map(NetId).collect();
+            let (min, max) = (i64::MIN >> (64 - width), i64::MAX >> (64 - width));
+            for (blocks, first, n) in
+                [(1, 0, 64), (1, 5, 40), (1, 63, 1), (4, 0, 256), (4, 60, 9), (4, 100, 156)]
+            {
+                let values: Vec<i64> = (0..n)
+                    .map(|k| match k % 5 {
+                        0 => min,
+                        1 => max,
+                        2 => -1,
+                        3 => 0,
+                        _ => sign_extend(word(&mut rng), width),
+                    })
+                    .collect();
+                let before: Vec<u64> = (0..width * blocks).map(|_| word(&mut rng)).collect();
+                let mut staged = Vec::new();
+                stage_lanes(&mut staged, &nets, blocks, first, &values);
+                let mut words = before.clone();
+                for s in &staged {
+                    let w = &mut words[s.idx as usize];
+                    *w = (*w & !s.mask) | s.bits;
+                }
+                let at = |words: &[u64], i: usize, lane: usize| {
+                    (words[i * blocks + lane / 64] >> (lane % 64)) & 1
+                };
+                for lane in 0..blocks * 64 {
+                    let staged_here = (first..first + n).contains(&lane);
+                    for i in 0..width {
+                        let want = if staged_here {
+                            (values[lane - first] >> i) as u64 & 1
+                        } else {
+                            at(&before, i, lane)
+                        };
+                        assert_eq!(at(&words, i, lane), want, "width {width} lane {lane} bit {i}");
+                    }
+                }
+                let mut read = Vec::new();
+                for blk in 0..blocks {
+                    gather_lanes(width, |i| words[i * blocks + blk], &mut read);
+                }
+                for (lane, &v) in read.iter().enumerate() {
+                    let raw = (0..width).fold(0u64, |r, i| r | at(&words, i, lane) << i);
+                    assert_eq!(v, sign_extend(raw, width), "width {width} lane {lane}");
+                    if (first..first + n).contains(&lane) {
+                        assert_eq!(v, values[lane - first], "width {width} lane {lane}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every port width from 1 to [`Bus::MAX_WIDTH`] in steps, each
+    /// input registered to an output of the same width.
+    const IO_WIDTHS: [usize; 12] = [1, 2, 7, 8, 9, 10, 16, 31, 32, 33, 62, 63];
+
+    fn lane_io_round_trips_at_every_width_on<K: Kernel>() {
+        let mut b = NetlistBuilder::new();
+        for w in IO_WIDTHS {
+            let x = b.input(&format!("i{w}"), w).unwrap();
+            let q = b.register(&format!("q{w}"), &x).unwrap();
+            b.output(&format!("o{w}"), &q).unwrap();
+        }
+        let mut eng = Sliced::<K>::new(b.finish().unwrap()).unwrap();
+        let lanes = eng.caps().lanes;
+        let mut rng = Lcg(53);
+        for w in IO_WIDTHS {
+            let (min, max) = (i64::MIN >> (64 - w), i64::MAX >> (64 - w));
+            let (i, o) = (format!("i{w}"), format!("o{w}"));
+            let mut want: Vec<i64> = (0..lanes).map(|_| sign_extend(word(&mut rng), w)).collect();
+            want[0] = min;
+            want[1] = max;
+            eng.set_input_lanes(&i, &want).unwrap();
+            // Inputs apply at the edge; the register shows them one later.
+            eng.try_tick().unwrap();
+            eng.try_tick().unwrap();
+            assert_eq!(eng.peek_lanes(&o).unwrap(), want, "{} width {w}", K::BACKEND);
+            // A chunk shorter than the lane count, then single lanes,
+            // leave every other lane as it was.
+            let short: Vec<i64> = (0..lanes - 19).map(|k| [min, max, -1, 0][k % 4]).collect();
+            eng.set_input_lanes(&i, &short).unwrap();
+            want[..short.len()].copy_from_slice(&short);
+            for lane in [lanes - 1, lanes - 19, 3] {
+                let v = sign_extend(word(&mut rng), w);
+                eng.set_input_lane(&i, lane, v).unwrap();
+                want[lane] = v;
+            }
+            eng.try_tick().unwrap();
+            eng.try_tick().unwrap();
+            let got = eng.peek_lanes(&o).unwrap();
+            assert_eq!(got, want, "{} width {w}", K::BACKEND);
+            for (lane, &v) in got.iter().enumerate() {
+                assert_eq!(eng.peek_lane(&o, lane).unwrap(), v, "{} width {w}", K::BACKEND);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_io_round_trips_at_every_width() {
+        lane_io_round_trips_at_every_width_on::<Interpreter>();
+        lane_io_round_trips_at_every_width_on::<NativeKernel>();
     }
 
     fn lane_bounds_are_checked_on<K: Kernel>() {
