@@ -26,7 +26,7 @@
 use crate::cell::{tables, Cell, CellKind};
 use crate::net::{signed_to_bits, Bus, NetId};
 use crate::netlist::{CellId, Netlist};
-use crate::sliced::{Kernel, Sliced, ALL};
+use crate::sliced::{CommitPlan, Kernel, Sliced, ALL};
 use crate::{Error, Result};
 
 /// Independent sample streams packed into each machine word.
@@ -58,12 +58,10 @@ pub(crate) enum Op {
     RamRead { port: u32 },
 }
 
-/// Register slots: where to capture D from and where Q lives.
+/// Register slots: where D is read from and where Q lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RegSlots {
     pub(crate) cell: CellId,
-    /// Offset of this register's bits in the capture scratch buffer.
-    pub(crate) offset: usize,
     pub(crate) d: Vec<u32>,
     pub(crate) q: Vec<u32>,
 }
@@ -102,8 +100,6 @@ pub struct Program {
     pub(crate) rams: Vec<RamSlots>,
     /// Combinational depth: the longest chain of dependent cells.
     levels: usize,
-    /// Total register bits (capture-buffer size).
-    pub(crate) reg_bits: usize,
     /// Total RAM bit planes (`words * width` summed over the RAMs).
     pub(crate) ram_planes: usize,
 }
@@ -214,30 +210,13 @@ impl Program {
         }
 
         let mut regs = Vec::new();
-        let mut reg_bits = 0usize;
         for &id in netlist.registers() {
             if let CellKind::Register { d, q } = &netlist.cell(id).kind {
-                regs.push(RegSlots {
-                    cell: id,
-                    offset: reg_bits,
-                    d: bus_slots(d),
-                    q: bus_slots(q),
-                });
-                reg_bits += d.width();
+                regs.push(RegSlots { cell: id, d: bus_slots(d), q: bus_slots(q) });
             }
         }
 
-        Ok(Program {
-            ops,
-            slots: next_slot as usize,
-            zero,
-            one,
-            regs,
-            rams,
-            levels,
-            reg_bits,
-            ram_planes,
-        })
+        Ok(Program { ops, slots: next_slot as usize, zero, one, regs, rams, levels, ram_planes })
     }
 
     /// Word operations executed per pass.
@@ -462,29 +441,11 @@ fn lower_ripple(
 /// pair over the same operands fused into one full adder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Inst {
-    /// As [`Op::Const`].
-    Const { dst: u32, ones: bool },
-    /// As [`Op::Copy`].
-    Copy { dst: u32, a: u32 },
-    /// As [`Op::Not`].
-    Not { dst: u32, a: u32 },
-    /// As [`Op::And`].
-    And { dst: u32, a: u32, b: u32 },
-    /// As [`Op::Or`].
-    Or { dst: u32, a: u32, b: u32 },
-    /// As [`Op::Xor`].
-    Xor { dst: u32, a: u32, b: u32 },
-    /// As [`Op::FaSum`], when no matching carry op follows it.
-    FaSum { dst: u32, a: u32, b: u32, cin: u32, invert_b: bool },
-    /// As [`Op::FaCarry`], when it follows no matching sum op.
-    FaCarry { dst: u32, a: u32, b: u32, cin: u32, invert_b: bool },
+    /// One program op, run as is.
+    Op(Op),
     /// `FaSum { dst: sum, .. }` then `FaCarry { dst: cout, .. }`: loads
     /// its inputs once and stores both outputs.
     Fa { sum: u32, cout: u32, a: u32, b: u32, cin: u32, invert_b: bool },
-    /// As [`Op::Lut`].
-    Lut { dst: u32, inputs: Box<[u32]>, table: u16 },
-    /// As [`Op::RamRead`].
-    RamRead { port: u32 },
 }
 
 /// The op-list interpreter: each pass replays the [`Program`] in
@@ -492,15 +453,11 @@ enum Inst {
 /// lowered once at build time. The tape is the program's op list with
 /// every adjacent `FaSum` + `FaCarry` pair over the same operands (a
 /// structural full adder, or one bit of a ripple chain) fused into one
-/// instruction, and the registers' D and Q slots flattened into two
-/// contiguous lists, so capture and commit are one loop each.
+/// instruction; registers commit in the program's commit-plan order.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
     tape: Box<[Inst]>,
-    /// Every register's D slots, in capture-plane order.
-    reg_d: Box<[u32]>,
-    /// Every register's Q slots, in the same order.
-    reg_q: Box<[u32]>,
+    commit: CommitPlan,
 }
 
 /// The levelized bit-sliced interpreter backend: the [`Sliced`]
@@ -518,33 +475,17 @@ impl Interpreter {
         let mut i = 0;
         while i < ops.len() {
             if let (
-                Op::FaSum { dst: sum, a, b, cin, invert_b },
+                &Op::FaSum { dst: sum, a, b, cin, invert_b },
                 Some(&Op::FaCarry { dst: cout, a: a2, b: b2, cin: cin2, invert_b: inv2 }),
             ) = (&ops[i], ops.get(i + 1))
             {
-                let (sum, a, b, cin, invert_b) = (*sum, *a, *b, *cin, *invert_b);
                 if (a, b, cin, invert_b) == (a2, b2, cin2, inv2) && ![a, b, cin].contains(&sum) {
                     tape.push(Inst::Fa { sum, cout, a, b, cin, invert_b });
                     i += 2;
                     continue;
                 }
             }
-            tape.push(match ops[i] {
-                Op::Const { dst, ones } => Inst::Const { dst, ones },
-                Op::Copy { dst, a } => Inst::Copy { dst, a },
-                Op::Not { dst, a } => Inst::Not { dst, a },
-                Op::And { dst, a, b } => Inst::And { dst, a, b },
-                Op::Or { dst, a, b } => Inst::Or { dst, a, b },
-                Op::Xor { dst, a, b } => Inst::Xor { dst, a, b },
-                Op::FaSum { dst, a, b, cin, invert_b } => Inst::FaSum { dst, a, b, cin, invert_b },
-                Op::FaCarry { dst, a, b, cin, invert_b } => {
-                    Inst::FaCarry { dst, a, b, cin, invert_b }
-                }
-                Op::Lut { dst, ref inputs, table } => {
-                    Inst::Lut { dst, inputs: inputs.clone(), table }
-                }
-                Op::RamRead { port } => Inst::RamRead { port },
-            });
+            tape.push(Inst::Op(ops[i].clone()));
             i += 1;
         }
         tape.into_boxed_slice()
@@ -556,27 +497,13 @@ impl Interpreter {
     fn unfused(&self) -> Vec<Op> {
         let mut ops = Vec::with_capacity(self.tape.len());
         for inst in self.tape.iter() {
-            let op = match *inst {
-                Inst::Const { dst, ones } => Op::Const { dst, ones },
-                Inst::Copy { dst, a } => Op::Copy { dst, a },
-                Inst::Not { dst, a } => Op::Not { dst, a },
-                Inst::And { dst, a, b } => Op::And { dst, a, b },
-                Inst::Or { dst, a, b } => Op::Or { dst, a, b },
-                Inst::Xor { dst, a, b } => Op::Xor { dst, a, b },
-                Inst::FaSum { dst, a, b, cin, invert_b } => Op::FaSum { dst, a, b, cin, invert_b },
-                Inst::FaCarry { dst, a, b, cin, invert_b } => {
-                    Op::FaCarry { dst, a, b, cin, invert_b }
-                }
+            match *inst {
+                Inst::Op(ref op) => ops.push(op.clone()),
                 Inst::Fa { sum, cout, a, b, cin, invert_b } => {
                     ops.push(Op::FaSum { dst: sum, a, b, cin, invert_b });
-                    Op::FaCarry { dst: cout, a, b, cin, invert_b }
+                    ops.push(Op::FaCarry { dst: cout, a, b, cin, invert_b });
                 }
-                Inst::Lut { dst, ref inputs, table } => {
-                    Op::Lut { dst, inputs: inputs.clone(), table }
-                }
-                Inst::RamRead { port } => Op::RamRead { port },
-            };
-            ops.push(op);
+            }
         }
         ops
     }
@@ -612,11 +539,7 @@ impl Kernel for Interpreter {
     const NATIVE: bool = false;
 
     fn build(_netlist: &Netlist, program: &Program) -> Result<Self> {
-        Ok(Interpreter {
-            tape: Self::lower(&program.ops),
-            reg_d: program.regs.iter().flat_map(|r| r.d.iter().copied()).collect(),
-            reg_q: program.regs.iter().flat_map(|r| r.q.iter().copied()).collect(),
-        })
+        Ok(Interpreter { tape: Self::lower(&program.ops), commit: CommitPlan::new(program) })
     }
 
     fn eval<const CLAMPED: bool>(
@@ -649,25 +572,29 @@ impl Kernel for Interpreter {
             };
         }
         for inst in self.tape.iter() {
-            match *inst {
-                Inst::Const { dst, ones } => store!(dst, if ones { ALL } else { 0 }),
-                Inst::Copy { dst, a } => store!(dst, w!(a)),
-                Inst::Not { dst, a } => store!(dst, !w!(a)),
-                Inst::And { dst, a, b } => store!(dst, w!(a) & w!(b)),
-                Inst::Or { dst, a, b } => store!(dst, w!(a) | w!(b)),
-                Inst::Xor { dst, a, b } => store!(dst, w!(a) ^ w!(b)),
-                Inst::FaSum { dst, a, b, cin, invert_b } => {
-                    store!(dst, fa_sum(w!(a), w_inv!(b, invert_b), w!(cin)));
-                }
-                Inst::FaCarry { dst, a, b, cin, invert_b } => {
-                    store!(dst, fa_carry(w!(a), w_inv!(b, invert_b), w!(cin)));
-                }
+            let op = match *inst {
                 Inst::Fa { sum, cout, a, b, cin, invert_b } => {
                     let (a, b, c) = (w!(a), w_inv!(b, invert_b), w!(cin));
                     store!(sum, fa_sum(a, b, c));
                     store!(cout, fa_carry(a, b, c));
+                    continue;
                 }
-                Inst::Lut { dst, ref inputs, table } => {
+                Inst::Op(ref op) => op,
+            };
+            match *op {
+                Op::Const { dst, ones } => store!(dst, if ones { ALL } else { 0 }),
+                Op::Copy { dst, a } => store!(dst, w!(a)),
+                Op::Not { dst, a } => store!(dst, !w!(a)),
+                Op::And { dst, a, b } => store!(dst, w!(a) & w!(b)),
+                Op::Or { dst, a, b } => store!(dst, w!(a) | w!(b)),
+                Op::Xor { dst, a, b } => store!(dst, w!(a) ^ w!(b)),
+                Op::FaSum { dst, a, b, cin, invert_b } => {
+                    store!(dst, fa_sum(w!(a), w_inv!(b, invert_b), w!(cin)));
+                }
+                Op::FaCarry { dst, a, b, cin, invert_b } => {
+                    store!(dst, fa_carry(w!(a), w_inv!(b, invert_b), w!(cin)));
+                }
+                Op::Lut { dst, ref inputs, table } => {
                     let mut out = 0u64;
                     for m in 0..(1u32 << inputs.len()) {
                         if table & (1u16 << m) != 0 {
@@ -681,7 +608,7 @@ impl Kernel for Interpreter {
                     }
                     store!(dst, out);
                 }
-                Inst::RamRead { port } => {
+                Op::RamRead { port } => {
                     let r = &program.rams[port as usize];
                     let mut acc = [0u64; 64];
                     for wd in 0..r.words {
@@ -709,23 +636,23 @@ impl Kernel for Interpreter {
         }
     }
 
-    fn capture(&self, _: &Program, words: &[u64], scratch: &mut [u64]) {
-        for (s, &d) in scratch.iter_mut().zip(self.reg_d.iter()) {
-            *s = words[d as usize];
+    fn commit<const CLAMPED: bool>(&self, _: &Program, words: &mut [u64], am: &[u64], om: &[u64]) {
+        macro_rules! store {
+            ($q:expr, $v:expr) => {{
+                let (i, v) = ($q as usize, $v);
+                words[i] = if CLAMPED { (v & am[i]) | om[i] } else { v };
+            }};
         }
-    }
-
-    fn commit<const CLAMPED: bool>(
-        &self,
-        _: &Program,
-        words: &mut [u64],
-        scratch: &[u64],
-        am: &[u64],
-        om: &[u64],
-    ) {
-        for (&v, &q) in scratch.iter().zip(self.reg_q.iter()) {
-            let i = q as usize;
-            words[i] = if CLAMPED { (v & am[i]) | om[i] } else { v };
+        for &(d, q) in &self.commit.moves {
+            store!(q, words[d as usize]);
+        }
+        for ring in &self.commit.rings {
+            let (&(held_d, held_q), rest) = ring.split_last().expect("rings are never empty");
+            let held = words[held_d as usize];
+            for &(d, q) in rest {
+                store!(q, words[d as usize]);
+            }
+            store!(held_q, held);
         }
     }
 
@@ -808,7 +735,7 @@ mod tests {
         let tape = Interpreter::lower(&ops);
         assert!(matches!(tape[0], Inst::Fa { sum: 5, cout: 6, .. }));
         assert_eq!(tape.len(), 5, "only the first pair fuses");
-        let interp = Interpreter { tape, reg_d: Box::new([]), reg_q: Box::new([]) };
+        let interp = Interpreter { tape, commit: CommitPlan::default() };
         assert_eq!(interp.unfused(), ops);
     }
 

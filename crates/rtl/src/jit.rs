@@ -3,7 +3,7 @@
 //!
 //! The levelized op [`Program`] the bit-sliced interpreter replays is
 //! instead *emitted as Rust source* — one straight-line function per
-//! design, registers as explicit capture/commit phases — compiled by
+//! design, registers as one in-place commit pass — compiled by
 //! `rustc` into a `cdylib` at a content-hashed cache path, loaded with
 //! a minimal `dlopen` shim, and run as the passes of [`JitEngine`], the
 //! [`Sliced`] machine at 256 lanes.
@@ -13,10 +13,11 @@
 //! * **Wider data plane.** Words are 256-bit blocks: [`LANES`] (256)
 //!   independent sample lanes per pass instead of the interpreter's
 //!   64, with no per-op dispatch — the whole pass is branch-free
-//!   straight-line code. On x86-64 a block is two SSE2 registers
-//!   (baseline for the architecture, so the kernel runs on any x86-64
-//!   host); `rustc` does not vectorize the portable `[u64; 4]` form,
-//!   which other architectures use.
+//!   straight-line code. On an x86-64 host with AVX2 a block is one
+//!   AVX2 register (the kernel is built with `+avx2` and cached under
+//!   its own name); elsewhere on x86-64 it is two SSE2 registers
+//!   (baseline for the architecture); `rustc` does not vectorize the
+//!   portable `[u64; 4]` form, which other architectures use.
 //! * **Word-lowered adders.** Behavioral `CarryAdd`/`CarrySub` cells
 //!   whose result provably fits fewer bits than their output bus get
 //!   their high output bits emitted as sign copies and the dead carry
@@ -43,7 +44,7 @@ use crate::cell::CellKind;
 use crate::compile::{slot, Op, Program};
 use crate::net::Bus;
 use crate::netlist::Netlist;
-use crate::sliced::{Kernel, Sliced};
+use crate::sliced::{CommitPlan, Kernel, Sliced};
 use crate::{Error, Result};
 
 /// Independent sample streams advanced per tick.
@@ -155,11 +156,15 @@ fn op_reads(op: &Op, program: &Program) -> Vec<u32> {
 
 /// Emission state for the straight-line eval body: which slots already
 /// have a post-clamp local (`t{slot}`) or a pre-clamp local
-/// (`r{slot}`) in scope.
+/// (`r{slot}`) in scope, and which computed slots the pass must store.
 struct Emitter {
     src: String,
     loaded: HashSet<u32>,
     computed: HashSet<u32>,
+    /// Slots read outside the pass: port nets (lane I/O), register D
+    /// slots (the commit) and RAM write ports (the RAM commit). The
+    /// pass keeps every other value in a local only.
+    stored: HashSet<u32>,
     zero: u32,
     one: u32,
 }
@@ -183,15 +188,12 @@ impl Emitter {
         format!("t{s}")
     }
 
-    /// Emits one computed op: pre-clamp local, clamped store, post-clamp
-    /// local.
+    /// Emits one computed op: pre-clamp local, then the post-clamp
+    /// local, stored if anything outside the pass reads the slot.
     fn define(&mut self, dst: u32, expr: &str) {
         let _ = writeln!(self.src, "    let r{dst} = {expr};");
-        let _ = writeln!(
-            self.src,
-            "    let t{dst} = stc::<C>(w, am, om, {}, r{dst});",
-            dst as usize * BLOCKS
-        );
+        let f = if self.stored.contains(&dst) { "stc::<C>(w, am, om" } else { "clp::<C>(am, om" };
+        let _ = writeln!(self.src, "    let t{dst} = {f}, {}, r{dst});", dst as usize * BLOCKS);
         self.computed.insert(dst);
     }
 }
@@ -217,13 +219,8 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
     assert!(elide.iter().all(|(&d, &s)| d.max(s) < program.zero), "netlist and program disagree");
 
     let abi = fnv64(
-        format!(
-            "dwt-jit-abi v1 slots={} regbits={} ram={}",
-            program.slots,
-            program.reg_bits,
-            program.ram_planes * BLOCKS
-        )
-        .as_bytes(),
+        format!("dwt-jit-abi v2 slots={} ram={}", program.slots, program.ram_planes * BLOCKS)
+            .as_bytes(),
     );
 
     // Reverse liveness over temp slots: a carry temporary is emitted
@@ -249,10 +246,17 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
     }
     stats.skipped_ops = emit.iter().filter(|&&e| !e).count();
 
+    let ports = netlist.ports().values().flat_map(|p| p.bus.bits()).map(|&n| slot(n));
+    let regs = program.regs.iter().flat_map(|r| r.d.iter().copied());
+    let rams = program
+        .rams
+        .iter()
+        .flat_map(|r| r.waddr.iter().chain(&r.wdata).copied().chain(std::iter::once(r.wen)));
     let mut e = Emitter {
         src: String::with_capacity(64 * 1024),
         loaded: HashSet::new(),
         computed: HashSet::new(),
+        stored: ports.chain(regs).chain(rams).collect(),
         zero: program.zero,
         one: program.one,
     };
@@ -261,7 +265,26 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
         e.src,
         "// Generated by dwt-rtl jit codegen; do not edit.\n\
          #![allow(unused_variables, unused_mut, unused_unsafe, clippy::all)]\n\
-         #[cfg(target_arch = \"x86_64\")]\n\
+         #[cfg(all(target_arch = \"x86_64\", target_feature = \"avx2\"))]\n\
+         mod lanes {{\n\
+             use core::arch::x86_64::*;\n\
+             pub type W = __m256i;\n\
+             pub const ZEROW: W = unsafe {{ core::mem::transmute([0u64; 4]) }};\n\
+             pub const ALLW: W = unsafe {{ core::mem::transmute([!0u64; 4]) }};\n\
+             #[inline(always)]\n\
+             pub unsafe fn ld(p: *const u64, o: usize) -> W {{ _mm256_loadu_si256(p.add(o).cast()) }}\n\
+             #[inline(always)]\n\
+             pub unsafe fn st(p: *mut u64, o: usize, v: W) {{ _mm256_storeu_si256(p.add(o).cast(), v) }}\n\
+             #[inline(always)]\n\
+             pub fn andw(a: W, b: W) -> W {{ unsafe {{ _mm256_and_si256(a, b) }} }}\n\
+             #[inline(always)]\n\
+             pub fn orw(a: W, b: W) -> W {{ unsafe {{ _mm256_or_si256(a, b) }} }}\n\
+             #[inline(always)]\n\
+             pub fn xorw(a: W, b: W) -> W {{ unsafe {{ _mm256_xor_si256(a, b) }} }}\n\
+             #[inline(always)]\n\
+             pub fn any(a: W) -> bool {{ unsafe {{ _mm256_testz_si256(a, a) == 0 }} }}\n\
+         }}\n\
+         #[cfg(all(target_arch = \"x86_64\", not(target_feature = \"avx2\")))]\n\
          mod lanes {{\n\
              use core::arch::x86_64::*;\n\
              pub type W = [__m128i; 2];\n\
@@ -317,10 +340,14 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
          #[inline(always)]\n\
          fn notw(a: W) -> W {{ xorw(a, ALLW) }}\n\
          #[inline(always)]\n\
-         fn majw(a: W, b: W, c: W) -> W {{ orw(orw(andw(a, b), andw(a, c)), andw(b, c)) }}\n\
+         fn majw(a: W, b: W, c: W) -> W {{ orw(andw(a, b), andw(c, xorw(a, b))) }}\n\
+         #[inline(always)]\n\
+         unsafe fn clp<const C: bool>(am: *const u64, om: *const u64, o: usize, v: W) -> W {{\n\
+             if C {{ orw(andw(v, ld(am, o)), ld(om, o)) }} else {{ v }}\n\
+         }}\n\
          #[inline(always)]\n\
          unsafe fn stc<const C: bool>(w: *mut u64, am: *const u64, om: *const u64, o: usize, v: W) -> W {{\n\
-             let x = if C {{ orw(andw(v, ld(am, o)), ld(om, o)) }} else {{ v }};\n\
+             let x = clp::<C>(am, om, o, v);\n\
              st(w, o, x);\n\
              x\n\
          }}\n\
@@ -457,48 +484,45 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
          }}"
     );
 
-    // --- register capture / commit ---------------------------------
+    // --- register commit --------------------------------------------
+    let plan = CommitPlan::new(program);
     let _ = writeln!(
         e.src,
-        "#[no_mangle]\n\
-         pub unsafe extern \"C\" fn dwt_jit_capture(w: *const u64, s: *mut u64) {{"
+        "unsafe fn commit<const C: bool>(w: *mut u64, am: *const u64, om: *const u64) {{"
     );
-    for reg in &program.regs {
-        for (k, &d) in reg.d.iter().enumerate() {
-            let _ = writeln!(
-                e.src,
-                "    st(s, {}, ld(w, {}));",
-                (reg.offset + k) * BLOCKS,
-                d as usize * BLOCKS
-            );
-        }
+    let copy = |src: &mut String, (d, q): (u32, u32)| {
+        let _ = writeln!(
+            src,
+            "    let _ = stc::<C>(w, am, om, {}, ld(w, {}));",
+            q as usize * BLOCKS,
+            d as usize * BLOCKS
+        );
+    };
+    for &m in &plan.moves {
+        copy(&mut e.src, m);
     }
-    let _ = writeln!(e.src, "}}");
-
-    let _ = writeln!(
-        e.src,
-        "unsafe fn commit<const C: bool>(w: *mut u64, s: *const u64, am: *const u64, om: *const u64) {{"
-    );
-    for reg in &program.regs {
-        for (k, &q) in reg.q.iter().enumerate() {
-            let _ = writeln!(
-                e.src,
-                "    let _ = stc::<C>(w, am, om, {}, ld(s, {}));",
-                q as usize * BLOCKS,
-                (reg.offset + k) * BLOCKS
-            );
+    for ring in &plan.rings {
+        let (&(held_d, held_q), rest) = ring.split_last().expect("rings are never empty");
+        let _ = writeln!(e.src, "    {{\n    let held = ld(w, {});", held_d as usize * BLOCKS);
+        for &m in rest {
+            copy(&mut e.src, m);
         }
+        let _ = writeln!(
+            e.src,
+            "    let _ = stc::<C>(w, am, om, {}, held);\n    }}",
+            held_q as usize * BLOCKS
+        );
     }
     let _ = writeln!(
         e.src,
         "}}\n\
          #[no_mangle]\n\
-         pub unsafe extern \"C\" fn dwt_jit_commit(w: *mut u64, s: *const u64) {{\n\
-             commit::<false>(w, s, core::ptr::null(), core::ptr::null());\n\
+         pub unsafe extern \"C\" fn dwt_jit_commit(w: *mut u64) {{\n\
+             commit::<false>(w, core::ptr::null(), core::ptr::null());\n\
          }}\n\
          #[no_mangle]\n\
-         pub unsafe extern \"C\" fn dwt_jit_commit_clamped(w: *mut u64, s: *const u64, am: *const u64, om: *const u64) {{\n\
-             commit::<true>(w, s, am, om);\n\
+         pub unsafe extern \"C\" fn dwt_jit_commit_clamped(w: *mut u64, am: *const u64, om: *const u64) {{\n\
+             commit::<true>(w, am, om);\n\
          }}"
     );
 
@@ -575,10 +599,8 @@ mod native {
     pub(super) type EvalFn = unsafe extern "C" fn(*mut u64, *const u64);
     pub(super) type EvalClampedFn =
         unsafe extern "C" fn(*mut u64, *const u64, *const u64, *const u64);
-    pub(super) type CaptureFn = unsafe extern "C" fn(*const u64, *mut u64);
-    pub(super) type CommitFn = unsafe extern "C" fn(*mut u64, *const u64);
-    pub(super) type CommitClampedFn =
-        unsafe extern "C" fn(*mut u64, *const u64, *const u64, *const u64);
+    pub(super) type CommitFn = unsafe extern "C" fn(*mut u64);
+    pub(super) type CommitClampedFn = unsafe extern "C" fn(*mut u64, *const u64, *const u64);
     pub(super) type RamCommitFn = unsafe extern "C" fn(*const u64, *mut u64);
     type AbiFn = unsafe extern "C" fn() -> u64;
 
@@ -587,7 +609,6 @@ mod native {
     pub(super) struct JitFns {
         pub(super) eval: EvalFn,
         pub(super) eval_clamped: EvalClampedFn,
-        pub(super) capture: CaptureFn,
         pub(super) commit: CommitFn,
         pub(super) commit_clamped: CommitClampedFn,
         pub(super) ram_commit: RamCommitFn,
@@ -644,7 +665,6 @@ mod native {
                 eval_clamped: std::mem::transmute::<*mut c_void, EvalClampedFn>(sym(
                     "dwt_jit_eval_clamped",
                 )?),
-                capture: std::mem::transmute::<*mut c_void, CaptureFn>(sym("dwt_jit_capture")?),
                 commit: std::mem::transmute::<*mut c_void, CommitFn>(sym("dwt_jit_commit")?),
                 commit_clamped: std::mem::transmute::<*mut c_void, CommitClampedFn>(sym(
                     "dwt_jit_commit_clamped",
@@ -666,7 +686,6 @@ pub struct NativeKernel {
     fns: native::JitFns,
     words_len: usize,
     ram_len: usize,
-    scratch_len: usize,
     stats: CodegenStats,
 }
 
@@ -707,7 +726,6 @@ impl Kernel for NativeKernel {
             fns: build_kernel(&generated.source, generated.abi)?,
             words_len: program.slots * BLOCKS,
             ram_len: program.ram_planes * BLOCKS,
-            scratch_len: program.reg_bits * BLOCKS,
             stats: generated.stats,
         })
     }
@@ -734,30 +752,15 @@ impl Kernel for NativeKernel {
         }
     }
 
-    fn capture(&self, _: &Program, words: &[u64], scratch: &mut [u64]) {
-        self.check_words::<false>(words, &[], &[]);
-        assert_eq!(scratch.len(), self.scratch_len, "scratch buffer length");
-        // SAFETY: as in `eval`, every buffer has its generated length.
-        unsafe { (self.fns.capture)(words.as_ptr(), scratch.as_mut_ptr()) }
-    }
-
-    fn commit<const CLAMPED: bool>(
-        &self,
-        _: &Program,
-        words: &mut [u64],
-        scratch: &[u64],
-        am: &[u64],
-        om: &[u64],
-    ) {
+    fn commit<const CLAMPED: bool>(&self, _: &Program, words: &mut [u64], am: &[u64], om: &[u64]) {
         self.check_words::<CLAMPED>(words, am, om);
-        assert_eq!(scratch.len(), self.scratch_len, "scratch buffer length");
-        let (w, s) = (words.as_mut_ptr(), scratch.as_ptr());
+        let w = words.as_mut_ptr();
         // SAFETY: as in `eval`, every buffer has its generated length.
         unsafe {
             if CLAMPED {
-                (self.fns.commit_clamped)(w, s, am.as_ptr(), om.as_ptr());
+                (self.fns.commit_clamped)(w, am.as_ptr(), om.as_ptr());
             } else {
-                (self.fns.commit)(w, s);
+                (self.fns.commit)(w);
             }
         }
     }
@@ -787,11 +790,23 @@ fn stage_err(stage: &str) -> impl Fn(std::io::Error) -> Error + '_ {
     move |e| Error::NativeCodegen { stage: stage.into(), detail: e.to_string() }
 }
 
+/// Extra `rustc` flags for this host, and the tag that keeps kernels
+/// built with them apart in the cache: with AVX2, a 256-lane block is
+/// one register instead of two SSE2 halves.
+fn host_codegen() -> (&'static [&'static str], &'static str) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        return (&["-C", "target-feature=+avx2"], "_avx2");
+    }
+    (&[], "")
+}
+
 /// Compiles (or reuses from cache) and loads the kernel for one
 /// generated source.
 ///
-/// The cache key is the FNV-1a hash of the source itself, so any
-/// codegen change reissues `rustc`; the library is compiled to a
+/// The cache key is the FNV-1a hash of the source itself (tagged with
+/// the host's extra codegen flags), so any codegen change reissues
+/// `rustc`; the library is compiled to a
 /// process-unique temp name and atomically renamed into place, which
 /// makes concurrent builds of the same design (parallel test binaries)
 /// race-free.
@@ -805,15 +820,18 @@ fn build_kernel(source: &str, abi: u64) -> Result<native::JitFns> {
 
     let dir = cache_dir();
     std::fs::create_dir_all(&dir).map_err(stage_err("cache"))?;
-    let lib = dir.join(format!("dwt_jit_{hash:016x}{}", std::env::consts::DLL_SUFFIX));
+    let (flags, tag) = host_codegen();
+    let stem = format!("dwt_jit_{hash:016x}{tag}");
+    let lib = dir.join(format!("{stem}{}", std::env::consts::DLL_SUFFIX));
     if !lib.exists() {
-        let src_path = dir.join(format!("dwt_jit_{hash:016x}.rs"));
+        let src_path = dir.join(format!("{stem}.rs"));
         std::fs::write(&src_path, source).map_err(stage_err("codegen"))?;
-        let tmp = dir.join(format!("dwt_jit_{hash:016x}.{}.tmp", std::process::id()));
+        let tmp = dir.join(format!("{stem}.{}.tmp", std::process::id()));
         let rustc = std::env::var("DWT_JIT_RUSTC").unwrap_or_else(|_| "rustc".into());
         let output = std::process::Command::new(&rustc)
             .args(["--edition=2021", "--crate-type=cdylib", "-C", "opt-level=3"])
             .args(["-C", "codegen-units=1", "-C", "debuginfo=0"])
+            .args(flags)
             .arg("-o")
             .arg(&tmp)
             .arg(&src_path)

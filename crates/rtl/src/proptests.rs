@@ -31,34 +31,29 @@ enum Op {
     NarrowSub(usize, usize, u8),
 }
 
-fn program() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0usize..8, 0usize..8).prop_map(|(a, b)| Op::AddPrev(a, b)),
-            (0usize..8, 0usize..8).prop_map(|(a, b)| Op::SubPrev(a, b)),
-            (0usize..8, 1u8..4).prop_map(|(a, k)| Op::ShiftLeft(a, k)),
-            (0usize..8, 1u8..4).prop_map(|(a, k)| Op::ShiftRight(a, k)),
-            (0usize..8).prop_map(Op::Register),
-        ],
-        1..12,
-    )
+/// One op at the node width: an adder, a shift or a register.
+fn base_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0usize..8, 0usize..8).prop_map(|(a, b)| Op::AddPrev(a, b)),
+        (0usize..8, 0usize..8).prop_map(|(a, b)| Op::SubPrev(a, b)),
+        (0usize..8, 1u8..4).prop_map(|(a, k)| Op::ShiftLeft(a, k)),
+        (0usize..8, 1u8..4).prop_map(|(a, k)| Op::ShiftRight(a, k)),
+        (0usize..8).prop_map(Op::Register),
+    ]
 }
 
-/// [`program`]'s ops plus `CarryAdd`/`CarrySub` cells of random widths
-/// from 1 to 16.
+fn program() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(base_op(), 1..12)
+}
+
+/// [`base_op`]s and, as often, `CarryAdd`/`CarrySub` cells of random
+/// widths from 1 to 16.
 fn narrow_program() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0usize..8, 0usize..8).prop_map(|(a, b)| Op::AddPrev(a, b)),
-            (0usize..8, 0usize..8).prop_map(|(a, b)| Op::SubPrev(a, b)),
-            (0usize..8, 1u8..4).prop_map(|(a, k)| Op::ShiftLeft(a, k)),
-            (0usize..8, 1u8..4).prop_map(|(a, k)| Op::ShiftRight(a, k)),
-            (0usize..8).prop_map(Op::Register),
-            (0usize..8, 0usize..8, 1u8..=16).prop_map(|(a, b, w)| Op::NarrowAdd(a, b, w)),
-            (0usize..8, 0usize..8, 1u8..=16).prop_map(|(a, b, w)| Op::NarrowSub(a, b, w)),
-        ],
-        1..12,
-    )
+    let narrow = prop_oneof![
+        (0usize..8, 0usize..8, 1u8..=16).prop_map(|(a, b, w)| Op::NarrowAdd(a, b, w)),
+        (0usize..8, 0usize..8, 1u8..=16).prop_map(|(a, b, w)| Op::NarrowSub(a, b, w)),
+    ];
+    prop::collection::vec(prop_oneof![base_op(), narrow], 1..12)
 }
 
 /// Builds the program as a netlist (both adder styles) and as a direct

@@ -16,15 +16,17 @@
 //!   [`JitEngine`](crate::jit::JitEngine).
 //!
 //! One clock edge mirrors the event-driven simulator's order: due RAM
-//! upsets strike storage, registers capture the settled D, due bit
-//! flips strike the captured bits, RAM writes commit from the settled
-//! values, Q and staged inputs apply together, and the combinational
-//! pass settles. Stuck-at faults are per-word AND/OR clamp masks; while
+//! upsets strike storage, RAM writes commit from the settled values,
+//! every register copies its settled D onto its Q in place (in a
+//! `CommitPlan` order, so no copy overwrites a D word that a later
+//! copy still reads), due bit flips strike the new Q, staged inputs
+//! apply, and the combinational pass settles. Stuck-at faults are per-word AND/OR clamp masks; while
 //! any is armed every pass runs its `CLAMPED` instantiation, which
 //! stores through the masks. RAM planes are one flat buffer: bit `b` of
 //! word `a` of a RAM whose first plane is `base` is plane
 //! `base + a * width + b`, at `ram[plane * BLOCKS..][..BLOCKS]`.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::compile::Program;
@@ -70,19 +72,9 @@ pub trait Kernel: Clone + fmt::Debug {
         om: &[u64],
     );
 
-    /// Copies every register's D words into `scratch`: bit `k` of the
-    /// register at offset `o` goes to plane `o + k`.
-    fn capture(&self, p: &Program, words: &[u64], scratch: &mut [u64]);
-
-    /// Writes the captured planes of `scratch` to every register's Q.
-    fn commit<const CLAMPED: bool>(
-        &self,
-        p: &Program,
-        words: &mut [u64],
-        scratch: &[u64],
-        am: &[u64],
-        om: &[u64],
-    );
+    /// Copies every register bit's settled D words onto its Q words,
+    /// in the order of the program's `CommitPlan`.
+    fn commit<const CLAMPED: bool>(&self, p: &Program, words: &mut [u64], am: &[u64], om: &[u64]);
 
     /// Commits each RAM write port's enabled lanes from settled words.
     fn ram_commit(&self, p: &Program, words: &[u64], ram: &mut [u64]);
@@ -103,6 +95,90 @@ struct StagedWord {
     bits: u64,
 }
 
+/// The order in which a clock edge copies every register bit's D slot
+/// onto its Q slot in place, with no capture buffer.
+///
+/// Copying a bit overwrites its Q slot, so every bit whose D slot is
+/// that Q (a register fed straight from another register) must copy
+/// first. Each bit reads one slot, so these constraints form chains,
+/// each ending in at most one ring of registers feeding each other.
+/// `moves` lists every bit off a ring in an order that honours them;
+/// the `rings` run after it, each as: read the last bit's D, copy the
+/// other bits in order, then store the held word on the last bit's Q.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct CommitPlan {
+    /// `(d, q)` slot pairs.
+    pub(crate) moves: Vec<(u32, u32)>,
+    /// Rings of `(d, q)` slot pairs; bit `i` reads bit `i + 1`'s Q, and
+    /// the last reads the first's.
+    pub(crate) rings: Vec<Vec<(u32, u32)>>,
+}
+
+impl CommitPlan {
+    /// Orders the register bits of `p`, keeping program order where no
+    /// constraint applies.
+    pub(crate) fn new(p: &Program) -> Self {
+        const NONE: u32 = u32::MAX;
+        let mut bits = Vec::with_capacity(p.regs.iter().map(|r| r.d.len()).sum());
+        for r in &p.regs {
+            bits.extend(r.d.iter().copied().zip(r.q.iter().copied()));
+        }
+        // `writer[s]`: the bit whose Q is slot `s`, if any.
+        let mut writer = vec![NONE; p.slots];
+        for (k, &(_, q)) in bits.iter().enumerate() {
+            writer[q as usize] = k as u32;
+        }
+        // `before[j]`: the bit whose Q slot bit `j` reads, which must
+        // copy after `j` (a bit holding its own Q needs no order).
+        let before: Vec<u32> = bits
+            .iter()
+            .enumerate()
+            .map(|(j, &(d, _))| match writer[d as usize] {
+                k if k as usize == j => NONE,
+                k => k,
+            })
+            .collect();
+        let mut plan = CommitPlan::default();
+        if before.iter().all(|&k| k == NONE) {
+            plan.moves = bits;
+            return plan;
+        }
+        let mut readers = vec![0u32; bits.len()];
+        for &k in before.iter().filter(|&&k| k != NONE) {
+            readers[k as usize] += 1;
+        }
+        let mut ready: VecDeque<u32> =
+            (0..bits.len() as u32).filter(|&k| readers[k as usize] == 0).collect();
+        let mut placed = vec![false; bits.len()];
+        plan.moves.reserve(bits.len());
+        while let Some(j) = ready.pop_front() {
+            placed[j as usize] = true;
+            plan.moves.push(bits[j as usize]);
+            let k = before[j as usize];
+            if k != NONE {
+                readers[k as usize] -= 1;
+                if readers[k as usize] == 0 {
+                    ready.push_back(k);
+                }
+            }
+        }
+        // Every bit left is on a ring, and so is the bit it reads.
+        for start in 0..bits.len() {
+            let mut ring = Vec::new();
+            let mut j = start;
+            while !placed[j] {
+                placed[j] = true;
+                ring.push(bits[j]);
+                j = before[j] as usize;
+            }
+            if !ring.is_empty() {
+                plan.rings.push(ring);
+            }
+        }
+        plan
+    }
+}
+
 /// Validates a write of `values` to the input port `name` and returns
 /// the port's bus.
 fn input_bus<'a>(netlist: &'a Netlist, name: &str, values: &[i64]) -> Result<&'a Bus> {
@@ -110,10 +186,15 @@ fn input_bus<'a>(netlist: &'a Netlist, name: &str, values: &[i64]) -> Result<&'a
     if port.direction != PortDirection::Input {
         return Err(Error::UnknownPort { name: name.to_owned() });
     }
-    // A bus's range is an interval, so its extremes check every value.
-    if let (Some(&lo), Some(&hi)) = (values.iter().min(), values.iter().max()) {
-        port.bus.check_value(lo)?;
-        port.bus.check_value(hi)?;
+    // A value fits a `w`-bit bus iff its bits from `w - 1` up all equal
+    // its sign bit, i.e. `v ^ (v >> 63)` is below `2^(w-1)`: one
+    // branch-free pass over the write, then a per-value search for the
+    // one to report only when some value does not fit.
+    let spread = values.iter().fold(0u64, |acc, &v| acc | (v ^ (v >> 63)) as u64);
+    if spread >> (port.bus.width() - 1) != 0 {
+        for &v in values {
+            port.bus.check_value(v)?;
+        }
     }
     Ok(&port.bus)
 }
@@ -151,7 +232,9 @@ fn stage_lanes(
 /// of a `width`-bit bus. With `to_planes`, row `l` holds lane `l`'s
 /// value, and afterwards bit `l` of row `i < width` is its bit `i`
 /// (rows at or above `width` are left unspecified); without, the
-/// reverse, from planes in rows `< width` with the rows above zero.
+/// reverse, from planes in rows `< width` with every row above up to
+/// `P` (below) a copy of the sign plane `width - 1`, so that each lane
+/// comes out sign-extended.
 ///
 /// A 64×64 bit transpose (Hacker's Delight, §7-3) is six rounds. The
 /// round of span `J` swaps bit log2(J) of every bit's row index with
@@ -181,8 +264,8 @@ fn transpose_narrow(m: &mut [u64; 64], width: usize, to_planes: bool) {
 
 /// [`transpose_narrow`] for a bus width that rounds up to `P`.
 fn transpose_narrow_by<const P: usize>(m: &mut [u64; 64], to_planes: bool) {
-    let field = u64::MAX >> (64 - P);
     if to_planes {
+        let field = u64::MAX >> (64 - P);
         for r in 0..P % 64 {
             m[r] = (0..64 / P).fold(0, |packed, k| packed | (m[r + P * k] & field) << (P * k));
         }
@@ -194,10 +277,12 @@ fn transpose_narrow_by<const P: usize>(m: &mut [u64; 64], to_planes: bool) {
     swap_blocks::<2, P>(m, 0x3333_3333_3333_3333);
     swap_blocks::<1, P>(m, 0x5555_5555_5555_5555);
     if !to_planes {
+        // Field `k` holds a value sign-extended to `P` bits: shift its
+        // top bit up to bit 63, then arithmetically back down.
         for r in 0..P % 64 {
             let packed = m[r];
             for k in 0..64 / P {
-                m[r + P * k] = (packed >> (P * k)) & field;
+                m[r + P * k] = (((packed << (64 - P * (k + 1))) as i64) >> (64 - P)) as u64;
             }
         }
     }
@@ -228,8 +313,10 @@ fn gather_lanes(width: usize, word: impl Fn(usize) -> u64, out: &mut impl Extend
     for (i, row) in rows.iter_mut().take(width).enumerate() {
         *row = word(i);
     }
+    let sign = rows[width - 1];
+    rows[width..width.next_power_of_two()].fill(sign);
     transpose_narrow(&mut rows, width, false);
-    out.extend(rows.iter().map(|&raw| sign_extend(raw, width)));
+    out.extend(rows.iter().map(|&v| v as i64));
 }
 
 /// Two's-complement interpretation of the low `width` bits of `raw`.
@@ -267,8 +354,6 @@ pub struct Sliced<K> {
     kernel: K,
     words: Vec<u64>,
     ram: Vec<u64>,
-    /// Register-capture planes reused across ticks.
-    scratch: Vec<u64>,
     staged: Vec<StagedWord>,
     /// Per-word clamp masks (`AND` then `OR`); identity unless stuck.
     and_mask: Vec<u64>,
@@ -297,7 +382,6 @@ impl<K: Kernel> Sliced<K> {
         let mut engine = Sliced {
             words: vec![0; words],
             ram: vec![0; program.ram_planes * b],
-            scratch: vec![0; program.reg_bits * b],
             staged: Vec::new(),
             and_mask: vec![ALL; words],
             or_mask: vec![0; words],
@@ -364,7 +448,7 @@ impl<K: Kernel> Sliced<K> {
     /// One clock edge, in the order the module docs give.
     fn step<const CLAMPED: bool>(&mut self) {
         let (b, now) = (K::BLOCKS, self.cycle);
-        let Sliced { program: p, kernel, words, ram, scratch, and_mask, or_mask, .. } = self;
+        let Sliced { program: p, kernel, words, ram, and_mask, or_mask, .. } = self;
         self.ram_upsets.retain(|&(cell, addr, bit, due)| {
             if due == now {
                 if let Some(r) = p.rams.iter().find(|r| r.cell == cell) {
@@ -374,18 +458,22 @@ impl<K: Kernel> Sliced<K> {
             }
             due != now
         });
-        kernel.capture(p, words, scratch);
+        kernel.ram_commit(p, words, ram);
+        kernel.commit::<CLAMPED>(p, words, and_mask, or_mask);
+        // A flip inverts the bit the register captured, so it strikes
+        // the new Q through that word's clamp.
         self.flips.retain(|&(cell, bit, due)| {
             if due == now {
                 if let Some(r) = p.regs.iter().find(|r| r.cell == cell) {
-                    let o = (r.offset + bit) * b;
-                    scratch[o..o + b].iter_mut().for_each(|w| *w ^= ALL);
+                    let o = r.q[bit] as usize * b;
+                    for i in o..o + b {
+                        let v = words[i] ^ ALL;
+                        words[i] = if CLAMPED { (v & and_mask[i]) | or_mask[i] } else { v };
+                    }
                 }
             }
             due != now
         });
-        kernel.ram_commit(p, words, ram);
-        kernel.commit::<CLAMPED>(p, words, scratch, and_mask, or_mask);
         self.settle::<CLAMPED>();
         self.cycle = self.cycle.wrapping_add(1);
     }
@@ -862,6 +950,82 @@ pub(crate) mod tests {
         });
         lockstep(ram_netlist(), RAM_IN, &["rdata"], 120, 17, |t| match t {
             5 => vec![FaultSpec::RamUpset { ram: "m".into(), addr: 2, bit: 3, cycle: 20 }],
+            _ => Vec::new(),
+        });
+    }
+
+    /// A shift chain `a -> b -> c`, a ring `r1 -> r2 -> r3 -> r1` with
+    /// a tap `t` on it, a register `h` holding its own Q, and a
+    /// register `m` whose bits read from all of them.
+    fn register_web_netlist() -> Netlist {
+        let mut b = NetlistBuilder::new();
+        let x = b.input("x", 4).unwrap();
+        let a = b.register("a", &x).unwrap();
+        let bq = b.register("b", &a).unwrap();
+        let c = b.register("c", &bq).unwrap();
+        let (r1, f1) = b.register_loop("r1", 4).unwrap();
+        let (r2, f2) = b.register_loop("r2", 4).unwrap();
+        let (r3, f3) = b.register_loop("r3", 4).unwrap();
+        f1.connect(&mut b, &r3).unwrap();
+        f2.connect(&mut b, &r1).unwrap();
+        f3.connect(&mut b, &r2).unwrap();
+        let t = b.register("t", &r2).unwrap();
+        let (h, _) = b.register_loop("h", 4).unwrap();
+        let mix = Bus::new(vec![a.bit(0), c.bit(1), r1.bit(2), h.bit(3)]).unwrap();
+        let m = b.register("m", &mix).unwrap();
+        for (name, bus) in [("a", &a), ("b", &bq), ("c", &c), ("r1", &r1), ("r2", &r2), ("r3", &r3)]
+        {
+            b.output(&format!("o{name}"), bus).unwrap();
+        }
+        b.output("ot", &t).unwrap();
+        b.output("oh", &h).unwrap();
+        b.output("om", &m).unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn commit_plan_orders_chains_and_holds_one_word_per_ring() {
+        let p = Program::compile(&register_web_netlist()).unwrap();
+        let plan = CommitPlan::new(&p);
+        let mut bits: Vec<(u32, u32)> =
+            p.regs.iter().flat_map(|r| r.d.iter().copied().zip(r.q.iter().copied())).collect();
+        let mut planned: Vec<(u32, u32)> =
+            plan.moves.iter().chain(plan.rings.iter().flatten()).copied().collect();
+        bits.sort_unstable();
+        planned.sort_unstable();
+        assert_eq!(planned, bits, "every register bit exactly once");
+        // One three-register ring per bit of r1/r2/r3.
+        assert_eq!(plan.rings.len(), 4);
+        assert!(plan.rings.iter().all(|r| r.len() == 3));
+        // No copy overwrites a slot that a later copy reads.
+        for (i, &(_, q)) in plan.moves.iter().enumerate() {
+            let later = plan.moves[i + 1..].iter().chain(plan.rings.iter().flatten());
+            assert!(later.into_iter().all(|&(d, _)| d != q), "move {i} clobbers a later read");
+        }
+        for ring in &plan.rings {
+            for (i, pair) in ring.windows(2).enumerate() {
+                assert_eq!(pair[0].0, pair[1].1, "ring bit {i} reads the next bit's Q");
+            }
+            assert_eq!(ring[ring.len() - 1].0, ring[0].1, "the last bit reads the first's Q");
+        }
+    }
+
+    #[test]
+    fn registers_commit_in_place_under_flips_and_stuck_bits() {
+        // Flips seed the ring (it powers up at zero) and strike the
+        // chain and the self-holding register; a stuck ring bit runs
+        // the clamped commit, and a flip lands on it while stuck.
+        let outputs = ["oa", "ob", "oc", "or1", "or2", "or3", "ot", "oh", "om"];
+        let flip = |register: &str, bit, cycle| FaultSpec::BitFlip {
+            register: register.into(),
+            bit,
+            cycle,
+        };
+        lockstep(register_web_netlist(), &[("x", -8, 7)], &outputs, 60, 29, |t| match t {
+            1 => vec![flip("r1", 0, 3), flip("r2", 2, 4), flip("h", 1, 6), flip("b", 3, 8)],
+            10 => vec![flip("r3", 1, 12), flip("m", 2, 14), flip("c", 0, 15)],
+            20 => vec![FaultSpec::StuckAt { net: "r3".into(), bit: 1, value: true }],
+            24 => vec![flip("r3", 1, 26), flip("r1", 3, 27)],
             _ => Vec::new(),
         });
     }
