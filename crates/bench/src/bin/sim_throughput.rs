@@ -21,8 +21,10 @@
 //! Usage: `sim_throughput [--pairs N] [--seed S] [--json PATH]
 //! [--min-speedup F] [--min-jit-speedup F]`
 //!
-//! Writes the per-design table as JSON (default path
-//! `BENCH_sim_throughput.json`); with `--min-speedup F` the process
+//! With `--json PATH` it writes the per-design table as JSON (the
+//! committed trajectory is `--pairs 512 --seed 2005 --json
+//! BENCH_sim_throughput.json`, run from the repo root; without the flag
+//! nothing is written). With `--min-speedup F` the process
 //! exits nonzero if any design's compiled-over-event speedup falls
 //! below F — CI gates on 1.0, i.e. "the compiled backend must not be
 //! slower than what it replaces". With `--min-jit-speedup F` it exits
@@ -46,25 +48,20 @@ use dwt_rtl::sim::Simulator;
 struct Args {
     pairs: usize,
     seed: u64,
-    json: String,
+    json: Option<String>,
     min_speedup: Option<f64>,
     min_jit_speedup: Option<f64>,
 }
 
 fn parse_args() -> Result<Args, UsageError> {
-    let mut out = Args {
-        pairs: 512,
-        seed: 2005,
-        json: "BENCH_sim_throughput.json".to_owned(),
-        min_speedup: None,
-        min_jit_speedup: None,
-    };
+    let mut out =
+        Args { pairs: 512, seed: 2005, json: None, min_speedup: None, min_jit_speedup: None };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--pairs" => out.pairs = flag_value(&mut args, "--pairs", "count")?,
             "--seed" => out.seed = flag_value(&mut args, "--seed", "seed")?,
-            "--json" => out.json = flag_value(&mut args, "--json", "path")?,
+            "--json" => out.json = Some(flag_value(&mut args, "--json", "path")?),
             "--min-speedup" => {
                 out.min_speedup = Some(flag_value(&mut args, "--min-speedup", "factor")?);
             }
@@ -272,9 +269,11 @@ fn main() {
         golden_samples_per_sec,
     );
 
-    std::fs::write(&args.json, json_report(&args, &rows))
-        .unwrap_or_else(|e| panic!("writing {}: {e}", args.json));
-    println!("\nreport written to {}", args.json);
+    if let Some(path) = &args.json {
+        std::fs::write(path, json_report(&args, &rows))
+            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!("\nreport written to {path}");
+    }
 
     if let Some(floor) = args.min_speedup {
         let worst = rows.iter().map(Row::speedup).fold(f64::INFINITY, f64::min);

@@ -118,12 +118,15 @@ fn hardened_variants_agree_fault_free() {
 fn interpreter_tape_executes_the_program_on_every_design() {
     // The compiled engine runs its own tape of fused full adders, not
     // the program's op list; unfused, the tape must be that list op for
-    // op, so the backend proofs about the program cover the tape.
+    // op, so the backend proofs about the program cover the tape. Its
+    // register commit copies runs of slots; expanded, they must be the
+    // commit plan's moves one for one.
     for design in Design::all() {
         for hardening in [Hardening::None, Hardening::Tmr, Hardening::Parity] {
             let built = design.build_hardened(hardening).expect("design build");
             let eng = CompiledEngine::new(built.netlist).expect("engine build");
             assert!(eng.tape_matches_program(), "{design} + {hardening:?}");
+            assert!(eng.commit_runs_match_plan(), "{design} + {hardening:?}");
         }
     }
 }

@@ -453,12 +453,47 @@ enum Inst {
 /// lowered once at build time. The tape is the program's op list with
 /// every adjacent `FaSum` + `FaCarry` pair over the same operands (a
 /// structural full adder, or one bit of a ripple chain) fused into one
-/// instruction; registers commit in the program's commit-plan order.
+/// instruction. Registers commit in the program's commit-plan order,
+/// its moves merged into runs of consecutive slots.
+///
+/// A clamped pass stores nothing through masks: it runs the tape in
+/// segments and forces each stuck slot right after the one instruction
+/// that writes it, and a stuck slot that no instruction writes (a
+/// register Q, an input) before the first. Clamping is the identity on
+/// every other slot, so this equals clamping every store.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
     tape: Box<[Inst]>,
-    commit: CommitPlan,
+    /// `writer[s]`: one past the index of the tape instruction that
+    /// writes slot `s`, or 0 if none does.
+    writer: Box<[u32]>,
+    /// The commit plan's moves as `(d, q, len)` runs: `len` moves
+    /// `(d + k, q + k)`, consecutive in the plan.
+    runs: Box<[(u32, u32, u32)]>,
+    /// The commit plan's rings.
+    rings: Vec<Vec<(u32, u32)>>,
 }
+
+/// Where a clamped pass of the [`Interpreter`] forces one stuck slot:
+/// once the first `after` tape instructions have run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ClampPoint {
+    after: u32,
+    slot: u32,
+    ones: bool,
+}
+
+impl ClampPoint {
+    /// Forces the point's slot to its level.
+    fn force(self, words: &mut [u64]) {
+        words[self.slot as usize] = if self.ones { ALL } else { 0 };
+    }
+}
+
+/// The [`Interpreter`]'s form of the armed stuck-at faults: one clamp
+/// point per stuck slot, in tape order.
+#[derive(Debug, Clone, Default)]
+pub struct ClampPoints(Vec<ClampPoint>);
 
 /// The levelized bit-sliced interpreter backend: the [`Sliced`]
 /// machine at [`LANES`] (64) lanes, running its passes through the
@@ -466,6 +501,44 @@ pub struct Interpreter {
 pub type CompiledEngine = Sliced<Interpreter>;
 
 impl Interpreter {
+    /// The interpreter for `program` running `tape`.
+    fn new(program: &Program, tape: Box<[Inst]>) -> Self {
+        let mut writer = vec![0u32; program.slots];
+        for (i, inst) in tape.iter().enumerate() {
+            let mut wrote = |s: u32| writer[s as usize] = i as u32 + 1;
+            match *inst {
+                Inst::Fa { sum, cout, .. } => {
+                    wrote(sum);
+                    wrote(cout);
+                }
+                Inst::Op(Op::RamRead { port }) => {
+                    program.rams[port as usize].rdata.iter().for_each(|&s| wrote(s));
+                }
+                Inst::Op(
+                    Op::Const { dst, .. }
+                    | Op::Copy { dst, .. }
+                    | Op::Not { dst, .. }
+                    | Op::And { dst, .. }
+                    | Op::Or { dst, .. }
+                    | Op::Xor { dst, .. }
+                    | Op::FaSum { dst, .. }
+                    | Op::FaCarry { dst, .. }
+                    | Op::Lut { dst, .. },
+                ) => wrote(dst),
+            }
+        }
+        let plan = CommitPlan::new(program);
+        let run = |a: &(u32, u32), b: &(u32, u32)| (b.0, b.1) == (a.0 + 1, a.1 + 1);
+        let mut runs = Vec::with_capacity(plan.moves.chunk_by(run).count());
+        runs.extend(plan.moves.chunk_by(run).map(|c| (c[0].0, c[0].1, c.len() as u32)));
+        Interpreter {
+            tape,
+            writer: writer.into_boxed_slice(),
+            runs: runs.into_boxed_slice(),
+            rings: plan.rings,
+        }
+    }
+
     /// Lowers `ops` to the tape. A `FaSum` fuses with the `FaCarry`
     /// after it only when both read the same operands and the sum is
     /// none of them, so loading the inputs once reads what the carry
@@ -507,56 +580,12 @@ impl Interpreter {
         }
         ops
     }
-}
 
-impl CompiledEngine {
-    /// Whether the interpreter's tape, with every fused full adder
-    /// split back into its sum and carry ops, is exactly
-    /// [`program`](Sliced::program)'s op list, op for op. Every proof
-    /// about the program (its back-translation, `dwt-equiv`'s backend
-    /// obligation) then holds for what the interpreter executes.
-    #[must_use]
-    pub fn tape_matches_program(&self) -> bool {
-        self.kernel().unfused() == self.program().ops
-    }
-}
-
-/// Full-adder sum of three words.
-#[inline(always)]
-fn fa_sum(a: u64, b: u64, c: u64) -> u64 {
-    a ^ b ^ c
-}
-
-/// Full-adder carry (majority) of three words.
-#[inline(always)]
-fn fa_carry(a: u64, b: u64, c: u64) -> u64 {
-    (a & b) | (c & (a ^ b))
-}
-
-impl Kernel for Interpreter {
-    const BLOCKS: usize = LANES / 64;
-    const BACKEND: &'static str = "compiled";
-    const NATIVE: bool = false;
-
-    fn build(_netlist: &Netlist, program: &Program) -> Result<Self> {
-        Ok(Interpreter { tape: Self::lower(&program.ops), commit: CommitPlan::new(program) })
-    }
-
-    fn eval<const CLAMPED: bool>(
-        &self,
-        program: &Program,
-        words: &mut [u64],
-        ram: &[u64],
-        am: &[u64],
-        om: &[u64],
-    ) {
-        macro_rules! store {
-            ($dst:expr, $v:expr) => {{
-                let i = $dst as usize;
-                let v = $v;
-                words[i] = if CLAMPED { (v & am[i]) | om[i] } else { v };
-            }};
-        }
+    /// Runs `tape`, a stretch of the tape, storing every result as is.
+    /// One out-of-line body serves a whole unclamped pass and every
+    /// segment of a clamped one, so both run the same code.
+    #[inline(never)]
+    fn run(tape: &[Inst], program: &Program, words: &mut [u64], ram: &[u64]) {
         macro_rules! w {
             ($s:expr) => {
                 words[$s as usize]
@@ -571,28 +600,28 @@ impl Kernel for Interpreter {
                 }
             };
         }
-        for inst in self.tape.iter() {
+        for inst in tape {
             let op = match *inst {
                 Inst::Fa { sum, cout, a, b, cin, invert_b } => {
                     let (a, b, c) = (w!(a), w_inv!(b, invert_b), w!(cin));
-                    store!(sum, fa_sum(a, b, c));
-                    store!(cout, fa_carry(a, b, c));
+                    w!(sum) = fa_sum(a, b, c);
+                    w!(cout) = fa_carry(a, b, c);
                     continue;
                 }
                 Inst::Op(ref op) => op,
             };
             match *op {
-                Op::Const { dst, ones } => store!(dst, if ones { ALL } else { 0 }),
-                Op::Copy { dst, a } => store!(dst, w!(a)),
-                Op::Not { dst, a } => store!(dst, !w!(a)),
-                Op::And { dst, a, b } => store!(dst, w!(a) & w!(b)),
-                Op::Or { dst, a, b } => store!(dst, w!(a) | w!(b)),
-                Op::Xor { dst, a, b } => store!(dst, w!(a) ^ w!(b)),
+                Op::Const { dst, ones } => w!(dst) = if ones { ALL } else { 0 },
+                Op::Copy { dst, a } => w!(dst) = w!(a),
+                Op::Not { dst, a } => w!(dst) = !w!(a),
+                Op::And { dst, a, b } => w!(dst) = w!(a) & w!(b),
+                Op::Or { dst, a, b } => w!(dst) = w!(a) | w!(b),
+                Op::Xor { dst, a, b } => w!(dst) = w!(a) ^ w!(b),
                 Op::FaSum { dst, a, b, cin, invert_b } => {
-                    store!(dst, fa_sum(w!(a), w_inv!(b, invert_b), w!(cin)));
+                    w!(dst) = fa_sum(w!(a), w_inv!(b, invert_b), w!(cin));
                 }
                 Op::FaCarry { dst, a, b, cin, invert_b } => {
-                    store!(dst, fa_carry(w!(a), w_inv!(b, invert_b), w!(cin)));
+                    w!(dst) = fa_carry(w!(a), w_inv!(b, invert_b), w!(cin));
                 }
                 Op::Lut { dst, ref inputs, table } => {
                     let mut out = 0u64;
@@ -606,7 +635,7 @@ impl Kernel for Interpreter {
                             out |= term;
                         }
                     }
-                    store!(dst, out);
+                    w!(dst) = out;
                 }
                 Op::RamRead { port } => {
                     let r = &program.rams[port as usize];
@@ -629,30 +658,113 @@ impl Kernel for Interpreter {
                         }
                     }
                     for (j, &d) in r.rdata.iter().enumerate() {
-                        store!(d, acc[j]);
+                        w!(d) = acc[j];
                     }
                 }
             }
         }
     }
+}
 
-    fn commit<const CLAMPED: bool>(&self, _: &Program, words: &mut [u64], am: &[u64], om: &[u64]) {
-        macro_rules! store {
-            ($q:expr, $v:expr) => {{
-                let (i, v) = ($q as usize, $v);
-                words[i] = if CLAMPED { (v & am[i]) | om[i] } else { v };
-            }};
+impl CompiledEngine {
+    /// Whether the interpreter's tape, with every fused full adder
+    /// split back into its sum and carry ops, is exactly
+    /// [`program`](Sliced::program)'s op list, op for op. Every proof
+    /// about the program (its back-translation, `dwt-equiv`'s backend
+    /// obligation) then holds for what the interpreter executes.
+    #[must_use]
+    pub fn tape_matches_program(&self) -> bool {
+        self.kernel().unfused() == self.program().ops
+    }
+
+    /// Whether the interpreter's commit runs, expanded into one move
+    /// per register bit, are exactly the program's commit-plan moves in
+    /// order, and its rings the plan's rings.
+    #[must_use]
+    pub fn commit_runs_match_plan(&self) -> bool {
+        let (k, plan) = (self.kernel(), CommitPlan::new(self.program()));
+        let moves = k.runs.iter().flat_map(|&(d, q, len)| (0..len).map(move |i| (d + i, q + i)));
+        moves.eq(plan.moves.iter().copied()) && k.rings == plan.rings
+    }
+}
+
+/// Full-adder sum of three words.
+#[inline(always)]
+fn fa_sum(a: u64, b: u64, c: u64) -> u64 {
+    a ^ b ^ c
+}
+
+/// Full-adder carry (majority) of three words.
+#[inline(always)]
+fn fa_carry(a: u64, b: u64, c: u64) -> u64 {
+    (a & b) | (c & (a ^ b))
+}
+
+impl Kernel for Interpreter {
+    const BLOCKS: usize = LANES / 64;
+    const BACKEND: &'static str = "compiled";
+    const NATIVE: bool = false;
+    type Clamps = ClampPoints;
+
+    fn build(_netlist: &Netlist, program: &Program) -> Result<Self> {
+        Ok(Interpreter::new(program, Self::lower(&program.ops)))
+    }
+
+    fn arm(&self, _: &Program, stuck: &[(u32, bool)], clamps: &mut ClampPoints) {
+        clamps.0.clear();
+        clamps.0.extend(stuck.iter().map(|&(slot, ones)| ClampPoint {
+            after: self.writer[slot as usize],
+            slot,
+            ones,
+        }));
+        // A slot listed twice (only in a hostile snapshot) ends
+        // all-ones, as the jit's OR mask wins over its AND mask.
+        clamps.0.sort_unstable_by_key(|p| (p.after, p.ones));
+    }
+
+    fn eval<const CLAMPED: bool>(
+        &self,
+        program: &Program,
+        words: &mut [u64],
+        ram: &[u64],
+        clamps: &ClampPoints,
+    ) {
+        if !CLAMPED {
+            return Self::run(&self.tape, program, words, ram);
         }
-        for &(d, q) in &self.commit.moves {
-            store!(q, words[d as usize]);
+        let mut done = 0;
+        for &p in &clamps.0 {
+            let after = p.after as usize;
+            if after > done {
+                Self::run(&self.tape[done..after], program, words, ram);
+                done = after;
+            }
+            p.force(words);
         }
-        for ring in &self.commit.rings {
+        Self::run(&self.tape[done..], program, words, ram);
+    }
+
+    fn commit<const CLAMPED: bool>(&self, _: &Program, words: &mut [u64], clamps: &ClampPoints) {
+        for &(d, q, len) in self.runs.iter() {
+            let (d, q) = (d as usize, q as usize);
+            if len == 1 {
+                words[q] = words[d];
+            } else {
+                words.copy_within(d..d + len as usize, q);
+            }
+        }
+        for ring in &self.rings {
             let (&(held_d, held_q), rest) = ring.split_last().expect("rings are never empty");
             let held = words[held_d as usize];
             for &(d, q) in rest {
-                store!(q, words[d as usize]);
+                words[q as usize] = words[d as usize];
             }
-            store!(held_q, held);
+            words[held_q as usize] = held;
+        }
+        // No copy reads a Q that another copy wrote, so forcing the
+        // stuck slots after every copy equals clamping each store.
+        if CLAMPED {
+            clamps.0.iter().for_each(|p| p.force(words));
         }
     }
 
@@ -735,8 +847,47 @@ mod tests {
         let tape = Interpreter::lower(&ops);
         assert!(matches!(tape[0], Inst::Fa { sum: 5, cout: 6, .. }));
         assert_eq!(tape.len(), 5, "only the first pair fuses");
-        let interp = Interpreter { tape, commit: CommitPlan::default() };
-        assert_eq!(interp.unfused(), ops);
+        let program = Program::compile(&mixed_netlist()).unwrap();
+        assert_eq!(Interpreter::new(&program, tape).unfused(), ops);
+    }
+
+    #[test]
+    fn commit_runs_end_where_either_slot_jumps() {
+        // `a` and `c` read adjacent halves of `x`, but the inverter's
+        // nets sit between their Q buses: the D slots run on across the
+        // two registers and the Q slots do not.
+        let mut b = NetlistBuilder::new();
+        let x = b.input("x", 8).unwrap();
+        let a = b.register("a", &x.slice(0, 4)).unwrap();
+        let n = b.not("n", &x).unwrap();
+        let c = b.register("c", &x.slice(4, 8)).unwrap();
+        for (name, bus) in [("a", &a), ("n", &n), ("c", &c)] {
+            b.output(&format!("o{name}"), bus).unwrap();
+        }
+        let netlist = b.finish().unwrap();
+        let eng = CompiledEngine::new(netlist.clone()).unwrap();
+        assert!(eng.commit_runs_match_plan());
+        assert_eq!(eng.kernel().runs.len(), 2);
+        lockstep(netlist, &[("x", -128, 127)], &["oa", "on", "oc"], 20, 5, |_| Vec::new());
+    }
+
+    #[test]
+    fn the_clamped_commit_leaves_stuck_register_bits_forced() {
+        // A clamped settle follows every commit and forces the stuck Q
+        // slots again, so only a direct call shows the commit's own.
+        let netlist = adder_netlist();
+        let program = Program::compile(&netlist).unwrap();
+        let k = Interpreter::build(&netlist, &program).unwrap();
+        let q = &program.regs[0].q;
+        let mut clamps = ClampPoints::default();
+        k.arm(&program, &[(q[2], true), (q[3], false)], &mut clamps);
+        let before: Vec<u64> =
+            (0..program.slots as u64).map(|s| s.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        let (mut plain, mut clamped) = (before.clone(), before);
+        k.commit::<false>(&program, &mut plain, &clamps);
+        k.commit::<true>(&program, &mut clamped, &clamps);
+        (plain[q[2] as usize], plain[q[3] as usize]) = (ALL, 0);
+        assert_eq!(clamped, plain);
     }
 
     /// Structural ripple adder and subtractor (full-adder cells whose

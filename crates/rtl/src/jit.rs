@@ -702,14 +702,25 @@ impl JitEngine {
     }
 }
 
+/// The [`NativeKernel`]'s form of the armed stuck-at faults: the stuck
+/// slots, and the per-word `AND` then `OR` masks the generated clamped
+/// passes store through (identity on every word not stuck). The masks
+/// stay empty until a stuck-at is first armed.
+#[derive(Debug, Clone, Default)]
+pub struct ClampMasks {
+    slots: Vec<u32>,
+    and: Vec<u64>,
+    or: Vec<u64>,
+}
+
 impl NativeKernel {
     /// Asserts that the word file, and when `CLAMPED` the clamp masks,
     /// have the generated length.
-    fn check_words<const CLAMPED: bool>(&self, words: &[u64], am: &[u64], om: &[u64]) {
+    fn check_words<const CLAMPED: bool>(&self, words: &[u64], m: &ClampMasks) {
         assert_eq!(words.len(), self.words_len, "word buffer length");
         if CLAMPED {
-            assert_eq!(am.len(), self.words_len, "and-mask length");
-            assert_eq!(om.len(), self.words_len, "or-mask length");
+            assert_eq!(m.and.len(), self.words_len, "and-mask length");
+            assert_eq!(m.or.len(), self.words_len, "or-mask length");
         }
     }
 }
@@ -719,6 +730,7 @@ impl Kernel for NativeKernel {
     const BLOCKS: usize = BLOCKS;
     const BACKEND: &'static str = "jit";
     const NATIVE: bool = true;
+    type Clamps = ClampMasks;
 
     fn build(netlist: &Netlist, program: &Program) -> Result<Self> {
         let generated = generate(netlist, program);
@@ -730,35 +742,65 @@ impl Kernel for NativeKernel {
         })
     }
 
+    fn arm(&self, _: &Program, stuck: &[(u32, bool)], m: &mut ClampMasks) {
+        m.slots.clear();
+        m.slots.extend(stuck.iter().map(|&(slot, _)| slot));
+        if stuck.is_empty() {
+            return;
+        }
+        m.and.clear();
+        m.and.resize(self.words_len, !0);
+        m.or.clear();
+        m.or.resize(self.words_len, 0);
+        for &(net, ones) in stuck {
+            let w = net as usize * BLOCKS..(net as usize + 1) * BLOCKS;
+            if ones {
+                m.or[w].fill(!0);
+            } else {
+                m.and[w].fill(0);
+            }
+        }
+    }
+
     fn eval<const CLAMPED: bool>(
         &self,
         _: &Program,
         words: &mut [u64],
         ram: &[u64],
-        am: &[u64],
-        om: &[u64],
+        m: &ClampMasks,
     ) {
-        self.check_words::<CLAMPED>(words, am, om);
+        self.check_words::<CLAMPED>(words, m);
         assert_eq!(ram.len(), self.ram_len, "ram buffer length");
+        if CLAMPED {
+            // The generated pass clamps what it stores; registers and
+            // inputs it only loads.
+            for &s in &m.slots {
+                let w = s as usize * BLOCKS..(s as usize + 1) * BLOCKS;
+                let masks = m.and[w.clone()].iter().zip(&m.or[w.clone()]);
+                for (v, (&and, &or)) in words[w].iter_mut().zip(masks) {
+                    *v = (*v & and) | or;
+                }
+            }
+        }
         let (w, r) = (words.as_mut_ptr(), ram.as_ptr());
         // SAFETY: the kernel was generated for buffers of exactly the
         // lengths asserted above and touches nothing outside them.
         unsafe {
             if CLAMPED {
-                (self.fns.eval_clamped)(w, r, am.as_ptr(), om.as_ptr());
+                (self.fns.eval_clamped)(w, r, m.and.as_ptr(), m.or.as_ptr());
             } else {
                 (self.fns.eval)(w, r);
             }
         }
     }
 
-    fn commit<const CLAMPED: bool>(&self, _: &Program, words: &mut [u64], am: &[u64], om: &[u64]) {
-        self.check_words::<CLAMPED>(words, am, om);
+    fn commit<const CLAMPED: bool>(&self, _: &Program, words: &mut [u64], m: &ClampMasks) {
+        self.check_words::<CLAMPED>(words, m);
         let w = words.as_mut_ptr();
         // SAFETY: as in `eval`, every buffer has its generated length.
         unsafe {
             if CLAMPED {
-                (self.fns.commit_clamped)(w, am.as_ptr(), om.as_ptr());
+                (self.fns.commit_clamped)(w, m.and.as_ptr(), m.or.as_ptr());
             } else {
                 (self.fns.commit)(w);
             }
@@ -766,7 +808,7 @@ impl Kernel for NativeKernel {
     }
 
     fn ram_commit(&self, _: &Program, words: &[u64], ram: &mut [u64]) {
-        self.check_words::<false>(words, &[], &[]);
+        self.check_words::<false>(words, &ClampMasks::default());
         assert_eq!(ram.len(), self.ram_len, "ram buffer length");
         // SAFETY: as in `eval`, every buffer has its generated length.
         unsafe { (self.fns.ram_commit)(words.as_ptr(), ram.as_mut_ptr()) }

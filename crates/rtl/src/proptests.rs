@@ -309,9 +309,44 @@ proptest! {
     }
 
     /// The compiled backend agrees with the event simulator cycle by
+    /// cycle on random netlists with adders of random widths and one to
+    /// three stuck-ats, armed on the same tick, on random bits of random
+    /// ports, cell outputs and register Qs.
+    #[test]
+    fn several_stuck_ats_match_event_sim(
+        ops in narrow_program(),
+        structural in any::<bool>(),
+        xs in prop::collection::vec((-512i64..512, -512i64..512), 4..20),
+        stuck in prop::collection::vec((any::<usize>(), any::<usize>(), any::<bool>()), 1..4),
+        at in 0usize..20,
+    ) {
+        let (netlist, _, _) = build_netlist(&ops, structural);
+        let specs = stuck_ats(&netlist, &stuck);
+        let mut sim = Simulator::new(netlist.clone()).unwrap();
+        let mut compiled = CompiledEngine::new(netlist).unwrap();
+        for (t, &(x, y)) in xs.iter().enumerate() {
+            if t == at {
+                for spec in &specs {
+                    sim.inject(spec).unwrap();
+                    compiled.inject(spec).unwrap();
+                }
+            }
+            prop_assert_eq!(tick(&mut sim, x, y), tick(&mut compiled, x, y), "{:?} at tick {}", specs, t);
+        }
+    }
+}
+
+proptest! {
+    // Every case builds a fresh native kernel (one `rustc` run on a
+    // cold kernel cache), so this runs 32 cases rather than 64.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Both bit-sliced backends agree with the event simulator cycle by
     /// cycle on random netlists with adders of random widths and one
-    /// stuck-at on a random output bit of a random cell, and its tape
-    /// unfuses to the program it was lowered from.
+    /// stuck-at on a random output bit of a random cell, and the
+    /// interpreter's tape unfuses to the program it was lowered from.
+    /// The interpreter forces stuck slots at clamp points while the jit
+    /// clamps every store, so all three run.
     #[test]
     fn narrow_adders_under_a_stuck_at_match_event_sim(
         ops in narrow_program(),
@@ -320,26 +355,41 @@ proptest! {
         stuck in (any::<usize>(), any::<usize>(), any::<bool>(), 0usize..20),
     ) {
         let (netlist, _, _) = build_netlist(&ops, structural);
-        // A wiring-only program has no cells; its ports remain targets.
-        let mut targets: Vec<(String, usize)> = ["x", "y", "out"]
-            .iter()
-            .map(|&p| (p.to_owned(), netlist.port(p).unwrap().bus.width()))
-            .collect();
-        targets.extend(netlist.cells().iter().map(|c| (c.name.clone(), c.kind.output_nets().len())));
         let (pick, bit, value, at) = stuck;
-        let (net, width) = targets[pick % targets.len()].clone();
-        let spec = FaultSpec::StuckAt { net, bit: bit % width, value };
+        let spec = stuck_ats(&netlist, &[(pick, bit, value)]).remove(0);
         let mut sim = Simulator::new(netlist.clone()).unwrap();
-        let mut compiled = CompiledEngine::new(netlist).unwrap();
+        let mut compiled = CompiledEngine::new(netlist.clone()).unwrap();
+        let mut jit = JitEngine::new(netlist).unwrap();
         prop_assert!(compiled.tape_matches_program());
         for (t, &(x, y)) in xs.iter().enumerate() {
             if t == at {
                 sim.inject(&spec).unwrap();
                 compiled.inject(&spec).unwrap();
+                jit.inject(&spec).unwrap();
             }
-            prop_assert_eq!(tick(&mut sim, x, y), tick(&mut compiled, x, y), "{} at tick {}", spec, t);
+            let want = tick(&mut sim, x, y);
+            prop_assert_eq!(want, tick(&mut compiled, x, y), "compiled: {} at tick {}", spec, t);
+            prop_assert_eq!(want, tick(&mut jit, x, y), "jit: {} at tick {}", spec, t);
         }
     }
+}
+
+/// Stuck-at faults from `(pick, bit, value)` draws: `pick` chooses a
+/// port or a cell's output bus (a register's is its Q), `bit` a bit of
+/// it. A wiring-only program has no cells; its ports remain targets.
+fn stuck_ats(netlist: &crate::netlist::Netlist, draws: &[(usize, usize, bool)]) -> Vec<FaultSpec> {
+    let mut targets: Vec<(String, usize)> = ["x", "y", "out"]
+        .iter()
+        .map(|&p| (p.to_owned(), netlist.port(p).unwrap().bus.width()))
+        .collect();
+    targets.extend(netlist.cells().iter().map(|c| (c.name.clone(), c.kind.output_nets().len())));
+    draws
+        .iter()
+        .map(|&(pick, bit, value)| {
+            let (net, width) = targets[pick % targets.len()].clone();
+            FaultSpec::StuckAt { net, bit: bit % width, value }
+        })
+        .collect()
 }
 
 /// Stages `(x, y)`, ticks, and reads `out`.

@@ -690,7 +690,7 @@ impl Simulator {
                     if self.values[net.index()] != b {
                         self.values[net.index()] = b;
                         self.projected[net.index()] = b;
-                        self.stats.ff_toggles += 1;
+                        self.stats.ff_toggles = self.stats.ff_toggles.wrapping_add(1);
                         changed.push(net);
                     }
                 }
@@ -715,8 +715,10 @@ impl Simulator {
             self.enqueue(id, 1);
         }
         self.drain()?;
-        self.stats.cycles += 1;
-        self.cycle += 1;
+        // Counters restored from a snapshot may hold any value, so they
+        // wrap rather than overflow.
+        self.stats.cycles = self.stats.cycles.wrapping_add(1);
+        self.cycle = self.cycle.wrapping_add(1);
         Ok(())
     }
 
@@ -816,11 +818,17 @@ impl Simulator {
                     if self.values[net.index()] != value {
                         self.values[net.index()] = value;
                         if let Some(driver) = self.netlist.driver(net) {
-                            self.stats.cell_toggles[driver.index()] += 1;
+                            let t = &mut self.stats.cell_toggles[driver.index()];
+                            *t = t.wrapping_add(1);
                         }
                         match self.net_class[net.index()] {
-                            NetClass::Routed => self.stats.routed_toggles += 1,
-                            NetClass::Local => self.stats.local_toggles += 1,
+                            NetClass::Routed => {
+                                self.stats.routed_toggles =
+                                    self.stats.routed_toggles.wrapping_add(1);
+                            }
+                            NetClass::Local => {
+                                self.stats.local_toggles = self.stats.local_toggles.wrapping_add(1);
+                            }
                         }
                         self.schedule_fanout(&[net], time);
                     }
@@ -880,8 +888,9 @@ impl Simulator {
         let carries = self.chain_carries(id);
         if let Some(c) = carries {
             let flips = (c ^ self.carry_state[id.index()]).count_ones();
-            self.stats.cell_toggles[id.index()] += u64::from(flips);
-            self.stats.carry_toggles += u64::from(flips);
+            let t = &mut self.stats.cell_toggles[id.index()];
+            *t = t.wrapping_add(u64::from(flips));
+            self.stats.carry_toggles = self.stats.carry_toggles.wrapping_add(u64::from(flips));
             self.carry_state[id.index()] = c;
         }
     }
@@ -1026,23 +1035,20 @@ impl Simulator {
     /// Rewinds the simulator to a previously captured [`Snapshot`],
     /// discarding all state accumulated since — including injected
     /// faults, which revert to whatever was armed at capture time.
+    /// Nothing is overwritten unless every length and index in the
+    /// snapshot fits this netlist.
     ///
     /// # Errors
     ///
     /// Returns [`Error::SnapshotMismatch`] if the snapshot was taken
-    /// from a netlist of different shape (net or cell counts differ);
-    /// the simulator is left untouched in that case.
+    /// from a netlist of different shape (a per-net or per-cell table
+    /// of another length), and [`Error::SnapshotDecode`] for a RAM of
+    /// another size, or a staged input, event, stuck net, flip, RAM
+    /// upset or last-evaluated cell that names no net, cell, register
+    /// bit or RAM bit of this netlist; the simulator is left untouched
+    /// in either case.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        if snap.values.len() != self.netlist.net_count()
-            || snap.carry_state.len() != self.netlist.cell_count()
-        {
-            return Err(Error::SnapshotMismatch {
-                snapshot_nets: snap.values.len(),
-                simulator_nets: self.netlist.net_count(),
-                snapshot_cells: snap.carry_state.len(),
-                simulator_cells: self.netlist.cell_count(),
-            });
-        }
+        self.check(snap)?;
         self.values.clone_from(&snap.values);
         self.projected.clone_from(&snap.projected);
         self.staged_inputs.clone_from(&snap.staged_inputs);
@@ -1060,6 +1066,71 @@ impl Simulator {
         self.last_eval = snap.last_eval;
         Ok(())
     }
+
+    /// Checks that every table in `s` has this netlist's length and
+    /// every index it holds is in range, so `restore` can refuse it
+    /// before overwriting anything.
+    fn check(&self, s: &Snapshot) -> Result<()> {
+        let (nets, cells) = (self.netlist.net_count(), self.netlist.cell_count());
+        if [s.values.len(), s.projected.len(), s.pending.len()] != [nets; 3]
+            || [s.carry_state.len(), s.enqueued_at.len(), s.stats.cell_toggles.len()] != [cells; 3]
+            || s.ram_contents.len() != cells
+        {
+            return Err(Error::SnapshotMismatch {
+                snapshot_nets: s.values.len(),
+                simulator_nets: nets,
+                snapshot_cells: s.carry_state.len(),
+                simulator_cells: cells,
+            });
+        }
+        let kind = |c: CellId| self.netlist.cells().get(c.index()).map(|cell| &cell.kind);
+        let ram_shape = |c: CellId| match kind(c) {
+            Some(CellKind::Ram { words, rdata, .. }) => Some((*words, rdata.width())),
+            _ => None,
+        };
+        let detail = if let Some(i) = (0..cells)
+            .find(|&i| s.ram_contents[i].len() != ram_shape(CellId(i as u32)).map_or(0, |r| r.0))
+        {
+            format!("cell {i} holds {} RAM words, which is not its size", s.ram_contents[i].len())
+        } else if let Some((bus, _)) =
+            s.staged_inputs.iter().find(|(bus, _)| bus.bits().iter().any(|n| n.index() >= nets))
+        {
+            format!("staged input on nets {:?}, but the netlist has {nets} nets", bus.bits())
+        } else if let Some(std::cmp::Reverse(event)) =
+            s.wheel.iter().find(|std::cmp::Reverse((at, tier, id, _))| {
+                *at > Self::MAX_EVENT_TIME || *id as usize >= if *tier == 0 { nets } else { cells }
+            })
+        {
+            format!("event {event:?} names no net or cell of {nets} nets and {cells} cells, or is too late")
+        } else if let Some(net) =
+            s.pending.iter().position(|q| q.iter().any(|&(at, _)| at > Self::MAX_EVENT_TIME))
+        {
+            format!("net {net} has a change pending later than any settle reaches")
+        } else if let Some((net, _)) = s.stuck.iter().find(|&&(n, _)| n as usize >= nets) {
+            format!("stuck-at on net {net}, but the netlist has {nets} nets")
+        } else if let Some((cell, bit, _)) = s.flips.iter().find(|&&(c, bit, _)| {
+            !matches!(kind(c), Some(CellKind::Register { q, .. }) if bit < q.width())
+        }) {
+            format!("bit flip on cell {} bit {bit}, which is no register bit", cell.index())
+        } else if let Some((cell, addr, bit, _)) = s
+            .ram_upsets
+            .iter()
+            .find(|&&(c, a, bit, _)| !ram_shape(c).is_some_and(|(w, width)| a < w && bit < width))
+        {
+            format!("RAM upset on cell {} word {addr} bit {bit}, which is no RAM bit", cell.index())
+        } else if let Some(cell) = s.last_eval.filter(|c| c.index() >= cells) {
+            format!("last evaluated cell {}, but the netlist has {cells} cells", cell.index())
+        } else {
+            return Ok(());
+        };
+        Err(Error::SnapshotDecode { detail })
+    }
+
+    /// Latest event time a snapshot may hold. A drain starts at time 0
+    /// and each cell adds at most a few dozen units, so settling times
+    /// stay far below this, and events scheduled after a restored one
+    /// cannot overflow the `u32` clock.
+    const MAX_EVENT_TIME: u32 = u32::MAX / 2;
 
     /// Reads the current signed Q-side value of a named register cell
     /// (test-bench state inspection, e.g. snapshot round-trip checks).
@@ -1640,6 +1711,92 @@ mod tests {
         match big.restore(&snap) {
             Err(Error::SnapshotMismatch { .. }) => {}
             other => panic!("expected SnapshotMismatch, got {other:?}"),
+        }
+    }
+
+    /// A RAM whose read data is registered, with one fault of each
+    /// family armed and an input staged: every list a snapshot carries
+    /// has an entry but the event wheel, which a settled machine empties.
+    fn armed() -> Simulator {
+        let mut b = NetlistBuilder::new();
+        let addr = b.input("addr", 2).unwrap();
+        let wdata = b.input("wdata", 6).unwrap();
+        let wen = b.input("wen", 1).unwrap();
+        let rdata = b.ram("m", 4, 6, &addr, &addr, &wdata, wen.bit(0)).unwrap();
+        let q = b.register("q", &rdata).unwrap();
+        b.output("q", &q).unwrap();
+        let mut sim = Simulator::new(b.finish().unwrap()).unwrap();
+        sim.inject(&FaultSpec::StuckAt { net: "wdata".into(), bit: 0, value: true }).unwrap();
+        sim.inject(&FaultSpec::BitFlip { register: "q".into(), bit: 1, cycle: 5 }).unwrap();
+        sim.inject(&FaultSpec::RamUpset { ram: "m".into(), addr: 1, bit: 2, cycle: 4 }).unwrap();
+        sim.set_input("wdata", 9).unwrap();
+        sim
+    }
+
+    #[test]
+    fn restore_refuses_out_of_range_fields() {
+        use crate::engine::PortableSnapshot;
+        use std::cmp::Reverse;
+        let good = armed().snapshot();
+        const FAR: u32 = u32::MAX;
+        type Edit = fn(&mut Snapshot);
+        let cases: [(&str, Edit, bool); 20] = [
+            ("values", |s| s.values.truncate(1), true),
+            ("projected", |s| s.projected.push(false), true),
+            ("pending", |s| s.pending.truncate(1), true),
+            ("carry state", |s| s.carry_state.truncate(1), true),
+            ("enqueued", |s| s.enqueued_at.push(0), true),
+            ("cell toggles", |s| s.stats.cell_toggles.truncate(1), true),
+            ("ram table", |s| s.ram_contents.push(Vec::new()), true),
+            ("ram size", |s| s.ram_contents.iter_mut().for_each(|r| r.push(0)), false),
+            ("staged net", |s| s.staged_inputs[0].0 = Bus::new(vec![NetId(FAR)]).unwrap(), false),
+            ("net event", |s| s.wheel.push(Reverse((0, 0, FAR, true))), false),
+            ("cell event", |s| s.wheel.push(Reverse((0, 1, FAR, false))), false),
+            ("late event", |s| s.wheel.push(Reverse((FAR, 1, 0, false))), false),
+            ("late change", |s| s.pending[0].push_back((FAR, true)), false),
+            ("stuck net", |s| s.stuck[0].0 = FAR, false),
+            ("flip on the RAM cell", |s| s.flips[0].0 = s.ram_upsets[0].0, false),
+            ("flip bit", |s| s.flips[0].1 = 6, false),
+            ("upset on the register cell", |s| s.ram_upsets[0].0 = s.flips[0].0, false),
+            ("upset addr", |s| s.ram_upsets[0].1 = 4, false),
+            ("upset bit", |s| s.ram_upsets[0].2 = 6, false),
+            ("last evaluated cell", |s| s.last_eval = Some(CellId(FAR)), false),
+        ];
+        for (field, edit, mismatch) in cases {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            // Through the byte codec, as a hostile store record arrives.
+            let bad = Snapshot::from_bytes(&bad.to_bytes()).unwrap();
+            let mut sim = armed();
+            sim.tick();
+            let before = sim.snapshot();
+            match sim.restore(&bad) {
+                Err(Error::SnapshotMismatch { .. }) if mismatch => {}
+                Err(Error::SnapshotDecode { .. }) if !mismatch => {}
+                other => panic!("{field} gave {other:?}"),
+            }
+            assert_eq!(sim.snapshot(), before, "{field} changed the simulator");
+            sim.restore(&good).unwrap();
+            for _ in 0..8 {
+                sim.tick();
+            }
+        }
+        // Counters restored at their limit wrap instead of overflowing.
+        let mut full = good;
+        let st = &mut full.stats;
+        for counter in [&mut st.routed_toggles, &mut st.local_toggles, &mut st.carry_toggles]
+            .into_iter()
+            .chain([&mut st.ff_toggles, &mut st.cycles, &mut full.cycle])
+            .chain(st.cell_toggles.iter_mut())
+        {
+            *counter = u64::MAX;
+        }
+        let mut sim = armed();
+        sim.restore(&full).unwrap();
+        for k in 0..8 {
+            sim.set_input("addr", k % 4 - 2).unwrap();
+            sim.set_input("wdata", k).unwrap();
+            sim.tick();
         }
     }
 

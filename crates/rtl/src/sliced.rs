@@ -20,11 +20,13 @@
 //! every register copies its settled D onto its Q in place (in a
 //! `CommitPlan` order, so no copy overwrites a D word that a later
 //! copy still reads), due bit flips strike the new Q, staged inputs
-//! apply, and the combinational pass settles. Stuck-at faults are per-word AND/OR clamp masks; while
-//! any is armed every pass runs its `CLAMPED` instantiation, which
-//! stores through the masks. RAM planes are one flat buffer: bit `b` of
-//! word `a` of a RAM whose first plane is `base` is plane
-//! `base + a * width + b`, at `ram[plane * BLOCKS..][..BLOCKS]`.
+//! apply, and the combinational pass settles. While any stuck-at fault
+//! is armed every pass runs its `CLAMPED` instantiation, which leaves
+//! each stuck slot at its forced level; how is the kernel's choice,
+//! prepared from the stuck list by [`Kernel::arm`] whenever it changes.
+//! RAM planes are one flat buffer: bit `b` of word `a` of a RAM whose
+//! first plane is `base` is plane `base + a * width + b`, at
+//! `ram[plane * BLOCKS..][..BLOCKS]`.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -42,8 +44,9 @@ pub(crate) const ALL: u64 = !0;
 
 /// The backend-specific passes of a [`Sliced`] machine over one
 /// [`Program`], on a word file of [`BLOCKS`](Kernel::BLOCKS) words per
-/// slot. When `CLAMPED`, every store to word `i` writes
-/// `(v & am[i]) | om[i]`.
+/// slot. A `CLAMPED` pass computes what it would if every store to a
+/// stuck slot were forced to that slot's level, and leaves every stuck
+/// slot at its level.
 pub trait Kernel: Clone + fmt::Debug {
     /// `u64` blocks per slot: the machine runs `64 * BLOCKS` lanes.
     const BLOCKS: usize;
@@ -52,6 +55,8 @@ pub trait Kernel: Clone + fmt::Debug {
     /// Whether the passes run natively compiled code
     /// ([`EngineCaps::native_codegen`]).
     const NATIVE: bool;
+    /// The armed stuck-at faults in the form the `CLAMPED` passes read.
+    type Clamps: Clone + fmt::Debug + Default;
 
     /// Prepares the passes for `program`, lowered from `netlist`.
     ///
@@ -61,6 +66,13 @@ pub trait Kernel: Clone + fmt::Debug {
     /// [`Error::NativeCodegen`].
     fn build(netlist: &Netlist, program: &Program) -> Result<Self>;
 
+    /// Rebuilds `clamps` for the stuck-at faults `stuck`, `(slot,
+    /// level)` pairs with every slot a net of the program, reusing its
+    /// buffers. The machine calls it when a stuck-at is armed or a
+    /// snapshot restored, and runs `CLAMPED` passes only while the list
+    /// is not empty, so clearing the list needs no call.
+    fn arm(&self, p: &Program, stuck: &[(u32, bool)], clamps: &mut Self::Clamps);
+
     /// Recomputes every combinational word from registers, inputs and
     /// RAM.
     fn eval<const CLAMPED: bool>(
@@ -68,13 +80,12 @@ pub trait Kernel: Clone + fmt::Debug {
         p: &Program,
         words: &mut [u64],
         ram: &[u64],
-        am: &[u64],
-        om: &[u64],
+        clamps: &Self::Clamps,
     );
 
     /// Copies every register bit's settled D words onto its Q words,
     /// in the order of the program's `CommitPlan`.
-    fn commit<const CLAMPED: bool>(&self, p: &Program, words: &mut [u64], am: &[u64], om: &[u64]);
+    fn commit<const CLAMPED: bool>(&self, p: &Program, words: &mut [u64], clamps: &Self::Clamps);
 
     /// Commits each RAM write port's enabled lanes from settled words.
     fn ram_commit(&self, p: &Program, words: &[u64], ram: &mut [u64]);
@@ -348,17 +359,17 @@ fn sign_extend(raw: u64, width: usize) -> i64 {
 ///   forced level until its driver re-fires; this machine recomputes
 ///   every net each pass, so cleared nets heal at the next tick/settle.
 #[derive(Debug, Clone)]
-pub struct Sliced<K> {
+pub struct Sliced<K: Kernel> {
     netlist: Netlist,
     program: Program,
     kernel: K,
     words: Vec<u64>,
     ram: Vec<u64>,
     staged: Vec<StagedWord>,
-    /// Per-word clamp masks (`AND` then `OR`); identity unless stuck.
-    and_mask: Vec<u64>,
-    or_mask: Vec<u64>,
+    /// Armed stuck-ats: `(net, level)`.
     stuck: Vec<(u32, bool)>,
+    /// The kernel's form of `stuck`.
+    clamps: K::Clamps,
     flips: Vec<(CellId, usize, u64)>,
     ram_upsets: Vec<(CellId, usize, usize, u64)>,
     cycle: u64,
@@ -383,9 +394,8 @@ impl<K: Kernel> Sliced<K> {
             words: vec![0; words],
             ram: vec![0; program.ram_planes * b],
             staged: Vec::new(),
-            and_mask: vec![ALL; words],
-            or_mask: vec![0; words],
             stuck: Vec::new(),
+            clamps: K::Clamps::default(),
             flips: Vec::new(),
             ram_upsets: Vec::new(),
             cycle: 0,
@@ -434,21 +444,21 @@ impl<K: Kernel> Sliced<K> {
     }
 
     /// Applies the staged input writes (keeping the list's capacity),
-    /// then settles the combinational pass.
+    /// then settles the combinational pass, which forces every stuck
+    /// slot when `CLAMPED`.
     fn settle<const CLAMPED: bool>(&mut self) {
         for StagedWord { idx, mask, bits } in self.staged.drain(..) {
-            let i = idx as usize;
-            let v = (self.words[i] & !mask) | bits;
-            self.words[i] = if CLAMPED { (v & self.and_mask[i]) | self.or_mask[i] } else { v };
+            let w = &mut self.words[idx as usize];
+            *w = (*w & !mask) | bits;
         }
-        let Sliced { program, kernel, words, ram, and_mask, or_mask, .. } = self;
-        kernel.eval::<CLAMPED>(program, words, ram, and_mask, or_mask);
+        let Sliced { program, kernel, words, ram, clamps, .. } = self;
+        kernel.eval::<CLAMPED>(program, words, ram, clamps);
     }
 
     /// One clock edge, in the order the module docs give.
     fn step<const CLAMPED: bool>(&mut self) {
         let (b, now) = (K::BLOCKS, self.cycle);
-        let Sliced { program: p, kernel, words, ram, and_mask, or_mask, .. } = self;
+        let Sliced { program: p, kernel, words, ram, clamps, .. } = self;
         self.ram_upsets.retain(|&(cell, addr, bit, due)| {
             if due == now {
                 if let Some(r) = p.rams.iter().find(|r| r.cell == cell) {
@@ -459,17 +469,14 @@ impl<K: Kernel> Sliced<K> {
             due != now
         });
         kernel.ram_commit(p, words, ram);
-        kernel.commit::<CLAMPED>(p, words, and_mask, or_mask);
+        kernel.commit::<CLAMPED>(p, words, clamps);
         // A flip inverts the bit the register captured, so it strikes
-        // the new Q through that word's clamp.
+        // the new Q; on a stuck Q the settle below forces it back.
         self.flips.retain(|&(cell, bit, due)| {
             if due == now {
                 if let Some(r) = p.regs.iter().find(|r| r.cell == cell) {
                     let o = r.q[bit] as usize * b;
-                    for i in o..o + b {
-                        let v = words[i] ^ ALL;
-                        words[i] = if CLAMPED { (v & and_mask[i]) | or_mask[i] } else { v };
-                    }
+                    words[o..o + b].iter_mut().for_each(|w| *w ^= ALL);
                 }
             }
             due != now
@@ -478,18 +485,9 @@ impl<K: Kernel> Sliced<K> {
         self.cycle = self.cycle.wrapping_add(1);
     }
 
-    /// Rebuilds the clamp masks from the stuck list.
-    fn rebuild_masks(&mut self) {
-        self.and_mask.fill(ALL);
-        self.or_mask.fill(0);
-        for &(net, value) in &self.stuck {
-            let w = net as usize * K::BLOCKS..(net as usize + 1) * K::BLOCKS;
-            if value {
-                self.or_mask[w].fill(ALL);
-            } else {
-                self.and_mask[w].fill(0);
-            }
-        }
+    /// Hands the stuck list to the kernel.
+    fn arm(&mut self) {
+        self.kernel.arm(&self.program, &self.stuck, &mut self.clamps);
     }
 
     /// Checks that `s` is a state of this engine's netlist and lane
@@ -654,7 +652,7 @@ impl<K: Kernel> Engine for Sliced<K> {
         self.flips.clone_from(&s.flips);
         self.ram_upsets.clone_from(&s.ram_upsets);
         self.cycle = s.cycle;
-        self.rebuild_masks();
+        self.arm();
         Ok(())
     }
 
@@ -666,11 +664,8 @@ impl<K: Kernel> Engine for Sliced<K> {
                     Some(entry) => entry.1 = value,
                     None => self.stuck.push((s, value)),
                 }
-                self.rebuild_masks();
+                self.arm();
                 // Force the net now and re-settle downstream logic.
-                for i in net.index() * K::BLOCKS..(net.index() + 1) * K::BLOCKS {
-                    self.words[i] = (self.words[i] & self.and_mask[i]) | self.or_mask[i];
-                }
                 self.settle::<true>();
             }
             ResolvedFault::Flip { register, bit, cycle } => self.flips.push((register, bit, cycle)),
@@ -685,7 +680,6 @@ impl<K: Kernel> Engine for Sliced<K> {
         self.stuck.clear();
         self.flips.clear();
         self.ram_upsets.clear();
-        self.rebuild_masks();
     }
 
     fn cycle(&self) -> u64 {
@@ -1028,6 +1022,103 @@ pub(crate) mod tests {
             24 => vec![flip("r3", 1, 26), flip("r1", 3, 27)],
             _ => Vec::new(),
         });
+    }
+
+    /// A structural adder of an input and a constant, registered and
+    /// summed with a RAM's read data: a stuck slot of every kind to arm.
+    fn clamp_netlist() -> Netlist {
+        let mut b = NetlistBuilder::new();
+        let x = b.input("x", 8).unwrap();
+        let k = b.constant(37, 8).unwrap();
+        let add = b.ripple_add("add", &x, &k, 9).unwrap();
+        let r = b.register("r", &add).unwrap();
+        let raddr = b.input("raddr", 2).unwrap();
+        let waddr = b.input("waddr", 2).unwrap();
+        let wdata = b.input("wdata", 6).unwrap();
+        let wen = b.input("wen", 1).unwrap();
+        let rdata = b.ram("m", 4, 6, &raddr, &waddr, &wdata, wen.bit(0)).unwrap();
+        let rd = b.sign_extend(&rdata, 9).unwrap();
+        let mix = b.ripple_add("mix", &r, &rd, 10).unwrap();
+        let q = b.register("q", &mix).unwrap();
+        for (name, bus) in [("add", &add), ("r", &r), ("rdata", &rdata), ("mix", &mix), ("q", &q)] {
+            b.output(&format!("o{name}"), bus).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    const CLAMP_IN: &[(&str, i64, i64)] =
+        &[("x", -128, 127), ("raddr", -2, 1), ("waddr", -2, 1), ("wdata", -32, 31), ("wen", -1, 0)];
+
+    /// Stuck-ats on one fused full adder's sum and carry (one tape
+    /// instruction), a register Q that a flip also strikes, an input
+    /// bit, a RAM read-data bit and a constant-driven net, all armed at
+    /// once, plus a flip on a free bit of the same register.
+    fn clamp_faults() -> Vec<FaultSpec> {
+        let stuck = |net: &str, bit, value| FaultSpec::StuckAt { net: net.into(), bit, value };
+        let flip = |bit, cycle| FaultSpec::BitFlip { register: "r".into(), bit, cycle };
+        vec![
+            stuck("add_fa3", 0, true),
+            stuck("add_fa3", 1, false),
+            stuck("r", 2, true),
+            stuck("x", 1, false),
+            stuck("m", 3, true),
+            stuck("const_37_8", 0, false),
+            flip(2, 12),
+            flip(5, 14),
+        ]
+    }
+
+    #[test]
+    fn every_kind_of_stuck_slot_matches_event_sim() {
+        let outputs = ["oadd", "or", "ordata", "omix", "oq"];
+        lockstep(clamp_netlist(), CLAMP_IN, &outputs, 40, 37, |t| {
+            if t == 6 {
+                clamp_faults()
+            } else {
+                Vec::new()
+            }
+        });
+    }
+
+    /// Arms [`clamp_faults`] at tick 6 and clears them at tick 20 on one
+    /// engine, driving a never-faulted twin with the same inputs.
+    fn cleared_stuck_ats_heal_on<K: Kernel>() {
+        let mut faulted = Sliced::<K>::new(clamp_netlist()).unwrap();
+        let mut clean = faulted.clone();
+        let mut rng = Lcg(43);
+        for t in 0..30 {
+            if t == 6 {
+                clamp_faults().iter().for_each(|f| faulted.inject(f).unwrap());
+            }
+            if t == 20 {
+                assert_ne!(faulted.snapshot(), clean.snapshot(), "{}: no fault landed", K::BACKEND);
+                faulted.clear_faults();
+            }
+            for &(name, lo, hi) in CLAMP_IN {
+                let v = rng.in_range(lo, hi);
+                faulted.set_input(name, v).unwrap();
+                clean.set_input(name, v).unwrap();
+            }
+            faulted.try_tick().unwrap();
+            clean.try_tick().unwrap();
+            // The first pass after the clear recomputes every net from
+            // inputs and RAM; registers reload over the next two edges.
+            if t >= 20 {
+                for port in ["oadd", "ordata"] {
+                    let (got, want) = (faulted.peek_lanes(port), clean.peek_lanes(port));
+                    assert_eq!(got.unwrap(), want.unwrap(), "{} {port} at tick {t}", K::BACKEND);
+                }
+            }
+            if t >= 22 {
+                assert_eq!(faulted.snapshot(), clean.snapshot(), "{} at tick {t}", K::BACKEND);
+            }
+        }
+    }
+
+    #[test]
+    fn cleared_stuck_ats_heal_on_the_next_pass() {
+        cleared_stuck_ats_heal_on::<Interpreter>();
+        cleared_stuck_ats_heal_on::<NativeKernel>();
     }
 
     fn snapshot_round_trips_and_rejects_foreign_netlists_on<K: Kernel>() {

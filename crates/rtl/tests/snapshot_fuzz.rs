@@ -1,13 +1,18 @@
-//! Arbitrary-byte properties for the bit-sliced snapshot decoder.
+//! Arbitrary-byte properties for the snapshot decoders, and the
+//! allocation budget of a clamped tick.
 //!
 //! Snapshot bytes come back from a durable store or a worker socket and
-//! go through [`SlicedSnapshot::from_bytes`] and then
-//! [`Engine::restore`]. Whatever they hold — fully random buffers,
-//! random bytes behind a valid tag, or a valid snapshot of a RAM netlist
-//! with a stuck-at, a bit flip and a RAM upset armed, randomly mutated —
-//! the pair must end in a typed error or in an engine that ticks
-//! cleanly: never a panic. Decoding allocates no more than a small
-//! multiple of its input, whatever length prefixes the bytes claim.
+//! go through `from_bytes` and then [`Engine::restore`], for the
+//! bit-sliced engines
+//! ([`SlicedSnapshot`](dwt_rtl::sliced::SlicedSnapshot)) and the
+//! event-driven simulator ([`Snapshot`](dwt_rtl::sim::Snapshot)) alike.
+//! Whatever they hold — fully random buffers, random bytes behind a
+//! valid tag, or a valid snapshot of a RAM netlist with a stuck-at, a
+//! bit flip and a RAM upset armed, randomly mutated — the pair must end
+//! in a typed error or in an engine that ticks cleanly: never a panic.
+//! Decoding allocates no more than a small multiple of its input,
+//! whatever length prefixes the bytes claim, and a tick with stuck-ats
+//! armed allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +22,7 @@ use dwt_rtl::compile::CompiledEngine;
 use dwt_rtl::engine::{Engine, PortableSnapshot};
 use dwt_rtl::fault::FaultSpec;
 use dwt_rtl::jit::JitEngine;
-use dwt_rtl::sliced::SlicedSnapshot;
+use dwt_rtl::sim::Simulator;
 use dwt_rtl::Error;
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRunner};
@@ -99,8 +104,12 @@ enum Outcome {
 
 /// Feeds `bytes` through decode → restore → four ticks on a fresh
 /// armed engine.
-fn feed<E: Engine<Snapshot = SlicedSnapshot>>(bytes: &[u8]) -> Result<Outcome, TestCaseError> {
-    let (decoded, allocated) = allocated_by(|| SlicedSnapshot::from_bytes(bytes));
+fn feed<E>(bytes: &[u8]) -> Result<Outcome, TestCaseError>
+where
+    E: Engine,
+    E::Snapshot: PortableSnapshot + PartialEq,
+{
+    let (decoded, allocated) = allocated_by(|| E::Snapshot::from_bytes(bytes));
     prop_assert!(
         allocated <= budget(bytes.len()),
         "decoding {} bytes allocated {allocated}",
@@ -117,7 +126,11 @@ fn feed<E: Engine<Snapshot = SlicedSnapshot>>(bytes: &[u8]) -> Result<Outcome, T
         Ok(()) => {
             for _ in 0..4 {
                 eng.set_input("addr", 1).unwrap();
-                eng.try_tick().unwrap();
+                match eng.try_tick() {
+                    // A restored event budget may be too small to settle.
+                    Ok(()) | Err(Error::SimulationDiverged { .. }) => {}
+                    Err(e) => return Err(TestCaseError::fail(format!("untyped tick error {e:?}"))),
+                }
                 eng.peek("q").unwrap();
             }
             Ok(Outcome::Ran)
@@ -138,7 +151,11 @@ fn mutations() -> impl Strategy<Value = Vec<(bool, usize, u8)>> {
 
 /// Runs 256 mutated snapshots of `E` and checks that each outcome
 /// occurs, so the property reaches decode, restore and the tick path.
-fn mutated_snapshots<E: Engine<Snapshot = SlicedSnapshot>>() {
+fn mutated_snapshots<E>()
+where
+    E: Engine,
+    E::Snapshot: PortableSnapshot + PartialEq,
+{
     let valid = armed::<E>().snapshot().to_bytes();
     let seen = Cell::new([0usize; 3]);
     TestRunner::new(ProptestConfig::with_cases(256)).run(&mutations(), |edits| {
@@ -167,6 +184,34 @@ fn mutated_jit_snapshots_end_in_a_typed_error_or_a_clean_run() {
     mutated_snapshots::<JitEngine>();
 }
 
+#[test]
+fn mutated_event_sim_snapshots_end_in_a_typed_error_or_a_clean_run() {
+    mutated_snapshots::<Simulator>();
+}
+
+/// Ticks `E` with a stuck-at armed, and checks that once its staging
+/// list has reached its working size a clamped tick allocates nothing.
+fn clamped_ticks_allocate_nothing_on<E: Engine>() {
+    let mut eng = armed::<E>();
+    eng.inject(&FaultSpec::StuckAt { net: "q".into(), bit: 3, value: false }).unwrap();
+    let tick = |eng: &mut E, k: i64| {
+        eng.set_input("addr", k % 4 - 2).unwrap();
+        eng.set_input("wdata", k % 32).unwrap();
+        eng.try_tick().unwrap();
+    };
+    tick(&mut eng, 0);
+    for k in 1..16 {
+        let ((), allocated) = allocated_by(|| tick(&mut eng, k));
+        assert_eq!(allocated, 0, "clamped tick {k} allocated {allocated} bytes");
+    }
+}
+
+#[test]
+fn clamped_ticks_allocate_nothing() {
+    clamped_ticks_allocate_nothing_on::<CompiledEngine>();
+    clamped_ticks_allocate_nothing_on::<JitEngine>();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -176,6 +221,7 @@ proptest! {
     ) {
         feed::<CompiledEngine>(&bytes)?;
         feed::<JitEngine>(&bytes)?;
+        feed::<Simulator>(&bytes)?;
     }
 
     #[test]
@@ -187,5 +233,9 @@ proptest! {
         bytes.extend_from_slice(&body);
         feed::<CompiledEngine>(&bytes)?;
         feed::<JitEngine>(&bytes)?;
+        let mut bytes = armed::<Simulator>().snapshot().to_bytes();
+        bytes.truncate(2);
+        bytes.extend_from_slice(&body);
+        feed::<Simulator>(&bytes)?;
     }
 }
