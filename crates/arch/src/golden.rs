@@ -220,6 +220,28 @@ impl Default for GoldenStream {
     }
 }
 
+/// The golden model's answer for one self-contained tile: what a
+/// drained hardware lane must emit for `pairs`, and the software
+/// fallback a serving stack can always serve.
+///
+/// The recovery executor's flush makes tiles independent, so the
+/// continuous golden stream restricted to one tile equals the golden
+/// stream of that tile alone.
+#[must_use]
+pub fn golden_tile(pairs: &[(i64, i64)]) -> (Vec<i64>, Vec<i64>) {
+    let p = pairs.len();
+    let mut g = GoldenStream::default();
+    for &(e, o) in pairs {
+        g.push(e, o);
+    }
+    // The model's lookback is 4 pairs; flush until the whole tile has
+    // emerged.
+    while g.low().len() < p {
+        g.push(0, 0);
+    }
+    (g.low()[..p].to_vec(), g.high()[..p].to_vec())
+}
+
 /// Deterministic still-tone stimulus: smooth correlated sample pairs in
 /// the 8-bit signed range, resembling level-shifted photographic rows.
 #[must_use]
@@ -422,5 +444,22 @@ mod tests {
             assert!((-128..=127).contains(&e));
             assert!((-128..=127).contains(&o));
         }
+    }
+
+    #[test]
+    fn golden_tile_matches_prefix_of_continuous_stream() {
+        let pairs: Vec<(i64, i64)> = (0..10).map(|i| (i * 3 - 7, -i * 2 + 1)).collect();
+        let (low, high) = golden_tile(&pairs);
+        assert_eq!(low.len(), 10);
+        assert_eq!(high.len(), 10);
+        let mut g = GoldenStream::default();
+        for &(e, o) in &pairs {
+            g.push(e, o);
+        }
+        for _ in 0..8 {
+            g.push(0, 0);
+        }
+        assert_eq!(low, g.low()[..10].to_vec());
+        assert_eq!(high, g.high()[..10].to_vec());
     }
 }

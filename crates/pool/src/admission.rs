@@ -1,4 +1,5 @@
-//! Deadline admission control and per-lane cost estimation.
+//! Deadline admission control, the dispatch rule, and per-lane cost
+//! estimation.
 //!
 //! Under overload, finishing *some* tiles on time beats finishing every
 //! tile late. Each tile carries an optional deadline (a cycle budget
@@ -7,7 +8,9 @@
 //! `free_at` clock) plus the lane's observed per-tile cost — and a lane
 //! that cannot meet the deadline is not a candidate. If *no* lane can,
 //! the tile is shed to the software golden path immediately instead of
-//! clogging a queue it would only leave late.
+//! clogging a queue it would only leave late. Among the lanes that
+//! can, [`AdmissionConfig::pick`] ranks by queue-discounted health; the
+//! virtual-time pool and the wall-clock server both dispatch by it.
 //!
 //! The cost estimate is an EWMA of the lane's observed effective tile
 //! cycles, seeded with the fault-free window, so recovery overhead and
@@ -48,6 +51,44 @@ impl AdmissionConfig {
                 }
             }
         }
+    }
+
+    /// The dispatch rule the pool and the server share: picks, among
+    /// `candidates` `(id, health, est, wait)` in id order, the one to
+    /// hand a tile that arrived at `arrival`, at time `now`. A
+    /// candidate would start the tile after `wait` and spend `est` on
+    /// it (cycles in the pool, nanoseconds in the server); one whose
+    /// estimated completion busts the deadline is skipped.
+    ///
+    /// The rest are ranked by **queue-discounted health**:
+    /// `health / (1 + wait / est)`. Health dominates — a sick lane
+    /// loses to a healthy one — but among equally healthy lanes the
+    /// idlest wins, which is what spreads load. The discount also keeps
+    /// the breaker honest: a lane whose health has sagged still gets
+    /// retried once the healthy lanes queue up, accumulating the
+    /// failure samples its breaker needs to trip and take it out
+    /// properly (dispatch preference alone starves a lane of samples
+    /// and leaves its breaker forever closed). Ties go to the first
+    /// candidate, keeping dispatch deterministic. Callers filter out
+    /// lanes their breakers refuse before this rule sees them.
+    #[must_use]
+    pub fn pick(
+        &self,
+        arrival: u64,
+        now: u64,
+        candidates: impl IntoIterator<Item = (usize, f64, u64, u64)>,
+    ) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (id, health, est, wait) in candidates {
+            if self.judge(arrival, now.saturating_add(wait), est) != AdmissionVerdict::Admit {
+                continue;
+            }
+            let score = health / (1.0 + wait as f64 / est.max(1) as f64);
+            if best.is_none_or(|(_, b)| score > b) {
+                best = Some((id, score));
+            }
+        }
+        best.map(|(id, _)| id)
     }
 }
 
@@ -106,5 +147,22 @@ mod tests {
             m.observe(300); // a slow lane's 3x cycle cost
         }
         assert!(m.estimate() > 290, "estimate converges on the observed cost");
+    }
+
+    #[test]
+    fn pick_discounts_health_by_queue_wait_and_skips_late_lanes() {
+        let open = AdmissionConfig::default();
+        // Equal health: the idler lane wins; equal scores: the first.
+        assert_eq!(open.pick(0, 0, [(0, 1.0, 100, 100), (1, 1.0, 100, 0)]), Some(1));
+        assert_eq!(open.pick(0, 0, [(3, 0.5, 100, 0), (4, 0.5, 100, 0)]), Some(3));
+        // A sick idle lane loses to a healthy one with a short queue.
+        assert_eq!(open.pick(0, 0, [(0, 0.2, 100, 0), (1, 1.0, 100, 50)]), Some(1));
+        // An estimate of zero counts as one.
+        assert_eq!(open.pick(0, 0, [(0, 1.0, 0, 1), (1, 0.6, 1, 0)]), Some(1));
+        assert_eq!(open.pick(0, 0, std::iter::empty()), None);
+        // Under a deadline, a lane whose wait busts it is no candidate.
+        let tight = AdmissionConfig { deadline_cycles: Some(100) };
+        assert_eq!(tight.pick(0, 10, [(0, 1.0, 80, 20), (1, 0.1, 80, 0)]), Some(1));
+        assert_eq!(tight.pick(0, 30, [(0, 1.0, 80, 0)]), None);
     }
 }

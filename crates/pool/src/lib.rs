@@ -16,7 +16,8 @@
 //! * [`admission`] — optional deadline admission: a tile is only
 //!   dispatched to a lane whose queue depth plus estimated cost still
 //!   meets the tile's cycle budget, and is shed to the software golden
-//!   path when no lane can.
+//!   path when no lane can; its `pick` is the dispatch rule the pool
+//!   and the `dwt-serve` server share.
 //! * [`chaos`] — correlated failure scenarios (common-mode SEU bursts,
 //!   permanently stuck lanes, slow lanes) compiled into per-lane
 //!   deterministic fault injectors.
@@ -26,6 +27,9 @@
 //!   nanoseconds (the `dwt-serve` runtime), with a hand-cranked
 //!   [`clock::VirtualClock`] keeping wall-clock code testable
 //!   deterministically.
+//! * [`histogram`] — the exact nearest-rank latency histogram the
+//!   serving reports, campaign binaries and ledger read percentiles
+//!   from.
 //!
 //! Everything runs on virtual time: tile arrivals, queue depths,
 //! breaker cooldowns and fault arrivals are all keyed to simulator
@@ -46,6 +50,7 @@ pub mod chaos;
 pub mod clock;
 pub mod error;
 pub mod health;
+pub mod histogram;
 pub mod lane;
 pub mod report;
 pub mod scheduler;

@@ -23,13 +23,13 @@
 
 use dwt_arch::datapath::Hardening;
 use dwt_arch::designs::Design;
-use dwt_arch::golden::GoldenStream;
+use dwt_arch::golden::golden_tile;
 use dwt_recover::executor::{ExecutorConfig, TileExecutor};
 use dwt_recover::watchdog::WatchdogConfig;
 use dwt_rtl::engine::Engine;
 use dwt_rtl::sim::Simulator;
 
-use crate::admission::{AdmissionConfig, AdmissionVerdict, CostModel};
+use crate::admission::{AdmissionConfig, CostModel};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::chaos::ChaosConfig;
 use crate::error::{Error, Result};
@@ -90,22 +90,6 @@ impl Default for PoolConfig {
             chaos: ChaosConfig::default(),
         }
     }
-}
-
-/// Software golden reference for one isolated tile: what any drained
-/// lane (or the shed path) must produce for these pairs.
-fn golden_tile(pairs: &[(i64, i64)]) -> (Vec<i64>, Vec<i64>) {
-    let p = pairs.len();
-    let mut g = GoldenStream::default();
-    for &(e, o) in pairs {
-        g.push(e, o);
-    }
-    // Flush until every coefficient of the tile has emerged (the
-    // model's lookback is 4 pairs; a few extra zeros cost nothing).
-    while g.low().len() < p {
-        g.push(0, 0);
-    }
-    (g.low()[..p].to_vec(), g.high()[..p].to_vec())
 }
 
 /// The multi-lane scheduler, generic over the simulation backend its
@@ -182,40 +166,20 @@ impl<E: Engine> Pool<E> {
         &self.lanes
     }
 
-    /// Picks the best untried lane admissible at time `now`, honouring
-    /// breakers and (if configured) the tile's deadline.
-    ///
-    /// Candidates are ranked by **queue-discounted health**:
-    /// `health / (1 + wait / est_cycles)`. Health dominates — a sick
-    /// lane loses to a healthy one — but among equally healthy lanes
-    /// the idlest wins, which is what spreads load. The discount also
-    /// keeps the breaker honest: a lane whose health has sagged still
-    /// gets retried once the healthy lanes queue up, accumulating the
-    /// failure samples its breaker needs to trip and take it out
-    /// properly (dispatch preference alone starves a lane of samples
-    /// and leaves its breaker forever closed). Ties break to the lowest
-    /// lane id, keeping dispatch deterministic.
+    /// Picks the best untried lane for a tile that arrived at
+    /// `arrival`, at time `now`, by the shared dispatch rule
+    /// ([`AdmissionConfig::pick`]) among the lanes whose breaker admits
+    /// the tile at the time it would start there.
     fn pick_lane(&self, now: u64, arrival: u64, tried: &[bool]) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for lane in &self.lanes {
-            if tried[lane.id] {
-                continue;
-            }
-            let start = now.max(lane.free_at);
-            if !lane.breaker.admits(start) {
-                continue;
-            }
-            let est = lane.cost.estimate();
-            if self.cfg.admission.judge(arrival, start, est) != AdmissionVerdict::Admit {
-                continue;
-            }
-            let wait = lane.free_at.saturating_sub(now) as f64;
-            let weight = lane.health.score() / (1.0 + wait / est.max(1) as f64);
-            if best.is_none_or(|(_, b)| weight > b) {
-                best = Some((lane.id, weight));
-            }
-        }
-        best.map(|(id, _)| id)
+        let candidates = self
+            .lanes
+            .iter()
+            .filter(|lane| !tried[lane.id] && lane.breaker.admits(now.max(lane.free_at)))
+            .map(|lane| {
+                let wait = lane.free_at.saturating_sub(now);
+                (lane.id, lane.health.score(), lane.cost.estimate(), wait)
+            });
+        self.cfg.admission.pick(arrival, now, candidates)
     }
 
     /// Schedules a whole pair stream across the pool.

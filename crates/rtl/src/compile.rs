@@ -744,7 +744,7 @@ impl Kernel for Interpreter {
         Self::run(&self.tape[done..], program, words, ram);
     }
 
-    fn commit<const CLAMPED: bool>(&self, _: &Program, words: &mut [u64], clamps: &ClampPoints) {
+    fn commit(&self, _: &Program, words: &mut [u64]) {
         for &(d, q, len) in self.runs.iter() {
             let (d, q) = (d as usize, q as usize);
             if len == 1 {
@@ -760,11 +760,6 @@ impl Kernel for Interpreter {
                 words[q as usize] = words[d as usize];
             }
             words[held_q as usize] = held;
-        }
-        // No copy reads a Q that another copy wrote, so forcing the
-        // stuck slots after every copy equals clamping each store.
-        if CLAMPED {
-            clamps.0.iter().for_each(|p| p.force(words));
         }
     }
 
@@ -869,25 +864,6 @@ mod tests {
         assert!(eng.commit_runs_match_plan());
         assert_eq!(eng.kernel().runs.len(), 2);
         lockstep(netlist, &[("x", -128, 127)], &["oa", "on", "oc"], 20, 5, |_| Vec::new());
-    }
-
-    #[test]
-    fn the_clamped_commit_leaves_stuck_register_bits_forced() {
-        // A clamped settle follows every commit and forces the stuck Q
-        // slots again, so only a direct call shows the commit's own.
-        let netlist = adder_netlist();
-        let program = Program::compile(&netlist).unwrap();
-        let k = Interpreter::build(&netlist, &program).unwrap();
-        let q = &program.regs[0].q;
-        let mut clamps = ClampPoints::default();
-        k.arm(&program, &[(q[2], true), (q[3], false)], &mut clamps);
-        let before: Vec<u64> =
-            (0..program.slots as u64).map(|s| s.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-        let (mut plain, mut clamped) = (before.clone(), before);
-        k.commit::<false>(&program, &mut plain, &clamps);
-        k.commit::<true>(&program, &mut clamped, &clamps);
-        (plain[q[2] as usize], plain[q[3] as usize]) = (ALL, 0);
-        assert_eq!(clamped, plain);
     }
 
     /// Structural ripple adder and subtractor (full-adder cells whose

@@ -219,7 +219,7 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
     assert!(elide.iter().all(|(&d, &s)| d.max(s) < program.zero), "netlist and program disagree");
 
     let abi = fnv64(
-        format!("dwt-jit-abi v2 slots={} ram={}", program.slots, program.ram_planes * BLOCKS)
+        format!("dwt-jit-abi v3 slots={} ram={}", program.slots, program.ram_planes * BLOCKS)
             .as_bytes(),
     );
 
@@ -486,17 +486,10 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
 
     // --- register commit --------------------------------------------
     let plan = CommitPlan::new(program);
-    let _ = writeln!(
-        e.src,
-        "unsafe fn commit<const C: bool>(w: *mut u64, am: *const u64, om: *const u64) {{"
-    );
+    let _ = writeln!(e.src, "unsafe fn commit(w: *mut u64) {{");
     let copy = |src: &mut String, (d, q): (u32, u32)| {
-        let _ = writeln!(
-            src,
-            "    let _ = stc::<C>(w, am, om, {}, ld(w, {}));",
-            q as usize * BLOCKS,
-            d as usize * BLOCKS
-        );
+        let _ =
+            writeln!(src, "    st(w, {}, ld(w, {}));", q as usize * BLOCKS, d as usize * BLOCKS);
     };
     for &m in &plan.moves {
         copy(&mut e.src, m);
@@ -507,23 +500,11 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
         for &m in rest {
             copy(&mut e.src, m);
         }
-        let _ = writeln!(
-            e.src,
-            "    let _ = stc::<C>(w, am, om, {}, held);\n    }}",
-            held_q as usize * BLOCKS
-        );
+        let _ = writeln!(e.src, "    st(w, {}, held);\n    }}", held_q as usize * BLOCKS);
     }
     let _ = writeln!(
         e.src,
-        "}}\n\
-         #[no_mangle]\n\
-         pub unsafe extern \"C\" fn dwt_jit_commit(w: *mut u64) {{\n\
-             commit::<false>(w, core::ptr::null(), core::ptr::null());\n\
-         }}\n\
-         #[no_mangle]\n\
-         pub unsafe extern \"C\" fn dwt_jit_commit_clamped(w: *mut u64, am: *const u64, om: *const u64) {{\n\
-             commit::<true>(w, am, om);\n\
-         }}"
+        "}}\n#[no_mangle]\npub unsafe extern \"C\" fn dwt_jit_commit(w: *mut u64) {{ commit(w) }}"
     );
 
     // --- RAM write commit -------------------------------------------
@@ -600,7 +581,6 @@ mod native {
     pub(super) type EvalClampedFn =
         unsafe extern "C" fn(*mut u64, *const u64, *const u64, *const u64);
     pub(super) type CommitFn = unsafe extern "C" fn(*mut u64);
-    pub(super) type CommitClampedFn = unsafe extern "C" fn(*mut u64, *const u64, *const u64);
     pub(super) type RamCommitFn = unsafe extern "C" fn(*const u64, *mut u64);
     type AbiFn = unsafe extern "C" fn() -> u64;
 
@@ -610,7 +590,6 @@ mod native {
         pub(super) eval: EvalFn,
         pub(super) eval_clamped: EvalClampedFn,
         pub(super) commit: CommitFn,
-        pub(super) commit_clamped: CommitClampedFn,
         pub(super) ram_commit: RamCommitFn,
     }
 
@@ -666,9 +645,6 @@ mod native {
                     "dwt_jit_eval_clamped",
                 )?),
                 commit: std::mem::transmute::<*mut c_void, CommitFn>(sym("dwt_jit_commit")?),
-                commit_clamped: std::mem::transmute::<*mut c_void, CommitClampedFn>(sym(
-                    "dwt_jit_commit_clamped",
-                )?),
                 ram_commit: std::mem::transmute::<*mut c_void, RamCommitFn>(sym(
                     "dwt_jit_ram_commit",
                 )?),
@@ -704,7 +680,7 @@ impl JitEngine {
 
 /// The [`NativeKernel`]'s form of the armed stuck-at faults: the stuck
 /// slots, and the per-word `AND` then `OR` masks the generated clamped
-/// passes store through (identity on every word not stuck). The masks
+/// eval stores through (identity on every word not stuck). The masks
 /// stay empty until a stuck-at is first armed.
 #[derive(Debug, Clone, Default)]
 pub struct ClampMasks {
@@ -794,17 +770,10 @@ impl Kernel for NativeKernel {
         }
     }
 
-    fn commit<const CLAMPED: bool>(&self, _: &Program, words: &mut [u64], m: &ClampMasks) {
-        self.check_words::<CLAMPED>(words, m);
-        let w = words.as_mut_ptr();
+    fn commit(&self, _: &Program, words: &mut [u64]) {
+        self.check_words::<false>(words, &ClampMasks::default());
         // SAFETY: as in `eval`, every buffer has its generated length.
-        unsafe {
-            if CLAMPED {
-                (self.fns.commit_clamped)(w, m.and.as_ptr(), m.or.as_ptr());
-            } else {
-                (self.fns.commit)(w);
-            }
-        }
+        unsafe { (self.fns.commit)(words.as_mut_ptr()) }
     }
 
     fn ram_commit(&self, _: &Program, words: &[u64], ram: &mut [u64]) {
@@ -843,17 +812,34 @@ fn host_codegen() -> (&'static [&'static str], &'static str) {
     (&[], "")
 }
 
+/// The `rustc` flags of every kernel build. Every kernel function
+/// starts on a 64-byte line: a pass is one long straight-line body
+/// whose speed moved by ≈10 % with its offset in a line when an
+/// unrelated function ahead of it changed size.
+const RUSTC_FLAGS: [&str; 10] = [
+    "--edition=2021",
+    "--crate-type=cdylib",
+    "-C",
+    "opt-level=3",
+    "-C",
+    "codegen-units=1",
+    "-C",
+    "debuginfo=0",
+    "-C",
+    "llvm-args=-align-all-functions=6",
+];
+
 /// Compiles (or reuses from cache) and loads the kernel for one
 /// generated source.
 ///
-/// The cache key is the FNV-1a hash of the source itself (tagged with
-/// the host's extra codegen flags), so any codegen change reissues
-/// `rustc`; the library is compiled to a
+/// The cache key is the FNV-1a hash of [`RUSTC_FLAGS`] and the source
+/// (tagged with the host's extra codegen flags), so any codegen change
+/// reissues `rustc`; the library is compiled to a
 /// process-unique temp name and atomically renamed into place, which
 /// makes concurrent builds of the same design (parallel test binaries)
 /// race-free.
 fn build_kernel(source: &str, abi: u64) -> Result<native::JitFns> {
-    let hash = fnv64(source.as_bytes());
+    let hash = fnv64(format!("{RUSTC_FLAGS:?}\n{source}").as_bytes());
     let registry = KERNELS.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = registry.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     if let Some(&fns) = map.get(&hash) {
@@ -871,8 +857,7 @@ fn build_kernel(source: &str, abi: u64) -> Result<native::JitFns> {
         let tmp = dir.join(format!("{stem}.{}.tmp", std::process::id()));
         let rustc = std::env::var("DWT_JIT_RUSTC").unwrap_or_else(|_| "rustc".into());
         let output = std::process::Command::new(&rustc)
-            .args(["--edition=2021", "--crate-type=cdylib", "-C", "opt-level=3"])
-            .args(["-C", "codegen-units=1", "-C", "debuginfo=0"])
+            .args(RUSTC_FLAGS)
             .args(flags)
             .arg("-o")
             .arg(&tmp)

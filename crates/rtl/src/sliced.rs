@@ -21,7 +21,7 @@
 //! `CommitPlan` order, so no copy overwrites a D word that a later
 //! copy still reads), due bit flips strike the new Q, staged inputs
 //! apply, and the combinational pass settles. While any stuck-at fault
-//! is armed every pass runs its `CLAMPED` instantiation, which leaves
+//! is armed every settle runs its `CLAMPED` instantiation, which leaves
 //! each stuck slot at its forced level; how is the kernel's choice,
 //! prepared from the stuck list by [`Kernel::arm`] whenever it changes.
 //! RAM planes are one flat buffer: bit `b` of word `a` of a RAM whose
@@ -44,9 +44,11 @@ pub(crate) const ALL: u64 = !0;
 
 /// The backend-specific passes of a [`Sliced`] machine over one
 /// [`Program`], on a word file of [`BLOCKS`](Kernel::BLOCKS) words per
-/// slot. A `CLAMPED` pass computes what it would if every store to a
+/// slot. A `CLAMPED` eval computes what it would if every store to a
 /// stuck slot were forced to that slot's level, and leaves every stuck
-/// slot at its level.
+/// slot at its level. The register commit clamps nothing: a clamped
+/// eval follows it on every clock edge and forces the stuck slots
+/// before anything reads them.
 pub trait Kernel: Clone + fmt::Debug {
     /// `u64` blocks per slot: the machine runs `64 * BLOCKS` lanes.
     const BLOCKS: usize;
@@ -55,7 +57,7 @@ pub trait Kernel: Clone + fmt::Debug {
     /// Whether the passes run natively compiled code
     /// ([`EngineCaps::native_codegen`]).
     const NATIVE: bool;
-    /// The armed stuck-at faults in the form the `CLAMPED` passes read.
+    /// The armed stuck-at faults in the form the `CLAMPED` eval reads.
     type Clamps: Clone + fmt::Debug + Default;
 
     /// Prepares the passes for `program`, lowered from `netlist`.
@@ -69,7 +71,7 @@ pub trait Kernel: Clone + fmt::Debug {
     /// Rebuilds `clamps` for the stuck-at faults `stuck`, `(slot,
     /// level)` pairs with every slot a net of the program, reusing its
     /// buffers. The machine calls it when a stuck-at is armed or a
-    /// snapshot restored, and runs `CLAMPED` passes only while the list
+    /// snapshot restored, and runs `CLAMPED` evals only while the list
     /// is not empty, so clearing the list needs no call.
     fn arm(&self, p: &Program, stuck: &[(u32, bool)], clamps: &mut Self::Clamps);
 
@@ -85,7 +87,7 @@ pub trait Kernel: Clone + fmt::Debug {
 
     /// Copies every register bit's settled D words onto its Q words,
     /// in the order of the program's `CommitPlan`.
-    fn commit<const CLAMPED: bool>(&self, p: &Program, words: &mut [u64], clamps: &Self::Clamps);
+    fn commit(&self, p: &Program, words: &mut [u64]);
 
     /// Commits each RAM write port's enabled lanes from settled words.
     fn ram_commit(&self, p: &Program, words: &[u64], ram: &mut [u64]);
@@ -458,7 +460,7 @@ impl<K: Kernel> Sliced<K> {
     /// One clock edge, in the order the module docs give.
     fn step<const CLAMPED: bool>(&mut self) {
         let (b, now) = (K::BLOCKS, self.cycle);
-        let Sliced { program: p, kernel, words, ram, clamps, .. } = self;
+        let Sliced { program: p, kernel, words, ram, .. } = self;
         self.ram_upsets.retain(|&(cell, addr, bit, due)| {
             if due == now {
                 if let Some(r) = p.rams.iter().find(|r| r.cell == cell) {
@@ -469,7 +471,7 @@ impl<K: Kernel> Sliced<K> {
             due != now
         });
         kernel.ram_commit(p, words, ram);
-        kernel.commit::<CLAMPED>(p, words, clamps);
+        kernel.commit(p, words);
         // A flip inverts the bit the register captured, so it strikes
         // the new Q; on a stuck Q the settle below forces it back.
         self.flips.retain(|&(cell, bit, due)| {
@@ -1007,8 +1009,8 @@ pub(crate) mod tests {
     #[test]
     fn registers_commit_in_place_under_flips_and_stuck_bits() {
         // Flips seed the ring (it powers up at zero) and strike the
-        // chain and the self-holding register; a stuck ring bit runs
-        // the clamped commit, and a flip lands on it while stuck.
+        // chain and the self-holding register; a stuck ring bit makes
+        // every tick clamped, and a flip lands on it while stuck.
         let outputs = ["oa", "ob", "oc", "or1", "or2", "or3", "ot", "oh", "om"];
         let flip = |register: &str, bit, cycle| FaultSpec::BitFlip {
             register: register.into(),

@@ -47,9 +47,10 @@ pub mod server;
 mod worker;
 
 pub use config::{OverloadPolicy, ServeConfig};
+pub use dwt_arch::golden::golden_tile;
 pub use error::{Error, Result};
 pub use report::{Counters, ServeReport, ServeStats};
 pub use request::{ServedBy, ShedReason, TileRequest, TileResponse};
 pub use retry::RetryPolicy;
 pub use server::Server;
-pub use worker::{golden_tile, WorkerStats};
+pub use worker::WorkerStats;

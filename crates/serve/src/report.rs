@@ -1,5 +1,7 @@
 //! End-of-run statistics and response summarisation.
 
+use dwt_pool::histogram::LatencyHistogram;
+
 use crate::request::TileResponse;
 use crate::worker::WorkerStats;
 
@@ -87,17 +89,9 @@ impl ServeReport {
     /// Summarises a batch of responses.
     #[must_use]
     pub fn from_responses(responses: &[TileResponse]) -> Self {
-        let mut lat: Vec<u64> = responses.iter().map(|r| r.latency_ns).collect();
-        lat.sort_unstable();
+        let mut lat = LatencyHistogram::new();
+        lat.extend(responses.iter().map(|r| r.latency_ns));
         let hardware = responses.iter().filter(|r| r.hardware_served()).count();
-        let pct = |p: f64| -> u64 {
-            if lat.is_empty() {
-                return 0;
-            }
-            // Nearest-rank percentile on the sorted latencies.
-            let rank = ((p / 100.0) * lat.len() as f64).ceil().max(1.0) as usize;
-            lat[rank.min(lat.len()) - 1]
-        };
         ServeReport {
             responses: responses.len(),
             hardware_served: hardware,
@@ -106,14 +100,10 @@ impl ServeReport {
             } else {
                 hardware as f64 / responses.len() as f64
             },
-            p50_latency_ns: pct(50.0),
-            p99_latency_ns: pct(99.0),
-            max_latency_ns: lat.last().copied().unwrap_or(0),
-            mean_latency_ns: if lat.is_empty() {
-                0.0
-            } else {
-                lat.iter().sum::<u64>() as f64 / lat.len() as f64
-            },
+            p50_latency_ns: lat.p50().unwrap_or(0),
+            p99_latency_ns: lat.p99().unwrap_or(0),
+            max_latency_ns: lat.max().unwrap_or(0),
+            mean_latency_ns: lat.mean().unwrap_or(0.0),
         }
     }
 }

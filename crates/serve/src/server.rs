@@ -3,16 +3,17 @@
 //!
 //! ## Queueing model
 //!
-//! One server lock guards every worker's job deque plus the shared
-//! counters; a tile's execution (microseconds to milliseconds) dwarfs
-//! the lock hold times (pointer shuffling), so a single lock beats a
-//! lock-free deque here and keeps the admission decision — which must
-//! see every queue — atomic. `submit` picks the best admissible worker
-//! the way the virtual-time pool picks lanes: EWMA health discounted by
-//! estimated queue wait, skipping workers whose breaker is open or
-//! whose backlog would bust the request's wall-clock deadline. Idle
-//! workers steal the *oldest* job from the *longest* peer queue, so
-//! stealing repairs latency, not just utilisation.
+//! One server lock guards every worker's job deque, the parked
+//! retries and the shared counters; a tile's execution (microseconds
+//! to milliseconds) dwarfs the lock hold times (pointer shuffling), so
+//! a single lock beats a lock-free deque here and keeps the admission
+//! decision — which must see every queue — atomic. `submit` picks a
+//! worker by the dispatch rule the virtual-time pool uses
+//! ([`AdmissionConfig::pick`]: EWMA health discounted by estimated
+//! queue wait, skipping workers whose backlog would bust the request's
+//! wall-clock deadline), among the workers whose breaker admits it.
+//! Idle workers steal the *oldest* job from the *longest* peer queue,
+//! so stealing repairs latency, not just utilisation.
 //!
 //! ## Degradation ladder
 //!
@@ -21,19 +22,23 @@
 //! harness errors — the *server* ladder continues: bounded retries with
 //! exponential backoff and deterministic jitter on other workers, and
 //! finally the in-process software golden model, which cannot fail.
-//! Every submitted request therefore gets exactly one response, and a
-//! response is bit-exact by construction: hardware results are
-//! DWC-verified against the golden stream as they emerge, and every
-//! fallback *is* the golden model. Overload and chaos shed hardware
-//! goodput, never correctness and never requests.
+//! A retry parks under the server lock until it is due; the workers
+//! route due retries before they take a job, and an idle worker sleeps
+//! only until the earliest one is due, so the runtime needs no thread
+//! beyond its workers. Every submitted request therefore gets exactly
+//! one response, and a response is bit-exact by construction: hardware
+//! results are DWC-verified against the golden stream as they emerge,
+//! and every fallback *is* the golden model. Overload and chaos shed
+//! hardware goodput, never correctness and never requests.
 
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use dwt_arch::golden::golden_tile;
 use dwt_pool::admission::AdmissionConfig;
 use dwt_pool::clock::{Clock, MonotonicClock};
 use dwt_pool::health::sample_for;
@@ -46,75 +51,66 @@ use crate::config::{OverloadPolicy, ServeConfig};
 use crate::error::{Error, Result};
 use crate::report::{Counters, ServeStats};
 use crate::request::{ServedBy, ShedReason, TileRequest, TileResponse};
-use crate::worker::{golden_tile, Job, WorkerSlot, WorkerStats};
-
-/// A job parked in the retry delay queue, ordered soonest-due first.
-#[derive(Debug)]
-struct Delayed {
-    due: u64,
-    seq: u64,
-    job: Job,
-}
-
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the soonest due.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
+use crate::worker::{Job, WorkerSlot, WorkerStats};
 
 /// Lock-protected server state.
 #[derive(Debug)]
 struct State {
     workers: Vec<WorkerSlot>,
-    /// Jobs sitting in worker deques (not executing, not in retry).
+    /// Jobs sitting in worker deques (not executing, not parked).
     queued: usize,
     /// Jobs currently held by worker threads.
     inflight: usize,
-    /// Jobs parked in the retry delay queue.
-    retry_pending: usize,
+    /// Jobs parked for a retry backoff, soonest due first: keyed by
+    /// due time, then by `retry_seq` at parking.
+    retries: BTreeMap<(u64, u64), Job>,
+    /// Retries parked so far.
+    retry_seq: u64,
     shutdown: bool,
     counters: Counters,
 }
 
-/// State shared by the submit path, the workers and the retry timer.
+/// Why the server lock is never poisoned.
+const POISONED: &str = "no thread panics holding the server lock";
+
+/// State shared by the submit path and the workers.
 struct Shared {
     cfg: ServeConfig,
     admission: AdmissionConfig,
     state: Mutex<State>,
-    /// Workers wait here for jobs.
+    /// Workers wait here for jobs and due retries.
     work: Condvar,
     /// Blocked submitters wait here for queue space.
     space: Condvar,
-    retry_heap: Mutex<BinaryHeap<Delayed>>,
-    retry_cv: Condvar,
-    retry_seq: std::sync::atomic::AtomicU64,
     clock: Arc<dyn Clock>,
 }
 
-/// Why a dispatch found no worker.
-enum DispatchFail {
-    /// At least one breaker admitted, but no admissible worker could
-    /// meet the deadline.
-    Deadline,
-    /// Every live worker's breaker refused (or all workers are dead).
-    Breakers,
-}
-
 impl Shared {
-    /// Picks the best admissible worker for `job` and enqueues it, or
-    /// hands the job back with the reason no worker would do.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(POISONED)
+    }
+
+    fn new(cfg: ServeConfig) -> Self {
+        Shared {
+            admission: AdmissionConfig { deadline_cycles: cfg.deadline_ns },
+            state: Mutex::new(State {
+                workers: (0..cfg.workers).map(|_| WorkerSlot::new(&cfg)).collect(),
+                queued: 0,
+                inflight: 0,
+                retries: BTreeMap::new(),
+                retry_seq: 0,
+                shutdown: false,
+                counters: Counters::default(),
+            }),
+            work: Condvar::new(),
+            space: Condvar::new(),
+            clock: Arc::new(MonotonicClock::new()),
+            cfg,
+        }
+    }
+
+    /// Enqueues `job` on the worker the shared dispatch rule picks, or
+    /// hands it back with the reason no worker would do.
     ///
     /// Untried workers are preferred; if none is admissible the search
     /// falls back to already-tried ones (their breaker state still
@@ -124,40 +120,70 @@ impl Shared {
         st: &mut State,
         job: Job,
         now: u64,
-    ) -> std::result::Result<usize, (Job, DispatchFail)> {
+    ) -> std::result::Result<(), (Job, ShedReason)> {
         let mut any_breaker_admitted = false;
         for include_tried in [false, true] {
-            let mut best: Option<(usize, f64)> = None;
-            for (i, slot) in st.workers.iter().enumerate() {
-                if slot.dead || (!include_tried && job.tried.contains(&i)) {
-                    continue;
-                }
-                if !slot.breaker.admits(now) {
-                    continue;
-                }
-                any_breaker_admitted = true;
-                let est = slot.cost.estimate().max(1);
-                let backlog = slot.backlog_ns();
-                let verdict =
-                    self.admission.judge(job.arrival_ns, now.saturating_add(backlog), est);
-                if verdict != dwt_pool::admission::AdmissionVerdict::Admit {
-                    continue;
-                }
-                let score = slot.health.score() / (1.0 + backlog as f64 / est as f64);
-                if best.is_none_or(|(_, s)| score > s) {
-                    best = Some((i, score));
-                }
-            }
-            if let Some((w, _)) = best {
+            let candidates = st
+                .workers
+                .iter()
+                .enumerate()
+                .filter(|&(i, slot)| {
+                    let open = !slot.dead
+                        && (include_tried || !job.tried.contains(&i))
+                        && slot.breaker.admits(now);
+                    any_breaker_admitted |= open;
+                    open
+                })
+                .map(|(i, slot)| {
+                    (i, slot.health.score(), slot.cost.estimate().max(1), slot.backlog_ns())
+                });
+            if let Some(w) = self.admission.pick(job.arrival_ns, now, candidates) {
                 st.workers[w].queue.push_back(job);
                 st.queued += 1;
                 self.work.notify_all();
-                return Ok(w);
+                return Ok(());
             }
         }
-        let fail =
-            if any_breaker_admitted { DispatchFail::Deadline } else { DispatchFail::Breakers };
-        Err((job, fail))
+        // Some breaker admitted: only the deadline stood in the way.
+        let reason = if any_breaker_admitted {
+            ShedReason::DeadlineExceeded
+        } else {
+            ShedReason::NoAdmissibleWorker
+        };
+        Err((job, reason))
+    }
+
+    /// Routes a job no worker holds — an orphan, one whose worker's
+    /// breaker opened, or a due retry: sheds it if its deadline has
+    /// passed, else dispatches it. A `redispatch` (the job consumed no
+    /// attempt) is counted once it is not shed for its deadline.
+    fn route_locked(
+        &self,
+        st: &mut State,
+        job: Job,
+        now: u64,
+        redispatch: bool,
+    ) -> std::result::Result<(), (Job, ShedReason)> {
+        if job.expired(now) {
+            return Err((job, ShedReason::DeadlineExceeded));
+        }
+        st.counters.redispatches += u64::from(redispatch);
+        self.dispatch_locked(st, job, now)
+    }
+
+    /// Re-routes `job` without consuming an attempt, then releases the
+    /// lock; a job no worker takes is served golden.
+    fn redispatch(
+        &self,
+        tx: &Sender<TileResponse>,
+        mut st: MutexGuard<'_, State>,
+        job: Job,
+        now: u64,
+    ) {
+        if let Err((job, reason)) = self.route_locked(&mut st, job, now, true) {
+            drop(st);
+            self.shed_to_golden(tx, job, reason, None);
+        }
     }
 
     /// Serves `job` from the software golden model — the bottom of the
@@ -172,7 +198,7 @@ impl Shared {
     ) {
         let (low, high) = precomputed.unwrap_or_else(|| golden_tile(&job.req.pairs));
         {
-            let mut st = self.state.lock().unwrap();
+            let mut st = self.lock();
             st.counters.golden_served += 1;
             match reason {
                 ShedReason::QueueFull => st.counters.shed_queue_full += 1,
@@ -193,28 +219,6 @@ impl Shared {
         });
     }
 
-    /// Re-dispatches `job` immediately (no attempt consumed): used
-    /// when the worker that held it cannot run it (dead, or breaker
-    /// opened while the job sat in its queue).
-    fn redispatch(&self, tx: &Sender<TileResponse>, job: Job, now: u64) {
-        if job.expired(now) {
-            self.shed_to_golden(tx, job, ShedReason::DeadlineExceeded, None);
-            return;
-        }
-        let verdict = {
-            let mut st = self.state.lock().unwrap();
-            st.counters.redispatches += 1;
-            self.dispatch_locked(&mut st, job, now)
-        };
-        if let Err((job, fail)) = verdict {
-            let reason = match fail {
-                DispatchFail::Deadline => ShedReason::DeadlineExceeded,
-                DispatchFail::Breakers => ShedReason::NoAdmissibleWorker,
-            };
-            self.shed_to_golden(tx, job, reason, None);
-        }
-    }
-
     /// After a failed hardware attempt: park the job for a jittered
     /// exponential backoff if the budget and deadline allow, else
     /// serve it golden.
@@ -224,55 +228,75 @@ impl Shared {
         job: Job,
         precomputed: Option<(Vec<i64>, Vec<i64>)>,
     ) {
-        let now = self.clock.now();
         let next = job.attempts + 1;
-        if self.cfg.retry.allows(next) {
-            let delay = self.cfg.retry.backoff_ns(self.cfg.seed, job.req.id, next);
-            let due = now.saturating_add(delay);
-            if job.deadline_ns.is_none_or(|d| due <= d) {
-                {
-                    let mut st = self.state.lock().unwrap();
-                    st.counters.retries += 1;
-                    st.retry_pending += 1;
-                }
-                let seq = self.retry_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.retry_heap.lock().unwrap().push(Delayed { due, seq, job });
-                self.retry_cv.notify_all();
-                return;
-            }
-            self.shed_to_golden(tx, job, ShedReason::DeadlineExceeded, precomputed);
-            return;
+        if !self.cfg.retry.allows(next) {
+            return self.shed_to_golden(tx, job, ShedReason::RetriesExhausted, precomputed);
         }
-        self.shed_to_golden(tx, job, ShedReason::RetriesExhausted, precomputed);
+        let delay = self.cfg.retry.backoff_ns(self.cfg.seed, job.req.id, next);
+        let due = self.clock.now().saturating_add(delay);
+        if job.deadline_ns.is_some_and(|d| due > d) {
+            return self.shed_to_golden(tx, job, ShedReason::DeadlineExceeded, precomputed);
+        }
+        let mut st = self.lock();
+        st.counters.retries += 1;
+        let seq = st.retry_seq;
+        st.retry_seq += 1;
+        st.retries.insert((due, seq), job);
+        self.work.notify_all();
     }
 
     /// Marks worker `w` dead and wakes everyone who might care.
     fn mark_dead(&self, w: usize) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         st.workers[w].dead = true;
         self.work.notify_all();
     }
 
-    /// Worker/retry exit condition: shutdown requested and no job
-    /// anywhere in the system.
+    /// The exit of dead worker `w`: re-routes the jobs still queued on
+    /// it and, when no live worker is left to route retries as they
+    /// fall due, every parked retry too.
+    fn leave(&self, w: usize, tx: &Sender<TileResponse>) {
+        let now = self.clock.now();
+        let shed: Vec<(Job, ShedReason)> = {
+            let mut st = self.lock();
+            let orphans: Vec<Job> = st.workers[w].queue.drain(..).collect();
+            st.queued -= orphans.len();
+            let mut shed: Vec<_> = orphans
+                .into_iter()
+                .filter_map(|job| self.route_locked(&mut st, job, now, true).err())
+                .collect();
+            if st.workers.iter().all(|s| s.dead) {
+                for job in std::mem::take(&mut st.retries).into_values() {
+                    shed.extend(self.route_locked(&mut st, job, now, false).err());
+                }
+            }
+            shed
+        };
+        for (job, reason) in shed {
+            self.shed_to_golden(tx, job, reason, None);
+        }
+        self.work.notify_all();
+    }
+
+    /// Worker exit condition: shutdown requested and no job anywhere in
+    /// the system.
     fn drained(&self, st: &State) -> bool {
-        st.shutdown && st.queued == 0 && st.inflight == 0 && st.retry_pending == 0
+        st.shutdown && st.queued == 0 && st.inflight == 0 && st.retries.is_empty()
     }
 }
 
 /// The serving runtime.
 ///
-/// `Server::start` spawns one worker thread per configured worker
-/// (each owning a `CompiledEngine`- or `Simulator`-backed
-/// [`TileExecutor`]) plus a retry timer, and returns the response
-/// channel. [`Server::submit`] is the bounded ingress;
-/// [`Server::shutdown`] drains gracefully and returns the run's
-/// statistics.
+/// `Server::start` spawns one worker thread per configured worker,
+/// each owning a `CompiledEngine`- or `Simulator`-backed
+/// [`TileExecutor`], and returns the response channel. The workers are
+/// the runtime's only threads. [`Server::submit`] is the bounded
+/// ingress; [`Server::shutdown`] drains gracefully and returns the
+/// run's statistics.
 pub struct Server<E: Engine = Simulator> {
     shared: Arc<Shared>,
     tx: Sender<TileResponse>,
     workers: Vec<JoinHandle<()>>,
-    retry_thread: Option<JoinHandle<()>>,
     _engine: PhantomData<E>,
 }
 
@@ -309,75 +333,31 @@ where
         }
 
         let (tx, rx) = channel();
-        let shared = Arc::new(Shared {
-            admission: AdmissionConfig { deadline_cycles: cfg.deadline_ns },
-            state: Mutex::new(State {
-                workers: (0..cfg.workers).map(|_| WorkerSlot::new(&cfg)).collect(),
-                queued: 0,
-                inflight: 0,
-                retry_pending: 0,
-                shutdown: false,
-                counters: Counters::default(),
-            }),
-            work: Condvar::new(),
-            space: Condvar::new(),
-            retry_heap: Mutex::new(BinaryHeap::new()),
-            retry_cv: Condvar::new(),
-            retry_seq: std::sync::atomic::AtomicU64::new(0),
-            clock: Arc::new(MonotonicClock::new()),
-            cfg,
-        });
-
+        let shared = Arc::new(Shared::new(cfg));
         let mut workers = Vec::with_capacity(shared.cfg.workers);
-        let mut spawn_failure: Option<std::io::Error> = None;
         for (w, (exec, injector)) in execs.into_iter().zip(injectors).enumerate() {
-            let shared = Arc::clone(&shared);
+            let shared_w = Arc::clone(&shared);
             let tx = tx.clone();
             let slow = shared.cfg.chaos.as_ref().map_or(1.0, |c| c.slow_factor(w));
             let handle = std::thread::Builder::new()
                 .name(format!("dwt-serve-{w}"))
-                .spawn(move || worker_loop(w, &shared, exec, injector, slow, &tx));
+                .spawn(move || worker_loop(w, &shared_w, exec, injector, slow, &tx));
             match handle {
                 Ok(handle) => workers.push(handle),
                 Err(e) => {
-                    spawn_failure = Some(e);
-                    break;
+                    // A partially-started runtime must not leak threads:
+                    // flip shutdown, wake everyone, and join whatever
+                    // did spawn.
+                    shared.lock().shutdown = true;
+                    shared.work.notify_all();
+                    for handle in workers {
+                        let _ = handle.join();
+                    }
+                    return Err(Error::Spawn(e.to_string()));
                 }
             }
         }
-        let retry_thread = if spawn_failure.is_none() {
-            let shared = Arc::clone(&shared);
-            let tx = tx.clone();
-            match std::thread::Builder::new()
-                .name("dwt-serve-retry".into())
-                .spawn(move || retry_loop(&shared, &tx))
-            {
-                Ok(handle) => Some(handle),
-                Err(e) => {
-                    spawn_failure = Some(e);
-                    None
-                }
-            }
-        } else {
-            None
-        };
-        if let Some(e) = spawn_failure {
-            // A partially-started runtime must not leak threads: flip
-            // shutdown, wake everyone, and join whatever did spawn.
-            shared.state.lock().unwrap().shutdown = true;
-            shared.work.notify_all();
-            shared.space.notify_all();
-            shared.retry_cv.notify_all();
-            for handle in workers {
-                let _ = handle.join();
-            }
-            if let Some(handle) = retry_thread {
-                let _ = handle.join();
-            }
-            return Err(Error::Spawn(e.to_string()));
-        }
-
-        Ok((Server { shared, tx, workers, retry_thread, _engine: PhantomData }, rx))
+        Ok((Server { shared, tx, workers, _engine: PhantomData }, rx))
     }
 
     /// Submits one tile request. Exactly one [`TileResponse`] will
@@ -404,7 +384,7 @@ where
             tried: Vec::new(),
             req,
         };
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.lock();
         if st.shutdown {
             return Err(Error::ShuttingDown);
         }
@@ -417,7 +397,7 @@ where
                     return Ok(());
                 }
                 OverloadPolicy::Block => {
-                    st = self.shared.space.wait(st).unwrap();
+                    st = self.shared.space.wait(st).expect(POISONED);
                     if st.shutdown {
                         return Err(Error::ShuttingDown);
                     }
@@ -425,35 +405,24 @@ where
             }
         }
         let now = self.shared.clock.now();
-        if let Err((job, fail)) = self.shared.dispatch_locked(&mut st, job, now) {
+        if let Err((job, reason)) = self.shared.dispatch_locked(&mut st, job, now) {
             drop(st);
-            let reason = match fail {
-                DispatchFail::Deadline => ShedReason::DeadlineExceeded,
-                DispatchFail::Breakers => ShedReason::NoAdmissibleWorker,
-            };
             self.shared.shed_to_golden(&self.tx, job, reason, None);
         }
         Ok(())
     }
 
     /// Requests graceful shutdown, drains every queued and retrying
-    /// job, joins the threads and returns the run's statistics.
+    /// job, joins the workers and returns the run's statistics.
     #[must_use]
     pub fn shutdown(mut self) -> ServeStats {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         self.shared.work.notify_all();
         self.shared.space.notify_all();
-        self.shared.retry_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if let Some(handle) = self.retry_thread.take() {
-            let _ = handle.join();
-        }
-        let st = self.shared.state.lock().unwrap();
+        let st = self.shared.lock();
         ServeStats {
             counters: st.counters.clone(),
             workers: st
@@ -474,9 +443,9 @@ where
     }
 }
 
-/// One worker thread: pop own jobs, steal when idle, execute through
-/// the recovery ladder, account into breaker/health/cost, and route
-/// failures to retry or golden.
+/// One worker thread: route due retries, pop own jobs, steal when
+/// idle, execute through the recovery ladder, account into
+/// breaker/health/cost, and route failures to retry or golden.
 fn worker_loop<E>(
     w: usize,
     shared: &Shared,
@@ -488,22 +457,30 @@ fn worker_loop<E>(
     E: Engine,
 {
     loop {
-        // Acquire a job: own deque first, then steal the oldest job
-        // from the longest peer queue.
         let job = {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             loop {
-                if let Some(job) = st.workers[w].queue.pop_front() {
-                    st.queued -= 1;
-                    st.inflight += 1;
-                    st.workers[w].executing = 1;
-                    break job;
+                let now = shared.clock.now();
+                if st.retries.first_key_value().is_some_and(|(&(due, _), _)| due <= now) {
+                    let (_, job) = st.retries.pop_first().expect("a retry is parked");
+                    if let Err((job, reason)) = shared.route_locked(&mut st, job, now, false) {
+                        drop(st);
+                        shared.shed_to_golden(tx, job, reason, None);
+                        st = shared.lock();
+                    }
+                    continue;
                 }
-                let victim = (0..st.workers.len())
-                    .filter(|&v| v != w && !st.workers[v].queue.is_empty())
-                    .max_by_key(|&v| st.workers[v].queue.len());
+                // Own deque first, then the oldest job of the longest
+                // peer queue.
+                let victim = if st.workers[w].queue.is_empty() {
+                    (0..st.workers.len())
+                        .filter(|&v| !st.workers[v].queue.is_empty())
+                        .max_by_key(|&v| st.workers[v].queue.len())
+                } else {
+                    Some(w)
+                };
                 if let Some(v) = victim {
-                    let job = st.workers[v].queue.pop_front().expect("non-empty victim");
+                    let job = st.workers[v].queue.pop_front().expect("non-empty queue");
                     st.queued -= 1;
                     st.inflight += 1;
                     st.workers[w].executing = 1;
@@ -511,10 +488,16 @@ fn worker_loop<E>(
                 }
                 if shared.drained(&st) {
                     shared.work.notify_all();
-                    shared.retry_cv.notify_all();
                     return;
                 }
-                st = shared.work.wait(st).unwrap();
+                // Sleep until woken, or until the earliest retry is due.
+                st = match st.retries.first_key_value() {
+                    Some((&(due, _), _)) => {
+                        let wait = Duration::from_nanos(due - now);
+                        shared.work.wait_timeout(st, wait).expect(POISONED).0
+                    }
+                    None => shared.work.wait(st).expect(POISONED),
+                };
             }
         };
         shared.space.notify_all();
@@ -522,34 +505,16 @@ fn worker_loop<E>(
         process_job(w, shared, &mut exec, injector.as_mut(), slow_factor, tx, job);
 
         let dead = {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             st.inflight -= 1;
             st.workers[w].executing = 0;
             if st.shutdown {
                 shared.work.notify_all();
-                shared.retry_cv.notify_all();
             }
             st.workers[w].dead
         };
         if dead {
-            // Re-route any jobs still addressed to this worker, then
-            // leave. The orphans count as inflight while in limbo so
-            // a draining shutdown cannot conclude under them.
-            let orphans: Vec<Job> = {
-                let mut st = shared.state.lock().unwrap();
-                let orphans: Vec<Job> = st.workers[w].queue.drain(..).collect();
-                st.queued -= orphans.len();
-                st.inflight += orphans.len();
-                orphans
-            };
-            let now = shared.clock.now();
-            for job in orphans {
-                shared.redispatch(tx, job, now);
-                let mut st = shared.state.lock().unwrap();
-                st.inflight -= 1;
-            }
-            shared.work.notify_all();
-            shared.retry_cv.notify_all();
+            shared.leave(w, tx);
             return;
         }
     }
@@ -578,12 +543,11 @@ fn process_job<E>(
     // Breaker gate at the moment of execution (the breaker may have
     // opened while the job sat in the queue), plus canary detection.
     let is_canary = {
-        let mut st = shared.state.lock().unwrap();
+        let mut st = shared.lock();
         let slot = &mut st.workers[w];
         if slot.dead || !slot.breaker.admits(now) {
-            drop(st);
             job.tried.push(w);
-            shared.redispatch(tx, job, now);
+            shared.redispatch(tx, st, job, now);
             return;
         }
         let canary = slot.breaker.on_dispatch(now);
@@ -598,11 +562,10 @@ fn process_job<E>(
         if exec.reset().is_err() {
             shared.mark_dead(w);
             job.tried.push(w);
-            shared.redispatch(tx, job, now);
+            shared.redispatch(tx, shared.lock(), job, now);
             return;
         }
     }
-
     let start = clock.now();
     let result = exec.run_tile(&job.req.pairs, injector);
     let mut elapsed = clock.now().saturating_sub(start);
@@ -622,7 +585,7 @@ fn process_job<E>(
             let status = outcome.status();
             let hw = status.hardware_served();
             {
-                let mut st = shared.state.lock().unwrap();
+                let mut st = shared.lock();
                 let slot = &mut st.workers[w];
                 slot.breaker.record(hw, end);
                 slot.health.observe(sample_for(status));
@@ -656,7 +619,7 @@ fn process_job<E>(
             // Harness failure: count it against the worker and try to
             // re-arm the lane; a lane that cannot even reset is dead.
             {
-                let mut st = shared.state.lock().unwrap();
+                let mut st = shared.lock();
                 let slot = &mut st.workers[w];
                 slot.breaker.record(false, end);
                 slot.health.observe(0.0);
@@ -670,68 +633,65 @@ fn process_job<E>(
     }
 }
 
-/// The retry timer thread: holds backed-off jobs until due, then
-/// re-dispatches them (preferring untried workers).
-fn retry_loop(shared: &Shared, tx: &Sender<TileResponse>) {
-    loop {
-        enum Wake {
-            Job(Job),
-            Idle,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dwt_arch::designs::Design;
+    use dwt_arch::golden::still_tone_pairs;
+
+    fn job(id: u64) -> Job {
+        Job {
+            req: TileRequest { id, pairs: still_tone_pairs(6, id) },
+            arrival_ns: 0,
+            deadline_ns: None,
+            attempts: 1,
+            tried: vec![0],
         }
-        let wake = {
-            let mut heap = shared.retry_heap.lock().unwrap();
-            loop {
-                let now = shared.clock.now();
-                match heap.peek() {
-                    Some(top) if top.due <= now => {
-                        break Wake::Job(heap.pop().expect("peeked").job);
-                    }
-                    Some(top) => {
-                        let wait = Duration::from_nanos(top.due - now);
-                        let (h, _) = shared
-                            .retry_cv
-                            .wait_timeout(heap, wait.min(Duration::from_millis(5)))
-                            .unwrap();
-                        heap = h;
-                    }
-                    None => break Wake::Idle,
-                }
-            }
-        };
-        match wake {
-            Wake::Job(job) => {
-                let now = shared.clock.now();
-                {
-                    let mut st = shared.state.lock().unwrap();
-                    st.retry_pending -= 1;
-                    if job.expired(now) {
-                        drop(st);
-                        shared.shed_to_golden(tx, job, ShedReason::DeadlineExceeded, None);
-                        continue;
-                    }
-                    if let Err((job, fail)) = shared.dispatch_locked(&mut st, job, now) {
-                        drop(st);
-                        let reason = match fail {
-                            DispatchFail::Deadline => ShedReason::DeadlineExceeded,
-                            DispatchFail::Breakers => ShedReason::NoAdmissibleWorker,
-                        };
-                        shared.shed_to_golden(tx, job, reason, None);
-                    }
-                }
-                shared.work.notify_all();
-            }
-            Wake::Idle => {
-                {
-                    let st = shared.state.lock().unwrap();
-                    if shared.drained(&st) {
-                        drop(st);
-                        shared.work.notify_all();
-                        return;
-                    }
-                }
-                let heap = shared.retry_heap.lock().unwrap();
-                let _ = shared.retry_cv.wait_timeout(heap, Duration::from_millis(2)).unwrap();
-            }
+    }
+
+    #[test]
+    fn the_last_worker_to_leave_routes_every_parked_retry() {
+        let mut cfg = ServeConfig::new(Design::D3);
+        cfg.workers = 2;
+        // Retries fall due a minute from now, long after this test.
+        cfg.retry.base_backoff_ns = 60_000_000_000;
+        cfg.retry.max_backoff_ns = 60_000_000_000;
+        let shared = Shared::new(cfg);
+        let (tx, rx) = channel();
+        shared.retry_or_golden(&tx, job(0), None);
+        shared.retry_or_golden(&tx, job(1), None);
+        {
+            let mut st = shared.lock();
+            st.workers[0].queue.push_back(job(2));
+            st.queued += 1;
         }
+
+        // Worker 1 still lives: worker 0's orphan moves to it, and the
+        // retries stay parked for it to route when they fall due.
+        shared.mark_dead(0);
+        shared.leave(0, &tx);
+        {
+            let st = shared.lock();
+            assert_eq!(st.retries.len(), 2);
+            assert_eq!((st.queued, st.workers[1].queue.len()), (1, 1));
+        }
+        assert!(rx.try_recv().is_err(), "nothing was shed while a worker lives");
+
+        // The last live worker leaves: no one else would route the
+        // parked retries, so it routes them all, due or not.
+        shared.mark_dead(1);
+        shared.leave(1, &tx);
+        let mut responses: Vec<TileResponse> = rx.try_iter().collect();
+        responses.sort_by_key(|r| r.id);
+        assert_eq!(responses.iter().map(|r| r.id).collect::<Vec<_>>(), [0, 1, 2]);
+        for r in &responses {
+            assert_eq!(r.served_by, ServedBy::Golden(ShedReason::NoAdmissibleWorker));
+            assert_eq!((r.low.clone(), r.high.clone()), golden_tile(&still_tone_pairs(6, r.id)));
+        }
+        let mut st = shared.lock();
+        st.shutdown = true;
+        assert!(shared.drained(&st), "no job is left anywhere: {st:?}");
+        assert_eq!((st.counters.retries, st.counters.redispatches), (2, 2));
+        assert_eq!(st.counters.shed_no_admissible, 3);
     }
 }

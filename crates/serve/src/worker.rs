@@ -9,7 +9,6 @@
 
 use std::collections::VecDeque;
 
-use dwt_arch::golden::GoldenStream;
 use dwt_pool::admission::CostModel;
 use dwt_pool::breaker::{BreakerState, CircuitBreaker};
 use dwt_pool::health::HealthScore;
@@ -106,48 +105,10 @@ pub struct WorkerStats {
     pub dead: bool,
 }
 
-/// The software golden model's answer for one self-contained tile —
-/// the bottom of the degradation ladder, correct by definition.
-///
-/// The recovery executor's flush makes tiles independent, so the
-/// continuous golden stream restricted to one tile equals the golden
-/// stream of that tile alone.
-#[must_use]
-pub fn golden_tile(pairs: &[(i64, i64)]) -> (Vec<i64>, Vec<i64>) {
-    let p = pairs.len();
-    let mut g = GoldenStream::default();
-    for &(e, o) in pairs {
-        g.push(e, o);
-    }
-    // The model's lookback is 4 pairs; flush until the whole tile has
-    // emerged.
-    while g.low().len() < p {
-        g.push(0, 0);
-    }
-    (g.low()[..p].to_vec(), g.high()[..p].to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dwt_arch::designs::Design;
-
-    #[test]
-    fn golden_tile_matches_prefix_of_continuous_stream() {
-        let pairs: Vec<(i64, i64)> = (0..10).map(|i| (i * 3 - 7, -i * 2 + 1)).collect();
-        let (low, high) = golden_tile(&pairs);
-        assert_eq!(low.len(), 10);
-        assert_eq!(high.len(), 10);
-        let mut g = GoldenStream::default();
-        for &(e, o) in &pairs {
-            g.push(e, o);
-        }
-        for _ in 0..8 {
-            g.push(0, 0);
-        }
-        assert_eq!(low, g.low()[..10].to_vec());
-        assert_eq!(high, g.high()[..10].to_vec());
-    }
 
     #[test]
     fn backlog_counts_queue_and_executing_job() {

@@ -13,7 +13,8 @@ use dwt_pool::breaker::BreakerState;
 use dwt_pool::chaos::{ChaosConfig, StuckLaneSpec};
 use dwt_rtl::compile::CompiledEngine;
 use dwt_serve::{
-    golden_tile, OverloadPolicy, RetryPolicy, ServeConfig, Server, TileRequest, TileResponse,
+    golden_tile, OverloadPolicy, RetryPolicy, ServeConfig, ServedBy, Server, ShedReason,
+    TileRequest, TileResponse,
 };
 
 fn tile(id: u64, pairs: usize) -> TileRequest {
@@ -196,4 +197,56 @@ fn empty_request_is_rejected() {
     let err = server.submit(TileRequest { id: 0, pairs: Vec::new() }).unwrap_err();
     assert_eq!(err, dwt_serve::Error::EmptyRequest);
     let _ = server.shutdown();
+}
+
+/// One worker, stuck from its first cycle, with exactly one retry
+/// allowed after a fixed 2 ms backoff and a breaker that cannot trip.
+fn lone_stuck_worker_config() -> ServeConfig {
+    let mut cfg = base_config();
+    cfg.workers = 1;
+    cfg.chaos = Some(ChaosConfig {
+        stuck_lanes: vec![StuckLaneSpec { lane: 0, from_cycle: 0 }],
+        ..ChaosConfig::default()
+    });
+    cfg.breaker.min_samples = 1_000;
+    cfg.retry = RetryPolicy {
+        max_attempts: 2,
+        base_backoff_ns: 2_000_000,
+        max_backoff_ns: 2_000_000,
+        jitter: 0.0,
+    };
+    cfg
+}
+
+/// With no thread but the worker, the worker itself must wake when its
+/// parked retry falls due: nothing else is submitted to wake it.
+#[test]
+fn a_lone_worker_routes_its_own_parked_retry() {
+    let (server, rx) = Server::<CompiledEngine>::start(lone_stuck_worker_config()).unwrap();
+    let request = tile(0, 8);
+    server.submit(request.clone()).unwrap();
+    let responses = drain(&rx, 1);
+    let stats = server.shutdown();
+
+    assert_bit_exact(std::slice::from_ref(&request), &responses);
+    assert_eq!(responses[0].served_by, ServedBy::Golden(ShedReason::RetriesExhausted));
+    assert_eq!(responses[0].attempts, 2);
+    assert_eq!(stats.counters.retries, 1);
+    assert_eq!(stats.counters.completed(), 1);
+}
+
+/// Shutdown waits out a parked retry instead of dropping it.
+#[test]
+fn shutdown_drains_a_parked_retry() {
+    let (server, rx) = Server::<CompiledEngine>::start(lone_stuck_worker_config()).unwrap();
+    let request = tile(0, 8);
+    server.submit(request.clone()).unwrap();
+    let stats = server.shutdown();
+    // Every sender is gone once shutdown returns, so this collects
+    // every response there will ever be.
+    let responses: Vec<TileResponse> = rx.iter().collect();
+
+    assert_eq!(responses.len(), 1);
+    assert_bit_exact(std::slice::from_ref(&request), &responses);
+    assert_eq!(stats.counters.retries, 1);
 }
