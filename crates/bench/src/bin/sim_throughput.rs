@@ -2,13 +2,15 @@
 //! bit-sliced versus jit native-codegen backend, per paper design.
 //!
 //! Each design's netlist is driven with the same seeded stimulus on
-//! every backend and timed wall-clock. The honest unit is **samples per
-//! second**: every tick consumes one `(even, odd)` pair per lane, so
-//! the event-driven simulator processes `2 × pairs` samples per run
-//! while the lane-parallel backends — fed `caps().lanes` distinct
-//! streams through the trait's lane interface — process
-//! `2 × pairs × lanes`. Outputs are read back every cycle into a
-//! checksum on every backend so nobody skips the readback cost.
+//! every backend and timed wall-clock: [`RUNS`] rounds per design, each
+//! round one run per backend, and each backend's figure is the median
+//! of its rounds, so one noisy run on a busy host moves no gate. The
+//! honest unit is **samples per second**: every tick consumes one
+//! `(even, odd)` pair per lane, so the event-driven simulator processes
+//! `2 × pairs` samples per run while the lane-parallel backends — fed
+//! `caps().lanes` distinct streams through the trait's lane interface —
+//! process `2 × pairs × lanes`. Outputs are read back every cycle into
+//! a checksum on every backend so nobody skips the readback cost.
 //!
 //! Each row also reports the **roofline fraction**: the backend's
 //! samples/sec over the software golden model's
@@ -35,6 +37,7 @@
 //! Exit codes: 0 success, 1 gate failure, 2 usage error.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use dwt_arch::designs::Design;
@@ -43,7 +46,11 @@ use dwt_bench::campaign::{flag_value, json_escape, unknown_flag, UsageError, EXI
 use dwt_rtl::compile::CompiledEngine;
 use dwt_rtl::engine::Engine;
 use dwt_rtl::jit::JitEngine;
+use dwt_rtl::netlist::Netlist;
 use dwt_rtl::sim::Simulator;
+
+/// Timed rounds per design; every backend runs once per round.
+const RUNS: usize = 5;
 
 struct Args {
     pairs: usize,
@@ -127,9 +134,8 @@ fn time_golden(stimulus: &[(i64, i64)]) -> f64 {
 /// (lane `l` runs the stimulus rotated by `l`, so every lane carries
 /// real, different data), reading outputs back every cycle. Returns
 /// samples per second.
-fn time_backend<E: Engine>(design: Design, stimulus: &[(i64, i64)]) -> f64 {
-    let built = design.build().expect("design build");
-    let mut sim = E::from_netlist(built.netlist).expect("engine build");
+fn time_backend<E: Engine>(netlist: &Arc<Netlist>, stimulus: &[(i64, i64)]) -> f64 {
+    let mut sim = E::from_netlist(Arc::clone(netlist)).expect("engine build");
     let lanes = sim.caps().lanes;
     let n = stimulus.len();
     let start = Instant::now();
@@ -163,6 +169,12 @@ fn time_backend<E: Engine>(design: Design, stimulus: &[(i64, i64)]) -> f64 {
     let secs = start.elapsed().as_secs_f64();
     std::hint::black_box(checksum);
     2.0 * (n * lanes) as f64 / secs
+}
+
+/// The median of `RUNS` figures.
+fn median(mut runs: [f64; RUNS]) -> f64 {
+    runs.sort_by(f64::total_cmp);
+    runs[RUNS / 2]
 }
 
 fn json_report(args: &Args, rows: &[Row]) -> String {
@@ -230,17 +242,20 @@ fn main() {
     let golden_samples_per_sec = time_golden(&stimulus);
     let mut rows = Vec::new();
     for design in Design::all() {
-        let event = time_backend::<Simulator>(design, &stimulus);
-        let compiled = time_backend::<CompiledEngine>(design, &stimulus);
-        let jit = time_backend::<JitEngine>(design, &stimulus);
-        let built = design.build().expect("design build");
-        let probe = CompiledEngine::new(built.netlist).expect("compiled build");
+        let netlist = Arc::new(design.build().expect("design build").netlist);
+        let (mut event, mut compiled, mut jit) = ([0.0; RUNS], [0.0; RUNS], [0.0; RUNS]);
+        for run in 0..RUNS {
+            event[run] = time_backend::<Simulator>(&netlist, &stimulus);
+            compiled[run] = time_backend::<CompiledEngine>(&netlist, &stimulus);
+            jit[run] = time_backend::<JitEngine>(&netlist, &stimulus);
+        }
+        let probe = CompiledEngine::new(netlist).expect("compiled build");
         let row = Row {
             design,
             golden_samples_per_sec,
-            event_samples_per_sec: event,
-            compiled_samples_per_sec: compiled,
-            jit_samples_per_sec: jit,
+            event_samples_per_sec: median(event),
+            compiled_samples_per_sec: median(compiled),
+            jit_samples_per_sec: median(jit),
             op_count: probe.program().op_count(),
             levels: probe.program().levels(),
         };

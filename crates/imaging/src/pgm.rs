@@ -100,8 +100,8 @@ pub fn read_pgm<R: Read>(r: R) -> Result<Grid<i32>, PgmError> {
             reader.read_exact(&mut byte)?;
             match byte[0] {
                 b'#' => {
-                    let mut comment = String::new();
-                    reader.read_line(&mut comment)?;
+                    // Comments are free text in any encoding.
+                    reader.read_until(b'\n', &mut Vec::new())?;
                 }
                 c if c.is_ascii_whitespace() => {
                     if !tok.is_empty() {
@@ -129,11 +129,13 @@ pub fn read_pgm<R: Read>(r: R) -> Result<Grid<i32>, PgmError> {
     // Reserve only what the stream actually holds, so a hostile header
     // cannot demand a huge allocation before the data runs out.
     let data: Vec<i32> = if ascii {
-        let mut text = String::new();
-        reader.read_to_string(&mut text)?;
-        text.split_ascii_whitespace()
+        let mut text = Vec::new();
+        reader.read_to_end(&mut text)?;
+        text.split(u8::is_ascii_whitespace)
+            .filter(|tok| !tok.is_empty())
             .take(pixels)
             .map(|tok| {
+                let tok = String::from_utf8_lossy(tok);
                 let v: i32 =
                     tok.parse().map_err(|_| PgmError::Format(format!("bad pixel '{tok}'")))?;
                 Ok(v.clamp(0, 255) - 128)
@@ -179,6 +181,14 @@ mod tests {
         let text = b"P2\n#c1\n2 #c2\n1\n255\n9 9\n";
         let img = read_pgm(text.as_slice()).unwrap();
         assert_eq!(img.dims(), (1, 2));
+    }
+
+    #[test]
+    fn non_utf8_comments_are_skipped_and_non_utf8_pixels_are_format_errors() {
+        let text = b"P2\n# caf\xe9\n2 1\n255\n9 9\n";
+        assert_eq!(read_pgm(text.as_slice()).unwrap().dims(), (1, 2));
+        let text = b"P2\n2 1\n255\n9 \xe9\n";
+        assert!(matches!(read_pgm(text.as_slice()), Err(PgmError::Format(_))));
     }
 
     #[test]

@@ -562,7 +562,9 @@ impl<E: Engine> Worker<E> {
     fn restore(&mut self, snapshot: Option<&E::Snapshot>) -> Result<(), PartitionError> {
         match snapshot {
             Some(snapshot) => self.engine.restore(snapshot)?,
-            None => self.engine = E::from_netlist(self.engine.netlist().clone())?,
+            // A deep copy of the netlist, not the shared `Arc`: the
+            // worker's speed after this restore moves with its layout.
+            None => self.engine = E::from_netlist(Netlist::clone(self.engine.netlist()))?,
         }
         for link in &mut self.out_links {
             (link.seq, link.hash) = (0, hash_seed());

@@ -132,16 +132,18 @@ impl<E: Engine> Pool<E> {
             dwc: cfg.dwc,
             watchdog: WatchdogConfig { event_cap: cfg.event_cap, tile_cycle_budget: None },
         };
+        // Every lane is a clone of one power-on executor, so the pool
+        // builds each netlist and engine image once.
+        let exec = TileExecutor::<E>::new(cfg.design, exec_cfg)?;
+        let (primary, spare) = (exec.primary_netlist(), exec.spare_netlist()?);
+        let nominal = exec.nominal_window(cfg.tile_pairs);
         let mut lanes = Vec::with_capacity(cfg.lanes);
         for id in 0..cfg.lanes {
-            let exec = TileExecutor::<E>::new(cfg.design, exec_cfg)?;
-            let injector =
-                cfg.chaos.injector_for(id, exec.primary_netlist(), exec.spare_netlist()?)?;
-            let nominal = exec.nominal_window(cfg.tile_pairs);
+            let injector = cfg.chaos.injector_for(id, primary, spare)?;
             let slow_factor = cfg.chaos.slow_factor(id);
             lanes.push(Lane {
                 id,
-                exec,
+                exec: exec.clone(),
                 injector,
                 health: HealthScore::new(cfg.health),
                 breaker: CircuitBreaker::new(cfg.breaker),
@@ -350,6 +352,23 @@ mod tests {
 
     fn quiet_cfg() -> PoolConfig {
         PoolConfig { lanes: 3, tile_pairs: 8, ..PoolConfig::default() }
+    }
+
+    #[test]
+    fn lanes_share_one_primary_and_one_spare_netlist() {
+        let pool = Pool::<dwt_rtl::compile::CompiledEngine>::new(PoolConfig {
+            design: Design::D5,
+            ..PoolConfig::default()
+        })
+        .unwrap();
+        let first = &pool.lanes[0].exec;
+        for lane in &pool.lanes[1..] {
+            assert!(std::sync::Arc::ptr_eq(lane.exec.primary_netlist(), first.primary_netlist()));
+            assert!(std::sync::Arc::ptr_eq(
+                lane.exec.spare_netlist().unwrap(),
+                first.spare_netlist().unwrap()
+            ));
+        }
     }
 
     #[test]

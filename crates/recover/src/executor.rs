@@ -29,6 +29,10 @@
 //! built at the first escalation, not up front, and restored to its
 //! power-on snapshot at every later one.
 //!
+//! An executor is cloned, not rebuilt, to replicate it: a clone shares
+//! its primary's netlist and compiled image, and the TMR spare's
+//! datapath, with the original, whichever of them builds it first.
+//!
 //! On an engine with more than one lane, a fault-free run spreads a
 //! large tile's first primary attempt over the lanes ([`SegmentPlan`]):
 //! each lane covers one segment of the tile, warms up on the
@@ -38,7 +42,7 @@
 //! reruns the tile on one lane. Replay, TMR, the golden fallback and
 //! every faulted run keep the one-lane window.
 
-use dwt_arch::datapath::{BuiltDatapath, Hardening};
+use dwt_arch::datapath::Hardening;
 use dwt_arch::designs::Design;
 use dwt_arch::golden::{GoldenStream, LOOKBACK};
 use dwt_rtl::engine::Engine;
@@ -46,7 +50,7 @@ use dwt_rtl::fault::FaultSpec;
 use dwt_rtl::netlist::Netlist;
 use dwt_rtl::sim::Simulator;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{Error, Result};
 use crate::injector::{FaultInjector, Lane};
@@ -418,9 +422,24 @@ impl SegmentPlan {
     }
 }
 
+/// The TMR spare's datapath, netlist and latency, built at most once
+/// for an executor and all its clones.
+type SpareDatapath = Arc<OnceLock<(Arc<Netlist>, usize)>>;
+
+/// The netlist and latency in `datapath`, building the TMR datapath of
+/// `design` if nobody has yet. Two clones that both find it unbuilt
+/// build it both, and keep whichever lands first.
+fn spare_datapath(datapath: &SpareDatapath, design: Design) -> Result<&(Arc<Netlist>, usize)> {
+    if let Some(built) = datapath.get() {
+        return Ok(built);
+    }
+    let built = design.build_hardened(Hardening::Tmr)?;
+    Ok(datapath.get_or_init(|| (Arc::new(built.netlist), built.latency)))
+}
+
 /// The TMR spare engine with its power-on snapshot: built once, at the
 /// first escalation, and restored at every later one.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Spare<E: Engine> {
     engine: E,
     initial: E::Snapshot,
@@ -429,14 +448,14 @@ struct Spare<E: Engine> {
 
 impl<E: Engine> Spare<E> {
     /// The spare at power-on, ready for a re-dispatched tile. The first
-    /// call builds the engine from `datapath`, moving its netlist in
-    /// (or builds the datapath too, if nobody asked for it yet); later
-    /// calls restore the engine's power-on snapshot, which also reverts
-    /// the faults armed in it, so each escalation meets the machine a
-    /// freshly built spare would be.
+    /// call builds the engine on the shared `datapath` (building that
+    /// too, if nobody asked for it yet); later calls restore the
+    /// engine's power-on snapshot, which also reverts the faults armed
+    /// in it, so each escalation meets the machine a freshly built
+    /// spare would be.
     fn armed<'a>(
         slot: &'a mut Option<Spare<E>>,
-        datapath: &mut OnceLock<BuiltDatapath>,
+        datapath: &SpareDatapath,
         design: Design,
         event_cap: Option<u64>,
     ) -> Result<&'a mut Spare<E>> {
@@ -446,16 +465,13 @@ impl<E: Engine> Spare<E> {
                 spare
             }
             None => {
-                let built = match datapath.take() {
-                    Some(built) => built,
-                    None => design.build_hardened(Hardening::Tmr)?,
-                };
-                let mut engine = E::from_netlist(built.netlist)?;
+                let (netlist, latency) = spare_datapath(datapath, design)?;
+                let mut engine = E::from_netlist(Arc::clone(netlist))?;
                 if let Some(cap) = event_cap {
                     engine.set_event_cap(cap);
                 }
                 let initial = engine.snapshot();
-                Spare { engine, initial, latency: built.latency }
+                Spare { engine, initial, latency: *latency }
             }
         };
         Ok(slot.insert(spare))
@@ -468,7 +484,11 @@ impl<E: Engine> Spare<E> {
 /// and its TMR spare; defaults to the event-driven [`Simulator`].
 /// Callers selecting the backend at runtime dispatch through
 /// [`dwt_rtl::engine::Backend`] instead of naming `E` themselves.
-#[derive(Debug)]
+///
+/// A clone is an independent executor that starts in its original's
+/// state and shares every netlist and compiled engine image with it:
+/// replicate a power-on executor across lanes by cloning it.
+#[derive(Debug, Clone)]
 pub struct TileExecutor<E: Engine = Simulator> {
     design: Design,
     cfg: ExecutorConfig,
@@ -479,8 +499,8 @@ pub struct TileExecutor<E: Engine = Simulator> {
     /// netlist rebuild.
     initial: E::Snapshot,
     /// The TMR spare's datapath, built on the first request for its
-    /// netlist and moved into `spare` when the spare engine is built.
-    spare_datapath: OnceLock<BuiltDatapath>,
+    /// netlist or the first escalation, and shared with every clone.
+    spare_datapath: SpareDatapath,
     /// The TMR spare engine; `None` until the first escalation.
     spare: Option<Spare<E>>,
     /// The current tile's reference, cleared at every tile start; it
@@ -523,7 +543,7 @@ impl<E: Engine> TileExecutor<E> {
             latency: primary.latency,
             primary: sim,
             initial,
-            spare_datapath: OnceLock::new(),
+            spare_datapath: SpareDatapath::default(),
             spare: None,
             golden: GoldenStream::default(),
             executed_cycles: 0,
@@ -579,27 +599,22 @@ impl<E: Engine> TileExecutor<E> {
         &self.cfg
     }
 
-    /// The primary datapath netlist (fault-site discovery).
+    /// The primary datapath netlist (fault-site discovery), shared with
+    /// every clone of the executor.
     #[must_use]
-    pub fn primary_netlist(&self) -> &Netlist {
+    pub fn primary_netlist(&self) -> &Arc<Netlist> {
         self.primary.netlist()
     }
 
     /// The TMR spare netlist (fault-site discovery), building the spare
-    /// datapath on the first call if no escalation has built it yet.
+    /// datapath on the first call if no escalation, here or in a clone,
+    /// has built it yet.
     ///
     /// # Errors
     ///
     /// [`Error::Arch`] if the TMR datapath fails to build.
-    pub fn spare_netlist(&self) -> Result<&Netlist> {
-        if let Some(spare) = &self.spare {
-            return Ok(spare.engine.netlist());
-        }
-        if let Some(built) = self.spare_datapath.get() {
-            return Ok(&built.netlist);
-        }
-        let built = self.design.build_hardened(Hardening::Tmr)?;
-        Ok(&self.spare_datapath.get_or_init(|| built).netlist)
+    pub fn spare_netlist(&self) -> Result<&Arc<Netlist>> {
+        Ok(&spare_datapath(&self.spare_datapath, self.design)?.0)
     }
 
     /// Engine ticks actually run so far, including failed attempts —
@@ -789,7 +804,7 @@ impl<E: Engine> TileExecutor<E> {
         if committed.is_none() {
             let spare = Spare::armed(
                 &mut self.spare,
-                &mut self.spare_datapath,
+                &self.spare_datapath,
                 self.design,
                 self.cfg.watchdog.event_cap,
             )?;
@@ -1388,7 +1403,7 @@ mod tests {
         assert!(cells > exec.primary_netlist().cell_count());
         assert!(exec.spare_datapath.get().is_some() && exec.spare.is_none());
 
-        // The first escalation moves that netlist into the engine.
+        // The first escalation builds the engine on that same netlist.
         let reg = first_register(exec.primary_netlist());
         let mut inj = ScriptedFaults {
             hard_primary: vec![FaultSpec::StuckAt { net: reg, bit: 0, value: true }],
@@ -1396,8 +1411,20 @@ mod tests {
         };
         let report = exec.run_stream(&pairs, &mut inj).unwrap();
         assert!(report.tiles.iter().all(|t| t.rung == Rung::Tmr));
-        assert!(exec.spare_datapath.get().is_none() && exec.spare.is_some());
+        let spare = exec.spare.as_ref().expect("the escalation built the spare engine");
+        assert!(Arc::ptr_eq(spare.engine.netlist(), exec.spare_netlist().unwrap()));
         assert_eq!(exec.spare_netlist().unwrap().cell_count(), cells);
+    }
+
+    #[test]
+    fn a_clone_builds_the_spare_datapath_for_its_original() {
+        let exec = TileExecutor::<CompiledEngine>::new(Design::D2, small_cfg()).unwrap();
+        let clone = exec.clone();
+        assert!(Arc::ptr_eq(exec.primary_netlist(), clone.primary_netlist()));
+        assert!(exec.spare_datapath.get().is_none());
+        let spare = Arc::clone(clone.spare_netlist().unwrap());
+        assert!(Arc::ptr_eq(exec.spare_netlist().unwrap(), &spare));
+        assert!(exec.spare.is_none() && clone.spare.is_none());
     }
 
     /// Streams `tiles` 16-pair tiles through `exec`, power-cycling it
@@ -1443,6 +1470,52 @@ mod tests {
             reused == run(true),
             "{design}: reused spare differs from a fresh spare per escalation"
         );
+    }
+
+    /// A power-on clone runs a faulted stream exactly like a freshly
+    /// built executor and leaves its original at power-on; a clone
+    /// taken mid-stream, spare engine built, then runs the rest of the
+    /// stream exactly like its original.
+    fn clones_run_faulted_tiles_like_fresh_executors<E: Engine>(design: Design) {
+        let seu = |exec: &TileExecutor<E>| {
+            PoissonSeu::new(exec.primary_netlist(), exec.spare_netlist().unwrap(), 0.02, 11)
+                .with_hard_faults(0.4, 0.3)
+        };
+        let run = |exec: TileExecutor<E>| {
+            let mut seu = seu(&exec);
+            escalating_run(exec, &mut seu, 8, false)
+        };
+        let original = TileExecutor::<E>::new(design, small_cfg()).unwrap();
+        let fresh = run(TileExecutor::new(design, small_cfg()).unwrap());
+        assert!(fresh.0.iter().any(|t| t.rung != Rung::Primary), "{design}: no fault landed");
+        assert!(run(original.clone()) == fresh, "{design}: a clone differs from a fresh executor");
+        assert_eq!(original.executed_cycles(), 0, "{design}: the clone moved its original");
+        assert!(run(original) == fresh, "{design}: the original differs after its clone ran");
+
+        let mut exec = TileExecutor::<E>::new(design, small_cfg()).unwrap();
+        let mut inj = seu(&exec);
+        let pairs = still_tone_pairs(16 * 12, 3);
+        let mut tiles = pairs.chunks(16);
+        for tile in tiles.by_ref() {
+            exec.run_tile(tile, &mut inj).unwrap();
+            if exec.spare.is_some() {
+                break;
+            }
+        }
+        assert!(tiles.len() >= 4, "{design}: the first escalation came too late");
+        let (mut twin, mut twin_inj) = (exec.clone(), inj.clone());
+        for tile in tiles {
+            let ours = exec.run_tile(tile, &mut inj).unwrap();
+            assert_eq!(twin.run_tile(tile, &mut twin_inj).unwrap(), ours, "{design}");
+        }
+        assert_eq!(twin.executed_cycles(), exec.executed_cycles());
+    }
+
+    #[test]
+    fn a_cloned_executor_runs_faulted_tiles_like_a_fresh_one() {
+        clones_run_faulted_tiles_like_fresh_executors::<Simulator>(Design::D2);
+        clones_run_faulted_tiles_like_fresh_executors::<CompiledEngine>(Design::D2);
+        clones_run_faulted_tiles_like_fresh_executors::<CompiledEngine>(Design::D5);
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! [`Backend::build`] a boxed engine or [`Backend::dispatch`] a
 //! generic runner on the concrete type.
 
+use std::sync::Arc;
+
 use crate::fault::FaultSpec;
 use crate::netlist::Netlist;
 use crate::{Error, Result};
@@ -106,21 +108,30 @@ pub trait PortableSnapshot: Sized {
 /// Backends with more than one lane (see [`EngineCaps::lanes`])
 /// broadcast scalar `set_input` values to every lane and report lane 0
 /// from `peek`, so scalar code behaves identically on every backend.
-pub trait Engine: Sized + std::fmt::Debug {
+///
+/// An engine holds its netlist behind an [`Arc`], and whatever it
+/// derives from the netlist alone (a compiled program, a native kernel)
+/// is shared the same way, so a clone copies only the architectural
+/// state: replicating one power-on engine across N lanes builds the
+/// datapath once. A clone runs independently of its original from the
+/// moment it is taken.
+pub trait Engine: Sized + Clone + std::fmt::Debug {
     /// Opaque architectural-state checkpoint for this backend.
     type Snapshot: Clone + std::fmt::Debug;
 
     /// Builds an engine for a validated netlist, with all state at
     /// power-on defaults (registers and memories zeroed, combinational
-    /// logic settled).
+    /// logic settled). Pass an `Arc<Netlist>` to share one netlist
+    /// between engines; a plain `Netlist` is moved behind a new `Arc`.
     ///
     /// # Errors
     ///
     /// Propagates netlist validation/simulation errors.
-    fn from_netlist(netlist: Netlist) -> Result<Self>;
+    fn from_netlist(netlist: impl Into<Arc<Netlist>>) -> Result<Self>;
 
-    /// The netlist under execution.
-    fn netlist(&self) -> &Netlist;
+    /// The netlist under execution, shared with every clone of the
+    /// engine and every engine built from the same `Arc`.
+    fn netlist(&self) -> &Arc<Netlist>;
 
     /// Capability flags of this backend.
     fn caps(&self) -> EngineCaps;
@@ -262,11 +273,11 @@ pub trait Engine: Sized + std::fmt::Debug {
 impl Engine for crate::sim::Simulator {
     type Snapshot = crate::sim::Snapshot;
 
-    fn from_netlist(netlist: Netlist) -> Result<Self> {
+    fn from_netlist(netlist: impl Into<Arc<Netlist>>) -> Result<Self> {
         crate::sim::Simulator::new(netlist)
     }
 
-    fn netlist(&self) -> &Netlist {
+    fn netlist(&self) -> &Arc<Netlist> {
         self.netlist()
     }
 
@@ -380,8 +391,8 @@ impl Backend {
     /// Propagates netlist validation errors, and for [`Backend::Jit`]
     /// the codegen/compile/load pipeline errors
     /// ([`Error::NativeCodegen`](crate::Error::NativeCodegen)).
-    pub fn build(self, netlist: Netlist) -> Result<BoxedEngine> {
-        struct Build(Netlist);
+    pub fn build(self, netlist: impl Into<Arc<Netlist>>) -> Result<BoxedEngine> {
+        struct Build(Arc<Netlist>);
         impl BackendRunner for Build {
             type Output = Result<BoxedEngine>;
             fn run<E>(self) -> Self::Output
@@ -392,7 +403,7 @@ impl Backend {
                 Ok(Box::new(E::from_netlist(self.0)?))
             }
         }
-        self.dispatch(Build(netlist))
+        self.dispatch(Build(netlist.into()))
     }
 
     /// Resolves this backend to its concrete engine type and invokes
@@ -459,7 +470,7 @@ pub trait BackendRunner {
 /// snapshot_bytes` is identity on the architectural state.
 pub trait DynEngine: std::fmt::Debug + Send {
     /// See [`Engine::netlist`].
-    fn netlist(&self) -> &Netlist;
+    fn netlist(&self) -> &Arc<Netlist>;
     /// See [`Engine::caps`].
     fn caps(&self) -> EngineCaps;
     /// See [`Engine::set_input`].
@@ -535,7 +546,7 @@ where
     E: Engine + Send + 'static,
     E::Snapshot: PortableSnapshot,
 {
-    fn netlist(&self) -> &Netlist {
+    fn netlist(&self) -> &Arc<Netlist> {
         Engine::netlist(self)
     }
     fn caps(&self) -> EngineCaps {
@@ -591,6 +602,7 @@ pub type BoxedEngine = Box<dyn DynEngine>;
 mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
+    use crate::sliced::tests::{mixed_netlist, Lcg};
 
     fn tiny_netlist() -> Netlist {
         let mut b = NetlistBuilder::new();
@@ -678,6 +690,71 @@ mod tests {
         assert_eq!(Backend::Event.dispatch(CapsOf), ("event-driven", 1));
         assert_eq!(Backend::Compiled.dispatch(CapsOf), ("compiled", 64));
         assert_eq!(Backend::Jit.dispatch(CapsOf), ("jit", 256));
+    }
+
+    /// Ticks `engines` with the same random inputs and checks that
+    /// they agree on every output after each tick.
+    fn lockstep<E: Engine>(engines: &mut [&mut E], rng: &mut Lcg, ticks: usize) {
+        for t in 0..ticks {
+            let (x, y) = (rng.in_range(-128, 127), rng.in_range(-128, 127));
+            for e in engines.iter_mut() {
+                e.set_input("x", x).unwrap();
+                e.set_input("y", y).unwrap();
+                e.try_tick().unwrap();
+            }
+            for port in ["s", "p"] {
+                let want = engines[0].peek(port).unwrap();
+                for e in &engines[1..] {
+                    assert_eq!(e.peek(port).unwrap(), want, "{port} at tick {t}");
+                }
+            }
+        }
+    }
+
+    /// A clone shares its original's netlist, ticks in lockstep with a
+    /// freshly built engine under a stuck-at and a flip, and leaves its
+    /// original where it was; a clone taken with a stuck-at armed keeps
+    /// it.
+    struct CloneRunsLikeFresh;
+    impl BackendRunner for CloneRunsLikeFresh {
+        type Output = ();
+        fn run<E>(self)
+        where
+            E: Engine + Send + 'static,
+            E::Snapshot: PortableSnapshot + Send,
+        {
+            let netlist = Arc::new(mixed_netlist());
+            let mut original = E::from_netlist(Arc::clone(&netlist)).unwrap();
+            let mut rng = Lcg(5);
+            lockstep(&mut [&mut original], &mut rng, 7);
+            let at = Engine::snapshot(&original).to_bytes();
+
+            let mut clone = original.clone();
+            assert!(Arc::ptr_eq(Engine::netlist(&clone), &netlist));
+            let mut fresh = E::from_netlist(Arc::clone(&netlist)).unwrap();
+            fresh.restore(&E::Snapshot::from_bytes(&at).unwrap()).unwrap();
+            let faults = [
+                FaultSpec::StuckAt { net: "s".into(), bit: 2, value: true },
+                FaultSpec::BitFlip { register: "rs".into(), bit: 1, cycle: 12 },
+            ];
+            for spec in &faults {
+                clone.inject(spec).unwrap();
+                fresh.inject(spec).unwrap();
+            }
+            lockstep(&mut [&mut fresh, &mut clone], &mut rng, 40);
+            assert_eq!(Engine::snapshot(&original).to_bytes(), at, "the clone moved its original");
+
+            let mut twin = clone.clone();
+            lockstep(&mut [&mut fresh, &mut clone, &mut twin], &mut rng, 20);
+            assert_eq!(Engine::peek(&twin, "s").unwrap() & 4, 4, "the twin lost its stuck-at");
+        }
+    }
+
+    #[test]
+    fn a_clone_ticks_like_a_fresh_engine_under_faults() {
+        for backend in Backend::ALL {
+            backend.dispatch(CloneRunsLikeFresh);
+        }
     }
 
     #[test]

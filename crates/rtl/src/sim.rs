@@ -10,6 +10,8 @@
 //! propagation, which is the physical mechanism behind the paper's
 //! observation that the 21-stage designs cut power roughly in half.
 
+use std::sync::Arc;
+
 use crate::cell::CellKind;
 use crate::error::{Error, Result};
 use crate::fault::{self, FaultSpec, ResolvedFault};
@@ -407,9 +409,9 @@ impl crate::engine::PortableSnapshot for Snapshot {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Simulator {
-    netlist: Netlist,
+    netlist: Arc<Netlist>,
     values: Vec<bool>,
     staged_inputs: Vec<(Bus, i64)>,
     stats: ActivityStats,
@@ -458,13 +460,15 @@ pub struct Simulator {
 
 impl Simulator {
     /// Wraps a netlist, initialising all nets to 0 (registers power up
-    /// cleared) and settling constants and combinational logic.
+    /// cleared) and settling constants and combinational logic. An
+    /// `Arc<Netlist>` is shared, not copied.
     ///
     /// # Errors
     ///
     /// Currently infallible for validated netlists; kept fallible for
     /// future device-specific checks.
-    pub fn new(netlist: Netlist) -> Result<Self> {
+    pub fn new(netlist: impl Into<Arc<Netlist>>) -> Result<Self> {
+        let netlist: Arc<Netlist> = netlist.into();
         let register_ids = netlist.registers().to_vec();
         // Classify nets: a net stays on LAB-local wiring when its only
         // readers are registers (folded flip-flop D pins) or the carry
@@ -535,7 +539,7 @@ impl Simulator {
 
     /// The netlist being simulated.
     #[must_use]
-    pub fn netlist(&self) -> &Netlist {
+    pub fn netlist(&self) -> &Arc<Netlist> {
         &self.netlist
     }
 

@@ -6,7 +6,9 @@
 //! advances `64 * BLOCKS` independent sample streams. The machine owns
 //! the architectural state (word file, RAM planes, staged inputs, armed
 //! faults, cycle counter), the clock edge, fault injection, lane I/O
-//! and snapshots. A [`Kernel`] supplies only the passes:
+//! and snapshots; its netlist, program and kernel sit in one immutable
+//! image behind an `Arc`, so a clone copies only that state. A
+//! [`Kernel`] supplies only the passes:
 //!
 //! * [`compile::Interpreter`](crate::compile::Interpreter) replays the
 //!   op list, one block (64 lanes) per slot:
@@ -30,6 +32,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::compile::Program;
 use crate::engine::{Engine, EngineCaps, PortableSnapshot};
@@ -362,9 +365,8 @@ fn sign_extend(raw: u64, width: usize) -> i64 {
 ///   every net each pass, so cleared nets heal at the next tick/settle.
 #[derive(Debug, Clone)]
 pub struct Sliced<K: Kernel> {
-    netlist: Netlist,
-    program: Program,
-    kernel: K,
+    /// What the machine runs, shared by every clone.
+    image: Arc<Image<K>>,
     words: Vec<u64>,
     ram: Vec<u64>,
     staged: Vec<StagedWord>,
@@ -377,21 +379,34 @@ pub struct Sliced<K: Kernel> {
     cycle: u64,
 }
 
+/// The immutable part of a [`Sliced`] machine: the netlist, the
+/// program lowered from it and the kernel prepared for that program.
+/// Built once per engine construction and shared by every clone, so a
+/// clone copies only the architectural state.
+#[derive(Debug)]
+struct Image<K> {
+    netlist: Arc<Netlist>,
+    program: Program,
+    kernel: K,
+}
+
 impl<K: Kernel> Sliced<K> {
     const LANES: usize = 64 * K::BLOCKS;
 
     /// Lowers and power-cycles an engine for a validated netlist:
     /// registers and RAM zeroed in every lane, combinational logic
-    /// settled.
+    /// settled. An `Arc<Netlist>` is shared, not copied.
     ///
     /// # Errors
     ///
     /// [`Error::MalformedProgram`] from lowering (unreachable for
     /// netlists that passed validation), or the kernel's build error.
-    pub fn new(netlist: Netlist) -> Result<Self> {
+    pub fn new(netlist: impl Into<Arc<Netlist>>) -> Result<Self> {
+        let netlist: Arc<Netlist> = netlist.into();
         let program = Program::compile(&netlist)?;
         let kernel = K::build(&netlist, &program)?;
         let (b, words) = (K::BLOCKS, program.slots * K::BLOCKS);
+        let one = program.one as usize * b;
         let mut engine = Sliced {
             words: vec![0; words],
             ram: vec![0; program.ram_planes * b],
@@ -401,11 +416,8 @@ impl<K: Kernel> Sliced<K> {
             flips: Vec::new(),
             ram_upsets: Vec::new(),
             cycle: 0,
-            kernel,
-            program,
-            netlist,
+            image: Arc::new(Image { netlist, program, kernel }),
         };
-        let one = engine.program.one as usize * b;
         engine.words[one..one + b].fill(ALL);
         engine.settle::<false>();
         Ok(engine)
@@ -414,11 +426,11 @@ impl<K: Kernel> Sliced<K> {
     /// The levelized schedule the kernel runs.
     #[must_use]
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.image.program
     }
 
     pub(crate) fn kernel(&self) -> &K {
-        &self.kernel
+        &self.image.kernel
     }
 
     /// Stages a value on an input port for one lane only; other lanes
@@ -429,7 +441,7 @@ impl<K: Kernel> Sliced<K> {
     /// Same port/range validation as [`Engine::set_input`]; rejects
     /// lanes beyond the engine's lane count.
     pub fn set_input_lane(&mut self, name: &str, lane: usize, value: i64) -> Result<()> {
-        let bus = input_bus(&self.netlist, name, &[value])?;
+        let bus = input_bus(&self.image.netlist, name, &[value])?;
         Self::check_lane(lane)?;
         stage_lanes(&mut self.staged, bus.bits(), K::BLOCKS, lane, &[value]);
         Ok(())
@@ -453,14 +465,15 @@ impl<K: Kernel> Sliced<K> {
             let w = &mut self.words[idx as usize];
             *w = (*w & !mask) | bits;
         }
-        let Sliced { program, kernel, words, ram, clamps, .. } = self;
-        kernel.eval::<CLAMPED>(program, words, ram, clamps);
+        let Sliced { image, words, ram, clamps, .. } = self;
+        image.kernel.eval::<CLAMPED>(&image.program, words, ram, clamps);
     }
 
     /// One clock edge, in the order the module docs give.
     fn step<const CLAMPED: bool>(&mut self) {
         let (b, now) = (K::BLOCKS, self.cycle);
-        let Sliced { program: p, kernel, words, ram, .. } = self;
+        let Sliced { image, words, ram, .. } = self;
+        let (p, kernel) = (&image.program, &image.kernel);
         self.ram_upsets.retain(|&(cell, addr, bit, due)| {
             if due == now {
                 if let Some(r) = p.rams.iter().find(|r| r.cell == cell) {
@@ -489,14 +502,14 @@ impl<K: Kernel> Sliced<K> {
 
     /// Hands the stuck list to the kernel.
     fn arm(&mut self) {
-        self.kernel.arm(&self.program, &self.stuck, &mut self.clamps);
+        self.image.kernel.arm(&self.image.program, &self.stuck, &mut self.clamps);
     }
 
     /// Checks that `s` is a state of this engine's netlist and lane
     /// width, and that every index it holds is in range, so `restore`
     /// can refuse it before overwriting anything.
     fn check(&self, s: &SlicedSnapshot) -> Result<()> {
-        let (nets, cells) = (self.netlist.net_count(), self.netlist.cell_count());
+        let (nets, cells) = (self.image.netlist.net_count(), self.image.netlist.cell_count());
         if s.lanes != Self::LANES
             || (s.nets, s.cells) != (nets, cells)
             || s.words.len() != self.words.len()
@@ -509,7 +522,7 @@ impl<K: Kernel> Sliced<K> {
                 simulator_cells: cells,
             });
         }
-        let p = &self.program;
+        let p = &self.image.program;
         let detail = if let Some(w) = s.staged.iter().find(|w| w.idx as usize >= s.words.len()) {
             format!("staged word {} outside the {}-word file", w.idx, s.words.len())
         } else if let Some((net, _)) = s.stuck.iter().find(|&&(n, _)| n as usize >= nets) {
@@ -534,12 +547,12 @@ impl<K: Kernel> Sliced<K> {
 impl<K: Kernel> Engine for Sliced<K> {
     type Snapshot = SlicedSnapshot;
 
-    fn from_netlist(netlist: Netlist) -> Result<Self> {
+    fn from_netlist(netlist: impl Into<Arc<Netlist>>) -> Result<Self> {
         Self::new(netlist)
     }
 
-    fn netlist(&self) -> &Netlist {
-        &self.netlist
+    fn netlist(&self) -> &Arc<Netlist> {
+        &self.image.netlist
     }
 
     fn caps(&self) -> EngineCaps {
@@ -557,7 +570,7 @@ impl<K: Kernel> Engine for Sliced<K> {
     }
 
     fn set_input(&mut self, name: &str, value: i64) -> Result<()> {
-        let bus = input_bus(&self.netlist, name, &[value])?;
+        let bus = input_bus(&self.image.netlist, name, &[value])?;
         for (i, &net) in bus.bits().iter().enumerate() {
             let bits = if (value >> i) & 1 == 1 { ALL } else { 0 };
             let base = net.index() * K::BLOCKS;
@@ -597,14 +610,14 @@ impl<K: Kernel> Engine for Sliced<K> {
                 detail: format!("expected 1..={} lane values, got {}", Self::LANES, values.len()),
             });
         }
-        let bus = input_bus(&self.netlist, name, values)?;
+        let bus = input_bus(&self.image.netlist, name, values)?;
         stage_lanes(&mut self.staged, bus.bits(), K::BLOCKS, 0, values);
         Ok(())
     }
 
     fn peek_lane(&self, name: &str, lane: usize) -> Result<i64> {
         Self::check_lane(lane)?;
-        let bus = &self.netlist.port(name)?.bus;
+        let bus = &self.image.netlist.port(name)?.bus;
         let (blk, bit) = (lane / 64, lane % 64);
         let raw = bus.bits().iter().enumerate().fold(0u64, |v, (i, &n)| {
             v | ((self.words[n.index() * K::BLOCKS + blk] >> bit) & 1) << i
@@ -613,7 +626,7 @@ impl<K: Kernel> Engine for Sliced<K> {
     }
 
     fn peek_lanes(&self, name: &str) -> Result<Vec<i64>> {
-        let bits = self.netlist.port(name)?.bus.bits();
+        let bits = self.image.netlist.port(name)?.bus.bits();
         let mut out = Vec::with_capacity(Self::LANES);
         for blk in 0..K::BLOCKS {
             gather_lanes(bits.len(), |i| self.words[bits[i].index() * K::BLOCKS + blk], &mut out);
@@ -624,8 +637,8 @@ impl<K: Kernel> Engine for Sliced<K> {
     fn snapshot(&self) -> SlicedSnapshot {
         SlicedSnapshot {
             lanes: Self::LANES,
-            nets: self.netlist.net_count(),
-            cells: self.netlist.cell_count(),
+            nets: self.image.netlist.net_count(),
+            cells: self.image.netlist.cell_count(),
             words: self.words.clone(),
             ram: self.ram.clone(),
             staged: self.staged.clone(),
@@ -659,7 +672,7 @@ impl<K: Kernel> Engine for Sliced<K> {
     }
 
     fn inject(&mut self, spec: &FaultSpec) -> Result<()> {
-        match fault::resolve(&self.netlist, spec)? {
+        match fault::resolve(&self.image.netlist, spec)? {
             ResolvedFault::Stuck { net, value } => {
                 let s = net.index() as u32;
                 match self.stuck.iter_mut().find(|(n, _)| *n == s) {

@@ -285,6 +285,26 @@ impl Shared {
     }
 }
 
+/// One worker's executor and fault injector.
+type WorkerLane<E> = (TileExecutor<E>, Box<dyn FaultInjector + Send>);
+
+/// Every worker's executor and fault injector for a validated `cfg`.
+/// The executors are clones of one power-on executor, so the server
+/// builds each netlist and engine image once.
+fn worker_lanes<E: Engine>(cfg: &ServeConfig) -> Result<Vec<WorkerLane<E>>> {
+    let exec = TileExecutor::<E>::new(cfg.design, cfg.executor)?;
+    let mut injectors: Vec<Box<dyn FaultInjector + Send>> = Vec::with_capacity(cfg.workers);
+    for w in 0..cfg.workers {
+        injectors.push(match &cfg.chaos {
+            Some(chaos) => {
+                Box::new(chaos.injector_for(w, exec.primary_netlist(), exec.spare_netlist()?)?)
+            }
+            None => Box::new(NoFaults),
+        });
+    }
+    Ok(std::iter::repeat_n(exec, cfg.workers).zip(injectors).collect())
+}
+
 /// The serving runtime.
 ///
 /// `Server::start` spawns one worker thread per configured worker,
@@ -316,26 +336,11 @@ where
     /// injectors otherwise.
     pub fn start(cfg: ServeConfig) -> Result<(Self, Receiver<TileResponse>)> {
         cfg.validate()?;
-        let mut execs = Vec::with_capacity(cfg.workers);
-        let mut injectors: Vec<Box<dyn FaultInjector + Send>> = Vec::with_capacity(cfg.workers);
-        for w in 0..cfg.workers {
-            let exec = TileExecutor::<E>::new(cfg.design, cfg.executor)?;
-            let injector: Box<dyn FaultInjector + Send> = match &cfg.chaos {
-                Some(chaos) => Box::new(chaos.injector_for(
-                    w,
-                    exec.primary_netlist(),
-                    exec.spare_netlist()?,
-                )?),
-                None => Box::new(NoFaults),
-            };
-            execs.push(exec);
-            injectors.push(injector);
-        }
-
+        let lanes = worker_lanes::<E>(&cfg)?;
         let (tx, rx) = channel();
         let shared = Arc::new(Shared::new(cfg));
         let mut workers = Vec::with_capacity(shared.cfg.workers);
-        for (w, (exec, injector)) in execs.into_iter().zip(injectors).enumerate() {
+        for (w, (exec, injector)) in lanes.into_iter().enumerate() {
             let shared_w = Arc::clone(&shared);
             let tx = tx.clone();
             let slow = shared.cfg.chaos.as_ref().map_or(1.0, |c| c.slow_factor(w));
@@ -646,6 +651,21 @@ mod tests {
             deadline_ns: None,
             attempts: 1,
             tried: vec![0],
+        }
+    }
+
+    #[test]
+    fn a_chaos_server_s_workers_share_one_primary_and_one_spare_netlist() {
+        let mut cfg = ServeConfig::new(Design::D5);
+        cfg.workers = 3;
+        cfg.chaos = Some(dwt_pool::chaos::ChaosConfig::default());
+        cfg.validate().unwrap();
+        let lanes = worker_lanes::<dwt_rtl::compile::CompiledEngine>(&cfg).unwrap();
+        assert_eq!(lanes.len(), 3);
+        let first = &lanes[0].0;
+        for (exec, _) in &lanes[1..] {
+            assert!(Arc::ptr_eq(exec.primary_netlist(), first.primary_netlist()));
+            assert!(Arc::ptr_eq(exec.spare_netlist().unwrap(), first.spare_netlist().unwrap()));
         }
     }
 

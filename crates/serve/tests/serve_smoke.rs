@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use dwt_arch::designs::Design;
 use dwt_pool::breaker::BreakerState;
-use dwt_pool::chaos::{ChaosConfig, StuckLaneSpec};
+use dwt_pool::chaos::{ChaosConfig, SlowLaneSpec, StuckLaneSpec};
 use dwt_rtl::compile::CompiledEngine;
 use dwt_serve::{
     golden_tile, OverloadPolicy, RetryPolicy, ServeConfig, ServedBy, Server, ShedReason,
@@ -75,9 +75,16 @@ fn fault_free_requests_complete_bit_exact_on_hardware() {
     assert_eq!(ids, (0..40).collect::<Vec<u64>>());
 }
 
-/// Satellite: a chaos-killed worker's breaker opens, and the request
-/// stream still completes bit-exact — the threaded half of the
-/// breaker-through-`Clock` coverage.
+/// A chaos-killed worker's breaker opens, and the request stream still
+/// completes bit-exact — the threaded half of the breaker-through-`Clock`
+/// coverage.
+///
+/// The breaker needs `min_samples` tiles on worker 0. Workers only take
+/// a peer's job once their own queue is empty, so the healthy workers
+/// are chaos-slowed: each stalls for 50 times its tile's run time, and
+/// their own queues outlast worker 0's first failed tile by that
+/// factor. Worker 0 therefore always finds a job, its own or a peer's,
+/// after its first tile, however the host schedules the threads.
 #[test]
 fn chaos_killed_worker_opens_breaker_and_stream_stays_bit_exact() {
     let mut cfg = base_config();
@@ -87,6 +94,10 @@ fn chaos_killed_worker_opens_breaker_and_stream_stays_bit_exact() {
     // hardware attempt on it fails through the whole ladder.
     cfg.chaos = Some(ChaosConfig {
         stuck_lanes: vec![StuckLaneSpec { lane: 0, from_cycle: 0 }],
+        slow_lanes: vec![
+            SlowLaneSpec { lane: 1, factor: 50.0 },
+            SlowLaneSpec { lane: 2, factor: 50.0 },
+        ],
         seed: 7,
         ..ChaosConfig::default()
     });
@@ -112,6 +123,7 @@ fn chaos_killed_worker_opens_breaker_and_stream_stays_bit_exact() {
     assert_eq!(stats.counters.completed(), 60, "every request answered exactly once");
 
     let w0 = &stats.workers[0];
+    assert!(w0.tiles >= 2, "worker 0 ran fewer tiles than its breaker needs: {stats:?}");
     assert!(w0.breaker_transitions > 0, "stuck worker's breaker never moved: {stats:?}");
     assert!(
         w0.breaker_state == BreakerState::Open || w0.breaker_state == BreakerState::HalfOpen,
