@@ -89,6 +89,8 @@ struct Row {
     jit_samples_per_sec: f64,
     op_count: usize,
     levels: usize,
+    /// Block moves (and ring rotations) of one register commit.
+    commit_blocks: usize,
 }
 
 impl Row {
@@ -192,7 +194,7 @@ fn json_report(args: &Args, rows: &[Row]) -> String {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
             out,
-            "{sep}\n    {{ \"design\": \"{}\", \"ops\": {}, \"levels\": {}, \
+            "{sep}\n    {{ \"design\": \"{}\", \"ops\": {}, \"levels\": {}, \"commit_blocks\": {}, \
              \"golden_samples_per_sec\": {:.1}, \
              \"event_samples_per_sec\": {:.1}, \"compiled_samples_per_sec\": {:.1}, \
              \"jit_samples_per_sec\": {:.1}, \"speedup\": {:.2}, \"jit_speedup\": {:.2}, \
@@ -200,6 +202,7 @@ fn json_report(args: &Args, rows: &[Row]) -> String {
             json_escape(r.design.name()),
             r.op_count,
             r.levels,
+            r.commit_blocks,
             r.golden_samples_per_sec,
             r.event_samples_per_sec,
             r.compiled_samples_per_sec,
@@ -258,6 +261,7 @@ fn main() {
             jit_samples_per_sec: median(jit),
             op_count: probe.program().op_count(),
             levels: probe.program().levels(),
+            commit_blocks: probe.program().commit_blocks(),
         };
         println!(
             "| {:<10} | {:>6} | {:>6} | {:>12.0} | {:>12.0} | {:>12.0} | {:>6.1}x | {:>6.1}x | {:>7.1}% |",

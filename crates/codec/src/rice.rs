@@ -26,6 +26,15 @@ pub fn unzigzag(u: u64) -> i64 {
 /// mismodelled sample cannot blow the stream up.
 const ESCAPE_QUOTIENT: u64 = 47;
 
+/// Raw bits of an escape. An escaped zigzag value that does not fit
+/// them below [`WIDE`] — any `|v| >= 2^31` — stores [`WIDE`] there, then
+/// its full 64 bits, so every `i64` round-trips while a stream whose
+/// values fit 32 bits encodes as it always has.
+const ESCAPE_BITS: u32 = 32;
+
+/// The escape's raw value that announces a 64-bit value after it.
+const WIDE: u64 = (1 << ESCAPE_BITS) - 1;
+
 /// The adaptation state: `k` is derived from a decaying magnitude mean
 /// that encoder and decoder track identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +58,9 @@ impl Adapt {
     }
 
     fn update(&mut self, magnitude: u64) {
-        self.sum += magnitude;
+        // Saturates only past what 64 values below 2^32 can sum to, so
+        // every stream of 32-bit values adapts as it always has.
+        self.sum = self.sum.saturating_add(magnitude);
         self.count += 1;
         if self.count == 64 {
             self.sum >>= 1;
@@ -69,9 +80,15 @@ pub fn encode(values: &[i64]) -> Vec<u8> {
         let k = adapt.k();
         let quotient = u >> k;
         if quotient >= ESCAPE_QUOTIENT {
-            // Escape: unary marker, then 32 raw bits.
+            // Escape: unary marker, then 32 raw bits, or the wide
+            // marker and 64.
             w.put_unary(ESCAPE_QUOTIENT);
-            w.put_bits(u, 32);
+            if u < WIDE {
+                w.put_bits(u, ESCAPE_BITS);
+            } else {
+                w.put_bits(WIDE, ESCAPE_BITS);
+                w.put_bits(u, 64);
+            }
         } else {
             w.put_unary(quotient);
             w.put_bits(u & ((1 << k) - 1), k);
@@ -96,7 +113,10 @@ pub fn decode(bytes: &[u8], len: usize) -> Result<Vec<i64>> {
         let k = adapt.k();
         let quotient = r.get_unary().ok_or(Error::Truncated)?;
         let u = if quotient >= ESCAPE_QUOTIENT {
-            r.get_bits(32).ok_or(Error::Truncated)?
+            match r.get_bits(ESCAPE_BITS).ok_or(Error::Truncated)? {
+                WIDE => r.get_bits(64).ok_or(Error::Truncated)?,
+                u => u,
+            }
         } else {
             let rem = r.get_bits(k).ok_or(Error::Truncated)?;
             (quotient << k) | rem
@@ -157,6 +177,48 @@ mod tests {
         let values = vec![i32::MAX as i64, i32::MIN as i64 + 1, 0, -1, 1 << 30];
         let bytes = encode(&values);
         assert_eq!(decode(&bytes, values.len()).unwrap(), values);
+    }
+
+    #[test]
+    fn every_i64_round_trips() {
+        let edges = [i64::MIN, i64::MIN + 1, i64::MAX, i64::MAX - 1, 1 << 31, -(1 << 31)];
+        let near = [(1i64 << 31) - 1, -(1 << 31) + 1, 1 << 40, -(1 << 40), 1 << 62, 0, -1];
+        let values: Vec<i64> = edges.iter().chain(&near).chain(&edges).copied().collect();
+        let bytes = encode(&values);
+        assert_eq!(decode(&bytes, values.len()).unwrap(), values);
+        // A wide escape cut anywhere is a typed error.
+        let wide = encode(&[i64::MAX]);
+        for cut in 0..wide.len() {
+            assert!(matches!(decode(&wide[..cut], 1), Err(Error::Truncated)), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn values_below_2_pow_31_encode_as_they_always_have() {
+        // Bytes of this stream before 64-bit escapes existed.
+        let values: Vec<i64> = vec![
+            0,
+            3,
+            -7,
+            120,
+            i64::from(i32::MAX),
+            -i64::from(i32::MAX),
+            1 << 30,
+            -5,
+            0,
+            0,
+            2_000_000_000,
+            -2_147_483_647,
+            17,
+            -1,
+        ];
+        let want: [u8; 72] = [
+            28, 231, 255, 255, 255, 240, 255, 255, 255, 255, 255, 254, 255, 255, 255, 254, 255,
+            255, 255, 255, 255, 254, 255, 255, 255, 253, 255, 255, 255, 255, 255, 254, 128, 0, 0,
+            0, 0, 0, 4, 128, 0, 0, 0, 0, 0, 31, 255, 255, 255, 255, 255, 221, 205, 101, 0, 31, 255,
+            255, 255, 255, 255, 223, 255, 255, 255, 160, 0, 2, 32, 0, 0, 8,
+        ];
+        assert_eq!(encode(&values), want);
     }
 
     #[test]

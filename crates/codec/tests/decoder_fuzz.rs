@@ -93,8 +93,7 @@ proptest! {
 
     #[test]
     fn a_valid_stream_cut_short_or_overclaimed_is_a_typed_error(
-        // An escape carries 32 raw bits, so encodable values are `i32`s.
-        values in prop::collection::vec(any::<i32>().prop_map(i64::from), 1..64),
+        values in prop::collection::vec(any::<i64>(), 1..64),
         cut in any::<usize>(),
         extra in claimed_len(),
     ) {

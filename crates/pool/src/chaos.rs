@@ -23,8 +23,10 @@
 //! Everything is seeded and keyed to executed-cycle clocks: a chaos
 //! campaign replays bit for bit from its seed, no wall time anywhere.
 
+use std::sync::Arc;
+
 use dwt_recover::injector::{FaultInjector, Lane};
-use dwt_recover::seu::{PoissonSeu, PoissonSeuBuilder};
+use dwt_recover::seu::{PoissonSeu, PoissonSeuBuilder, SeuSites};
 use dwt_rtl::cell::CellKind;
 use dwt_rtl::fault::FaultSpec;
 use dwt_rtl::netlist::Netlist;
@@ -136,21 +138,17 @@ impl ChaosConfig {
         self.slow_lanes.iter().find(|s| s.lane == lane).map_or(1.0, |s| s.factor)
     }
 
-    /// Builds the injector for one lane over its two netlists. Each
-    /// lane's arrival stream is decorrelated from the others through a
-    /// lane-indexed seed, while the burst *schedule* is shared — that
-    /// is what makes bursts common-mode.
+    /// Builds the injector for one lane over the sites of its two
+    /// netlists, sharing them. Each lane's arrival stream is
+    /// decorrelated from the others through a lane-indexed seed, while
+    /// the burst *schedule* is shared — that is what makes bursts
+    /// common-mode.
     ///
     /// # Errors
     ///
     /// Propagates [`Error::Seu`] for invalid rate parameters (the lane
     /// netlists always have registers).
-    pub fn injector_for(
-        &self,
-        lane: usize,
-        primary: &Netlist,
-        spare: &Netlist,
-    ) -> Result<ChaosInjector> {
+    pub fn injector_for(&self, lane: usize, sites: &ChaosSites) -> Result<ChaosInjector> {
         let lane_seed =
             self.seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(lane as u64 + 1));
         let base = if self.seu_rate > 0.0 {
@@ -160,7 +158,7 @@ impl ChaosConfig {
                     .stuck_fraction(self.stuck_fraction)
                     .common_mode(self.common_mode)
                     .seed(lane_seed)
-                    .build(primary, spare)?,
+                    .build_on(&sites.seu)?,
             )
         } else {
             None
@@ -170,7 +168,7 @@ impl ChaosConfig {
                 PoissonSeuBuilder::new()
                     .rate(self.seu_rate * (b.factor - 1.0))
                     .seed(lane_seed ^ 0xb00b_5eed)
-                    .build(primary, spare)?,
+                    .build_on(&sites.seu)?,
                 *b,
             )),
             _ => None,
@@ -181,9 +179,31 @@ impl ChaosConfig {
             burst,
             stuck_from,
             stuck_active: false,
-            stuck_primary: defeating_faults(primary),
-            stuck_spare: defeating_faults(spare),
+            stuck_primary: sites.stuck_primary.clone(),
+            stuck_spare: sites.stuck_spare.clone(),
         })
+    }
+}
+
+/// What every lane's chaos draws from, for one primary and one spare
+/// netlist: their register sites and the stuck-at faults that defeat
+/// each. A pool or server builds it once and shares it across lanes.
+#[derive(Debug, Clone)]
+pub struct ChaosSites {
+    seu: SeuSites,
+    stuck_primary: Arc<[FaultSpec]>,
+    stuck_spare: Arc<[FaultSpec]>,
+}
+
+impl ChaosSites {
+    /// The sites of `primary` and `spare`.
+    #[must_use]
+    pub fn new(primary: &Netlist, spare: &Netlist) -> Self {
+        ChaosSites {
+            seu: SeuSites::new(primary, spare),
+            stuck_primary: defeating_faults(primary).into(),
+            stuck_spare: defeating_faults(spare).into(),
+        }
     }
 }
 
@@ -244,8 +264,8 @@ pub struct ChaosInjector {
     burst: Option<(PoissonSeu, BurstConfig)>,
     stuck_from: Option<u64>,
     stuck_active: bool,
-    stuck_primary: Vec<FaultSpec>,
-    stuck_spare: Vec<FaultSpec>,
+    stuck_primary: Arc<[FaultSpec]>,
+    stuck_spare: Arc<[FaultSpec]>,
 }
 
 impl ChaosInjector {
@@ -368,9 +388,10 @@ mod tests {
             seed: 3,
             ..ChaosConfig::default()
         };
-        let mut with_burst = cfg.injector_for(0, &p, &s).unwrap();
-        let mut base_only =
-            ChaosConfig { burst: None, ..cfg.clone() }.injector_for(0, &p, &s).unwrap();
+        let mut with_burst = cfg.injector_for(0, &ChaosSites::new(&p, &s)).unwrap();
+        let mut base_only = ChaosConfig { burst: None, ..cfg.clone() }
+            .injector_for(0, &ChaosSites::new(&p, &s))
+            .unwrap();
         let (mut in_window, mut out_window, mut base_total) = (0usize, 0usize, 0usize);
         for c in 0..5_000u64 {
             let n = with_burst.arrivals(c, Lane::Primary).len();
@@ -391,13 +412,40 @@ mod tests {
     }
 
     #[test]
+    fn lanes_on_shared_sites_draw_what_fresh_sites_draw() {
+        let (p, s) = nets();
+        let cfg = ChaosConfig {
+            seu_rate: 0.05,
+            stuck_fraction: 0.3,
+            common_mode: 0.5,
+            burst: Some(BurstConfig { period: 100, len: 20, factor: 4.0 }),
+            stuck_lanes: vec![StuckLaneSpec { lane: 2, from_cycle: 300 }],
+            seed: 9,
+            ..ChaosConfig::default()
+        };
+        let sites = ChaosSites::new(&p, &s);
+        for lane in 0..3 {
+            let mut own = cfg.injector_for(lane, &ChaosSites::new(&p, &s)).unwrap();
+            let mut shared = cfg.injector_for(lane, &sites).unwrap();
+            assert!(Arc::ptr_eq(&shared.stuck_spare, &sites.stuck_spare));
+            for c in 0..1_000u64 {
+                let on = if c % 3 == 0 { Lane::Tmr } else { Lane::Primary };
+                assert_eq!(own.arrivals(c, on), shared.arrivals(c, on), "lane {lane} cycle {c}");
+            }
+            for on in [Lane::Primary, Lane::Tmr] {
+                assert_eq!(own.persistent(on), shared.persistent(on), "lane {lane}");
+            }
+        }
+    }
+
+    #[test]
     fn stuck_lane_activates_once_and_persists() {
         let (p, s) = nets();
         let cfg = ChaosConfig {
             stuck_lanes: vec![StuckLaneSpec { lane: 1, from_cycle: 50 }],
             ..ChaosConfig::default()
         };
-        let mut inj = cfg.injector_for(1, &p, &s).unwrap();
+        let mut inj = cfg.injector_for(1, &ChaosSites::new(&p, &s)).unwrap();
         assert!(inj.arrivals(0, Lane::Primary).is_empty());
         assert!(inj.persistent(Lane::Primary).is_empty());
         assert!(!inj.stuck_active());
@@ -410,7 +458,7 @@ mod tests {
         assert!(!inj.persistent(Lane::Tmr).is_empty(), "the spare is broken too");
 
         // An unaffected lane of the same scenario stays clean.
-        let mut other = cfg.injector_for(0, &p, &s).unwrap();
+        let mut other = cfg.injector_for(0, &ChaosSites::new(&p, &s)).unwrap();
         assert!(other.arrivals(50, Lane::Primary).is_empty());
         assert!(other.persistent(Lane::Tmr).is_empty());
     }
@@ -446,7 +494,7 @@ mod tests {
             ..ChaosConfig::default()
         };
         let drain = |cfg: &ChaosConfig| {
-            let mut inj = cfg.injector_for(2, &p, &s).unwrap();
+            let mut inj = cfg.injector_for(2, &ChaosSites::new(&p, &s)).unwrap();
             let mut all = Vec::new();
             for c in 0..2_000 {
                 all.extend(inj.arrivals(c, Lane::Primary));

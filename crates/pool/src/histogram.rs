@@ -1,8 +1,13 @@
 //! An exact latency histogram, the one percentile implementation of the
 //! serving stack and its campaign binaries.
 
+use std::collections::BTreeMap;
+
 /// Samples below this are counted per value; larger ones are kept.
 const DENSE: u64 = 4096;
+
+/// Bits of a kept sample stored per sample; the rest key its bucket.
+const LOW_BITS: u32 = 16;
 
 /// A latency distribution in cycles or nanoseconds, shared by the
 /// campaign binaries (`recovery_campaign` per-tile cycle costs,
@@ -13,18 +18,23 @@ const DENSE: u64 = 4096;
 ///
 /// Samples below a small cutoff (cycle counts, retry counts) are
 /// counted per distinct value, so recording them takes no memory after
-/// the first sample of each value; larger samples are kept in a list.
-/// A percentile neither clones nor sorts: it walks the counts, then
-/// selects among the kept samples by radix (eight byte-wide passes of
-/// 256 counters).
+/// the first sample of each value; larger samples (nanosecond
+/// latencies) are kept exactly in two bytes each: their low 16 bits, in
+/// a bucket per value of the bits above. A percentile neither clones
+/// nor sorts: it walks the counts, then the buckets in order, then
+/// selects within one bucket by radix (two byte-wide passes of 256
+/// counters).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// `counts[v]` samples equal `v`, for `v < DENSE`.
     counts: Vec<u64>,
     /// Samples held in `counts`.
     counted: usize,
-    /// Every sample of at least `DENSE`, in record order.
-    large: Vec<u64>,
+    /// Every sample `v` of at least `DENSE`: `large[&(v >> 16)]` holds
+    /// `v`'s low 16 bits, in record order.
+    large: BTreeMap<u64, Vec<u16>>,
+    /// Samples held in `large`.
+    kept: usize,
     /// Sum of all samples.
     sum: u128,
     /// Largest sample (0 when empty).
@@ -48,7 +58,8 @@ impl LatencyHistogram {
             self.counts[v] += 1;
             self.counted += 1;
         } else {
-            self.large.push(cycles);
+            self.large.entry(cycles >> LOW_BITS).or_default().push(cycles as u16);
+            self.kept += 1;
         }
         self.sum += u128::from(cycles);
         self.max = self.max.max(cycles);
@@ -64,7 +75,7 @@ impl LatencyHistogram {
     /// Number of recorded samples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.counted + self.large.len()
+        self.counted + self.kept
     }
 
     /// Whether the histogram is empty.
@@ -84,7 +95,14 @@ impl LatencyHistogram {
         }
         let mut rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
         if rank > self.counted {
-            return Some(select(&self.large, rank - self.counted));
+            rank -= self.counted;
+            for (&high, lows) in &self.large {
+                if rank <= lows.len() {
+                    return Some(high << LOW_BITS | u64::from(select(lows, rank)));
+                }
+                rank -= lows.len();
+            }
+            unreachable!("rank {rank} is within the {} kept samples", self.kept)
         }
         for (v, &c) in self.counts.iter().enumerate() {
             if rank <= c as usize {
@@ -127,17 +145,17 @@ impl LatencyHistogram {
 /// found one byte at a time from the top: each pass counts the next
 /// byte of the samples that share the bytes chosen so far, and picks
 /// the byte whose bucket holds the rank.
-fn select(samples: &[u64], mut rank: usize) -> u64 {
-    let mut prefix = 0u64;
-    for shift in (0..64).step_by(8).rev() {
-        let high = u64::MAX.checked_shl(shift + 8).unwrap_or(0);
+fn select(samples: &[u16], mut rank: usize) -> u16 {
+    let mut prefix = 0u16;
+    for shift in [8, 0] {
+        let high = u16::MAX.checked_shl(shift + 8).unwrap_or(0);
         let mut buckets = [0usize; 256];
         for &s in samples.iter().filter(|&&s| s & high == prefix) {
             buckets[(s >> shift) as usize & 0xff] += 1;
         }
         for (byte, &c) in buckets.iter().enumerate() {
             if rank <= c {
-                prefix |= (byte as u64) << shift;
+                prefix |= (byte as u16) << shift;
                 break;
             }
             rank -= c;

@@ -31,7 +31,7 @@ use dwt_rtl::sim::Simulator;
 
 use crate::admission::{AdmissionConfig, CostModel};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::chaos::ChaosConfig;
+use crate::chaos::{ChaosConfig, ChaosSites};
 use crate::error::{Error, Result};
 use crate::health::{sample_for, HealthConfig, HealthScore};
 use crate::lane::{Lane, LaneStats};
@@ -132,14 +132,15 @@ impl<E: Engine> Pool<E> {
             dwc: cfg.dwc,
             watchdog: WatchdogConfig { event_cap: cfg.event_cap, tile_cycle_budget: None },
         };
-        // Every lane is a clone of one power-on executor, so the pool
-        // builds each netlist and engine image once.
+        // Every lane is a clone of one power-on executor, and every
+        // injector shares one set of chaos sites, so the pool builds
+        // each netlist, engine image and site list once.
         let exec = TileExecutor::<E>::new(cfg.design, exec_cfg)?;
-        let (primary, spare) = (exec.primary_netlist(), exec.spare_netlist()?);
+        let sites = ChaosSites::new(exec.primary_netlist(), exec.spare_netlist()?);
         let nominal = exec.nominal_window(cfg.tile_pairs);
         let mut lanes = Vec::with_capacity(cfg.lanes);
         for id in 0..cfg.lanes {
-            let injector = cfg.chaos.injector_for(id, primary, spare)?;
+            let injector = cfg.chaos.injector_for(id, &sites)?;
             let slow_factor = cfg.chaos.slow_factor(id);
             lanes.push(Lane {
                 id,

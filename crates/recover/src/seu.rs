@@ -17,6 +17,8 @@
 //! common-mode probability lets a hard fault afflict the TMR spare too,
 //! exercising the final golden-fallback rung.
 
+use std::sync::Arc;
+
 use dwt_rtl::cell::CellKind;
 use dwt_rtl::fault::FaultSpec;
 use dwt_rtl::netlist::Netlist;
@@ -24,6 +26,24 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::injector::{FaultInjector, Lane};
+
+/// The upset sites of a primary and a spare netlist: every register of
+/// each, by name and width. Collected once, they are shared by every
+/// source built on them, so a pool's or server's lanes, striking the
+/// same two netlists, do not each copy the register names.
+#[derive(Debug, Clone)]
+pub struct SeuSites {
+    primary: Arc<[(String, usize)]>,
+    spare: Arc<[(String, usize)]>,
+}
+
+impl SeuSites {
+    /// The register sites of `primary` and `spare`.
+    #[must_use]
+    pub fn new(primary: &Netlist, spare: &Netlist) -> Self {
+        SeuSites { primary: register_sites(primary).into(), spare: register_sites(spare).into() }
+    }
+}
 
 /// Upset sites of one netlist: every register, by name and width.
 fn register_sites(netlist: &Netlist) -> Vec<(String, usize)> {
@@ -159,6 +179,15 @@ impl PoissonSeuBuilder {
     /// [`SeuConfigError::NoRegisters`] for a netlist with no upset
     /// cross-section.
     pub fn build(self, primary: &Netlist, spare: &Netlist) -> Result<PoissonSeu, SeuConfigError> {
+        self.build_on(&SeuSites::new(primary, spare))
+    }
+
+    /// Builds the source over sites already collected, sharing them.
+    ///
+    /// # Errors
+    ///
+    /// As [`build`](PoissonSeuBuilder::build).
+    pub fn build_on(self, sites: &SeuSites) -> Result<PoissonSeu, SeuConfigError> {
         if !self.rate.is_finite() || self.rate < 0.0 {
             return Err(SeuConfigError::InvalidRate(self.rate));
         }
@@ -170,14 +199,13 @@ impl PoissonSeuBuilder {
                 return Err(SeuConfigError::InvalidFraction { param, value });
             }
         }
-        let primary_sites = register_sites(primary);
-        if primary_sites.is_empty() {
+        if sites.primary.is_empty() {
             return Err(SeuConfigError::NoRegisters { lane: Lane::Primary });
         }
-        let spare_sites = register_sites(spare);
-        if spare_sites.is_empty() {
+        if sites.spare.is_empty() {
             return Err(SeuConfigError::NoRegisters { lane: Lane::Tmr });
         }
+        let (primary_sites, spare_sites) = (sites.primary.clone(), sites.spare.clone());
         let mut seu = PoissonSeu {
             rng: StdRng::seed_from_u64(self.seed),
             rate: self.rate,
@@ -207,8 +235,8 @@ pub struct PoissonSeu {
     stuck_fraction: f64,
     /// Probability that a hard primary fault also afflicts the spare.
     common_mode: f64,
-    primary_sites: Vec<(String, usize)>,
-    spare_sites: Vec<(String, usize)>,
+    primary_sites: Arc<[(String, usize)]>,
+    spare_sites: Arc<[(String, usize)]>,
     hard_primary: Vec<FaultSpec>,
     hard_spare: Vec<FaultSpec>,
     strikes: u64,

@@ -2,11 +2,12 @@
 //!
 //! [`Program::compile`] lowers a validated [`Netlist`] into a
 //! straight-line sequence of word operations over a flat register file
-//! of `u64` words, one word per single-bit net, ordered by the
+//! of `u64` words, one word (slot) per single-bit net, ordered by the
 //! netlist's combinational topological order (its *levelization*). One
 //! pass over the program recomputes every combinational net from the
 //! current register/input values — no event queue, no per-event
-//! dispatch.
+//! dispatch. Slots are numbered stage-major (see [`Program`]), so the
+//! register commit is a handful of block moves.
 //!
 //! Evaluation is **bit-sliced**: bit `l` of every word belongs to an
 //! independent sample stream, so a single pass advances [`LANES`] (64)
@@ -22,6 +23,8 @@
 //! [`Interpreter`]. At every cycle boundary its lane-0 values are
 //! bit-exact with the event-driven simulator's settled values; the
 //! deliberate differences are documented on [`Sliced`].
+
+use std::collections::VecDeque;
 
 use crate::cell::{tables, Cell, CellKind};
 use crate::net::{signed_to_bits, Bus, NetId};
@@ -84,9 +87,21 @@ pub(crate) struct RamSlots {
 /// A netlist lowered to a levelized straight-line word program.
 ///
 /// The schedule is computed once per design; every tick of a
-/// [`Sliced`] engine replays it in order. Slots `0..nets`
-/// mirror the netlist's nets; higher slots hold ripple-carry
-/// temporaries and the two constant words.
+/// [`Sliced`] engine replays it in order. Slots `0..nets` hold the
+/// netlist's nets, numbered stage-major rather than by net id; higher
+/// slots hold the two constant words and ripple-carry temporaries.
+///
+/// A register bit's *depth* is the number of register hops from a D
+/// that no register drives: 0 for a register fed by logic, an input
+/// or a constant, `k + 1` for one fed straight from a depth-`k` Q.
+/// The slots start with the D nets of the depth-0 bits, then the Q
+/// nets of every depth in turn, then the Qs of bits that a register
+/// ring feeds, then every other net in id order. Within a depth, the
+/// bits that read a slot's first copy come first, in the order of the
+/// slots they read, then those reading a second copy, and so on; so
+/// the commit moves each depth onto the next as one block per copy
+/// (and the logic-fed Ds onto depth 0 likewise), plus a block where a
+/// run of fan-out breaks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     pub(crate) ops: Vec<Op>,
@@ -102,6 +117,12 @@ pub struct Program {
     levels: usize,
     /// Total RAM bit planes (`words * width` summed over the RAMs).
     pub(crate) ram_planes: usize,
+    /// `net_slot[n]`: the slot of net `n`.
+    net_slot: Box<[u32]>,
+    /// `slot_net[s]`: the net in slot `s`, for every `s` below `zero`.
+    slot_net: Box<[u32]>,
+    /// The register commit over this layout.
+    pub(crate) commit: CommitPlan,
 }
 
 impl Program {
@@ -114,6 +135,9 @@ impl Program {
     /// netlists that bypassed validation.
     pub fn compile(netlist: &Netlist) -> Result<Program> {
         let nets = netlist.net_count();
+        let (net_slot, commit) = layout(netlist);
+        let slot = |n: NetId| net_slot[n.index()];
+        let bus_slots = |bus: &Bus| bus.bits().iter().map(|&n| slot(n)).collect::<Vec<u32>>();
         let mut ops = Vec::new();
         let mut next_slot = nets as u32;
         let mut alloc = || {
@@ -124,45 +148,48 @@ impl Program {
         let zero = alloc();
         let one = alloc();
 
-        // Per-cell combinational level, for the depth report.
-        let mut level = vec![0u32; netlist.cell_count()];
-        let mut levels = 0usize;
+        // Level of each net's combinational driver (0 where a register
+        // or an input drives it), for the depth report.
+        let mut net_level = vec![0u32; nets];
+        let mut levels = 0u32;
+        let mut record_level = |outs: &[NetId], ins: &[&[NetId]]| {
+            let lvl = ins.iter().flat_map(|b| b.iter()).map(|n| net_level[n.index()]).max();
+            let lvl = lvl.unwrap_or(0) + 1;
+            outs.iter().for_each(|n| net_level[n.index()] = lvl);
+            levels = levels.max(lvl);
+        };
 
         for &id in netlist.topo_order() {
-            let kind = &netlist.cell(id).kind;
-            let lvl = kind
-                .comb_input_nets()
-                .iter()
-                .filter_map(|&n| netlist.driver(n))
-                .filter(|&d| netlist.cell(d).kind.is_combinational())
-                .map(|d| level[d.index()])
-                .max()
-                .unwrap_or(0)
-                + 1;
-            level[id.index()] = lvl;
-            levels = levels.max(lvl as usize);
-
-            match kind {
+            match &netlist.cell(id).kind {
                 CellKind::Constant { value, out } => {
+                    record_level(out.bits(), &[]);
                     for (i, &b) in signed_to_bits(*value, out.width()).iter().enumerate() {
                         ops.push(Op::Const { dst: slot(out.bit(i)), ones: b });
                     }
                 }
                 CellKind::Lut { inputs, table, output } => {
+                    record_level(&[*output], &[inputs]);
+                    let inputs = inputs.iter().map(|&n| slot(n)).collect();
                     ops.push(lower_lut(inputs, *table, slot(*output)));
                 }
                 CellKind::FullAdder { a, b, cin, sum, cout, invert_b } => {
+                    record_level(&[*sum, *cout], &[&[*a, *b, *cin]]);
                     let (a, b, cin) = (slot(*a), slot(*b), slot(*cin));
                     ops.push(Op::FaSum { dst: slot(*sum), a, b, cin, invert_b: *invert_b });
                     ops.push(Op::FaCarry { dst: slot(*cout), a, b, cin, invert_b: *invert_b });
                 }
                 CellKind::CarryAdd { a, b, out } => {
-                    lower_ripple(&mut ops, a, b, out, false, zero, &mut alloc);
+                    record_level(out.bits(), &[a.bits(), b.bits()]);
+                    let (a, b, out) = (bus_slots(a), bus_slots(b), bus_slots(out));
+                    lower_ripple(&mut ops, &a, &b, &out, false, zero, &mut alloc);
                 }
                 CellKind::CarrySub { a, b, out } => {
-                    lower_ripple(&mut ops, a, b, out, true, one, &mut alloc);
+                    record_level(out.bits(), &[a.bits(), b.bits()]);
+                    let (a, b, out) = (bus_slots(a), bus_slots(b), bus_slots(out));
+                    lower_ripple(&mut ops, &a, &b, &out, true, one, &mut alloc);
                 }
-                CellKind::Ram { .. } => {
+                CellKind::Ram { raddr, rdata, .. } => {
+                    record_level(rdata.bits(), &[raddr.bits()]);
                     // RamSlots are collected below; emit the read op at
                     // this cell's place in the schedule.
                     ops.push(Op::RamRead { port: 0 }); // port fixed up below
@@ -216,7 +243,35 @@ impl Program {
             }
         }
 
-        Ok(Program { ops, slots: next_slot as usize, zero, one, regs, rams, levels, ram_planes })
+        let mut slot_net = vec![0u32; nets];
+        for (n, &s) in net_slot.iter().enumerate() {
+            slot_net[s as usize] = n as u32;
+        }
+        Ok(Program {
+            ops,
+            slots: next_slot as usize,
+            zero,
+            one,
+            regs,
+            rams,
+            levels: levels as usize,
+            ram_planes,
+            net_slot: net_slot.into_boxed_slice(),
+            slot_net: slot_net.into_boxed_slice(),
+            commit,
+        })
+    }
+
+    /// The slot holding net `net`.
+    pub(crate) fn slot(&self, net: NetId) -> u32 {
+        self.net_slot[net.index()]
+    }
+
+    /// Block moves of the register commit (see [`Program`] for the
+    /// layout that keeps them few), ring rotations included.
+    #[must_use]
+    pub fn commit_blocks(&self) -> usize {
+        self.commit.blocks.len() + self.commit.rings.len()
     }
 
     /// Word operations executed per pass.
@@ -240,13 +295,14 @@ impl Program {
 
     /// Back-translates the compiled program into a validated netlist.
     ///
-    /// Every word slot becomes a net: slots `0..nets` keep the source
-    /// netlist's net ids (so ports and register names carry over
+    /// Every word slot becomes a net: slots `0..nets` map back to the
+    /// source netlist's net ids (so ports and register names carry over
     /// unchanged), the two constant slots become [`CellKind::Constant`]
     /// drivers, and ripple-carry temporaries become fresh single-bit
-    /// nets. Each op lowers to the cell computing exactly that op —
-    /// generic ops become LUTs whose truth table is evaluated from the
-    /// op semantics, RAM reads copy the source RAM cell verbatim.
+    /// nets numbered as their slots. Each op lowers to the cell
+    /// computing exactly that op — generic ops become LUTs whose truth
+    /// table is evaluated from the op semantics, RAM reads copy the
+    /// source RAM cell verbatim.
     ///
     /// The result is what the interpreter *actually executes*, expressed
     /// back in the netlist IR, which lets `dwt-equiv` prove the lowering
@@ -269,7 +325,7 @@ impl Program {
                 simulator_cells: source.cell_count(),
             });
         }
-        let net = |s: u32| NetId(s);
+        let net = |s: u32| NetId(self.slot_net.get(s as usize).copied().unwrap_or(s));
         let one_bit = |s: u32| Bus::new(vec![net(s)]);
         let mut cells = Vec::with_capacity(self.ops.len() + self.regs.len() + 2);
         cells.push(Cell {
@@ -381,21 +437,209 @@ fn fa_table(invert_b: bool, carry: bool) -> u16 {
     table
 }
 
-/// Slot index of a net.
-pub(crate) fn slot(net: NetId) -> u32 {
-    net.index() as u32
+/// Numbers the nets of `netlist` stage-major (see [`Program`]) and
+/// plans the register commit over that numbering: returns each net's
+/// slot and the plan.
+///
+/// The depths come out of a breadth-first walk from the logic-fed Ds
+/// along each net's readers, once to learn every bit's height (the
+/// register hops below it to its deepest reader) and once more, from
+/// the Ds in their final order, to place each depth. The commit's
+/// moves run deepest depth first, so no move overwrites a Q that a
+/// later one reads. Bits whose chain of register hops ends in a ring
+/// of registers feeding each other have no depth; they come after,
+/// readers before the Q they read, and each ring, its Qs in
+/// consecutive slots, turns in one rotation.
+fn layout(netlist: &Netlist) -> (Vec<u32>, CommitPlan) {
+    const NONE: u32 = u32::MAX;
+    let nets = netlist.net_count();
+    // Every register bit as `(d, q)` nets, in register order.
+    let mut bits: Vec<(u32, u32)> = Vec::new();
+    for &id in netlist.registers() {
+        if let CellKind::Register { d, q } = &netlist.cell(id).kind {
+            bits.extend(d.bits().iter().zip(q.bits()).map(|(d, q)| (d.0, q.0)));
+        }
+    }
+    let mut q_bit = vec![NONE; nets];
+    for (j, &(_, q)) in bits.iter().enumerate() {
+        q_bit[q as usize] = j as u32;
+    }
+    // The bits reading net `n`: `first[n]`, then each one's `sibling`,
+    // in bit order. The logic-fed Ds are the `roots`; `shared` holds
+    // the nets read by more than one bit.
+    let (mut first, mut sibling) = (vec![NONE; nets], vec![NONE; bits.len()]);
+    let (mut roots, mut shared) = (Vec::new(), Vec::new());
+    for (j, &(d, _)) in bits.iter().enumerate().rev() {
+        let d = d as usize;
+        if first[d] == NONE {
+            if q_bit[d] == NONE {
+                roots.push(d as u32);
+            }
+        } else if sibling[first[d] as usize] == NONE {
+            shared.push(d);
+        }
+        sibling[j] = first[d];
+        first[d] = j as u32;
+    }
+    // Every bit with a depth, by depth, then heights from the deepest.
+    let push_readers = |walk: &mut Vec<u32>, net: u32| {
+        let mut j = first[net as usize];
+        while j != NONE {
+            walk.push(j);
+            j = sibling[j as usize];
+        }
+    };
+    let mut walk = Vec::with_capacity(bits.len());
+    roots.iter().for_each(|&r| push_readers(&mut walk, r));
+    let mut k = 0;
+    while let Some(&j) = walk.get(k) {
+        push_readers(&mut walk, bits[j as usize].1);
+        k += 1;
+    }
+    let mut height = vec![0u32; bits.len()];
+    for &j in walk.iter().rev() {
+        let p = q_bit[bits[j as usize].0 as usize];
+        if p != NONE {
+            height[p as usize] = height[p as usize].max(height[j as usize] + 1);
+        }
+    }
+    // The tallest reader of each shared net first: it takes the
+    // net's first copy.
+    for &n in &shared {
+        let (mut best, mut before_best) = (first[n], NONE);
+        let (mut prev, mut j) = (first[n], sibling[first[n] as usize]);
+        while j != NONE {
+            if height[j as usize] > height[best as usize] {
+                (best, before_best) = (j, prev);
+            }
+            prev = j;
+            j = sibling[j as usize];
+        }
+        if before_best != NONE {
+            sibling[before_best as usize] = sibling[best as usize];
+            sibling[best as usize] = first[n];
+            first[n] = best;
+        }
+    }
+    // Ds read by more bits first, so that the Ds with a `c`-th reader
+    // are a prefix; then those with taller readers, so that the
+    // depth-0 bits with readers of their own lead their depth.
+    let mut keyed: Vec<u64> = roots
+        .iter()
+        .map(|&r| {
+            let mut j = first[r as usize];
+            let (tallest, mut count) = (height[j as usize], 0u64);
+            while j != NONE {
+                count += 1;
+                j = sibling[j as usize];
+            }
+            let desc = |v: u64| u64::from(u16::MAX) - v.min(u64::from(u16::MAX));
+            desc(count) << 48 | desc(u64::from(tallest)) << 32 | u64::from(r)
+        })
+        .collect();
+    keyed.sort_unstable();
+
+    let mut net_slot = vec![NONE; nets];
+    let mut next = 0u32;
+    let place = |net_slot: &mut [u32], next: &mut u32, net: u32| {
+        net_slot[net as usize] = *next;
+        *next += 1;
+    };
+    let mut sources: Vec<u32> = keyed.iter().map(|&k| k as u32).collect();
+    sources.iter().for_each(|&r| place(&mut net_slot, &mut next, r));
+    // Each depth: the bits reading the first copy of each slot of the
+    // depth above (or of a logic-fed D), in that slot order; then
+    // those reading a second copy, and so on.
+    let mut depths: Vec<Vec<u32>> = Vec::new();
+    let mut copies: Vec<Vec<u32>> = Vec::new();
+    while !sources.is_empty() {
+        let mut depth = Vec::with_capacity(sources.len());
+        for &s in &sources {
+            let mut j = first[s as usize];
+            if j == NONE {
+                continue;
+            }
+            depth.push(j);
+            let mut c = 0;
+            j = sibling[j as usize];
+            while j != NONE {
+                if c == copies.len() {
+                    copies.push(Vec::new());
+                }
+                copies[c].push(j);
+                c += 1;
+                j = sibling[j as usize];
+            }
+        }
+        copies.iter_mut().for_each(|c| depth.append(c));
+        sources.clear();
+        for &j in &depth {
+            let q = bits[j as usize].1;
+            place(&mut net_slot, &mut next, q);
+            sources.push(q);
+        }
+        if !depth.is_empty() {
+            depths.push(depth);
+        }
+    }
+    // The ring-fed bits: readers first, then each ring's bits in
+    // consecutive slots, bit `i + 1` holding the Q that bit `i` reads.
+    let parent = |j: u32| q_bit[bits[j as usize].0 as usize];
+    let mut unplaced = vec![false; bits.len()];
+    let mut unread = vec![0u32; bits.len()];
+    let ring_fed: Vec<u32> =
+        (0..bits.len() as u32).filter(|&j| net_slot[bits[j as usize].1 as usize] == NONE).collect();
+    for &j in &ring_fed {
+        unplaced[j as usize] = true;
+        if parent(j) != j {
+            unread[parent(j) as usize] += 1;
+        }
+    }
+    let mut ready: VecDeque<u32> =
+        ring_fed.iter().copied().filter(|&j| unread[j as usize] == 0).collect();
+    let mut fed = Vec::new();
+    while let Some(j) = ready.pop_front() {
+        place(&mut net_slot, &mut next, bits[j as usize].1);
+        unplaced[j as usize] = false;
+        let p = parent(j);
+        if p != j {
+            fed.push(j);
+            unread[p as usize] -= 1;
+            if unread[p as usize] == 0 {
+                ready.push_back(p);
+            }
+        }
+    }
+    let mut rings = Vec::new();
+    for &start in &ring_fed {
+        let ring_slot = next;
+        let mut j = start;
+        while unplaced[j as usize] {
+            unplaced[j as usize] = false;
+            place(&mut net_slot, &mut next, bits[j as usize].1);
+            j = parent(j);
+        }
+        if next > ring_slot {
+            rings.push((ring_slot, next - ring_slot));
+        }
+    }
+    for net in 0..nets as u32 {
+        if net_slot[net as usize] == NONE {
+            place(&mut net_slot, &mut next, net);
+        }
+    }
+    let moves = depths.iter().rev().flatten().chain(&fed).map(|&j| {
+        let (d, q) = bits[j as usize];
+        (net_slot[d as usize], net_slot[q as usize])
+    });
+    let plan = CommitPlan::new(moves, rings);
+    (net_slot, plan)
 }
 
-/// Slot indices of a bus, LSB first.
-fn bus_slots(bus: &Bus) -> Vec<u32> {
-    bus.bits().iter().map(|&n| slot(n)).collect()
-}
-
-/// Specializes a LUT to a dedicated op where the table matches a
-/// common function; anything else falls back to the generic
-/// minterm-sum op.
-fn lower_lut(inputs: &[NetId], table: u16, dst: u32) -> Op {
-    let s: Vec<u32> = inputs.iter().map(|&n| slot(n)).collect();
+/// Specializes a LUT over the slots `s` to a dedicated op where the
+/// table matches a common function; anything else falls back to the
+/// generic minterm-sum op.
+fn lower_lut(s: Vec<u32>, table: u16, dst: u32) -> Op {
     match (s.as_slice(), table) {
         (&[a], 0b10) => Op::Copy { dst, a },
         (&[a], 0b01) => Op::Not { dst, a },
@@ -416,18 +660,18 @@ fn lower_lut(inputs: &[NetId], table: u16, dst: u32) -> Op {
 /// the event-driven simulator's word evaluation.
 fn lower_ripple(
     ops: &mut Vec<Op>,
-    a: &Bus,
-    b: &Bus,
-    out: &Bus,
+    a: &[u32],
+    b: &[u32],
+    out: &[u32],
     invert_b: bool,
     cin0: u32,
     alloc: &mut impl FnMut() -> u32,
 ) {
-    let width = out.width();
+    let width = out.len();
     let mut cin = cin0;
     for i in 0..width {
-        let (ai, bi) = (slot(a.bit(i)), slot(b.bit(i)));
-        ops.push(Op::FaSum { dst: slot(out.bit(i)), a: ai, b: bi, cin, invert_b });
+        let (ai, bi) = (a[i], b[i]);
+        ops.push(Op::FaSum { dst: out[i], a: ai, b: bi, cin, invert_b });
         if i + 1 < width {
             let carry = alloc();
             ops.push(Op::FaCarry { dst: carry, a: ai, b: bi, cin, invert_b });
@@ -453,8 +697,7 @@ enum Inst {
 /// lowered once at build time. The tape is the program's op list with
 /// every adjacent `FaSum` + `FaCarry` pair over the same operands (a
 /// structural full adder, or one bit of a ripple chain) fused into one
-/// instruction. Registers commit in the program's commit-plan order,
-/// its moves merged into runs of consecutive slots.
+/// instruction.
 ///
 /// A clamped pass stores nothing through masks: it runs the tape in
 /// segments and forces each stuck slot right after the one instruction
@@ -467,11 +710,6 @@ pub struct Interpreter {
     /// `writer[s]`: one past the index of the tape instruction that
     /// writes slot `s`, or 0 if none does.
     writer: Box<[u32]>,
-    /// The commit plan's moves as `(d, q, len)` runs: `len` moves
-    /// `(d + k, q + k)`, consecutive in the plan.
-    runs: Box<[(u32, u32, u32)]>,
-    /// The commit plan's rings.
-    rings: Vec<Vec<(u32, u32)>>,
 }
 
 /// Where a clamped pass of the [`Interpreter`] forces one stuck slot:
@@ -527,16 +765,7 @@ impl Interpreter {
                 ) => wrote(dst),
             }
         }
-        let plan = CommitPlan::new(program);
-        let run = |a: &(u32, u32), b: &(u32, u32)| (b.0, b.1) == (a.0 + 1, a.1 + 1);
-        let mut runs = Vec::with_capacity(plan.moves.chunk_by(run).count());
-        runs.extend(plan.moves.chunk_by(run).map(|c| (c[0].0, c[0].1, c.len() as u32)));
-        Interpreter {
-            tape,
-            writer: writer.into_boxed_slice(),
-            runs: runs.into_boxed_slice(),
-            rings: plan.rings,
-        }
+        Interpreter { tape, writer: writer.into_boxed_slice() }
     }
 
     /// Lowers `ops` to the tape. A `FaSum` fuses with the `FaCarry`
@@ -676,16 +905,6 @@ impl CompiledEngine {
     pub fn tape_matches_program(&self) -> bool {
         self.kernel().unfused() == self.program().ops
     }
-
-    /// Whether the interpreter's commit runs, expanded into one move
-    /// per register bit, are exactly the program's commit-plan moves in
-    /// order, and its rings the plan's rings.
-    #[must_use]
-    pub fn commit_runs_match_plan(&self) -> bool {
-        let (k, plan) = (self.kernel(), CommitPlan::new(self.program()));
-        let moves = k.runs.iter().flat_map(|&(d, q, len)| (0..len).map(move |i| (d + i, q + i)));
-        moves.eq(plan.moves.iter().copied()) && k.rings == plan.rings
-    }
 }
 
 /// Full-adder sum of three words.
@@ -742,25 +961,6 @@ impl Kernel for Interpreter {
             p.force(words);
         }
         Self::run(&self.tape[done..], program, words, ram);
-    }
-
-    fn commit(&self, _: &Program, words: &mut [u64]) {
-        for &(d, q, len) in self.runs.iter() {
-            let (d, q) = (d as usize, q as usize);
-            if len == 1 {
-                words[q] = words[d];
-            } else {
-                words.copy_within(d..d + len as usize, q);
-            }
-        }
-        for ring in &self.rings {
-            let (&(held_d, held_q), rest) = ring.split_last().expect("rings are never empty");
-            let held = words[held_d as usize];
-            for &(d, q) in rest {
-                words[q as usize] = words[d as usize];
-            }
-            words[held_q as usize] = held;
-        }
     }
 
     fn ram_commit(&self, program: &Program, words: &[u64], ram: &mut [u64]) {
@@ -844,26 +1044,6 @@ mod tests {
         assert_eq!(tape.len(), 5, "only the first pair fuses");
         let program = Program::compile(&mixed_netlist()).unwrap();
         assert_eq!(Interpreter::new(&program, tape).unfused(), ops);
-    }
-
-    #[test]
-    fn commit_runs_end_where_either_slot_jumps() {
-        // `a` and `c` read adjacent halves of `x`, but the inverter's
-        // nets sit between their Q buses: the D slots run on across the
-        // two registers and the Q slots do not.
-        let mut b = NetlistBuilder::new();
-        let x = b.input("x", 8).unwrap();
-        let a = b.register("a", &x.slice(0, 4)).unwrap();
-        let n = b.not("n", &x).unwrap();
-        let c = b.register("c", &x.slice(4, 8)).unwrap();
-        for (name, bus) in [("a", &a), ("n", &n), ("c", &c)] {
-            b.output(&format!("o{name}"), bus).unwrap();
-        }
-        let netlist = b.finish().unwrap();
-        let eng = CompiledEngine::new(netlist.clone()).unwrap();
-        assert!(eng.commit_runs_match_plan());
-        assert_eq!(eng.kernel().runs.len(), 2);
-        lockstep(netlist, &[("x", -128, 127)], &["oa", "on", "oc"], 20, 5, |_| Vec::new());
     }
 
     /// Structural ripple adder and subtractor (full-adder cells whose

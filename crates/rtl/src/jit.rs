@@ -3,10 +3,11 @@
 //!
 //! The levelized op [`Program`] the bit-sliced interpreter replays is
 //! instead *emitted as Rust source* — one straight-line function per
-//! design, registers as one in-place commit pass — compiled by
-//! `rustc` into a `cdylib` at a content-hashed cache path, loaded with
-//! a minimal `dlopen` shim, and run as the passes of [`JitEngine`], the
-//! [`Sliced`] machine at 256 lanes.
+//! design for the combinational pass, one for the RAM writes — compiled
+//! by `rustc` into a `cdylib` at a content-hashed cache path, loaded
+//! with a minimal `dlopen` shim, and run as the passes of
+//! [`JitEngine`], the [`Sliced`] machine at 256 lanes, whose block
+//! register commit serves both kernels.
 //!
 //! Two things distinguish the generated kernel from the interpreter:
 //!
@@ -41,10 +42,10 @@ use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
 use crate::cell::CellKind;
-use crate::compile::{slot, Op, Program};
+use crate::compile::{Op, Program};
 use crate::net::Bus;
 use crate::netlist::Netlist;
-use crate::sliced::{CommitPlan, Kernel, Sliced};
+use crate::sliced::{Kernel, Sliced};
 use crate::{Error, Result};
 
 /// Independent sample streams advanced per tick.
@@ -102,7 +103,11 @@ struct Generated {
 /// Maps adder output-bit slots proven redundant to the slot of the
 /// sign bit they replicate, using only structural facts (see module
 /// docs for the legality argument).
-fn elision_map(netlist: &Netlist, stats: &mut CodegenStats) -> HashMap<u32, u32> {
+fn elision_map(
+    netlist: &Netlist,
+    program: &Program,
+    stats: &mut CodegenStats,
+) -> HashMap<u32, u32> {
     let mut elide = HashMap::new();
     for cell in netlist.cells() {
         let (a, b, out, sub) = match &cell.kind {
@@ -116,9 +121,9 @@ fn elision_map(netlist: &Netlist, stats: &mut CodegenStats) -> HashMap<u32, u32>
         let (lo, hi) = if sub { (alo - bhi, ahi - blo) } else { (alo + blo, ahi + bhi) };
         let wp = bits_for(lo, hi);
         if wp < out.width() {
-            let src = slot(out.bit(wp - 1));
+            let src = program.slot(out.bit(wp - 1));
             for i in wp..out.width() {
-                elide.insert(slot(out.bit(i)), src);
+                elide.insert(program.slot(out.bit(i)), src);
             }
             stats.elided_bits += out.width() - wp;
         }
@@ -212,14 +217,14 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// source exporting the kernel entry points.
 fn generate(netlist: &Netlist, program: &Program) -> Generated {
     let mut stats = CodegenStats::default();
-    let elide = elision_map(netlist, &mut stats);
+    let elide = elision_map(netlist, program, &mut stats);
     // Every slot the kernel touches must lie inside the word file the
     // engine sizes from `program`: a netlist that is not the program's
     // source must not steer native loads or stores out of bounds.
     assert!(elide.iter().all(|(&d, &s)| d.max(s) < program.zero), "netlist and program disagree");
 
     let abi = fnv64(
-        format!("dwt-jit-abi v3 slots={} ram={}", program.slots, program.ram_planes * BLOCKS)
+        format!("dwt-jit-abi v4 slots={} ram={}", program.slots, program.ram_planes * BLOCKS)
             .as_bytes(),
     );
 
@@ -246,7 +251,7 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
     }
     stats.skipped_ops = emit.iter().filter(|&&e| !e).count();
 
-    let ports = netlist.ports().values().flat_map(|p| p.bus.bits()).map(|&n| slot(n));
+    let ports = netlist.ports().values().flat_map(|p| p.bus.bits()).map(|&n| program.slot(n));
     let regs = program.regs.iter().flat_map(|r| r.d.iter().copied());
     let rams = program
         .rams
@@ -484,29 +489,6 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
          }}"
     );
 
-    // --- register commit --------------------------------------------
-    let plan = CommitPlan::new(program);
-    let _ = writeln!(e.src, "unsafe fn commit(w: *mut u64) {{");
-    let copy = |src: &mut String, (d, q): (u32, u32)| {
-        let _ =
-            writeln!(src, "    st(w, {}, ld(w, {}));", q as usize * BLOCKS, d as usize * BLOCKS);
-    };
-    for &m in &plan.moves {
-        copy(&mut e.src, m);
-    }
-    for ring in &plan.rings {
-        let (&(held_d, held_q), rest) = ring.split_last().expect("rings are never empty");
-        let _ = writeln!(e.src, "    {{\n    let held = ld(w, {});", held_d as usize * BLOCKS);
-        for &m in rest {
-            copy(&mut e.src, m);
-        }
-        let _ = writeln!(e.src, "    st(w, {}, held);\n    }}", held_q as usize * BLOCKS);
-    }
-    let _ = writeln!(
-        e.src,
-        "}}\n#[no_mangle]\npub unsafe extern \"C\" fn dwt_jit_commit(w: *mut u64) {{ commit(w) }}"
-    );
-
     // --- RAM write commit -------------------------------------------
     let _ = writeln!(
         e.src,
@@ -580,7 +562,6 @@ mod native {
     pub(super) type EvalFn = unsafe extern "C" fn(*mut u64, *const u64);
     pub(super) type EvalClampedFn =
         unsafe extern "C" fn(*mut u64, *const u64, *const u64, *const u64);
-    pub(super) type CommitFn = unsafe extern "C" fn(*mut u64);
     pub(super) type RamCommitFn = unsafe extern "C" fn(*const u64, *mut u64);
     type AbiFn = unsafe extern "C" fn() -> u64;
 
@@ -589,7 +570,6 @@ mod native {
     pub(super) struct JitFns {
         pub(super) eval: EvalFn,
         pub(super) eval_clamped: EvalClampedFn,
-        pub(super) commit: CommitFn,
         pub(super) ram_commit: RamCommitFn,
     }
 
@@ -644,7 +624,6 @@ mod native {
                 eval_clamped: std::mem::transmute::<*mut c_void, EvalClampedFn>(sym(
                     "dwt_jit_eval_clamped",
                 )?),
-                commit: std::mem::transmute::<*mut c_void, CommitFn>(sym("dwt_jit_commit")?),
                 ram_commit: std::mem::transmute::<*mut c_void, RamCommitFn>(sym(
                     "dwt_jit_ram_commit",
                 )?),
@@ -768,12 +747,6 @@ impl Kernel for NativeKernel {
                 (self.fns.eval)(w, r);
             }
         }
-    }
-
-    fn commit(&self, _: &Program, words: &mut [u64]) {
-        self.check_words::<false>(words, &ClampMasks::default());
-        // SAFETY: as in `eval`, every buffer has its generated length.
-        unsafe { (self.fns.commit)(words.as_mut_ptr()) }
     }
 
     fn ram_commit(&self, _: &Program, words: &[u64], ram: &mut [u64]) {

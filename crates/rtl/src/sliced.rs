@@ -17,11 +17,17 @@
 //!   compiled to native code, four blocks (256 lanes) per slot:
 //!   [`JitEngine`](crate::jit::JitEngine).
 //!
+//! Slots are the program's stage-major numbering of the nets, not net
+//! ids: every path from a net to a word (lane staging, `set_input*`,
+//! `peek*`, stuck-at arming) goes through the program's map, with each
+//! port's slots resolved once per image.
+//!
 //! One clock edge mirrors the event-driven simulator's order: due RAM
 //! upsets strike storage, RAM writes commit from the settled values,
-//! every register copies its settled D onto its Q in place (in a
-//! `CommitPlan` order, so no copy overwrites a D word that a later
-//! copy still reads), due bit flips strike the new Q, staged inputs
+//! every register copies its settled D onto its Q in place (the
+//! program's `CommitPlan`: a few block moves, in an order where no
+//! block overwrites a D word that a later block still reads, run here
+//! for both kernels), due bit flips strike the new Q, staged inputs
 //! apply, and the combinational pass settles. While any stuck-at fault
 //! is armed every settle runs its `CLAMPED` instantiation, which leaves
 //! each stuck slot at its forced level; how is the kernel's choice,
@@ -30,14 +36,13 @@
 //! first plane is `base` is plane `base + a * width + b`, at
 //! `ram[plane * BLOCKS..][..BLOCKS]`.
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::compile::Program;
 use crate::engine::{Engine, EngineCaps, PortableSnapshot};
 use crate::fault::{self, FaultSpec, ResolvedFault};
-use crate::net::{Bus, NetId};
 use crate::netlist::{CellId, Netlist, PortDirection};
 use crate::snapbytes::{ByteReader, ByteWriter};
 use crate::{Error, Result};
@@ -49,9 +54,9 @@ pub(crate) const ALL: u64 = !0;
 /// [`Program`], on a word file of [`BLOCKS`](Kernel::BLOCKS) words per
 /// slot. A `CLAMPED` eval computes what it would if every store to a
 /// stuck slot were forced to that slot's level, and leaves every stuck
-/// slot at its level. The register commit clamps nothing: a clamped
-/// eval follows it on every clock edge and forces the stuck slots
-/// before anything reads them.
+/// slot at its level. The register commit is the machine's, not the
+/// kernel's; it clamps nothing: a clamped eval follows it on every
+/// clock edge and forces the stuck slots before anything reads them.
 pub trait Kernel: Clone + fmt::Debug {
     /// `u64` blocks per slot: the machine runs `64 * BLOCKS` lanes.
     const BLOCKS: usize;
@@ -88,10 +93,6 @@ pub trait Kernel: Clone + fmt::Debug {
         clamps: &Self::Clamps,
     );
 
-    /// Copies every register bit's settled D words onto its Q words,
-    /// in the order of the program's `CommitPlan`.
-    fn commit(&self, p: &Program, words: &mut [u64]);
-
     /// Commits each RAM write port's enabled lanes from settled words.
     fn ram_commit(&self, p: &Program, words: &[u64], ram: &mut [u64]);
 }
@@ -111,116 +112,68 @@ struct StagedWord {
     bits: u64,
 }
 
-/// The order in which a clock edge copies every register bit's D slot
-/// onto its Q slot in place, with no capture buffer.
+/// The register commit of a clock edge: every register bit's D word
+/// copied onto its Q word in place, with no capture buffer, as a few
+/// block moves over the program's stage-major slots.
 ///
 /// Copying a bit overwrites its Q slot, so every bit whose D slot is
 /// that Q (a register fed straight from another register) must copy
-/// first. Each bit reads one slot, so these constraints form chains,
-/// each ending in at most one ring of registers feeding each other.
-/// `moves` lists every bit off a ring in an order that honours them;
-/// the `rings` run after it, each as: read the last bit's D, copy the
-/// other bits in order, then store the held word on the last bit's Q.
+/// first. The `blocks` run in order, each as one `memmove`, and no
+/// block overwrites a slot that a later block reads; the `rings` of
+/// registers feeding each other, which no order can serve, run after
+/// as rotations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct CommitPlan {
-    /// `(d, q)` slot pairs.
-    pub(crate) moves: Vec<(u32, u32)>,
-    /// Rings of `(d, q)` slot pairs; bit `i` reads bit `i + 1`'s Q, and
-    /// the last reads the first's.
-    pub(crate) rings: Vec<Vec<(u32, u32)>>,
+    /// `(d, q, len)`: slots `q..q + len` take the words of
+    /// `d..d + len`.
+    pub(crate) blocks: Vec<(u32, u32, u32)>,
+    /// `(first, len)`: a ring of `len` bits with their Qs in slots
+    /// `first..first + len`, each slot taking the next one's word and
+    /// the last slot the first's.
+    pub(crate) rings: Vec<(u32, u32)>,
 }
 
 impl CommitPlan {
-    /// Orders the register bits of `p`, keeping program order where no
-    /// constraint applies.
-    pub(crate) fn new(p: &Program) -> Self {
-        const NONE: u32 = u32::MAX;
-        let mut bits = Vec::with_capacity(p.regs.iter().map(|r| r.d.len()).sum());
-        for r in &p.regs {
-            bits.extend(r.d.iter().copied().zip(r.q.iter().copied()));
-        }
-        // `writer[s]`: the bit whose Q is slot `s`, if any.
-        let mut writer = vec![NONE; p.slots];
-        for (k, &(_, q)) in bits.iter().enumerate() {
-            writer[q as usize] = k as u32;
-        }
-        // `before[j]`: the bit whose Q slot bit `j` reads, which must
-        // copy after `j` (a bit holding its own Q needs no order).
-        let before: Vec<u32> = bits
-            .iter()
-            .enumerate()
-            .map(|(j, &(d, _))| match writer[d as usize] {
-                k if k as usize == j => NONE,
-                k => k,
-            })
-            .collect();
-        let mut plan = CommitPlan::default();
-        if before.iter().all(|&k| k == NONE) {
-            plan.moves = bits;
-            return plan;
-        }
-        let mut readers = vec![0u32; bits.len()];
-        for &k in before.iter().filter(|&&k| k != NONE) {
-            readers[k as usize] += 1;
-        }
-        let mut ready: VecDeque<u32> =
-            (0..bits.len() as u32).filter(|&k| readers[k as usize] == 0).collect();
-        let mut placed = vec![false; bits.len()];
-        plan.moves.reserve(bits.len());
-        while let Some(j) = ready.pop_front() {
-            placed[j as usize] = true;
-            plan.moves.push(bits[j as usize]);
-            let k = before[j as usize];
-            if k != NONE {
-                readers[k as usize] -= 1;
-                if readers[k as usize] == 0 {
-                    ready.push_back(k);
-                }
+    /// The plan running the `(d, q)` slot moves `moves`, in an order
+    /// where no move overwrites a slot that a later move reads, then
+    /// the `rings`. Moves that continue the one before them in both
+    /// slots merge into its block: no move of a block reads a slot that
+    /// an earlier one writes, so moving them at once is moving them in
+    /// turn.
+    pub(crate) fn new(moves: impl IntoIterator<Item = (u32, u32)>, rings: Vec<(u32, u32)>) -> Self {
+        let mut blocks: Vec<(u32, u32, u32)> = Vec::new();
+        for (d, q) in moves {
+            match blocks.last_mut() {
+                Some((bd, bq, len)) if *bd + *len == d && *bq + *len == q => *len += 1,
+                _ => blocks.push((d, q, 1)),
             }
         }
-        // Every bit left is on a ring, and so is the bit it reads.
-        for start in 0..bits.len() {
-            let mut ring = Vec::new();
-            let mut j = start;
-            while !placed[j] {
-                placed[j] = true;
-                ring.push(bits[j]);
-                j = before[j] as usize;
-            }
-            if !ring.is_empty() {
-                plan.rings.push(ring);
+        CommitPlan { blocks, rings }
+    }
+
+    /// Runs the plan on a word file of `b` words per slot.
+    #[inline]
+    pub(crate) fn run(&self, words: &mut [u64], b: usize) {
+        for &(d, q, len) in &self.blocks {
+            let (d, q, len) = (d as usize * b, q as usize * b, len as usize * b);
+            if len == 1 {
+                words[q] = words[d];
+            } else {
+                words.copy_within(d..d + len, q);
             }
         }
-        plan
+        for &(first, len) in &self.rings {
+            words[first as usize * b..(first + len) as usize * b].rotate_left(b);
+        }
     }
 }
 
-/// Validates a write of `values` to the input port `name` and returns
-/// the port's bus.
-fn input_bus<'a>(netlist: &'a Netlist, name: &str, values: &[i64]) -> Result<&'a Bus> {
-    let port = netlist.port(name)?;
-    if port.direction != PortDirection::Input {
-        return Err(Error::UnknownPort { name: name.to_owned() });
-    }
-    // A value fits a `w`-bit bus iff its bits from `w - 1` up all equal
-    // its sign bit, i.e. `v ^ (v >> 63)` is below `2^(w-1)`: one
-    // branch-free pass over the write, then a per-value search for the
-    // one to report only when some value does not fit.
-    let spread = values.iter().fold(0u64, |acc, &v| acc | (v ^ (v >> 63)) as u64);
-    if spread >> (port.bus.width() - 1) != 0 {
-        for &v in values {
-            port.bus.check_value(v)?;
-        }
-    }
-    Ok(&port.bus)
-}
-
-/// Stages `values[k]` into lane `first + k` of the bus whose nets are
+/// Stages `values[k]` into lane `first + k` of the bus whose slots are
 /// `bits` (LSB first), scattered bit-major: one word per (bit, 64-lane
 /// block) touched, in a word file of `blocks` words per slot.
 fn stage_lanes(
     staged: &mut Vec<StagedWord>,
-    bits: &[NetId],
+    bits: &[u32],
     blocks: usize,
     first: usize,
     values: &[i64],
@@ -237,8 +190,8 @@ fn stage_lanes(
             *row = v as u64;
         }
         transpose_narrow(&mut planes, width, true);
-        for (&net, &plane) in bits.iter().zip(&planes) {
-            let idx = (net.index() * blocks + blk) as u32;
+        for (&slot, &plane) in bits.iter().zip(&planes) {
+            let idx = (slot as usize * blocks + blk) as u32;
             staged.push(StagedWord { idx, mask, bits: plane << shift });
         }
     }
@@ -370,7 +323,7 @@ pub struct Sliced<K: Kernel> {
     words: Vec<u64>,
     ram: Vec<u64>,
     staged: Vec<StagedWord>,
-    /// Armed stuck-ats: `(net, level)`.
+    /// Armed stuck-ats: `(slot, level)`, every slot a net's.
     stuck: Vec<(u32, bool)>,
     /// The kernel's form of `stuck`.
     clamps: K::Clamps,
@@ -380,14 +333,53 @@ pub struct Sliced<K: Kernel> {
 }
 
 /// The immutable part of a [`Sliced`] machine: the netlist, the
-/// program lowered from it and the kernel prepared for that program.
-/// Built once per engine construction and shared by every clone, so a
-/// clone copies only the architectural state.
+/// program lowered from it, the kernel prepared for that program and
+/// every port's slots. Built once per engine construction and shared
+/// by every clone, so a clone copies only the architectural state.
 #[derive(Debug)]
 struct Image<K> {
     netlist: Arc<Netlist>,
     program: Program,
     kernel: K,
+    ports: BTreeMap<String, PortSlots>,
+}
+
+/// A port's slots, LSB first.
+#[derive(Debug)]
+struct PortSlots {
+    input: bool,
+    slots: Box<[u32]>,
+}
+
+impl<K> Image<K> {
+    /// The slots of port `name`.
+    fn port(&self, name: &str) -> Result<&[u32]> {
+        match self.ports.get(name) {
+            Some(p) => Ok(&p.slots),
+            None => Err(Error::UnknownPort { name: name.to_owned() }),
+        }
+    }
+
+    /// Validates a write of `values` to the input port `name` and
+    /// returns the port's slots.
+    fn input(&self, name: &str, values: &[i64]) -> Result<&[u32]> {
+        let port = match self.ports.get(name) {
+            Some(p) if p.input => p,
+            _ => return Err(Error::UnknownPort { name: name.to_owned() }),
+        };
+        // A value fits a `w`-bit bus iff its bits from `w - 1` up all
+        // equal its sign bit, i.e. `v ^ (v >> 63)` is below `2^(w-1)`:
+        // one branch-free pass over the write, then a per-value search
+        // for the one to report only when some value does not fit.
+        let spread = values.iter().fold(0u64, |acc, &v| acc | (v ^ (v >> 63)) as u64);
+        if spread >> (port.slots.len() - 1) != 0 {
+            let bus = &self.netlist.port(name)?.bus;
+            for &v in values {
+                bus.check_value(v)?;
+            }
+        }
+        Ok(&port.slots)
+    }
 }
 
 impl<K: Kernel> Sliced<K> {
@@ -407,6 +399,14 @@ impl<K: Kernel> Sliced<K> {
         let kernel = K::build(&netlist, &program)?;
         let (b, words) = (K::BLOCKS, program.slots * K::BLOCKS);
         let one = program.one as usize * b;
+        let ports = netlist
+            .ports()
+            .iter()
+            .map(|(name, port)| {
+                let slots = port.bus.bits().iter().map(|&n| program.slot(n)).collect();
+                (name.clone(), PortSlots { input: port.direction == PortDirection::Input, slots })
+            })
+            .collect();
         let mut engine = Sliced {
             words: vec![0; words],
             ram: vec![0; program.ram_planes * b],
@@ -416,7 +416,7 @@ impl<K: Kernel> Sliced<K> {
             flips: Vec::new(),
             ram_upsets: Vec::new(),
             cycle: 0,
-            image: Arc::new(Image { netlist, program, kernel }),
+            image: Arc::new(Image { netlist, program, kernel, ports }),
         };
         engine.words[one..one + b].fill(ALL);
         engine.settle::<false>();
@@ -441,10 +441,37 @@ impl<K: Kernel> Sliced<K> {
     /// Same port/range validation as [`Engine::set_input`]; rejects
     /// lanes beyond the engine's lane count.
     pub fn set_input_lane(&mut self, name: &str, lane: usize, value: i64) -> Result<()> {
-        let bus = input_bus(&self.image.netlist, name, &[value])?;
+        let slots = self.image.input(name, &[value])?;
         Self::check_lane(lane)?;
-        stage_lanes(&mut self.staged, bus.bits(), K::BLOCKS, lane, &[value]);
+        stage_lanes(&mut self.staged, slots, K::BLOCKS, lane, &[value]);
         Ok(())
+    }
+
+    /// Whether the register commit, run on a word file of
+    /// pseudo-random words, leaves every register bit's Q word holding
+    /// what its D word held before and every other word as it was: the
+    /// simultaneous capture of every register, checked against the
+    /// block moves and rotations that the program's commit plan runs
+    /// in place.
+    #[must_use]
+    pub fn commit_captures_every_register(&self, seed: u64) -> bool {
+        let (p, b) = (&self.image.program, K::BLOCKS);
+        let mut state = seed;
+        let mut words: Vec<u64> = (0..self.words.len())
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                state ^ (state >> 29)
+            })
+            .collect();
+        let mut want = words.clone();
+        for r in &p.regs {
+            for (&d, &q) in r.d.iter().zip(&r.q) {
+                let (d, q) = (d as usize * b, q as usize * b);
+                want[q..q + b].copy_from_slice(&words[d..d + b]);
+            }
+        }
+        p.commit.run(&mut words, b);
+        words == want
     }
 
     fn check_lane(lane: usize) -> Result<()> {
@@ -484,7 +511,7 @@ impl<K: Kernel> Sliced<K> {
             due != now
         });
         kernel.ram_commit(p, words, ram);
-        kernel.commit(p, words);
+        p.commit.run(words, b);
         // A flip inverts the bit the register captured, so it strikes
         // the new Q; on a stuck Q the settle below forces it back.
         self.flips.retain(|&(cell, bit, due)| {
@@ -525,8 +552,10 @@ impl<K: Kernel> Sliced<K> {
         let p = &self.image.program;
         let detail = if let Some(w) = s.staged.iter().find(|w| w.idx as usize >= s.words.len()) {
             format!("staged word {} outside the {}-word file", w.idx, s.words.len())
-        } else if let Some((net, _)) = s.stuck.iter().find(|&&(n, _)| n as usize >= nets) {
-            format!("stuck-at on net {net}, but the netlist has {nets} nets")
+        } else if let Some((slot, _)) = s.stuck.iter().find(|&&(n, _)| n as usize >= nets) {
+            // Slots below `nets` are the nets; the rest, constants and
+            // temporaries, are no fault sites.
+            format!("stuck-at on slot {slot}, but the netlist has {nets} nets")
         } else if let Some((cell, bit, _)) = s
             .flips
             .iter()
@@ -570,10 +599,10 @@ impl<K: Kernel> Engine for Sliced<K> {
     }
 
     fn set_input(&mut self, name: &str, value: i64) -> Result<()> {
-        let bus = input_bus(&self.image.netlist, name, &[value])?;
-        for (i, &net) in bus.bits().iter().enumerate() {
+        let slots = self.image.input(name, &[value])?;
+        for (i, &slot) in slots.iter().enumerate() {
             let bits = if (value >> i) & 1 == 1 { ALL } else { 0 };
-            let base = net.index() * K::BLOCKS;
+            let base = slot as usize * K::BLOCKS;
             for idx in base..base + K::BLOCKS {
                 self.staged.push(StagedWord { idx: idx as u32, mask: ALL, bits });
             }
@@ -610,26 +639,27 @@ impl<K: Kernel> Engine for Sliced<K> {
                 detail: format!("expected 1..={} lane values, got {}", Self::LANES, values.len()),
             });
         }
-        let bus = input_bus(&self.image.netlist, name, values)?;
-        stage_lanes(&mut self.staged, bus.bits(), K::BLOCKS, 0, values);
+        let slots = self.image.input(name, values)?;
+        stage_lanes(&mut self.staged, slots, K::BLOCKS, 0, values);
         Ok(())
     }
 
     fn peek_lane(&self, name: &str, lane: usize) -> Result<i64> {
         Self::check_lane(lane)?;
-        let bus = &self.image.netlist.port(name)?.bus;
+        let slots = self.image.port(name)?;
         let (blk, bit) = (lane / 64, lane % 64);
-        let raw = bus.bits().iter().enumerate().fold(0u64, |v, (i, &n)| {
-            v | ((self.words[n.index() * K::BLOCKS + blk] >> bit) & 1) << i
+        let raw = slots.iter().enumerate().fold(0u64, |v, (i, &s)| {
+            v | ((self.words[s as usize * K::BLOCKS + blk] >> bit) & 1) << i
         });
-        Ok(sign_extend(raw, bus.width()))
+        Ok(sign_extend(raw, slots.len()))
     }
 
     fn peek_lanes(&self, name: &str) -> Result<Vec<i64>> {
-        let bits = self.image.netlist.port(name)?.bus.bits();
+        let slots = self.image.port(name)?;
         let mut out = Vec::with_capacity(Self::LANES);
         for blk in 0..K::BLOCKS {
-            gather_lanes(bits.len(), |i| self.words[bits[i].index() * K::BLOCKS + blk], &mut out);
+            let word = |i: usize| self.words[slots[i] as usize * K::BLOCKS + blk];
+            gather_lanes(slots.len(), word, &mut out);
         }
         Ok(out)
     }
@@ -674,7 +704,7 @@ impl<K: Kernel> Engine for Sliced<K> {
     fn inject(&mut self, spec: &FaultSpec) -> Result<()> {
         match fault::resolve(&self.image.netlist, spec)? {
             ResolvedFault::Stuck { net, value } => {
-                let s = net.index() as u32;
+                let s = self.image.program.slot(net);
                 match self.stuck.iter_mut().find(|(n, _)| *n == s) {
                     Some(entry) => entry.1 = value,
                     None => self.stuck.push((s, value)),
@@ -741,8 +771,11 @@ impl SlicedSnapshot {
 /// Leading tag byte of a serialized bit-sliced snapshot (`'S'`).
 const SNAPSHOT_TAG: u8 = b'S';
 /// Encoding version; bump on any field/layout change. Version 3 is the
-/// first with one encoding for both lane widths.
-const SNAPSHOT_VERSION: u8 = 3;
+/// first with one encoding for both lane widths; version 4 the first
+/// whose word file and stuck list are in the stage-major slot layout,
+/// so a version-3 word file, numbered by net id, is refused rather than
+/// misread.
+const SNAPSHOT_VERSION: u8 = 4;
 
 /// Decodes a length-prefixed collection whose elements are at least
 /// `min_bytes` wide, so a corrupt length cannot reserve more than the
@@ -843,6 +876,7 @@ pub(crate) mod tests {
     use crate::builder::NetlistBuilder;
     use crate::compile::{CompiledEngine, Interpreter};
     use crate::jit::{JitEngine, NativeKernel};
+    use crate::net::Bus;
     use crate::sim::Simulator;
 
     /// A netlist exercising every lowered cell class: behavioral
@@ -992,31 +1026,90 @@ pub(crate) mod tests {
         b.finish().unwrap()
     }
 
-    #[test]
-    fn commit_plan_orders_chains_and_holds_one_word_per_ring() {
-        let p = Program::compile(&register_web_netlist()).unwrap();
-        let plan = CommitPlan::new(&p);
-        let mut bits: Vec<(u32, u32)> =
-            p.regs.iter().flat_map(|r| r.d.iter().copied().zip(r.q.iter().copied())).collect();
-        let mut planned: Vec<(u32, u32)> =
-            plan.moves.iter().chain(plan.rings.iter().flatten()).copied().collect();
+    /// Checks the properties every commit plan must have: each
+    /// register bit's move comes from exactly one block or ring, no
+    /// block overwrites a slot that a later block reads, and the plan
+    /// captures every register at once at both block widths.
+    pub(crate) fn check_commit_plan(p: &Program) {
+        let plan = &p.commit;
+        let mut bits: Vec<(u32, u32)> = p
+            .regs
+            .iter()
+            .flat_map(|r| r.d.iter().copied().zip(r.q.iter().copied()))
+            .filter(|&(d, q)| d != q)
+            .collect();
+        let block_moves = |&(d, q, len): &(u32, u32, u32)| (0..len).map(move |i| (d + i, q + i));
+        let ring_moves =
+            |&(first, len): &(u32, u32)| (0..len).map(move |i| (first + (i + 1) % len, first + i));
+        let mut planned: Vec<(u32, u32)> = plan
+            .blocks
+            .iter()
+            .flat_map(block_moves)
+            .chain(plan.rings.iter().flat_map(ring_moves))
+            .collect();
         bits.sort_unstable();
         planned.sort_unstable();
-        assert_eq!(planned, bits, "every register bit exactly once");
-        // One three-register ring per bit of r1/r2/r3.
-        assert_eq!(plan.rings.len(), 4);
-        assert!(plan.rings.iter().all(|r| r.len() == 3));
-        // No copy overwrites a slot that a later copy reads.
-        for (i, &(_, q)) in plan.moves.iter().enumerate() {
-            let later = plan.moves[i + 1..].iter().chain(plan.rings.iter().flatten());
-            assert!(later.into_iter().all(|&(d, _)| d != q), "move {i} clobbers a later read");
+        assert_eq!(planned, bits, "every register bit that moves, exactly once");
+        for (i, &(_, q, len)) in plan.blocks.iter().enumerate() {
+            let later = plan.blocks[i + 1..].iter().flat_map(block_moves);
+            let reads = later.chain(plan.rings.iter().flat_map(ring_moves)).map(|(d, _)| d);
+            assert!(reads.into_iter().all(|d| !(q..q + len).contains(&d)), "block {i} clobbers");
         }
-        for ring in &plan.rings {
-            for (i, pair) in ring.windows(2).enumerate() {
-                assert_eq!(pair[0].0, pair[1].1, "ring bit {i} reads the next bit's Q");
+        for b in [1, 4] {
+            let mut words: Vec<u64> = (0..p.slots * b).map(|k| k as u64 * 0x9e37 + 1).collect();
+            let mut want = words.clone();
+            for r in &p.regs {
+                for (&d, &q) in r.d.iter().zip(&r.q) {
+                    let (d, q) = (d as usize * b, q as usize * b);
+                    want[q..q + b].copy_from_slice(&words[d..d + b]);
+                }
             }
-            assert_eq!(ring[ring.len() - 1].0, ring[0].1, "the last bit reads the first's Q");
+            plan.run(&mut words, b);
+            assert_eq!(words, want, "{b} words per slot");
         }
+    }
+
+    #[test]
+    fn commit_plan_moves_chains_in_blocks_and_rotates_rings() {
+        let netlist = register_web_netlist();
+        let p = Program::compile(&netlist).unwrap();
+        check_commit_plan(&p);
+        // One three-register ring per bit of r1/r2/r3, in consecutive
+        // slots.
+        assert_eq!(p.commit.rings.len(), 4);
+        assert!(p.commit.rings.iter().all(|&(_, len)| len == 3));
+        // The chain a -> b -> c shifts as one block per stage; t reads
+        // one ring bit per slot, and m four different sources.
+        assert!(p.commit.blocks.len() <= 3 + 4 + 4 + 1, "{:?}", p.commit.blocks);
+        assert!(CompiledEngine::new(netlist.clone()).unwrap().commit_captures_every_register(7));
+        assert!(JitEngine::new(netlist).unwrap().commit_captures_every_register(7));
+    }
+
+    #[test]
+    fn a_chain_shifts_as_one_block_per_stage_and_fan_out_as_one_per_copy() {
+        // An 8-bit input delayed three stages, with the first stage
+        // also read twice more (a second and a third copy), and a
+        // 4-bit tap off the second stage: 3 stage shifts, 2 + 2 copy
+        // blocks, 1 block for the tap.
+        let mut b = NetlistBuilder::new();
+        let x = b.input("x", 8).unwrap();
+        let n = b.not("n", &x).unwrap();
+        let s1 = b.register("s1", &n).unwrap();
+        let s2 = b.register("s2", &s1).unwrap();
+        let s3 = b.register("s3", &s2).unwrap();
+        let c1 = b.register("c1", &s1).unwrap();
+        let c2 = b.register("c2", &s1).unwrap();
+        let t = b.register("t", &s2.slice(2, 6)).unwrap();
+        for (name, bus) in [("s3", &s3), ("c1", &c1), ("c2", &c2), ("t", &t)] {
+            b.output(&format!("o{name}"), bus).unwrap();
+        }
+        let netlist = b.finish().unwrap();
+        let p = Program::compile(&netlist).unwrap();
+        check_commit_plan(&p);
+        assert!(p.commit.rings.is_empty());
+        assert_eq!(p.commit_blocks(), 6, "{:?}", p.commit.blocks);
+        let outputs = ["os3", "oc1", "oc2", "ot"];
+        lockstep(netlist, &[("x", -128, 127)], &outputs, 20, 5, |_| Vec::new());
     }
 
     #[test]
@@ -1302,10 +1395,11 @@ pub(crate) mod tests {
         let mut jit = JitEngine::new(mixed_netlist()).unwrap();
         assert!(matches!(jit.restore(&decoded), Err(Error::SnapshotMismatch { .. })));
         // Version-2 encodings, under the old per-backend tags or the
-        // merged one, are refused.
-        for tag in [b'C', b'J', SNAPSHOT_TAG] {
+        // merged one, are refused, and so is a version-3 word file,
+        // numbered by net id rather than stage-major.
+        for (tag, version) in [(b'C', 2), (b'J', 2), (SNAPSHOT_TAG, 2), (SNAPSHOT_TAG, 3)] {
             let mut old = bytes.clone();
-            old[..2].copy_from_slice(&[tag, 2]);
+            old[..2].copy_from_slice(&[tag, version]);
             assert!(matches!(SlicedSnapshot::from_bytes(&old), Err(Error::SnapshotDecode { .. })));
         }
     }
@@ -1441,7 +1535,7 @@ pub(crate) mod tests {
     #[test]
     fn staged_lane_writes_touch_exactly_their_lanes() {
         let width = 5;
-        let bus = Bus::new((0..width as u32).map(NetId).collect()).unwrap();
+        let slots: Vec<u32> = (0..width as u32).collect();
         for (blocks, first, n) in [
             (1, 0, 64),
             (1, 3, 10),
@@ -1453,7 +1547,7 @@ pub(crate) mod tests {
         ] {
             let values: Vec<i64> = (0..n as i64).map(|k| (k * 7) % 32 - 16).collect();
             let mut staged = Vec::new();
-            stage_lanes(&mut staged, bus.bits(), blocks, first, &values);
+            stage_lanes(&mut staged, &slots, blocks, first, &values);
             let before = 0x5555_aaaa_0f0f_f0f0_u64;
             let mut words = vec![before; width * blocks];
             for s in &staged {
@@ -1490,7 +1584,7 @@ pub(crate) mod tests {
     fn narrow_transposes_match_a_per_bit_reference() {
         let mut rng = Lcg(47);
         for width in 1..=64usize {
-            let nets: Vec<NetId> = (0..width as u32).map(NetId).collect();
+            let slots: Vec<u32> = (0..width as u32).collect();
             let (min, max) = (i64::MIN >> (64 - width), i64::MAX >> (64 - width));
             for (blocks, first, n) in
                 [(1, 0, 64), (1, 5, 40), (1, 63, 1), (4, 0, 256), (4, 60, 9), (4, 100, 156)]
@@ -1506,7 +1600,7 @@ pub(crate) mod tests {
                     .collect();
                 let before: Vec<u64> = (0..width * blocks).map(|_| word(&mut rng)).collect();
                 let mut staged = Vec::new();
-                stage_lanes(&mut staged, &nets, blocks, first, &values);
+                stage_lanes(&mut staged, &slots, blocks, first, &values);
                 let mut words = before.clone();
                 for s in &staged {
                     let w = &mut words[s.idx as usize];

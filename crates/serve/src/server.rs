@@ -40,6 +40,7 @@ use std::time::Duration;
 
 use dwt_arch::golden::golden_tile;
 use dwt_pool::admission::AdmissionConfig;
+use dwt_pool::chaos::ChaosSites;
 use dwt_pool::clock::{Clock, MonotonicClock};
 use dwt_pool::health::sample_for;
 use dwt_recover::executor::{TileExecutor, TileStatus};
@@ -289,16 +290,21 @@ impl Shared {
 type WorkerLane<E> = (TileExecutor<E>, Box<dyn FaultInjector + Send>);
 
 /// Every worker's executor and fault injector for a validated `cfg`.
-/// The executors are clones of one power-on executor, so the server
-/// builds each netlist and engine image once.
+/// The executors are clones of one power-on executor, and the
+/// injectors share one set of chaos sites, so the server builds each
+/// netlist, engine image and site list once.
 fn worker_lanes<E: Engine>(cfg: &ServeConfig) -> Result<Vec<WorkerLane<E>>> {
     let exec = TileExecutor::<E>::new(cfg.design, cfg.executor)?;
+    let chaos = match &cfg.chaos {
+        Some(chaos) => {
+            Some((chaos, ChaosSites::new(exec.primary_netlist(), exec.spare_netlist()?)))
+        }
+        None => None,
+    };
     let mut injectors: Vec<Box<dyn FaultInjector + Send>> = Vec::with_capacity(cfg.workers);
     for w in 0..cfg.workers {
-        injectors.push(match &cfg.chaos {
-            Some(chaos) => {
-                Box::new(chaos.injector_for(w, exec.primary_netlist(), exec.spare_netlist()?)?)
-            }
+        injectors.push(match &chaos {
+            Some((chaos, sites)) => Box::new(chaos.injector_for(w, sites)?),
             None => Box::new(NoFaults),
         });
     }
