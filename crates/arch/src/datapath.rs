@@ -64,7 +64,7 @@ pub enum AdderStyle {
 /// Soft-error hardening applied to the pipeline registers.
 ///
 /// Both schemes act at the single point every datapath register is
-/// created ([`Ctx::reg`]), so they compose with any [`DatapathSpec`]
+/// created (`Ctx::reg`), so they compose with any [`DatapathSpec`]
 /// and the FPGA mapper prices their overhead with the ordinary cell
 /// vocabulary — no special cases in the area model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -243,6 +243,14 @@ fn torn_snapshot_falls_back_one_barrier_across_the_matrix() {
         // The torn record forced the replay past the snapshot the
         // in-memory path would have used.
         assert!(report.replayed_cycles > INTERVAL, "torn record did not widen the replay");
+        // The rewind took the counters back with the state: they count
+        // the committed history, as a clean run does.
+        let clean = run_combo(&combo, combo.processes(None), &ChaosPlan::default());
+        assert_eq!(report.barriers, CYCLES / INTERVAL, "barriers counted across the rewind");
+        assert_eq!(
+            report.boundary_frames, clean.boundary_frames,
+            "frames counted across the rewind"
+        );
         let _ = std::fs::remove_dir_all(&store);
     }
 }

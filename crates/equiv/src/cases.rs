@@ -3,7 +3,7 @@
 //! Three checker families, mirroring the places where this repo keeps
 //! two representations of the same function:
 //!
-//! 1. **Backend** — the [`CompiledEngine`] op program, back-translated
+//! 1. **Backend** — the [`CompiledEngine`](dwt_rtl::compile::CompiledEngine) op program, back-translated
 //!    to a netlist, against the source netlist it was compiled from.
 //!    Proves the compile/interpret pipeline preserves semantics for
 //!    every design × hardening combination.

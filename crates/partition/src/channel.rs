@@ -16,24 +16,7 @@
 
 use std::fmt;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds bytes into an FNV-1a accumulator.
-#[must_use]
-pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// The initial accumulator value for both checksums and link hashes.
-#[must_use]
-pub fn hash_seed() -> u64 {
-    FNV_OFFSET
-}
+use dwt_rtl::bytes::{fnv1a, hash_seed};
 
 fn fold_values(mut hash: u64, seq: u64, cycle: u64, values: &[i64]) -> u64 {
     hash = fnv1a(hash, &seq.to_le_bytes());

@@ -174,7 +174,7 @@ impl PartitionedNetlist {
     /// lockstep.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        use crate::channel::{fnv1a, hash_seed};
+        use dwt_rtl::bytes::{fnv1a, hash_seed};
         fn word(h: u64, v: u64) -> u64 {
             fnv1a(h, &v.to_le_bytes())
         }

@@ -44,8 +44,9 @@ pub mod store;
 pub mod transport;
 pub mod wire;
 
-pub use channel::{fnv1a, hash_seed, BoundaryMsg, LinkFault};
+pub use channel::{BoundaryMsg, LinkFault};
 pub use cut::{partition, stitch, BoundaryLink, CutOptions, CutPort, PartitionedNetlist, Shard};
+pub use dwt_rtl::bytes::{fnv1a, hash_seed};
 pub use error::PartitionError;
 pub use proc::{run_worker, WorkerLauncher};
 pub use runner::{

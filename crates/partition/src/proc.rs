@@ -8,7 +8,7 @@
 //! are the ones in [`runner`](crate::runner); only the transport
 //! differs:
 //!
-//! * **Spawn.** The [`Hub`] starts one worker process per shard with
+//! * **Spawn.** The `Hub` starts one worker process per shard with
 //!   [`WorkerLauncher`], passing `--shard W --socket PATH`, and accepts
 //!   its connection on a per-shard Unix-domain socket.
 //! * **Admission.** The worker rebuilds the cut independently and

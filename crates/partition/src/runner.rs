@@ -1,7 +1,7 @@
 //! The partition protocol: one coordinator, one shard worker, run on
 //! threads or on processes.
 //!
-//! Every shard runs the same worker loop ([`Worker::run_batch`]) over
+//! Every shard runs the same worker loop (`Worker::run_batch`) over
 //! an [`Engine`] (event, compiled or jit backend). The cut classifies
 //! every boundary link once
 //! ([`BoundaryLink::feedback`](crate::cut::BoundaryLink::feedback)): a
@@ -70,7 +70,7 @@
 //! `E::Snapshot`, and use one [`ChannelTransport`] per link; processes
 //! speak [`Frame`]s through the socket hub in [`proc`](crate::proc),
 //! with snapshots as portable bytes. Both sides of that seam are one
-//! small trait each: [`WorkerIo`] for a worker, [`Fleet`] for the
+//! small trait each: `WorkerIo` for a worker, `Fleet` for the
 //! coordinator.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -84,12 +84,13 @@ use std::time::Duration;
 use dwt_pool::clock::{Clock, Deadline, MonotonicClock};
 use dwt_recover::injector::{FaultInjector, Lane};
 use dwt_recover::seu::PoissonSeuBuilder;
+use dwt_rtl::bytes::hash_seed;
 use dwt_rtl::engine::Engine;
 use dwt_rtl::fault::FaultSpec;
 use dwt_rtl::netlist::{Netlist, PortDirection};
 use dwt_rtl::Error as RtlError;
 
-use crate::channel::{hash_seed, BoundaryMsg, LinkFault};
+use crate::channel::{BoundaryMsg, LinkFault};
 use crate::cut::{BoundaryLink, PartitionedNetlist, Shard};
 use crate::error::PartitionError;
 use crate::proc::{Hub, WorkerLauncher};
@@ -167,7 +168,12 @@ pub struct FrameReport {
     pub recoveries: u32,
     /// Everything the detectors fired on.
     pub detections: Vec<Detection>,
-    /// Barriers committed (consistent global snapshots taken).
+    /// Barriers committed (consistent global snapshots taken) on the
+    /// history that produced the outputs: a rollback to an older
+    /// barrier restores this count, and [`boundary_frames`], to their
+    /// values at that barrier (0 at power-on or at the resume point).
+    ///
+    /// [`boundary_frames`]: FrameReport::boundary_frames
     pub barriers: u64,
     /// Boundary frames sent on all links in the committed batches:
     /// per link, one prologue frame, then one per batch on a forward
@@ -687,7 +693,7 @@ impl<E: Engine> Worker<E> {
             }
             self.stage_links(|feedback| !feedback, row)?;
             for (_, spec) in batch.faults.iter().filter(|(due, _)| *due == offset) {
-                self.engine.inject(&rebase(spec.clone(), self.engine.cycle()))?;
+                self.engine.inject(&spec.clone().strike_at(self.engine.cycle()))?;
             }
             self.engine.try_tick()?;
             self.peek_links(|_| true);
@@ -769,20 +775,6 @@ impl From<LinkFault> for Abort {
 impl From<RtlError> for Abort {
     fn from(e: RtlError) -> Abort {
         Abort::Fault(DetectionKind::Engine(e.to_string()))
-    }
-}
-
-/// Rebase a transient fault to strike at the engine's next clock edge
-/// (same contract as the recover executor's injection point).
-fn rebase(spec: FaultSpec, now: u64) -> FaultSpec {
-    match spec {
-        FaultSpec::BitFlip { register, bit, .. } => {
-            FaultSpec::BitFlip { register, bit, cycle: now }
-        }
-        FaultSpec::RamUpset { ram, addr, bit, .. } => {
-            FaultSpec::RamUpset { ram, addr, bit, cycle: now }
-        }
-        stuck @ FaultSpec::StuckAt { .. } => stuck,
     }
 }
 
@@ -1256,6 +1248,11 @@ where
                 report.resumed_from = Some(cursor);
             }
         }
+        // `(barriers, boundary_frames)` as each barrier committed, by
+        // cycle, so a rewind restores the counters with the state; a
+        // barrier from before a resume, or power-on, reads 0.
+        let mut counted: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        let mut torn = false;
         let mut suspects = Vec::new();
         let mut chaos = ChaosState::new(plan, self.parts);
         // Each shard's stimulus columns, resolved once per frame.
@@ -1329,6 +1326,8 @@ where
                             committed.values_mut().for_each(Vec::clear);
                         }
                     }
+                    (report.barriers, report.boundary_frames) =
+                        counted.get(&cursor).copied().unwrap_or_default();
                     break;
                 }
                 // Commit: outputs append, snapshots advance.
@@ -1347,7 +1346,9 @@ where
                 }
                 cursor += len;
                 report.barriers += 1;
-                let tear = plan.torn_after == Some(report.barriers);
+                counted.insert(cursor, (report.barriers, report.boundary_frames));
+                let tear = !torn && plan.torn_after == Some(report.barriers);
+                torn |= tear;
                 fleet.persist(cursor, &fresh, &report.outputs.ports, tear)?;
                 snapshots = Some(fresh);
                 if stop_after == Some(report.barriers) && cursor < stim.cycles {

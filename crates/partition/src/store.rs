@@ -33,8 +33,10 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use dwt_rtl::bytes::{ByteReader, ByteWriter};
+use dwt_rtl::Error as RtlError;
+
 use crate::error::PartitionError;
-use crate::wire::{Reader, Writer};
 
 /// Record file magic.
 pub const STORE_MAGIC: [u8; 4] = *b"DWTS";
@@ -255,58 +257,45 @@ impl RunStore {
 // ----------------------------------------------------------- codec
 
 /// Appends one CRC32-framed section: `len u32 | payload | crc32 u32`.
-fn write_section(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&u32::try_from(payload.len()).expect("section fits a u32").to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+fn write_section(out: &mut ByteWriter, payload: &[u8]) {
+    out.bytes(payload);
+    out.u32(crc32(payload));
 }
 
-/// Extracts one CRC32-framed section, advancing `pos`.
-fn read_section<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8], PartitionError> {
-    let need = |n: usize, pos: usize| -> Result<(), PartitionError> {
-        if pos + n > bytes.len() {
-            Err(store_err(format!("record truncated at offset {pos} (need {n} bytes)")))
-        } else {
-            Ok(())
-        }
-    };
-    need(4, *pos)?;
-    let len = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().expect("4 bytes")) as usize;
-    *pos += 4;
-    need(len + 4, *pos)?;
-    let payload = &bytes[*pos..*pos + len];
-    *pos += len;
-    let declared = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().expect("4 bytes"));
-    *pos += 4;
-    let fresh = crc32(payload);
+/// Extracts one CRC32-framed section.
+fn read_section<'a>(r: &mut ByteReader<'a>) -> dwt_rtl::Result<&'a [u8]> {
+    let len = r.u32()? as usize;
+    let payload = r.take(len)?;
+    let (declared, fresh) = (r.u32()?, crc32(payload));
     if declared != fresh {
-        return Err(store_err(format!("section CRC mismatch ({declared:#010x} != {fresh:#010x})")));
+        let detail = format!("section CRC mismatch ({declared:#010x} != {fresh:#010x})");
+        return Err(RtlError::SnapshotDecode { detail });
     }
     Ok(payload)
 }
 
 fn encode_record(record: &BarrierRecord) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&STORE_MAGIC);
-    out.push(STORE_VERSION);
+    let mut out = ByteWriter::new();
+    STORE_MAGIC.iter().for_each(|&b| out.u8(b));
+    out.u8(STORE_VERSION);
 
-    let mut meta = Writer::new();
+    let mut meta = ByteWriter::new();
     meta.u64(record.cycle);
     meta.u64(record.fingerprint);
-    write_section(&mut out, &meta.buf);
+    write_section(&mut out, &meta.finish());
 
-    let mut workers = Writer::new();
+    let mut workers = ByteWriter::new();
     workers.seq(&record.snapshots, |w, snapshot| w.bytes(snapshot));
-    write_section(&mut out, &workers.buf);
+    write_section(&mut out, &workers.finish());
 
-    let mut outputs = Writer::new();
+    let mut outputs = ByteWriter::new();
     outputs.len(record.outputs.len());
     for (port, values) in &record.outputs {
         outputs.str(port);
         outputs.seq(values, |w, &v| w.i64(v));
     }
-    write_section(&mut out, &outputs.buf);
-    out
+    write_section(&mut out, &outputs.finish());
+    out.finish()
 }
 
 fn decode_record(bytes: &[u8]) -> Result<BarrierRecord, PartitionError> {
@@ -319,43 +308,47 @@ fn decode_record(bytes: &[u8]) -> Result<BarrierRecord, PartitionError> {
     if bytes[4] != STORE_VERSION {
         return Err(store_err(format!("unsupported record version {}", bytes[4])));
     }
-    let mut pos = 5;
-    let meta = read_section(bytes, &mut pos)?;
-    let workers_section = read_section(bytes, &mut pos)?;
-    let outputs_section = read_section(bytes, &mut pos)?;
-    if pos != bytes.len() {
-        return Err(store_err(format!("{} trailing bytes after record", bytes.len() - pos)));
-    }
-    let protocol = |e: PartitionError| match e {
-        PartitionError::Protocol { detail } => store_err(detail),
-        other => other,
-    };
+    decode_sections(&bytes[5..]).map_err(|e| match e {
+        RtlError::SnapshotDecode { detail } => store_err(detail),
+        other => PartitionError::Rtl(other),
+    })
+}
 
-    let mut r = Reader::new(meta);
-    let cycle = r.u64().map_err(protocol)?;
-    let fingerprint = r.u64().map_err(protocol)?;
-    r.finish().map_err(protocol)?;
+/// Parses the three CRC32-framed sections after a record's header.
+fn decode_sections(bytes: &[u8]) -> dwt_rtl::Result<BarrierRecord> {
+    let mut record = ByteReader::new(bytes);
+    let meta = read_section(&mut record)?;
+    let workers = read_section(&mut record)?;
+    let outputs = read_section(&mut record)?;
+    record.finish()?;
 
-    let mut r = Reader::new(workers_section);
+    let mut r = ByteReader::new(meta);
+    let (cycle, fingerprint) = (r.u64()?, r.u64()?);
+    r.finish()?;
+
+    let mut r = ByteReader::new(workers);
     // Each snapshot is at least its 4-byte length prefix.
-    let snapshots = r.seq(4, Reader::bytes).map_err(protocol)?;
-    r.finish().map_err(protocol)?;
+    let snapshots = r.seq(4, ByteReader::bytes)?;
+    r.finish()?;
 
-    let mut r = Reader::new(outputs_section);
-    let mut outputs = BTreeMap::new();
-    let n_ports = r.len(5).map_err(protocol)?;
+    let mut r = ByteReader::new(outputs);
+    let mut ports = BTreeMap::new();
+    let n_ports = r.len(5)?;
     for _ in 0..n_ports {
-        let port = r.str().map_err(protocol)?;
-        outputs.insert(port, r.seq(8, Reader::i64).map_err(protocol)?);
+        let port = r.str()?;
+        ports.insert(port, r.seq(8, ByteReader::i64)?);
     }
-    r.finish().map_err(protocol)?;
+    r.finish()?;
 
-    Ok(BarrierRecord { cycle, fingerprint, snapshots, outputs })
+    Ok(BarrierRecord { cycle, fingerprint, snapshots, outputs: ports })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(length, CRC32)` of `sample(32)`'s encoding.
+    const PINNED_RECORD: (usize, u32) = (641, 0xebc6_ade3);
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dwt-store-{tag}-{}", std::process::id()));
@@ -470,5 +463,14 @@ mod tests {
         // IEEE CRC32 test vector: "123456789" -> 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Pins the encoded bytes of a sample record (by length and CRC32 of
+    /// the whole file), so a symmetric change to the record codec, which
+    /// every round trip would accept, fails here.
+    #[test]
+    fn record_encoding_is_pinned() {
+        let bytes = encode_record(&sample(32));
+        assert_eq!((bytes.len(), crc32(&bytes)), PINNED_RECORD);
     }
 }

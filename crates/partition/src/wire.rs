@@ -35,9 +35,11 @@
 
 use std::time::Duration;
 
+use dwt_rtl::bytes::{fnv1a, hash_seed, ByteReader, ByteWriter};
 use dwt_rtl::fault::FaultSpec;
+use dwt_rtl::{Error as RtlError, Result as RtlResult};
 
-use crate::channel::{fnv1a, hash_seed, BoundaryMsg};
+use crate::channel::BoundaryMsg;
 use crate::error::PartitionError;
 use crate::runner::{Batch, BatchReport, DetectionKind};
 
@@ -140,174 +142,31 @@ fn bad(detail: impl Into<String>) -> PartitionError {
     PartitionError::Protocol { detail: detail.into() }
 }
 
-// --------------------------------------------------------- primitives
-
-/// Little-endian payload writer, shared with the durable store's
-/// record codec.
-pub(crate) struct Writer {
-    pub(crate) buf: Vec<u8>,
-}
-
-impl Writer {
-    pub(crate) fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn len(&mut self, n: usize) {
-        self.u32(u32::try_from(n).expect("collection fits a u32 length"));
-    }
-
-    pub(crate) fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    pub(crate) fn bytes(&mut self, b: &[u8]) {
-        self.len(b.len());
-        self.buf.extend_from_slice(b);
-    }
-
-    /// A length-prefixed sequence, each item written by `each`.
-    pub(crate) fn seq<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, &T)) {
-        self.len(items.len());
-        for item in items {
-            each(self, item);
-        }
-    }
-}
-
-/// Bounds-checked payload reader, shared with the durable store's
-/// record codec.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], PartitionError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad(format!("payload needs {n} bytes at offset {}", self.pos)))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, PartitionError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, PartitionError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(bad(format!("bool byte {other}"))),
-        }
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, PartitionError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, PartitionError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64, PartitionError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// A length prefix, bounds-checked against the remaining payload
-    /// (`min_elem` is the smallest possible encoded element).
-    pub(crate) fn len(&mut self, min_elem: usize) -> Result<usize, PartitionError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem.max(1)) > self.buf.len() - self.pos {
-            return Err(bad(format!("length {n} exceeds remaining payload")));
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String, PartitionError> {
-        let n = self.len(1)?;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| bad("string is not UTF-8"))
-    }
-
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, PartitionError> {
-        let n = self.len(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// A length-prefixed sequence, each item read by `each`; the
-    /// length is bounded as in [`Reader::len`] before anything is
-    /// reserved.
-    pub(crate) fn seq<T>(
-        &mut self,
-        min_elem: usize,
-        mut each: impl FnMut(&mut Self) -> Result<T, PartitionError>,
-    ) -> Result<Vec<T>, PartitionError> {
-        let n = self.len(min_elem)?;
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            items.push(each(self)?);
-        }
-        Ok(items)
-    }
-
-    pub(crate) fn finish(self) -> Result<(), PartitionError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(bad(format!("{} trailing payload bytes", self.buf.len() - self.pos)))
-        }
-    }
+/// A payload that does not parse, in the codec's error type; `decode`
+/// maps every such error to [`PartitionError::Protocol`].
+fn malformed(detail: String) -> RtlError {
+    RtlError::SnapshotDecode { detail }
 }
 
 // ------------------------------------------------- payload components
 
 /// Appends a [`BoundaryMsg`] to a payload under construction.
-fn write_boundary_msg(w: &mut Writer, msg: &BoundaryMsg) {
+fn write_boundary_msg(w: &mut ByteWriter, msg: &BoundaryMsg) {
     w.u64(msg.seq);
     w.u64(msg.cycle);
     w.seq(&msg.values, |w, &v| w.i64(v));
     w.u64(msg.checksum);
 }
 
-fn read_boundary_msg(r: &mut Reader<'_>) -> Result<BoundaryMsg, PartitionError> {
+fn read_boundary_msg(r: &mut ByteReader<'_>) -> RtlResult<BoundaryMsg> {
     let seq = r.u64()?;
     let cycle = r.u64()?;
-    let values = r.seq(8, Reader::i64)?;
+    let values = r.seq(8, ByteReader::i64)?;
     let checksum = r.u64()?;
     Ok(BoundaryMsg { seq, cycle, values, checksum })
 }
 
-fn write_fault_spec(w: &mut Writer, spec: &FaultSpec) {
+fn write_fault_spec(w: &mut ByteWriter, spec: &FaultSpec) {
     match spec {
         FaultSpec::StuckAt { net, bit, value } => {
             w.u8(0);
@@ -331,7 +190,7 @@ fn write_fault_spec(w: &mut Writer, spec: &FaultSpec) {
     }
 }
 
-fn read_fault_spec(r: &mut Reader<'_>) -> Result<FaultSpec, PartitionError> {
+fn read_fault_spec(r: &mut ByteReader<'_>) -> RtlResult<FaultSpec> {
     match r.u8()? {
         0 => {
             let net = r.str()?;
@@ -352,11 +211,11 @@ fn read_fault_spec(r: &mut Reader<'_>) -> Result<FaultSpec, PartitionError> {
             let cycle = r.u64()?;
             Ok(FaultSpec::RamUpset { ram, addr, bit, cycle })
         }
-        other => Err(bad(format!("bad fault-spec tag {other}"))),
+        other => Err(malformed(format!("bad fault-spec tag {other}"))),
     }
 }
 
-fn write_detection(w: &mut Writer, kind: &DetectionKind) {
+fn write_detection(w: &mut ByteWriter, kind: &DetectionKind) {
     match kind {
         DetectionKind::Checksum => w.u8(0),
         DetectionKind::Sequence => w.u8(1),
@@ -371,7 +230,7 @@ fn write_detection(w: &mut Writer, kind: &DetectionKind) {
     }
 }
 
-fn read_detection(r: &mut Reader<'_>) -> Result<DetectionKind, PartitionError> {
+fn read_detection(r: &mut ByteReader<'_>) -> RtlResult<DetectionKind> {
     match r.u8()? {
         0 => Ok(DetectionKind::Checksum),
         1 => Ok(DetectionKind::Sequence),
@@ -380,16 +239,16 @@ fn read_detection(r: &mut Reader<'_>) -> Result<DetectionKind, PartitionError> {
         4 => Ok(DetectionKind::Stall),
         5 => Ok(DetectionKind::Crash),
         6 => Ok(DetectionKind::Engine(r.str()?)),
-        other => Err(bad(format!("bad detection tag {other}"))),
+        other => Err(malformed(format!("bad detection tag {other}"))),
     }
 }
 
-fn write_opt(w: &mut Writer, value: Option<u64>) {
+fn write_opt(w: &mut ByteWriter, value: Option<u64>) {
     w.bool(value.is_some());
     w.u64(value.unwrap_or(0));
 }
 
-fn read_opt(r: &mut Reader<'_>) -> Result<Option<u64>, PartitionError> {
+fn read_opt(r: &mut ByteReader<'_>) -> RtlResult<Option<u64>> {
     let some = r.bool()?;
     let value = r.u64()?;
     Ok(some.then_some(value))
@@ -399,7 +258,7 @@ fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn write_batch(w: &mut Writer, b: &Batch) {
+fn write_batch(w: &mut ByteWriter, b: &Batch) {
     w.u64(b.start);
     w.u64(b.cycles);
     w.bool(b.prologue);
@@ -420,11 +279,11 @@ fn write_batch(w: &mut Writer, b: &Batch) {
     write_opt(w, b.event_cap);
 }
 
-fn read_batch(r: &mut Reader<'_>) -> Result<Batch, PartitionError> {
+fn read_batch(r: &mut ByteReader<'_>) -> RtlResult<Batch> {
     let start = r.u64()?;
     let cycles = r.u64()?;
     let prologue = r.bool()?;
-    let inputs = r.seq(8, Reader::i64)?;
+    let inputs = r.seq(8, ByteReader::i64)?;
     // The smallest encoded fault: offset, tag, empty name, bit, value.
     let faults = r.seq(22, |r| Ok((r.u64()?, read_fault_spec(r)?)))?;
     let kill_at = read_opt(r)?;
@@ -445,7 +304,7 @@ fn read_batch(r: &mut Reader<'_>) -> Result<Batch, PartitionError> {
     })
 }
 
-fn write_report(w: &mut Writer, report: &BatchReport<Vec<u8>>) {
+fn write_report(w: &mut ByteWriter, report: &BatchReport<Vec<u8>>) {
     w.u32(u32::try_from(report.worker).unwrap_or(u32::MAX));
     w.u64(report.start);
     w.seq(&report.outputs, |w, &v| w.i64(v));
@@ -455,13 +314,13 @@ fn write_report(w: &mut Writer, report: &BatchReport<Vec<u8>>) {
     w.bytes(&report.snapshot);
 }
 
-fn read_report(r: &mut Reader<'_>) -> Result<BatchReport<Vec<u8>>, PartitionError> {
+fn read_report(r: &mut ByteReader<'_>) -> RtlResult<BatchReport<Vec<u8>>> {
     Ok(BatchReport {
         worker: r.u32()? as usize,
         start: r.u64()?,
-        outputs: r.seq(8, Reader::i64)?,
-        out_hashes: r.seq(8, Reader::u64)?,
-        in_hashes: r.seq(8, Reader::u64)?,
+        outputs: r.seq(8, ByteReader::i64)?,
+        out_hashes: r.seq(8, ByteReader::u64)?,
+        in_hashes: r.seq(8, ByteReader::u64)?,
         frames: r.u64()?,
         snapshot: r.bytes()?,
     })
@@ -484,7 +343,7 @@ impl Frame {
     }
 
     fn payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = ByteWriter::new();
         match self {
             Frame::Hello { worker, fingerprint } => {
                 w.u32(*worker);
@@ -521,7 +380,7 @@ impl Frame {
             }
             Frame::Shutdown => {}
         }
-        w.buf
+        w.finish()
     }
 
     /// Encodes the frame as one self-describing byte string:
@@ -568,11 +427,16 @@ impl Frame {
                 "frame checksum mismatch ({declared:#018x} != {fresh:#018x})"
             )));
         }
-        Frame::decode_payload(bytes[5], &bytes[HEADER_LEN..HEADER_LEN + payload_len])
+        Frame::decode_payload(bytes[5], &bytes[HEADER_LEN..HEADER_LEN + payload_len]).map_err(|e| {
+            match e {
+                RtlError::SnapshotDecode { detail } => bad(detail),
+                other => PartitionError::Rtl(other),
+            }
+        })
     }
 
-    fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, PartitionError> {
-        let mut r = Reader::new(payload);
+    fn decode_payload(kind: u8, payload: &[u8]) -> RtlResult<Frame> {
+        let mut r = ByteReader::new(payload);
         let frame = match kind {
             FRAME_HELLO => Frame::Hello { worker: r.u32()?, fingerprint: r.u64()? },
             FRAME_BATCH => {
@@ -600,7 +464,7 @@ impl Frame {
                 kind: read_detection(&mut r)?,
             },
             FRAME_SHUTDOWN => Frame::Shutdown,
-            other => return Err(bad(format!("unknown frame type {other}"))),
+            other => return Err(malformed(format!("unknown frame type {other}"))),
         };
         r.finish()?;
         Ok(frame)
@@ -635,6 +499,20 @@ pub fn header_payload_len(header: &[u8]) -> Result<usize, PartitionError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(length, CRC32)` of each of [`sample_frames`]' encodings.
+    const PINNED_FRAMES: [(usize, u32); 10] = [
+        (30, 0x9357_12f2),
+        (263, 0x1910_a87c),
+        (82, 0xe039_7a30),
+        (38, 0x969a_a5e2),
+        (142, 0x3cf5_83e5),
+        (41, 0x82ab_5ceb),
+        (38, 0xf9b2_cb67),
+        (51, 0xa903_f80e),
+        (39, 0xd113_7e2f),
+        (18, 0xe762_cf72),
+    ];
 
     fn sample_frames() -> Vec<Frame> {
         vec![
@@ -747,5 +625,23 @@ mod tests {
         let mut absurd = good;
         absurd[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(header_payload_len(&absurd).is_err());
+    }
+
+    /// Pins the encoded bytes of every sample frame (by CRC32, which
+    /// the frame format does not use) and the FNV-1a under their
+    /// checksums. Encoder and decoder share one codec, so a symmetric
+    /// change to it passes every round trip; it cannot pass this.
+    #[test]
+    fn frame_encodings_are_pinned() {
+        assert_eq!(crate::fnv1a(crate::hash_seed(), b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(crate::fnv1a(crate::hash_seed(), b"a"), 0xaf63_dc4c_8601_ec8c);
+        let digests: Vec<(usize, u32)> = sample_frames()
+            .iter()
+            .map(|frame| {
+                let bytes = frame.encode();
+                (bytes.len(), crate::crc32(&bytes))
+            })
+            .collect();
+        assert_eq!(digests, PINNED_FRAMES);
     }
 }

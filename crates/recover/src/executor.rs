@@ -864,20 +864,6 @@ impl<E: Engine> TileExecutor<E> {
     }
 }
 
-/// Rebase a transient fault spec to strike at the simulator's next
-/// clock edge; persistent specs pass through.
-fn rebase(spec: FaultSpec, now: u64) -> FaultSpec {
-    match spec {
-        FaultSpec::BitFlip { register, bit, .. } => {
-            FaultSpec::BitFlip { register, bit, cycle: now }
-        }
-        FaultSpec::RamUpset { ram, addr, bit, .. } => {
-            FaultSpec::RamUpset { ram, addr, bit, cycle: now }
-        }
-        stuck @ FaultSpec::StuckAt { .. } => stuck,
-    }
-}
-
 /// Inject one fault, folding a settle divergence into a hang detection.
 fn inject_classified<E: Engine>(sim: &mut E, spec: &FaultSpec) -> Result<Option<Detection>> {
     match sim.inject(spec) {
@@ -928,7 +914,7 @@ fn run_attempt<E: Engine>(
     for t in 0..plan.window() {
         let mut detected: Option<Detection> = None;
         for spec in injector.arrivals(*executed_cycles, lane) {
-            if let Some(d) = inject_classified(sim, &rebase(spec, sim.cycle()))? {
+            if let Some(d) = inject_classified(sim, &spec.strike_at(sim.cycle()))? {
                 detected = Some(d);
             }
         }

@@ -922,7 +922,6 @@ fn fa_carry(a: u64, b: u64, c: u64) -> u64 {
 impl Kernel for Interpreter {
     const BLOCKS: usize = LANES / 64;
     const BACKEND: &'static str = "compiled";
-    const NATIVE: bool = false;
     type Clamps = ClampPoints;
 
     fn build(_netlist: &Netlist, program: &Program) -> Result<Self> {
@@ -1005,15 +1004,13 @@ mod tests {
         let caps = Engine::caps(&eng);
         assert_eq!(caps.backend, "compiled");
         assert_eq!(caps.lanes, LANES);
-        assert!(!caps.activity_stats && !caps.glitch_model && !caps.divergence_detection);
         let p = eng.program();
         assert!(p.op_count() > 0);
         assert!(p.levels() >= 2, "mux/parity logic is at least two levels deep");
         assert!(p.word_count() > eng.netlist().net_count());
 
         let sim_caps = Engine::caps(&Simulator::new(mixed_netlist()).unwrap());
-        assert_eq!(sim_caps.lanes, 1);
-        assert!(sim_caps.activity_stats && sim_caps.glitch_model && sim_caps.divergence_detection);
+        assert_eq!((sim_caps.backend, sim_caps.lanes), ("event-driven", 1));
     }
 
     #[test]

@@ -7,20 +7,23 @@
 //! that surface so those layers can be generic over *how* a cycle is
 //! evaluated:
 //!
-//! * [`sim::Simulator`](crate::sim::Simulator) — the event-driven
-//!   backend, unit-delay with glitch modelling and activity statistics
-//!   (the power-estimation substrate of the paper reproduction);
-//! * [`compile::CompiledEngine`](crate::compile::CompiledEngine) — the
-//!   levelized, 64-way bit-sliced backend, which trades the glitch
-//!   model away for throughput.
+//! * [`sim::Simulator`] — the event-driven backend, unit-delay with
+//!   glitch modelling and activity statistics (the power-estimation
+//!   substrate of the paper reproduction);
+//! * [`compile::CompiledEngine`] — the levelized, 64-way bit-sliced
+//!   interpreter, which trades the glitch model away for throughput;
+//! * [`jit::JitEngine`] — the same bit-sliced machine with a
+//!   `rustc`-compiled kernel, 256 lanes wide.
 //!
-//! Backends self-describe through [`EngineCaps`] so callers can check
-//! at runtime which fidelity features (activity stats, divergence
-//! detection, lane width, native codegen, fault families) are actually
-//! present. [`Backend`] names the three backends and is the single
-//! selection API: parse it from a `--backend` flag, then either
-//! [`Backend::build`] a boxed engine or [`Backend::dispatch`] a
-//! generic runner on the concrete type.
+//! Every backend arms every fault family. [`EngineCaps`] reports the
+//! two things that differ at runtime: the backend's name and its lane
+//! width. [`Backend`] names the three backends and is the single
+//! selection API: parse it from a `--backend` flag, then
+//! [`Backend::dispatch`] a [`BackendRunner`] on the concrete type.
+//!
+//! [`sim::Simulator`]: crate::sim::Simulator
+//! [`compile::CompiledEngine`]: crate::compile::CompiledEngine
+//! [`jit::JitEngine`]: crate::jit::JitEngine
 
 use std::sync::Arc;
 
@@ -31,11 +34,8 @@ use crate::{Error, Result};
 /// Static capability description of a simulation backend.
 ///
 /// Obtained from [`Engine::caps`]; lets generic code (and reports)
-/// distinguish backends without naming concrete types. This is the
-/// single capability gate: callers check `lanes` before lane-wide I/O,
-/// the `fault_*` family flags before arming a fault class, and
-/// `native_codegen` to know whether a `rustc`-compiled kernel (not an
-/// interpreter) is on the hot path.
+/// distinguish backends without naming concrete types. Callers check
+/// `lanes` before lane-wide I/O.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineCaps {
     /// Short backend name for reports ("event-driven", "compiled",
@@ -45,23 +45,6 @@ pub struct EngineCaps {
     /// event-driven simulator, 64 for the bit-sliced interpreter, 256
     /// for the jit backend).
     pub lanes: usize,
-    /// Whether the backend records switching-activity statistics.
-    pub activity_stats: bool,
-    /// Whether combinational settling models glitches (unit-delay
-    /// event propagation) rather than a single functional pass.
-    pub glitch_model: bool,
-    /// Whether runaway combinational activity is detected and reported
-    /// as [`Error::SimulationDiverged`](crate::Error::SimulationDiverged).
-    pub divergence_detection: bool,
-    /// Whether cycles execute through natively compiled code (codegen →
-    /// `rustc` → loaded kernel) rather than an interpreter loop.
-    pub native_codegen: bool,
-    /// Whether [`FaultSpec::StuckAt`] faults are supported.
-    pub fault_stuck_at: bool,
-    /// Whether [`FaultSpec::BitFlip`] register faults are supported.
-    pub fault_bit_flip: bool,
-    /// Whether [`FaultSpec::RamUpset`] array faults are supported.
-    pub fault_ram_upset: bool,
 }
 
 /// A snapshot that can cross address spaces: encodable to a
@@ -77,10 +60,10 @@ pub struct EngineCaps {
 ///
 /// Encodings are backend-tagged and versioned; decoding bytes produced
 /// by a different backend, a truncated record, or corrupt data yields
-/// [`Error::SnapshotDecode`](crate::Error::SnapshotDecode), never a
+/// [`Error::SnapshotDecode`], never a
 /// panic. Shape compatibility with the restoring engine's netlist is
 /// *not* checked here — [`Engine::restore`] performs that check and
-/// reports [`Error::SnapshotMismatch`](crate::Error::SnapshotMismatch).
+/// reports [`Error::SnapshotMismatch`].
 pub trait PortableSnapshot: Sized {
     /// Encodes the complete snapshot as a self-contained byte string.
     fn to_bytes(&self) -> Vec<u8>;
@@ -89,7 +72,7 @@ pub trait PortableSnapshot: Sized {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::SnapshotDecode`](crate::Error::SnapshotDecode)
+    /// Returns [`Error::SnapshotDecode`]
     /// for truncated, corrupted, wrong-backend or wrong-version bytes.
     fn from_bytes(bytes: &[u8]) -> Result<Self>;
 }
@@ -153,7 +136,7 @@ pub trait Engine: Sized + Clone + std::fmt::Debug {
     /// # Errors
     ///
     /// Backend-specific; the event-driven simulator reports
-    /// [`Error::SimulationDiverged`](crate::Error::SimulationDiverged)
+    /// [`Error::SimulationDiverged`]
     /// when settling exceeds the event cap.
     fn try_tick(&mut self) -> Result<()>;
 
@@ -180,7 +163,7 @@ pub trait Engine: Sized + Clone + std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::SnapshotMismatch`](crate::Error::SnapshotMismatch)
+    /// Returns [`Error::SnapshotMismatch`]
     /// when the snapshot belongs to a different netlist shape.
     fn restore(&mut self, snapshot: &Self::Snapshot) -> Result<()>;
 
@@ -190,7 +173,7 @@ pub trait Engine: Sized + Clone + std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::FaultTarget`](crate::Error::FaultTarget) when
+    /// Returns [`Error::FaultTarget`] when
     /// the spec does not resolve against the netlist.
     fn inject(&mut self, spec: &FaultSpec) -> Result<()>;
 
@@ -204,8 +187,8 @@ pub trait Engine: Sized + Clone + std::fmt::Debug {
     fn cycle(&self) -> u64;
 
     /// Bounds the per-cycle settling work used for divergence
-    /// detection. A no-op on backends without an event loop
-    /// ([`EngineCaps::divergence_detection`] is `false`).
+    /// detection. A no-op on backends without an event loop (the
+    /// bit-sliced ones).
     fn set_event_cap(&mut self, cap: u64);
 
     /// Stages per-lane values on an input port: `values[i]` goes to
@@ -215,11 +198,11 @@ pub trait Engine: Sized + Clone + std::fmt::Debug {
     ///
     /// Gated by [`EngineCaps::lanes`] > 1; the default implementation
     /// (used by single-lane backends) returns
-    /// [`Error::Unsupported`](crate::Error::Unsupported).
+    /// [`Error::Unsupported`].
     ///
     /// # Errors
     ///
-    /// [`Error::Unsupported`](crate::Error::Unsupported) on single-lane
+    /// [`Error::Unsupported`] on single-lane
     /// backends; otherwise the same failure modes as
     /// [`set_input`](Engine::set_input), plus an error when `values` is
     /// empty or longer than the lane count.
@@ -236,11 +219,11 @@ pub trait Engine: Sized + Clone + std::fmt::Debug {
     /// sign-extended from the port width.
     ///
     /// Gated by [`EngineCaps::lanes`] > 1; the default implementation
-    /// returns [`Error::Unsupported`](crate::Error::Unsupported).
+    /// returns [`Error::Unsupported`].
     ///
     /// # Errors
     ///
-    /// [`Error::Unsupported`](crate::Error::Unsupported) on single-lane
+    /// [`Error::Unsupported`] on single-lane
     /// backends; otherwise unknown ports and out-of-range lanes.
     fn peek_lane(&self, name: &str, lane: usize) -> Result<i64> {
         let _ = lane;
@@ -255,11 +238,11 @@ pub trait Engine: Sized + Clone + std::fmt::Debug {
     /// (`result.len() == EngineCaps::lanes`).
     ///
     /// Gated by [`EngineCaps::lanes`] > 1; the default implementation
-    /// returns [`Error::Unsupported`](crate::Error::Unsupported).
+    /// returns [`Error::Unsupported`].
     ///
     /// # Errors
     ///
-    /// [`Error::Unsupported`](crate::Error::Unsupported) on single-lane
+    /// [`Error::Unsupported`] on single-lane
     /// backends; otherwise unknown ports.
     fn peek_lanes(&self, name: &str) -> Result<Vec<i64>> {
         let _ = name;
@@ -282,17 +265,7 @@ impl Engine for crate::sim::Simulator {
     }
 
     fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            backend: "event-driven",
-            lanes: 1,
-            activity_stats: true,
-            glitch_model: true,
-            divergence_detection: true,
-            native_codegen: false,
-            fault_stuck_at: true,
-            fault_bit_flip: true,
-            fault_ram_upset: true,
-        }
+        EngineCaps { backend: "event-driven", lanes: 1 }
     }
 
     fn set_input(&mut self, name: &str, value: i64) -> Result<()> {
@@ -337,18 +310,12 @@ impl Engine for crate::sim::Simulator {
 }
 
 /// The canonical backend selector: one name per execution backend,
-/// one parse, one factory.
+/// one parse, one dispatch.
 ///
-/// Every executor that used to grow its own per-crate constructor
-/// family or ad-hoc selector enum plumbs through this one instead. Two
-/// ways to go from a `Backend` value to running code:
-///
-/// * [`Backend::build`] — erase the concrete type behind
-///   [`BoxedEngine`] when the caller only needs the [`DynEngine`]
-///   verbs;
-/// * [`Backend::dispatch`] — hand a [`BackendRunner`] the *concrete*
-///   engine type, for callers that are generic over `E: Engine`
-///   (executors, pools, partition workers).
+/// Every executor plumbs through this one selector:
+/// [`Backend::dispatch`] hands a [`BackendRunner`] the *concrete*
+/// engine type, so callers stay generic over `E: Engine` (executors,
+/// pools, partition workers) with no type-erased copy of the trait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// The scalar event-driven simulator
@@ -382,28 +349,6 @@ impl Backend {
             Backend::Compiled => "compiled",
             Backend::Jit => "jit",
         }
-    }
-
-    /// Builds a type-erased engine for `netlist` on this backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist validation errors, and for [`Backend::Jit`]
-    /// the codegen/compile/load pipeline errors
-    /// ([`Error::NativeCodegen`](crate::Error::NativeCodegen)).
-    pub fn build(self, netlist: impl Into<Arc<Netlist>>) -> Result<BoxedEngine> {
-        struct Build(Arc<Netlist>);
-        impl BackendRunner for Build {
-            type Output = Result<BoxedEngine>;
-            fn run<E>(self) -> Self::Output
-            where
-                E: Engine + Send + 'static,
-                E::Snapshot: PortableSnapshot + Send,
-            {
-                Ok(Box::new(E::from_netlist(self.0)?))
-            }
-        }
-        self.dispatch(Build(netlist.into()))
     }
 
     /// Resolves this backend to its concrete engine type and invokes
@@ -461,143 +406,6 @@ pub trait BackendRunner {
         E::Snapshot: PortableSnapshot + Send + 'static;
 }
 
-/// Object-safe subset of [`Engine`] for callers that pick a backend at
-/// runtime and don't need to be generic.
-///
-/// Snapshots are carried as portable bytes (the associated `Snapshot`
-/// type can't appear in an object-safe trait); every backend's
-/// snapshot codec round-trips bit-exactly, so `restore_bytes ∘
-/// snapshot_bytes` is identity on the architectural state.
-pub trait DynEngine: std::fmt::Debug + Send {
-    /// See [`Engine::netlist`].
-    fn netlist(&self) -> &Arc<Netlist>;
-    /// See [`Engine::caps`].
-    fn caps(&self) -> EngineCaps;
-    /// See [`Engine::set_input`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::set_input`].
-    fn set_input(&mut self, name: &str, value: i64) -> Result<()>;
-    /// See [`Engine::try_tick`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::try_tick`].
-    fn try_tick(&mut self) -> Result<()>;
-    /// See [`Engine::try_settle`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::try_settle`].
-    fn try_settle(&mut self) -> Result<()>;
-    /// See [`Engine::peek`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::peek`].
-    fn peek(&self, name: &str) -> Result<i64>;
-    /// Captures the architectural state as portable snapshot bytes.
-    fn snapshot_bytes(&self) -> Vec<u8>;
-    /// Restores state captured by
-    /// [`snapshot_bytes`](DynEngine::snapshot_bytes).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::SnapshotDecode`](crate::Error::SnapshotDecode) for
-    /// malformed bytes,
-    /// [`Error::SnapshotMismatch`](crate::Error::SnapshotMismatch) for
-    /// a different netlist shape.
-    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<()>;
-    /// See [`Engine::inject`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::inject`].
-    fn inject(&mut self, spec: &FaultSpec) -> Result<()>;
-    /// See [`Engine::clear_faults`].
-    fn clear_faults(&mut self);
-    /// See [`Engine::cycle`].
-    fn cycle(&self) -> u64;
-    /// See [`Engine::set_event_cap`].
-    fn set_event_cap(&mut self, cap: u64);
-    /// See [`Engine::set_input_lanes`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::set_input_lanes`].
-    fn set_input_lanes(&mut self, name: &str, values: &[i64]) -> Result<()>;
-    /// See [`Engine::peek_lane`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::peek_lane`].
-    fn peek_lane(&self, name: &str, lane: usize) -> Result<i64>;
-    /// See [`Engine::peek_lanes`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::peek_lanes`].
-    fn peek_lanes(&self, name: &str) -> Result<Vec<i64>>;
-}
-
-impl<E> DynEngine for E
-where
-    E: Engine + Send + 'static,
-    E::Snapshot: PortableSnapshot,
-{
-    fn netlist(&self) -> &Arc<Netlist> {
-        Engine::netlist(self)
-    }
-    fn caps(&self) -> EngineCaps {
-        Engine::caps(self)
-    }
-    fn set_input(&mut self, name: &str, value: i64) -> Result<()> {
-        Engine::set_input(self, name, value)
-    }
-    fn try_tick(&mut self) -> Result<()> {
-        Engine::try_tick(self)
-    }
-    fn try_settle(&mut self) -> Result<()> {
-        Engine::try_settle(self)
-    }
-    fn peek(&self, name: &str) -> Result<i64> {
-        Engine::peek(self, name)
-    }
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        Engine::snapshot(self).to_bytes()
-    }
-    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<()> {
-        let snapshot = E::Snapshot::from_bytes(bytes)?;
-        Engine::restore(self, &snapshot)
-    }
-    fn inject(&mut self, spec: &FaultSpec) -> Result<()> {
-        Engine::inject(self, spec)
-    }
-    fn clear_faults(&mut self) {
-        Engine::clear_faults(self)
-    }
-    fn cycle(&self) -> u64 {
-        Engine::cycle(self)
-    }
-    fn set_event_cap(&mut self, cap: u64) {
-        Engine::set_event_cap(self, cap);
-    }
-    fn set_input_lanes(&mut self, name: &str, values: &[i64]) -> Result<()> {
-        Engine::set_input_lanes(self, name, values)
-    }
-    fn peek_lane(&self, name: &str, lane: usize) -> Result<i64> {
-        Engine::peek_lane(self, name, lane)
-    }
-    fn peek_lanes(&self, name: &str) -> Result<Vec<i64>> {
-        Engine::peek_lanes(self, name)
-    }
-}
-
-/// A runtime-selected, type-erased engine as produced by
-/// [`Backend::build`].
-pub type BoxedEngine = Box<dyn DynEngine>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,42 +441,73 @@ mod tests {
         assert_eq!(Backend::default(), Backend::Event);
     }
 
+    /// Builds `tiny_netlist` on the dispatched backend and returns its
+    /// caps, its output after two edges with `x` staged, and the cycle
+    /// count.
+    struct TwoEdges(i64);
+    impl BackendRunner for TwoEdges {
+        type Output = (EngineCaps, i64, u64);
+        fn run<E>(self) -> Self::Output
+        where
+            E: Engine + Send + 'static,
+            E::Snapshot: PortableSnapshot + Send,
+        {
+            let mut engine = E::from_netlist(tiny_netlist()).unwrap();
+            // Staged inputs apply after register capture, so the
+            // registered output needs two edges on every backend.
+            engine.set_input("x", self.0).unwrap();
+            engine.try_tick().unwrap();
+            engine.try_tick().unwrap();
+            (engine.caps(), engine.peek("y").unwrap(), engine.cycle())
+        }
+    }
+
     #[test]
-    fn build_produces_working_engines_on_every_backend() {
+    fn dispatch_produces_working_engines_on_every_backend() {
         for backend in Backend::ALL {
-            let mut engine = backend.build(tiny_netlist()).unwrap();
+            let (caps, y, cycle) = backend.dispatch(TwoEdges(42));
             assert_eq!(
-                engine.caps().backend,
+                caps.backend,
                 match backend {
                     Backend::Event => "event-driven",
                     Backend::Compiled => "compiled",
                     Backend::Jit => "jit",
                 }
             );
-            // Staged inputs apply after register capture, so the
-            // registered output needs two edges on every backend.
-            engine.set_input("x", 42).unwrap();
+            assert_eq!(y, 42, "{backend}");
+            assert_eq!(cycle, 2);
+        }
+    }
+
+    /// Restores state from portable snapshot bytes after the engine has
+    /// moved on.
+    struct BytesRoundTrip;
+    impl BackendRunner for BytesRoundTrip {
+        type Output = ();
+        fn run<E>(self)
+        where
+            E: Engine + Send + 'static,
+            E::Snapshot: PortableSnapshot + Send,
+        {
+            let mut engine = E::from_netlist(tiny_netlist()).unwrap();
+            engine.set_input("x", -7).unwrap();
             engine.try_tick().unwrap();
             engine.try_tick().unwrap();
-            assert_eq!(engine.peek("y").unwrap(), 42, "{backend}");
-            assert_eq!(engine.cycle(), 2);
+            let bytes = engine.snapshot().to_bytes();
+            engine.set_input("x", 3).unwrap();
+            engine.try_tick().unwrap();
+            engine.try_tick().unwrap();
+            let backend = engine.caps().backend;
+            assert_eq!(engine.peek("y").unwrap(), 3, "{backend}");
+            engine.restore(&E::Snapshot::from_bytes(&bytes).unwrap()).unwrap();
+            assert_eq!(engine.peek("y").unwrap(), -7, "{backend}");
         }
     }
 
     #[test]
-    fn boxed_snapshot_bytes_round_trip() {
+    fn snapshot_bytes_round_trip_on_every_backend() {
         for backend in Backend::ALL {
-            let mut engine = backend.build(tiny_netlist()).unwrap();
-            engine.set_input("x", -7).unwrap();
-            engine.try_tick().unwrap();
-            engine.try_tick().unwrap();
-            let bytes = engine.snapshot_bytes();
-            engine.set_input("x", 3).unwrap();
-            engine.try_tick().unwrap();
-            engine.try_tick().unwrap();
-            assert_eq!(engine.peek("y").unwrap(), 3, "{backend}");
-            engine.restore_bytes(&bytes).unwrap();
-            assert_eq!(engine.peek("y").unwrap(), -7, "{backend}");
+            backend.dispatch(BytesRoundTrip);
         }
     }
 

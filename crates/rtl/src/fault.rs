@@ -59,6 +59,27 @@ pub enum FaultSpec {
     },
 }
 
+impl FaultSpec {
+    /// The same disturbance, moved to strike on tick `now`: the next
+    /// clock edge of an engine whose [`cycle`](crate::engine::Engine::cycle)
+    /// is `now`. Every injection point that replays a fault schedule
+    /// against a rolled-back or relocated clock (the recovery executor,
+    /// a partition shard worker) arms transients through this one rule.
+    /// A stuck-at has no cycle and is returned unchanged.
+    #[must_use]
+    pub fn strike_at(self, now: u64) -> FaultSpec {
+        match self {
+            FaultSpec::BitFlip { register, bit, .. } => {
+                FaultSpec::BitFlip { register, bit, cycle: now }
+            }
+            FaultSpec::RamUpset { ram, addr, bit, .. } => {
+                FaultSpec::RamUpset { ram, addr, bit, cycle: now }
+            }
+            stuck @ FaultSpec::StuckAt { .. } => stuck,
+        }
+    }
+}
+
 impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -231,6 +252,22 @@ mod tests {
             assert!(matches!(err, Error::FaultTarget { .. }), "{spec} resolved to {err:?}");
             assert!(!err.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn strike_at_moves_transients_and_keeps_stuck_ats() {
+        let flip = FaultSpec::BitFlip { register: "q".into(), bit: 3, cycle: 90 };
+        assert_eq!(
+            flip.strike_at(7),
+            FaultSpec::BitFlip { register: "q".into(), bit: 3, cycle: 7 }
+        );
+        let upset = FaultSpec::RamUpset { ram: "m".into(), addr: 2, bit: 1, cycle: 0 };
+        assert_eq!(
+            upset.strike_at(41),
+            FaultSpec::RamUpset { ram: "m".into(), addr: 2, bit: 1, cycle: 41 }
+        );
+        let stuck = FaultSpec::StuckAt { net: "x".into(), bit: 0, value: true };
+        assert_eq!(stuck.clone().strike_at(5), stuck);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   whose result provably fits fewer bits than their output bus get
 //!   their high output bits emitted as sign copies and the dead carry
 //!   chain above them dropped. Legality uses only *structural,
-//!   fault-invariant* facts (see [`effective_width`]): a
+//!   fault-invariant* facts (see `effective_width`): a
 //!   sign-replication strip (repeated top net of a bus is
 //!   value-invariant sign extension, even under a stuck-at on that
 //!   shared net) and full signed ranges by width. Propagated value
@@ -41,6 +41,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
+use crate::bytes::{fnv1a, hash_seed};
 use crate::cell::CellKind;
 use crate::compile::{Op, Program};
 use crate::net::Bus;
@@ -203,16 +204,6 @@ impl Emitter {
     }
 }
 
-/// FNV-1a 64-bit hash (cache keying; not cryptographic).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Translates a compiled program into a self-contained Rust `cdylib`
 /// source exporting the kernel entry points.
 fn generate(netlist: &Netlist, program: &Program) -> Generated {
@@ -223,7 +214,8 @@ fn generate(netlist: &Netlist, program: &Program) -> Generated {
     // source must not steer native loads or stores out of bounds.
     assert!(elide.iter().all(|(&d, &s)| d.max(s) < program.zero), "netlist and program disagree");
 
-    let abi = fnv64(
+    let abi = fnv1a(
+        hash_seed(),
         format!("dwt-jit-abi v4 slots={} ram={}", program.slots, program.ram_planes * BLOCKS)
             .as_bytes(),
     );
@@ -684,7 +676,6 @@ impl NativeKernel {
 impl Kernel for NativeKernel {
     const BLOCKS: usize = BLOCKS;
     const BACKEND: &'static str = "jit";
-    const NATIVE: bool = true;
     type Clamps = ClampMasks;
 
     fn build(netlist: &Netlist, program: &Program) -> Result<Self> {
@@ -802,6 +793,12 @@ const RUSTC_FLAGS: [&str; 10] = [
     "llvm-args=-align-all-functions=6",
 ];
 
+/// The kernel cache key of one generated source: the FNV-1a hash of
+/// [`RUSTC_FLAGS`] and the source.
+fn cache_key(source: &str) -> u64 {
+    fnv1a(hash_seed(), format!("{RUSTC_FLAGS:?}\n{source}").as_bytes())
+}
+
 /// Compiles (or reuses from cache) and loads the kernel for one
 /// generated source.
 ///
@@ -812,7 +809,7 @@ const RUSTC_FLAGS: [&str; 10] = [
 /// makes concurrent builds of the same design (parallel test binaries)
 /// race-free.
 fn build_kernel(source: &str, abi: u64) -> Result<native::JitFns> {
-    let hash = fnv64(format!("{RUSTC_FLAGS:?}\n{source}").as_bytes());
+    let hash = cache_key(source);
     let registry = KERNELS.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = registry.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     if let Some(&fns) = map.get(&hash) {
@@ -861,6 +858,8 @@ fn build_kernel(source: &str, abi: u64) -> Result<native::JitFns> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PINNED_KEY: u64 = 0x7adc_f6e6_456b_cdfa;
     use crate::builder::NetlistBuilder;
     use crate::engine::Engine;
     use crate::fault::FaultSpec;
@@ -947,6 +946,14 @@ mod tests {
         let b = JitEngine::new(mixed_netlist()).unwrap();
         assert_eq!(a.codegen_stats(), b.codegen_stats());
         assert_eq!(Engine::caps(&a).lanes, LANES);
-        assert!(Engine::caps(&b).native_codegen);
+        assert_eq!(Engine::caps(&b).backend, "jit");
+    }
+
+    /// Pins the kernel cache key of a fixed source, so a change to the
+    /// hash behind it (which would silently orphan every cached kernel)
+    /// fails here.
+    #[test]
+    fn cache_key_is_pinned() {
+        assert_eq!(cache_key("pub fn kernel() {}"), PINNED_KEY);
     }
 }

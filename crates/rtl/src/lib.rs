@@ -53,6 +53,7 @@
 #![deny(unsafe_code)]
 
 pub mod builder;
+pub mod bytes;
 pub mod cell;
 pub mod compile;
 pub mod dot;
@@ -67,7 +68,6 @@ mod proptests;
 pub mod query;
 pub mod sim;
 pub mod sliced;
-pub(crate) mod snapbytes;
 pub mod stats;
 pub mod vcd;
 

@@ -12,12 +12,12 @@
 
 use std::sync::Arc;
 
+use crate::bytes::{ByteReader, ByteWriter};
 use crate::cell::CellKind;
 use crate::error::{Error, Result};
 use crate::fault::{self, FaultSpec, ResolvedFault};
 use crate::net::{bits_to_signed, signed_to_bits, Bus, NetId};
 use crate::netlist::{CellId, Netlist, PortDirection};
-use crate::snapbytes::{ByteReader, ByteWriter};
 
 /// Per-cell and aggregate switching-activity counters.
 ///
@@ -157,18 +157,11 @@ const SNAPSHOT_TAG: u8 = b'E';
 const SNAPSHOT_VERSION: u8 = 1;
 
 fn write_bus(w: &mut ByteWriter, bus: &Bus) {
-    w.len(bus.width());
-    for &net in bus.bits() {
-        w.u32(net.index() as u32);
-    }
+    w.seq(bus.bits(), |w, &net| w.u32(net.index() as u32));
 }
 
 fn read_bus(r: &mut ByteReader<'_>) -> Result<Bus> {
-    let width = r.len(4)?;
-    let mut bits = Vec::with_capacity(width);
-    for _ in 0..width {
-        bits.push(NetId(r.u32()?));
-    }
+    let bits = r.seq(4, |r| Ok(NetId(r.u32()?)))?;
     Bus::new(bits).map_err(|e| Error::SnapshotDecode { detail: format!("bad bus: {e}") })
 }
 
@@ -177,77 +170,50 @@ impl crate::engine::PortableSnapshot for Snapshot {
         let mut w = ByteWriter::new();
         w.u8(SNAPSHOT_TAG);
         w.u8(SNAPSHOT_VERSION);
-        w.len(self.values.len());
-        for &v in &self.values {
-            w.bool(v);
-        }
-        w.len(self.projected.len());
-        for &v in &self.projected {
-            w.bool(v);
-        }
-        w.len(self.staged_inputs.len());
-        for (bus, value) in &self.staged_inputs {
-            write_bus(&mut w, bus);
+        w.seq(&self.values, |w, &v| w.bool(v));
+        w.seq(&self.projected, |w, &v| w.bool(v));
+        w.seq(&self.staged_inputs, |w, (bus, value)| {
+            write_bus(w, bus);
             w.i64(*value);
-        }
-        w.len(self.stats.cell_toggles.len());
-        for &t in &self.stats.cell_toggles {
-            w.u64(t);
-        }
+        });
+        w.seq(&self.stats.cell_toggles, |w, &t| w.u64(t));
         w.u64(self.stats.routed_toggles);
         w.u64(self.stats.local_toggles);
         w.u64(self.stats.carry_toggles);
         w.u64(self.stats.ff_toggles);
         w.u64(self.stats.cycles);
-        w.len(self.pending.len());
-        for queue in &self.pending {
+        w.seq(&self.pending, |w, queue| {
             w.len(queue.len());
             for &(at, value) in queue {
                 w.u32(at);
                 w.bool(value);
             }
-        }
-        w.len(self.wheel.len());
-        for &std::cmp::Reverse((at, tier, net, value)) in &self.wheel {
+        });
+        w.seq(&self.wheel, |w, &std::cmp::Reverse((at, tier, net, value))| {
             w.u32(at);
             w.u8(tier);
             w.u32(net);
             w.bool(value);
-        }
-        w.len(self.enqueued_at.len());
-        for &at in &self.enqueued_at {
-            w.u32(at);
-        }
-        w.len(self.ram_contents.len());
-        for ram in &self.ram_contents {
-            w.len(ram.len());
-            for &word in ram {
-                w.i64(word);
-            }
-        }
-        w.len(self.carry_state.len());
-        for &s in &self.carry_state {
-            w.u64(s);
-        }
+        });
+        w.seq(&self.enqueued_at, |w, &at| w.u32(at));
+        w.seq(&self.ram_contents, |w, ram| w.seq(ram, |w, &word| w.i64(word)));
+        w.seq(&self.carry_state, |w, &s| w.u64(s));
         w.u64(self.cycle);
-        w.len(self.stuck.len());
-        for &(net, value) in &self.stuck {
+        w.seq(&self.stuck, |w, &(net, value)| {
             w.u32(net);
             w.bool(value);
-        }
-        w.len(self.flips.len());
-        for &(cell, bit, cycle) in &self.flips {
+        });
+        w.seq(&self.flips, |w, &(cell, bit, cycle)| {
             w.u32(cell.index() as u32);
             w.usize(bit);
             w.u64(cycle);
-        }
-        w.len(self.ram_upsets.len());
-        for &(cell, addr, bit, cycle) in &self.ram_upsets {
+        });
+        w.seq(&self.ram_upsets, |w, &(cell, addr, bit, cycle)| {
             w.u32(cell.index() as u32);
             w.usize(addr);
             w.usize(bit);
             w.u64(cycle);
-        }
+        });
         w.u64(self.event_cap);
         match self.last_eval {
             None => w.u8(0),
@@ -273,88 +239,27 @@ impl crate::engine::PortableSnapshot for Snapshot {
                 detail: format!("unsupported snapshot version {version}"),
             });
         }
-        let mut values = Vec::with_capacity(r.len(1)?);
-        for _ in 0..values.capacity() {
-            values.push(r.bool()?);
-        }
-        let mut projected = Vec::with_capacity(r.len(1)?);
-        for _ in 0..projected.capacity() {
-            projected.push(r.bool()?);
-        }
-        let mut staged_inputs = Vec::with_capacity(r.len(4)?);
-        for _ in 0..staged_inputs.capacity() {
-            let bus = read_bus(&mut r)?;
-            let value = r.i64()?;
-            staged_inputs.push((bus, value));
-        }
-        let mut cell_toggles = Vec::with_capacity(r.len(8)?);
-        for _ in 0..cell_toggles.capacity() {
-            cell_toggles.push(r.u64()?);
-        }
+        let values = r.seq(1, ByteReader::bool)?;
+        let projected = r.seq(1, ByteReader::bool)?;
+        let staged_inputs = r.seq(4, |r| Ok((read_bus(r)?, r.i64()?)))?;
         let stats = ActivityStats {
-            cell_toggles,
+            cell_toggles: r.seq(8, ByteReader::u64)?,
             routed_toggles: r.u64()?,
             local_toggles: r.u64()?,
             carry_toggles: r.u64()?,
             ff_toggles: r.u64()?,
             cycles: r.u64()?,
         };
-        let mut pending = Vec::with_capacity(r.len(4)?);
-        for _ in 0..pending.capacity() {
-            let mut queue = std::collections::VecDeque::with_capacity(r.len(5)?);
-            for _ in 0..queue.capacity() {
-                let at = r.u32()?;
-                let value = r.bool()?;
-                queue.push_back((at, value));
-            }
-            pending.push(queue);
-        }
-        let mut wheel = Vec::with_capacity(r.len(10)?);
-        for _ in 0..wheel.capacity() {
-            let at = r.u32()?;
-            let tier = r.u8()?;
-            let net = r.u32()?;
-            let value = r.bool()?;
-            wheel.push(std::cmp::Reverse((at, tier, net, value)));
-        }
-        let mut enqueued_at = Vec::with_capacity(r.len(4)?);
-        for _ in 0..enqueued_at.capacity() {
-            enqueued_at.push(r.u32()?);
-        }
-        let mut ram_contents = Vec::with_capacity(r.len(4)?);
-        for _ in 0..ram_contents.capacity() {
-            let mut ram = Vec::with_capacity(r.len(8)?);
-            for _ in 0..ram.capacity() {
-                ram.push(r.i64()?);
-            }
-            ram_contents.push(ram);
-        }
-        let mut carry_state = Vec::with_capacity(r.len(8)?);
-        for _ in 0..carry_state.capacity() {
-            carry_state.push(r.u64()?);
-        }
+        let pending = r.seq(4, |r| Ok(r.seq(5, |r| Ok((r.u32()?, r.bool()?)))?.into()))?;
+        let wheel =
+            r.seq(10, |r| Ok(std::cmp::Reverse((r.u32()?, r.u8()?, r.u32()?, r.bool()?))))?;
+        let enqueued_at = r.seq(4, ByteReader::u32)?;
+        let ram_contents = r.seq(4, |r| r.seq(8, ByteReader::i64))?;
+        let carry_state = r.seq(8, ByteReader::u64)?;
         let cycle = r.u64()?;
-        let mut stuck = Vec::with_capacity(r.len(5)?);
-        for _ in 0..stuck.capacity() {
-            let net = r.u32()?;
-            let value = r.bool()?;
-            stuck.push((net, value));
-        }
-        let mut flips = Vec::with_capacity(r.len(20)?);
-        for _ in 0..flips.capacity() {
-            let cell = CellId(r.u32()?);
-            let bit = r.usize()?;
-            let due = r.u64()?;
-            flips.push((cell, bit, due));
-        }
-        let mut ram_upsets = Vec::with_capacity(r.len(28)?);
-        for _ in 0..ram_upsets.capacity() {
-            let cell = CellId(r.u32()?);
-            let addr = r.usize()?;
-            let bit = r.usize()?;
-            let due = r.u64()?;
-            ram_upsets.push((cell, addr, bit, due));
-        }
+        let stuck = r.seq(5, |r| Ok((r.u32()?, r.bool()?)))?;
+        let flips = r.seq(20, |r| Ok((CellId(r.u32()?), r.usize()?, r.u64()?)))?;
+        let ram_upsets = r.seq(28, |r| Ok((CellId(r.u32()?), r.usize()?, r.usize()?, r.u64()?)))?;
         let event_cap = r.u64()?;
         let last_eval = match r.u8()? {
             0 => None,

@@ -40,11 +40,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::bytes::{ByteReader, ByteWriter};
 use crate::compile::Program;
 use crate::engine::{Engine, EngineCaps, PortableSnapshot};
 use crate::fault::{self, FaultSpec, ResolvedFault};
 use crate::netlist::{CellId, Netlist, PortDirection};
-use crate::snapbytes::{ByteReader, ByteWriter};
 use crate::{Error, Result};
 
 /// All 64 lanes of one block set.
@@ -62,9 +62,6 @@ pub trait Kernel: Clone + fmt::Debug {
     const BLOCKS: usize;
     /// Report name ([`EngineCaps::backend`]).
     const BACKEND: &'static str;
-    /// Whether the passes run natively compiled code
-    /// ([`EngineCaps::native_codegen`]).
-    const NATIVE: bool;
     /// The armed stuck-at faults in the form the `CLAMPED` eval reads.
     type Clamps: Clone + fmt::Debug + Default;
 
@@ -585,17 +582,7 @@ impl<K: Kernel> Engine for Sliced<K> {
     }
 
     fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            backend: K::BACKEND,
-            lanes: Self::LANES,
-            activity_stats: false,
-            glitch_model: false,
-            divergence_detection: false,
-            native_codegen: K::NATIVE,
-            fault_stuck_at: true,
-            fault_bit_flip: true,
-            fault_ram_upset: true,
-        }
+        EngineCaps { backend: K::BACKEND, lanes: Self::LANES }
     }
 
     fn set_input(&mut self, name: &str, value: i64) -> Result<()> {
@@ -777,22 +764,6 @@ const SNAPSHOT_TAG: u8 = b'S';
 /// misread.
 const SNAPSHOT_VERSION: u8 = 4;
 
-/// Decodes a length-prefixed collection whose elements are at least
-/// `min_bytes` wide, so a corrupt length cannot reserve more than the
-/// remaining input can back.
-fn read_vec<'a, T>(
-    r: &mut ByteReader<'a>,
-    min_bytes: usize,
-    mut item: impl FnMut(&mut ByteReader<'a>) -> Result<T>,
-) -> Result<Vec<T>> {
-    let n = r.len(min_bytes)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(item(r)?);
-    }
-    Ok(out)
-}
-
 impl PortableSnapshot for SlicedSnapshot {
     fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -801,34 +772,28 @@ impl PortableSnapshot for SlicedSnapshot {
         w.usize(self.lanes);
         w.usize(self.nets);
         w.usize(self.cells);
-        for plane in [&self.words, &self.ram] {
-            w.len(plane.len());
-            plane.iter().for_each(|&word| w.u64(word));
-        }
-        w.len(self.staged.len());
-        for s in &self.staged {
+        w.seq(&self.words, |w, &word| w.u64(word));
+        w.seq(&self.ram, |w, &word| w.u64(word));
+        w.seq(&self.staged, |w, s| {
             w.u32(s.idx);
             w.u64(s.mask);
             w.u64(s.bits);
-        }
-        w.len(self.stuck.len());
-        for &(net, value) in &self.stuck {
+        });
+        w.seq(&self.stuck, |w, &(net, value)| {
             w.u32(net);
             w.bool(value);
-        }
-        w.len(self.flips.len());
-        for &(cell, bit, cycle) in &self.flips {
+        });
+        w.seq(&self.flips, |w, &(cell, bit, cycle)| {
             w.u32(cell.index() as u32);
             w.usize(bit);
             w.u64(cycle);
-        }
-        w.len(self.ram_upsets.len());
-        for &(cell, addr, bit, cycle) in &self.ram_upsets {
+        });
+        w.seq(&self.ram_upsets, |w, &(cell, addr, bit, cycle)| {
             w.u32(cell.index() as u32);
             w.usize(addr);
             w.usize(bit);
             w.u64(cycle);
-        }
+        });
         w.u64(self.cycle);
         w.finish()
     }
@@ -844,15 +809,13 @@ impl PortableSnapshot for SlicedSnapshot {
             });
         }
         let (lanes, nets, cells) = (r.usize()?, r.usize()?, r.usize()?);
-        let words = read_vec(&mut r, 8, ByteReader::u64)?;
-        let ram = read_vec(&mut r, 8, ByteReader::u64)?;
-        let staged = read_vec(&mut r, 20, |r| {
-            Ok(StagedWord { idx: r.u32()?, mask: r.u64()?, bits: r.u64()? })
-        })?;
-        let stuck = read_vec(&mut r, 5, |r| Ok((r.u32()?, r.bool()?)))?;
-        let flips = read_vec(&mut r, 20, |r| Ok((CellId(r.u32()?), r.usize()?, r.u64()?)))?;
-        let ram_upsets =
-            read_vec(&mut r, 28, |r| Ok((CellId(r.u32()?), r.usize()?, r.usize()?, r.u64()?)))?;
+        let words = r.seq(8, ByteReader::u64)?;
+        let ram = r.seq(8, ByteReader::u64)?;
+        let staged =
+            r.seq(20, |r| Ok(StagedWord { idx: r.u32()?, mask: r.u64()?, bits: r.u64()? }))?;
+        let stuck = r.seq(5, |r| Ok((r.u32()?, r.bool()?)))?;
+        let flips = r.seq(20, |r| Ok((CellId(r.u32()?), r.usize()?, r.u64()?)))?;
+        let ram_upsets = r.seq(28, |r| Ok((CellId(r.u32()?), r.usize()?, r.usize()?, r.u64()?)))?;
         let cycle = r.u64()?;
         r.finish()?;
         Ok(SlicedSnapshot {

@@ -9,7 +9,7 @@
 //! because the environment it sets holds for the whole process.
 
 use dwt_rtl::builder::NetlistBuilder;
-use dwt_rtl::engine::{Backend, Engine};
+use dwt_rtl::engine::{Backend, BackendRunner, Engine, PortableSnapshot};
 use dwt_rtl::jit::JitEngine;
 use dwt_rtl::netlist::Netlist;
 use dwt_rtl::Error;
@@ -24,6 +24,25 @@ fn netlist() -> Netlist {
     let q = b.register("q", &sum).unwrap();
     b.output("s", &q).unwrap();
     b.finish().unwrap()
+}
+
+/// Builds [`netlist`] on the dispatched backend, ticks `x = 3`,
+/// `y = 4` through two edges, and returns the registered sum.
+struct TickSum;
+impl BackendRunner for TickSum {
+    type Output = Result<i64, Error>;
+    fn run<E>(self) -> Self::Output
+    where
+        E: Engine + Send + 'static,
+        E::Snapshot: PortableSnapshot + Send + 'static,
+    {
+        let mut engine = E::from_netlist(netlist())?;
+        engine.set_input("x", 3)?;
+        engine.set_input("y", 4)?;
+        engine.try_tick()?;
+        engine.try_tick()?;
+        engine.peek("s")
+    }
 }
 
 /// `err` is the codegen pipeline failing to start the compiler.
@@ -49,7 +68,7 @@ fn a_missing_compiler_is_a_typed_error_on_both_entry_points() {
     std::env::set_var("DWT_JIT_CACHE", &cache);
 
     assert_names_the_compiler(&JitEngine::from_netlist(netlist()).unwrap_err());
-    assert_names_the_compiler(&Backend::Jit.build(netlist()).unwrap_err());
+    assert_names_the_compiler(&Backend::Jit.dispatch(TickSum).unwrap_err());
     let libraries = std::fs::read_dir(&cache)
         .expect("cache dir")
         .filter(|e| {
@@ -62,12 +81,7 @@ fn a_missing_compiler_is_a_typed_error_on_both_entry_points() {
 
     // The other backends need no compiler.
     for backend in [Backend::Event, Backend::Compiled] {
-        let mut engine = backend.build(netlist()).unwrap();
-        engine.set_input("x", 3).unwrap();
-        engine.set_input("y", 4).unwrap();
-        engine.try_tick().unwrap();
-        engine.try_tick().unwrap();
-        assert_eq!(engine.peek("s").unwrap(), 7, "{backend}");
+        assert_eq!(backend.dispatch(TickSum).unwrap(), 7, "{backend}");
     }
     let _ = std::fs::remove_dir_all(&cache);
 }

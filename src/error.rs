@@ -7,7 +7,7 @@
 //! three or four of them by hand at every `?`. [`DwtError`] is the
 //! single sum type those callers propagate: every member crate's error
 //! converts into it with `From`, so one `Result<T, DwtError>` (or the
-//! [`Result`](crate::Result) alias) spans the whole stack.
+//! [`Result`] alias) spans the whole stack.
 
 use std::error::Error as StdError;
 use std::fmt;
