@@ -7,7 +7,9 @@
 //! cuts it exactly the way the coordinator did (same min-cut, same
 //! options — the cut fingerprint in the Hello frame proves it),
 //! connects to the hub's Unix-domain socket, and hands its shard to
-//! [`dwt_partition::run_worker`].
+//! [`dwt_partition::run_worker`]. Control frames travel on that socket;
+//! boundary frames travel on one socket per boundary link, opened
+//! afresh at every rollback in the directory that holds `--socket`.
 //!
 //! Usage: `dwt_partition_worker --design N --parts N --shard W
 //! --socket PATH [--backend event|compiled|jit]`
@@ -18,7 +20,7 @@
 //! usage error; 137, as for SIGKILL, when a chaos kill ends the worker.
 
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use dwt_arch::designs::Design;
 use dwt_bench::campaign::{flag_value, parse_design, unknown_flag, CampaignArgs, UsageError};
@@ -68,6 +70,8 @@ struct Worker<'a> {
     cut: &'a PartitionedNetlist,
     shard: usize,
     transport: SocketTransport,
+    /// Where the link sockets meet.
+    links: &'a Path,
 }
 
 impl BackendRunner for Worker<'_> {
@@ -78,7 +82,7 @@ impl BackendRunner for Worker<'_> {
         E: Engine + Send + 'static,
         E::Snapshot: PortableSnapshot + Send + 'static,
     {
-        run_worker::<E, _>(self.cut, self.shard, self.transport)
+        run_worker::<E, _>(self.cut, self.shard, self.transport, self.links)
     }
 }
 
@@ -90,8 +94,9 @@ fn run(args: &WorkerArgs) -> Result<bool, String> {
     let stream = UnixStream::connect(&args.socket)
         .map_err(|e| format!("connecting {}: {e}", args.socket.display()))?;
     let transport = SocketTransport::new(stream);
+    let links = args.socket.parent().unwrap_or(Path::new("."));
     args.backend
-        .dispatch(Worker { cut: &cut, shard: args.shard, transport })
+        .dispatch(Worker { cut: &cut, shard: args.shard, transport, links })
         .map_err(|e| format!("shard {}: {e}", args.shard))
 }
 

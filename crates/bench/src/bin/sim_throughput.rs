@@ -3,8 +3,11 @@
 //!
 //! Each design's netlist is driven with the same seeded stimulus on
 //! every backend and timed wall-clock: [`RUNS`] rounds per design, each
-//! round one run per backend, and each backend's figure is the median
-//! of its rounds, so one noisy run on a busy host moves no gate. The
+//! round one run per backend, every run repeated until it covers at
+//! least 10 ms. Each backend's figure is the median of its rounds, and
+//! the jit-over-compiled speedup is the median of the per-round ratios,
+//! each round timing the two back to back, so load that slows both
+//! cancels and one noisy run on a busy host moves no gate. The
 //! honest unit is **samples per second**: every tick consumes one
 //! `(even, odd)` pair per lane, so the event-driven simulator processes
 //! `2 × pairs` samples per run while the lane-parallel backends — fed
@@ -87,6 +90,8 @@ struct Row {
     event_samples_per_sec: f64,
     compiled_samples_per_sec: f64,
     jit_samples_per_sec: f64,
+    /// The median over rounds of jit over compiled samples per second.
+    jit_speedup: f64,
     op_count: usize,
     levels: usize,
     /// Block moves (and ring rotations) of one register commit.
@@ -96,10 +101,6 @@ struct Row {
 impl Row {
     fn speedup(&self) -> f64 {
         self.compiled_samples_per_sec / self.event_samples_per_sec
-    }
-
-    fn jit_speedup(&self) -> f64 {
-        self.jit_samples_per_sec / self.compiled_samples_per_sec
     }
 
     fn roofline(&self, samples_per_sec: f64) -> f64 {
@@ -134,31 +135,29 @@ fn time_golden(stimulus: &[(i64, i64)]) -> f64 {
 /// Drives the stimulus through a fresh engine of type `E`, using the
 /// trait's lane verbs when the backend advertises more than one lane
 /// (lane `l` runs the stimulus rotated by `l`, so every lane carries
-/// real, different data), reading outputs back every cycle. Returns
-/// samples per second.
+/// real, different data), reading outputs back every cycle. Like
+/// [`time_golden`], the pass repeats until it covers at least ~10ms.
+/// Returns samples per second.
 fn time_backend<E: Engine>(netlist: &Arc<Netlist>, stimulus: &[(i64, i64)]) -> f64 {
     let mut sim = E::from_netlist(Arc::clone(netlist)).expect("engine build");
     let lanes = sim.caps().lanes;
     let n = stimulus.len();
-    let start = Instant::now();
-    let mut checksum = 0i64;
-    if lanes == 1 {
-        for &(e, o) in stimulus {
-            sim.set_input("in_even", e).expect("in_even");
-            sim.set_input("in_odd", o).expect("in_odd");
-            sim.try_tick().expect("tick");
-            checksum = checksum
-                .wrapping_add(sim.peek("low").expect("low"))
-                .wrapping_add(sim.peek("high").expect("high"));
-        }
-    } else {
-        let mut evens = vec![0i64; lanes];
-        let mut odds = vec![0i64; lanes];
+    let (mut evens, mut odds) = (vec![0i64; lanes], vec![0i64; lanes]);
+    let mut pass = |sim: &mut E| {
+        let mut checksum = 0i64;
         for t in 0..n {
+            if lanes == 1 {
+                let (e, o) = stimulus[t];
+                sim.set_input("in_even", e).expect("in_even");
+                sim.set_input("in_odd", o).expect("in_odd");
+                sim.try_tick().expect("tick");
+                checksum = checksum
+                    .wrapping_add(sim.peek("low").expect("low"))
+                    .wrapping_add(sim.peek("high").expect("high"));
+                continue;
+            }
             for lane in 0..lanes {
-                let (e, o) = stimulus[(t + lane) % n];
-                evens[lane] = e;
-                odds[lane] = o;
+                (evens[lane], odds[lane]) = stimulus[(t + lane) % n];
             }
             sim.set_input_lanes("in_even", &evens).expect("in_even");
             sim.set_input_lanes("in_odd", &odds).expect("in_odd");
@@ -167,10 +166,22 @@ fn time_backend<E: Engine>(netlist: &Arc<Netlist>, stimulus: &[(i64, i64)]) -> f
             let high = sim.peek_lanes("high").expect("high");
             checksum = checksum.wrapping_add(low[0]).wrapping_add(high[0]);
         }
+        checksum
+    };
+    let mut reps = 1u32;
+    loop {
+        let start = Instant::now();
+        let mut checksum = 0i64;
+        for _ in 0..reps {
+            checksum = checksum.wrapping_add(pass(&mut sim));
+        }
+        let secs = start.elapsed().as_secs_f64();
+        std::hint::black_box(checksum);
+        if secs >= 0.01 || reps >= 1 << 20 {
+            return 2.0 * (n * lanes) as f64 * f64::from(reps) / secs;
+        }
+        reps *= 4;
     }
-    let secs = start.elapsed().as_secs_f64();
-    std::hint::black_box(checksum);
-    2.0 * (n * lanes) as f64 / secs
 }
 
 /// The median of `RUNS` figures.
@@ -208,7 +219,7 @@ fn json_report(args: &Args, rows: &[Row]) -> String {
             r.compiled_samples_per_sec,
             r.jit_samples_per_sec,
             r.speedup(),
-            r.jit_speedup(),
+            r.jit_speedup,
             r.roofline(r.compiled_samples_per_sec),
             r.roofline(r.jit_samples_per_sec),
         );
@@ -259,6 +270,7 @@ fn main() {
             event_samples_per_sec: median(event),
             compiled_samples_per_sec: median(compiled),
             jit_samples_per_sec: median(jit),
+            jit_speedup: median(std::array::from_fn(|run| jit[run] / compiled[run])),
             op_count: probe.program().op_count(),
             levels: probe.program().levels(),
             commit_blocks: probe.program().commit_blocks(),
@@ -272,7 +284,7 @@ fn main() {
             row.compiled_samples_per_sec,
             row.jit_samples_per_sec,
             row.speedup(),
-            row.jit_speedup(),
+            row.jit_speedup,
             row.roofline(row.jit_samples_per_sec) * 100.0,
         );
         rows.push(row);
@@ -307,7 +319,7 @@ fn main() {
         // to pay for its compile cost, and where interpreter dispatch
         // overhead is already best amortised (hardest case for jit).
         let last = rows.last().expect("at least one design");
-        let got = last.jit_speedup();
+        let got = last.jit_speedup;
         if got < floor {
             eprintln!(
                 "FAIL: {} jit-over-compiled speedup {got:.2}x below --min-jit-speedup {floor}",

@@ -6,7 +6,8 @@
 //! bit-for-bit against a single-engine run of the unsplit netlist.
 //! The matrix covers two paper designs, two shard counts and both
 //! simulation backends; the chaos tests layer a killed worker mid-window,
-//! heartbeat stalls past the watchdog, and torn durable
+//! two workers killed in successive windows of one frame, heartbeat
+//! stalls past the watchdog, and torn durable
 //! snapshots on top — all of which must recover with zero silent data
 //! corruption. The restart test kills the *coordinator* (stops it after
 //! a durable barrier) and proves a fresh one resumes from the store,
@@ -201,6 +202,25 @@ fn sigkill_mid_window_recovers_bit_exactly_across_the_matrix() {
         assert!(report.recoveries >= 1, "SIGKILL provoked no recovery");
         assert!(report.respawns >= 1, "SIGKILL provoked no respawn");
         assert!(!report.detections.is_empty());
+    }
+}
+
+#[test]
+fn two_kills_in_one_frame_recover_onto_fresh_links_across_the_matrix() {
+    for combo in combos() {
+        let config = combo.processes(None);
+        let chaos = ChaosPlan {
+            // Worker 0 dies in the second barrier window and worker 1 in
+            // the third: the second respawn must join the links of the
+            // generation after the first recovery's.
+            kills: vec![(0, INTERVAL + INTERVAL / 2), (1, 2 * INTERVAL + INTERVAL / 2)],
+            ..ChaosPlan::default()
+        };
+        let report = run_combo(&combo, config, &chaos);
+        assert_bit_exact(&combo, &report, "two kills");
+        assert!(report.completed);
+        assert!(report.recoveries >= 2, "two kills provoked {} recoveries", report.recoveries);
+        assert!(report.respawns >= 2, "two kills provoked {} respawns", report.respawns);
     }
 }
 

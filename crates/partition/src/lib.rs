@@ -28,10 +28,11 @@
 //!    caller-supplied software-golden fallback, before giving up with
 //!    a typed error.
 //! 4. [`proc`] — process isolation for the same protocol: worker
-//!    processes admitted by cut fingerprint, a socket hub that routes
-//!    every frame, and a durable barrier [`store`] a restarted
-//!    coordinator resumes from. [`Isolation`] picks threads or
-//!    processes; nothing else differs.
+//!    processes admitted by cut fingerprint, a socket hub for control
+//!    frames, one socket per boundary link per rollback generation,
+//!    and a durable barrier [`store`] a restarted coordinator resumes
+//!    from. [`Isolation`] picks threads or processes; nothing else
+//!    differs.
 //!
 //! [`Engine`]: dwt_rtl::engine::Engine
 

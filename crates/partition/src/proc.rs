@@ -16,18 +16,19 @@
 //!   [`fingerprint`](PartitionedNetlist::fingerprint): a worker
 //!   launched against the wrong design or part count is refused before
 //!   it can pollute the run.
-//! * **Hub routing.** Every frame goes through the hub: batches and
-//!   rollbacks out, reports and faults in. Each worker's reader thread
-//!   routes its boundary frames straight to the consumer (link index
-//!   rewritten from the producer's outgoing numbering to the consumer's
-//!   incoming numbering) and relays its heartbeats to its consumers, so
-//!   a waiting consumer can tell a slow producer from a dead one even
-//!   while the coordinator is busy checking or persisting a barrier.
-//!   Heartbeats go out at most four times per watchdog window. Frames
-//!   carry a rollback generation, and both ends drop older ones.
-//!   Snapshots cross the socket as [`PortableSnapshot`] bytes —
-//!   backend-tagged and versioned, so a restore on the wrong backend
-//!   fails loudly.
+//! * **Links.** The hub socket carries control frames only. Boundary
+//!   frames travel point to point, as in thread mode, on links that
+//!   live for one rollback generation: every generation, the first one
+//!   included, begins with a [`Frame::Rollback`], on which the consumer
+//!   of link `k` binds `g<gen>-l<k>.sock` in the hub's socket directory
+//!   (unlinked once accepted) and the producer connects to it. So a
+//!   respawned worker only ever meets the current generation's peers,
+//!   and a stale value can never alias its replayed successor. A
+//!   producer's heartbeats, at most four per watchdog window, go down
+//!   each link as well as to the hub, so a waiting consumer tells a
+//!   slow producer from a dead one. Snapshots cross the hub socket as
+//!   [`PortableSnapshot`] bytes — backend-tagged and versioned, so a
+//!   restore on the wrong backend fails loudly.
 //! * **The durable store.** With a store directory, every committed
 //!   barrier is written to a [`RunStore`] (tmp file, fsync, atomic
 //!   rename) and becomes the rollback target.
@@ -37,19 +38,18 @@
 //!   A store written for another cut is refused.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dwt_rtl::engine::{Engine, PortableSnapshot};
 
 use crate::channel::BoundaryMsg;
-use crate::cut::PartitionedNetlist;
+use crate::cut::{BoundaryLink, PartitionedNetlist};
 use crate::error::PartitionError;
 use crate::runner::{
     Barrier, Batch, BatchReport, DetectionKind, Fleet, Next, Polled, Resp, Worker, WorkerIo,
@@ -57,6 +57,11 @@ use crate::runner::{
 use crate::store::{BarrierRecord, RunStore};
 use crate::transport::{RecvError, SocketTransport, Transport};
 use crate::wire::Frame;
+
+/// How long a worker process may take to start, build its engine and
+/// say Hello (slow in debug builds or on a cold jit cache), and how
+/// long a worker waits for its peers to open a generation's links.
+const ADMISSION: Duration = Duration::from_secs(20);
 
 fn spawn_err(detail: impl Into<String>) -> PartitionError {
     PartitionError::Spawn { detail: detail.into() }
@@ -75,17 +80,34 @@ pub struct WorkerLauncher {
 
 // ------------------------------------------------------------- worker
 
-/// A worker process's I/O: every frame over one transport to the hub.
-struct SocketIo<T> {
+/// One generation's boundary links, in the worker's link order.
+struct Links {
+    outs: Vec<SocketTransport>,
+    /// Per in-link: the socket and its producer's last beat count.
+    ins: Vec<(SocketTransport, u64)>,
+}
+
+/// An in-link's listening socket, unlinked once dropped.
+struct Listening(UnixListener, PathBuf);
+
+impl Drop for Listening {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.1);
+    }
+}
+
+/// A worker process's I/O: control frames over one transport to the
+/// hub, boundary frames over this generation's link sockets.
+struct SocketIo<'p, T> {
     transport: T,
     worker: u32,
+    /// The cut's links; this worker's are those it produces or consumes.
+    links: &'p [BoundaryLink],
+    /// Where the link sockets meet.
+    dir: &'p Path,
     generation: u64,
-    /// Producer shard of each in-link.
-    in_from: Vec<usize>,
-    /// Boundary messages routed here and not consumed yet, per in-link.
-    inbox: Vec<VecDeque<BoundaryMsg>>,
-    /// The last relayed beat count of each in-link's producer.
-    producer: Vec<u64>,
+    /// `None` before the first rollback and after a failed rendezvous.
+    open: Option<Links>,
     /// Batches that arrived while an earlier one ran.
     batches: VecDeque<Batch>,
     /// A rollback or shutdown that preempted the running batch.
@@ -94,25 +116,27 @@ struct SocketIo<T> {
     last_beat: Option<Instant>,
 }
 
-impl<T: Transport> SocketIo<T> {
-    /// Reads one frame and files it. Frames of an older generation are
-    /// dropped.
+impl<'p, T: Transport> SocketIo<'p, T> {
+    fn new(transport: T, worker: u32, links: &'p [BoundaryLink], dir: &'p Path) -> Self {
+        SocketIo {
+            transport,
+            worker,
+            links,
+            dir,
+            generation: 0,
+            open: None,
+            batches: VecDeque::new(),
+            control: None,
+            beats: 0,
+            last_beat: None,
+        }
+    }
+
+    /// Reads one hub frame and files it. Batches of an older generation
+    /// are dropped.
     fn read(&mut self, wait: Duration) -> Result<(), RecvError> {
-        let current = self.generation;
         match self.transport.recv_timeout(wait)? {
-            Frame::Boundary { generation, link, msg } if generation == current => {
-                if let Some(queue) = self.inbox.get_mut(link as usize) {
-                    queue.push_back(msg);
-                }
-            }
-            Frame::Heartbeat { worker, generation, beats } if generation == current => {
-                for (li, &from) in self.in_from.iter().enumerate() {
-                    if from == worker as usize {
-                        self.producer[li] = beats;
-                    }
-                }
-            }
-            Frame::Batch { generation, batch } if generation == current => {
+            Frame::Batch { generation, batch } if generation == self.generation => {
                 self.batches.push_back(*batch);
             }
             frame @ (Frame::Rollback { .. } | Frame::Shutdown) => self.control = Some(frame),
@@ -120,16 +144,80 @@ impl<T: Transport> SocketIo<T> {
         }
         Ok(())
     }
+
+    /// Opens this generation's links: binds every in-link's socket,
+    /// then connects every out-link and accepts every in-link, reading
+    /// the hub while a peer is not there yet. All binds come first, so
+    /// no two workers wait on each other. Gives up, leaving none of its
+    /// socket files behind, when a rollback or shutdown comes, the hub
+    /// is lost or [`ADMISSION`] runs out.
+    fn rendezvous(&mut self) -> Option<Links> {
+        let (worker, deadline) = (self.worker as usize, Instant::now() + ADMISSION);
+        let (mut outs, mut ins) = (Vec::new(), Vec::new());
+        for (k, link) in self.links.iter().enumerate() {
+            let path = self.dir.join(format!("g{}-l{k}.sock", self.generation));
+            if link.from == worker {
+                outs.push(path);
+            } else if link.to == worker {
+                let listening = Listening(UnixListener::bind(&path).ok()?, path);
+                listening.0.set_nonblocking(true).ok()?;
+                ins.push(listening);
+            }
+        }
+        let mut wait = || {
+            let read = self.read(Duration::from_millis(5));
+            matches!(read, Ok(()) | Err(RecvError::Timeout))
+                && self.control.is_none()
+                && Instant::now() < deadline
+        };
+        let mut open = Links { outs: Vec::new(), ins: Vec::new() };
+        for path in outs {
+            open.outs.push(loop {
+                if let Ok(stream) = UnixStream::connect(&path) {
+                    break SocketTransport::new(stream);
+                }
+                if !wait() {
+                    return None;
+                }
+            });
+        }
+        for listening in ins {
+            open.ins.push(loop {
+                if let Ok((stream, _)) = listening.0.accept() {
+                    stream.set_nonblocking(false).ok()?;
+                    break (SocketTransport::new(stream), 0);
+                }
+                if !wait() {
+                    return None;
+                }
+            });
+        }
+        Some(open)
+    }
 }
 
-impl<T: Transport, S: PortableSnapshot> WorkerIo<S> for SocketIo<T> {
+impl<T: Transport, S: PortableSnapshot> WorkerIo<S> for SocketIo<'_, T> {
     fn next(&mut self) -> Next<S> {
         loop {
             match self.control.take() {
                 Some(Frame::Rollback { generation, cycle, snapshot }) => {
                     self.generation = generation;
                     self.batches.clear();
-                    self.inbox.iter_mut().for_each(VecDeque::clear);
+                    // Closing the old links wakes any peer still
+                    // waiting on them.
+                    self.open = None;
+                    self.open = self.rendezvous();
+                    if self.control.is_some() {
+                        continue;
+                    }
+                    if self.open.is_none() {
+                        // This generation's batches cannot run; the
+                        // fault makes the coordinator roll back again.
+                        let (worker, kind) = (self.worker, DetectionKind::Crash);
+                        let fault = Frame::Fault { worker, generation, start: cycle, kind };
+                        let _ = self.transport.send(&fault);
+                        continue;
+                    }
                     let snapshot = if snapshot.is_empty() {
                         None
                     } else {
@@ -143,7 +231,7 @@ impl<T: Transport, S: PortableSnapshot> WorkerIo<S> for SocketIo<T> {
                 Some(_) => return Next::Stop,
                 None => {}
             }
-            if let Some(batch) = self.batches.pop_front() {
+            if let Some(batch) = self.batches.pop_front().filter(|_| self.open.is_some()) {
                 return Next::Run(batch);
             }
             match self.read(Duration::from_secs(1)) {
@@ -177,31 +265,34 @@ impl<T: Transport, S: PortableSnapshot> WorkerIo<S> for SocketIo<T> {
     }
 
     fn send(&mut self, link: usize, msg: BoundaryMsg) {
-        let (generation, link) = (self.generation, link as u32);
-        let _ = self.transport.send(&Frame::Boundary { generation, link, msg });
+        let (generation, index) = (self.generation, link as u32);
+        if let Some(out) = self.open.as_mut().and_then(|open| open.outs.get_mut(link)) {
+            // A closed peer is the coordinator's problem.
+            let _ = out.send(&Frame::Boundary { generation, link: index, msg });
+        }
     }
 
     fn recv(&mut self, link: usize, wait: Duration) -> Result<BoundaryMsg, RecvError> {
+        let Some((transport, beats)) = self.open.as_mut().and_then(|open| open.ins.get_mut(link))
+        else {
+            return Err(RecvError::Disconnected);
+        };
         let deadline = Instant::now() + wait;
         loop {
-            if let Some(msg) = self.inbox[link].pop_front() {
-                return Ok(msg);
+            match transport.recv_timeout(deadline.saturating_duration_since(Instant::now()))? {
+                Frame::Boundary { msg, .. } => return Ok(msg),
+                Frame::Heartbeat { beats: count, .. } => *beats = count,
+                other => {
+                    return Err(RecvError::Protocol(PartitionError::Protocol {
+                        detail: format!("{other:?} on a boundary link"),
+                    }))
+                }
             }
-            // A rollback abandons the batch; its fault report carries
-            // the old generation, so the hub drops it.
-            if self.control.is_some() {
-                return Err(RecvError::Disconnected);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(RecvError::Timeout);
-            }
-            self.read(left)?;
         }
     }
 
     fn producer_beats(&mut self, link: usize) -> u64 {
-        self.producer[link]
+        self.open.as_ref().and_then(|open| open.ins.get(link)).map_or(0, |&(_, beats)| beats)
     }
 
     fn beat(&mut self, every: Duration) {
@@ -209,14 +300,20 @@ impl<T: Transport, S: PortableSnapshot> WorkerIo<S> for SocketIo<T> {
         if self.last_beat.is_none_or(|at| at.elapsed() >= every) {
             self.last_beat = Some(Instant::now());
             let (worker, generation, beats) = (self.worker, self.generation, self.beats);
-            let _ = self.transport.send(&Frame::Heartbeat { worker, generation, beats });
+            let frame = Frame::Heartbeat { worker, generation, beats };
+            let _ = self.transport.send(&frame);
+            for out in self.open.iter_mut().flat_map(|open| &mut open.outs) {
+                let _ = out.send(&frame);
+            }
         }
     }
 }
 
 /// A worker process's protocol loop: build shard `shard` of `parts`,
 /// announce it, then serve batches and rollbacks until shutdown. The
-/// `dwt_partition_worker` binary runs it over a socket.
+/// `dwt_partition_worker` binary runs it over a socket to the hub,
+/// with `dir` the directory of that socket, where each generation's
+/// link sockets meet.
 ///
 /// Returns `Ok(true)` on a clean shutdown **or** when the hub
 /// disappears — a dead coordinator is not a worker error — and
@@ -230,6 +327,7 @@ pub fn run_worker<E, T>(
     parts: &PartitionedNetlist,
     shard: usize,
     mut transport: T,
+    dir: &Path,
 ) -> Result<bool, PartitionError>
 where
     E: Engine,
@@ -242,29 +340,16 @@ where
     let mut worker = Worker::<E>::build(shard, spec.clone(), &parts.links)?;
     let worker_id = u32::try_from(shard).unwrap_or(u32::MAX);
     transport.send(&Frame::Hello { worker: worker_id, fingerprint: parts.fingerprint() })?;
-    let in_from: Vec<usize> =
-        parts.links.iter().filter(|l| l.to == shard).map(|l| l.from).collect();
-    let mut io = SocketIo {
-        transport,
-        worker: worker_id,
-        generation: 0,
-        inbox: in_from.iter().map(|_| VecDeque::new()).collect(),
-        producer: vec![0; in_from.len()],
-        in_from,
-        batches: VecDeque::new(),
-        control: None,
-        beats: 0,
-        last_beat: None,
-    };
-    worker.serve(&mut io)
+    worker.serve(&mut SocketIo::new(transport, worker_id, &parts.links, dir))
 }
 
 // ---------------------------------------------------------------- hub
 
-enum Event {
-    Frame { worker: usize, conn: u64, frame: Frame },
-    Closed { worker: usize, conn: u64 },
-    Malformed { worker: usize, conn: u64 },
+/// A frame from one connection of a worker, or how its stream ended.
+struct Event {
+    worker: usize,
+    conn: u64,
+    frame: Result<Frame, DetectionKind>,
 }
 
 struct WorkerProc {
@@ -274,74 +359,16 @@ struct WorkerProc {
     conn: u64,
     alive: bool,
     reader: Option<JoinHandle<()>>,
-}
-
-/// What the hub shares with its reader threads, so boundary frames and
-/// heartbeats reach their consumers without waiting for the coordinator
-/// (which may be checking or persisting a barrier meanwhile).
-struct Routes {
-    /// Each worker's write half; `None` until it is admitted.
-    writers: Vec<Mutex<Option<SocketTransport>>>,
-    /// `out_route[w][out_idx]` → `(consumer, consumer's in_idx)`.
-    out_route: Vec<Vec<(usize, u32)>>,
-    /// The distinct consumers of each worker, for heartbeat relay.
-    consumers: Vec<Vec<usize>>,
-    /// Each worker's last relayed beat count. `Relaxed`: a count
-    /// publishes no other data.
-    beats: Vec<AtomicU64>,
-    /// The rollback generation. The hub bumps it before sending a
-    /// rollback, and readers compare against it to drop stale frames;
-    /// it publishes no other data (the writers sit behind their locks).
-    generation: AtomicU64,
-}
-
-impl Routes {
-    /// Sends `frame` to worker `w`. A failure means the worker died;
-    /// the collection sees the close or the silence.
-    fn send(&self, w: usize, frame: &Frame) {
-        // A panic mid-send can at worst leave a torn frame on the
-        // socket, which the worker rejects like any malformed frame.
-        let mut writer = self.writers[w].lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(writer) = writer.as_mut() {
-            let _ = writer.send(frame);
-        }
-    }
-
-    /// Routes a current boundary frame from worker `w` to its consumer
-    /// (link index rewritten from the producer's outgoing numbering to
-    /// the consumer's incoming numbering) and relays a current
-    /// heartbeat to `w`'s consumers. Returns every other frame, for the
-    /// coordinator.
-    fn relay(&self, w: usize, frame: Frame) -> Option<Frame> {
-        let current = self.generation.load(Ordering::Acquire);
-        match frame {
-            Frame::Boundary { generation, link, msg } if generation == current => {
-                match self.out_route[w].get(link as usize) {
-                    Some(&(consumer, in_idx)) => {
-                        self.send(consumer, &Frame::Boundary { generation, link: in_idx, msg });
-                        None
-                    }
-                    None => Some(Frame::Boundary { generation, link, msg }),
-                }
-            }
-            Frame::Heartbeat { generation, beats, .. } if generation == current => {
-                self.beats[w].store(beats, Ordering::Relaxed);
-                let worker = u32::try_from(w).unwrap_or(u32::MAX);
-                for &consumer in &self.consumers[w] {
-                    self.send(consumer, &Frame::Heartbeat { worker, generation, beats });
-                }
-                None
-            }
-            frame => Some(frame),
-        }
-    }
+    writer: SocketTransport,
+    /// The last heartbeat count of the current generation.
+    beats: u64,
 }
 
 /// Distinguishes successive hubs in one process.
 static SOCK_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// The process fleet: one worker process per shard, every frame routed
-/// through here. See the module docs.
+/// The process fleet: one worker process per shard, its control
+/// frames through here. See the module docs.
 pub(crate) struct Hub<'p> {
     parts: &'p PartitionedNetlist,
     launcher: &'p WorkerLauncher,
@@ -352,10 +379,9 @@ pub(crate) struct Hub<'p> {
     events: Receiver<Event>,
     procs: Vec<WorkerProc>,
     next_conn: u64,
-    routes: Arc<Routes>,
-    /// The workers are fresh from launch: a power-on start needs no
-    /// rollback.
-    fresh: bool,
+    /// The rollback generation: every batch carries it, and reports,
+    /// faults and heartbeats of older ones are dropped.
+    generation: u64,
 }
 
 impl<'p> Hub<'p> {
@@ -381,16 +407,6 @@ impl<'p> Hub<'p> {
                 .map_err(|e| spawn_err(format!("bind {}: {e}", path.display())))?;
             listeners.push(listener);
         }
-        let mut out_route: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut in_counts = vec![0u32; n];
-        for link in &parts.links {
-            out_route[link.from].push((link.to, in_counts[link.to]));
-            in_counts[link.to] += 1;
-            if !consumers[link.from].contains(&link.to) {
-                consumers[link.from].push(link.to);
-            }
-        }
         let (event_tx, events) = mpsc::channel();
         let mut hub = Hub {
             parts,
@@ -402,14 +418,7 @@ impl<'p> Hub<'p> {
             events,
             procs: Vec::with_capacity(n),
             next_conn: 0,
-            routes: Arc::new(Routes {
-                writers: (0..n).map(|_| Mutex::new(None)).collect(),
-                out_route,
-                consumers,
-                beats: (0..n).map(|_| AtomicU64::new(0)).collect(),
-                generation: AtomicU64::new(0),
-            }),
-            fresh: true,
+            generation: 0,
         };
         for w in 0..n {
             match hub.spawn_worker(w) {
@@ -424,7 +433,7 @@ impl<'p> Hub<'p> {
     }
 
     /// Spawns worker `w`'s process, accepts its connection, verifies
-    /// its Hello, installs its writer and starts its reader thread.
+    /// its Hello and starts its reader thread.
     fn spawn_worker(&mut self, w: usize) -> Result<WorkerProc, PartitionError> {
         let path = self.sock_dir.join(format!("worker-{w}.sock"));
         let mut child = Command::new(&self.launcher.program)
@@ -440,10 +449,7 @@ impl<'p> Hub<'p> {
             let _ = child.wait();
             spawn_err(format!("worker {w}: {detail}"))
         };
-        // Process start plus an engine build (slow in debug builds or
-        // on a cold jit cache) gets a fixed admission window.
-        let admission = Duration::from_secs(20);
-        let deadline = Instant::now() + admission;
+        let deadline = Instant::now() + ADMISSION;
         let stream = loop {
             match self.listeners[w].accept() {
                 Ok((stream, _)) => break stream,
@@ -471,7 +477,7 @@ impl<'p> Hub<'p> {
         // the Hello synchronously so the reader thread starts with a
         // clean stream position.
         let fingerprint = self.parts.fingerprint();
-        match reader.recv_timeout(admission) {
+        match reader.recv_timeout(ADMISSION) {
             Ok(Frame::Hello { worker, fingerprint: theirs })
                 if worker as usize == w && theirs == fingerprint => {}
             Ok(Frame::Hello { fingerprint: theirs, .. }) => {
@@ -485,16 +491,20 @@ impl<'p> Hub<'p> {
             }
             Err(e) => return Err(refuse(&mut child, format!("hello: {e}"))),
         }
-        *self.routes.writers[w].lock().unwrap_or_else(PoisonError::into_inner) = Some(writer);
-        self.routes.beats[w].store(0, Ordering::Relaxed);
         let conn = self.next_conn;
         self.next_conn += 1;
-        let (tx, routes) = (self.event_tx.clone(), Arc::clone(&self.routes));
+        let tx = self.event_tx.clone();
         let handle = thread::Builder::new()
             .name(format!("dwt-proc-reader-{w}"))
-            .spawn(move || reader_main(w, conn, reader, &tx, &routes))
+            .spawn(move || reader_main(w, conn, reader, &tx))
             .map_err(|e| refuse(&mut child, format!("reader thread: {e}")))?;
-        Ok(WorkerProc { child, conn, alive: true, reader: Some(handle) })
+        Ok(WorkerProc { child, conn, alive: true, reader: Some(handle), writer, beats: 0 })
+    }
+
+    /// Sends `frame` to worker `w`. A failure means the worker died;
+    /// the collection sees the close or the silence.
+    fn send(&mut self, w: usize, frame: &Frame) {
+        let _ = self.procs[w].writer.send(frame);
     }
 
     /// SIGKILLs and reaps worker `w` (idempotent).
@@ -508,16 +518,10 @@ impl<'p> Hub<'p> {
         }
     }
 
-    /// The next event from a live connection of worker `w`, if `event`
-    /// is one.
-    fn current(&self, event: Event) -> Option<(usize, Option<Frame>)> {
-        let (worker, conn, frame) = match event {
-            Event::Frame { worker, conn, frame } => (worker, conn, Some(frame)),
-            Event::Closed { worker, conn } | Event::Malformed { worker, conn } => {
-                (worker, conn, None)
-            }
-        };
-        (self.procs[worker].conn == conn).then_some((worker, frame))
+    /// `event`'s worker and frame, if it comes from that worker's live
+    /// connection.
+    fn current(&self, event: Event) -> Option<(usize, Result<Frame, DetectionKind>)> {
+        (self.procs[event.worker].conn == event.conn).then_some((event.worker, event.frame))
     }
 }
 
@@ -525,8 +529,8 @@ impl Fleet for Hub<'_> {
     type Snap = Vec<u8>;
 
     fn dispatch(&mut self, w: usize, batch: Batch) {
-        let generation = self.routes.generation.load(Ordering::Acquire);
-        self.routes.send(w, &Frame::Batch { generation, batch: Box::new(batch) });
+        let generation = self.generation;
+        self.send(w, &Frame::Batch { generation, batch: Box::new(batch) });
     }
 
     fn poll(&mut self, wait: Duration) -> Polled<Vec<u8>> {
@@ -535,66 +539,56 @@ impl Fleet for Hub<'_> {
             Err(RecvTimeoutError::Timeout) => return Polled::Idle,
             Err(RecvTimeoutError::Disconnected) => return Polled::AllGone,
         };
-        let malformed = matches!(event, Event::Malformed { .. });
         let Some((w, frame)) = self.current(event) else { return Polled::Idle };
-        let current = self.routes.generation.load(Ordering::Acquire);
+        let current = self.generation;
         match frame {
-            None => {
-                // Garbage on the control stream loses the framing: the
-                // worker cannot be trusted, so it is treated as dead.
+            Err(kind) => {
                 self.kill_worker(w);
-                Polled::Lost(
-                    w,
-                    if malformed { DetectionKind::Checksum } else { DetectionKind::Crash },
-                )
+                Polled::Lost(w, kind)
             }
-            // The reader routes every current boundary frame with a
-            // link index in range.
-            Some(Frame::Boundary { generation, .. }) if generation == current => {
-                Polled::Lost(w, DetectionKind::Sequence)
-            }
-            Some(Frame::BarrierReport { generation, mut report }) if generation == current => {
+            Ok(Frame::BarrierReport { generation, mut report }) if generation == current => {
                 // The connection, not the payload, names the worker.
                 report.worker = w;
                 Polled::Resp(Resp::Done(*report))
             }
-            Some(Frame::Fault { generation, start, kind, .. }) if generation == current => {
+            Ok(Frame::Fault { generation, start, kind, .. }) if generation == current => {
                 Polled::Resp(Resp::Fault { worker: w, start, kind })
             }
+            Ok(Frame::Heartbeat { generation, beats, .. }) if generation == current => {
+                self.procs[w].beats = beats;
+                Polled::Idle
+            }
             // Stale generations.
-            Some(_) => Polled::Idle,
+            Ok(_) => Polled::Idle,
         }
     }
 
     fn beats(&self, w: usize) -> u64 {
-        self.routes.beats[w].load(Ordering::Relaxed)
+        self.procs[w].beats
     }
 
     /// Generation-bump rollback: kill the suspects, respawn the dead,
-    /// and send every worker its restore. Frames are ordered per
-    /// socket, so a worker restores before it sees the next batch; one
-    /// that dies or wedges meanwhile shows up in that batch's
-    /// collection.
+    /// then send every worker its restore, which also names the links
+    /// to open. Frames are ordered per socket, so a worker restores
+    /// before it sees the next batch; one that dies or wedges meanwhile
+    /// shows up in that batch's collection.
     fn restart(
         &mut self,
         cycle: u64,
         snapshots: Option<&[Vec<u8>]>,
         suspects: &[usize],
     ) -> Result<u32, PartitionError> {
-        if std::mem::take(&mut self.fresh) && snapshots.is_none() {
-            return Ok(0);
-        }
         for &w in suspects {
             self.kill_worker(w);
         }
         // Learn of every death already reported; everything else queued
         // belongs to the generation being abandoned.
         while let Ok(event) = self.events.try_recv() {
-            if let Some((w, None)) = self.current(event) {
+            if let Some((w, Err(_))) = self.current(event) {
                 self.procs[w].alive = false;
             }
         }
-        let generation = self.routes.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        self.generation += 1;
         let mut respawned = 0;
         for w in 0..self.parts.parts() {
             if !self.procs[w].alive {
@@ -602,8 +596,12 @@ impl Fleet for Hub<'_> {
                 self.procs[w] = self.spawn_worker(w)?;
                 respawned += 1;
             }
+        }
+        // Every worker is up before any is told to open its links.
+        for w in 0..self.parts.parts() {
             let snapshot = snapshots.map(|s| s[w].clone()).unwrap_or_default();
-            self.routes.send(w, &Frame::Rollback { generation, cycle, snapshot });
+            let generation = self.generation;
+            self.send(w, &Frame::Rollback { generation, cycle, snapshot });
         }
         Ok(respawned)
     }
@@ -654,7 +652,7 @@ impl Fleet for Hub<'_> {
     /// reap everything, remove the socket directory.
     fn shutdown(mut self) {
         for w in 0..self.procs.len() {
-            self.routes.send(w, &Frame::Shutdown);
+            self.send(w, &Frame::Shutdown);
         }
         let grace = Instant::now() + Duration::from_millis(500);
         for w in 0..self.procs.len() {
@@ -667,28 +665,20 @@ impl Fleet for Hub<'_> {
     }
 }
 
-/// Reader-thread body: route boundary frames and heartbeats straight to
-/// their consumers, and pump every other frame into the shared event
-/// queue, until the socket closes or the hub goes away.
-fn reader_main(
-    worker: usize,
-    conn: u64,
-    mut transport: SocketTransport,
-    tx: &Sender<Event>,
-    routes: &Routes,
-) {
+/// Reader-thread body: pump every frame from worker `worker` into the
+/// shared event queue, until the socket closes or the hub goes away.
+fn reader_main(worker: usize, conn: u64, mut transport: SocketTransport, tx: &Sender<Event>) {
     loop {
-        let event = match transport.recv_timeout(Duration::from_millis(200)) {
-            Ok(frame) => match routes.relay(worker, frame) {
-                Some(frame) => Event::Frame { worker, conn, frame },
-                None => continue,
-            },
+        let frame = match transport.recv_timeout(Duration::from_millis(200)) {
+            Ok(frame) => Ok(frame),
             Err(RecvError::Timeout) => continue,
-            Err(RecvError::Disconnected) => Event::Closed { worker, conn },
-            Err(RecvError::Protocol(_)) => Event::Malformed { worker, conn },
+            Err(RecvError::Disconnected) => Err(DetectionKind::Crash),
+            // Garbage on the control stream loses the framing: the
+            // worker cannot be trusted, so it is treated as dead.
+            Err(RecvError::Protocol(_)) => Err(DetectionKind::Checksum),
         };
-        let last = !matches!(event, Event::Frame { .. });
-        if tx.send(event).is_err() || last {
+        let last = frame.is_err();
+        if tx.send(Event { worker, conn, frame }).is_err() || last {
             return;
         }
     }
@@ -735,11 +725,41 @@ mod tests {
         Stimulus { cycles, inputs }
     }
 
+    type Snap = <Simulator as Engine>::Snapshot;
+
+    /// A fresh, empty directory for one test's sockets.
+    fn socket_dir(tag: &str) -> PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "dwt-proc-{tag}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A chaos-free batch with a generous watchdog.
+    fn batch(start: u64, cycles: u64, inputs: Vec<i64>) -> Batch {
+        Batch {
+            start,
+            cycles,
+            prologue: start == 0,
+            inputs,
+            faults: Vec::new(),
+            kill_at: None,
+            stall_at: None,
+            corrupt: Vec::new(),
+            watchdog: Duration::from_secs(5),
+            event_cap: None,
+        }
+    }
+
     #[test]
     fn run_worker_refuses_a_shard_outside_the_cut() {
         let parts = partition(&pipeline(4), 2, &CutOptions::default()).unwrap();
         let (worker_end, _hub_end) = ChannelTransport::pair();
-        let refused = run_worker::<Simulator, _>(&parts, 2, worker_end);
+        let refused = run_worker::<Simulator, _>(&parts, 2, worker_end, Path::new("."));
         assert!(matches!(refused, Err(PartitionError::Spawn { .. })), "{refused:?}");
     }
 
@@ -759,15 +779,102 @@ mod tests {
         }
     }
 
+    /// Two workers' I/O on their own threads, with the hub played over
+    /// channels, for two successive generations: each rollback opens
+    /// fresh link sockets, boundary frames and heartbeats cross every
+    /// link in order, a non-boundary frame on a link is a protocol
+    /// error, and no socket file outlives a rendezvous.
+    #[test]
+    fn links_open_per_generation_and_carry_frames_in_order() {
+        let parts = partition(&pipeline(4), 2, &CutOptions::default()).unwrap();
+        assert!(parts.links.iter().all(|l| (l.from, l.to) == (0, 1)), "{:?}", parts.links);
+        let links = parts.links.len();
+        let dir = socket_dir("links");
+        let mut hub = Vec::new();
+        let mut ios = Vec::new();
+        for w in 0..2 {
+            let (worker_end, hub_end) = ChannelTransport::pair();
+            hub.push(hub_end);
+            ios.push(SocketIo::new(worker_end, w, &parts.links, &dir));
+        }
+        let restore = |io: &mut SocketIo<'_, ChannelTransport>| {
+            let next: Next<Snap> = io.next();
+            assert!(matches!(next, Next::Restore { cycle: 0, snapshot: None }));
+        };
+        for generation in 1..=2u64 {
+            for end in &mut hub {
+                end.send(&Frame::Rollback { generation, cycle: 0, snapshot: Vec::new() }).unwrap();
+            }
+            let [producer, consumer] = ios.as_mut_slice() else { unreachable!() };
+            thread::scope(|scope| {
+                scope.spawn(|| {
+                    restore(producer);
+                    for seq in 0..3 {
+                        WorkerIo::<Snap>::beat(producer, Duration::ZERO);
+                        for link in 0..links {
+                            let msg = BoundaryMsg::new(seq, seq, vec![link as i64, -7]);
+                            WorkerIo::<Snap>::send(producer, link, msg);
+                        }
+                    }
+                    let open = producer.open.as_mut().unwrap();
+                    open.outs[0].send(&Frame::Shutdown).unwrap();
+                });
+                scope.spawn(|| {
+                    restore(consumer);
+                    let wait = Duration::from_secs(5);
+                    for seq in 0..3 {
+                        for link in 0..links {
+                            let msg = WorkerIo::<Snap>::recv(consumer, link, wait).unwrap();
+                            assert_eq!((msg.seq, msg.values), (seq, vec![link as i64, -7]));
+                            // The beat sent before this frame came first.
+                            let beats = WorkerIo::<Snap>::producer_beats(consumer, link);
+                            assert_eq!(beats, (generation - 1) * 3 + seq + 1);
+                        }
+                    }
+                    let stray = WorkerIo::<Snap>::recv(consumer, 0, wait);
+                    assert!(matches!(stray, Err(RecvError::Protocol(_))), "{stray:?}");
+                });
+            });
+            let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+            assert!(left.is_empty(), "socket files left behind: {left:?}");
+        }
+        drop(ios);
+        std::fs::remove_dir(&dir).unwrap();
+    }
+
+    /// A rendezvous that cannot open its links is a fault of its
+    /// generation: the hub hears it, the generation's batches never
+    /// run, and a receive on the missing link is a disconnect, not a
+    /// panic.
+    #[test]
+    fn a_failed_rendezvous_is_a_fault_of_its_generation() {
+        let parts = partition(&pipeline(4), 2, &CutOptions::default()).unwrap();
+        let dir = socket_dir("failed");
+        // The consumer cannot bind in a directory that does not exist.
+        let missing = dir.join("missing");
+        let (worker_end, mut hub) = ChannelTransport::pair();
+        let mut io = SocketIo::new(worker_end, 1, &parts.links, &missing);
+        hub.send(&Frame::Rollback { generation: 1, cycle: 12, snapshot: Vec::new() }).unwrap();
+        let inputs = vec![0; 12 * parts.shards[1].inputs.len()];
+        hub.send(&Frame::Batch { generation: 1, batch: Box::new(batch(12, 12, inputs)) }).unwrap();
+        hub.send(&Frame::Shutdown).unwrap();
+        assert!(matches!(WorkerIo::<Snap>::next(&mut io), Next::Stop));
+        match hub.recv_timeout(Duration::from_secs(1)).unwrap() {
+            Frame::Fault { worker: 1, generation: 1, start: 12, kind: DetectionKind::Crash } => {}
+            other => panic!("expected the generation's fault, got {other:?}"),
+        }
+        let lost = WorkerIo::<Snap>::recv(&mut io, 0, Duration::ZERO);
+        assert!(matches!(lost, Err(RecvError::Disconnected)), "{lost:?}");
+        std::fs::remove_dir(&dir).unwrap();
+    }
+
     /// A hand-written hub over channel transports: one batch on every
-    /// worker, boundary frames routed producer → consumer, reports
-    /// collected.
+    /// worker, reports collected. Boundary frames travel on the
+    /// workers' own link sockets.
     struct TestHub<'p> {
         parts: &'p PartitionedNetlist,
         stim: &'p Stimulus,
         ends: Vec<ChannelTransport>,
-        /// `out_route[w][out_idx]` → `(consumer, consumer's in_idx)`.
-        out_route: Vec<Vec<(usize, u32)>>,
     }
 
     impl TestHub<'_> {
@@ -778,33 +885,13 @@ mod tests {
                 for c in start..start + cycles {
                     inputs.extend(shard.inputs.iter().map(|p| stim.inputs[p][c as usize]));
                 }
-                let batch = Batch {
-                    start,
-                    cycles,
-                    prologue: start == 0,
-                    inputs,
-                    faults: Vec::new(),
-                    kill_at: None,
-                    stall_at: None,
-                    corrupt: Vec::new(),
-                    watchdog: Duration::from_secs(5),
-                    event_cap: None,
-                };
-                end.send(&Frame::Batch { generation, batch: Box::new(batch) }).unwrap();
+                let batch = Box::new(batch(start, cycles, inputs));
+                end.send(&Frame::Batch { generation, batch }).unwrap();
             }
-            // Per-channel FIFO order makes a report the last frame of
-            // its batch, so once every report is in, every boundary
-            // frame was routed.
             let mut reports: Vec<Option<BatchReport<Vec<u8>>>> = vec![None, None];
             while reports.iter().any(Option::is_none) {
                 for (w, slot) in reports.iter_mut().enumerate() {
                     match self.ends[w].recv_timeout(Duration::from_millis(20)) {
-                        Ok(Frame::Boundary { generation: g, link, msg }) => {
-                            assert_eq!(g, generation);
-                            let (consumer, in_idx) = self.out_route[w][link as usize];
-                            let routed = Frame::Boundary { generation, link: in_idx, msg };
-                            self.ends[consumer].send(&routed).unwrap();
-                        }
                         Ok(Frame::Heartbeat { .. }) | Err(RecvError::Timeout) => {}
                         Ok(Frame::BarrierReport { generation: g, report }) => {
                             assert_eq!((g, report.worker, report.start), (generation, w, start));
@@ -851,30 +938,28 @@ mod tests {
         }
     }
 
-    /// Drives two real `run_worker` loops over channel transports with
-    /// a hand-written hub: Hello admission, batches out, boundary
-    /// frames routed, link hashes crosschecked, then a power-on
-    /// rollback with a bit-exact replay, a restore from the barrier
-    /// snapshot bytes, and a clean shutdown.
+    /// Drives two real `run_worker` loops with a hand-written hub over
+    /// channel transports and real link sockets: Hello admission, a
+    /// power-on rollback opening the first generation's links, batches
+    /// out, link hashes crosschecked, then a power-on rollback with a
+    /// bit-exact replay, a restore from the barrier snapshot bytes, and
+    /// a clean shutdown.
     #[test]
     fn run_worker_speaks_the_protocol_end_to_end() {
         let netlist = pipeline(4);
         let parts = partition(&netlist, 2, &CutOptions::default()).unwrap();
         let stim = stimulus(24);
-        let mut out_route: Vec<Vec<(usize, u32)>> = vec![Vec::new(); 2];
-        let mut in_counts = [0u32; 2];
-        for link in &parts.links {
-            out_route[link.from].push((link.to, in_counts[link.to]));
-            in_counts[link.to] += 1;
-        }
+        let dir = socket_dir("e2e");
         thread::scope(|scope| {
-            let mut hub = TestHub { parts: &parts, stim: &stim, ends: Vec::new(), out_route };
+            let mut hub = TestHub { parts: &parts, stim: &stim, ends: Vec::new() };
             let mut workers = Vec::new();
             for w in 0..2 {
                 let (worker_end, hub_end) = ChannelTransport::pair();
                 hub.ends.push(hub_end);
-                let parts = &parts;
-                workers.push(scope.spawn(move || run_worker::<Simulator, _>(parts, w, worker_end)));
+                let (parts, dir) = (&parts, &dir);
+                workers.push(
+                    scope.spawn(move || run_worker::<Simulator, _>(parts, w, worker_end, dir)),
+                );
             }
             for (w, end) in hub.ends.iter_mut().enumerate() {
                 match end.recv_timeout(Duration::from_secs(5)).unwrap() {
@@ -885,29 +970,31 @@ mod tests {
                 }
             }
 
+            // Generation 1 begins like every other, with a rollback.
+            hub.rollback(1, 0, &[]);
             let mut first = BTreeMap::new();
-            let head = hub.batch(0, 0, 12);
+            let head = hub.batch(1, 0, 12);
             hub.commit(&mut first, &head);
-            let tail = hub.batch(0, 12, 12);
+            let tail = hub.batch(1, 12, 12);
             hub.commit(&mut first, &tail);
             let oracle = run_single::<Simulator>(&netlist, &stim, None).unwrap();
             assert_eq!(first, oracle.ports, "partitioned run diverged from the oracle");
 
-            // Power-on rollback: the frames of generation 1 replay the
+            // Power-on rollback: the frames of generation 2 replay the
             // whole frame bit for bit.
-            hub.rollback(1, 0, &[]);
+            hub.rollback(2, 0, &[]);
             let mut replay = BTreeMap::new();
-            let replayed = hub.batch(1, 0, 12);
+            let replayed = hub.batch(2, 0, 12);
             hub.commit(&mut replay, &replayed);
-            let replayed = hub.batch(1, 12, 12);
+            let replayed = hub.batch(2, 12, 12);
             hub.commit(&mut replay, &replayed);
             assert_eq!(first, replay, "replay diverged from the first pass");
 
             // Restore from the barrier at cycle 12 as portable bytes:
             // the second batch again, bit for bit.
             let barrier: Vec<Vec<u8>> = head.iter().map(|r| r.snapshot.clone()).collect();
-            hub.rollback(2, 12, &barrier);
-            let restored = hub.batch(2, 12, 12);
+            hub.rollback(3, 12, &barrier);
+            let restored = hub.batch(3, 12, 12);
             for (again, before) in restored.iter().zip(&tail) {
                 assert_eq!(again.outputs, before.outputs);
                 assert_eq!(again.snapshot, before.snapshot);
@@ -920,6 +1007,7 @@ mod tests {
                 assert!(worker.join().unwrap().unwrap(), "a clean shutdown returns Ok(true)");
             }
         });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

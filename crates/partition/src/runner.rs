@@ -65,13 +65,15 @@
 //! through Partitioned → SingleEngine → Golden.
 //!
 //! **Isolation** ([`Isolation`]) decides only how a worker starts and
-//! how its commands, reports and boundary frames travel. Threads take
-//! typed `mpsc` commands and reports, keep snapshots as
-//! `E::Snapshot`, and use one [`ChannelTransport`] per link; processes
-//! speak [`Frame`]s through the socket hub in [`proc`](crate::proc),
-//! with snapshots as portable bytes. Both sides of that seam are one
-//! small trait each: `WorkerIo` for a worker, `Fleet` for the
-//! coordinator.
+//! how its commands and reports travel. Both share one link topology:
+//! point-to-point boundary links that live for one epoch, from one
+//! restart of the fleet to the next. Threads take typed `mpsc` commands
+//! and reports, keep snapshots as `E::Snapshot`, and get one
+//! [`ChannelTransport`] per link per epoch; processes speak [`Frame`]s
+//! to the socket hub in [`proc`](crate::proc), with snapshots as
+//! portable bytes, and open one Unix socket per link per rollback
+//! generation. Both sides of that seam are one small trait each:
+//! `WorkerIo` for a worker, `Fleet` for the coordinator.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;

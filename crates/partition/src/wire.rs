@@ -84,20 +84,18 @@ pub enum Frame {
         /// The batch.
         batch: Box<Batch>,
     },
-    /// A boundary-value message for one link. Worker → coordinator the
-    /// index names the producer's outgoing link; coordinator → worker
-    /// it names the consumer's incoming link (the hub rewrites it
-    /// while routing).
+    /// Producer → consumer, on the link's own transport: one
+    /// boundary-value message.
     Boundary {
         /// Rollback generation the value belongs to.
         generation: u64,
-        /// Link index (direction-dependent, see above).
+        /// The producer's index of the link among its outgoing links.
         link: u32,
         /// The sequence-numbered, checksummed payload.
         msg: BoundaryMsg,
     },
     /// Liveness beats, at most a few per watchdog window: worker →
-    /// coordinator, and relayed by the hub to the worker's consumers.
+    /// coordinator, and producer → consumer down each of its links.
     Heartbeat {
         /// Shard index of the beating worker.
         worker: u32,
@@ -114,9 +112,10 @@ pub enum Frame {
         /// The report.
         report: Box<BatchReport<Vec<u8>>>,
     },
-    /// Coordinator → worker: abandon the current generation and restore.
+    /// Coordinator → worker: abandon the current generation, open its
+    /// links and restore. Every generation begins with one.
     Rollback {
-        /// The new generation; the worker drops frames from older ones.
+        /// The new generation; the worker drops batches from older ones.
         generation: u64,
         /// Virtual cycle of the snapshot (0 for power-on).
         cycle: u64,
