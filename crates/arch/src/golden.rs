@@ -12,6 +12,7 @@
 
 use dwt_core::bitwidth::{paper, RegisterRanges};
 use dwt_core::coeffs::LiftingConstants;
+use dwt_core::lifting::IntLifting;
 
 use crate::error::{Error, Result};
 
@@ -226,20 +227,46 @@ impl Default for GoldenStream {
 ///
 /// The recovery executor's flush makes tiles independent, so the
 /// continuous golden stream restricted to one tile equals the golden
-/// stream of that tile alone.
+/// stream of that tile alone: a [`GoldenStream`] fed `pairs` and
+/// flushed with zeros. This computes the same coefficients in one
+/// block pass from zero history; see [`golden_tile_into`].
 #[must_use]
 pub fn golden_tile(pairs: &[(i64, i64)]) -> (Vec<i64>, Vec<i64>) {
+    let mut scratch = TileScratch::default();
+    let (low, high) = golden_tile_into(pairs, &mut scratch);
+    (low.to_vec(), high.to_vec())
+}
+
+/// Caller-owned buffers for [`golden_tile_into`]; they keep their
+/// capacity, so a reused scratch allocates only for a longer tile.
+#[derive(Debug, Clone, Default)]
+pub struct TileScratch {
+    even: Vec<i64>,
+    odd: Vec<i64>,
+}
+
+/// [`golden_tile`] into `scratch`, returning the tile's low and high
+/// coefficients as slices of it.
+///
+/// The tile is laid out with one zero pair before and after it, and
+/// [`IntLifting::forward_zero_history`] runs the four lifting stages
+/// over it in place: the margins hold the intermediates that leak past
+/// the tile's edges, which [`GoldenStream`] computes in its warm-up and
+/// flush pairs.
+pub fn golden_tile_into<'a>(
+    pairs: &[(i64, i64)],
+    scratch: &'a mut TileScratch,
+) -> (&'a [i64], &'a [i64]) {
+    let TileScratch { even, odd } = scratch;
+    even.clear();
+    odd.clear();
+    for &(e, o) in [(0, 0)].iter().chain(pairs).chain(&[(0, 0)]) {
+        even.push(e);
+        odd.push(o);
+    }
+    IntLifting::default().forward_zero_history(even, odd);
     let p = pairs.len();
-    let mut g = GoldenStream::default();
-    for &(e, o) in pairs {
-        g.push(e, o);
-    }
-    // The model's lookback is 4 pairs; flush until the whole tile has
-    // emerged.
-    while g.low().len() < p {
-        g.push(0, 0);
-    }
-    (g.low()[..p].to_vec(), g.high()[..p].to_vec())
+    (&even[1..=p], &odd[1..=p])
 }
 
 /// Deterministic still-tone stimulus: smooth correlated sample pairs in
@@ -287,7 +314,6 @@ fn still_tone_base(len: usize, seed: u64) -> Vec<(i64, i64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwt_core::lifting::IntLifting;
 
     #[test]
     fn interior_matches_block_transform() {
@@ -443,6 +469,63 @@ mod tests {
         for &(e, o) in &still_tone_pairs(512, 11) {
             assert!((-128..=127).contains(&e));
             assert!((-128..=127).contains(&o));
+        }
+    }
+
+    /// A stream fed `tile` from zero history, flushed until the tile's
+    /// last coefficient has emerged.
+    fn flushed_stream(tile: &[(i64, i64)]) -> GoldenStream {
+        let mut g = GoldenStream::default();
+        for &(e, o) in tile.iter().chain(&[(0, 0); LOOKBACK]) {
+            g.push(e, o);
+        }
+        g
+    }
+
+    fn assert_tile_matches_stream(tile: &[(i64, i64)]) -> GoldenStream {
+        let g = flushed_stream(tile);
+        let p = tile.len();
+        assert_eq!(golden_tile(tile), (g.low()[..p].to_vec(), g.high()[..p].to_vec()), "{tile:?}");
+        g
+    }
+
+    /// Signed 8-bit samples, a third of them at the extremes.
+    fn sample() -> impl proptest::strategy::Strategy<Value = i64> {
+        use proptest::strategy::Just;
+        proptest::prop_oneof![-128i64..128, Just(-128i64), Just(127i64)]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn golden_tile_equals_the_flushed_stream(
+            tile in proptest::collection::vec((sample(), sample()), 1..65),
+        ) {
+            assert_tile_matches_stream(&tile);
+        }
+
+        #[test]
+        fn golden_tile_equals_the_flushed_stream_on_long_tiles(
+            tile in proptest::collection::vec((sample(), sample()), 1024),
+        ) {
+            assert_tile_matches_stream(&tile);
+        }
+
+        #[test]
+        fn golden_tile_equals_the_flushed_stream_on_scaled_still_tones(
+            len in proptest::prop_oneof![1usize..65, proptest::strategy::Just(1024usize)],
+            seed in proptest::arbitrary::any::<u64>(),
+            bits in proptest::prop_oneof![
+                proptest::strategy::Just(8u32),
+                proptest::strategy::Just(10u32),
+                proptest::strategy::Just(12u32),
+            ],
+        ) {
+            let g = assert_tile_matches_stream(&still_tone_pairs_scaled(len, seed, bits));
+            // In-range input keeps every node, the warm-up and flush
+            // intermediates included, inside the scaled register ranges.
+            proptest::prop_assert!(g.check_ranges_scaled(1 << (bits - 8)).is_ok());
         }
     }
 

@@ -26,7 +26,6 @@ use dwt_rtl::sim::Simulator;
 
 use crate::designs::Design;
 use crate::error::{Error, Result};
-use crate::golden::GoldenStream;
 
 /// Capacity of the line memories, in sample pairs.
 pub const MAX_PAIRS: usize = 2048;
@@ -208,25 +207,10 @@ pub fn run_line(
     Ok((low, high))
 }
 
-/// Reference for [`run_line`]: the coefficients the golden stream
-/// produces for the same line under the same zero-history convention.
-#[must_use]
-pub fn golden_line(pairs: &[(i64, i64)]) -> (Vec<i64>, Vec<i64>) {
-    let mut g = GoldenStream::default();
-    for &(e, o) in pairs {
-        g.push(e, o);
-    }
-    // Flush so every coefficient of the line emerges.
-    for _ in 0..4 {
-        g.push(0, 0);
-    }
-    (g.low()[..pairs.len()].to_vec(), g.high()[..pairs.len()].to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::golden::still_tone_pairs;
+    use crate::golden::{golden_tile, still_tone_pairs};
 
     #[test]
     fn engine_transforms_one_line_exactly() {
@@ -234,7 +218,7 @@ mod tests {
         let mut sim = Simulator::new(engine.netlist.clone()).unwrap();
         let pairs = still_tone_pairs(32, 3);
         let (hw_low, hw_high) = run_line(&mut sim, &engine, &pairs).unwrap();
-        let (gold_low, gold_high) = golden_line(&pairs);
+        let (gold_low, gold_high) = golden_tile(&pairs);
         assert_eq!(hw_low, gold_low);
         assert_eq!(hw_high, gold_high);
     }
@@ -248,7 +232,7 @@ mod tests {
         for seed in [5, 9, 13] {
             let pairs = still_tone_pairs(24, seed);
             let (hw_low, hw_high) = run_line(&mut sim, &engine, &pairs).unwrap();
-            let (gold_low, gold_high) = golden_line(&pairs);
+            let (gold_low, gold_high) = golden_tile(&pairs);
             assert_eq!(hw_low, gold_low, "seed {seed}");
             assert_eq!(hw_high, gold_high, "seed {seed}");
         }
@@ -261,7 +245,7 @@ mod tests {
         for len in [2usize, 5, 16, 48] {
             let pairs = still_tone_pairs(len, 7);
             let (hw_low, _) = run_line(&mut sim, &engine, &pairs).unwrap();
-            let (gold_low, _) = golden_line(&pairs);
+            let (gold_low, _) = golden_tile(&pairs);
             assert_eq!(hw_low, gold_low, "len {len}");
         }
     }
@@ -273,7 +257,7 @@ mod tests {
         let mut sim = Simulator::new(engine.netlist.clone()).unwrap();
         let pairs = still_tone_pairs(20, 11);
         let (hw_low, hw_high) = run_line(&mut sim, &engine, &pairs).unwrap();
-        let (gold_low, gold_high) = golden_line(&pairs);
+        let (gold_low, gold_high) = golden_tile(&pairs);
         assert_eq!(hw_low, gold_low);
         assert_eq!(hw_high, gold_high);
     }
@@ -568,7 +552,7 @@ pub fn run_pass(
 #[cfg(test)]
 mod pass_tests {
     use super::*;
-    use crate::golden::still_tone_pairs;
+    use crate::golden::{golden_tile, still_tone_pairs};
 
     #[test]
     fn one_pass_transforms_every_line() {
@@ -588,7 +572,7 @@ mod pass_tests {
         run_pass(&mut sim, &engine, lines, ppl, stride).unwrap();
 
         for (l, pairs) in all.iter().enumerate() {
-            let (gold_low, gold_high) = golden_line(pairs);
+            let (gold_low, gold_high) = golden_tile(pairs);
             for i in 0..ppl {
                 assert_eq!(
                     sim.peek_ram("dst_low", l * stride + i).unwrap(),
@@ -615,7 +599,7 @@ mod pass_tests {
                 sim.poke_ram("src_odd", i, o).unwrap();
             }
             run_pass(&mut sim, &engine, 1, 8, 8).unwrap();
-            let (gold_low, _) = golden_line(&pairs);
+            let (gold_low, _) = golden_tile(&pairs);
             for (i, &gold) in gold_low.iter().enumerate() {
                 assert_eq!(sim.peek_ram("dst_low", i).unwrap(), gold, "round {round}");
             }

@@ -35,12 +35,13 @@ use std::process::ExitCode;
 
 use dwt_arch::datapath::Hardening;
 use dwt_arch::designs::Design;
-use dwt_bench::campaign::{flag_value, json_escape, unknown_flag, UsageError};
+use dwt_bench::campaign::{flag_value, unknown_flag, UsageError};
 use dwt_equiv::{
     backend_case, backend_matrix, hardening_case, hardening_matrix, partition_case,
     partition_matrix, run_campaign, shift_add_case, shift_add_matrix, CampaignReport, CaseReport,
     Checker, EquivOptions,
 };
+use dwt_lint::diag::json_string;
 
 struct Args {
     designs: Vec<Design>,
@@ -174,12 +175,12 @@ fn json_report(
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
             out,
-            "{sep}\n    {{ \"case\": \"{}\", \"checker\": \"{}\", \"pass\": {}, \
-             \"detail\": \"{}\" }}",
-            json_escape(&c.case),
+            "{sep}\n    {{ \"case\": {}, \"checker\": \"{}\", \"pass\": {}, \
+             \"detail\": {} }}",
+            json_string(&c.case),
             c.checker.name(),
             c.pass,
-            json_escape(&c.detail)
+            json_string(&c.detail)
         );
     }
     out.push_str("\n  ]");
@@ -199,16 +200,16 @@ fn json_report(
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(
                 out,
-                "{sep}\n      {{ \"mutant\": \"{}\", \"applied\": {}, \"killed\": {}, \
+                "{sep}\n      {{ \"mutant\": {}, \"applied\": {}, \"killed\": {}, \
                  \"killed_by\": {}, \"sim_caught\": {}, \"confirmed\": {}, \
-                 \"detail\": \"{}\" }}",
-                json_escape(&o.mutant),
+                 \"detail\": {} }}",
+                json_string(&o.mutant),
                 o.applied,
                 o.killed,
                 o.killed_by.map_or_else(|| "null".to_owned(), |k| format!("\"{k}\"")),
                 o.sim_caught,
                 o.confirmed,
-                json_escape(&o.detail)
+                json_string(&o.detail)
             );
         }
         out.push_str("\n    ]\n  }");
@@ -286,5 +287,33 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_report_escapes_control_characters_and_quotes() {
+        let args = Args {
+            designs: Vec::new(),
+            checkers: Vec::new(),
+            hardenings: Vec::new(),
+            campaign: false,
+            min_kill_rate: 95.0,
+            deny: true,
+            json: true,
+        };
+        let case = CaseReport {
+            case: "backend/design-1/none".to_owned(),
+            checker: Checker::Backend,
+            pass: false,
+            detail: "line one\n\tsaid \"no\"".to_owned(),
+            cex: None,
+        };
+        let json = json_report(&args, &[case], None, true);
+        assert!(json.contains(r#""detail": "line one\n\tsaid \"no\"""#), "{json}");
+        assert!(!json.contains('\t'), "a raw tab leaked into {json}");
     }
 }

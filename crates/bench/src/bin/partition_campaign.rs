@@ -61,9 +61,10 @@ use std::time::{Duration, Instant};
 
 use dwt_arch::designs::Design;
 use dwt_bench::campaign::{
-    flag_value, json_escape, parse_design, parse_list, parse_parts, unknown_flag, CampaignArgs,
-    MarkdownTable, UsageError,
+    flag_value, parse_design, parse_list, parse_parts, unknown_flag, CampaignArgs, MarkdownTable,
+    UsageError,
 };
+use dwt_lint::diag::json_string;
 use dwt_partition::{
     partition, run_single, ChaosPlan, Corruption, CutOptions, FrameOutputs, FrameReport,
     PartitionRunner, PartitionedNetlist, Rung, RunnerConfig, SeuChaos, Stimulus, WorkerLauncher,
@@ -455,13 +456,13 @@ fn json_report(cfg: &Config, shared: &CampaignArgs, rows: &[Row]) -> String {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
             out,
-            "{sep}\n    {{ \"design\": \"{}\", \"parts\": {}, \"cut_bits\": {}, \
+            "{sep}\n    {{ \"design\": {}, \"parts\": {}, \"cut_bits\": {}, \
              \"feedback_links\": {}, \"wall_s\": {:.6}, \"cycles_per_s\": {:.1}, \
              \"barriers\": {}, \"boundary_frames\": {}, \"recoveries\": {}, \"detections\": {}, \
              \"replayed_cycles\": {}, \
              \"partitioned_frames\": {}, \"degraded_frames\": {}, \"respawns\": {}, \
              \"resumed_from\": {}, \"availability\": {:.4}, \"sdc\": {} }}",
-            json_escape(r.design.name()),
+            json_string(r.design.name()),
             r.parts,
             r.cut_bits,
             r.feedback_links,

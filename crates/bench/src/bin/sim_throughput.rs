@@ -16,8 +16,11 @@
 //! a checksum on every backend so nobody skips the readback cost.
 //!
 //! Each row also reports the **roofline fraction**: the backend's
-//! samples/sec over the software golden model's
-//! ([`dwt_arch::golden::GoldenStream`]) on the same stimulus. The
+//! samples/sec over the software golden model's on the same stimulus,
+//! taken as one tile. The denominator times
+//! [`dwt_arch::golden::golden_tile_into`] with its scratch reused, the
+//! block lifting pass that [`dwt_arch::golden::golden_tile`] runs and
+//! that the recovery executor computes every tile's reference with. The
 //! golden model is the all-software ceiling — a plain Rust lifting
 //! implementation with no netlist fidelity at all — so the fraction
 //! says how much of the gap between gate-level simulation and native
@@ -44,8 +47,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dwt_arch::designs::Design;
-use dwt_arch::golden::{still_tone_pairs, GoldenStream};
-use dwt_bench::campaign::{flag_value, json_escape, unknown_flag, UsageError, EXIT_GATE};
+use dwt_arch::golden::{golden_tile_into, still_tone_pairs, TileScratch};
+use dwt_bench::campaign::{flag_value, unknown_flag, UsageError, EXIT_GATE};
+use dwt_lint::diag::json_string;
 use dwt_rtl::compile::CompiledEngine;
 use dwt_rtl::engine::Engine;
 use dwt_rtl::jit::JitEngine;
@@ -108,20 +112,18 @@ impl Row {
     }
 }
 
-/// Times the software golden model over the stimulus, repeated until
-/// at least ~10ms of work, so the roofline denominator is not noise.
-/// Returns samples per second.
+/// Times the software golden model's block pass over the stimulus as
+/// one tile, repeated until at least ~10ms of work, so the roofline
+/// denominator is not noise. Returns samples per second.
 fn time_golden(stimulus: &[(i64, i64)]) -> f64 {
+    let mut scratch = TileScratch::default();
     let mut reps = 1u32;
     loop {
         let start = Instant::now();
         let mut sink = 0i64;
         for _ in 0..reps {
-            let mut g = GoldenStream::default();
-            for &(e, o) in stimulus {
-                g.push(e, o);
-            }
-            sink = sink.wrapping_add(g.low().last().copied().unwrap_or(0));
+            let (low, _) = golden_tile_into(std::hint::black_box(stimulus), &mut scratch);
+            sink = sink.wrapping_add(low.last().copied().unwrap_or(0));
         }
         let secs = start.elapsed().as_secs_f64();
         std::hint::black_box(sink);
@@ -205,12 +207,12 @@ fn json_report(args: &Args, rows: &[Row]) -> String {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
             out,
-            "{sep}\n    {{ \"design\": \"{}\", \"ops\": {}, \"levels\": {}, \"commit_blocks\": {}, \
+            "{sep}\n    {{ \"design\": {}, \"ops\": {}, \"levels\": {}, \"commit_blocks\": {}, \
              \"golden_samples_per_sec\": {:.1}, \
              \"event_samples_per_sec\": {:.1}, \"compiled_samples_per_sec\": {:.1}, \
              \"jit_samples_per_sec\": {:.1}, \"speedup\": {:.2}, \"jit_speedup\": {:.2}, \
              \"compiled_roofline_fraction\": {:.4}, \"jit_roofline_fraction\": {:.4} }}",
-            json_escape(r.design.name()),
+            json_string(r.design.name()),
             r.op_count,
             r.levels,
             r.commit_blocks,

@@ -21,6 +21,7 @@
 use dwt_arch::datapath::BuiltDatapath;
 use dwt_arch::golden::still_tone_pairs;
 use dwt_fpga::map::map_netlist;
+use dwt_lint::diag::json_string;
 use dwt_repro::DwtError;
 use dwt_rtl::cell::CellKind;
 use dwt_rtl::engine::Engine;
@@ -112,12 +113,6 @@ impl CampaignReport {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// A minimal right-padded markdown table builder shared by the campaign
 /// binaries (`fault_campaign`, `recovery_campaign`): collect rows as
 /// strings, render with per-column widths fitted to the content.
@@ -195,9 +190,9 @@ pub fn campaign_json(cfg: &CampaignConfig, reports: &[CampaignReport]) -> String
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
             out,
-            "{sep}\n    {{\n      \"variant\": \"{}\", \"les\": {}, \"register_bits\": {},\n      \
+            "{sep}\n    {{\n      \"variant\": {}, \"les\": {}, \"register_bits\": {},\n      \
              \"masked\": {}, \"detected\": {}, \"sdc\": {}, \"sdc_rate\": {:.6},\n      \"records\": [",
-            json_escape(&r.variant),
+            json_string(&r.variant),
             r.les,
             r.register_bits,
             r.count(Outcome::Masked),
@@ -209,8 +204,8 @@ pub fn campaign_json(cfg: &CampaignConfig, reports: &[CampaignReport]) -> String
             let sep = if j == 0 { "" } else { "," };
             let _ = write!(
                 out,
-                "{sep}\n        {{ \"fault\": \"{}\", \"outcome\": \"{}\" }}",
-                json_escape(&rec.fault.to_string()),
+                "{sep}\n        {{ \"fault\": {}, \"outcome\": \"{}\" }}",
+                json_string(&rec.fault.to_string()),
                 rec.outcome.label()
             );
         }

@@ -22,7 +22,8 @@ use dwt_pool::{Pool, PoolConfig, PoolReport};
 use dwt_repro::DwtError;
 use dwt_rtl::engine::Engine;
 
-use crate::campaign::{json_escape, LatencyHistogram, MarkdownTable};
+use crate::campaign::{LatencyHistogram, MarkdownTable};
+use dwt_lint::diag::json_string;
 
 /// Parameters of one pool campaign sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,13 +187,13 @@ pub fn pool_json(cfg: &PoolCampaignConfig, rows: &[PoolRow]) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\n  \"config\": {{\n    \"lanes\": {}, \"design\": \"{}\", \"tile_pairs\": {}, \
+        "{{\n  \"config\": {{\n    \"lanes\": {}, \"design\": {}, \"tile_pairs\": {}, \
          \"pairs\": {}, \"seed\": {},\n    \"max_replays\": {}, \"max_redispatch\": {}, \
          \"dwc\": {}, \"deadline_cycles\": {},\n    \"chaos\": {{ \"seu_rate\": {}, \
          \"stuck_fraction\": {}, \"common_mode\": {}, \"seed\": {}, \"burst\": {}, \
          \"stuck_lanes\": [{}], \"slow_lanes\": [{}] }}\n  }},\n  \"sweep\": [",
         p.lanes,
-        json_escape(p.design.name()),
+        json_string(p.design.name()),
         p.tile_pairs,
         cfg.pairs,
         cfg.seed,

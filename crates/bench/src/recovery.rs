@@ -21,7 +21,8 @@ use dwt_recover::watchdog::WatchdogConfig;
 use dwt_repro::DwtError;
 use dwt_rtl::engine::Engine;
 
-use crate::campaign::{json_escape, LatencyHistogram, MarkdownTable};
+use crate::campaign::{LatencyHistogram, MarkdownTable};
+use dwt_lint::diag::json_string;
 
 /// Per-tile total cycle costs (nominal + recovery) of one run, as a
 /// latency distribution.
@@ -180,13 +181,13 @@ pub fn recovery_json(cfg: &RecoveryCampaignConfig, rows: &[RecoveryRow]) -> Stri
         let (primary, replay, tmr, fallback) = r.rung_counts();
         let _ = write!(
             out,
-            "{sep}\n    {{\n      \"design\": \"{}\", \"tiles\": {}, \"strikes\": {},\n      \
+            "{sep}\n    {{\n      \"design\": {}, \"tiles\": {}, \"strikes\": {},\n      \
              \"rungs\": {{ \"primary\": {primary}, \"replay\": {replay}, \"tmr\": {tmr}, \
              \"golden_fallback\": {fallback} }},\n      \
              \"availability\": {:.6}, \"throughput_degradation\": {:.6},\n      \
              \"mean_detection_latency\": {}, \"tile_cycles_p50\": {}, \"tile_cycles_p99\": {}, \
              \"sdc_escapes\": {},\n      \"tiles_detail\": [",
-            json_escape(row.design.name()),
+            json_string(row.design.name()),
             r.tiles.len(),
             row.strikes,
             r.availability(),

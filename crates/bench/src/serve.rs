@@ -30,7 +30,8 @@ use dwt_serve::{
     TileResponse,
 };
 
-use crate::campaign::{json_escape, MarkdownTable};
+use crate::campaign::MarkdownTable;
+use dwt_lint::diag::json_string;
 
 /// Parameters of one serving-load sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -302,11 +303,11 @@ pub fn serve_json(cfg: &ServeCampaignConfig, rows: &[ServeRow]) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\n  \"config\": {{\n    \"design\": \"{}\", \"workers\": {}, \"tile_pairs\": {}, \
+        "{{\n  \"config\": {{\n    \"design\": {}, \"workers\": {}, \"tile_pairs\": {}, \
          \"requests\": {}, \"seed\": {},\n    \"queue_capacity\": {}, \"overload\": \"{}\", \
          \"deadline_ns\": {}, \"max_attempts\": {},\n    \"chaos\": {}\n  \
          }},\n  \"sweep\": [",
-        json_escape(s.design.name()),
+        json_string(s.design.name()),
         s.workers,
         s.executor.tile_pairs,
         cfg.requests,

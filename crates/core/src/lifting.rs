@@ -1,29 +1,32 @@
 //! The 1-D lifting 9/7 transform (Figure 3 of the paper).
 //!
-//! Both arithmetic flavours compared in Table 2 are implemented:
+//! One forward and one inverse pass compute every transform here, as
+//! the multi-pass block lifting of Barina et al., "Parallel Wavelet
+//! Schemes for Images": each of the α, β, γ and δ stages is one
+//! in-place sweep over a band. Both passes are generic over
 //!
-//! * [`forward_f64`] / [`inverse_f64`] — floating-point factorised
-//!   coefficients ("Lifting scheme by floating point factorized
-//!   coefficients"),
-//! * [`IntLifting`] — Q2.8 integer-rounded coefficients with the 8-bit
-//!   right-shift truncation of Section 3.1 ("Lifting scheme by integer
-//!   rounded factorized coefficients").
+//! * **the arithmetic** — the two flavours Table 2 compares:
+//!   floating-point factorised coefficients ([`forward_f64`],
+//!   [`inverse_f64`], [`FloatConstants`] for perturbed values), and Q2.8
+//!   integer-rounded coefficients with the 8-bit right-shift truncation
+//!   of Section 3.1 ([`IntLifting`], [`Q2x8::mul_shift`]);
+//! * **the boundary** — whole-sample symmetric extension for the block
+//!   transform (see [`crate::boundary`]), performed *in the subband
+//!   domain*, which is provably identical to mirroring the signal because
+//!   a mirrored even index stays even and a mirrored odd index stays odd;
+//!   or zeros past both ends for the streaming hardware's cleared
+//!   registers and zero flush ([`IntLifting::forward_zero_history`]).
 //!
-//! The integer kernel also exposes a [`LiftingTrace`] capturing every
-//! internal node value, which the architecture crate uses for register
-//! bit-width checks and netlist equivalence testing.
-//!
-//! Boundaries use whole-sample symmetric extension (see
-//! [`crate::boundary`]); extension is performed *in the subband domain*,
-//! which is provably identical to mirroring the original signal because a
-//! mirrored even index stays even and a mirrored odd index stays odd.
+//! [`LiftingTrace`] records every internal node, which the architecture
+//! crate uses for register bit-width checks and netlist equivalence
+//! testing.
 
-// Index-based loops mirror the paper's per-sample recurrences and read
-// neighbouring elements; iterator forms would obscure them.
-#![allow(clippy::needless_range_loop)]
+use std::ops::{Add, Sub};
+
 use crate::boundary::mirror;
 use crate::coeffs::{lifting as lc, LiftingConstants};
 use crate::error::{Error, Result};
+use crate::fixed::Q2x8;
 
 /// A low/high subband pair produced by one analysis octave.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -76,23 +79,140 @@ fn merge<T: Copy + Default>(s: &[T], d: &[T]) -> Vec<T> {
     out
 }
 
-/// Reads `s[i]` with symmetric extension, where the `s` band holds the
-/// even samples of a signal of length `n`.
-fn s_at<T: Copy>(s: &[T], i: i64, n: usize) -> T {
-    s[mirror(2 * i, n) / 2]
-}
-
-/// Reads `d[i]` with symmetric extension, where the `d` band holds the
-/// odd samples of a signal of length `n`.
-fn d_at<T: Copy>(d: &[T], i: i64, n: usize) -> T {
-    d[(mirror(2 * i + 1, n) - 1) / 2]
-}
-
 fn check_len(n: usize) -> Result<()> {
     if n < 2 {
         return Err(Error::SignalTooShort { len: n });
     }
     Ok(())
+}
+
+/// One of Table 2's two arithmetics: how a constant scales a value.
+trait Arithmetic: Copy {
+    /// The sample type a pass computes in.
+    type Value: Copy + Default + Add<Output = Self::Value> + Sub<Output = Self::Value>;
+
+    /// `k · v`.
+    fn times(self, v: Self::Value) -> Self::Value;
+
+    /// `v / k`, undoing an output scaling.
+    fn divide(self, v: Self::Value) -> Self::Value;
+}
+
+impl Arithmetic for f64 {
+    type Value = f64;
+
+    fn times(self, v: f64) -> f64 {
+        self * v
+    }
+
+    fn divide(self, v: f64) -> f64 {
+        v / self
+    }
+}
+
+impl Arithmetic for Q2x8 {
+    type Value = i64;
+
+    fn times(self, v: i64) -> i64 {
+        self.mul_shift(v)
+    }
+
+    /// Multiplies by the reciprocal rounded to Q2.8: `k = 1/(1/k)` and
+    /// `-1/k = 1/(-k)` are 315/256 ≈ 1.2305 and -208/256 ≈ -0.8125, so
+    /// the integer inverse is close to, not bit-exact with, the
+    /// forward's input — the error Table 2 quantifies.
+    fn divide(self, v: i64) -> i64 {
+        (v * (65536 / i64::from(self.raw()))) >> 8
+    }
+}
+
+/// One constant set in one arithmetic, in datapath order: α, β, γ, δ,
+/// then the high-band scale −k and the low-band scale 1/k.
+type Kernel<A> = [A; 6];
+
+/// The boundary of a pass: whole-sample symmetric extension.
+const MIRROR: bool = true;
+/// The boundary of a pass: zeros past both ends.
+const ZERO: bool = false;
+
+/// Reads signal position `pos` of a signal of `n` samples from `band`,
+/// the band holding positions of `pos`'s parity; past the ends the
+/// position mirrors (a mirrored position keeps its parity) or reads 0.
+fn at<T: Copy + Default, const M: bool>(band: &[T], pos: i64, n: usize) -> T {
+    if M {
+        band[mirror(pos, n) / 2]
+    } else {
+        usize::try_from(pos).ok().and_then(|p| band.get(p / 2)).copied().unwrap_or_default()
+    }
+}
+
+/// One lifting stage over `band`, whose samples sit at the signal
+/// positions `2i + parity`: each sample gains (or, when `undo`, loses)
+/// `k` times the sum of its two neighbours, read from `other`.
+fn lift<A: Arithmetic, const M: bool>(
+    band: &mut [A::Value],
+    parity: i64,
+    other: &[A::Value],
+    k: A,
+    n: usize,
+    undo: bool,
+) {
+    for (i, v) in band.iter_mut().enumerate() {
+        let pos = 2 * i as i64 + parity;
+        let step = k.times(at::<_, M>(other, pos - 1, n) + at::<_, M>(other, pos + 1, n));
+        *v = if undo { *v - step } else { *v + step };
+    }
+}
+
+/// The forward pass, in place: α, β, γ and δ over the even band `s`
+/// and the odd band `d`, then the output scalings, so `s` ends as the
+/// low band and `d` as the high band. `node` sees each band right after
+/// its stage: `d1`, `s1`, `d2`, `s2`.
+fn forward<A: Arithmetic, const M: bool>(
+    k: Kernel<A>,
+    s: &mut [A::Value],
+    d: &mut [A::Value],
+    mut node: impl FnMut(&[A::Value]),
+) {
+    let ([alpha, beta, gamma, delta, minus_k, inv_k], n) = (k, s.len() + d.len());
+    lift::<A, M>(d, 1, s, alpha, n, false);
+    node(d);
+    lift::<A, M>(s, 0, d, beta, n, false);
+    node(s);
+    lift::<A, M>(d, 1, s, gamma, n, false);
+    node(d);
+    lift::<A, M>(s, 0, d, delta, n, false);
+    node(s);
+    s.iter_mut().for_each(|v| *v = inv_k.times(*v));
+    d.iter_mut().for_each(|v| *v = minus_k.times(*v));
+}
+
+/// The inverse pass, in place: undoes the output scalings, then δ, γ,
+/// β and α, so the low band `s` ends as the even samples and the high
+/// band `d` as the odd ones.
+fn inverse<A: Arithmetic, const M: bool>(k: Kernel<A>, s: &mut [A::Value], d: &mut [A::Value]) {
+    let ([alpha, beta, gamma, delta, minus_k, inv_k], n) = (k, s.len() + d.len());
+    s.iter_mut().for_each(|v| *v = inv_k.divide(*v));
+    d.iter_mut().for_each(|v| *v = minus_k.divide(*v));
+    lift::<A, M>(s, 0, d, delta, n, true);
+    lift::<A, M>(d, 1, s, gamma, n, true);
+    lift::<A, M>(s, 0, d, beta, n, true);
+    lift::<A, M>(d, 1, s, alpha, n, true);
+}
+
+/// Every node of a mirrored forward pass over `x`: `s0`, `d0`, `d1`,
+/// `s1`, `d2`, `s2`, low and high.
+fn trace<A: Arithmetic>(k: Kernel<A>, x: &[A::Value]) -> [Vec<A::Value>; 8] {
+    let (mut s, mut d) = split(x);
+    let (s0, d0) = (s.clone(), d.clone());
+    let mut nodes: [Vec<A::Value>; 4] = Default::default();
+    let mut stage = 0;
+    forward::<A, MIRROR>(k, &mut s, &mut d, |band| {
+        nodes[stage] = band.to_vec();
+        stage += 1;
+    });
+    let [d1, s1, d2, s2] = nodes;
+    [s0, d0, d1, s1, d2, s2, s, d]
 }
 
 /// Real-valued lifting constants, for floating-point transforms with
@@ -142,6 +262,11 @@ impl FloatConstants {
             minus_k: c.minus_k.to_f64(),
         }
     }
+
+    fn kernel(&self) -> Kernel<f64> {
+        let c = self;
+        [c.alpha, c.beta, c.gamma, c.delta, c.minus_k, c.inv_k]
+    }
 }
 
 impl Default for FloatConstants {
@@ -156,29 +281,9 @@ impl Default for FloatConstants {
 ///
 /// Returns [`Error::SignalTooShort`] if `x` has fewer than two samples.
 pub fn forward_f64_with(x: &[f64], c: &FloatConstants) -> Result<Subbands<f64>> {
-    let n = x.len();
-    check_len(n)?;
+    check_len(x.len())?;
     let (mut s, mut d) = split(x);
-    let (ns, nd) = (s.len(), d.len());
-
-    for i in 0..nd {
-        d[i] += c.alpha * (s_at(&s, i as i64, n) + s_at(&s, i as i64 + 1, n));
-    }
-    for i in 0..ns {
-        s[i] += c.beta * (d_at(&d, i as i64 - 1, n) + d_at(&d, i as i64, n));
-    }
-    for i in 0..nd {
-        d[i] += c.gamma * (s_at(&s, i as i64, n) + s_at(&s, i as i64 + 1, n));
-    }
-    for i in 0..ns {
-        s[i] += c.delta * (d_at(&d, i as i64 - 1, n) + d_at(&d, i as i64, n));
-    }
-    for v in &mut s {
-        *v *= c.inv_k;
-    }
-    for v in &mut d {
-        *v *= c.minus_k;
-    }
+    forward::<f64, MIRROR>(c.kernel(), &mut s, &mut d, |_| {});
     Ok(Subbands { low: s, high: d })
 }
 
@@ -191,29 +296,8 @@ pub fn forward_f64_with(x: &[f64], c: &FloatConstants) -> Result<Subbands<f64>> 
 /// invalid band pairs.
 pub fn inverse_f64_with(bands: &Subbands<f64>, c: &FloatConstants) -> Result<Vec<f64>> {
     bands.check()?;
-    let n = bands.signal_len();
-    let mut s = bands.low.clone();
-    let mut d = bands.high.clone();
-    let (ns, nd) = (s.len(), d.len());
-
-    for v in &mut s {
-        *v /= c.inv_k;
-    }
-    for v in &mut d {
-        *v /= c.minus_k;
-    }
-    for i in 0..ns {
-        s[i] -= c.delta * (d_at(&d, i as i64 - 1, n) + d_at(&d, i as i64, n));
-    }
-    for i in 0..nd {
-        d[i] -= c.gamma * (s_at(&s, i as i64, n) + s_at(&s, i as i64 + 1, n));
-    }
-    for i in 0..ns {
-        s[i] -= c.beta * (d_at(&d, i as i64 - 1, n) + d_at(&d, i as i64, n));
-    }
-    for i in 0..nd {
-        d[i] -= c.alpha * (s_at(&s, i as i64, n) + s_at(&s, i as i64 + 1, n));
-    }
+    let (mut s, mut d) = (bands.low.clone(), bands.high.clone());
+    inverse::<f64, MIRROR>(c.kernel(), &mut s, &mut d);
     Ok(merge(&s, &d))
 }
 
@@ -242,30 +326,7 @@ pub fn inverse_f64_with(bands: &Subbands<f64>, c: &FloatConstants) -> Result<Vec
 /// # }
 /// ```
 pub fn forward_f64(x: &[f64]) -> Result<Subbands<f64>> {
-    let n = x.len();
-    check_len(n)?;
-    let (mut s, mut d) = split(x);
-    let (ns, nd) = (s.len(), d.len());
-
-    for i in 0..nd {
-        d[i] += lc::ALPHA * (s_at(&s, i as i64, n) + s_at(&s, i as i64 + 1, n));
-    }
-    for i in 0..ns {
-        s[i] += lc::BETA * (d_at(&d, i as i64 - 1, n) + d_at(&d, i as i64, n));
-    }
-    for i in 0..nd {
-        d[i] += lc::GAMMA * (s_at(&s, i as i64, n) + s_at(&s, i as i64 + 1, n));
-    }
-    for i in 0..ns {
-        s[i] += lc::DELTA * (d_at(&d, i as i64 - 1, n) + d_at(&d, i as i64, n));
-    }
-    for v in &mut s {
-        *v *= lc::INV_K;
-    }
-    for v in &mut d {
-        *v *= -lc::K;
-    }
-    Ok(Subbands { low: s, high: d })
+    forward_f64_with(x, &FloatConstants::paper())
 }
 
 /// Inverse floating-point lifting transform of one octave.
@@ -278,31 +339,7 @@ pub fn forward_f64(x: &[f64]) -> Result<Subbands<f64>> {
 /// a forward transform, or [`Error::SignalTooShort`] for fewer than two
 /// total samples.
 pub fn inverse_f64(bands: &Subbands<f64>) -> Result<Vec<f64>> {
-    bands.check()?;
-    let n = bands.signal_len();
-    let mut s = bands.low.clone();
-    let mut d = bands.high.clone();
-    let (ns, nd) = (s.len(), d.len());
-
-    for v in &mut s {
-        *v /= lc::INV_K;
-    }
-    for v in &mut d {
-        *v /= -lc::K;
-    }
-    for i in 0..ns {
-        s[i] -= lc::DELTA * (d_at(&d, i as i64 - 1, n) + d_at(&d, i as i64, n));
-    }
-    for i in 0..nd {
-        d[i] -= lc::GAMMA * (s_at(&s, i as i64, n) + s_at(&s, i as i64 + 1, n));
-    }
-    for i in 0..ns {
-        s[i] -= lc::BETA * (d_at(&d, i as i64 - 1, n) + d_at(&d, i as i64, n));
-    }
-    for i in 0..nd {
-        d[i] -= lc::ALPHA * (s_at(&s, i as i64, n) + s_at(&s, i as i64 + 1, n));
-    }
-    Ok(merge(&s, &d))
+    inverse_f64_with(bands, &FloatConstants::paper())
 }
 
 /// Every internal node of the integer lifting datapath for one octave,
@@ -359,29 +396,8 @@ pub struct FloatLiftingTrace {
 ///
 /// Returns [`Error::SignalTooShort`] if `x` has fewer than two samples.
 pub fn forward_trace_f64(x: &[f64]) -> Result<FloatLiftingTrace> {
-    let n = x.len();
-    check_len(n)?;
-    let (s0, d0) = split(x);
-    let (ns, nd) = (s0.len(), d0.len());
-
-    let mut d1 = d0.clone();
-    for i in 0..nd {
-        d1[i] += lc::ALPHA * (s_at(&s0, i as i64, n) + s_at(&s0, i as i64 + 1, n));
-    }
-    let mut s1 = s0.clone();
-    for i in 0..ns {
-        s1[i] += lc::BETA * (d_at(&d1, i as i64 - 1, n) + d_at(&d1, i as i64, n));
-    }
-    let mut d2 = d1.clone();
-    for i in 0..nd {
-        d2[i] += lc::GAMMA * (s_at(&s1, i as i64, n) + s_at(&s1, i as i64 + 1, n));
-    }
-    let mut s2 = s1.clone();
-    for i in 0..ns {
-        s2[i] += lc::DELTA * (d_at(&d2, i as i64 - 1, n) + d_at(&d2, i as i64, n));
-    }
-    let low = s2.iter().map(|&v| v * lc::INV_K).collect();
-    let high = d2.iter().map(|&v| v * -lc::K).collect();
+    check_len(x.len())?;
+    let [s0, d0, d1, s1, d2, s2, low, high] = trace(FloatConstants::paper().kernel(), x);
     Ok(FloatLiftingTrace { s0, d0, d1, s1, d2, s2, low, high })
 }
 
@@ -421,17 +437,20 @@ impl IntLifting {
         &self.constants
     }
 
+    fn kernel(&self) -> Kernel<Q2x8> {
+        self.constants.named().map(|(_, k)| k)
+    }
+
     /// Forward integer transform of one octave.
     ///
     /// # Errors
     ///
     /// Returns [`Error::SignalTooShort`] if `x` has fewer than two samples.
     pub fn forward(&self, x: &[i32]) -> Result<Subbands<i32>> {
-        let trace = self.forward_trace(x)?;
-        Ok(Subbands {
-            low: trace.low.iter().map(|&v| v as i32).collect(),
-            high: trace.high.iter().map(|&v| v as i32).collect(),
-        })
+        check_len(x.len())?;
+        let (mut s, mut d) = split(&widen(x));
+        forward::<Q2x8, MIRROR>(self.kernel(), &mut s, &mut d, |_| {});
+        Ok(Subbands { low: narrow(&s), high: narrow(&d) })
     }
 
     /// Forward integer transform that also records every internal node.
@@ -440,37 +459,20 @@ impl IntLifting {
     ///
     /// Returns [`Error::SignalTooShort`] if `x` has fewer than two samples.
     pub fn forward_trace(&self, x: &[i32]) -> Result<LiftingTrace> {
-        let n = x.len();
-        check_len(n)?;
-        let c = &self.constants;
-        let wide: Vec<i64> = x.iter().map(|&v| i64::from(v)).collect();
-        let (s0, d0) = split(&wide);
-        let (ns, nd) = (s0.len(), d0.len());
-
-        let mut d1 = d0.clone();
-        for i in 0..nd {
-            let sum = s_at(&s0, i as i64, n) + s_at(&s0, i as i64 + 1, n);
-            d1[i] += c.alpha.mul_shift(sum);
-        }
-        let mut s1 = s0.clone();
-        for i in 0..ns {
-            let sum = d_at(&d1, i as i64 - 1, n) + d_at(&d1, i as i64, n);
-            s1[i] += c.beta.mul_shift(sum);
-        }
-        let mut d2 = d1.clone();
-        for i in 0..nd {
-            let sum = s_at(&s1, i as i64, n) + s_at(&s1, i as i64 + 1, n);
-            d2[i] += c.gamma.mul_shift(sum);
-        }
-        let mut s2 = s1.clone();
-        for i in 0..ns {
-            let sum = d_at(&d2, i as i64 - 1, n) + d_at(&d2, i as i64, n);
-            s2[i] += c.delta.mul_shift(sum);
-        }
-        let low = s2.iter().map(|&v| c.inv_k.mul_shift(v)).collect();
-        let high = d2.iter().map(|&v| c.minus_k.mul_shift(v)).collect();
-
+        check_len(x.len())?;
+        let [s0, d0, d1, s1, d2, s2, low, high] = trace(self.kernel(), &widen(x));
         Ok(LiftingTrace { s0, d0, d1, s1, d2, s2, low, high })
+    }
+
+    /// Forward integer transform from zero history, in place: `even` and
+    /// `odd` hold a pair stream's samples and end as its low and high
+    /// coefficients. The bands read zero past both ends, and every stage
+    /// runs at every index they hold. Intermediates leak one pair past
+    /// each end of a stream (`d1`, `s1`, `d2` before it; `s1`, `d2` after
+    /// it), so a stream padded with one zero pair on each side gets what
+    /// the datapath emits from cleared registers and a zero flush.
+    pub fn forward_zero_history(&self, even: &mut [i64], odd: &mut [i64]) {
+        forward::<Q2x8, ZERO>(self.kernel(), even, odd, |_| {});
     }
 
     /// Inverse integer transform of one octave.
@@ -489,37 +491,18 @@ impl IntLifting {
     /// than two total samples.
     pub fn inverse(&self, bands: &Subbands<i32>) -> Result<Vec<i32>> {
         bands.check()?;
-        let n = bands.signal_len();
-        let c = &self.constants;
-        // Reciprocal constants: k = 1/(1/k) and -1/k = 1/(-k), rounded to
-        // Q2.8 (315/256 ≈ 1.2305 and -208/256 ≈ -0.8125).
-        let k_recip = 65536i64 / i64::from(c.inv_k.raw()); // ≈ k * 256
-        let minus_inv_k_recip = 65536i64 / i64::from(c.minus_k.raw()); // ≈ -1/k * 256
-
-        let mut s: Vec<i64> = bands.low.iter().map(|&v| (i64::from(v) * k_recip) >> 8).collect();
-        let mut d: Vec<i64> =
-            bands.high.iter().map(|&v| (i64::from(v) * minus_inv_k_recip) >> 8).collect();
-        let (ns, nd) = (s.len(), d.len());
-
-        for i in 0..ns {
-            let sum = d_at(&d, i as i64 - 1, n) + d_at(&d, i as i64, n);
-            s[i] -= c.delta.mul_shift(sum);
-        }
-        for i in 0..nd {
-            let sum = s_at(&s, i as i64, n) + s_at(&s, i as i64 + 1, n);
-            d[i] -= c.gamma.mul_shift(sum);
-        }
-        for i in 0..ns {
-            let sum = d_at(&d, i as i64 - 1, n) + d_at(&d, i as i64, n);
-            s[i] -= c.beta.mul_shift(sum);
-        }
-        for i in 0..nd {
-            let sum = s_at(&s, i as i64, n) + s_at(&s, i as i64 + 1, n);
-            d[i] -= c.alpha.mul_shift(sum);
-        }
-        let merged = merge(&s, &d);
-        Ok(merged.iter().map(|&v| v as i32).collect())
+        let (mut s, mut d) = (widen(&bands.low), widen(&bands.high));
+        inverse::<Q2x8, MIRROR>(self.kernel(), &mut s, &mut d);
+        Ok(narrow(&merge(&s, &d)))
     }
+}
+
+fn widen(x: &[i32]) -> Vec<i64> {
+    x.iter().map(|&v| i64::from(v)).collect()
+}
+
+fn narrow(x: &[i64]) -> Vec<i32> {
+    x.iter().map(|&v| v as i32).collect()
 }
 
 #[cfg(test)]

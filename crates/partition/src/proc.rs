@@ -63,6 +63,14 @@ use crate::wire::Frame;
 /// long a worker waits for its peers to open a generation's links.
 const ADMISSION: Duration = Duration::from_secs(20);
 
+/// How long one write to a peer may block: the hub's writes to a
+/// worker, and both ends' writes on every boundary link. A peer that
+/// is alive but wedged, with its receive buffer full, must not hold
+/// the writer forever. A frame that fills the buffer midway costs one
+/// partial write and one failed one, so a send gives up within twice
+/// this; the reader detects the lost or torn frame.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 fn spawn_err(detail: impl Into<String>) -> PartitionError {
     PartitionError::Spawn { detail: detail.into() }
 }
@@ -174,6 +182,7 @@ impl<'p, T: Transport> SocketIo<'p, T> {
         for path in outs {
             open.outs.push(loop {
                 if let Ok(stream) = UnixStream::connect(&path) {
+                    stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok()?;
                     break SocketTransport::new(stream);
                 }
                 if !wait() {
@@ -185,6 +194,7 @@ impl<'p, T: Transport> SocketIo<'p, T> {
             open.ins.push(loop {
                 if let Ok((stream, _)) = listening.0.accept() {
                     stream.set_nonblocking(false).ok()?;
+                    stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok()?;
                     break (SocketTransport::new(stream), 0);
                 }
                 if !wait() {
@@ -466,8 +476,7 @@ impl<'p> Hub<'p> {
             }
         };
         let _ = stream.set_nonblocking(false);
-        // A wedged worker must not block the hub's writes forever.
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let writer = match stream.try_clone() {
             Ok(writer) => SocketTransport::new(writer),
             Err(e) => return Err(refuse(&mut child, format!("clone: {e}"))),
@@ -840,6 +849,49 @@ mod tests {
         }
         drop(ios);
         std::fs::remove_dir(&dir).unwrap();
+    }
+
+    /// A producer whose consumer accepted the link but never reads
+    /// fills the socket's buffer; its next send then gives up within
+    /// two [`WRITE_TIMEOUT`]s instead of blocking the batch loop.
+    #[test]
+    fn a_send_to_a_consumer_that_never_reads_returns_within_the_bound() {
+        let parts = partition(&pipeline(4), 2, &CutOptions::default()).unwrap();
+        let dir = socket_dir("wedged");
+        let listeners: Vec<UnixListener> = (0..parts.links.len())
+            .map(|k| UnixListener::bind(dir.join(format!("g1-l{k}.sock"))).unwrap())
+            .collect();
+        let (worker_end, mut hub) = ChannelTransport::pair();
+        hub.send(&Frame::Rollback { generation: 1, cycle: 0, snapshot: Vec::new() }).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let links = parts.links.clone();
+        let link_dir = dir.clone();
+        // Joined only once it has finished: were the write unbounded,
+        // it would never return, and the receive below fails instead.
+        let producer = thread::spawn(move || {
+            let mut producer = SocketIo::new(worker_end, 0, &links, &link_dir);
+            let next: Next<Snap> = producer.next();
+            assert!(matches!(next, Next::Restore { cycle: 0, snapshot: None }));
+            for seq in 0..1024 {
+                let started = Instant::now();
+                let msg = BoundaryMsg::new(seq, seq, vec![-1; 1 << 16]);
+                WorkerIo::<Snap>::send(&mut producer, 0, msg);
+                if started.elapsed() >= WRITE_TIMEOUT / 2 {
+                    let _ = done_tx.send(started.elapsed());
+                    return;
+                }
+            }
+        });
+        // Accept every link and hold it open without reading.
+        let held: Vec<UnixStream> = listeners.iter().map(|l| l.accept().unwrap().0).collect();
+        let outcome = done_rx.recv_timeout(WRITE_TIMEOUT * 5);
+        if outcome.is_ok() || producer.is_finished() {
+            producer.join().expect("the producer thread panicked");
+        }
+        let blocked = outcome.expect("no send returned from a full buffer within the bound");
+        assert!(blocked < WRITE_TIMEOUT * 2 + Duration::from_secs(1), "send took {blocked:?}");
+        drop(held);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A rendezvous that cannot open its links is a fault of its

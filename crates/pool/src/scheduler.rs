@@ -203,7 +203,6 @@ impl<E: Engine> Pool<E> {
 
         for (index, tile) in tiles.iter().enumerate() {
             let arrival = index as u64 * self.cfg.interarrival_cycles;
-            let (exp_low, exp_high) = golden_tile(tile);
             let nominal = self.lanes[0].exec.nominal_window(tile.len());
 
             let mut now = arrival;
@@ -211,8 +210,7 @@ impl<E: Engine> Pool<E> {
             let mut burnt = 0u64;
             let mut detections = 0usize;
             let mut replays = 0u32;
-            let mut served: Option<ServedBy> = None;
-            let mut output: Option<(Vec<i64>, Vec<i64>)> = None;
+            let mut served: Option<(ServedBy, Vec<i64>, Vec<i64>, bool)> = None;
             let mut tried = vec![false; self.lanes.len()];
 
             while attempts <= self.cfg.max_redispatch {
@@ -242,8 +240,8 @@ impl<E: Engine> Pool<E> {
                 lane.breaker.record(hw, completion);
                 if hw {
                     lane.stats.served += 1;
-                    served = Some(ServedBy::Lane { lane: id, rung: outcome.rung });
-                    output = Some((low, high));
+                    let by = ServedBy::Lane { lane: id, rung: outcome.rung };
+                    served = Some((by, low, high, outcome.bit_exact));
                     burnt += outcome.recovery_cycles;
                     break;
                 }
@@ -254,9 +252,11 @@ impl<E: Engine> Pool<E> {
                 burnt += effective;
             }
 
-            let (served, low, high) = match (served, output) {
-                (Some(s), Some((l, h))) => (s, l, h),
-                _ => {
+            // A lane's executor audited its output against the golden
+            // reference; only a shed tile needs the reference here.
+            let (served, low, high, bit_exact) = match served {
+                Some(served) => served,
+                None => {
                     let reason = if attempts == 0 {
                         ShedReason::NoAdmissibleLane
                     } else {
@@ -266,7 +266,8 @@ impl<E: Engine> Pool<E> {
                     // hardware path: commit at `now` with no further
                     // cycle cost, but the window still counts as
                     // hardware downtime in availability().
-                    (ServedBy::Shed { reason }, exp_low.clone(), exp_high.clone())
+                    let (l, h) = golden_tile(tile);
+                    (ServedBy::Shed { reason }, l, h, true)
                 }
             };
             makespan = makespan.max(now);
@@ -275,7 +276,6 @@ impl<E: Engine> Pool<E> {
             if slot.is_some() {
                 return Err(Error::DoubleCommit { tile: index });
             }
-            let bit_exact = low == exp_low && high == exp_high;
             *slot = Some((low, high));
 
             let latency = now - arrival;

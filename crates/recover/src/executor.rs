@@ -13,11 +13,11 @@
 //! * the flush outlasts the golden model's [`LOOKBACK`], so it isolates
 //!   tiles from each other: a tile can be *re-dispatched* onto the TMR
 //!   spare, restored to power-on, and still match the tile's golden
-//!   reference, which [`dwt_arch::golden::GoldenStream`] computes from
-//!   zero history at every tile start.
+//!   reference, which [`dwt_arch::golden::golden_tile_into`] computes
+//!   from zero history in one block pass at every tile start.
 //!
 //! Detection is online: duplication-with-comparison (DWC) checks every
-//! flushed coefficient against the golden stream the cycle it emerges,
+//! flushed coefficient against the golden reference the cycle it emerges,
 //! a parity-hardened primary contributes its `fault_detect` flag, and
 //! the watchdog's event cap turns a non-settling (oscillating) netlist
 //! into a *detected hang* instead of a wedged service. On detection the
@@ -44,7 +44,7 @@
 
 use dwt_arch::datapath::Hardening;
 use dwt_arch::designs::Design;
-use dwt_arch::golden::{GoldenStream, LOOKBACK};
+use dwt_arch::golden::{golden_tile_into, TileScratch, LOOKBACK};
 use dwt_rtl::engine::Engine;
 use dwt_rtl::fault::FaultSpec;
 use dwt_rtl::netlist::Netlist;
@@ -503,9 +503,9 @@ pub struct TileExecutor<E: Engine = Simulator> {
     spare_datapath: SpareDatapath,
     /// The TMR spare engine; `None` until the first escalation.
     spare: Option<Spare<E>>,
-    /// The current tile's reference, cleared at every tile start; it
-    /// keeps its capacity, so its memory is bounded by the largest tile.
-    golden: GoldenStream,
+    /// Scratch for the current tile's golden reference; it keeps its
+    /// capacity, so its memory is bounded by the largest tile.
+    reference: TileScratch,
     /// Monotone wall-clock of executed simulator cycles, advancing
     /// through rollbacks and re-dispatches. Keys the fault injector, so
     /// a transient strike consumed by a failed attempt does not recur
@@ -545,7 +545,7 @@ impl<E: Engine> TileExecutor<E> {
             initial,
             spare_datapath: SpareDatapath::default(),
             spare: None,
-            golden: GoldenStream::default(),
+            reference: TileScratch::default(),
             executed_cycles: 0,
             segment_fallbacks: 0,
             tile_index: 0,
@@ -723,19 +723,11 @@ impl<E: Engine> TileExecutor<E> {
         // Checkpoint: the drained simulator state.
         let snap = self.primary.snapshot();
 
-        // Reference pass: the tile window from zero history. The flush
-        // (longer than the model's LOOKBACK) makes the window's
-        // coefficients independent of anything before the checkpoint,
-        // which is what licenses replay and re-dispatch.
-        self.golden.clear();
-        for &(e, o) in pairs {
-            self.golden.push(e, o);
-        }
-        for _ in 0..flush {
-            self.golden.push(0, 0);
-        }
-        let exp_low = self.golden.low()[..p].to_vec();
-        let exp_high = self.golden.high()[..p].to_vec();
+        // Reference pass: the tile from zero history. The flush (longer
+        // than the model's LOOKBACK) makes the window's coefficients
+        // independent of anything before the checkpoint, which is what
+        // licenses replay and re-dispatch.
+        let (exp_low, exp_high) = golden_tile_into(pairs, &mut self.reference);
 
         let parity = self.cfg.hardening == Hardening::Parity;
         let mut detections = Vec::new();
@@ -758,7 +750,7 @@ impl<E: Engine> TileExecutor<E> {
                 self.latency,
                 pairs,
                 &plan,
-                self.cfg.dwc.then_some((&exp_low[..], &exp_high[..])),
+                self.cfg.dwc.then_some((exp_low, exp_high)),
                 parity,
                 &persistent,
                 &mut self.executed_cycles,
@@ -817,7 +809,7 @@ impl<E: Engine> TileExecutor<E> {
                 &SegmentPlan::single(p, spare.latency + LOOKBACK),
                 // The recovery path is always checked: an unverified
                 // spare could silently commit a corrupt tile.
-                Some((&exp_low[..], &exp_high[..])),
+                Some((exp_low, exp_high)),
                 false,
                 &persistent,
                 &mut self.executed_cycles,
@@ -834,8 +826,8 @@ impl<E: Engine> TileExecutor<E> {
         }
 
         // Rung 4: software golden fallback — correct by definition.
-        let (rung, low, high) =
-            committed.unwrap_or((Rung::GoldenFallback, exp_low.clone(), exp_high.clone()));
+        let (rung, low, high) = committed
+            .unwrap_or_else(|| (Rung::GoldenFallback, exp_low.to_vec(), exp_high.to_vec()));
 
         // Failed hardware attempts left the primary mid-window (or a
         // spare served the tile): park it back at the drained
@@ -990,7 +982,7 @@ mod tests {
     use super::*;
     use crate::injector::{NoFaults, ScriptedFaults};
     use crate::seu::PoissonSeu;
-    use dwt_arch::golden::still_tone_pairs;
+    use dwt_arch::golden::{golden_tile, still_tone_pairs, GoldenStream};
     use dwt_rtl::compile::CompiledEngine;
 
     /// The names of the netlist's register cells, in cell order.
@@ -1305,15 +1297,6 @@ mod tests {
         assert_eq!(SegmentPlan::choose(1024, 256, 21).window(), 27);
     }
 
-    /// The golden coefficients of one tile, computed from zero history.
-    fn golden_tile(pairs: &[(i64, i64)], flush: usize) -> (Vec<i64>, Vec<i64>) {
-        let mut golden = GoldenStream::default();
-        for &(e, o) in pairs.iter().chain(std::iter::repeat_n(&(0, 0), flush)) {
-            golden.push(e, o);
-        }
-        (golden.low()[..pairs.len()].to_vec(), golden.high()[..pairs.len()].to_vec())
-    }
-
     /// Runs one quiet tile laid out by `plan` and checks that it needed
     /// `fallbacks` one-lane reruns and still committed golden-exact
     /// coefficients on the primary.
@@ -1330,7 +1313,7 @@ mod tests {
         assert_eq!(outcome.rung, Rung::Primary, "{label}: {:?}", outcome.detections);
         assert!(outcome.detections.is_empty(), "{label}");
         assert!(outcome.bit_exact, "{label}");
-        assert!((low, high) == golden_tile(pairs, exec.flush()), "{label}: output differs");
+        assert!((low, high) == golden_tile(pairs), "{label}: output differs");
         // A failing segmented attempt stops at its first mismatch, then
         // the tile reruns on one lane.
         let ticks = exec.executed_cycles() - before.1;
@@ -1360,7 +1343,7 @@ mod tests {
         assert_ne!(outcome.rung, Rung::Primary);
         assert!(outcome.detections.contains(&Detection::OutputMismatch));
         assert!(outcome.bit_exact);
-        assert!((low, high) == golden_tile(&pairs[..16], exec.flush()));
+        assert!((low, high) == golden_tile(&pairs[..16]));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! coefficients of the equivalent all-software orchestration.
 
 use dwt_repro::arch::designs::Design;
-use dwt_repro::arch::system2d::{build_line_engine, golden_line, run_line, LineEngine};
+use dwt_repro::arch::golden::golden_tile;
+use dwt_repro::arch::system2d::{build_line_engine, run_line, LineEngine};
 use dwt_repro::core::grid::Grid;
 use dwt_repro::imaging::synth::StillToneImage;
 use dwt_repro::rtl::sim::Simulator;
@@ -64,7 +65,7 @@ fn hardware_engine_2d_equals_golden_orchestration() {
 
     let by_hardware =
         transform_2d(&image, 2, |pairs| run_line(&mut sim, &engine, pairs).expect("hardware line"));
-    let by_golden = transform_2d(&image, 2, golden_line);
+    let by_golden = transform_2d(&image, 2, golden_tile);
 
     assert_eq!(by_hardware, by_golden);
 }
@@ -138,6 +139,6 @@ fn pass_engine_does_whole_passes_with_host_corner_turns_only() {
     }
 
     // Reference: the same two passes through the golden line transform.
-    let golden = transform_2d(&image, 1, golden_line);
+    let golden = transform_2d(&image, 1, golden_tile);
     assert_eq!(hw, golden);
 }
