@@ -82,7 +82,7 @@ impl BackendRunner for Worker<'_> {
         E: Engine + Send + 'static,
         E::Snapshot: PortableSnapshot + Send + 'static,
     {
-        run_worker::<E, _>(self.cut, self.shard, self.transport, self.links)
+        run_worker::<E>(self.cut, self.shard, self.transport, self.links)
     }
 }
 

@@ -11,7 +11,8 @@
 //! snapshots on top — all of which must recover with zero silent data
 //! corruption. The restart test kills the *coordinator* (stops it after
 //! a durable barrier) and proves a fresh one resumes from the store,
-//! not from cycle 0. Process mode runs the thread mode's schedule: the
+//! not from cycle 0, and that records of the previous store version are
+//! refused, so a store holding only those resumes from power-on. Process mode runs the thread mode's schedule: the
 //! benchmark's Design 5 × 2 frame sends one frame per batch on its
 //! forward link, and a stealth corruption inside that frame is caught
 //! by the barrier hash crosscheck and replayed.
@@ -22,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use dwt_arch::designs::Design;
+use dwt_partition::store::{STORE_MAGIC, STORE_VERSION};
 use dwt_partition::{
     partition, run_single, ChaosPlan, Corruption, CutOptions, DetectionKind, FrameOutputs,
     FrameReport, Isolation, PartitionRunner, PartitionedNetlist, Rung, RunnerConfig, Stimulus,
@@ -313,6 +315,72 @@ fn restarted_supervisor_resumes_from_the_durable_barrier_not_cycle_zero() {
     assert_eq!(resumed.resumed_from, Some(2 * INTERVAL), "resume point is the durable barrier");
     assert!(resumed.completed);
     assert_eq!(resumed.outputs, reference, "resumed run diverged from the oracle");
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// IEEE CRC32 (reflected, polynomial `0xEDB88320`), the section check
+/// of store version 2.
+fn ieee_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xffff_ffffu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// A current barrier record rewritten as store version 2 wrote it: the
+/// same sections, each framed `len u32 | payload | crc32 u32`.
+fn as_version_2(record: &[u8]) -> Vec<u8> {
+    assert_eq!(record[..4], STORE_MAGIC);
+    assert_eq!(record[4], STORE_VERSION);
+    let mut out = STORE_MAGIC.to_vec();
+    out.push(2);
+    let mut rest = &record[5..];
+    while !rest.is_empty() {
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+        out.extend_from_slice(&rest[..4 + len]);
+        out.extend_from_slice(&ieee_crc32(&rest[4..4 + len]).to_le_bytes());
+        // Skip the section's own 8-byte checksum.
+        rest = &rest[4 + len + 8..];
+    }
+    out
+}
+
+#[test]
+fn a_store_of_version_2_records_resumes_from_power_on() {
+    assert_eq!(ieee_crc32(b"123456789"), 0xcbf4_3926);
+    let built = Design::D1.build().expect("design builds");
+    let stim = stimulus(CYCLES, SEED);
+    let cut = partition(&built.netlist, 2, &CutOptions::default()).expect("cut");
+    let reference = run_single::<Simulator>(&built.netlist, &stim, None).expect("reference");
+    let store = scratch_dir("version2");
+    let calm = ChaosPlan::default();
+
+    let first_cfg = durable(Design::D1, 2, &store, false, Some(2));
+    let first = run_frame(&cut, "event", first_cfg, &stim, &calm).expect("first supervisor");
+    assert!(!first.completed && first.barriers == 2, "{first:?}");
+    let mut rewritten = 0;
+    for entry in std::fs::read_dir(&store).expect("store dir") {
+        let path = entry.expect("entry").path();
+        if path.extension().is_some_and(|e| e == "dwtb") {
+            let record = std::fs::read(&path).expect("record");
+            std::fs::write(&path, as_version_2(&record)).expect("rewrite");
+            rewritten += 1;
+        }
+    }
+    assert!(rewritten > 0, "the first coordinator left no record");
+
+    // The old records match this cut and cover two barriers, but their
+    // layout is refused, not misread: the run starts over.
+    let resume_cfg = durable(Design::D1, 2, &store, true, None);
+    let resumed = run_frame(&cut, "event", resume_cfg, &stim, &calm).expect("resumed supervisor");
+    assert_eq!(resumed.resumed_from, None, "only old records: resume from power-on");
+    assert!(resumed.completed);
+    assert_eq!(resumed.barriers, CYCLES / INTERVAL);
+    assert_eq!(resumed.outputs, reference, "the run from power-on diverged from the oracle");
     let _ = std::fs::remove_dir_all(&store);
 }
 

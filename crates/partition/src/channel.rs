@@ -1,6 +1,8 @@
-//! The boundary-exchange wire format: sequence-numbered, checksummed
+//! The boundary-exchange message: sequence-numbered, checksummed
 //! messages of one or more cycles' values, plus the running per-link
-//! hash the barrier crosschecks.
+//! hash the barrier crosschecks. Thread-mode links carry it as a typed
+//! value; process-mode links frame it in a
+//! [`Frame::Boundary`](crate::wire::Frame::Boundary).
 //!
 //! Integrity is layered. The **checksum** on each message catches
 //! payload corruption in flight immediately at the consumer. The
@@ -29,7 +31,7 @@ fn fold_values(mut hash: u64, seq: u64, cycle: u64, values: &[i64]) -> u64 {
 
 /// One boundary-value message: the settled post-edge values of every
 /// `__cut` port on one link, for one virtual cycle or, on a forward
-/// link in thread mode, for a whole barrier batch of them.
+/// link, for a whole barrier batch of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundaryMsg {
     /// Per-link sequence number (0-based from worker spawn; the

@@ -15,8 +15,9 @@
 //!    exchange round per cycle suffices. [`stitch`] is the exact
 //!    inverse, reassembling the original netlist — dwt-equiv proves
 //!    `stitch(partition(n)) ≡ n` as a standing obligation.
-//! 2. [`channel`] — the sequence-numbered, checksummed wire format
-//!    plus per-link running hashes for barrier crosschecks.
+//! 2. [`channel`] — the sequence-numbered, checksummed boundary
+//!    message plus per-link running hashes for barrier crosschecks.
+//!    Thread-mode links are typed `mpsc` channels of it.
 //! 3. [`runner`] — the partition protocol: one shard worker loop
 //!    that takes each forward link's whole barrier batch in one frame
 //!    before the first tick and settles only on per-cycle feedback
@@ -29,10 +30,10 @@
 //!    a typed error.
 //! 4. [`proc`] — process isolation for the same protocol: worker
 //!    processes admitted by cut fingerprint, a socket hub for control
-//!    frames, one socket per boundary link per rollback generation,
-//!    and a durable barrier [`store`] a restarted coordinator resumes
-//!    from. [`Isolation`] picks threads or processes; nothing else
-//!    differs.
+//!    frames, one socket per boundary link per rollback generation
+//!    (the [`wire`] codec over a [`transport`] socket), and a durable
+//!    barrier [`store`] a restarted coordinator resumes from.
+//!    [`Isolation`] picks threads or processes; nothing else differs.
 //!
 //! [`Engine`]: dwt_rtl::engine::Engine
 
@@ -55,6 +56,6 @@ pub use runner::{
     FrameReport, GoldenFallback, Isolation, PartitionRunner, Rung, RunnerConfig, SeuChaos,
     Stimulus,
 };
-pub use store::{crc32, BarrierRecord, FsckReport, RunStore};
-pub use transport::{ChannelTransport, RecvError, SocketTransport, Transport};
+pub use store::{BarrierRecord, RunStore};
+pub use transport::{RecvError, SocketTransport};
 pub use wire::Frame;

@@ -55,7 +55,7 @@ use crate::runner::{
     Barrier, Batch, BatchReport, DetectionKind, Fleet, Next, Polled, Resp, Worker, WorkerIo,
 };
 use crate::store::{BarrierRecord, RunStore};
-use crate::transport::{RecvError, SocketTransport, Transport};
+use crate::transport::{RecvError, SocketTransport};
 use crate::wire::Frame;
 
 /// How long a worker process may take to start, build its engine and
@@ -104,11 +104,11 @@ impl Drop for Listening {
     }
 }
 
-/// A worker process's I/O: control frames over one transport to the
-/// hub, boundary frames over this generation's link sockets.
-struct SocketIo<'p, T> {
-    transport: T,
-    worker: u32,
+/// A worker process's I/O: control frames over one socket to the hub,
+/// boundary frames over this generation's link sockets.
+struct SocketIo<'p> {
+    hub: SocketTransport,
+    worker: usize,
     /// The cut's links; this worker's are those it produces or consumes.
     links: &'p [BoundaryLink],
     /// Where the link sockets meet.
@@ -124,10 +124,10 @@ struct SocketIo<'p, T> {
     last_beat: Option<Instant>,
 }
 
-impl<'p, T: Transport> SocketIo<'p, T> {
-    fn new(transport: T, worker: u32, links: &'p [BoundaryLink], dir: &'p Path) -> Self {
+impl<'p> SocketIo<'p> {
+    fn new(hub: SocketTransport, worker: usize, links: &'p [BoundaryLink], dir: &'p Path) -> Self {
         SocketIo {
-            transport,
+            hub,
             worker,
             links,
             dir,
@@ -143,7 +143,7 @@ impl<'p, T: Transport> SocketIo<'p, T> {
     /// Reads one hub frame and files it. Batches of an older generation
     /// are dropped.
     fn read(&mut self, wait: Duration) -> Result<(), RecvError> {
-        match self.transport.recv_timeout(wait)? {
+        match self.hub.recv_timeout(wait)? {
             Frame::Batch { generation, batch } if generation == self.generation => {
                 self.batches.push_back(*batch);
             }
@@ -160,7 +160,7 @@ impl<'p, T: Transport> SocketIo<'p, T> {
     /// socket files behind, when a rollback or shutdown comes, the hub
     /// is lost or [`ADMISSION`] runs out.
     fn rendezvous(&mut self) -> Option<Links> {
-        let (worker, deadline) = (self.worker as usize, Instant::now() + ADMISSION);
+        let (worker, deadline) = (self.worker, Instant::now() + ADMISSION);
         let (mut outs, mut ins) = (Vec::new(), Vec::new());
         for (k, link) in self.links.iter().enumerate() {
             let path = self.dir.join(format!("g{}-l{k}.sock", self.generation));
@@ -206,7 +206,7 @@ impl<'p, T: Transport> SocketIo<'p, T> {
     }
 }
 
-impl<T: Transport, S: PortableSnapshot> WorkerIo<S> for SocketIo<'_, T> {
+impl<S: PortableSnapshot> WorkerIo<S> for SocketIo<'_> {
     fn next(&mut self) -> Next<S> {
         loop {
             match self.control.take() {
@@ -223,9 +223,8 @@ impl<T: Transport, S: PortableSnapshot> WorkerIo<S> for SocketIo<'_, T> {
                     if self.open.is_none() {
                         // This generation's batches cannot run; the
                         // fault makes the coordinator roll back again.
-                        let (worker, kind) = (self.worker, DetectionKind::Crash);
-                        let fault = Frame::Fault { worker, generation, start: cycle, kind };
-                        let _ = self.transport.send(&fault);
+                        let kind = DetectionKind::Crash;
+                        let _ = self.hub.send(&Frame::Fault { generation, start: cycle, kind });
                         continue;
                     }
                     let snapshot = if snapshot.is_empty() {
@@ -266,19 +265,16 @@ impl<T: Transport, S: PortableSnapshot> WorkerIo<S> for SocketIo<'_, T> {
                     snapshot: r.snapshot.to_bytes(),
                 }),
             },
-            Resp::Fault { start, kind, .. } => {
-                Frame::Fault { worker: self.worker, generation, start, kind }
-            }
+            Resp::Fault { start, kind, .. } => Frame::Fault { generation, start, kind },
         };
         // A lost hub surfaces at the next read.
-        let _ = self.transport.send(&frame);
+        let _ = self.hub.send(&frame);
     }
 
     fn send(&mut self, link: usize, msg: BoundaryMsg) {
-        let (generation, index) = (self.generation, link as u32);
         if let Some(out) = self.open.as_mut().and_then(|open| open.outs.get_mut(link)) {
             // A closed peer is the coordinator's problem.
-            let _ = out.send(&Frame::Boundary { generation, link: index, msg });
+            let _ = out.send(&Frame::Boundary { msg });
         }
     }
 
@@ -290,7 +286,7 @@ impl<T: Transport, S: PortableSnapshot> WorkerIo<S> for SocketIo<'_, T> {
         let deadline = Instant::now() + wait;
         loop {
             match transport.recv_timeout(deadline.saturating_duration_since(Instant::now()))? {
-                Frame::Boundary { msg, .. } => return Ok(msg),
+                Frame::Boundary { msg } => return Ok(msg),
                 Frame::Heartbeat { beats: count, .. } => *beats = count,
                 other => {
                     return Err(RecvError::Protocol(PartitionError::Protocol {
@@ -309,9 +305,8 @@ impl<T: Transport, S: PortableSnapshot> WorkerIo<S> for SocketIo<'_, T> {
         self.beats += 1;
         if self.last_beat.is_none_or(|at| at.elapsed() >= every) {
             self.last_beat = Some(Instant::now());
-            let (worker, generation, beats) = (self.worker, self.generation, self.beats);
-            let frame = Frame::Heartbeat { worker, generation, beats };
-            let _ = self.transport.send(&frame);
+            let frame = Frame::Heartbeat { generation: self.generation, beats: self.beats };
+            let _ = self.hub.send(&frame);
             for out in self.open.iter_mut().flat_map(|open| &mut open.outs) {
                 let _ = out.send(&frame);
             }
@@ -333,16 +328,15 @@ impl<T: Transport, S: PortableSnapshot> WorkerIo<S> for SocketIo<'_, T> {
 ///
 /// [`PartitionError::Spawn`] for a shard index out of range; engine
 /// construction or restore errors; a failed Hello.
-pub fn run_worker<E, T>(
+pub fn run_worker<E>(
     parts: &PartitionedNetlist,
     shard: usize,
-    mut transport: T,
+    mut transport: SocketTransport,
     dir: &Path,
 ) -> Result<bool, PartitionError>
 where
     E: Engine,
     E::Snapshot: PortableSnapshot,
-    T: Transport,
 {
     let Some(spec) = parts.shards.get(shard) else {
         return Err(spawn_err(format!("shard {shard} of a {}-way cut", parts.parts())));
@@ -350,7 +344,7 @@ where
     let mut worker = Worker::<E>::build(shard, spec.clone(), &parts.links)?;
     let worker_id = u32::try_from(shard).unwrap_or(u32::MAX);
     transport.send(&Frame::Hello { worker: worker_id, fingerprint: parts.fingerprint() })?;
-    worker.serve(&mut SocketIo::new(transport, worker_id, &parts.links, dir))
+    worker.serve(&mut SocketIo::new(transport, shard, &parts.links, dir))
 }
 
 // ---------------------------------------------------------------- hub
@@ -560,10 +554,10 @@ impl Fleet for Hub<'_> {
                 report.worker = w;
                 Polled::Resp(Resp::Done(*report))
             }
-            Ok(Frame::Fault { generation, start, kind, .. }) if generation == current => {
+            Ok(Frame::Fault { generation, start, kind }) if generation == current => {
                 Polled::Resp(Resp::Fault { worker: w, start, kind })
             }
-            Ok(Frame::Heartbeat { generation, beats, .. }) if generation == current => {
+            Ok(Frame::Heartbeat { generation, beats }) if generation == current => {
                 self.procs[w].beats = beats;
                 Polled::Idle
             }
@@ -709,7 +703,6 @@ mod tests {
     use crate::runner::{
         run_single, ChaosPlan, Isolation, PartitionRunner, RunnerConfig, Stimulus,
     };
-    use crate::transport::ChannelTransport;
     use dwt_rtl::builder::NetlistBuilder;
     use dwt_rtl::netlist::Netlist;
     use dwt_rtl::sim::Simulator;
@@ -760,15 +753,14 @@ mod tests {
             stall_at: None,
             corrupt: Vec::new(),
             watchdog: Duration::from_secs(5),
-            event_cap: None,
         }
     }
 
     #[test]
     fn run_worker_refuses_a_shard_outside_the_cut() {
         let parts = partition(&pipeline(4), 2, &CutOptions::default()).unwrap();
-        let (worker_end, _hub_end) = ChannelTransport::pair();
-        let refused = run_worker::<Simulator, _>(&parts, 2, worker_end, Path::new("."));
+        let (worker_end, _hub_end) = SocketTransport::pair().unwrap();
+        let refused = run_worker::<Simulator>(&parts, 2, worker_end, Path::new("."));
         assert!(matches!(refused, Err(PartitionError::Spawn { .. })), "{refused:?}");
     }
 
@@ -789,7 +781,7 @@ mod tests {
     }
 
     /// Two workers' I/O on their own threads, with the hub played over
-    /// channels, for two successive generations: each rollback opens
+    /// socket pairs, for two successive generations: each rollback opens
     /// fresh link sockets, boundary frames and heartbeats cross every
     /// link in order, a non-boundary frame on a link is a protocol
     /// error, and no socket file outlives a rendezvous.
@@ -802,11 +794,11 @@ mod tests {
         let mut hub = Vec::new();
         let mut ios = Vec::new();
         for w in 0..2 {
-            let (worker_end, hub_end) = ChannelTransport::pair();
+            let (worker_end, hub_end) = SocketTransport::pair().unwrap();
             hub.push(hub_end);
             ios.push(SocketIo::new(worker_end, w, &parts.links, &dir));
         }
-        let restore = |io: &mut SocketIo<'_, ChannelTransport>| {
+        let restore = |io: &mut SocketIo<'_>| {
             let next: Next<Snap> = io.next();
             assert!(matches!(next, Next::Restore { cycle: 0, snapshot: None }));
         };
@@ -861,7 +853,7 @@ mod tests {
         let listeners: Vec<UnixListener> = (0..parts.links.len())
             .map(|k| UnixListener::bind(dir.join(format!("g1-l{k}.sock"))).unwrap())
             .collect();
-        let (worker_end, mut hub) = ChannelTransport::pair();
+        let (worker_end, mut hub) = SocketTransport::pair().unwrap();
         hub.send(&Frame::Rollback { generation: 1, cycle: 0, snapshot: Vec::new() }).unwrap();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let links = parts.links.clone();
@@ -904,7 +896,7 @@ mod tests {
         let dir = socket_dir("failed");
         // The consumer cannot bind in a directory that does not exist.
         let missing = dir.join("missing");
-        let (worker_end, mut hub) = ChannelTransport::pair();
+        let (worker_end, mut hub) = SocketTransport::pair().unwrap();
         let mut io = SocketIo::new(worker_end, 1, &parts.links, &missing);
         hub.send(&Frame::Rollback { generation: 1, cycle: 12, snapshot: Vec::new() }).unwrap();
         let inputs = vec![0; 12 * parts.shards[1].inputs.len()];
@@ -912,7 +904,7 @@ mod tests {
         hub.send(&Frame::Shutdown).unwrap();
         assert!(matches!(WorkerIo::<Snap>::next(&mut io), Next::Stop));
         match hub.recv_timeout(Duration::from_secs(1)).unwrap() {
-            Frame::Fault { worker: 1, generation: 1, start: 12, kind: DetectionKind::Crash } => {}
+            Frame::Fault { generation: 1, start: 12, kind: DetectionKind::Crash } => {}
             other => panic!("expected the generation's fault, got {other:?}"),
         }
         let lost = WorkerIo::<Snap>::recv(&mut io, 0, Duration::ZERO);
@@ -920,13 +912,13 @@ mod tests {
         std::fs::remove_dir(&dir).unwrap();
     }
 
-    /// A hand-written hub over channel transports: one batch on every
+    /// A hand-written hub over socket pairs: one batch on every
     /// worker, reports collected. Boundary frames travel on the
     /// workers' own link sockets.
     struct TestHub<'p> {
         parts: &'p PartitionedNetlist,
         stim: &'p Stimulus,
-        ends: Vec<ChannelTransport>,
+        ends: Vec<SocketTransport>,
     }
 
     impl TestHub<'_> {
@@ -991,7 +983,7 @@ mod tests {
     }
 
     /// Drives two real `run_worker` loops with a hand-written hub over
-    /// channel transports and real link sockets: Hello admission, a
+    /// socket pairs and real link sockets: Hello admission, a
     /// power-on rollback opening the first generation's links, batches
     /// out, link hashes crosschecked, then a power-on rollback with a
     /// bit-exact replay, a restore from the barrier snapshot bytes, and
@@ -1006,12 +998,11 @@ mod tests {
             let mut hub = TestHub { parts: &parts, stim: &stim, ends: Vec::new() };
             let mut workers = Vec::new();
             for w in 0..2 {
-                let (worker_end, hub_end) = ChannelTransport::pair();
+                let (worker_end, hub_end) = SocketTransport::pair().unwrap();
                 hub.ends.push(hub_end);
                 let (parts, dir) = (&parts, &dir);
-                workers.push(
-                    scope.spawn(move || run_worker::<Simulator, _>(parts, w, worker_end, dir)),
-                );
+                workers
+                    .push(scope.spawn(move || run_worker::<Simulator>(parts, w, worker_end, dir)));
             }
             for (w, end) in hub.ends.iter_mut().enumerate() {
                 match end.recv_timeout(Duration::from_secs(5)).unwrap() {

@@ -68,12 +68,13 @@
 //! how its commands and reports travel. Both share one link topology:
 //! point-to-point boundary links that live for one epoch, from one
 //! restart of the fleet to the next. Threads take typed `mpsc` commands
-//! and reports, keep snapshots as `E::Snapshot`, and get one
-//! [`ChannelTransport`] per link per epoch; processes speak [`Frame`]s
-//! to the socket hub in [`proc`](crate::proc), with snapshots as
-//! portable bytes, and open one Unix socket per link per rollback
-//! generation. Both sides of that seam are one small trait each:
-//! `WorkerIo` for a worker, `Fleet` for the coordinator.
+//! and reports, keep snapshots as `E::Snapshot`, and get one typed
+//! `mpsc` channel of [`BoundaryMsg`] per link per epoch; processes
+//! speak [`Frame`](crate::wire::Frame)s to the socket hub in
+//! [`proc`](crate::proc), with snapshots as portable bytes, and open
+//! one Unix socket per link per rollback generation. Both sides of that
+//! seam are one small trait each: `WorkerIo` for a worker, `Fleet` for
+//! the coordinator.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -96,8 +97,7 @@ use crate::channel::{BoundaryMsg, LinkFault};
 use crate::cut::{BoundaryLink, PartitionedNetlist, Shard};
 use crate::error::PartitionError;
 use crate::proc::{Hub, WorkerLauncher};
-use crate::transport::{ChannelTransport, RecvError, Transport};
-use crate::wire::Frame;
+use crate::transport::RecvError;
 
 /// Per-cycle input vectors for one frame.
 #[derive(Debug, Clone, Default)]
@@ -264,7 +264,7 @@ pub enum Isolation {
 }
 
 /// Runner tuning.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct RunnerConfig {
     /// Cycles per barrier (snapshot cadence). Shorter means cheaper
     /// replays and more snapshot overhead.
@@ -278,8 +278,6 @@ pub struct RunnerConfig {
     /// Rollback-and-replay budget per frame before degrading to the
     /// single-engine rung.
     pub max_recoveries: u32,
-    /// Optional per-cycle event cap forwarded to every engine.
-    pub event_cap: Option<u64>,
     /// Clock the coordinator's deadlines read. [`MonotonicClock`]
     /// (ticks are nanoseconds) in production; a `VirtualClock` makes
     /// stall detection deterministic in tests.
@@ -292,26 +290,12 @@ pub struct RunnerConfig {
     pub isolation: Isolation,
 }
 
-impl std::fmt::Debug for RunnerConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunnerConfig")
-            .field("snapshot_interval", &self.snapshot_interval)
-            .field("watchdog", &self.watchdog)
-            .field("max_recoveries", &self.max_recoveries)
-            .field("event_cap", &self.event_cap)
-            .field("batch_budget", &self.batch_budget)
-            .field("isolation", &self.isolation)
-            .finish_non_exhaustive()
-    }
-}
-
 impl Default for RunnerConfig {
     fn default() -> Self {
         RunnerConfig {
             snapshot_interval: 32,
             watchdog: Duration::from_millis(250),
             max_recoveries: 8,
-            event_cap: None,
             clock: Arc::new(MonotonicClock::new()),
             batch_budget: None,
             isolation: Isolation::Threads,
@@ -344,8 +328,6 @@ pub struct Batch {
     pub corrupt: Vec<(u64, usize, bool)>,
     /// The receive watchdog (see [`RunnerConfig::watchdog`]).
     pub watchdog: Duration,
-    /// Per-cycle event cap for the engine.
-    pub event_cap: Option<u64>,
 }
 
 /// A worker's answer to a completed batch.
@@ -658,9 +640,6 @@ impl<E: Engine> Worker<E> {
         io: &mut impl WorkerIo<S>,
     ) -> Result<BatchReport<E::Snapshot>, Abort> {
         let (watchdog, beat_every) = (batch.watchdog, batch.watchdog / 4);
-        if let Some(cap) = batch.event_cap {
-            self.engine.set_event_cap(cap);
-        }
         // Rows a faulted batch left behind never reach a frame.
         for link in &mut self.out_links {
             link.rows.clear();
@@ -780,16 +759,16 @@ impl From<RtlError> for Abort {
     }
 }
 
-/// A worker thread's I/O: typed channels to the coordinator, one
-/// [`ChannelTransport`] per link, and shared beat counters.
+/// A worker thread's I/O: typed channels to the coordinator and on
+/// every link, and shared beat counters.
 struct ThreadIo<S> {
     /// The barrier this epoch starts from, restored before any batch.
     restore: Option<(u64, S)>,
     cmds: Receiver<Batch>,
     resps: Sender<Resp<S>>,
-    outs: Vec<ChannelTransport>,
-    /// Per in-link: the transport and the producer's beat counter.
-    ins: Vec<(ChannelTransport, Arc<AtomicU64>)>,
+    outs: Vec<Sender<BoundaryMsg>>,
+    /// Per in-link: the channel and the producer's beat counter.
+    ins: Vec<(Receiver<BoundaryMsg>, Arc<AtomicU64>)>,
     /// Read by the coordinator's progress watchdog and by this
     /// worker's consumers. `Relaxed` suffices: the count publishes no
     /// other data.
@@ -809,16 +788,14 @@ impl<S> WorkerIo<S> for ThreadIo<S> {
     }
 
     fn send(&mut self, link: usize, msg: BoundaryMsg) {
-        let _ = self.outs[link].send(&Frame::Boundary { generation: 0, link: link as u32, msg });
+        let _ = self.outs[link].send(msg);
     }
 
     fn recv(&mut self, link: usize, wait: Duration) -> Result<BoundaryMsg, RecvError> {
-        match self.ins[link].0.recv_timeout(wait)? {
-            Frame::Boundary { msg, .. } => Ok(msg),
-            other => Err(RecvError::Protocol(PartitionError::Protocol {
-                detail: format!("{other:?} on a boundary link"),
-            })),
-        }
+        self.ins[link].0.recv_timeout(wait).map_err(|e| match e {
+            RecvTimeoutError::Timeout => RecvError::Timeout,
+            RecvTimeoutError::Disconnected => RecvError::Disconnected,
+        })
     }
 
     fn producer_beats(&mut self, link: usize) -> u64 {
@@ -991,7 +968,6 @@ impl ChaosState {
                 })
                 .collect(),
             watchdog: Duration::ZERO,
-            event_cap: None,
         }
     }
 
@@ -1057,9 +1033,8 @@ where
         self.epoch.as_ref().map_or(0, |e| e.progress[w].load(Ordering::Relaxed))
     }
 
-    /// Tears the epoch down and spawns a fresh one: point-to-point
-    /// boundary transports, each a framed byte pipe, so thread mode
-    /// exercises the wire codec too.
+    /// Tears the epoch down and spawns a fresh one, with a fresh
+    /// channel per boundary link.
     fn restart(
         &mut self,
         cycle: u64,
@@ -1074,11 +1049,11 @@ where
             }
             None => 0,
         };
-        let mut outs: Vec<Vec<ChannelTransport>> = (0..n).map(|_| Vec::new()).collect();
+        let mut outs: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         let mut ins: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         let progress: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::default()).collect();
         for link in &self.parts.links {
-            let (tx, rx) = ChannelTransport::pair();
+            let (tx, rx) = mpsc::channel();
             outs[link.from].push(tx);
             ins[link.to].push((rx, Arc::clone(&progress[link.from])));
         }
@@ -1195,20 +1170,19 @@ where
         };
         // Rung 2: one engine over the unsplit netlist, no faults.
         // Rung 3: the caller's golden model.
-        (report.outputs, report.rung) =
-            match run_single::<E>(&self.parts.original, stim, self.config.event_cap) {
-                Ok(outputs) => (outputs, Rung::SingleEngine),
-                Err(e) => {
-                    let kind = DetectionKind::Engine(e.to_string());
-                    report.detections.push(Detection { worker: None, batch_start: 0, kind });
-                    let detail = format!(
-                        "{} detections, single-engine rung failed: {e}",
-                        report.detections.len()
-                    );
-                    let golden = golden.and_then(|g| g(stim));
-                    (golden.ok_or(PartitionError::Exhausted { detail })?, Rung::Golden)
-                }
-            };
+        (report.outputs, report.rung) = match run_single::<E>(&self.parts.original, stim, None) {
+            Ok(outputs) => (outputs, Rung::SingleEngine),
+            Err(e) => {
+                let kind = DetectionKind::Engine(e.to_string());
+                report.detections.push(Detection { worker: None, batch_start: 0, kind });
+                let detail = format!(
+                    "{} detections, single-engine rung failed: {e}",
+                    report.detections.len()
+                );
+                let golden = golden.and_then(|g| g(stim));
+                (golden.ok_or(PartitionError::Exhausted { detail })?, Rung::Golden)
+            }
+        };
         (report.barriers, report.boundary_frames) = (0, 0);
         Ok(report)
     }
@@ -1383,7 +1357,6 @@ where
                 batch.inputs.extend(columns.iter().map(|column| column[c]));
             }
             batch.watchdog = self.config.watchdog;
-            batch.event_cap = self.config.event_cap;
             fleet.dispatch(w, batch);
         }
         chaos.attempt_clock += len;
@@ -1642,8 +1615,8 @@ mod tests {
 
     /// A thread worker's I/O with one in-link of `ports` ports, and the
     /// producer's end of that link.
-    fn in_link(ports: usize) -> (ChannelTransport, InLink, ThreadIo<()>) {
-        let (tx, rx) = ChannelTransport::pair();
+    fn in_link(ports: usize) -> (Sender<BoundaryMsg>, InLink, ThreadIo<()>) {
+        let (tx, rx) = mpsc::channel();
         let link = InLink::new(false, (0..ports).map(|p| format!("__cut_p{p}")).collect());
         let io = ThreadIo {
             restore: None,
@@ -1656,24 +1629,24 @@ mod tests {
         (tx, link, io)
     }
 
-    fn boundary(seq: u64, values: Vec<i64>) -> Frame {
-        Frame::Boundary { generation: 0, link: 0, msg: BoundaryMsg::new(seq, 0, values) }
+    fn boundary(seq: u64, values: Vec<i64>) -> BoundaryMsg {
+        BoundaryMsg::new(seq, 0, values)
     }
 
     #[test]
     fn a_batch_frame_with_the_wrong_value_count_is_a_typed_fault() {
         let watchdog = Duration::from_millis(50);
-        let (mut tx, mut link, mut io) = in_link(2);
+        let (tx, mut link, mut io) = in_link(2);
         // Three cycles over two ports need six values; five arrive.
-        tx.send(&boundary(0, vec![1, 2, 3, 4, 5])).unwrap();
+        tx.send(boundary(0, vec![1, 2, 3, 4, 5])).unwrap();
         assert_eq!(
             link.recv(&mut io, 0, watchdog, 3),
             Err(LinkFault::Length { seq: 0, expected: 6, got: 5 })
         );
         assert_eq!(link.seq, 0, "a rejected frame is not consumed");
 
-        let (mut tx, mut link, mut io) = in_link(2);
-        tx.send(&boundary(0, vec![1, 2, 3, 4, 5, 6])).unwrap();
+        let (tx, mut link, mut io) = in_link(2);
+        tx.send(boundary(0, vec![1, 2, 3, 4, 5, 6])).unwrap();
         assert_eq!(link.recv(&mut io, 0, watchdog, 3), Ok(()));
         assert_eq!(link.row(2), &[5, 6]);
         assert_eq!(link.seq, 1);
@@ -1687,14 +1660,14 @@ mod tests {
         assert_eq!(io.beats.load(Ordering::Relaxed), 0);
 
         // A producer that beats for three watchdogs before it sends.
-        let (mut tx, mut link, mut io) = in_link(1);
+        let (tx, mut link, mut io) = in_link(1);
         let producer = Arc::clone(&io.ins[0].1);
         let sender = thread::spawn(move || {
             for _ in 0..12 {
                 thread::sleep(watchdog / 4);
                 producer.fetch_add(1, Ordering::Relaxed);
             }
-            tx.send(&boundary(0, vec![7])).unwrap();
+            tx.send(boundary(0, vec![7])).unwrap();
         });
         assert_eq!(link.recv(&mut io, 0, watchdog, 1), Ok(()));
         sender.join().unwrap();

@@ -16,13 +16,13 @@
 //! corpse, which the scanner ignores.
 //!
 //! Inside a record, each section (meta, worker snapshots, committed output
-//! prefix) is CRC32-framed — length prefix, payload, IEEE CRC32 — so
-//! truncation and bit rot are both detected. [`RunStore::latest_consistent`]
-//! walks records newest-first and returns the first one that passes
-//! every check, which makes corruption of the newest barrier a
-//! *bounded rollback*, not a failure: the coordinator just resumes one
-//! barrier earlier. [`RunStore::fsck`] reports the full
-//! consistent/corrupt census for diagnostics and tests.
+//! prefix) is checksum-framed — length prefix, payload, the workspace's
+//! FNV-1a ([`fnv1a`]) — so truncation and bit rot are both detected.
+//! [`RunStore::latest_consistent`] walks records newest-first and
+//! returns the first one that passes every check, which makes corruption
+//! of the newest barrier a *bounded rollback*, not a failure: the
+//! coordinator just resumes one barrier earlier. A record of another
+//! [`STORE_VERSION`] fails the check too, so it is refused, not misread.
 //!
 //! Records carry the committed output prefix in full, so resuming
 //! needs exactly one readable record — no replay across files, no
@@ -33,7 +33,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use dwt_rtl::bytes::{ByteReader, ByteWriter};
+use dwt_rtl::bytes::{fnv1a, hash_seed, ByteReader, ByteWriter};
 use dwt_rtl::Error as RtlError;
 
 use crate::error::PartitionError;
@@ -41,24 +41,9 @@ use crate::error::PartitionError;
 /// Record file magic.
 pub const STORE_MAGIC: [u8; 4] = *b"DWTS";
 /// Record layout version; bump on any change.
-pub const STORE_VERSION: u8 = 2;
+pub const STORE_VERSION: u8 = 3;
 
 const RECORD_EXT: &str = "dwtb";
-
-/// IEEE CRC32 (reflected, polynomial `0xEDB88320`), bitwise — the
-/// store's integrity check is not on any hot path.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Everything needed to resume a run from one barrier.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -76,16 +61,6 @@ pub struct BarrierRecord {
     pub snapshots: Vec<Vec<u8>>,
     /// The full committed output prefix, cycles `0..cycle` per port.
     pub outputs: BTreeMap<String, Vec<i64>>,
-}
-
-/// Census of a store directory.
-#[derive(Debug, Clone, Default)]
-pub struct FsckReport {
-    /// Barrier cycles whose records pass every integrity check,
-    /// ascending.
-    pub consistent: Vec<u64>,
-    /// `(file name, what failed)` for every unreadable record.
-    pub corrupt: Vec<(String, String)>,
 }
 
 fn store_err(detail: impl Into<String>) -> PartitionError {
@@ -151,7 +126,7 @@ impl RunStore {
     ///
     /// # Errors
     ///
-    /// [`PartitionError::Store`] for I/O failures, truncation, CRC
+    /// [`PartitionError::Store`] for I/O failures, truncation, checksum
     /// mismatches, or version/magic mismatches.
     pub fn load(&self, path: &Path) -> Result<BarrierRecord, PartitionError> {
         let mut bytes = Vec::new();
@@ -202,30 +177,6 @@ impl RunStore {
         Ok(None)
     }
 
-    /// Full integrity census: which barriers are consistent, which
-    /// records are corrupt and why.
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::Store`] only if the directory is unreadable.
-    pub fn fsck(&self) -> Result<FsckReport, PartitionError> {
-        let mut report = FsckReport::default();
-        for (cycle, path) in self.record_paths()? {
-            match self.load(&path) {
-                Ok(_) => report.consistent.push(cycle),
-                Err(e) => {
-                    let name = path
-                        .file_name()
-                        .and_then(|n| n.to_str())
-                        .unwrap_or("<non-utf8>")
-                        .to_string();
-                    report.corrupt.push((name, e.to_string()));
-                }
-            }
-        }
-        Ok(report)
-    }
-
     /// Deletes all but the newest `keep` records (and any stale `.tmp`
     /// corpses). Returns how many files were removed.
     ///
@@ -256,19 +207,19 @@ impl RunStore {
 
 // ----------------------------------------------------------- codec
 
-/// Appends one CRC32-framed section: `len u32 | payload | crc32 u32`.
+/// Appends one checksum-framed section: `len u32 | payload | fnv1a u64`.
 fn write_section(out: &mut ByteWriter, payload: &[u8]) {
     out.bytes(payload);
-    out.u32(crc32(payload));
+    out.u64(fnv1a(hash_seed(), payload));
 }
 
-/// Extracts one CRC32-framed section.
+/// Extracts one checksum-framed section.
 fn read_section<'a>(r: &mut ByteReader<'a>) -> dwt_rtl::Result<&'a [u8]> {
     let len = r.u32()? as usize;
     let payload = r.take(len)?;
-    let (declared, fresh) = (r.u32()?, crc32(payload));
+    let (declared, fresh) = (r.u64()?, fnv1a(hash_seed(), payload));
     if declared != fresh {
-        let detail = format!("section CRC mismatch ({declared:#010x} != {fresh:#010x})");
+        let detail = format!("section checksum mismatch ({declared:#018x} != {fresh:#018x})");
         return Err(RtlError::SnapshotDecode { detail });
     }
     Ok(payload)
@@ -314,7 +265,7 @@ fn decode_record(bytes: &[u8]) -> Result<BarrierRecord, PartitionError> {
     })
 }
 
-/// Parses the three CRC32-framed sections after a record's header.
+/// Parses the three checksum-framed sections after a record's header.
 fn decode_sections(bytes: &[u8]) -> dwt_rtl::Result<BarrierRecord> {
     let mut record = ByteReader::new(bytes);
     let meta = read_section(&mut record)?;
@@ -347,8 +298,12 @@ fn decode_sections(bytes: &[u8]) -> dwt_rtl::Result<BarrierRecord> {
 mod tests {
     use super::*;
 
-    /// `(length, CRC32)` of `sample(32)`'s encoding.
-    const PINNED_RECORD: (usize, u32) = (641, 0xebc6_ade3);
+    /// `(length, FNV-1a)` of `sample(32)`'s encoding.
+    const PINNED_RECORD: (usize, u64) = (653, 0x1877_94ad_ba30_07b3);
+
+    /// `(length, IEEE CRC32)` of `sample(32)` as [`STORE_VERSION`] 2
+    /// wrote it, with CRC32-framed sections.
+    const PINNED_VERSION_2_RECORD: (usize, u32) = (641, 0xebc6_ade3);
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dwt-store-{tag}-{}", std::process::id()));
@@ -368,6 +323,43 @@ mod tests {
         }
     }
 
+    /// The cycles of the records present under their final names.
+    fn cycles(store: &RunStore) -> Vec<u64> {
+        store.record_paths().unwrap().into_iter().map(|(cycle, _)| cycle).collect()
+    }
+
+    /// IEEE CRC32 (reflected, polynomial `0xEDB88320`), the section
+    /// check of [`STORE_VERSION`] 2.
+    fn ieee_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    /// `record` as [`STORE_VERSION`] 2 wrote it: the same sections,
+    /// each framed `len u32 | payload | crc32 u32`.
+    fn version_2_record(record: &BarrierRecord) -> Vec<u8> {
+        let current = encode_record(record);
+        let mut r = ByteReader::new(&current[5..]);
+        let mut out = ByteWriter::new();
+        STORE_MAGIC.iter().for_each(|&b| out.u8(b));
+        out.u8(2);
+        for _ in 0..3 {
+            let len = r.u32().unwrap() as usize;
+            let payload = r.take(len).unwrap();
+            r.u64().unwrap();
+            out.bytes(payload);
+            out.u32(ieee_crc32(payload));
+        }
+        r.finish().unwrap();
+        out.finish()
+    }
+
     #[test]
     fn save_load_and_latest_consistent_round_trip() {
         let dir = temp_dir("roundtrip");
@@ -378,9 +370,10 @@ mod tests {
         }
         let latest = store.latest_consistent().unwrap().unwrap();
         assert_eq!(latest, sample(96));
-        let report = store.fsck().unwrap();
-        assert_eq!(report.consistent, vec![32, 64, 96]);
-        assert!(report.corrupt.is_empty());
+        for (cycle, path) in store.record_paths().unwrap() {
+            assert_eq!(store.load(&path).unwrap(), sample(cycle));
+        }
+        assert_eq!(cycles(&store), vec![32, 64, 96]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -388,7 +381,7 @@ mod tests {
     fn truncated_tail_record_falls_back_to_previous_barrier() {
         let dir = temp_dir("truncate");
         let store = RunStore::open(&dir).unwrap();
-        store.save(&sample(32)).unwrap();
+        let oldest = store.save(&sample(32)).unwrap();
         let newest = store.save(&sample(64)).unwrap();
         // Simulate a torn write that somehow reached the final name:
         // chop the record mid-section.
@@ -396,10 +389,10 @@ mod tests {
         fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
         let latest = store.latest_consistent().unwrap().unwrap();
         assert_eq!(latest.cycle, 32, "fall back past the torn record");
-        let report = store.fsck().unwrap();
-        assert_eq!(report.consistent, vec![32]);
-        assert_eq!(report.corrupt.len(), 1);
-        assert!(report.corrupt[0].0.contains("barrier-"), "{report:?}");
+        assert_eq!(store.load(&oldest).unwrap(), sample(32));
+        let torn = store.load(&newest);
+        assert!(matches!(torn, Err(PartitionError::Store { .. })), "{torn:?}");
+        assert_eq!(cycles(&store), vec![32, 64], "the torn record keeps its name");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -436,7 +429,8 @@ mod tests {
         let store = RunStore::open(&dir).unwrap();
         fs::remove_dir_all(&dir).unwrap();
         assert!(matches!(store.latest_consistent(), Err(PartitionError::Store { .. })));
-        assert!(matches!(store.fsck(), Err(PartitionError::Store { .. })));
+        let gone = store.load(&store.record_path(32));
+        assert!(matches!(gone, Err(PartitionError::Store { .. })), "{gone:?}");
         // Re-opening recreates it.
         let store = RunStore::open(&dir).unwrap();
         assert_eq!(store.latest_consistent().unwrap(), None);
@@ -453,24 +447,51 @@ mod tests {
         fs::write(dir.join("barrier-dead.tmp"), b"torn").unwrap();
         let removed = store.prune(2).unwrap();
         assert_eq!(removed, 4, "three old records + one tmp corpse");
-        let report = store.fsck().unwrap();
-        assert_eq!(report.consistent, vec![32, 40]);
+        assert_eq!(cycles(&store), vec![32, 40]);
+        for (cycle, path) in store.record_paths().unwrap() {
+            assert_eq!(store.load(&path).unwrap(), sample(cycle));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A record of the previous layout is refused by `load` and skipped
+    /// by `latest_consistent`, so a store holding only such records
+    /// reads as empty and a resume starts from power-on.
     #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC32 test vector: "123456789" -> 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn version_2_records_are_refused_and_skipped() {
+        // The helper writes the real old format: CRC32 per its test
+        // vector, and the record byte for byte as version 2 pinned it.
+        assert_eq!(ieee_crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(ieee_crc32(b""), 0);
+        let old = version_2_record(&sample(32));
+        assert_eq!((old.len(), ieee_crc32(&old)), PINNED_VERSION_2_RECORD);
+
+        let dir = temp_dir("version2");
+        let store = RunStore::open(&dir).unwrap();
+        store.save(&sample(32)).unwrap();
+        let path = store.record_path(64);
+        fs::write(&path, version_2_record(&sample(64))).unwrap();
+        match store.load(&path) {
+            Err(PartitionError::Store { detail }) => {
+                assert!(detail.contains("unsupported record version 2"), "{detail}");
+            }
+            other => panic!("a version 2 record must be refused, got {other:?}"),
+        }
+        assert_eq!(store.latest_consistent().unwrap(), Some(sample(32)), "skipped, not misread");
+
+        fs::remove_file(store.record_path(32)).unwrap();
+        fs::write(store.record_path(96), version_2_record(&sample(96))).unwrap();
+        assert_eq!(cycles(&store), vec![64, 96]);
+        assert_eq!(store.latest_consistent().unwrap(), None, "only old records: power-on");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Pins the encoded bytes of a sample record (by length and CRC32 of
-    /// the whole file), so a symmetric change to the record codec, which
-    /// every round trip would accept, fails here.
+    /// Pins the encoded bytes of a sample record (by length and FNV-1a
+    /// of the whole file), so a symmetric change to the record codec,
+    /// which every round trip would accept, fails here.
     #[test]
     fn record_encoding_is_pinned() {
         let bytes = encode_record(&sample(32));
-        assert_eq!((bytes.len(), crc32(&bytes)), PINNED_RECORD);
+        assert_eq!((bytes.len(), fnv1a(hash_seed(), &bytes)), PINNED_RECORD);
     }
 }

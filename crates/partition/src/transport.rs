@@ -1,28 +1,20 @@
-//! Frame transports: how [`Frame`]s move between the lockstep
-//! coordinator and its workers.
+//! The frame transport between processes: [`Frame`]s over a
+//! Unix-domain stream socket.
 //!
 //! The protocol layer ([`wire`](crate::wire)) defines *what* travels;
-//! this module defines *how*. Two implementations share the
-//! [`Transport`] trait:
+//! [`SocketTransport`] defines *how*. Reads are deadline-bounded and
+//! reassemble frames from the byte stream (partial reads are normal
+//! under timeouts); a closed peer surfaces as
+//! [`RecvError::Disconnected`]. Thread-mode boundary links need no
+//! bytes: they are typed `mpsc` channels of
+//! [`BoundaryMsg`](crate::channel::BoundaryMsg).
 //!
-//! * [`ChannelTransport`] — in-process `mpsc` channels carrying
-//!   encoded frame bytes. Thread-mode boundary links use this, so
-//!   every frame still round-trips through the full byte codec —
-//!   the differential suite exercises the wire format on every run,
-//!   not only when a process campaign happens to be running.
-//! * [`SocketTransport`] — a Unix-domain stream socket to another
-//!   process. Reads are deadline-bounded and reassemble frames from
-//!   the byte stream (partial reads are normal under timeouts); a
-//!   closed peer surfaces as [`RecvError::Disconnected`], exactly
-//!   like a dropped channel.
-//!
-//! Both ends treat malformed bytes as a protocol fault, not a crash:
+//! Malformed bytes are a protocol fault, not a crash:
 //! [`RecvError::Protocol`] carries the typed decode error upward where
 //! the coordinator converts it into a detection and a rollback.
 
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use crate::error::PartitionError;
@@ -48,64 +40,6 @@ impl std::fmt::Display for RecvError {
         }
     }
 }
-
-/// A bidirectional, ordered, frame-at-a-time pipe to a peer.
-pub trait Transport: Send {
-    /// Encodes and sends one frame.
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::Transport`] when the peer is unreachable.
-    fn send(&mut self, frame: &Frame) -> Result<(), PartitionError>;
-
-    /// Receives the next frame, waiting at most `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Timeout`] if nothing complete arrived in time,
-    /// [`RecvError::Disconnected`] if the peer is gone,
-    /// [`RecvError::Protocol`] if the peer sent malformed bytes.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, RecvError>;
-}
-
-// ------------------------------------------------------------ channels
-
-/// In-process transport: encoded frame bytes over `mpsc` channels.
-#[derive(Debug)]
-pub struct ChannelTransport {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-}
-
-impl ChannelTransport {
-    /// A connected pair of endpoints (full duplex: two crossed
-    /// channels).
-    #[must_use]
-    pub fn pair() -> (ChannelTransport, ChannelTransport) {
-        let (a_tx, b_rx) = mpsc::channel();
-        let (b_tx, a_rx) = mpsc::channel();
-        (ChannelTransport { tx: a_tx, rx: a_rx }, ChannelTransport { tx: b_tx, rx: b_rx })
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn send(&mut self, frame: &Frame) -> Result<(), PartitionError> {
-        self.tx
-            .send(frame.encode())
-            .map_err(|_| PartitionError::Transport { detail: "channel closed".into() })
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, RecvError> {
-        let bytes = match self.rx.recv_timeout(timeout) {
-            Ok(bytes) => bytes,
-            Err(RecvTimeoutError::Timeout) => return Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => return Err(RecvError::Disconnected),
-        };
-        Frame::decode(&bytes).map_err(RecvError::Protocol)
-    }
-}
-
-// ------------------------------------------------------------- sockets
 
 /// Cross-process transport: frames over a Unix-domain stream socket.
 ///
@@ -147,17 +81,27 @@ impl SocketTransport {
         let total = HEADER_LEN + payload_len + CHECKSUM_LEN;
         Ok(if self.pending.len() >= total { Some(total) } else { None })
     }
-}
 
-impl Transport for SocketTransport {
-    fn send(&mut self, frame: &Frame) -> Result<(), PartitionError> {
+    /// Encodes and sends one frame.
+    ///
+    /// # Errors
+    ///
+    /// [`PartitionError::Transport`] when the peer is unreachable.
+    pub fn send(&mut self, frame: &Frame) -> Result<(), PartitionError> {
         self.stream
             .write_all(&frame.encode())
             .and_then(|()| self.stream.flush())
             .map_err(|e| PartitionError::Transport { detail: e.to_string() })
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, RecvError> {
+    /// Receives the next frame, waiting at most `timeout`.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvError::Timeout`] if nothing complete arrived in time,
+    /// [`RecvError::Disconnected`] if the peer is gone,
+    /// [`RecvError::Protocol`] if the peer sent malformed bytes.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, RecvError> {
         let deadline = Instant::now() + timeout;
         loop {
             // Header validation errors (bad magic, absurd length) are
@@ -199,21 +143,7 @@ mod tests {
     use crate::channel::BoundaryMsg;
 
     fn boundary(seq: u64) -> Frame {
-        Frame::Boundary { generation: 1, link: 0, msg: BoundaryMsg::new(seq, seq, vec![-7, 9]) }
-    }
-
-    #[test]
-    fn channel_transport_round_trips_frames() {
-        let (mut a, mut b) = ChannelTransport::pair();
-        a.send(&boundary(0)).unwrap();
-        a.send(&Frame::Shutdown).unwrap();
-        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), boundary(0));
-        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), Frame::Shutdown);
-        b.send(&boundary(5)).unwrap();
-        assert_eq!(a.recv_timeout(Duration::from_secs(1)).unwrap(), boundary(5));
-        assert!(matches!(a.recv_timeout(Duration::from_millis(10)), Err(RecvError::Timeout)));
-        drop(b);
-        assert!(matches!(a.recv_timeout(Duration::from_millis(10)), Err(RecvError::Disconnected)));
+        Frame::Boundary { msg: BoundaryMsg::new(seq, seq, vec![-7, 9]) }
     }
 
     #[test]

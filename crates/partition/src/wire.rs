@@ -1,12 +1,11 @@
 //! The self-describing byte protocol between the partition coordinator
 //! and its shard workers.
 //!
-//! Worker threads take typed commands over `mpsc` channels; a worker
-//! process cannot — it is a separate address space on the far side of
-//! a Unix socket, possibly running a different build if an operator
-//! mixes binaries. Every message to or from a process, and every
-//! boundary value in either isolation, therefore travels as a
-//! **frame** with a self-describing envelope:
+//! Worker threads take typed commands and boundary messages over `mpsc`
+//! channels; a worker process cannot — it is a separate address space
+//! on the far side of a Unix socket, possibly running a different build
+//! if an operator mixes binaries. Every message to or from a process
+//! therefore travels as a **frame** with a self-describing envelope:
 //!
 //! ```text
 //! magic "DWTP" (4) | version (1) | frame type (1) | payload len (4, LE)
@@ -24,14 +23,16 @@
 //!
 //! The same codec carries the data plane ([`Frame::Boundary`] wrapping
 //! a [`BoundaryMsg`]) and the control plane (hello, batch, heartbeat,
-//! barrier report, rollback, fault, shutdown). Thread mode round-trips
-//! boundary messages through these bytes too, so every differential
-//! test exercises the wire format.
+//! barrier report, rollback, fault, shutdown).
 //!
-//! Frames after a rollback carry a **generation** counter: the
-//! coordinator bumps it on every rollback, and both ends drop frames
-//! from older generations, so a stale in-flight boundary value can
-//! never be mistaken for its replayed successor.
+//! Batches, reports, heartbeats, rollbacks and faults carry a
+//! **generation** counter: the coordinator bumps it on every rollback,
+//! and both ends drop those frames from older generations. Boundary
+//! frames need none: each travels on a link socket that lives for one
+//! generation, so a stale in-flight value can never be mistaken for its
+//! replayed successor. Only the Hello names its worker, and no frame
+//! names a link: the hub knows a worker by its connection, and a link
+//! by its socket.
 
 use std::time::Duration;
 
@@ -46,7 +47,7 @@ use crate::runner::{Batch, BatchReport, DetectionKind};
 /// Frame preamble: protocol magic.
 pub const MAGIC: [u8; 4] = *b"DWTP";
 /// Wire protocol version; bump on any frame/payload layout change.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// Bytes in the fixed header (magic + version + type + payload len).
 pub const HEADER_LEN: usize = 10;
 /// Bytes in the trailing checksum.
@@ -84,21 +85,15 @@ pub enum Frame {
         /// The batch.
         batch: Box<Batch>,
     },
-    /// Producer → consumer, on the link's own transport: one
+    /// Producer → consumer, on the link's own socket: one
     /// boundary-value message.
     Boundary {
-        /// Rollback generation the value belongs to.
-        generation: u64,
-        /// The producer's index of the link among its outgoing links.
-        link: u32,
         /// The sequence-numbered, checksummed payload.
         msg: BoundaryMsg,
     },
     /// Liveness beats, at most a few per watchdog window: worker →
     /// coordinator, and producer → consumer down each of its links.
     Heartbeat {
-        /// Shard index of the beating worker.
-        worker: u32,
         /// Rollback generation being executed.
         generation: u64,
         /// The worker's beat count.
@@ -124,8 +119,6 @@ pub enum Frame {
     },
     /// Worker → coordinator: a detection fired inside the worker.
     Fault {
-        /// Shard index.
-        worker: u32,
         /// Generation the fault occurred in.
         generation: u64,
         /// First cycle of the batch it spoiled.
@@ -275,7 +268,6 @@ fn write_batch(w: &mut ByteWriter, b: &Batch) {
         w.bool(stealth);
     });
     w.u64(nanos(b.watchdog));
-    write_opt(w, b.event_cap);
 }
 
 fn read_batch(r: &mut ByteReader<'_>) -> RtlResult<Batch> {
@@ -299,7 +291,6 @@ fn read_batch(r: &mut ByteReader<'_>) -> RtlResult<Batch> {
         stall_at: stall_offset.map(|offset| (offset, pause)),
         corrupt,
         watchdog: Duration::from_nanos(r.u64()?),
-        event_cap: read_opt(r)?,
     })
 }
 
@@ -352,13 +343,8 @@ impl Frame {
                 w.u64(*generation);
                 write_batch(&mut w, batch);
             }
-            Frame::Boundary { generation, link, msg } => {
-                w.u64(*generation);
-                w.u32(*link);
-                write_boundary_msg(&mut w, msg);
-            }
-            Frame::Heartbeat { worker, generation, beats } => {
-                w.u32(*worker);
+            Frame::Boundary { msg } => write_boundary_msg(&mut w, msg),
+            Frame::Heartbeat { generation, beats } => {
                 w.u64(*generation);
                 w.u64(*beats);
             }
@@ -371,8 +357,7 @@ impl Frame {
                 w.u64(*cycle);
                 w.bytes(snapshot);
             }
-            Frame::Fault { worker, generation, start, kind } => {
-                w.u32(*worker);
+            Frame::Fault { generation, start, kind } => {
                 w.u64(*generation);
                 w.u64(*start);
                 write_detection(&mut w, kind);
@@ -441,14 +426,8 @@ impl Frame {
             FRAME_BATCH => {
                 Frame::Batch { generation: r.u64()?, batch: Box::new(read_batch(&mut r)?) }
             }
-            FRAME_BOUNDARY => Frame::Boundary {
-                generation: r.u64()?,
-                link: r.u32()?,
-                msg: read_boundary_msg(&mut r)?,
-            },
-            FRAME_HEARTBEAT => {
-                Frame::Heartbeat { worker: r.u32()?, generation: r.u64()?, beats: r.u64()? }
-            }
+            FRAME_BOUNDARY => Frame::Boundary { msg: read_boundary_msg(&mut r)? },
+            FRAME_HEARTBEAT => Frame::Heartbeat { generation: r.u64()?, beats: r.u64()? },
             FRAME_BARRIER_REPORT => Frame::BarrierReport {
                 generation: r.u64()?,
                 report: Box::new(read_report(&mut r)?),
@@ -457,7 +436,6 @@ impl Frame {
                 Frame::Rollback { generation: r.u64()?, cycle: r.u64()?, snapshot: r.bytes()? }
             }
             FRAME_FAULT => Frame::Fault {
-                worker: r.u32()?,
                 generation: r.u64()?,
                 start: r.u64()?,
                 kind: read_detection(&mut r)?,
@@ -499,18 +477,18 @@ pub fn header_payload_len(header: &[u8]) -> Result<usize, PartitionError> {
 mod tests {
     use super::*;
 
-    /// `(length, CRC32)` of each of [`sample_frames`]' encodings.
-    const PINNED_FRAMES: [(usize, u32); 10] = [
-        (30, 0x9357_12f2),
-        (263, 0x1910_a87c),
-        (82, 0xe039_7a30),
-        (38, 0x969a_a5e2),
-        (142, 0x3cf5_83e5),
-        (41, 0x82ab_5ceb),
-        (38, 0xf9b2_cb67),
-        (51, 0xa903_f80e),
-        (39, 0xd113_7e2f),
-        (18, 0xe762_cf72),
+    /// `(length, FNV-1a)` of each of [`sample_frames`]' encodings.
+    const PINNED_FRAMES: [(usize, u64); 10] = [
+        (30, 0xdba0_874a_52f9_3552),
+        (254, 0xe81d_8685_6340_7f9a),
+        (70, 0x2dca_6daa_b31b_f9f2),
+        (34, 0x24aa_2ecb_0042_9cde),
+        (142, 0xd6c1_f16c_2207_3189),
+        (41, 0x5506_6a03_8091_f2bc),
+        (38, 0x1dbe_b0b6_62f5_fa90),
+        (47, 0x7b9a_7be9_3096_f806),
+        (35, 0x65aa_b5f9_96ac_476e),
+        (18, 0x91e4_8178_1380_7227),
     ];
 
     fn sample_frames() -> Vec<Frame> {
@@ -532,15 +510,10 @@ mod tests {
                     stall_at: Some((5, Duration::from_millis(400))),
                     corrupt: vec![(1, 0, true), (0, 2, false)],
                     watchdog: Duration::from_millis(250),
-                    event_cap: None,
                 }),
             },
-            Frame::Boundary {
-                generation: 1,
-                link: 2,
-                msg: BoundaryMsg::new(17, 81, vec![-1, 0, i64::MAX >> 1]),
-            },
-            Frame::Heartbeat { worker: 1, generation: 4, beats: 96 },
+            Frame::Boundary { msg: BoundaryMsg::new(17, 81, vec![-1, 0, i64::MAX >> 1]) },
+            Frame::Heartbeat { generation: 4, beats: 96 },
             Frame::BarrierReport {
                 generation: 4,
                 report: Box::new(BatchReport {
@@ -556,12 +529,11 @@ mod tests {
             Frame::Rollback { generation: 5, cycle: 32, snapshot: vec![1, 2, 3] },
             Frame::Rollback { generation: 6, cycle: 0, snapshot: Vec::new() },
             Frame::Fault {
-                worker: 1,
                 generation: 3,
                 start: 32,
                 kind: DetectionKind::Engine("diverged".into()),
             },
-            Frame::Fault { worker: 0, generation: 0, start: 0, kind: DetectionKind::Sequence },
+            Frame::Fault { generation: 0, start: 0, kind: DetectionKind::Sequence },
             Frame::Shutdown,
         ]
     }
@@ -626,19 +598,20 @@ mod tests {
         assert!(header_payload_len(&absurd).is_err());
     }
 
-    /// Pins the encoded bytes of every sample frame (by CRC32, which
-    /// the frame format does not use) and the FNV-1a under their
-    /// checksums. Encoder and decoder share one codec, so a symmetric
-    /// change to it passes every round trip; it cannot pass this.
+    /// Pins the encoded bytes of every sample frame (by FNV-1a over
+    /// the whole encoding, trailing checksum included) and the FNV-1a
+    /// under their checksums. Encoder and decoder share one codec, so a
+    /// symmetric change to it passes every round trip; it cannot pass
+    /// this.
     #[test]
     fn frame_encodings_are_pinned() {
-        assert_eq!(crate::fnv1a(crate::hash_seed(), b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(crate::fnv1a(crate::hash_seed(), b"a"), 0xaf63_dc4c_8601_ec8c);
-        let digests: Vec<(usize, u32)> = sample_frames()
+        assert_eq!(fnv1a(hash_seed(), b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(hash_seed(), b"a"), 0xaf63_dc4c_8601_ec8c);
+        let digests: Vec<(usize, u64)> = sample_frames()
             .iter()
             .map(|frame| {
                 let bytes = frame.encode();
-                (bytes.len(), crate::crc32(&bytes))
+                (bytes.len(), fnv1a(hash_seed(), &bytes))
             })
             .collect();
         assert_eq!(digests, PINNED_FRAMES);

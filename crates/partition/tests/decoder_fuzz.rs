@@ -15,7 +15,7 @@ use std::path::PathBuf;
 
 use dwt_partition::store::{STORE_MAGIC, STORE_VERSION};
 use dwt_partition::wire::{HEADER_LEN, MAGIC, VERSION};
-use dwt_partition::{crc32, fnv1a, hash_seed, Frame, PartitionError, RunStore};
+use dwt_partition::{fnv1a, hash_seed, Frame, PartitionError, RunStore};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -78,14 +78,14 @@ fn enveloped(kind: u8, payload: &[u8]) -> Vec<u8> {
 }
 
 /// `sections` as a barrier record: valid magic and version, each
-/// section length-prefixed and CRC-framed.
+/// section length-prefixed and checksum-framed.
 fn record(sections: &[Vec<u8>]) -> Vec<u8> {
     let mut bytes = STORE_MAGIC.to_vec();
     bytes.push(STORE_VERSION);
     for section in sections {
         bytes.extend_from_slice(&(section.len() as u32).to_le_bytes());
         bytes.extend_from_slice(section);
-        bytes.extend_from_slice(&crc32(section).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a(hash_seed(), section).to_le_bytes());
     }
     bytes
 }

@@ -13,8 +13,8 @@
 use dwt_partition::{BoundaryMsg, Frame, LinkFault};
 use proptest::prelude::*;
 
-fn boundary(generation: u64, link: u32, seq: u64, cycle: u64, values: Vec<i64>) -> Frame {
-    Frame::Boundary { generation, link, msg: BoundaryMsg::new(seq, cycle, values) }
+fn boundary(seq: u64, cycle: u64, values: Vec<i64>) -> Frame {
+    Frame::Boundary { msg: BoundaryMsg::new(seq, cycle, values) }
 }
 
 proptest! {
@@ -22,13 +22,11 @@ proptest! {
 
     #[test]
     fn boundary_frames_round_trip(
-        generation in any::<u64>(),
-        link in 0u32..1024,
         seq in any::<u64>(),
         cycle in any::<u64>(),
         values in prop::collection::vec(any::<i64>(), 0..32),
     ) {
-        let frame = boundary(generation, link, seq, cycle, values);
+        let frame = boundary(seq, cycle, values);
         let decoded = Frame::decode(&frame.encode()).expect("clean bytes decode");
         prop_assert_eq!(decoded, frame);
     }
@@ -40,7 +38,7 @@ proptest! {
         pos_seed in any::<u64>(),
         flip in 1u8..=255,
     ) {
-        let mut bytes = boundary(9, 2, seq, seq ^ 0x55, values).encode();
+        let mut bytes = boundary(seq, seq ^ 0x55, values).encode();
         let pos = (pos_seed % bytes.len() as u64) as usize;
         bytes[pos] ^= flip;
         prop_assert!(Frame::decode(&bytes).is_err(), "flip {flip:#x} at {pos} accepted");
@@ -53,7 +51,7 @@ proptest! {
         cut_seed in any::<u64>(),
         trailing in any::<u8>(),
     ) {
-        let bytes = boundary(1, 0, seq, seq, values).encode();
+        let bytes = boundary(seq, seq, values).encode();
         let cut = (cut_seed % bytes.len() as u64) as usize;
         prop_assert!(Frame::decode(&bytes[..cut]).is_err(), "truncation to {cut} accepted");
         let mut long = bytes.clone();
@@ -71,8 +69,8 @@ proptest! {
         // `skew` is never 0 and `expected` never 0, so `got` differs.
         let expected = cycles * ports;
         let got = (expected as i64 + skew).max(0) as usize;
-        let frame = boundary(0, 0, seq, 32, vec![7; got]);
-        let Frame::Boundary { msg, .. } = Frame::decode(&frame.encode()).expect("decodes") else {
+        let frame = boundary(seq, 32, vec![7; got]);
+        let Frame::Boundary { msg } = Frame::decode(&frame.encode()).expect("decodes") else {
             unreachable!("a boundary frame decodes as one");
         };
         prop_assert_eq!(msg.verify(seq, expected), Err(LinkFault::Length { seq, expected, got }));

@@ -33,7 +33,7 @@ use std::time::Instant;
 /// simulator cycles, nanoseconds, microseconds. Consumers such as
 /// [`CircuitBreaker`](crate::breaker::CircuitBreaker) only compare and
 /// add tick values, so any consistent unit works.
-pub trait Clock: Send + Sync {
+pub trait Clock: std::fmt::Debug + Send + Sync {
     /// The current tick count. Must never decrease between calls.
     fn now(&self) -> u64;
 }
